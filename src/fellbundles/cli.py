@@ -368,6 +368,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(json.dumps({"ok": False, "error": str(exc)}), file=sys.stderr)
         return BAD_INPUT
+    if args.samples < 1:
+        print(json.dumps({"ok": False, "error": "--samples must be a positive integer"}),
+              file=sys.stderr)
+        return BAD_INPUT
     try:
         return COMMANDS[args.command](args)
     except (NotLatinSquareError, NotAssociativeError, NoIdentityError,

@@ -11,6 +11,7 @@ guard on that reduction.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ from .crosssec import RegRep, Section, matrix_alg
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle
 from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, opnorm
-from .reports import Report
 
 
 class NotUnitalError(ValueError):
@@ -234,22 +234,85 @@ class SampledCheck:
         return self.ok
 
 
-def t_values_ambient(t: BundleMap):
-    """tt[k][k2][i, j] = ambient value of T(a_i^{k*} a_j^{k2}), indexed by
-    the source fibers; shared by the sampled checker and the reconstruction."""
+def _padded_fibers(bundle: FellBundle, labels, width: int) -> np.ndarray:
+    """(len(labels), width, n, n): the fiber bases over `labels`, each
+    zero-padded to `width` basis elements."""
+    n = bundle.ambient_dim
+    out = np.zeros((len(labels), width, n, n), dtype=np.complex128)
+    for p, g in enumerate(labels):
+        out[p, :bundle.dims[g]] = bundle.fibers[g]
+    return out
+
+
+def t_values_ambient(t: BundleMap) -> np.ndarray:
+    """The positivity form of t as one padded square array.
+
+    Entry [(k, x, a), (k2, y, b)] is entry (a, b) of the ambient value of
+    T(a_x^{k*} a_y^{k2}), with k, k2 source group elements, x, y basis
+    indices zero-padded to the largest source fiber and a, b ambient
+    indices of the target: shape (G*dmax*n, G*dmax*n).  Built once per map;
+    the sampled checker and the reconstruction both read it.
+    """
     src, tgt = t.source, t.target
     grp = src.group
-    tt = [[None] * grp.order for _ in grp.elements()]
+    order, n = grp.order, tgt.ambient_dim
+    dm, dbm = max(src.dims, default=0), max(tgt.dims, default=0)
+    quot = grp.table[grp.inverse]  # quot[k, k2] = k^-1 k2
+    star = np.zeros((order, dm, dm), dtype=np.complex128)
+    prod = np.zeros((order, order, dm, dm, dm), dtype=np.complex128)
+    mats = np.zeros((order, dbm, dm), dtype=np.complex128)
     for k in grp.elements():
+        kinv = grp.inv(k)
+        star[k, :src.dims[k], :src.dims[kinv]] = src.star_tensor[k]
+        mats[k, :tgt.dims[t.hom(k)], :src.dims[k]] = t.mats[k]
         for k2 in grp.elements():
-            kk = grp.mul(grp.inv(k), k2)
-            spt = _star_prod_tensor(src, k, k2)
-            coords = np.einsum("ijk,lk->ijl", spt, t.mats[kk])
-            tt[k][k2] = np.einsum("ijl,lab->ijab", coords, tgt.fibers[t.hom(kk)]) \
-                if tgt.dims[t.hom(kk)] else np.zeros(
-                    (src.dims[k], src.dims[k2], tgt.ambient_dim, tgt.ambient_dim),
-                    dtype=np.complex128)
-    return tt
+            p = src.prod[kinv][k2]
+            prod[k, k2, :p.shape[0], :p.shape[1], :p.shape[2]] = p
+    # coords of a_x^{k*} a_y^{k2} in A_{k^-1 k2}, then of its image under T
+    spt = (star[:, None] @ prod.reshape(order, order, dm, dm * dm)).reshape(
+        order, order, dm * dm, dm)
+    coords = spt @ mats[quot].transpose(0, 1, 3, 2)  # (G, G, dm*dm, dbm)
+    fibers = _padded_fibers(tgt, tgt.group.elements(), dbm).reshape(-1, dbm, n * n)
+    phi_quot = t.hom.map[quot]
+    tt = np.empty((order, dm, n, order, dm, n), dtype=np.complex128)
+    for k in grp.elements():
+        vals = (coords[k] @ fibers[phi_quot[k]]).reshape(order, dm, dm, n, n)
+        tt[k] = vals.transpose(1, 3, 0, 2, 4)
+    side = order * dm * n
+    return tt.reshape(side, side)
+
+
+# bytes of batch intermediates per chunk of samples in pd_check_sampled
+_CHUNK_BYTES = 1 << 22
+
+
+def _split_coords(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
+    """Coordinates drawn as consecutive `random_coords` calls (real parts,
+    then imaginary parts, of each element in turn), zero-padded to
+    (len(dims), width)."""
+    col = np.arange(width)
+    mask = col < dims[:, None]
+    re = (2 * (np.cumsum(dims) - dims))[:, None] + col
+    out = np.zeros((len(dims), width), dtype=np.complex128)
+    out[mask] = z[re[mask]] + 1j * z[(re + dims[:, None])[mask]]
+    return out
+
+
+def _sample_tuples(rng, samples: int, da: np.ndarray, db: np.ndarray):
+    """Yield random tuples (labels g_i, draws for the a_i in A_{g_i}, draws
+    for the b_i in B_{phi(g_i)}), where da[g] and db[g] are the dimensions
+    of A_g and B_{phi(g)}.  The draws are those of one `random_coords` call
+    per element, a's before b's (decode them with _split_coords); tuples
+    touching a zero fiber are drawn and dropped."""
+    order = len(da)
+    max_len = max(1, order * int(da.max()))
+    for _ in range(samples):
+        size = int(rng.integers(1, max_len + 1))
+        gs = rng.integers(order, size=size)
+        if not (da[gs].all() and db[gs].all()):
+            continue
+        yield (gs, rng.standard_normal(2 * int(da[gs].sum())),
+               rng.standard_normal(2 * int(db[gs].sum())))
 
 
 def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
@@ -261,42 +324,101 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     ambient algebra of the target.  Sampling can miss violations but uses a
     strictly looser threshold than the exact certificate, so it never
     contradicts an exact pass.
+
+    Positions sharing a label are summed first: S = E T E*, with T from
+    t_values_ambient and E = sum_i conj(a_i)^T (x) b_i placed in the column
+    block of g_i.  Samples are evaluated together in chunks whose
+    intermediates stay near _CHUNK_BYTES; the margins, Hermitian defects and
+    norms of a chunk come from one batched eigvalsh/norm.  The witness is the
+    first sample attaining the minimal margin.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
     tol = tol or DEFAULT_TOL
-    src, tgt, hom = t.source, t.target, t.hom
-    grp = src.group
-    rng = np.random.default_rng(seed)
-    max_len = max(1, grp.order * max(src.dims, default=1))
+    src, tgt = t.source, t.target
+    order, n = src.group.order, tgt.ambient_dim
+    da, db = np.asarray(src.dims), np.asarray(tgt.dims)[t.hom.map]
+    dm, dbm = int(da.max(initial=0)), int(db.max(initial=0))
     tt = t_values_ambient(t)
+    side = tt.shape[0]
+    fibers = _padded_fibers(tgt, t.hom.map, dbm).reshape(order, dbm, n * n)
+    # e, its transpose and conjugate, and e @ tt: four (n, side) arrays per sample
+    chunk = max(1, _CHUNK_BYTES // max(64 * n * side, 1))
+    tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
     worst = np.inf
     bad = None
-    for _ in range(samples):
-        size = int(rng.integers(1, max_len + 1))
-        gs = [int(rng.integers(grp.order)) for _ in range(size)]
-        if any(src.dims[g] == 0 or tgt.dims[hom(g)] == 0 for g in gs):
-            continue
-        a_coords = [src.random_coords(g, rng) for g in gs]
-        bs = [tgt.element(hom(g), tgt.random_coords(hom(g), rng)) for g in gs]
-        s = np.zeros((tgt.ambient_dim, tgt.ambient_dim), dtype=np.complex128)
-        for i in range(size):
-            for j in range(size):
-                val = np.einsum("x,y,xyab->ab", a_coords[i].conj(), a_coords[j],
-                                tt[gs[i]][gs[j]])
-                s += bs[i] @ val @ dagger(bs[j])
-        scale = max(1.0, opnorm(s))
-        defect = hermitian_defect(s)
-        ev_min = float(np.linalg.eigvalsh((s + dagger(s)) / 2)[0])
-        margin = ev_min / scale
-        if defect > 1e-7:
-            margin = min(margin, -defect)
-        if margin < worst:
-            worst = margin
-            if margin < -10 * tol.rel_psd:
-                bad = ([(g, src.element(g, a), b)
-                        for g, a, b in zip(gs, a_coords, bs)], s)
-    ok = bad is None
-    return SampledCheck(ok, float(worst) if np.isfinite(worst) else 0.0,
-                        None if ok else bad[0], None if ok else bad[1])
+    while block := list(itertools.islice(tuples, chunk)):
+        # coefficient of e_x (x) f_c in column block k of E, per sample
+        sid = np.repeat(np.arange(len(block)), [len(gs) for gs, _, _ in block])
+        gs, za, zb = (np.concatenate(part) for part in zip(*block))
+        a, b = _split_coords(za, da[gs], dm), _split_coords(zb, db[gs], dbm)
+        coef = np.zeros((len(block), order, dm, dbm), dtype=np.complex128)
+        np.add.at(coef, (sid, gs), a.conj()[:, :, None] * b[:, None, :])
+        e = (coef @ fibers).reshape(len(block), order, dm, n, n)
+        e = e.transpose(0, 3, 1, 2, 4).reshape(len(block), n, side)
+        s = (e.reshape(-1, side) @ tt).reshape(len(block), n, side) \
+            @ e.conj().transpose(0, 2, 1)
+        sh = s.conj().transpose(0, 2, 1)
+        scale = np.maximum(1.0, np.linalg.norm(s, 2, axis=(1, 2)))
+        defect = np.linalg.norm(s - sh, axis=(1, 2)) / np.maximum(
+            np.linalg.norm(s, axis=(1, 2)), 1.0)
+        margin = np.linalg.eigvalsh((s + sh) / 2)[:, 0] / scale
+        margin = np.where(defect > 100 * tol.rel_eq, np.minimum(margin, -defect), margin)
+        p = int(np.argmin(margin))
+        if margin[p] < worst:
+            worst = float(margin[p])
+            if worst < -10 * tol.rel_psd:
+                bad = (block[p], s[p])
+    if bad is None:
+        return SampledCheck(True, worst if np.isfinite(worst) else 0.0)
+    (gs, za, zb), s = bad
+    a, b = _split_coords(za, da[gs], dm), _split_coords(zb, db[gs], dbm)
+    witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
+               for g, ai, bi in zip(gs, a, b)]
+    return SampledCheck(False, worst, witness, s)
+
+
+def gns_raw_gram(t: BundleMap) -> list[list[np.ndarray]]:
+    """Semi-inner products of the elementary tensors of the reconstruction.
+
+    ip0[r][s][p, q] holds, in B_{r^-1 s} coordinates, b* T(a* a') b' for
+    slot p = a (x) b of fiber r and slot q = a' (x) b' of fiber s; the slots
+    of fiber r are a_i^{(k)} (x) b_j^{(phi(k)^-1 r)} ordered by k, i, j.
+    With the padded fibers P_r[k, j] = b_j^{(phi(k)^-1 r)} and T from
+    t_values_ambient, the entry is <P_r[k,j] c_z, T_{(k,x),(k2,y)} P_s[k2,J]>
+    summed over the HS basis c_z of B_{r^-1 s}: T times P_s and P_r times
+    c_z are batched matmuls, and one batched GEMM contracts the two over
+    the ambient indices.
+    """
+    src, tgt = t.source, t.target
+    order, tgrp = src.group.order, tgt.group
+    n = tgt.ambient_dim
+    dm, dbm = max(src.dims, default=0), max(tgt.dims, default=0)
+    rows = order * dm * n
+    cols = order * dm * dbm
+    # tt as (k2, (k, x, b, y), c): the right-hand ambient index last
+    tt = t_values_ambient(t).reshape(rows, order, dm, n).transpose(1, 0, 2, 3) \
+        .reshape(order, rows * dm, n)
+    fibers = _padded_fibers(tgt, tgrp.elements(), dbm)
+    bleg = tgrp.table[tgrp.inverse[t.hom.map]].T  # bleg[r, k] = phi(k)^-1 r
+    da = np.asarray(src.dims)[:, None, None]
+    slots = [np.flatnonzero((np.arange(dm)[:, None] < da)
+                            & (np.arange(dbm) < np.asarray(tgt.dims)[bleg[r]][:, None, None]))
+             for r in tgrp.elements()]
+    ip0 = [[None] * tgrp.order for _ in tgrp.elements()]
+    for s in tgrp.elements():
+        ps = fibers[bleg[s]]  # (k2, J, c, d)
+        right = (tt @ ps.transpose(0, 2, 1, 3).reshape(order, n, dbm * n)).reshape(
+            order, order, dm, n, dm, dbm, n)  # (k2, k, x, b, y, J, d)
+        right = right.transpose(1, 2, 3, 6, 0, 4, 5).reshape(order, dm, n * n, cols)
+        for r in tgrp.elements():
+            rs = tgrp.mul(tgrp.inv(r), s)
+            brs = tgt.fibers[rs]
+            left = (fibers[bleg[r]][:, :, None] @ brs).conj()  # (k, j, z, b, d)
+            vals = left.reshape(order, 1, dbm * len(brs), n * n) @ right
+            vals = vals.reshape(order, dm, dbm, len(brs), cols).transpose(0, 1, 2, 4, 3)
+            ip0[r][s] = vals.reshape(cols, cols, len(brs))[np.ix_(slots[r], slots[s])]
+    return ip0
 
 
 def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
@@ -338,33 +460,7 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
         offsets.append(off_r)
     dims0 = [len(s) for s in slots]
 
-    # ambient values of T(a_i^{k*} a_j^{k'}) for every (k, k')
-    tt = t_values_ambient(t)
-
-    def raw_inner(r, s):
-        """(D_r, D_s, d_{B_{r^-1 s}}) tensor of the semi-inner product."""
-        rs = tgrp.mul(tgrp.inv(r), s)
-        out = np.zeros((dims0[r], dims0[s], tgt.dims[rs]), dtype=np.complex128)
-        brs = tgt.fibers[rs].conj()
-        for k in grp.elements():
-            f1 = bleg(r, k)
-            if src.dims[k] == 0 or tgt.dims[f1] == 0:
-                continue
-            for k2 in grp.elements():
-                f2 = bleg(s, k2)
-                if src.dims[k2] == 0 or tgt.dims[f2] == 0:
-                    continue
-                # b_j* M_(i,i2) b_j2, then coordinates in B_{r^-1 s}
-                vals = np.einsum("jba,xybc,Jcd->xjyJad",
-                                 tgt.fibers[f1].conj(), tt[k][k2], tgt.fibers[f2])
-                coords = np.einsum("kad,xjyJad->xjyJk", brs, vals)
-                blk = coords.reshape(src.dims[k] * tgt.dims[f1],
-                                     src.dims[k2] * tgt.dims[f2], tgt.dims[rs])
-                o1, o2 = offsets[r][k], offsets[s][k2]
-                out[o1:o1 + blk.shape[0], o2:o2 + blk.shape[1], :] = blk
-        return out
-
-    ip0 = [[raw_inner(r, s) for s in tgrp.elements()] for r in tgrp.elements()]
+    ip0 = gns_raw_gram(t)
 
     e_t = tgrp.identity
     traces = np.array([np.trace(b) for b in tgt.fibers[e_t]])
@@ -450,18 +546,3 @@ def roundtrip_residual(t: BundleMap, hbundle: HilbertBundle, rho: Action, xi) ->
         worst = max(worst, frob(back.mats[g] - t.mats[g]))
     return worst
 
-
-def pd_report(t: BundleMap, tol: Tolerance | None = None, samples: int = 200,
-              seed: int = 0) -> Report:
-    tol = tol or DEFAULT_TOL
-    rep = Report("positive definiteness")
-    cert = pd_check_exact(t, tol)
-    rep.add("exact certificate PSD", cert.ok, max(-cert.margin, 0.0),
-            f"margin={cert.margin:.6e}")
-    sampled = pd_check_sampled(t, samples=samples, seed=seed, tol=tol)
-    rep.add("sampled tuples PSD", sampled.ok, max(-sampled.worst_margin, 0.0),
-            f"worst sampled margin={sampled.worst_margin:.6e}")
-    if cert.ok and not sampled.ok:
-        rep.add("exact/sampled consistency", False, 1.0,
-                "sampled check contradicts exact certificate")
-    return rep

@@ -53,6 +53,16 @@ def test_pd_check_failure_reports_witness(tmp_path, capsys):
     assert np.linalg.eigvalsh((s + s.conj().T) / 2)[0] <= -1.0 + 1e-9
 
 
+def test_pd_check_rejects_non_positive_samples(tmp_path, capsys):
+    path = scalar_map_file(tmp_path, 0.5)
+    for samples in ("0", "-1"):
+        code = main(["pd-check", path, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--samples" in json.loads(captured.err)["error"]
+
+
 def test_validate_malformed_input(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("this is not json")
