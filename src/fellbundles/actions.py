@@ -18,7 +18,7 @@ from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertModule, SemiInnerBundle, \
     check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, \
     regularize_bundle, trivial_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, frob
+from .numerics import DEFAULT_TOL, Tolerance, frob, relative
 from .reports import Report
 
 
@@ -87,7 +87,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
                 mid = tgt.mul(phi(g2), h)
                 comp = np.einsum("iuw,jwv->ijuv", rho.ops[g][mid], rho.ops[g2][h])
                 via = np.einsum("ijk,kuv->ijuv", src.prod[g][g2], rho.ops[gg2][h])
-                worst = max(worst, _rel(frob(comp - via), frob(comp)))
+                worst = max(worst, relative(frob(comp - via), frob(comp)))
     rep.add("multiplicativity rho(aa') = rho(a)rho(a')", worst <= 1e-8, worst)
 
     # (iii) <rho(a)x, y> = <x, rho(a*)y>
@@ -101,7 +101,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
                 lhs = np.einsum("iwu,wvk->iuvk", rho.ops[g][h].conj(), x.inner[out][h2])
                 rhs = np.einsum("il,lwv,uwk->iuvk", src.star_tensor[g],
                                 rho.ops[ginv][h2], x.inner[h][back])
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("adjoint symmetry <rho(a)x,y> = <x,rho(a*)y>", worst <= 1e-8, worst)
 
     # (iv) (rho(a)x) b = rho(a)(x b)
@@ -112,7 +112,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
             for h2 in tgt.elements():
                 lhs = np.einsum("jwu,iuv->ijwv", x.act[out][h2], rho.ops[g][h])
                 rhs = np.einsum("iwz,jzv->ijwv", rho.ops[g][tgt.mul(h, h2)], x.act[h][h2])
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= 1e-8, worst)
 
     # ||rho(a)x|| <= ||a|| ||x|| on random data
@@ -129,7 +129,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
         nv = x.norm(h, v)
         out = tgt.mul(phi(g), h)
         slack = x.norm(out, rho.apply(g, a, h, v)) - na * nv
-        worst = max(worst, _rel(slack, na * nv))
+        worst = max(worst, relative(slack, na * nv))
     rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= 1e-8, max(worst, 0.0))
 
     # Gram domination S <= ||a||^2 R for a in the unit fiber
@@ -160,10 +160,6 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
             worst = max(worst, max(-res.margin, 0.0) / scale)
     rep.add("Gram domination S <= ||a||^2 R", ok, worst)
     return rep
-
-
-def _rel(diff: float, scale: float) -> float:
-    return diff / max(scale, 1.0)
 
 
 def trivial_action(bundle: FellBundle) -> Action:
@@ -387,12 +383,18 @@ def separate_pre_action(rho0: Action, tol: Tolerance | None = None,
             raise CompatibilityViolationError(
                 "pre-action violates the contractivity inequality")
     hil, quotients = separate(x, tol)
-    sections = [q.conj().T for q in quotients]
-    ops = [[np.einsum("uw,iuv,vz->iwz",
-                      sections[tgt.mul(rho0.hom(g), h)].conj(), rho0.ops[g][h],
-                      sections[h])
-            for h in tgt.elements()] for g in grp.elements()]
-    return Action(src, rho0.hom, hil, ops)
+    return compress_action(rho0, [q.conj().T for q in quotients], hil)
+
+
+def compress_action(rho: Action, bases, target: SemiInnerBundle) -> Action:
+    """Restrict rho to the fiber subspaces spanned by the orthonormal
+    columns of bases[h] (K_{phi(g)h}* rho(a) K_h, as batched matmuls),
+    acting on `target`, the bundle compressed by the same bases."""
+    tgt = rho.target.bundle.group
+    adj = [k.conj().T for k in bases]
+    ops = [[adj[tgt.mul(rho.hom(g), h)] @ rho.ops[g][h] @ bases[h] for h in tgt.elements()]
+           for g in rho.source.group.elements()]
+    return Action(rho.source, rho.hom, target, ops)
 
 
 def transport_action(u_maps, rho: Action, x2: SemiInnerBundle | None = None,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup
-from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, frob, orthonormal_basis
+from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, frob, hermitian_psd_check, \
+    numerical_rank, orthonormal_basis
 from .reports import Report
 
 
@@ -32,10 +33,6 @@ class NotActionError(ValueError):
 
 class FiberEscapeError(ValueError):
     """A product or adjoint left the fiber it is graded into."""
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.sum(a.conj() * b))
 
 
 class FellBundle:
@@ -82,7 +79,9 @@ class FellBundle:
     def _build_structure(self):
         grp = self.group
         n = grp.order
-        # product tensor: prod[g][h][i, j, :] = coords of b_i^g b_j^h in A_{gh}
+        # product tensor: prod[g][h][i, j, :] = coords of b_i^g b_j^h in A_{gh};
+        # the grading residual is absolute, i.e. relative to the HS-unit
+        # factors, so a product that vanishes up to rounding stays small
         self.prod = [[None] * n for _ in range(n)]
         self.grading_residual = np.zeros((n, n))
         for g in grp.elements():
@@ -96,7 +95,7 @@ class FellBundle:
                         p = self.fibers[g][i] @ self.fibers[h][j]
                         c, res = self.coords(gh, p)
                         tensor[i, j] = c
-                        worst = max(worst, res)
+                        worst = max(worst, res * frob(p))
                 self.prod[g][h] = tensor
                 self.grading_residual[g, h] = worst
         # star tensor: star[g][i, :] = coords of (b_i^g)^* in A_{g^-1}
@@ -208,14 +207,8 @@ def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
 def group_bundle(group: FiniteGroup) -> FellBundle:
     """The group bundle: one-dimensional fibers spanned by the left-regular
     permutation matrices u_g inside M_|G|."""
-    n = group.order
-    fibers = []
-    for g in group.elements():
-        u = np.zeros((n, n), dtype=np.complex128)
-        for h in group.elements():
-            u[group.mul(g, h), h] = 1.0
-        fibers.append(u[None, :, :])
-    return FellBundle(group, n, fibers)
+    fibers = [regular_unitary(group, g)[None] for g in group.elements()]
+    return FellBundle(group, group.order, fibers)
 
 
 def regular_unitary(group: FiniteGroup, g: int) -> np.ndarray:
@@ -344,9 +337,7 @@ def check_saturated(bundle: FellBundle, tol: Tolerance | None = None) -> bool:
             t = bundle.prod[g][h].reshape(-1, dgh)
             if t.shape[0] == 0:
                 return False
-            sv = np.linalg.svd(t, compute_uv=False)
-            rank = int(np.sum(sv > tol.rel_rank * max(sv[0], 1.0)))
-            if rank < dgh:
+            if numerical_rank(t, tol) < dgh:
                 return False
     return True
 
@@ -437,12 +428,7 @@ def check_subbundle_and_expectation(exp: CondExpectation,
             k = grp.mul(grp.inv(g), g2)
             val = exp.apply_ambient(k, sup.fibers[g][i].conj().T @ sup.fibers[g2][i2])
             big[p * namb:(p + 1) * namb, q * namb:(q + 1) * namb] = val
-    from .numerics import psd_check
-    herm = frob(big - big.conj().T) / max(frob(big), 1.0)
-    if herm <= tol.rel_eq * 100:
-        res = psd_check((big + big.conj().T) / 2, tol)
-        rep.add("positivity of induced semi-inner product", res.ok, max(-res.margin, 0.0))
-    else:
-        rep.add("positivity of induced semi-inner product", False, herm,
-                "Gram is not Hermitian")
+    ok, residual, hermitian = hermitian_psd_check(big, tol)
+    rep.add("positivity of induced semi-inner product", ok, residual,
+            "" if hermitian else "Gram is not Hermitian")
     return rep

@@ -73,10 +73,6 @@ def _emit(payload: dict, args) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(rel_psd=args.tol_psd, rel_rank=args.tol_rank)
-
-
 # -- object dispatch -----------------------------------------------------------
 
 def _parse_object(data):

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action
+from .actions import Action, WrongFiberError, compress_action, trivial_action
 from .bundles import FellBundle, bundles_equal, regular_unitary
 from .crosssec import Section, convolve, cstar_norm, rep_matrix, star
-from .hilbundles import HilbertBundle, SemiInnerBundle
-from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, psd_check
+from .hilbundles import SemiInnerBundle, compress_bundle
+from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, hermitian_psd_check, \
+    numerical_rank, orthonormal_basis, psd_check, relative
 from .pdmaps import cached_rep
 from .reports import Report
 
@@ -35,14 +36,6 @@ class InvalidBundleError(ValueError):
 
 class ActionMismatchError(ValueError):
     pass
-
-
-class WrongFiberError(ValueError):
-    pass
-
-
-def _rel(diff: float, scale: float) -> float:
-    return diff / max(scale, 1.0)
 
 
 class Correspondence:
@@ -257,9 +250,7 @@ def _span_fills_fibers(y: Correspondence, x, tol: Tolerance | None) -> bool:
         vecs = _generating_vectors(y, k, x)
         if not vecs:
             return False
-        sv = np.linalg.svd(np.array(vecs), compute_uv=False)
-        rank = int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0)))
-        if rank < mk:
+        if numerical_rank(np.array(vecs), tol) < mk:
             return False
     return True
 
@@ -279,20 +270,13 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
     grp = y.bundle.group
     hb = y.hbundle
     rho = y.action
-    from .numerics import orthonormal_basis
     basis = []
     for k in grp.elements():
         vecs = _generating_vectors(y, k, x)
         rows = orthonormal_basis(np.array(vecs), tol) if vecs else \
             np.zeros((0, hb.dims[k]), dtype=np.complex128)
         basis.append(rows.T)  # columns span S_k
-    dims = [b.shape[1] for b in basis]
-    act = [[np.einsum("uw,iuv,vz->iwz", basis[grp.mul(r, h)].conj(),
-                      hb.act[r][h], basis[r])
-            for h in grp.elements()] for r in grp.elements()]
-    inner = [[np.einsum("uw,uvk,vz->wzk", basis[r].conj(), hb.inner[r][s], basis[s])
-              for s in grp.elements()] for r in grp.elements()]
-    sub_h = HilbertBundle(y.bundle, dims, act, inner)
+    sub_h = compress_bundle(hb, basis)
     # invariance check: both actions must stay inside the span
     for r in grp.elements():
         for h in grp.elements():
@@ -303,9 +287,6 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
                 if frob(res) > 1e-7 * max(1.0, frob(img)):
                     raise InvalidBundleError("span is not right-invariant")
     src = rho.source
-    ops = [[np.einsum("uw,iuv,vz->iwz",
-                      basis[grp.mul(rho.hom(g), h)].conj(), rho.ops[g][h], basis[h])
-            for h in grp.elements()] for g in src.group.elements()]
     for g in src.group.elements():
         for h in grp.elements():
             out_f = grp.mul(rho.hom(g), h)
@@ -314,8 +295,7 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
                 res = img - basis[out_f] @ (basis[out_f].conj().T @ img)
                 if frob(res) > 1e-7 * max(1.0, frob(img)):
                     raise InvalidBundleError("span is not left-invariant")
-    sub_rho = Action(src, rho.hom, sub_h, ops)
-    return Correspondence(sub_h, action=sub_rho)
+    return Correspondence(sub_h, action=compress_action(rho, basis, sub_h))
 
 
 class AmplifiedCorrespondence:
@@ -402,18 +382,12 @@ class EquivalenceBundle:
 def trivial_self_equivalence(bundle: FellBundle) -> EquivalenceBundle:
     """A unital bundle as an equivalence between itself and itself:
     [x, y] = x y* on the left, <x, y> = x* y on the right."""
-    from .hilbundles import trivial_hilbert_bundle
     grp = bundle.group
-    right = trivial_hilbert_bundle(bundle)
-    lact = [[np.stack([bundle.left_mult_matrix(g, np.eye(bundle.dims[g])[i], r)
-                       for i in range(bundle.dims[g])])
-             if bundle.dims[g] else
-             np.zeros((0, bundle.dims[grp.mul(g, r)], bundle.dims[r]))
-             for r in grp.elements()] for g in grp.elements()]
+    rho = trivial_action(bundle)
     linner = [[np.einsum("vw,uwk->uvk", bundle.star_tensor[s],
                          bundle.prod[r][grp.inv(s)])
                for s in grp.elements()] for r in grp.elements()]
-    return EquivalenceBundle(bundle, right, lact, linner)
+    return EquivalenceBundle(bundle, rho.target, rho.ops, linner)
 
 
 def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Section:
@@ -456,7 +430,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
             starred = np.einsum("uvk,kl->uvl", e.linner[r][s].conj(),
                                 a_bundle.star_tensor[k])
             flipped = e.linner[s][r].transpose(1, 0, 2)
-            worst = max(worst, _rel(frob(starred - flipped), frob(flipped)))
+            worst = max(worst, relative(frob(starred - flipped), frob(flipped)))
     rep.add("[x,y]* = [y,x]", worst <= 1e-8, worst)
 
     worst = 0.0
@@ -467,7 +441,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
                 rs = grp.mul(r, grp.inv(s))
                 lhs = np.einsum("iwu,wvk->iuvk", e.lact[g][r], e.linner[gr][s])
                 rhs = np.einsum("uvk,ikm->iuvm", e.linner[r][s], a_bundle.prod[g][rs])
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("[ax, y] = a[x,y]", worst <= 1e-8, worst)
 
     # left positivity and definiteness via the fiber Grams
@@ -482,13 +456,9 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
             for v in range(m):
                 big[u * n_a:(u + 1) * n_a, v * n_a:(v + 1) * n_a] = \
                     a_bundle.element(grp.identity, e.linner[r][r][u, v])
-        herm = frob(big - dagger(big)) / max(frob(big), 1.0)
-        if herm > 100 * tol.rel_eq:
-            ok_pos, worst = False, max(worst, herm)
-            continue
-        res = psd_check((big + dagger(big)) / 2, tol)
-        ok_pos &= res.ok
-        worst = max(worst, max(-res.margin, 0.0))
+        ok, residual, _ = hermitian_psd_check(big, tol)
+        ok_pos &= ok
+        worst = max(worst, residual)
     rep.add("left fiber Grams PSD", ok_pos, worst)
 
     # compatibility [x, y] z = x <y, z>
@@ -501,7 +471,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
                 # both sides indexed [u, v, out-component, z-coordinate]
                 lhs = np.einsum("uvk,kwz->uvwz", e.linner[r][s], e.lact[rs][tt])
                 rhs = np.einsum("vzk,kwu->uvwz", hb.inner[s][tt], hb.act[r][st])
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
 
     # fullness on both sides
@@ -514,8 +484,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
             for s in grp.elements():
                 tt = grp.mul(s, k)
                 rows.extend(hb.inner[s][tt].reshape(-1, dk))
-            sv = np.linalg.svd(np.array(rows), compute_uv=False)
-            if int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0))) < dk:
+            if numerical_rank(np.array(rows), tol) < dk:
                 return False
         return True
 
@@ -528,8 +497,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
             for s in grp.elements():
                 r = grp.mul(k, s)
                 rows.extend(e.linner[r][s].reshape(-1, dk))
-            sv = np.linalg.svd(np.array(rows), compute_uv=False)
-            if int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0))) < dk:
+            if numerical_rank(np.array(rows), tol) < dk:
                 return False
         return True
 
@@ -546,11 +514,11 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
         xi, eta, zeta = y.random(rng), y.random(rng), y.random(rng)
         lhs = y.left_mul(left_inner_section(e, y, xi, eta), zeta)
         rhs = y.right_mul(xi, y.inner(eta, zeta))
-        worst_id = max(worst_id, _rel(float(np.linalg.norm(lhs - rhs)),
+        worst_id = max(worst_id, relative(float(np.linalg.norm(lhs - rhs)),
                                       float(np.linalg.norm(lhs))))
         na = cstar_norm(rep_a, left_inner_section(e, y, xi, xi))
         nb = cstar_norm(rep_b, y.inner(xi, xi))
-        worst_norm = max(worst_norm, _rel(abs(na - nb), max(na, nb)))
+        worst_norm = max(worst_norm, relative(abs(na - nb), max(na, nb)))
     rep.add("imprimitivity identity on sections", worst_id <= 1e-8, worst_id)
     rep.add("norm equality of the two inner products", worst_norm <= 1e-8, worst_norm)
     return rep

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import FellBundle, crossed_embed, dynamical_bundle
-from .numerics import DEFAULT_TOL, Tolerance, frob, opnorm, psd_check
+from .numerics import DEFAULT_TOL, Tolerance, frob, hermitian_defect, hermitian_psd_check, \
+    opnorm, relative
 from .reports import Report
 
 
@@ -110,10 +111,6 @@ class HilbertBundle(SemiInnerBundle):
     """Semi-inner bundle whose fiber inner products are definite."""
 
 
-def _rel(diff: float, scale: float) -> float:
-    return diff / max(scale, 1.0)
-
-
 def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) -> Report:
     bundle = x.bundle
     grp = bundle.group
@@ -127,7 +124,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
             for h2 in grp.elements():
                 comp = np.einsum("jab,ibc->ijac", x.act[rh][h2], x.act[r][h])
                 via_prod = np.einsum("ijk,kac->ijac", bundle.prod[h][h2], x.act[r][grp.mul(h, h2)])
-                worst = max(worst, _rel(frob(comp - via_prod), frob(comp)))
+                worst = max(worst, relative(frob(comp - via_prod), frob(comp)))
     rep.add("(xb)c = x(bc)", worst <= 1e-8, worst)
 
     # (3) first part: <x, yb> = <x,y> b
@@ -139,7 +136,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
                 sh = grp.mul(s, h)
                 lhs = np.einsum("uwk,iwv->iuvk", x.inner[r][sh], x.act[s][h])
                 rhs = np.einsum("uvk,kil->iuvl", x.inner[r][s], bundle.prod[rs][h])
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("<x, yb> = <x,y>b", worst <= 1e-8, worst)
 
     # (3) second part: <x,y>* = <y,x>
@@ -149,7 +146,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
             rs = grp.mul(grp.inv(r), s)
             starred = np.einsum("uvk,kl->uvl", x.inner[r][s].conj(), bundle.star_tensor[rs])
             flipped = x.inner[s][r].transpose(1, 0, 2)
-            worst = max(worst, _rel(frob(starred - flipped), frob(flipped)))
+            worst = max(worst, relative(frob(starred - flipped), frob(flipped)))
     rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
 
     # derived (a): <xb, y> = b* <x,y>
@@ -163,23 +160,16 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
                 lhs = np.einsum("iwu,wvk->iuvk", x.act[r][h].conj(), x.inner[rh][s])
                 rhs = np.einsum("il,uvk,lkm->iuvm", bundle.star_tensor[h],
                                 x.inner[r][s], bundle.prod[hinv][rs])
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("<xb, y> = b*<x,y>", worst <= 1e-8, worst)
 
     # (4) positivity of each fiber Gram, in block form
     worst = 0.0
     ok_pos = True
     for r in grp.elements():
-        big = x.block_gram(r)
-        if big.size == 0:
-            continue
-        herm = frob(big - big.conj().T) / max(frob(big), 1.0)
-        if herm > 100 * tol.rel_eq:
-            ok_pos, worst = False, max(worst, herm)
-            continue
-        res = psd_check((big + big.conj().T) / 2, tol)
-        ok_pos &= res.ok
-        worst = max(worst, max(-res.margin, 0.0))
+        ok, residual, _ = hermitian_psd_check(x.block_gram(r), tol)
+        ok_pos &= ok
+        worst = max(worst, residual)
     rep.add("fiber Grams PSD", ok_pos, worst)
 
     # definiteness: localized Gram of each fiber has full rank
@@ -210,13 +200,13 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
                 v = x.random_vector(s, rng)
                 nu, nv = x.norm(r, u), x.norm(s, v)
                 cs = opnorm(x.inner_ambient(r, u, s, v)) - nu * nv
-                worst_c = max(worst_c, _rel(cs, nu * nv))
+                worst_c = max(worst_c, relative(cs, nu * nv))
                 if bundle.dims[s]:
                     b = bundle.random_coords(s, rng)
                     nb = bundle.fiber_norm(s, b)
                     xb = x.act_matrix(r, s, b) @ u
                     slack = x.norm(grp.mul(r, s), xb) - nu * nb
-                    worst_b = max(worst_b, _rel(slack, nu * nb))
+                    worst_b = max(worst_b, relative(slack, nu * nb))
     rep.add("||xb|| <= ||x|| ||b||", worst_b <= 1e-8, max(worst_b, 0.0))
     rep.add("Cauchy-Schwarz", worst_c <= 1e-8, max(worst_c, 0.0))
     return rep
@@ -252,6 +242,20 @@ def trivial_hilbert_bundle(bundle: FellBundle) -> HilbertBundle:
     return HilbertBundle(bundle, dims, act, inner)
 
 
+def compress_bundle(x: SemiInnerBundle, bases) -> HilbertBundle:
+    """Restrict x to the fiber subspaces spanned by the orthonormal columns
+    of bases[r]: act becomes K_rh* act K_r and inner K_r* inner K_s, as
+    batched matmuls.  The caller vouches that the result is definite (a
+    separation, or a subspace of a Hilbert bundle)."""
+    grp = x.bundle.group
+    adj = [k.conj().T for k in bases]
+    act = [[adj[grp.mul(r, h)] @ x.act[r][h] @ bases[r] for h in grp.elements()]
+           for r in grp.elements()]
+    inner = [[(adj[r] @ x.inner[r][s].transpose(2, 0, 1) @ bases[s]).transpose(1, 2, 0)
+              for s in grp.elements()] for r in grp.elements()]
+    return HilbertBundle(x.bundle, [k.shape[1] for k in bases], act, inner)
+
+
 def separate(x: SemiInnerBundle, tol: Tolerance | None = None):
     """Quotient each fiber by the null space of its localized Gram.
 
@@ -261,34 +265,20 @@ def separate(x: SemiInnerBundle, tol: Tolerance | None = None):
     structure tensor descend.
     """
     tol = tol or DEFAULT_TOL
-    grp = x.bundle.group
     keep: list[np.ndarray] = []
-    for r in grp.elements():
+    for r in x.bundle.group.elements():
         g = x.trace_gram(r)
         if g.shape[0] == 0:
             keep.append(np.zeros((0, 0), dtype=np.complex128))
             continue
-        herm = frob(g - g.conj().T) / max(frob(g), 1.0)
-        if herm > 100 * tol.rel_eq:
+        if hermitian_defect(g) > 100 * tol.rel_eq:
             raise InvariantViolationError(f"fiber {r}: localized Gram is not Hermitian")
         w, v = np.linalg.eigh((g + g.conj().T) / 2)
         scale = max(float(w[-1]), 0.0)
         if float(w[0]) < -tol.rel_psd * max(1.0, scale):
             raise InvariantViolationError(f"fiber {r}: localized Gram is not PSD")
         keep.append(v[:, w > tol.rel_rank * max(scale, 1.0)])
-    dims = [k.shape[1] for k in keep]
-    act = [[None] * grp.order for _ in grp.elements()]
-    inner = [[None] * grp.order for _ in grp.elements()]
-    for r in grp.elements():
-        for h in grp.elements():
-            rh = grp.mul(r, h)
-            act[r][h] = np.einsum("wu,iwz,zv->iuv",
-                                  keep[rh].conj(), x.act[r][h], keep[r])
-        for s in grp.elements():
-            inner[r][s] = np.einsum("uw,uvk,vz->wzk",
-                                    keep[r].conj(), x.inner[r][s], keep[s])
-    quotients = [k.conj().T for k in keep]
-    return HilbertBundle(x.bundle, dims, act, inner), quotients
+    return compress_bundle(x, keep), [k.conj().T for k in keep]
 
 
 def regularize_bundle(x: SemiInnerBundle) -> HilbertBundle:
@@ -424,7 +414,7 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
             prod_coords = pinv @ (basis[i] @ basis[j]).ravel()
             lhs = x.right[j] @ x.right[i]
             rhs = np.einsum("k,kuv->uv", prod_coords, x.right)
-            worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+            worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("right action multiplicative", worst <= 1e-8, worst)
 
     worst = 0.0
@@ -435,7 +425,7 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
                       for v in range(x.dim)])
             for u in range(x.dim)
         ])
-        worst = max(worst, _rel(frob(lhs - prod), frob(lhs)))
+        worst = max(worst, relative(frob(lhs - prod), frob(lhs)))
     rep.add("<x, y b> = <x,y> b", worst <= 1e-8, worst)
 
     worst = 0.0
@@ -443,7 +433,7 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
         for v in range(x.dim):
             a = np.tensordot(x.inner[u, v], basis, axes=(0, 0))
             b = np.tensordot(x.inner[v, u], basis, axes=(0, 0))
-            worst = max(worst, _rel(frob(a.conj().T - b), frob(a)))
+            worst = max(worst, relative(frob(a.conj().T - b), frob(a)))
     rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
 
     m = basis.shape[1]
@@ -452,12 +442,8 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
         for v in range(x.dim):
             big[u * m:(u + 1) * m, v * m:(v + 1) * m] = np.tensordot(
                 x.inner[u, v], basis, axes=(0, 0))
-    herm = frob(big - big.conj().T) / max(frob(big), 1.0)
-    if herm <= 100 * tol.rel_eq:
-        res = psd_check((big + big.conj().T) / 2, tol)
-        rep.add("Gram PSD", res.ok, max(-res.margin, 0.0))
-    else:
-        rep.add("Gram PSD", False, herm, "Gram not Hermitian")
+    ok, residual, hermitian = hermitian_psd_check(big, tol)
+    rep.add("Gram PSD", ok, residual, "" if hermitian else "Gram not Hermitian")
     tg = np.einsum("uvk,k->uv", x.inner, np.array([np.trace(b) for b in basis]))
     ev = np.linalg.eigvalsh((tg + tg.conj().T) / 2)
     rep.add("definite", bool(ev[0] > tol.rel_rank * max(float(ev[-1]), 1.0)),
@@ -473,7 +459,7 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
                 prod_coords = lpinv @ (x.left_basis[i] @ x.left_basis[j]).ravel()
                 lhs = x.left[i] @ x.left[j]
                 rhs = np.einsum("k,kuv->uv", prod_coords, x.left)
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
         rep.add("left action multiplicative", worst <= 1e-8, worst)
         worst = 0.0
         for i in range(kl):
@@ -481,14 +467,14 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
             adj = np.einsum("k,kuv->uv", adj_coords, x.left)
             lhs = np.einsum("wu,wvk->uvk", x.left[i].conj(), x.inner)
             rhs = np.einsum("uwk,wv->uvk", x.inner, adj)
-            worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+            worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
         rep.add("left action adjointable", worst <= 1e-8, worst)
         worst = 0.0
         for i in range(kl):
             for j in range(k):
                 lhs = x.right[j] @ x.left[i]
                 rhs = x.left[i] @ x.right[j]
-                worst = max(worst, _rel(frob(lhs - rhs), frob(lhs)))
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
         rep.add("left and right actions commute", worst <= 1e-8, worst)
     return rep
 
@@ -598,10 +584,10 @@ def check_unitary_bundle_map(u_maps, x: SemiInnerBundle, x2: SemiInnerBundle,
             gh = grp.mul(g, h)
             lhs = np.einsum("iuv,vw->iuw", x2.act[g][h], u[g])
             rhs = np.einsum("uv,ivw->iuw", u[gh], x.act[g][h])
-            if _rel(frob(lhs - rhs), frob(rhs)) > 1e-7:
+            if relative(frob(lhs - rhs), frob(rhs)) > 1e-7:
                 return False
         for s in grp.elements():
             lhs = np.einsum("wu,wzk,zv->uvk", u[g].conj(), x2.inner[g][s], u[s])
-            if _rel(frob(lhs - x.inner[g][s]), frob(x.inner[g][s])) > 1e-7:
+            if relative(frob(lhs - x.inner[g][s]), frob(x.inner[g][s])) > 1e-7:
                 return False
     return True

@@ -66,10 +66,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def relative(diff: float, scale: float) -> float:
+    """diff measured against max(scale, 1): the residual convention of every
+    validator."""
+    return diff / max(scale, 1.0)
+
+
 def hermitian_defect(m: np.ndarray) -> float:
     """Relative deviation of m from its Hermitian part."""
-    scale = max(frob(m), 1.0)
-    return frob(m - dagger(m)) / scale
+    return relative(frob(m - dagger(m)), frob(m))
 
 
 def hermitian_eigvals(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -109,6 +114,27 @@ def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
     ev = hermitian_eigvals(a, tol)
     margin = float(ev[0])
     return PsdResult(margin >= -tol.rel_psd * max(1.0, opnorm(a)), margin)
+
+
+def hermitian_psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, bool]:
+    """Judge a block Gram that should be Hermitian and PSD.
+
+    Returns (ok, residual, hermitian).  A Hermitian defect above
+    100 * rel_eq fails with the defect as residual; otherwise the Hermitian
+    part goes through psd_check and the residual is max(-margin, 0).
+    """
+    a = as_cmatrix(m)
+    defect = hermitian_defect(a)
+    if defect > 100 * tol.rel_eq:
+        return False, defect, False
+    res = psd_check((a + dagger(a)) / 2, tol)
+    return res.ok, max(-res.margin, 0.0), True
+
+
+def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Number of singular values above rel_rank * max(largest, 1)."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0)))
 
 
 def null_space_basis(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action
+from .actions import Action, compress_action
 from .bundles import FellBundle
 from .crosssec import RegRep, Section, matrix_alg
 from .groups import GroupHom, identity_hom
-from .hilbundles import HilbertBundle
+from .hilbundles import HilbertBundle, InvariantViolationError, SemiInnerBundle, separate
 from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, opnorm
 
 
@@ -427,10 +427,12 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
 
     Construction: the fiber over r is the span of elementary tensors
     a (x) b with a in A_k and b in B_{phi(k)^-1 r}, carrying the semi-inner
-    product  [a(x)b, a'(x)b'] = b* T_{k^-1 k'}(a* a') b'.  The form is
-    localized at the ambient trace, separated by its Gram kernel (the trace
-    is faithful, so the kernels agree), and the left tensor shift descends
-    to the quotient as the action.  Completion is vacuous here.
+    product  [a(x)b, a'(x)b'] = b* T_{k^-1 k'}(a* a') b' and the right
+    action on the second leg; the left tensor shift on the first leg is a
+    pre-action on it.  `separate` quotients this semi-inner bundle by its
+    null vectors, and the shift descends to the quotient as the action.
+    The exact certificate already covers contractivity, so the pre-action
+    runs through no random guard.  Completion is vacuous here.
     """
     tol = tol or DEFAULT_TOL
     src, tgt, hom = t.source, t.target, t.hom
@@ -446,39 +448,14 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
     def bleg(r, k):
         return tgrp.mul(tgrp.inv(hom(k)), r)
 
-    slots = []
-    offsets = []
+    offsets, dims0 = [], []
     for r in tgrp.elements():
-        slot_r = []
-        off_r = {}
+        off_r, count = {}, 0
         for k in grp.elements():
-            off_r[k] = len(slot_r)
-            f = bleg(r, k)
-            slot_r.extend((k, i, j) for i in range(src.dims[k])
-                          for j in range(tgt.dims[f]))
-        slots.append(slot_r)
+            off_r[k] = count
+            count += src.dims[k] * tgt.dims[bleg(r, k)]
         offsets.append(off_r)
-    dims0 = [len(s) for s in slots]
-
-    ip0 = gns_raw_gram(t)
-
-    e_t = tgrp.identity
-    traces = np.array([np.trace(b) for b in tgt.fibers[e_t]])
-    keep = []
-    for r in tgrp.elements():
-        g_r = np.einsum("pqk,k->pq", ip0[r][r], traces)
-        if g_r.shape[0] == 0:
-            keep.append(np.zeros((0, 0), dtype=np.complex128))
-            continue
-        w, v = np.linalg.eigh((g_r + dagger(g_r)) / 2)
-        scale = max(float(w[-1]), 0.0)
-        if float(w[0]) < -tol.rel_psd * max(1.0, scale) * 100:
-            raise NotPositiveDefiniteError("localized Gram is not PSD")
-        keep.append(v[:, w > tol.rel_rank * max(scale, 1.0)])
-    dims = [k.shape[1] for k in keep]
-
-    inner = [[np.einsum("pw,pqk,qz->wzk", keep[r].conj(), ip0[r][s], keep[s])
-              for s in tgrp.elements()] for r in tgrp.elements()]
+        dims0.append(count)
 
     # right action: (xi . b)(k) = xi(k) . b on the second tensor leg
     act = [[None] * tgrp.order for _ in tgrp.elements()]
@@ -497,9 +474,8 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
                 for i in range(da):
                     mats[:, o_out + i * d2:o_out + (i + 1) * d2,
                          o_in + i * d1:o_in + (i + 1) * d1] = tens.transpose(1, 2, 0)
-            act[r][h] = np.einsum("uw,iuv,vz->iwz", keep[rh].conj(), mats, keep[r])
-
-    hbundle = HilbertBundle(tgt, dims, act, inner)
+            act[r][h] = mats
+    raw = SemiInnerBundle(tgt, dims0, act, gns_raw_gram(t))
 
     # left action: (rho(a) xi)(k) = a . xi(g^-1 k) on the first tensor leg
     ops = [[None] * tgrp.order for _ in grp.elements()]
@@ -522,18 +498,21 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
                             mats[u, o_out + i2 * db:o_out + (i2 + 1) * db,
                                  o_in + i * db:o_in + (i + 1) * db] = \
                                 tens[u, i, i2] * np.eye(db)
-            ops[g][r] = np.einsum("uw,iuv,vz->iwz", keep[out_r].conj(), mats, keep[r])
+            ops[g][r] = mats
+    shift = Action(src, hom, raw, ops)
 
-    rho = Action(src, hom, hbundle, ops)
+    try:
+        hbundle, quotients = separate(raw, tol)
+    except InvariantViolationError as exc:
+        raise NotPositiveDefiniteError(f"map is not positive definite ({exc})") from exc
+    rho = compress_action(shift, [q.conj().T for q in quotients], hbundle)
 
+    # xi is the class of 1 (x) 1, in slot (e, i, j) of the unit fiber
+    e_s, e_t = grp.identity, tgrp.identity
     v0 = np.zeros(dims0[e_t], dtype=np.complex128)
-    e_s = grp.identity
-    db_e = tgt.dims[e_t]
     o = offsets[e_t][e_s]
-    outer = np.outer(src.unit_coords, tgt.unit_coords).ravel()
-    v0[o:o + src.dims[e_s] * db_e] = outer
-    xi = keep[e_t].conj().T @ v0
-    return hbundle, rho, xi
+    v0[o:o + src.dims[e_s] * tgt.dims[e_t]] = np.outer(src.unit_coords, tgt.unit_coords).ravel()
+    return hbundle, rho, quotients[e_t] @ v0
 
 
 def roundtrip_residual(t: BundleMap, hbundle: HilbertBundle, rho: Action, xi) -> float:

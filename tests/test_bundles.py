@@ -78,6 +78,20 @@ def test_perturbed_bundle_reports_grading_failure():
     assert any("grading" in item.name for item in rep.failures())
 
 
+def test_products_vanishing_up_to_rounding_keep_the_grading():
+    # M2 x Z2 in a random unitary conjugate of the matrix-unit basis: many
+    # basis products are zero only up to rounding, and the grading residual
+    # must stay at that level instead of being judged against their own norm
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        basis, grp, alpha = ad_diag_system()
+        b = dynamical_bundle(u @ basis @ u.conj().T, grp, alpha)
+        rep = validate_bundle(b)
+        assert rep.ok, str(rep)
+        assert b.grading_residual.max() <= 1e-14
+
+
 def test_cstar_identity_on_basis():
     for bundle in (group_bundle(symmetric_group(3)), dynamical_bundle(*ad_diag_system())):
         for g in bundle.group.elements():
