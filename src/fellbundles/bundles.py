@@ -72,7 +72,24 @@ class FellBundle:
         self.dims = [f.shape[0] for f in self.fibers]
         self.total_dim = int(sum(self.dims))
         self._tol = tol
+        self._record_directness()
         self._build_structure()
+
+    def _record_directness(self):
+        """The fiber sum is direct iff the stacked HS-orthonormal bases have
+        full rank; f -> sum_g f(g) is then a faithful *-representation of
+        the cross-sectional algebra.  The smallest singular value relative
+        to the largest is kept so validate_bundle can judge it at its own
+        tolerance."""
+        if self.total_dim == 0:
+            self.directness_residual, self.directness_ratio = 0.0, 1.0
+        else:
+            rows = np.concatenate(self.fibers).reshape(self.total_dim, -1)
+            sv = np.linalg.svd(rows, compute_uv=False)
+            smallest = float(sv[-1]) if len(sv) == self.total_dim else 0.0
+            self.directness_residual = 1.0 - smallest
+            self.directness_ratio = smallest / float(sv[0])
+        self.direct = self.directness_ratio > self._tol.rel_rank
 
     # -- structure tensors ------------------------------------------------
 
@@ -183,19 +200,8 @@ def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
     rep.add("grading A_g.A_h in A_gh", worst_grade <= 10 * tol.rel_rank, worst_grade)
     worst_inv = float(bundle.involution_residual.max(initial=0.0))
     rep.add("involution A_g* in A_ginv", worst_inv <= 10 * tol.rel_rank, worst_inv)
-    stacked = [
-        bundle.fibers[g].reshape(bundle.dims[g], -1)
-        for g in bundle.group.elements()
-        if bundle.dims[g]
-    ]
-    if stacked:
-        all_rows = np.vstack(stacked)
-        sv = np.linalg.svd(all_rows, compute_uv=False)
-        smallest = float(sv[-1]) if len(sv) == bundle.total_dim else 0.0
-        independent = len(sv) == bundle.total_dim and smallest > tol.rel_rank * float(sv[0])
-        rep.add("directness of fiber sum", independent, 1.0 - smallest)
-    else:
-        rep.add("directness of fiber sum", True, 0.0)
+    rep.add("directness of fiber sum", bundle.directness_ratio > tol.rel_rank,
+            bundle.directness_residual)
     if bundle.unital:
         rep.add("ambient unit lies in A_e", True, bundle.unit_residual)
     else:

@@ -4,9 +4,10 @@ The section space of a Hilbert bundle carries a convolution-style right
 action of the target's section algebra and an algebra-valued inner
 product; attaching a left action of another bundle turns it into a
 correspondence between the two cross-sectional C*-algebras.  Norms are
-computed by pushing the algebra-valued Gram through the regular
-representation (exact at finite dimension).  Everything is coordinatized
-on the direct sum of the fibers.
+operator norms of the ambient image sum_g <xi, xi>(g) of the
+algebra-valued Gram (exact at finite dimension when the fiber sum is
+direct; crosssec.ambient_image refuses other bundles).  Module vectors are
+coordinatized on the direct sum of the fibers.
 
 Because the groups here are finite, the full and reduced module
 completions coincide, so the delicate extension questions for the reduced
@@ -22,11 +23,10 @@ import numpy as np
 
 from .actions import Action, WrongFiberError, compress_action, trivial_action
 from .bundles import FellBundle, bundles_equal, regular_unitary
-from .crosssec import Section, convolve, cstar_norm, rep_matrix, star
+from .crosssec import Section, ambient_image, convolve, cstar_norm, star
 from .hilbundles import SemiInnerBundle, compress_bundle
-from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, hermitian_psd_check, \
-    numerical_rank, orthonormal_basis, psd_check, relative
-from .pdmaps import cached_rep
+from .numerics import DEFAULT_TOL, Tolerance, dagger, definite_check, frob, \
+    hermitian_psd_check, numerical_rank, orthonormal_basis, psd_check, relative
 from .reports import Report
 
 
@@ -93,9 +93,7 @@ class Correspondence:
         return out
 
     def norm(self, xi) -> float:
-        rep = cached_rep(self.bundle)
-        val = cstar_norm(rep, self.inner(xi, xi))
-        return float(np.sqrt(max(val, 0.0)))
+        return float(np.sqrt(max(cstar_norm(self.inner(xi, xi)), 0.0)))
 
     def localized_gram(self) -> np.ndarray:
         """Block-diagonal trace Grams: the scalar product tau(<xi, eta>(e))."""
@@ -153,7 +151,6 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
     tol = tol or DEFAULT_TOL
     y = Correspondence(hbundle)
     rng = np.random.default_rng(seed)
-    rep = cached_rep(y.bundle)
     for _ in range(checks):
         xi, eta = y.random(rng), y.random(rng)
         f = Section.random(y.bundle, rng)
@@ -161,15 +158,12 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
         rhs = convolve(y.inner(xi, eta), f)
         if not lhs.allclose(rhs, atol=1e-8 * (1 + f.l2_norm())):
             raise InvalidBundleError("<xi, eta.f> = <xi,eta>*f fails")
-        gram = rep_matrix(rep, y.inner(xi, xi))
+        gram = ambient_image(y.inner(xi, xi))
         res = psd_check((gram + dagger(gram)) / 2, tol)
         if frob(gram - dagger(gram)) > 1e-8 * max(1.0, frob(gram)) or not res.ok:
             raise InvalidBundleError("module Gram is not PSD")
-    g_loc = y.localized_gram()
-    if g_loc.shape[0]:
-        ev = np.linalg.eigvalsh((g_loc + dagger(g_loc)) / 2)
-        if float(ev[0]) <= tol.rel_rank * max(float(ev[-1]), 1.0):
-            raise InvalidBundleError("module inner product is degenerate")
+    if not definite_check(y.localized_gram(), tol).ok:
+        raise InvalidBundleError("module inner product is degenerate")
     return y
 
 
@@ -187,7 +181,6 @@ def attach_left_action(y: Correspondence, rho: Action,
             raise ActionMismatchError("action acts on a different Hilbert bundle")
     out = Correspondence(y.hbundle, action=rho)
     rng = np.random.default_rng(seed)
-    rep_a = cached_rep(rho.source)
     for _ in range(checks):
         xi, eta = out.random(rng), out.random(rng)
         f = Section.random(rho.source, rng)
@@ -200,7 +193,7 @@ def attach_left_action(y: Correspondence, rho: Action,
         assoc2 = out.right_mul(out.left_mul(f, xi), fr)
         if np.linalg.norm(assoc1 - assoc2) > 1e-8 * (1 + np.linalg.norm(assoc1)):
             raise ActionMismatchError("left and right actions do not commute")
-        bound = cstar_norm(rep_a, f) * out.norm(xi)
+        bound = cstar_norm(f) * out.norm(xi)
         if out.norm(out.left_mul(f, xi)) > bound + 1e-8 * (1 + bound):
             raise ActionMismatchError("left action exceeds its C*-norm bound")
     return out
@@ -368,11 +361,6 @@ class EquivalenceBundle:
         return np.einsum("u,uvk,v->k", np.asarray(x), self.linner[r][s],
                          np.conj(np.asarray(y)))
 
-    def left_inner_ambient(self, r: int, x, s: int, y) -> np.ndarray:
-        grp = self.left_bundle.group
-        k = grp.mul(r, grp.inv(s))
-        return self.left_bundle.element(k, self.left_inner_coords(r, x, s, y))
-
     def left_action(self) -> Action:
         from .groups import identity_hom
         return Action(self.left_bundle, identity_hom(self.left_bundle.group),
@@ -507,8 +495,6 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     # section-level identity and norm equality
     y = Correspondence(hb, action=e.left_action())
     rng = np.random.default_rng(seed)
-    rep_a = cached_rep(a_bundle)
-    rep_b = cached_rep(hb.bundle)
     worst_id, worst_norm = 0.0, 0.0
     for _ in range(checks):
         xi, eta, zeta = y.random(rng), y.random(rng), y.random(rng)
@@ -516,8 +502,8 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
         rhs = y.right_mul(xi, y.inner(eta, zeta))
         worst_id = max(worst_id, relative(float(np.linalg.norm(lhs - rhs)),
                                       float(np.linalg.norm(lhs))))
-        na = cstar_norm(rep_a, left_inner_section(e, y, xi, xi))
-        nb = cstar_norm(rep_b, y.inner(xi, xi))
+        na = cstar_norm(left_inner_section(e, y, xi, xi))
+        nb = cstar_norm(y.inner(xi, xi))
         worst_norm = max(worst_norm, relative(abs(na - nb), max(na, nb)))
     rep.add("imprimitivity identity on sections", worst_id <= 1e-8, worst_id)
     rep.add("norm equality of the two inner products", worst_norm <= 1e-8, worst_norm)

@@ -1,12 +1,17 @@
-"""Convolution sections, the regular representation and block matrix algebras.
+"""Convolution sections, their ambient image, and the oracle representations.
 
 Sections are finitely supported graded functions on the group, stored as
-coefficient vectors over the HS-orthonormal fiber bases.  The regular
-representation acts on the direct sum of all fibers; since fiber bases are
-HS-orthonormal this space carries the trace localization of the canonical
-module inner product, so operator norms computed here are the exact
-C*-norms (an injective *-homomorphism of finite-dimensional C*-algebras is
-isometric).  For finite groups the full and reduced norms coincide.
+coefficient vectors over the HS-orthonormal fiber bases.  Their ambient
+image f -> sum_g f(g) in M_n is a *-homomorphism; it is injective exactly
+when the fiber sum is direct (FellBundle.direct), and an injective
+*-homomorphism of finite-dimensional C*-algebras is isometric, so the
+operator norm of the ambient image is the exact C*-norm.  For finite groups
+the full and reduced norms coincide.
+
+The regular representation on the direct sum of all fibers (RegRep) and the
+block matrix algebras over tuples realized on sums of fibers (MatrixAlgOp)
+are kept as independent oracles for the ambient route; no verdict of the
+library reads them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ class BundleMismatchError(ValueError):
 
 class BlockEscapeError(ValueError):
     pass
+
+
+class NotDirectError(ValueError):
+    """The fiber sum is not direct, so the ambient image of sections is not
+    faithful."""
 
 
 @dataclass
@@ -182,9 +192,20 @@ def rep_matrix(rep: RegRep, f: Section) -> np.ndarray:
     return out
 
 
-def cstar_norm(rep: RegRep, f: Section) -> float:
-    """C*-norm of a section: operator norm of its regular image."""
-    return opnorm(rep_matrix(rep, f))
+def ambient_image(f: Section) -> np.ndarray:
+    """sum_g f(g) in M_n, the faithful image of a section over a bundle whose
+    fiber sum is direct (NotDirectError otherwise)."""
+    bundle = f.bundle
+    if not bundle.direct:
+        raise NotDirectError(
+            f"directness of fiber sum fails (residual {bundle.directness_residual:.2e}); "
+            "sections have no faithful ambient image")
+    return np.tensordot(np.concatenate(f.coeffs), np.concatenate(bundle.fibers), axes=1)
+
+
+def cstar_norm(f: Section) -> float:
+    """C*-norm of a section: operator norm of its ambient image."""
+    return opnorm(ambient_image(f))
 
 
 def rep_is_faithful(rep: RegRep, tol: Tolerance | None = None) -> bool:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import FellBundle, crossed_embed, dynamical_bundle
-from .numerics import DEFAULT_TOL, Tolerance, frob, hermitian_defect, hermitian_psd_check, \
-    opnorm, relative
+from .numerics import DEFAULT_TOL, Tolerance, definite_check, frob, hermitian_defect, \
+    hermitian_psd_check, opnorm, relative
 from .reports import Report
 
 
@@ -174,18 +174,8 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
 
     # definiteness: localized Gram of each fiber has full rank
     if definite:
-        worst = 0.0
-        ok_def = True
-        for r in grp.elements():
-            g = x.trace_gram(r)
-            if g.shape[0] == 0:
-                continue
-            ev = np.linalg.eigvalsh((g + g.conj().T) / 2)
-            scale = max(float(ev[-1]), 0.0)
-            if float(ev[0]) <= tol.rel_rank * max(scale, 1.0):
-                ok_def = False
-                worst = max(worst, 1.0)
-        rep.add("definiteness (localized Grams full rank)", ok_def, worst)
+        ok_def = all(definite_check(x.trace_gram(r), tol).ok for r in grp.elements())
+        rep.add("definiteness (localized Grams full rank)", ok_def, 0.0 if ok_def else 1.0)
 
     # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data
     rng = np.random.default_rng(0)
@@ -375,12 +365,19 @@ class HilbertModule:
         return np.tensordot(c, self.algebra_basis, axes=(0, 0))
 
 
+def algebra_coords_map(basis) -> np.ndarray:
+    """The matrix sending a flattened matrix to its coordinates over a
+    linearly independent algebra basis (k, m, m): the pseudo-inverse of the
+    basis as columns."""
+    basis = np.asarray(basis, dtype=np.complex128)
+    return np.linalg.pinv(basis.reshape(len(basis), -1).T)
+
+
 def trivial_module(algebra_basis) -> HilbertModule:
     """The algebra as a module over itself, <a, b> = a*b, with left action."""
     basis = np.asarray(algebra_basis, dtype=np.complex128)
     k = basis.shape[0]
-    flat = basis.reshape(k, -1)
-    pinv = np.linalg.pinv(flat.T)
+    pinv = algebra_coords_map(basis)
 
     def coords(mat):
         return pinv @ mat.ravel()
@@ -405,8 +402,7 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
     rep = Report("hilbert-module axioms")
     basis = x.algebra_basis
     k = basis.shape[0]
-    flat = basis.reshape(k, -1)
-    pinv = np.linalg.pinv(flat.T)
+    pinv = algebra_coords_map(basis)
 
     worst = 0.0
     for i in range(k):
@@ -445,14 +441,12 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
     ok, residual, hermitian = hermitian_psd_check(big, tol)
     rep.add("Gram PSD", ok, residual, "" if hermitian else "Gram not Hermitian")
     tg = np.einsum("uvk,k->uv", x.inner, np.array([np.trace(b) for b in basis]))
-    ev = np.linalg.eigvalsh((tg + tg.conj().T) / 2)
-    rep.add("definite", bool(ev[0] > tol.rel_rank * max(float(ev[-1]), 1.0)),
-            max(-float(ev[0]), 0.0))
+    res = definite_check(tg, tol)
+    rep.add("definite", res.ok, max(-res.margin, 0.0))
 
     if x.left is not None:
         kl = x.left_basis.shape[0]
-        lflat = x.left_basis.reshape(kl, -1)
-        lpinv = np.linalg.pinv(lflat.T)
+        lpinv = algebra_coords_map(x.left_basis)
         worst = 0.0
         for i in range(kl):
             for j in range(kl):

@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (graded bundles, positivity certificates, module
-Grams) reduces to Hermitian eigenproblems, PSD checks, null spaces and
-subspace bookkeeping on small complex matrices.  All tolerances are
+Grams) reduces to Hermitian eigenproblems, PSD and definiteness checks,
+numerical ranks and subspace bookkeeping on small complex matrices.  All tolerances are
 relative to a matrix norm, never absolute.
 """
 
@@ -18,10 +18,6 @@ class NotSquareError(ValueError):
 
 
 class NotHermitianError(ValueError):
-    pass
-
-
-class NotPSDError(ValueError):
     pass
 
 
@@ -131,31 +127,21 @@ def hermitian_psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, b
     return res.ok, max(-res.margin, 0.0), True
 
 
+def definite_check(g, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
+    """Judge a localized (scalar) Gram definite: full rank, i.e. its minimal
+    eigenvalue exceeds rel_rank * max(largest, 1).  The margin is the
+    minimal eigenvalue; an empty Gram is definite."""
+    a = as_cmatrix(g)
+    if a.shape[0] == 0:
+        return PsdResult(True, 0.0)
+    ev = np.linalg.eigvalsh((a + dagger(a)) / 2)
+    return PsdResult(bool(ev[0] > tol.rel_rank * max(float(ev[-1]), 1.0)), float(ev[0]))
+
+
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above rel_rank * max(largest, 1)."""
     sv = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0)))
-
-
-def null_space_basis(g, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ker(g) for Hermitian PSD g, as columns.
-
-    The numerical rank is decided at rel_rank relative to the largest
-    eigenvalue.  Raises NotPSDError when g has a clearly negative eigenvalue.
-    """
-    a = as_cmatrix(g)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}")
-    if hermitian_defect(a) > tol.rel_eq:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
-    scale = max(float(w[-1]), 0.0)
-    if float(w[0]) < -tol.rel_psd * max(1.0, scale):
-        raise NotPSDError(f"matrix has negative eigenvalue {w[0]:g}")
-    keep = w <= tol.rel_rank * max(scale, 1.0)
-    return v[:, keep]
 
 
 def kron(a, b) -> np.ndarray:

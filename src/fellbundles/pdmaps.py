@@ -6,7 +6,9 @@ dimension it collapses to one Hermitian certificate matrix over the full
 fiber-basis enumeration.  The reduction: any tuple's Gram factors through
 the basis Gram as X M X*, so M >= 0 is equivalent to the quantified
 condition.  The sampled checker draws the quantified form directly as a
-guard on that reduction.
+guard on that reduction.  The certificate, the sampled check and the
+reconstruction all read one positivity form, t_values_ambient, whose
+blocks are concrete matrices in the target's ambient algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .actions import Action, compress_action
 from .bundles import FellBundle
-from .crosssec import RegRep, Section, matrix_alg
+from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, SemiInnerBundle, separate
 from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, opnorm
@@ -41,6 +43,8 @@ _rep_cache: "weakref.WeakKeyDictionary[FellBundle, RegRep]" = weakref.WeakKeyDic
 
 
 def cached_rep(bundle: FellBundle) -> RegRep:
+    """The regular representation of a bundle, built once per bundle; an
+    oracle for the ambient route, which no verdict reads."""
     rep = _rep_cache.get(bundle)
     if rep is None:
         rep = RegRep(bundle)
@@ -130,12 +134,6 @@ def phi_t(t: BundleMap, f: Section) -> Section:
     return out
 
 
-def _star_prod_tensor(bundle: FellBundle, g: int, g2: int) -> np.ndarray:
-    """coords of a_i^{g*} a_j^{g2} in A_{g^-1 g2}, shape (d_g, d_g2, d)."""
-    ginv = bundle.group.inv(g)
-    return np.einsum("iw,wjk->ijk", bundle.star_tensor[g], bundle.prod[ginv][g2])
-
-
 @dataclass
 class PdCertificate:
     ok: bool
@@ -161,65 +159,71 @@ def _unit_norm_scales(bundle: FellBundle, pairs):
                      for g, i in pairs])
 
 
+def _localized_form(gram: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Compress the n x n blocks G_pq of gram by the bases beta[p] (padded,
+    shape (P, dbm, n, n)): entry ((p, z), (q, w)) is tr(beta_pz* G_pq beta_qw)."""
+    size, dbm, n = beta.shape[:3]
+    right = gram.reshape(size, n, size, n).transpose(2, 0, 1, 3).reshape(size, size * n, n) \
+        @ beta.transpose(0, 2, 1, 3).reshape(size, n, dbm * n)  # (q, (p, b), (w, a))
+    right = right.reshape(size, size, n, dbm, n).transpose(1, 2, 4, 0, 3)  # (p, b, a, q, w)
+    local = beta.conj().reshape(size, dbm, n * n) @ right.reshape(size, n * n, size * dbm)
+    return local.reshape(size * dbm, size * dbm)
+
+
 def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
     """Certify positive definiteness by one Hermitian matrix.
 
-    The certificate has one block row/column per pair (g, basis element of
-    A_g); block (p, q) is the regular image over the target of the section
-    T(a_p* a_q) placed at phi(g_p)^-1 phi(g_q).  On failure, the most
-    negative eigenvector of the module-localized form is folded back into
-    an explicit violating tuple, rescaled so its defect is at least as
-    negative as the reported margin.
+    The certificate has one block row/column per pair p = (g, basis element
+    a_p of A_g); block (p, q) is the concrete n x n value of T(a_p* a_q) in
+    the target's ambient algebra: the positivity form t_values_ambient on
+    its unpadded rows.  Each block holds one element of the fiber over
+    phi(g_p)^-1 phi(g_q), and such block matrices are faithful as concrete
+    matrices whether or not the target's fiber sum is direct.  On failure,
+    the most negative eigenvector of the module-localized form (the
+    certificate compressed by the fiber bases of B_{phi(g_p)^-1}) is folded
+    back into an explicit violating tuple, rescaled so its defect is at
+    least as negative as the reported margin.
     """
     tol = tol or DEFAULT_TOL
-    src, tgt, hom = t.source, t.target, t.hom
-    grp, tgrp = src.group, tgt.group
-    rep = cached_rep(tgt)
+    src, tgt = t.source, t.target
     pairs = _basis_pairs(src)
     scales = _unit_norm_scales(src, pairs)
-    n = len(pairs)
-    db = rep.dim
-    gram = np.zeros((n * db, n * db), dtype=np.complex128)
-    tcoords = {}  # (p, q) -> target fiber coords of T(a_p* a_q)
-    for p, (g, i) in enumerate(pairs):
-        for q, (g2, j) in enumerate(pairs):
-            k = grp.mul(grp.inv(g), g2)
-            c = scales[p] * scales[q] * _star_prod_tensor(src, g, g2)[i, j]
-            bc = t.apply(k, c)
-            tcoords[(p, q)] = bc
-            gram[p * db:(p + 1) * db, q * db:(q + 1) * db] = rep.of_element(hom(k), bc)
+    dm, n = max(src.dims, default=0), tgt.ambient_dim
+    # unpadded rows (k, x, a), x < dims[k], in the order of `pairs`
+    rows = np.flatnonzero(np.repeat(np.arange(dm) < np.asarray(src.dims)[:, None], n))
+    gram = t_values_ambient(t)
+    if len(rows) < len(gram):
+        gram = gram[np.ix_(rows, rows)]
+    row_scales = np.repeat(scales, n)
+    gram *= row_scales[:, None]
+    gram *= row_scales
     defect = hermitian_defect(gram) if gram.size else 0.0
-    herm = (gram + dagger(gram)) / 2
-    margin = float(np.linalg.eigvalsh(herm)[0]) if gram.size else 0.0
-    ok = defect <= 100 * tol.rel_eq and margin >= -tol.rel_psd * max(1.0, opnorm(herm))
+    # the spectrum of the Hermitian part gives both the margin and its scale
+    ev = np.linalg.eigvalsh((gram + dagger(gram)) / 2) if gram.size else np.zeros(1)
+    margin = float(ev[0])
+    ok = defect <= 100 * tol.rel_eq and margin >= -tol.rel_psd * max(1.0, float(np.abs(ev).max()))
     cert = PdCertificate(ok, margin, gram, defect)
-    if ok or n == 0:
+    if ok or not pairs:
         return cert
 
-    # witness: localized module form over the tuple (phi(g_p))_p
-    htuple = [hom(g) for g, _ in pairs]
-    blocks = [
-        [tgt.element(tgrp.mul(tgrp.inv(htuple[p]), htuple[q]), tcoords[(p, q)])
-         for q in range(n)]
-        for p in range(n)
-    ]
-    op = matrix_alg(tgt, htuple, blocks, tol)
-    lherm = (op.matrix + dagger(op.matrix)) / 2
-    if lherm.size:
-        w, v = np.linalg.eigh(lherm)
-        vec = v[:, 0] * np.sqrt(tgt.ambient_dim)
-        cs = op.vector_to_tuple(vec)
-        witness = []
-        for p, (g, i) in enumerate(pairs):
-            witness.append((g, scales[p] * src.fibers[g][i], cs[p].conj().T))
-        s = np.zeros((tgt.ambient_dim, tgt.ambient_dim), dtype=np.complex128)
-        for p in range(n):
-            for q in range(n):
-                mid = tgt.element(
-                    tgrp.mul(tgrp.inv(htuple[p]), htuple[q]), tcoords[(p, q)])
-                s += witness[p][2] @ mid @ dagger(witness[q][2])
-        cert.witness = witness
-        cert.witness_sum = s
+    # witness: the localized module form over the tuple (phi(g_p))_p, with
+    # the fiber bases of B_{phi(g_p)^-1}
+    labels = tgt.group.inverse[t.hom.map[[g for g, _ in pairs]]]
+    dbm = max(tgt.dims[h] for h in labels)
+    cols = np.flatnonzero(np.arange(dbm) < np.asarray(tgt.dims)[labels][:, None])
+    if not len(cols):
+        return cert
+    size = len(pairs)
+    beta = _padded_fibers(tgt, labels, dbm)
+    local = _localized_form(gram, beta)[np.ix_(cols, cols)]
+    _, v = np.linalg.eigh((local + dagger(local)) / 2)
+    coeffs = np.zeros(size * dbm, dtype=np.complex128)
+    coeffs[cols] = v[:, 0] * np.sqrt(n)
+    # c_p = sum_z coeffs[p, z] beta_z in B_{phi(g_p)^-1}; the tuple carries b_p = c_p*
+    cs = (coeffs.reshape(size, 1, dbm) @ beta.reshape(size, dbm, n * n)).reshape(size * n, n)
+    cert.witness = [(g, scales[p] * src.fibers[g][i], c.conj().T)
+                    for p, ((g, i), c) in enumerate(zip(pairs, cs.reshape(size, n, n)))]
+    cert.witness_sum = dagger(cs) @ gram @ cs
     return cert
 
 

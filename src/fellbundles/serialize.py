@@ -90,21 +90,6 @@ def group_from_json(data) -> FiniteGroup:
     return g
 
 
-def hom_to_json(phi: GroupHom) -> dict:
-    return {
-        "type": "hom",
-        "source": group_to_json(phi.source),
-        "target": group_to_json(phi.target),
-        "map": phi.map.tolist(),
-    }
-
-
-def hom_from_json(data) -> GroupHom:
-    return GroupHom(group_from_json(data["source"]),
-                    group_from_json(data["target"]),
-                    np.asarray(data["map"], dtype=np.int64))
-
-
 # -- bundles ------------------------------------------------------------------
 
 def bundle_to_json(b: FellBundle) -> dict:

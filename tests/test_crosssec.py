@@ -154,10 +154,9 @@ def test_rep_is_star_homomorphism_on_random_sections():
 
 def test_cstar_norm_z2_hand_value():
     b = group_bundle(make_cyclic(2))
-    rep = regular_rep(b)
     f = Section.delta(b, 0, np.eye(2)) + Section.delta(b, 1, regular_unitary(b.group, 1))
-    assert cstar_norm(rep, f) == pytest.approx(2.0, abs=1e-12)
-    assert cstar_norm(rep, Section.unit(b)) == pytest.approx(1.0, abs=1e-12)
+    assert cstar_norm(f) == pytest.approx(2.0, abs=1e-12)
+    assert cstar_norm(Section.unit(b)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cstar_norm_matches_dft_oracle():
@@ -165,23 +164,21 @@ def test_cstar_norm_matches_dft_oracle():
     for n in (3, 5, 8):
         grp = make_cyclic(n)
         b = group_bundle(grp)
-        rep = regular_rep(b)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f = Section(b, [vals[g] * np.array([np.sqrt(n)]) for g in grp.elements()])
         # coefficient sqrt(n) converts the HS-normalized basis u_g/sqrt(n)
         # back to the permutation matrix u_g, so f(g) = vals[g] u_g
         want = np.abs(np.fft.fft(vals)).max()
-        assert cstar_norm(rep, f) == pytest.approx(want, rel=1e-9)
+        assert cstar_norm(f) == pytest.approx(want, rel=1e-9)
 
 
 def test_cstar_identity():
     rng = np.random.default_rng(17)
     b = dynamical_bundle(*ad_diag_system())
-    rep = regular_rep(b)
     for _ in range(5):
         f = Section.random(b, rng)
-        n1 = cstar_norm(rep, convolve(star(f), f))
-        n2 = cstar_norm(rep, f)
+        n1 = cstar_norm(convolve(star(f), f))
+        n2 = cstar_norm(f)
         assert abs(n1 - n2 * n2) <= 1e-9 * (1 + n2 * n2)
 
 

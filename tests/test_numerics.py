@@ -4,13 +4,11 @@ import pytest
 from fellbundles.numerics import (
     DEFAULT_TOL,
     NotHermitianError,
-    NotPSDError,
     NotSquareError,
     Tolerance,
     hermitian_eigvals,
     in_span,
     kron,
-    null_space_basis,
     orthonormal_basis,
     psd_check,
     same_span,
@@ -139,37 +137,6 @@ def rank_by_row_reduction(m, tol=1e-9):
                 a[r] -= a[r, col] * a[rank]
         rank += 1
     return rank
-
-
-def test_null_space_diag():
-    basis = null_space_basis(np.diag([1.0, 0.0]))
-    assert basis.shape == (2, 1)
-    assert abs(abs(basis[1, 0]) - 1.0) < 1e-12
-
-
-def test_null_space_full_rank_gram():
-    rng = np.random.default_rng(2)
-    x = rand_complex(rng, 6, 4)
-    g = x.conj().T @ x
-    assert null_space_basis(g).shape == (4, 0)
-
-
-def test_null_space_repeated_vectors_vs_row_reduction():
-    rng = np.random.default_rng(4)
-    for reps in (2, 3):
-        v = rand_complex(rng, 5)
-        vecs = np.array([v] * reps + [rand_complex(rng, 5) for _ in range(2)])
-        g = vecs.conj() @ vecs.T
-        basis = null_space_basis(g)
-        assert basis.shape[1] == g.shape[0] - rank_by_row_reduction(g)
-        assert basis.shape[1] == reps - 1
-        for k in range(basis.shape[1]):
-            assert np.linalg.norm(g @ basis[:, k]) <= 10 * DEFAULT_TOL.rel_rank * np.linalg.norm(g)
-
-
-def test_null_space_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        null_space_basis([[1, 2], [2, 1]])
 
 
 def test_kron_block_diagonal():

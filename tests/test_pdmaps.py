@@ -1,12 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 
 from fellbundles.actions import coefficient_map, l2_action, validate_action
 from fellbundles.bundles import dynamical_bundle, group_bundle, regular_unitary
-from fellbundles.crosssec import Section, convolve, rep_matrix, star
+from fellbundles.crosssec import Section, ambient_image, convolve, rep_matrix, star
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import validate_hilbert_bundle
-from fellbundles.numerics import psd_check
+from fellbundles.numerics import opnorm, psd_check
 from fellbundles.pdmaps import (
     BundleMapMismatchError,
     NotPositiveDefiniteError,
@@ -40,23 +42,21 @@ def hermitian_symmetric_function(rng, n):
     return out
 
 
-def choi_via_sections(t):
+def choi_via_sections(t, image=None):
     """Oracle route for the certificate: push basis sections through the
-    convolution algebra and the graded map, then through the regular image."""
+    convolution algebra and the graded map, then through `image` (by
+    default the regular image over the target)."""
     src, tgt = t.source, t.target
-    rep = cached_rep(tgt)
+    if image is None:
+        rep = cached_rep(tgt)
+        image = functools.partial(rep_matrix, rep)
     pairs = [(g, i) for g in src.group.elements() for i in range(src.dims[g])]
     deltas = []
     for g, i in pairs:
         scale = 1.0 / np.linalg.norm(src.fibers[g][i], 2)
         deltas.append(Section.delta(src, g, scale * src.fibers[g][i]))
-    n, db = len(pairs), rep.dim
-    gram = np.zeros((n * db, n * db), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            sec = phi_t(t, convolve(star(deltas[p]), deltas[q]))
-            gram[p * db:(p + 1) * db, q * db:(q + 1) * db] = rep_matrix(rep, sec)
-    return gram
+    return np.block([[image(phi_t(t, convolve(star(dp), dq))) for dq in deltas]
+                     for dp in deltas])
 
 
 def test_phi_t_identity_map_is_identity():
@@ -129,7 +129,10 @@ def test_exact_certificate_matches_section_route():
     t = coefficient_map(rho, x)
     cert = pd_check_exact(t)
     assert cert.ok
-    assert np.allclose(cert.gram, choi_via_sections(t), atol=1e-9)
+    assert np.allclose(cert.gram, choi_via_sections(t, ambient_image), atol=1e-9)
+    regular = choi_via_sections(t)
+    margin = float(np.linalg.eigvalsh((regular + regular.conj().T) / 2)[0])
+    assert cert.margin == pytest.approx(margin, abs=1e-12 * max(1.0, opnorm(cert.gram)))
 
 
 def test_failed_certificate_carries_valid_witness():

@@ -17,7 +17,6 @@ from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.numerics import DEFAULT_TOL, dagger, hermitian_defect, opnorm
 from fellbundles.pdmaps import (
     SampledCheck,
-    _star_prod_tensor,
     conjugation_bundle_map,
     gns_raw_gram,
     identity_bundle_map,
@@ -31,6 +30,12 @@ from test_actions import z4_to_z2_rep_action
 from test_pdmaps import scalar_map_z
 
 
+def star_prod_tensor(bundle, g, g2):
+    """coords of a_i^{g*} a_j^{g2} in A_{g^-1 g2}, shape (d_g, d_g2, d)."""
+    ginv = bundle.group.inv(g)
+    return np.einsum("iw,wjk->ijk", bundle.star_tensor[g], bundle.prod[ginv][g2])
+
+
 def reference_t_values(t):
     """tt[k][k2][i, j] = ambient value of T(a_i^{k*} a_j^{k2})."""
     src, tgt = t.source, t.target
@@ -39,7 +44,7 @@ def reference_t_values(t):
     for k in grp.elements():
         for k2 in grp.elements():
             kk = grp.mul(grp.inv(k), k2)
-            spt = _star_prod_tensor(src, k, k2)
+            spt = star_prod_tensor(src, k, k2)
             coords = np.einsum("ijk,lk->ijl", spt, t.mats[kk])
             tt[k][k2] = np.einsum("ijl,lab->ijab", coords, tgt.fibers[t.hom(kk)]) \
                 if tgt.dims[t.hom(kk)] else np.zeros(
