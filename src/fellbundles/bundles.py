@@ -95,39 +95,40 @@ class FellBundle:
 
     def _build_structure(self):
         grp = self.group
-        n = grp.order
-        # product tensor: prod[g][h][i, j, :] = coords of b_i^g b_j^h in A_{gh};
-        # the grading residual is absolute, i.e. relative to the HS-unit
-        # factors, so a product that vanishes up to rounding stays small
+        n, size = grp.order, self.ambient_dim ** 2
+        flat = [f.reshape(len(f), size) for f in self.fibers]
+        conj = [f.conj() for f in flat]
+
+        def project(g, rows):
+            """`coords` in A_g of every flattened matrix in `rows` at once (the
+            einsum keeps the sums of `coords`, so the coordinates are bitwise
+            the same), and the HS norm of what each leaves out."""
+            c = np.einsum("kx,...x->...k", conj[g], rows)
+            return c, np.linalg.norm(rows - c @ flat[g], axis=-1)
+
+        # product tensor: prod[g][h][i, j, :] = coords of b_i^g b_j^h in A_{gh},
+        # one batched product and one projection per pair (g, h); the grading
+        # residual is absolute, i.e. relative to the HS-unit factors, so a
+        # product that vanishes up to rounding stays small
         self.prod = [[None] * n for _ in range(n)]
         self.grading_residual = np.zeros((n, n))
         for g in grp.elements():
             for h in grp.elements():
-                gh = grp.mul(g, h)
-                dg, dh, dgh = self.dims[g], self.dims[h], self.dims[gh]
-                tensor = np.zeros((dg, dh, dgh), dtype=np.complex128)
-                worst = 0.0
-                for i in range(dg):
-                    for j in range(dh):
-                        p = self.fibers[g][i] @ self.fibers[h][j]
-                        c, res = self.coords(gh, p)
-                        tensor[i, j] = c
-                        worst = max(worst, res * frob(p))
-                self.prod[g][h] = tensor
-                self.grading_residual[g, h] = worst
-        # star tensor: star[g][i, :] = coords of (b_i^g)^* in A_{g^-1}
+                p = self.fibers[g][:, None] @ self.fibers[h][None, :]
+                self.prod[g][h], miss = project(
+                    grp.mul(g, h), p.reshape(self.dims[g], self.dims[h], size))
+                self.grading_residual[g, h] = miss.max(initial=0.0)
+        # star tensor: star[g][i, :] = coords of (b_i^g)^* in A_{g^-1}, with the
+        # residual relative to each adjoint
         self.star_tensor = []
         self.involution_residual = np.zeros(n)
         for g in grp.elements():
-            ginv = grp.inv(g)
-            t = np.zeros((self.dims[g], self.dims[ginv]), dtype=np.complex128)
-            worst = 0.0
-            for i in range(self.dims[g]):
-                c, res = self.coords(ginv, self.fibers[g][i].conj().T)
-                t[i] = c
-                worst = max(worst, res)
-            self.star_tensor.append(t)
-            self.involution_residual[g] = worst
+            adj = self.fibers[g].conj().transpose(0, 2, 1).reshape(self.dims[g], size)
+            c, miss = project(grp.inv(g), adj)
+            scale = np.linalg.norm(adj, axis=-1)
+            self.star_tensor.append(c)
+            self.involution_residual[g] = np.divide(
+                miss, scale, out=np.zeros_like(miss), where=scale > 0).max(initial=0.0)
         eye = np.eye(self.ambient_dim, dtype=np.complex128)
         self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
         self.unital = self.unit_residual <= 10 * self._tol.rel_rank

@@ -73,6 +73,16 @@ def _emit(payload: dict, args) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _write_object(obj: dict, path: str | None) -> None:
+    """Write an object file, compact sorted-key JSON on one line, to `path`,
+    or print it when there is no path."""
+    text = json.dumps(obj, sort_keys=True) + "\n"
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 # -- object dispatch -----------------------------------------------------------
 
 def _parse_object(data):
@@ -164,7 +174,7 @@ def cmd_build(args) -> int:
             target = sz.bundle_from_json(spec["target"])
             hom = GroupHom(source.group, target.group,
                            np.asarray(spec["phi"], dtype=np.int64))
-            values = [complex(v[0], v[1]) for v in spec["values"]]
+            values = sz.vector_from_json(spec["values"])
             obj = sz.bundle_map_to_json(scalar_bundle_map(source, target, hom, values))
         elif kind == "self_equivalence":
             obj = sz.equivalence_to_json(
@@ -174,12 +184,9 @@ def cmd_build(args) -> int:
     except (NotLatinSquareError, NotAssociativeError, NoIdentityError) as exc:
         _emit({"ok": False, "error": str(exc)}, args)
         return MATH_FAIL
-    out = json.dumps(obj, sort_keys=True, indent=2)
+    _write_object(obj, args.output)
     if args.output:
-        Path(args.output).write_text(out + "\n")
         _emit({"ok": True, "written": args.output}, args)
-    else:
-        print(out)
     return OK
 
 
@@ -215,13 +222,9 @@ def cmd_gns(args) -> int:
         "action": f"{prefix}.action.json",
         "vector": f"{prefix}.vector.json",
     }
-    Path(paths["hilbert_bundle"]).write_text(
-        json.dumps(sz.hilbert_to_json(hb), sort_keys=True) + "\n")
-    Path(paths["action"]).write_text(
-        json.dumps(sz.action_to_json(rho), sort_keys=True) + "\n")
-    e = hb.bundle.group.identity
-    Path(paths["vector"]).write_text(
-        json.dumps(sz.vector_payload_to_json(xi, e), sort_keys=True) + "\n")
+    _write_object(sz.hilbert_to_json(hb), paths["hilbert_bundle"])
+    _write_object(sz.action_to_json(rho), paths["action"])
+    _write_object(sz.vector_payload_to_json(xi, hb.bundle.group.identity), paths["vector"])
 
     # re-read everything and re-derive the map from the stored data
     rho2 = sz.action_from_json(_load(paths["action"]))
@@ -375,7 +378,7 @@ def main(argv=None) -> int:
         print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True))
         return MATH_FAIL
     except (CliInputError, sz.FormatError, KeyError, TypeError, ValueError,
-            OSError) as exc:
+            OverflowError, OSError) as exc:
         print(json.dumps({"ok": False, "error": f"{type(exc).__name__}: {exc}"},
                          sort_keys=True))
         return BAD_INPUT

@@ -8,6 +8,7 @@ relative to a matrix norm, never absolute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class Tolerance:
     rel_eq: float = 1e-9
 
     def __post_init__(self):
-        if min(self.rel_psd, self.rel_rank, self.rel_eq) <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < t < math.inf for t in (self.rel_psd, self.rel_rank, self.rel_eq)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerance()

@@ -8,6 +8,8 @@ the data exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .actions import Action
@@ -23,54 +25,80 @@ class FormatError(ValueError):
     pass
 
 
-def _c2j(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _encode(a) -> list:
+    """Nested lists of [re, im] pairs of a complex array, in one call."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
-def _j2c(v) -> complex:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise FormatError(f"expected [re, im], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+def _decode(data, shape, what: str) -> np.ndarray:
+    """The complex array of `shape` held as nested [re, im] pairs, read as one
+    float array; a None axis takes its length from the data.  Entries must be
+    finite.  An empty target also accepts shallower nested empty lists."""
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
+    shape = tuple((pairs.shape[i] if i < pairs.ndim else 0) if s is None else s
+                  for i, s in enumerate(shape))
+    if pairs.size == 0 and pairs.ndim <= len(shape) and math.prod(shape) == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    if pairs.shape != shape + (2,):
+        raise FormatError(f"{what} of shape {pairs.shape} is not {shape} [re, im] pairs")
+    if not np.isfinite(pairs).all():
+        raise FormatError(f"{what} has non-finite entries")
+    return pairs.view(np.complex128)[..., 0]
 
 
-def matrix_to_json(m) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[_c2j(a[i, j]) for j in range(a.shape[1])] for i in range(a.shape[0])]
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
+
+
+def _integers(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
+
+
+def _family(data, field: str, keys) -> dict:
+    """The keyed family data[field]; a key the decoder does not read is refused."""
+    raw = data[field]
+    if not isinstance(raw, dict):
+        raise FormatError(f"'{field}' must be an object keyed by group elements or pairs")
+    unread = set(raw) - set(keys)
+    if unread:
+        raise FormatError(
+            f"'{field}' has keys that name no group element or pair: {sorted(unread)}")
+    return raw
+
+
+def _element_keys(grp: FiniteGroup) -> list[str]:
+    return [str(g) for g in grp.elements()]
+
+
+def _pair_keys(grp: FiniteGroup, other: FiniteGroup | None = None) -> list[str]:
+    return [f"{r},{s}" for r in grp.elements() for s in (other or grp).elements()]
+
+
+matrix_to_json = vector_to_json = tensor3_to_json = _encode
 
 
 def matrix_from_json(data, shape=None) -> np.ndarray:
-    try:
-        out = np.array([[_j2c(v) for v in row] for row in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad matrix: {exc}") from exc
-    if out.size == 0:
-        out = out.reshape(shape if shape is not None else (0, 0))
-    if shape is not None and out.shape != tuple(shape):
-        raise FormatError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
-    return out
-
-
-def vector_to_json(v) -> list:
-    return [_c2j(z) for z in np.asarray(v, dtype=np.complex128)]
+    return _decode(data, tuple(shape) if shape is not None else (None, None), "matrix")
 
 
 def vector_from_json(data) -> np.ndarray:
-    return np.array([_j2c(v) for v in data], dtype=np.complex128)
-
-
-def tensor3_to_json(t) -> list:
-    a = np.asarray(t, dtype=np.complex128)
-    return [matrix_to_json(a[i]) for i in range(a.shape[0])]
+    return _decode(data, (None,), "vector")
 
 
 def tensor3_from_json(data, shape) -> np.ndarray:
-    out = np.zeros(shape, dtype=np.complex128)
-    if shape[0] != len(data):
-        raise FormatError(f"tensor has {len(data)} slabs, expected {shape[0]}")
-    for i, slab in enumerate(data):
-        out[i] = matrix_from_json(slab, shape[1:])
-    return out
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise FormatError(f"tensor needs a list of {shape[0]} slabs")
+    return _decode(data, tuple(shape), "tensor")
 
 
 # -- groups and homomorphisms -------------------------------------------------
@@ -84,10 +112,14 @@ def group_from_json(data) -> FiniteGroup:
         table = data["table"]
     except (KeyError, TypeError) as exc:
         raise FormatError("group JSON needs a 'table'") from exc
-    g = make_from_table(table)
-    if "order" in data and int(data["order"]) != g.order:
+    g = make_from_table(_integers(table, "group table"))
+    if "order" in data and _integer(data["order"], "order") != g.order:
         raise FormatError("declared order does not match the table")
     return g
+
+
+def _hom(source: FiniteGroup, target: FiniteGroup, data) -> GroupHom:
+    return GroupHom(source, target, _integers(data["phi"], "phi"))
 
 
 # -- bundles ------------------------------------------------------------------
@@ -98,25 +130,19 @@ def bundle_to_json(b: FellBundle) -> dict:
         "group": group_to_json(b.group),
         "ambient_dim": b.ambient_dim,
         "unital": bool(b.unital),
-        "fibers": {
-            str(g): [matrix_to_json(m) for m in b.fibers[g]]
-            for g in b.group.elements()
-        },
+        "fibers": {str(g): _encode(b.fibers[g]) for g in b.group.elements()},
     }
 
 
 def bundle_from_json(data) -> FellBundle:
     try:
         group = group_from_json(data["group"])
-        n = int(data["ambient_dim"])
-        raw = data["fibers"]
+        n = _integer(data["ambient_dim"], "ambient_dim")
+        raw = _family(data, "fibers", _element_keys(group))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bundle JSON is missing fields: {exc}") from exc
-    fibers = []
-    for g in group.elements():
-        mats = raw.get(str(g), [])
-        fibers.append(np.array([matrix_from_json(m, (n, n)) for m in mats])
-                      if mats else np.zeros((0, n, n), dtype=np.complex128))
+    fibers = [_decode(raw.get(str(g)) or [], (None, n, n), f"fiber {g}")
+              for g in group.elements()]
     bundle = FellBundle(group, n, fibers)
     if "unital" in data and bool(data["unital"]) != bundle.unital:
         raise FormatError("declared unitality does not match the fibers")
@@ -132,8 +158,8 @@ def section_to_json(f: Section) -> dict:
 
 
 def section_from_json(bundle: FellBundle, data) -> Section:
+    raw = _family(data, "coeffs", _element_keys(bundle.group)) if "coeffs" in data else {}
     coeffs = []
-    raw = data.get("coeffs", {})
     for g in bundle.group.elements():
         vals = raw.get(str(g))
         coeffs.append(vector_from_json(vals) if vals is not None
@@ -158,9 +184,8 @@ def bundle_map_from_json(data) -> BundleMap:
     try:
         source = bundle_from_json(data["source"])
         target = bundle_from_json(data["target"])
-        phi = GroupHom(source.group, target.group,
-                       np.asarray(data["phi"], dtype=np.int64))
-        raw = data["blocks"]
+        phi = _hom(source.group, target.group, data)
+        raw = _family(data, "blocks", _element_keys(source.group))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bundle map JSON is missing fields: {exc}") from exc
     mats = []
@@ -190,16 +215,20 @@ def hilbert_to_json(x: SemiInnerBundle) -> dict:
 def hilbert_from_json(data, definite: bool = True) -> SemiInnerBundle:
     try:
         bundle = bundle_from_json(data["bundle"])
-        dims = [int(d) for d in data["dims"]]
+        grp = bundle.group
+        dims = [_integer(d, "fiber dimension") for d in data["dims"]]
+        raw_act = _family(data, "action", _pair_keys(grp))
+        raw_inner = _family(data, "inner", _pair_keys(grp))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"hilbert bundle JSON is missing fields: {exc}") from exc
-    grp = bundle.group
+    if len(dims) != grp.order:
+        raise FormatError(f"'dims' has {len(dims)} entries, the group has {grp.order}")
     act = [[tensor3_from_json(
-        data["action"][f"{r},{h}"],
+        raw_act[f"{r},{h}"],
         (bundle.dims[h], dims[grp.mul(r, h)], dims[r]))
         for h in grp.elements()] for r in grp.elements()]
     inner = [[tensor3_from_json(
-        data["inner"][f"{r},{s}"],
+        raw_inner[f"{r},{s}"],
         (dims[r], dims[s], bundle.dims[grp.mul(grp.inv(r), s)]))
         for s in grp.elements()] for r in grp.elements()]
     cls = HilbertBundle if definite else SemiInnerBundle
@@ -223,12 +252,11 @@ def action_from_json(data) -> Action:
     try:
         source = bundle_from_json(data["source"])
         target = hilbert_from_json(data["target"])
-        phi = GroupHom(source.group, target.bundle.group,
-                       np.asarray(data["phi"], dtype=np.int64))
-        raw = data["ops"]
+        tgt_grp = target.bundle.group
+        phi = _hom(source.group, tgt_grp, data)
+        raw = _family(data, "ops", _pair_keys(source.group, tgt_grp))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"action JSON is missing fields: {exc}") from exc
-    tgt_grp = target.bundle.group
     ops = [[tensor3_from_json(
         raw[f"{g},{h}"],
         (source.dims[g], target.dims[tgt_grp.mul(phi(g), h)], target.dims[h]))
@@ -241,7 +269,7 @@ def vector_payload_to_json(x, fiber: int) -> dict:
 
 
 def vector_payload_from_json(data) -> tuple[np.ndarray, int]:
-    return vector_from_json(data["coords"]), int(data.get("fiber", 0))
+    return vector_from_json(data["coords"]), _integer(data.get("fiber", 0), "fiber")
 
 
 def equivalence_to_json(e: EquivalenceBundle) -> dict:
@@ -261,16 +289,18 @@ def equivalence_from_json(data) -> EquivalenceBundle:
     try:
         left = bundle_from_json(data["left_bundle"])
         right = hilbert_from_json(data["right"])
+        grp = left.group
+        raw_lact = _family(data, "lact", _pair_keys(grp))
+        raw_linner = _family(data, "linner", _pair_keys(grp))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"equivalence JSON is missing fields: {exc}") from exc
-    grp = left.group
     dims = right.dims
     lact = [[tensor3_from_json(
-        data["lact"][f"{g},{r}"],
+        raw_lact[f"{g},{r}"],
         (left.dims[g], dims[grp.mul(g, r)], dims[r]))
         for r in grp.elements()] for g in grp.elements()]
     linner = [[tensor3_from_json(
-        data["linner"][f"{r},{s}"],
+        raw_linner[f"{r},{s}"],
         (dims[r], dims[s], left.dims[grp.mul(r, grp.inv(s))]))
         for s in grp.elements()] for r in grp.elements()]
     return EquivalenceBundle(left, right, lact, linner)
