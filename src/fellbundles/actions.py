@@ -6,18 +6,29 @@ every source basis element from fiber h into fiber phi(g)h.  Validation is
 then a finite family of tensor identities: multiplicativity, adjoint
 symmetry against the inner products, commutation with the right action,
 and the contractivity/Gram-domination bounds.
+
+The validator reads the nested lists through the padded graded layout of
+`hilbundles` (built afresh by every call): ops[g][h] becomes one array of
+shape (|G_A|, |G_B|, da, dm, dm), zero-padded to the largest source fiber
+dimension da and target fiber dimension dm, next to the padded act, inner,
+prod, star_tensor and fiber bases.  Each identity is one gather through the
+Cayley tables, grp.inverse and phi plus one batched matmul over all tuples
+(g, g', h) or (g, h, h'); the random-data bounds draw their samples in the
+order of the per-sample loop, then evaluate them together.  Batches are
+chunked so their intermediates stay near numerics.CHUNK_BYTES (4 MiB).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundles import FellBundle, crossed_extract, dynamical_bundle
+from .bundles import FellBundle, crossed_extract, dynamical_bundle, padded_structure
 from .groups import GroupHom, identity_hom
-from .hilbundles import HilbertModule, SemiInnerBundle, algebra_coords_map, \
-    check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, \
+from .hilbundles import HilbertModule, SemiInnerBundle, algebra_coords_map, ambient_inners, \
+    check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, padded_module, \
     regularize_bundle, trivial_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, frob, hermitian_psd_check, opnorm, relative
+from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, hermitian_psd_checks, opnorms, \
+    padded, worst_relative
 from .reports import Report
 
 
@@ -72,86 +83,126 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
     x = rho.target
     bundle = x.bundle
     grp, tgt = src.group, bundle.group
-    phi = rho.hom
+    order_a, order_b = grp.order, tgt.order
+    tab_a, tab_b, inv_a, phi = grp.table, tgt.table, grp.inverse, rho.hom.map
+    quot = tab_b[tgt.inverse]  # quot[h, h2] = h^-1 h2
+    prod, star, src_fibers = padded_structure(src)
+    fibers = padded_structure(bundle)[2]
+    act, inner = padded_module(x)
+    da, db, dm = star.shape[-1], fibers.shape[1], act.shape[-1]
+    ns, n = src.ambient_dim, bundle.ambient_dim
+    ops = padded(rho.ops, (da, dm, dm))
 
     # (i) fiber targeting and bilinearity hold by the tensor layout
     rep.add("fiber targeting (by construction)", True, 0.0)
 
     # (ii) rho(a a') = rho(a) rho(a')
-    worst = 0.0
-    for g in grp.elements():
-        for g2 in grp.elements():
-            gg2 = grp.mul(g, g2)
-            for h in tgt.elements():
-                mid = tgt.mul(phi(g2), h)
-                comp = np.einsum("iuw,jwv->ijuv", rho.ops[g][mid], rho.ops[g2][h])
-                via = np.einsum("ijk,kuv->ijuv", src.prod[g][g2], rho.ops[gg2][h])
-                worst = max(worst, relative(frob(comp - via), frob(comp)))
+    def multiplicative(idx):
+        g, g2, h = np.unravel_index(idx, (order_a, order_a, order_b))
+        comp = ops[g, tab_b[phi[g2], h]][:, :, None] @ ops[g2, h][:, None]  # (i, j, u, v)
+        via = prod[g, g2].reshape(-1, da * da, da) @ ops[tab_a[g, g2], h].reshape(-1, da, dm * dm)
+        return comp, via
+
+    worst = worst_relative(order_a ** 2 * order_b, (da * dm) ** 2, multiplicative)
     rep.add("multiplicativity rho(aa') = rho(a)rho(a')", worst <= 1e-8, worst)
 
-    # (iii) <rho(a)x, y> = <x, rho(a*)y>
-    worst = 0.0
-    for g in grp.elements():
-        ginv = grp.inv(g)
-        for h in tgt.elements():
-            out = tgt.mul(phi(g), h)
-            for h2 in tgt.elements():
-                back = tgt.mul(phi(ginv), h2)
-                lhs = np.einsum("iwu,wvk->iuvk", rho.ops[g][h].conj(), x.inner[out][h2])
-                rhs = np.einsum("il,lwv,uwk->iuvk", src.star_tensor[g],
-                                rho.ops[ginv][h2], x.inner[h][back])
-                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+    # (iii) <rho(a)x, y> = <x, rho(a*)y>; so[g, h2] = rho(a_i^{g*}) on X_h2
+    so = (star[:, None] @ ops[inv_a].reshape(order_a, order_b, da, dm * dm)).reshape(
+        order_a, order_b, da, dm, dm)
+
+    def adjoint(idx):
+        g, h, h2 = np.unravel_index(idx, (order_a, order_b, order_b))
+        lhs = ops[g, h].conj().transpose(0, 1, 3, 2) \
+            @ inner[tab_b[phi[g], h], h2].reshape(-1, 1, dm, dm * db)  # (i, u, (v, k))
+        back = tab_b[phi[inv_a[g]], h2]
+        rhs = inner[h, back].transpose(0, 1, 3, 2).reshape(-1, 1, dm * db, dm) \
+            @ so[g, h2]  # (i, (u, k), v)
+        return lhs, rhs.reshape(-1, da, dm, db, dm).transpose(0, 1, 2, 4, 3)
+
+    worst = worst_relative(order_a * order_b ** 2, da * dm * dm * db, adjoint)
     rep.add("adjoint symmetry <rho(a)x,y> = <x,rho(a*)y>", worst <= 1e-8, worst)
 
     # (iv) (rho(a)x) b = rho(a)(x b)
-    worst = 0.0
-    for g in grp.elements():
-        for h in tgt.elements():
-            out = tgt.mul(phi(g), h)
-            for h2 in tgt.elements():
-                lhs = np.einsum("jwu,iuv->ijwv", x.act[out][h2], rho.ops[g][h])
-                rhs = np.einsum("iwz,jzv->ijwv", rho.ops[g][tgt.mul(h, h2)], x.act[h][h2])
-                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+    def commuting(idx):
+        g, h, h2 = np.unravel_index(idx, (order_a, order_b, order_b))
+        lhs = act[tab_b[phi[g], h], h2][:, None] @ ops[g, h][:, :, None]  # (i, j, w, v)
+        rhs = ops[g, tab_b[h, h2]][:, :, None] @ act[h, h2][:, None]
+        return lhs, rhs
+
+    worst = worst_relative(order_a * order_b ** 2, da * db * dm * dm, commuting)
     rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= 1e-8, worst)
 
-    # ||rho(a)x|| <= ||a|| ||x|| on random data
+    def applied(g, a, h, v):
+        """rho(a_t) v_t from X_{h_t} to X_{phi(g_t) h_t}, per sample."""
+        return ((a[:, None] @ ops[g, h].reshape(-1, da, dm * dm)).reshape(-1, dm, dm)
+                @ v[:, :, None])[..., 0]
+
+    def norms(g, a):
+        """||a_t|| for a_t in A_{g_t}, per sample."""
+        return opnorms((a[:, None] @ src_fibers[g].reshape(-1, da, ns * ns)).reshape(-1, ns, ns))
+
+    def grams(hs, vecs):
+        """The 3 x 3 matrices of ambient blocks [<v_i, v_j>]_ij, v_i in X_{h_i}."""
+        left, right = np.repeat([0, 1, 2], 3), np.tile([0, 1, 2], 3)
+        vals = ambient_inners(inner, fibers, quot, hs[:, left].ravel(),
+                              vecs[:, left].reshape(-1, dm), hs[:, right].ravel(),
+                              vecs[:, right].reshape(-1, dm))
+        return vals.reshape(-1, 3, 3, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, 3 * n, 3 * n)
+
+    # ||rho(a)x|| <= ||a|| ||x|| on random data, drawn in loop order
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = []
     for _ in range(samples):
         g = int(rng.integers(grp.order))
         h = int(rng.integers(tgt.order))
         if src.dims[g] == 0 or x.dims[h] == 0:
             continue
-        a = src.random_coords(g, rng)
-        v = x.random_vector(h, rng)
-        na = src.fiber_norm(g, a)
-        nv = x.norm(h, v)
-        out = tgt.mul(phi(g), h)
-        slack = x.norm(out, rho.apply(g, a, h, v)) - na * nv
-        worst = max(worst, relative(slack, na * nv))
-    rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= 1e-8, max(worst, 0.0))
+        draws.append((g, h, src.random_coords(g, rng), x.random_vector(h, rng)))
+    gs, hs = (np.array([d[k] for d in draws], dtype=int) for k in (0, 1))
+    a = padded([[d[2] for d in draws]], (da,))[0]
+    v = padded([[d[3] for d in draws]], (dm,))[0]
+    worst = 0.0
+    for idx in chunks(len(draws), 2 * (n * n + dm * dm * db) + da * dm * dm):
+        g, h = gs[idx], hs[idx]
+        out, w = tab_b[phi[g], h], applied(g, a[idx], h, v[idx])
+        nvv, nww = opnorms(np.concatenate([
+            ambient_inners(inner, fibers, quot, h, v[idx], h, v[idx]),
+            ambient_inners(inner, fibers, quot, out, w, out, w)])).reshape(2, -1)
+        bound = norms(g, a[idx]) * np.sqrt(nvv)
+        slack = (np.sqrt(nww) - bound) / np.maximum(bound, 1.0)
+        worst = max(worst, float(slack.max(initial=0.0)))
+    rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= 1e-8, worst)
 
     # Gram domination S <= ||a||^2 R for a in the unit fiber, judged on the
-    # 3 x 3 matrix of ambient blocks (one fiber element per block: faithful)
+    # 3 x 3 matrices of ambient blocks (one fiber element per block:
+    # faithful) divided by the size of the two compared blocks,
+    # max(1, ||a||^2 ||R||, ||S||)
     worst = 0.0
     ok = True
     e = grp.identity
     if src.dims[e] and bundle.total_dim:
+        draws = []
         for _ in range(samples):
-            a = src.random_coords(e, rng)
-            na = src.fiber_norm(e, a)
-            gs = [int(rng.integers(grp.order)) for _ in range(3)]
-            hs = [phi(g) for g in gs]
-            xs = [x.random_vector(h, rng) for h in hs]
-            ys = [rho.apply(e, a, h, v) for h, v in zip(hs, xs)]
-            big = np.block([[na * na * x.inner_ambient(hs[i], xs[i], hs[j], xs[j])
-                             - x.inner_ambient(hs[i], ys[i], hs[j], ys[j])
-                             for j in range(3)] for i in range(3)])
-            _, slack, hermitian = hermitian_psd_check(big, tol)
-            slack = slack if hermitian else np.inf
-            scale = max(1.0, na * na * opnorm(big))
-            ok = ok and slack <= 1e-8 * scale
-            worst = max(worst, slack / scale)
+            ae = src.random_coords(e, rng)
+            he = [phi[int(rng.integers(grp.order))] for _ in range(3)]
+            draws.append((ae, he, [x.random_vector(h, rng) for h in he]))
+        a = np.array([d[0] for d in draws])
+        hs = np.array([d[1] for d in draws], dtype=int)
+        xs = padded([d[2] for d in draws], (dm,))
+        # per sample: nine gathered (dm, dm, db) blocks per Gram, three ops
+        # blocks and a few 3n x 3n block matrices
+        for idx in chunks(samples, 9 * dm * dm * db + 3 * da * dm * dm + 4 * (3 * n) ** 2):
+            k = len(idx)
+            ys = applied(np.full(3 * k, e), np.repeat(a[idx], 3, axis=0), hs[idx].ravel(),
+                         xs[idx].reshape(-1, dm)).reshape(k, 3, dm)
+            big_r, big_s = grams(hs[idx], xs[idx]), grams(hs[idx], ys)
+            na2 = norms(np.full(k, e), a[idx]) ** 2
+            scale = np.maximum(1.0, np.maximum(na2 * opnorms(big_r), opnorms(big_s)))
+            _, slack, hermitian = hermitian_psd_checks(
+                (na2[:, None, None] * big_r - big_s) / scale[:, None, None], tol)
+            slack = np.where(hermitian, slack, np.inf)
+            ok = ok and bool((slack <= 1e-8).all())
+            worst = max(worst, float(slack.max(initial=0.0)))
     rep.add("Gram domination S <= ||a||^2 R", ok, worst)
     return rep
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, frob, hermitian_psd_check, \
-    numerical_rank, orthonormal_basis
+    numerical_rank, orthonormal_basis, padded
 from .reports import Report
 
 
@@ -179,6 +179,17 @@ class FellBundle:
         """Ambient operator norm of element(g, coeffs)."""
         m = self.element(g, coeffs)
         return float(np.linalg.norm(m, 2)) if m.size else 0.0
+
+
+def padded_structure(bundle: FellBundle):
+    """The structure tensors and fiber bases as zero-padded arrays indexed
+    by group elements: (prod, star, fibers) with prod[g, h] of shape
+    (db, db, db), star[g] (db, db) and fibers[g] (db, n, n), where db is
+    the largest fiber dimension.  Built afresh on every call."""
+    db, n = max(bundle.dims, default=0), bundle.ambient_dim
+    return (padded(bundle.prod, (db, db, db)),
+            padded([bundle.star_tensor], (db, db))[0],
+            padded([bundle.fibers], (db, n, n))[0])
 
 
 def bundles_equal(b1: FellBundle, b2: FellBundle, atol: float = 1e-10) -> bool:

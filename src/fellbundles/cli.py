@@ -246,8 +246,21 @@ def cmd_gns(args) -> int:
     return OK if ok else MATH_FAIL
 
 
+def _unit_fiber_vector(path: str, rho):
+    """The cyclicity vector of `path`; its fiber must be the unit of the
+    target group."""
+    xi, fiber = sz.vector_payload_from_json(_load(path))
+    grp = rho.target.bundle.group
+    if not 0 <= fiber < grp.order:
+        raise sz.FormatError(f"vector fiber {fiber} is not an element of the target group")
+    if fiber != grp.identity:
+        raise sz.FormatError(f"vector fiber {fiber} is not the unit fiber {grp.identity}")
+    return xi
+
+
 def cmd_correspond(args) -> int:
     rho = sz.action_from_json(_load(args.file))
+    xi = _unit_fiber_vector(args.vector, rho) if args.vector else None
     tol = args.tolerance
     act_rep = validate_action(rho, tol, seed=args.seed)
     payload = {"action_report": act_rep.as_dict()}
@@ -261,8 +274,7 @@ def cmd_correspond(args) -> int:
         payload["amplified_dimension"] = amp.dim
         payload["amplified_star_representation"] = amplified_is_star_rep(amp, seed=args.seed)
         ok = bool(payload["amplified_star_representation"])
-        if args.vector:
-            xi, fiber = sz.vector_payload_from_json(_load(args.vector))
+        if xi is not None:
             payload["cyclic"] = check_cyclic(y, xi, tol)
     payload["ok"] = ok
     _emit(payload, args)
@@ -354,7 +366,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None)
         if name == "correspond":
             p.add_argument("--vector", default=None,
-                           help="unit-fiber vector JSON for the cyclicity check")
+                           help="vector JSON for the cyclicity check; the vector "
+                                "must lie in the unit fiber of the target group")
     return parser
 
 

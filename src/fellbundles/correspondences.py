@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import Action, WrongFiberError, compress_action, trivial_action
-from .bundles import FellBundle, bundles_equal, regular_unitary
+from .bundles import FellBundle, bundles_equal, padded_structure, regular_unitary
 from .crosssec import Section, ambient_image, convolve, cstar_norm, star
-from .hilbundles import SemiInnerBundle, compress_bundle
-from .numerics import DEFAULT_TOL, Tolerance, dagger, definite_check, frob, \
-    hermitian_psd_check, numerical_rank, orthonormal_basis, psd_check, relative
+from .hilbundles import SemiInnerBundle, block_grams_psd, compress_bundle, padded_module
+from .numerics import DEFAULT_TOL, Tolerance, dagger, definite_check, frob, numerical_rank, \
+    orthonormal_basis, padded, psd_check, relative, worst_relative
 from .reports import Report
 
 
@@ -410,56 +410,50 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     act_rep = validate_action(e.left_action(), tol)
     rep.add("left action axioms", act_rep.ok, act_rep.worst)
 
+    # the left structure through the padded layout of hilbundles, built per call
+    order, tab, inv = grp.order, grp.table, grp.inverse
+    prod_a, star_a, _ = padded_structure(a_bundle)
+    act, inner = padded_module(hb)
+    da, db, dm = star_a.shape[-1], act.shape[2], act.shape[-1]
+    lact = padded(e.lact, (da, dm, dm))
+    linner = padded(e.linner, (dm, dm, da))
+    div = tab[:, inv]  # div[r, s] = r s^-1
+
     # left inner product: hermitian symmetry and left-linearity
-    worst = 0.0
-    for r in grp.elements():
-        for s in grp.elements():
-            k = grp.mul(r, grp.inv(s))
-            starred = np.einsum("uvk,kl->uvl", e.linner[r][s].conj(),
-                                a_bundle.star_tensor[k])
-            flipped = e.linner[s][r].transpose(1, 0, 2)
-            worst = max(worst, relative(frob(starred - flipped), frob(flipped)))
+    def symmetric(idx):
+        r, s = np.unravel_index(idx, (order, order))
+        starred = linner[r, s].conj().reshape(-1, dm * dm, da) @ star_a[div[r, s]]
+        return linner[s, r].transpose(0, 2, 1, 3), starred
+
+    worst = worst_relative(order ** 2, dm * dm * da, symmetric)
     rep.add("[x,y]* = [y,x]", worst <= 1e-8, worst)
 
-    worst = 0.0
-    for g in grp.elements():
-        for r in grp.elements():
-            gr = grp.mul(g, r)
-            for s in grp.elements():
-                rs = grp.mul(r, grp.inv(s))
-                lhs = np.einsum("iwu,wvk->iuvk", e.lact[g][r], e.linner[gr][s])
-                rhs = np.einsum("uvk,ikm->iuvm", e.linner[r][s], a_bundle.prod[g][rs])
-                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+    def left_linear(idx):
+        g, r, s = np.unravel_index(idx, (order,) * 3)
+        lhs = lact[g, r].transpose(0, 1, 3, 2) @ linner[tab[g, r], s].reshape(-1, 1, dm, dm * da)
+        rhs = linner[r, s].reshape(-1, dm * dm, da) \
+            @ prod_a[g, div[r, s]].transpose(0, 2, 1, 3).reshape(-1, da, da * da)
+        return lhs, rhs.reshape(-1, dm, dm, da, da).transpose(0, 3, 1, 2, 4)  # (i, u, v, m)
+
+    worst = worst_relative(order ** 3, (da * dm) ** 2, left_linear)
     rep.add("[ax, y] = a[x,y]", worst <= 1e-8, worst)
 
     # left positivity and definiteness via the fiber Grams
-    ok_pos, worst = True, 0.0
-    n_a = a_bundle.ambient_dim
-    for r in grp.elements():
-        m = hb.dims[r]
-        if m == 0:
-            continue
-        big = np.zeros((m * n_a, m * n_a), dtype=np.complex128)
-        for u in range(m):
-            for v in range(m):
-                big[u * n_a:(u + 1) * n_a, v * n_a:(v + 1) * n_a] = \
-                    a_bundle.element(grp.identity, e.linner[r][r][u, v])
-        ok, residual, _ = hermitian_psd_check(big, tol)
-        ok_pos &= ok
-        worst = max(worst, residual)
+    unit = grp.identity
+    diag = linner[np.arange(order), np.arange(order), :, :, :a_bundle.dims[unit]]
+    ok_pos, worst = block_grams_psd(diag, a_bundle.fibers[unit], tol)
     rep.add("left fiber Grams PSD", ok_pos, worst)
 
-    # compatibility [x, y] z = x <y, z>
-    worst = 0.0
-    for r in grp.elements():
-        for s in grp.elements():
-            for tt in grp.elements():
-                rs = grp.mul(r, grp.inv(s))
-                st = grp.mul(grp.inv(s), tt)
-                # both sides indexed [u, v, out-component, z-coordinate]
-                lhs = np.einsum("uvk,kwz->uvwz", e.linner[r][s], e.lact[rs][tt])
-                rhs = np.einsum("vzk,kwu->uvwz", hb.inner[s][tt], hb.act[r][st])
-                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+    # compatibility [x, y] z = x <y, z>, both sides indexed
+    # [u, v, out-component, z-coordinate]
+    def compatible(idx):
+        r, s, tt = np.unravel_index(idx, (order,) * 3)
+        lhs = linner[r, s].reshape(-1, dm * dm, da) @ lact[div[r, s], tt].reshape(-1, da, dm * dm)
+        rhs = inner[s, tt].reshape(-1, dm * dm, db) \
+            @ act[r, tab[inv[s], tt]].reshape(-1, db, dm * dm)  # (v, z, w, u)
+        return lhs, rhs.reshape(-1, dm, dm, dm, dm).transpose(0, 4, 1, 3, 2)
+
+    worst = worst_relative(order ** 3, dm ** 4, compatible)
     rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
 
     # fullness on both sides

@@ -4,6 +4,10 @@ Everything downstream (graded bundles, positivity certificates, module
 Grams) reduces to Hermitian eigenproblems, PSD and definiteness checks,
 numerical ranks and subspace bookkeeping on small complex matrices.  All tolerances are
 relative to a matrix norm, never absolute.
+
+The batched checks read nested per-group-element tensors as one zero-padded
+array (`padded`) and evaluate a family of small identities or matrices in
+chunks whose intermediates stay near CHUNK_BYTES (`chunks`).
 """
 
 from __future__ import annotations
@@ -54,9 +58,16 @@ def frob(m: np.ndarray) -> float:
 
 def opnorm(m: np.ndarray) -> float:
     """Operator (spectral) norm; 0 for empty matrices."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(opnorms(m))
+
+
+def opnorms(stack) -> np.ndarray:
+    """Operator norm of every matrix of a stack (..., k, l), by one batched
+    SVD; 0 for empty matrices."""
+    a = np.asarray(stack)
+    if a.shape[-1] == 0 or a.shape[-2] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -67,6 +78,64 @@ def relative(diff: float, scale: float) -> float:
     """diff measured against max(scale, 1): the residual convention of every
     validator."""
     return diff / max(scale, 1.0)
+
+
+# bytes of batch intermediates per chunk of a batched check
+CHUNK_BYTES = 1 << 22
+# a batched check holds about eight complex arrays (16 bytes an entry) of
+# its largest per-item block at once: gathered inputs, both sides, their
+# difference and reshaped copies
+_LIVE_BYTES_PER_ENTRY = 8 * 16
+
+
+def chunks(count: int, entries: int):
+    """Index arrays of consecutive items 0..count-1, so many per chunk that
+    the chunk's intermediates stay near CHUNK_BYTES, for items whose largest
+    block has `entries` complex entries."""
+    step = max(1, CHUNK_BYTES // max(_LIVE_BYTES_PER_ENTRY * entries, 1))
+    for start in range(0, count, step):
+        yield np.arange(start, min(start + step, count))
+
+
+def worst_relative(count: int, entries: int, sides) -> float:
+    """max over items t < count of relative(frob(lhs_t - rhs_t), frob(lhs_t)),
+    where sides(idx) stacks the two sides, `entries` complex entries per
+    item, of the items idx of one chunk."""
+    worst = 0.0
+    for idx in chunks(count, entries):
+        lhs, rhs = (np.ascontiguousarray(side).reshape(len(idx), -1) for side in sides(idx))
+        res = _row_norms(lhs - rhs) / np.maximum(_row_norms(lhs), 1.0)
+        worst = max(worst, float(res.max(initial=0.0)))
+    return worst
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every row of a contiguous complex (B, k) array, as a
+    batched dot of its real view (no temporaries of the array's size)."""
+    v = a.view(np.float64)
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def padded(blocks, shape) -> np.ndarray:
+    """A list of lists of arrays as one complex array, every block
+    zero-padded to `shape`: blocks[i][j] fills out[i, j, :a, :b, ...]."""
+    out = np.zeros((len(blocks), len(blocks[0]), *shape), dtype=np.complex128)
+    for i, row in enumerate(blocks):
+        for j, blk in enumerate(row):
+            out[(i, j, *map(slice, np.shape(blk)))] = blk
+    return out
+
+
+def split_draws(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
+    """Coordinates drawn as consecutive `random_coords` calls (real parts,
+    then imaginary parts, of each element in turn), zero-padded to
+    (len(dims), width)."""
+    col = np.arange(width)
+    mask = col < dims[:, None]
+    re = (2 * (np.cumsum(dims) - dims))[:, None] + col
+    out = np.zeros((len(dims), width), dtype=np.complex128)
+    out[mask] = z[re[mask]] + 1j * z[(re + dims[:, None])[mask]]
+    return out
 
 
 def hermitian_defect(m: np.ndarray) -> float:
@@ -110,7 +179,9 @@ def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
         return PsdResult(True, 0.0)
     ev = hermitian_eigvals(a, tol)
     margin = float(ev[0])
-    return PsdResult(margin >= -tol.rel_psd * max(1.0, opnorm(a)), margin)
+    # the norm of a Hermitian matrix is its largest |eigenvalue|
+    scale = max(1.0, -margin, float(ev[-1]))
+    return PsdResult(margin >= -tol.rel_psd * scale, margin)
 
 
 def hermitian_psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, bool]:
@@ -118,14 +189,28 @@ def hermitian_psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, b
 
     Returns (ok, residual, hermitian).  A Hermitian defect above
     100 * rel_eq fails with the defect as residual; otherwise the Hermitian
-    part goes through psd_check and the residual is max(-margin, 0).
+    part is judged as by psd_check and the residual is max(-margin, 0).
     """
-    a = as_cmatrix(m)
-    defect = hermitian_defect(a)
-    if defect > 100 * tol.rel_eq:
-        return False, defect, False
-    res = psd_check((a + dagger(a)) / 2, tol)
-    return res.ok, max(-res.margin, 0.0), True
+    ok, residual, hermitian = hermitian_psd_checks(as_cmatrix(m)[None], tol)
+    return bool(ok[0]), float(residual[0]), bool(hermitian[0])
+
+
+def hermitian_psd_checks(stack, tol: Tolerance = DEFAULT_TOL):
+    """hermitian_psd_check of every matrix of a stack (B, k, k), from one
+    batched eigvalsh whose eigenvalues also give each PSD scale.  Returns
+    (ok, residual, hermitian) arrays of length B."""
+    a = np.asarray(stack, dtype=np.complex128)
+    ah = a.conj().swapaxes(-1, -2)
+    defect = np.linalg.norm(a - ah, axis=(-2, -1)) / np.maximum(
+        np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    hermitian = defect <= 100 * tol.rel_eq
+    if a.shape[-1] == 0:
+        return hermitian, np.zeros(len(a)), hermitian
+    ev = np.linalg.eigvalsh((a + ah) / 2)
+    margin = ev[:, 0]
+    scale = np.maximum(1.0, np.maximum(-margin, ev[:, -1]))
+    ok = hermitian & (margin >= -tol.rel_psd * scale)
+    return ok, np.where(hermitian, np.maximum(-margin, 0.0), defect), hermitian
 
 
 def definite_check(g, tol: Tolerance = DEFAULT_TOL) -> PsdResult:

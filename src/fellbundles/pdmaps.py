@@ -24,7 +24,8 @@ from .bundles import FellBundle
 from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, SemiInnerBundle, separate
-from .numerics import DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, opnorm
+from .numerics import CHUNK_BYTES, DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, \
+    opnorm, padded, split_draws
 
 
 class NotUnitalError(ValueError):
@@ -242,10 +243,7 @@ def _padded_fibers(bundle: FellBundle, labels, width: int) -> np.ndarray:
     """(len(labels), width, n, n): the fiber bases over `labels`, each
     zero-padded to `width` basis elements."""
     n = bundle.ambient_dim
-    out = np.zeros((len(labels), width, n, n), dtype=np.complex128)
-    for p, g in enumerate(labels):
-        out[p, :bundle.dims[g]] = bundle.fibers[g]
-    return out
+    return padded([[bundle.fibers[g] for g in labels]], (width, n, n))[0]
 
 
 def t_values_ambient(t: BundleMap) -> np.ndarray:
@@ -286,27 +284,11 @@ def t_values_ambient(t: BundleMap) -> np.ndarray:
     return tt.reshape(side, side)
 
 
-# bytes of batch intermediates per chunk of samples in pd_check_sampled
-_CHUNK_BYTES = 1 << 22
-
-
-def _split_coords(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
-    """Coordinates drawn as consecutive `random_coords` calls (real parts,
-    then imaginary parts, of each element in turn), zero-padded to
-    (len(dims), width)."""
-    col = np.arange(width)
-    mask = col < dims[:, None]
-    re = (2 * (np.cumsum(dims) - dims))[:, None] + col
-    out = np.zeros((len(dims), width), dtype=np.complex128)
-    out[mask] = z[re[mask]] + 1j * z[(re + dims[:, None])[mask]]
-    return out
-
-
 def _sample_tuples(rng, samples: int, da: np.ndarray, db: np.ndarray):
     """Yield random tuples (labels g_i, draws for the a_i in A_{g_i}, draws
     for the b_i in B_{phi(g_i)}), where da[g] and db[g] are the dimensions
     of A_g and B_{phi(g)}.  The draws are those of one `random_coords` call
-    per element, a's before b's (decode them with _split_coords); tuples
+    per element, a's before b's (decode them with numerics.split_draws); tuples
     touching a zero fiber are drawn and dropped."""
     order = len(da)
     max_len = max(1, order * int(da.max()))
@@ -332,7 +314,7 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     Positions sharing a label are summed first: S = E T E*, with T from
     t_values_ambient and E = sum_i conj(a_i)^T (x) b_i placed in the column
     block of g_i.  Samples are evaluated together in chunks whose
-    intermediates stay near _CHUNK_BYTES; the margins, Hermitian defects and
+    intermediates stay near CHUNK_BYTES; the margins, Hermitian defects and
     norms of a chunk come from one batched eigvalsh/norm.  The witness is the
     first sample attaining the minimal margin.
     """
@@ -347,7 +329,7 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     side = tt.shape[0]
     fibers = _padded_fibers(tgt, t.hom.map, dbm).reshape(order, dbm, n * n)
     # e, its transpose and conjugate, and e @ tt: four (n, side) arrays per sample
-    chunk = max(1, _CHUNK_BYTES // max(64 * n * side, 1))
+    chunk = max(1, CHUNK_BYTES // max(64 * n * side, 1))
     tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
     worst = np.inf
     bad = None
@@ -355,7 +337,7 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
         # coefficient of e_x (x) f_c in column block k of E, per sample
         sid = np.repeat(np.arange(len(block)), [len(gs) for gs, _, _ in block])
         gs, za, zb = (np.concatenate(part) for part in zip(*block))
-        a, b = _split_coords(za, da[gs], dm), _split_coords(zb, db[gs], dbm)
+        a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
         coef = np.zeros((len(block), order, dm, dbm), dtype=np.complex128)
         np.add.at(coef, (sid, gs), a.conj()[:, :, None] * b[:, None, :])
         e = (coef @ fibers).reshape(len(block), order, dm, n, n)
@@ -376,7 +358,7 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     if bad is None:
         return SampledCheck(True, worst if np.isfinite(worst) else 0.0)
     (gs, za, zb), s = bad
-    a, b = _split_coords(za, da[gs], dm), _split_coords(zb, db[gs], dbm)
+    a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
     witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
                for g, ai, bi in zip(gs, a, b)]
     return SampledCheck(False, worst, witness, s)

@@ -51,17 +51,30 @@ def _decode(data, shape, what: str) -> np.ndarray:
 
 
 def _integer(value, what: str) -> int:
+    """An integer field; a number with a fractional part is refused, an
+    integral float such as 3.0 is read as its integer."""
     try:
-        return int(value)
+        out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
+    if not isinstance(value, str) and out != value:
+        raise FormatError(f"bad {what}: {value!r} is not an integer")
+    return out
 
 
 def _integers(value, what: str) -> np.ndarray:
+    """An integer array field, refusing entries with a fractional part as
+    _integer does."""
     try:
-        return np.asarray(value, dtype=np.int64)
+        raw = np.asarray(value)
+        integral = raw.dtype.kind != "f" or bool(np.all(
+            np.isfinite(raw) & (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63)))
+        out = raw.astype(np.int64) if integral else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
+    if not integral:
+        raise FormatError(f"bad {what}: entries must be integers")
+    return out
 
 
 def _family(data, field: str, keys) -> dict:

@@ -400,3 +400,25 @@ def test_gram_domination_over_random_tuples():
                    for j in range(3)] for i in range(3)]
         res = matrix_alg(b, hs, blocks).psd()
         assert res.margin >= -1e-9 * max(1.0, na * na)
+
+
+def _gram_domination(rho):
+    return next(i for i in validate_action(rho).items
+                if i.name == "Gram domination S <= ||a||^2 R")
+
+
+def test_gram_domination_is_judged_against_the_compared_blocks():
+    """S <= ||a||^2 R is judged against max(1, ||a||^2 ||R||, ||S||), the size
+    of the two blocks: scaling every inner product by 1e10 keeps a valid
+    action valid, and doubling rho(a) still breaks the domination."""
+    from fellbundles.hilbundles import HilbertBundle
+
+    rho = l2_action(group_bundle(symmetric_group(3)))
+    x = rho.target
+    big = HilbertBundle(x.bundle, x.dims, x.act,
+                        [[1e10 * t for t in row] for row in x.inner])
+    item = _gram_domination(Action(rho.source, rho.hom, big, rho.ops))
+    assert item.ok
+    assert item.residual <= 1e-12
+    doubled = [[2.0 * op for op in row] for row in rho.ops]
+    assert not _gram_domination(Action(rho.source, rho.hom, big, doubled)).ok

@@ -77,7 +77,8 @@ def reference_pd_check_exact(t, tol=DEFAULT_TOL):
 
 def reference_gram_domination(rho, tol=DEFAULT_TOL, seed=0, samples=8):
     """(ok, residual) of validate_action's Gram domination through matrix_alg,
-    drawing the same random data (the contractivity samples draw first)."""
+    drawing the same random data (the contractivity samples draw first),
+    judged against the size of the two compared blocks."""
     src, x = rho.source, rho.target
     bundle = x.bundle
     grp, tgt = src.group, bundle.group
@@ -97,13 +98,15 @@ def reference_gram_domination(rho, tol=DEFAULT_TOL, seed=0, samples=8):
             na = src.fiber_norm(e, a)
             hs = [rho.hom(int(rng.integers(grp.order))) for _ in range(3)]
             xs = [x.random_vector(h, rng) for h in hs]
-            blocks = [[na * na * x.inner_ambient(hs[i], xs[i], hs[j], xs[j])
-                       - x.inner_ambient(hs[i], rho.apply(e, a, hs[i], xs[i]),
-                                         hs[j], rho.apply(e, a, hs[j], xs[j]))
-                       for j in range(3)] for i in range(3)]
+            ys = [rho.apply(e, a, h, v) for h, v in zip(hs, xs)]
+            r_blocks, s_blocks = ([[x.inner_ambient(hs[i], vs[i], hs[j], vs[j])
+                                    for j in range(3)] for i in range(3)] for vs in (xs, ys))
+            blocks = [[na * na * r_blocks[i][j] - s_blocks[i][j] for j in range(3)]
+                      for i in range(3)]
             op = matrix_alg(bundle, hs, blocks, tol)
             res = op.psd(tol)
-            scale = max(1.0, na * na * op.norm)
+            scale = max(1.0, na * na * matrix_alg(bundle, hs, r_blocks, tol).norm,
+                        matrix_alg(bundle, hs, s_blocks, tol).norm)
             ok = ok and res.margin >= -1e-8 * scale
             worst = max(worst, max(-res.margin, 0.0) / scale)
     return ok, worst

@@ -181,13 +181,21 @@ def test_full_flag_embeds_gram(tmp_path, capsys):
 
 
 def test_byte_identical_reports_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import fellbundles
+
+    # the child imports the package under test, installed or not
+    src = str(Path(fellbundles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     path = scalar_map_file(tmp_path, 0.5)
     cmd = [sys.executable, "-m", "fellbundles.cli", "pd-check", path, "--seed", "3"]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
+    r1 = subprocess.run(cmd, capture_output=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, env=env)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
 
@@ -222,3 +230,93 @@ def test_report_on_action_and_map(tmp_path, capsys):
     # reporting on a non-pd map is still a successful report
     assert code == 0
     assert json.loads(out)["positive_definite"]["verdict"] is False
+
+
+# -- integer fields and the cyclicity vector's fiber ---------------------------------
+
+def _z2_objects():
+    from fellbundles.actions import l2_action, regularize_action, trivial_action
+    from fellbundles.hilbundles import l2_bundle
+
+    b = group_bundle(make_cyclic(2))
+    return {
+        "bundle": sz.bundle_to_json(b),
+        "group": sz.group_to_json(b.group),
+        "hilbert_bundle": sz.hilbert_to_json(l2_bundle(b)),
+        "bundle_map": sz.bundle_map_to_json(identity_bundle_map(b)),
+        "action": sz.action_to_json(regularize_action(trivial_action(b))),
+        "l2_action": sz.action_to_json(l2_action(b)),
+    }
+
+
+def _run_clean(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.out
+
+
+def _unit_vector(b, fiber):
+    """The regular action's unit-fiber vector, declared in `fiber` as given."""
+    x = np.zeros(2 * b.dims[b.group.identity], dtype=complex)
+    x[:b.dims[0]] = b.unit_coords
+    return {**sz.vector_payload_to_json(x, 0), "fiber": fiber}
+
+
+@pytest.mark.parametrize("field", ["ambient_dim", "table", "dims", "order", "phi", "fiber"])
+def test_non_integral_integer_fields_exit_2(tmp_path, capsys, field):
+    objs = _z2_objects()
+    b = group_bundle(make_cyclic(2))
+    command, vector = "validate", None
+    if field == "ambient_dim":
+        payload = objs["bundle"]
+        payload["ambient_dim"] = 2.9
+    elif field == "table":
+        payload = objs["bundle"]
+        payload["group"]["table"] = [[0, 1.9], [1.2, 0]]
+    elif field == "dims":
+        payload = objs["hilbert_bundle"]
+        payload["dims"] = [2.5, 2]
+    elif field == "order":
+        payload = objs["group"]
+        payload["order"] = 2.5
+    elif field == "phi":
+        payload, command = objs["bundle_map"], "pd-check"
+        payload["phi"] = [0, 1.5]
+    else:
+        payload, command = objs["action"], "correspond"
+        vector = _unit_vector(b, 0.5)
+    argv = [command, write(tmp_path, "obj.json", payload)]
+    if vector is not None:
+        argv += ["--vector", write(tmp_path, "vec.json", vector)]
+    code, out = _run_clean(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["ok"] is False
+
+
+def test_integral_floats_in_integer_fields_are_read_as_integers(tmp_path, capsys):
+    objs = _z2_objects()
+    bundle = objs["bundle"]
+    bundle["ambient_dim"] = 2.0
+    bundle["group"]["table"] = [[0.0, 1.0], [1.0, 0.0]]
+    bundle["group"]["order"] = 2.0
+    assert _run_clean(capsys, "validate", write(tmp_path, "b.json", bundle))[0] == 0
+    hb = objs["hilbert_bundle"]
+    hb["dims"] = [2.0, 2.0]
+    assert _run_clean(capsys, "validate", write(tmp_path, "h.json", hb))[0] == 0
+    t = objs["bundle_map"]
+    t["phi"] = [0.0, 1.0]
+    assert _run_clean(capsys, "pd-check", write(tmp_path, "t.json", t))[0] == 0
+
+
+@pytest.mark.parametrize("fiber", [5, -1, 1])
+def test_correspond_refuses_a_vector_outside_the_unit_fiber(tmp_path, capsys, fiber):
+    b = group_bundle(make_cyclic(2))
+    apath = write(tmp_path, "act.json", _z2_objects()["action"])
+    vpath = write(tmp_path, "vec.json", _unit_vector(b, fiber))
+    code, out = _run_clean(capsys, "correspond", apath, "--vector", vpath)
+    assert code == 2
+    assert "fiber" in json.loads(out)["error"]
+    vpath = write(tmp_path, "vec0.json", _unit_vector(b, 0.0))
+    code, out = _run_clean(capsys, "correspond", apath, "--vector", vpath)
+    assert code == 0 and json.loads(out)["cyclic"] is True
