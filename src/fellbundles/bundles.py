@@ -131,7 +131,13 @@ class FellBundle:
                 miss, scale, out=np.zeros_like(miss), where=scale > 0).max(initial=0.0)
         eye = np.eye(self.ambient_dim, dtype=np.complex128)
         self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
-        self.unital = self.unit_residual <= 10 * self._tol.rel_rank
+        self.unital = self.unital_at(self._tol)
+
+    def unital_at(self, tol: Tolerance) -> bool:
+        """Whether the ambient identity lies in A_e, judged at `tol` from the
+        recorded unit residual (`unital` is this at the construction
+        tolerance)."""
+        return bool(self.unit_residual <= 10 * tol.rel_rank)
 
     # -- fiber arithmetic --------------------------------------------------
 
@@ -205,7 +211,9 @@ def bundles_equal(b1: FellBundle, b2: FellBundle, atol: float = 1e-10) -> bool:
 
 
 def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
-    """Axiom battery: grading, involution, directness, unit membership."""
+    """Axiom battery: grading, involution, directness, unit membership;
+    directness and unit membership are judged at `tol` from the residuals
+    recorded at construction."""
     tol = tol or DEFAULT_TOL
     rep = Report("fell-bundle axioms")
     worst_grade = float(bundle.grading_residual.max(initial=0.0))
@@ -214,7 +222,7 @@ def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
     rep.add("involution A_g* in A_ginv", worst_inv <= 10 * tol.rel_rank, worst_inv)
     rep.add("directness of fiber sum", bundle.directness_ratio > tol.rel_rank,
             bundle.directness_residual)
-    if bundle.unital:
+    if bundle.unital_at(tol):
         rep.add("ambient unit lies in A_e", True, bundle.unit_residual)
     else:
         rep.note("bundle is not unital (ambient identity escapes A_e)")

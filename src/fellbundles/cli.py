@@ -272,8 +272,11 @@ def cmd_correspond(args) -> int:
         payload["module_dimension"] = y.dim
         payload["nondegenerate"] = check_nondegenerate(y, tol)
         payload["amplified_dimension"] = amp.dim
-        payload["amplified_star_representation"] = amplified_is_star_rep(amp, seed=args.seed)
-        ok = bool(payload["amplified_star_representation"])
+        star_rep = amplified_is_star_rep(amp, seed=args.seed)
+        payload["amplified_star_representation"] = star_rep.ok
+        payload["amplified_star_residual"] = star_rep.residual
+        payload["amplified_star_bound"] = star_rep.bound
+        ok = star_rep.ok
         if xi is not None:
             payload["cyclic"] = check_cyclic(y, xi, tol)
     payload["ok"] = ok
@@ -297,7 +300,7 @@ def cmd_report(args) -> int:
         rep = validate_bundle(obj, tol)
         payload["report"] = rep.as_dict()
         payload["saturated"] = check_saturated(obj, tol)
-        payload["unital"] = bool(obj.unital)
+        payload["unital"] = obj.unital_at(tol)
         payload["fiber_dimensions"] = list(obj.dims)
         payload["amenability"] = ("group is finite, hence amenable; full and "
                                   "reduced cross-sectional algebras coincide")

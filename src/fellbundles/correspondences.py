@@ -13,20 +13,33 @@ Because the groups here are finite, the full and reduced module
 completions coincide, so the delicate extension questions for the reduced
 left action trivialize; the cyclicity criterion and the generated
 subcorrespondence are still implemented since they carry the construction.
+
+The module arithmetic reads the Hilbert bundle and the action through the
+padded graded layout of `hilbundles` (act, inner and ops as single arrays
+indexed by group elements, zero-padded to the largest fiber dimensions),
+built once per Correspondence at first use: a vector is a (|G|, dm) array
+of fiber components, and each of right_mul, inner and left_mul is one
+batched matmul over all pairs of group elements plus one gather through the
+Cayley table.  The left action of a section is block-monomial on the
+section space (row fiber r reads column fiber phi(g)^-1 r), so the
+amplification lambda_g (x) pi_g(a) is never formed densely: its
+residuals are sums over the |G| disjoint supports of the lambda_k (see
+amplified_is_star_rep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .actions import Action, WrongFiberError, compress_action, trivial_action
-from .bundles import FellBundle, bundles_equal, padded_structure, regular_unitary
+from .bundles import FellBundle, bundles_equal, padded_structure
 from .crosssec import Section, ambient_image, convolve, cstar_norm, star
 from .hilbundles import SemiInnerBundle, block_grams_psd, compress_bundle, padded_module
-from .numerics import DEFAULT_TOL, Tolerance, dagger, definite_check, frob, numerical_rank, \
-    orthonormal_basis, padded, psd_check, relative, worst_relative
+from .numerics import DEFAULT_TOL, Tolerance, chunks, dagger, definite_blocks, frob, \
+    numerical_rank, orthonormal_basis, padded, psd_check, relative, worst_relative
 from .reports import Report
 
 
@@ -45,10 +58,12 @@ class Correspondence:
     def __init__(self, hbundle: SemiInnerBundle, action: Action | None = None):
         self.hbundle = hbundle
         self.bundle = hbundle.bundle
-        grp = self.bundle.group
         self.offsets = np.concatenate([[0], np.cumsum(hbundle.dims)]).astype(int)
         self.dim = int(self.offsets[-1])
         self.action = action
+        # coordinate j of a vector is component _slots[1][j] of fiber _slots[0][j]
+        fiber = np.repeat(np.arange(len(hbundle.dims)), hbundle.dims)
+        self._slots = (fiber, np.arange(self.dim) - self.offsets[fiber])
 
     # -- coordinates --------------------------------------------------------
 
@@ -64,45 +79,54 @@ class Correspondence:
     def random(self, rng) -> np.ndarray:
         return rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
 
+    def blocks(self, xi) -> np.ndarray:
+        """xi as a (|G|, dm) array: row r holds the component in X_r,
+        zero-padded."""
+        out = np.zeros((len(self.hbundle.dims), max(self.hbundle.dims, default=0)),
+                       dtype=np.complex128)
+        out[self._slots] = xi
+        return out
+
+    def _flat(self, blocks) -> np.ndarray:
+        """The vector of a (|G|, dm) array of fiber components."""
+        return blocks[self._slots]
+
+    @cached_property
+    def _module(self):
+        """The padded (act, inner) of the Hilbert bundle, read at first use."""
+        return padded_module(self.hbundle)
+
+    @cached_property
+    def _ops(self) -> np.ndarray:
+        """The padded action, ops[g, h] of shape (da, dm, dm), read at first use."""
+        self._need_action()
+        da = max(self.action.source.dims, default=0)
+        dm = max(self.hbundle.dims, default=0)
+        return padded(self.action.ops, (da, dm, dm))
+
     # -- module structure ----------------------------------------------------
 
     def right_mul(self, xi, f: Section) -> np.ndarray:
         """(xi . f)(h) = sum_k xi(k) f(k^-1 h)."""
         grp = self.bundle.group
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for h in grp.elements():
-            acc = out[self.offsets[h]:self.offsets[h + 1]]
-            for k in grp.elements():
-                c = f.coeffs[grp.mul(grp.inv(k), h)]
-                if not np.any(c):
-                    continue
-                acc += self.hbundle.act_matrix(k, grp.mul(grp.inv(k), h), c) \
-                    @ self.component(xi, k)
-        return out
+        act = self._module[0]
+        c = padded([f.coeffs], (act.shape[2],))[0]
+        # y[k, q] = xi(k) f(q) in X_{kq}
+        y = (act @ self.blocks(xi)[:, None, None, :, None])[..., 0]
+        y = (c[None, :, None, :] @ y)[:, :, 0]
+        quot = grp.table[grp.inverse]  # quot[k, h] = k^-1 h
+        return self._flat(y[np.arange(grp.order)[:, None], quot].sum(axis=0))
 
     def inner(self, xi, eta) -> Section:
         """<xi, eta>(h) = sum_k <xi(k), eta(k h)>, a section of the target."""
         grp = self.bundle.group
-        out = Section.zero(self.bundle)
-        for h in grp.elements():
-            acc = out.coeffs[h]
-            for k in grp.elements():
-                kh = grp.mul(k, h)
-                acc += self.hbundle.inner_coords(
-                    k, self.component(xi, k), kh, self.component(eta, kh))
-        return out
+        # w[k, s] = <xi(k), eta(s)> in B_{k^-1 s}
+        w = _pairings(self._module[1], self.blocks(xi).conj(), self.blocks(eta))
+        out = w[np.arange(grp.order)[:, None], grp.table].sum(axis=0)
+        return Section(self.bundle, [out[h, :d] for h, d in enumerate(self.bundle.dims)])
 
     def norm(self, xi) -> float:
         return float(np.sqrt(max(cstar_norm(self.inner(xi, xi)), 0.0)))
-
-    def localized_gram(self) -> np.ndarray:
-        """Block-diagonal trace Grams: the scalar product tau(<xi, eta>(e))."""
-        blocks = [self.hbundle.trace_gram(r) for r in self.bundle.group.elements()]
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for r, blk in enumerate(blocks):
-            o = self.offsets[r]
-            out[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
-        return out
 
     # -- left action ----------------------------------------------------------
 
@@ -127,21 +151,30 @@ class Correspondence:
     def left_mul(self, f: Section, xi) -> np.ndarray:
         """(f . xi)(h) = sum_g rho(f(g)) xi(phi(g)^-1 h)."""
         self._need_action()
-        src = self.action.source
-        if f.bundle is not src:
+        if f.bundle is not self.action.source:
             raise ActionMismatchError("section does not live over the acting bundle")
-        grp = self.bundle.group
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for g in src.group.elements():
-            c = f.coeffs[g]
-            if not np.any(c):
-                continue
-            phi_g = self.action.hom(g)
-            for h in grp.elements():
-                pos = grp.mul(phi_g, h)
-                out[self.offsets[pos]:self.offsets[pos + 1]] += \
-                    self.action.op_matrix(g, c, h) @ self.component(xi, h)
-        return out
+        ops = self._ops
+        c = padded([f.coeffs], (ops.shape[2],))[0]
+        # y[g, h] = rho(f(g)) xi(h) in X_{phi(g)h}
+        y = (ops @ self.blocks(xi)[None, :, None, :, None])[..., 0]
+        y = (c[:, None, None, :] @ y)[:, :, 0]
+        src = _sources(self)
+        return self._flat(y[np.arange(len(ops))[:, None], src].sum(axis=0))
+
+
+def _sources(y: Correspondence) -> np.ndarray:
+    """src[g, r] = phi(g)^-1 r, the fiber pi_g reads into fiber r."""
+    grp = y.bundle.group
+    return grp.table[grp.inverse[y.action.hom.map]]
+
+
+def _pairings(tensor, x, y) -> np.ndarray:
+    """w[r, s, :] = sum_uv x[r, u] tensor[r, s, u, v, :] y[s, v] for padded
+    (|G|, dm) arrays x, y and a padded (|G|, |G|, dm, dm, d) tensor."""
+    order, dm = x.shape
+    d = tensor.shape[-1]
+    w = x[:, None, None, :] @ tensor.reshape(order, order, dm, dm * d)
+    return (y[None, :, None, :] @ w.reshape(order, order, dm, d))[:, :, 0]
 
 
 def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
@@ -162,7 +195,8 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
         res = psd_check((gram + dagger(gram)) / 2, tol)
         if frob(gram - dagger(gram)) > 1e-8 * max(1.0, frob(gram)) or not res.ok:
             raise InvalidBundleError("module Gram is not PSD")
-    if not definite_check(y.localized_gram(), tol).ok:
+    # the localized Gram is block diagonal with the fiber trace Grams as blocks
+    if not definite_blocks([hbundle.trace_gram(r) for r in y.bundle.group.elements()], tol).ok:
         raise InvalidBundleError("module inner product is degenerate")
     return y
 
@@ -293,7 +327,13 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
 
 class AmplifiedCorrespondence:
     """Tensor amplification by the left regular representation of the source
-    group: the generator of (a, g) acts as  lambda_g (x) pi_g(a)."""
+    group: the generator of (a, g) acts as  lambda_g (x) pi_g(a)  on
+    C^|G| (x) Y, of dimension |G| dim Y.
+
+    It is held in block-monomial form, never as dense matrices: a section f
+    amplifies to sum_g lambda_g (x) pi_g(f(g)), and `blocks(f)` stores each
+    pi_g(f(g)) as its |G_B| nonzero blocks, out[g, r] from the column fiber
+    phi(g)^-1 r to the row fiber r."""
 
     def __init__(self, y: Correspondence):
         y._need_action()
@@ -301,47 +341,98 @@ class AmplifiedCorrespondence:
         self.src = y.action.source
         self.group = self.src.group
         self.dim = self.group.order * y.dim
-        self.generators = {}
-        for g in self.group.elements():
-            lam = regular_unitary(self.group, g)
-            for i in range(self.src.dims[g]):
-                self.generators[(g, i)] = np.kron(lam, y.generator_matrix(g, i))
+        # gen[g, r, i]: block of pi_g(a_i) in row fiber r
+        self._gen = y._ops[np.arange(self.group.order)[:, None], _sources(y)]
 
-    def rep_of(self, f: Section) -> np.ndarray:
+    def blocks(self, f: Section) -> np.ndarray:
+        """pi_g(f(g)) for every g: shape (|G_A|, |G_B|, dm, dm)."""
         if f.bundle is not self.src:
             raise ActionMismatchError("section does not live over the source bundle")
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for g in self.group.elements():
-            for i in range(self.src.dims[g]):
-                if f.coeffs[g][i] != 0:
-                    out += f.coeffs[g][i] * self.generators[(g, i)]
-        return out
-
-    def localized_gram(self) -> np.ndarray:
-        return np.kron(np.eye(self.group.order), self.base.localized_gram())
+        ga, gb, da, dm = self._gen.shape[:4]
+        c = padded([f.coeffs], (da,))[0]
+        return (c[:, None, None, :] @ self._gen.reshape(ga, gb, da, dm * dm)).reshape(
+            ga, gb, dm, dm)
 
 
 def amplified_correspondence(y: Correspondence) -> AmplifiedCorrespondence:
     return AmplifiedCorrespondence(y)
 
 
+@dataclass(frozen=True)
+class StarRepCheck:
+    """Verdict of amplified_is_star_rep: the worst relative residual over all
+    draws and the bound it was judged against; truthy when it passed."""
+
+    ok: bool
+    residual: float
+    bound: float
+
+    def __bool__(self):
+        return self.ok
+
+
 def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0,
-                          checks: int = 5) -> bool:
+                          checks: int = 5) -> StarRepCheck:
     """Multiplicativity as matrices plus adjointability against the
-    localized Gram of the amplified module."""
+    localized Gram kron(1, G0) of the amplified module, G0 the block-diagonal
+    matrix of the fiber trace Grams, on `checks` pairs of random sections.
+
+    Each defect is a sum over k of lambda_k (x) D_k, and the lambda_k have
+    disjoint supports with |G| ones each, so its Frobenius norm is
+    sqrt(|G| sum_k ||D_k||^2); D_k is block-monomial, with blocks
+
+      multiplicativity  sum_g B1_g[r] B2_{g^-1 k}[phi(g)^-1 r] - B_{f1*f2}(k)[r]
+      adjointability    B1_{k^-1}[phi(k)^-1 s]^* G0[phi(k)^-1 s] - G0[s] B_{f1*}(k)[s]
+
+    in the layout of AmplifiedCorrespondence.blocks.  Each residual is
+    measured against max(1, ||.||_F) of the product and of the localized
+    Gram, as in the dense matrices, and judged at 1e-8."""
+    y = amp.base
+    grp, tgt = amp.group, y.bundle.group
+    ga, gb = grp.order, tgt.order
+    inv = grp.inverse
+    div = grp.table[inv]  # div[g, k] = g^-1 k
+    src = _sources(y)
+    dm = amp._gen.shape[-1]
+    gram = padded([[y.hbundle.trace_gram(r) for r in tgt.elements()]], (dm, dm))[0]
+    gram_scale = max(1.0, np.sqrt(ga * _sum_sq(gram)))
     rng = np.random.default_rng(seed)
-    gram = amp.localized_gram()
+    worst = 0.0
     for _ in range(checks):
         f1 = Section.random(amp.src, rng)
         f2 = Section.random(amp.src, rng)
-        m1, m2 = amp.rep_of(f1), amp.rep_of(f2)
-        prod = amp.rep_of(convolve(f1, f2))
-        if frob(m1 @ m2 - prod) > 1e-8 * max(1.0, frob(prod)):
-            return False
-        madj = amp.rep_of(star(f1))
-        if frob(dagger(m1) @ gram - gram @ madj) > 1e-8 * max(1.0, frob(gram)):
-            return False
-    return True
+        b1, b2 = amp.blocks(f1), amp.blocks(f2)
+        prod = amp.blocks(convolve(f1, f2))
+
+        def product_defect(idx):
+            k, r = np.unravel_index(idx, (ga, gb))
+            row = b1[:, r].transpose(1, 2, 0, 3).reshape(len(idx), dm, ga * dm)
+            col = b2[div[:, k].T, src[:, r].T].reshape(len(idx), ga * dm, dm)
+            return row @ col - prod[k, r]
+
+        defect = _chunked_sum_sq(ga * gb, ga * dm * dm, product_defect)
+        worst = max(worst, np.sqrt(ga * defect) / max(1.0, np.sqrt(ga * _sum_sq(prod))))
+        adj = amp.blocks(star(f1))
+
+        def adjoint_defect(idx):
+            k, s = np.unravel_index(idx, (ga, gb))
+            t = src[k, s]
+            return b1[inv[k], t].conj().swapaxes(-1, -2) @ gram[t] - gram[s] @ adj[k, s]
+
+        defect = _chunked_sum_sq(ga * gb, dm * dm, adjoint_defect)
+        worst = max(worst, np.sqrt(ga * defect) / gram_scale)
+    return StarRepCheck(bool(worst <= 1e-8), float(worst), 1e-8)
+
+
+def _sum_sq(a) -> float:
+    """Squared Frobenius norm of an array of any shape."""
+    return float(np.vdot(a, a).real)
+
+
+def _chunked_sum_sq(count: int, entries: int, defect) -> float:
+    """Sum over items t < count of the squared Frobenius norm of defect_t,
+    where defect(idx) stacks the items idx of one chunk."""
+    return sum(_sum_sq(defect(idx)) for idx in chunks(count, entries))
 
 
 # -- imprimitivity -----------------------------------------------------------
@@ -381,13 +472,12 @@ def trivial_self_equivalence(bundle: FellBundle) -> EquivalenceBundle:
 def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Section:
     """[xi, eta](h) = sum_k [xi(h k), eta(k)], a section of the left bundle."""
     grp = e.left_bundle.group
-    out = Section.zero(e.left_bundle)
-    for h in grp.elements():
-        acc = out.coeffs[h]
-        for k in grp.elements():
-            hk = grp.mul(h, k)
-            acc += e.left_inner_coords(hk, y.component(xi, hk), k, y.component(eta, k))
-    return out
+    dm = max(e.right.dims, default=0)
+    linner = padded(e.linner, (dm, dm, max(e.left_bundle.dims, default=0)))
+    # w[r, s] = [xi(r), eta(s)] in A_{r s^-1}
+    w = _pairings(linner, y.blocks(xi), y.blocks(eta).conj())
+    out = w[grp.table, np.arange(grp.order)].sum(axis=1)
+    return Section(e.left_bundle, [out[h, :d] for h, d in enumerate(e.left_bundle.dims)])
 
 
 def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,

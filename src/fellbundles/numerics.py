@@ -224,6 +224,19 @@ def definite_check(g, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
     return PsdResult(bool(ev[0] > tol.rel_rank * max(float(ev[-1]), 1.0)), float(ev[0]))
 
 
+def definite_blocks(blocks, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
+    """definite_check of the block-diagonal matrix with the given square
+    blocks, from the eigenvalues of each block: the smallest of all against
+    rel_rank * max(largest of all, 1).  Empty blocks add no eigenvalue."""
+    evs = [np.linalg.eigvalsh((a + dagger(a)) / 2)
+           for a in map(as_cmatrix, blocks) if a.shape[0]]
+    if not evs:
+        return PsdResult(True, 0.0)
+    low = min(float(ev[0]) for ev in evs)
+    high = max(float(ev[-1]) for ev in evs)
+    return PsdResult(low > tol.rel_rank * max(high, 1.0), low)
+
+
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above rel_rank * max(largest, 1)."""
     sv = np.linalg.svd(m, compute_uv=False)

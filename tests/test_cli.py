@@ -320,3 +320,23 @@ def test_correspond_refuses_a_vector_outside_the_unit_fiber(tmp_path, capsys, fi
     vpath = write(tmp_path, "vec0.json", _unit_vector(b, 0.0))
     code, out = _run_clean(capsys, "correspond", apath, "--vector", vpath)
     assert code == 0 and json.loads(out)["cyclic"] is True
+
+
+def test_unital_is_judged_at_the_report_tolerance(tmp_path, capsys):
+    """The unit residual of span{diag(1, 1 + 1e-6)} is about 5e-7: not unital
+    at the default rel_rank 1e-9, unital at 1e-3, in validate and report.
+    (Its grading residual, 3.5e-7, also fails only at the default.)"""
+    from fellbundles.bundles import FellBundle
+
+    b = FellBundle(make_cyclic(1), 2, [np.diag([1.0, 1.0 + 1e-6])[None]])
+    path = write(tmp_path, "near_unit.json", sz.bundle_to_json(b))
+    for flags, unital in (((), False), (("--tol-rank", "1e-3"), True)):
+        code, out = run(capsys, "validate", path, *flags)
+        assert code == (0 if unital else 1)
+        report = json.loads(out)["report"]
+        names = [c["name"] for c in report["checks"]]
+        assert ("ambient unit lies in A_e" in names) is unital, flags
+        assert any("not unital" in n for n in report.get("notes", [])) is not unital, flags
+        code, out = run(capsys, "report", path, *flags)
+        assert code == (0 if unital else 1)
+        assert json.loads(out)["unital"] is unital, flags

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fellbundles.actions import Action, coefficient_map, l2_action, regularize_action, trivial_action
-from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle, regular_unitary
+from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle
 from fellbundles.correspondences import (
     ActionMismatchError,
     Correspondence,
@@ -247,14 +247,22 @@ def test_amplified_correspondence_dimensions_and_star_property():
     y = attach_left_action(build_module(rho.target, seed=16), rho, seed=16)
     amp = amplified_correspondence(y)
     assert amp.dim == b.group.order * y.dim
-    assert amplified_is_star_rep(amp, seed=17)
-    # generator formula: the image of a (+) g is lambda_g (x) pi_g(a)
-    for g in b.group.elements():
+    check = amplified_is_star_rep(amp, seed=17)
+    assert check and check.residual <= check.bound
+    # generator formula: a (+) g amplifies to lambda_g (x) pi_g(a), stored as
+    # the blocks of pi_g(a), block r reading fiber g^-1 r (phi is the identity)
+    grp = b.group
+    for g in grp.elements():
         for i in range(b.dims[g]):
             f = Section.zero(b)
             f.coeffs[g] = np.eye(b.dims[g])[i].astype(complex)
-            want = np.kron(regular_unitary(b.group, g), y.generator_matrix(g, i))
-            assert np.allclose(amp.rep_of(f), want)
+            blocks = amp.blocks(f)
+            assert not np.any(np.delete(blocks, g, axis=0))
+            dense = np.zeros((y.dim, y.dim), dtype=complex)
+            for r in grp.elements():
+                s = grp.mul(grp.inv(g), r)
+                dense[y.offsets[r]:y.offsets[r + 1], y.offsets[s]:y.offsets[s + 1]] = blocks[g, r]
+            assert np.allclose(dense, y.generator_matrix(g, i))
 
 
 def test_amplification_of_one_point_group_is_identity():
