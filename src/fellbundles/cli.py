@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .actions import coefficient_map, l2_action, regularize_action, trivial_action, validate_action
+from .actions import l2_action, regularize_action, trivial_action, validate_action
 from .bundles import check_saturated, dynamical_bundle, group_bundle, validate_bundle
 from .correspondences import (
     amplified_correspondence,
@@ -35,7 +35,7 @@ from .hilbundles import trivial_hilbert_bundle, l2_bundle, regularize_bundle, \
     validate_hilbert_bundle
 from .numerics import Tolerance
 from .pdmaps import NotPositiveDefiniteError, NotUnitalError, gelfand_raikov, \
-    identity_bundle_map, pd_check_exact, pd_check_sampled, scalar_bundle_map
+    identity_bundle_map, pd_check_exact, pd_check_sampled, roundtrip_residual, scalar_bundle_map
 from . import serialize as sz
 
 OK, MATH_FAIL, BAD_INPUT = 0, 1, 2
@@ -228,12 +228,8 @@ def cmd_gns(args) -> int:
 
     # re-read everything and re-derive the map from the stored data
     rho2 = sz.action_from_json(_load(paths["action"]))
-    xi2, fiber = sz.vector_payload_from_json(_load(paths["vector"]))
-    back = coefficient_map(rho2, xi2)
-    residual = max(
-        float(np.linalg.norm(back.mats[g] - t.mats[g]))
-        for g in t.source.group.elements()
-    )
+    xi2, _ = sz.vector_payload_from_json(_load(paths["vector"]))
+    residual = roundtrip_residual(t, hb, rho2, xi2)
     bound = 1e-8 * (1.0 + t.norm())
     ok = residual <= bound
     _emit({

@@ -92,12 +92,7 @@ class SemiInnerBundle:
     def trace_gram(self, r: int) -> np.ndarray:
         """Fiber Gram localized at the ambient trace (faithful, so its null
         space equals the null space of the module inner product)."""
-        e = self.bundle.group.identity
-        tens = self.inner[r][r]
-        traces = np.array([np.trace(b) for b in self.bundle.fibers[e]])
-        if self.bundle.dims[e] == 0:
-            return np.zeros((self.dims[r], self.dims[r]), dtype=np.complex128)
-        return np.einsum("uvk,k->uv", tens, traces)
+        return trace_localize(self.bundle, self.inner[r][r])
 
     def norm(self, r: int, x) -> float:
         val = self.inner_ambient(r, x, r, x)
@@ -109,6 +104,13 @@ class SemiInnerBundle:
 
 class HilbertBundle(SemiInnerBundle):
     """Semi-inner bundle whose fiber inner products are definite."""
+
+
+def trace_localize(bundle: FellBundle, tens) -> np.ndarray:
+    """Inner products tens (m, m', d_e) in unit-fiber coordinates, localized
+    at the ambient trace: (m, m')."""
+    traces = np.array([np.trace(b) for b in bundle.fibers[bundle.group.identity]])
+    return np.einsum("uvk,k->uv", tens, traces)
 
 
 def padded_module(x: SemiInnerBundle):
@@ -287,12 +289,17 @@ def compress_bundle(x: SemiInnerBundle, bases) -> HilbertBundle:
     batched matmuls.  The caller vouches that the result is definite (a
     separation, or a subspace of a Hilbert bundle)."""
     grp = x.bundle.group
-    adj = [k.conj().T for k in bases]
-    act = [[adj[grp.mul(r, h)] @ x.act[r][h] @ bases[r] for h in grp.elements()]
+    act = [[bases[grp.mul(r, h)].conj().T @ x.act[r][h] @ bases[r] for h in grp.elements()]
            for r in grp.elements()]
-    inner = [[(adj[r] @ x.inner[r][s].transpose(2, 0, 1) @ bases[s]).transpose(1, 2, 0)
-              for s in grp.elements()] for r in grp.elements()]
-    return HilbertBundle(x.bundle, [k.shape[1] for k in bases], act, inner)
+    return HilbertBundle(x.bundle, [k.shape[1] for k in bases], act,
+                         compress_inner(x.inner, bases))
+
+
+def compress_inner(inner, bases):
+    """The inner products inner[r][s] restricted to the columns of bases:
+    K_r* inner[r][s] K_s, as batched matmuls."""
+    return [[(kr.conj().T @ row[s].transpose(2, 0, 1) @ ks).transpose(1, 2, 0)
+             for s, ks in enumerate(bases)] for kr, row in zip(bases, inner)]
 
 
 def separate(x: SemiInnerBundle, tol: Tolerance | None = None):
@@ -303,10 +310,17 @@ def separate(x: SemiInnerBundle, tol: Tolerance | None = None):
     this kills exactly the module-null vectors; Cauchy-Schwarz makes every
     structure tensor descend.
     """
+    keep = separating_bases([x.trace_gram(r) for r in x.bundle.group.elements()], tol)
+    return compress_bundle(x, keep), [k.conj().T for k in keep]
+
+
+def separating_bases(grams, tol: Tolerance | None = None) -> list[np.ndarray]:
+    """The separation rule: K_r holds the orthonormal eigenvectors of the
+    trace-localized Gram of fiber r above the rank cut.  A Gram that is not
+    Hermitian or not PSD raises InvariantViolationError."""
     tol = tol or DEFAULT_TOL
     keep: list[np.ndarray] = []
-    for r in x.bundle.group.elements():
-        g = x.trace_gram(r)
+    for r, g in enumerate(grams):
         if g.shape[0] == 0:
             keep.append(np.zeros((0, 0), dtype=np.complex128))
             continue
@@ -317,7 +331,7 @@ def separate(x: SemiInnerBundle, tol: Tolerance | None = None):
         if float(w[0]) < -tol.rel_psd * max(1.0, scale):
             raise InvariantViolationError(f"fiber {r}: localized Gram is not PSD")
         keep.append(v[:, w > tol.rel_rank * max(scale, 1.0)])
-    return compress_bundle(x, keep), [k.conj().T for k in keep]
+    return keep
 
 
 def regularize_bundle(x: SemiInnerBundle) -> HilbertBundle:

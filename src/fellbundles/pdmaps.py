@@ -8,7 +8,10 @@ the basis Gram as X M X*, so M >= 0 is equivalent to the quantified
 condition.  The sampled checker draws the quantified form directly as a
 guard on that reduction.  The certificate, the sampled check and the
 reconstruction all read one positivity form, t_values_ambient, whose
-blocks are concrete matrices in the target's ambient algebra.
+blocks are concrete matrices in the target's ambient algebra.  The
+reconstruction quotients its elementary tensors blockwise: the bases of the
+separation rule compress the structure tensors directly, and no raw action
+or shift is formed.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, compress_action
+from .actions import Action
 from .bundles import FellBundle
 from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
-from .hilbundles import HilbertBundle, InvariantViolationError, SemiInnerBundle, separate
+from .hilbundles import HilbertBundle, InvariantViolationError, compress_inner, \
+    separating_bases, trace_localize
 from .numerics import CHUNK_BYTES, DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, \
     opnorm, padded, split_draws
 
@@ -364,17 +368,31 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     return SampledCheck(False, worst, witness, s)
 
 
+def _gns_slots(t: BundleMap):
+    """The slot layout of the reconstruction: slot (k, i, j) of fiber r is
+    a_i^{(k)} (x) b_j^{(phi(k)^-1 r)}, at flat index (k * da + i) * db + j of
+    the padded (|G_A|, da, db) grid (da, db the largest source and target
+    fiber dimensions).  Returns bleg[r, k] = phi(k)^-1 r and, per fiber r,
+    the flat indices of its slots, ordered by k, i, j."""
+    src, tgt = t.source, t.target
+    tgrp = tgt.group
+    da, db = max(src.dims, default=0), max(tgt.dims, default=0)
+    bleg = tgrp.table[tgrp.inverse[t.hom.map]].T
+    valid = (np.arange(da)[:, None] < np.asarray(src.dims)[:, None, None]) \
+        & (np.arange(db) < np.asarray(tgt.dims)[bleg][..., None, None])
+    return bleg, [np.flatnonzero(v) for v in valid]
+
+
 def gns_raw_gram(t: BundleMap) -> list[list[np.ndarray]]:
     """Semi-inner products of the elementary tensors of the reconstruction.
 
     ip0[r][s][p, q] holds, in B_{r^-1 s} coordinates, b* T(a* a') b' for
-    slot p = a (x) b of fiber r and slot q = a' (x) b' of fiber s; the slots
-    of fiber r are a_i^{(k)} (x) b_j^{(phi(k)^-1 r)} ordered by k, i, j.
-    With the padded fibers P_r[k, j] = b_j^{(phi(k)^-1 r)} and T from
-    t_values_ambient, the entry is <P_r[k,j] c_z, T_{(k,x),(k2,y)} P_s[k2,J]>
-    summed over the HS basis c_z of B_{r^-1 s}: T times P_s and P_r times
-    c_z are batched matmuls, and one batched GEMM contracts the two over
-    the ambient indices.
+    slot p = a (x) b of fiber r and slot q = a' (x) b' of fiber s, in the
+    layout of `_gns_slots`.  With the padded fibers P_r[k, j] =
+    b_j^{(phi(k)^-1 r)} and T from t_values_ambient, the entry is
+    <P_r[k,j] c_z, T_{(k,x),(k2,y)} P_s[k2,J]> summed over the HS basis c_z
+    of B_{r^-1 s}: T times P_s and P_r times c_z are batched matmuls, and
+    one batched GEMM contracts the two over the ambient indices.
     """
     src, tgt = t.source, t.target
     order, tgrp = src.group.order, tgt.group
@@ -386,11 +404,7 @@ def gns_raw_gram(t: BundleMap) -> list[list[np.ndarray]]:
     tt = t_values_ambient(t).reshape(rows, order, dm, n).transpose(1, 0, 2, 3) \
         .reshape(order, rows * dm, n)
     fibers = _padded_fibers(tgt, tgrp.elements(), dbm)
-    bleg = tgrp.table[tgrp.inverse[t.hom.map]].T  # bleg[r, k] = phi(k)^-1 r
-    da = np.asarray(src.dims)[:, None, None]
-    slots = [np.flatnonzero((np.arange(dm)[:, None] < da)
-                            & (np.arange(dbm) < np.asarray(tgt.dims)[bleg[r]][:, None, None]))
-             for r in tgrp.elements()]
+    bleg, slots = _gns_slots(t)
     ip0 = [[None] * tgrp.order for _ in tgrp.elements()]
     for s in tgrp.elements():
         ps = fibers[bleg[s]]  # (k2, J, c, d)
@@ -411,14 +425,16 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
     """Reconstruct (Hilbert bundle, action, cyclic vector) from a positive
     definite map between unital bundles, so that T_g(a) = <xi, rho(a) xi>.
 
-    Construction: the fiber over r is the span of elementary tensors
-    a (x) b with a in A_k and b in B_{phi(k)^-1 r}, carrying the semi-inner
-    product  [a(x)b, a'(x)b'] = b* T_{k^-1 k'}(a* a') b' and the right
-    action on the second leg; the left tensor shift on the first leg is a
-    pre-action on it.  `separate` quotients this semi-inner bundle by its
-    null vectors, and the shift descends to the quotient as the action.
-    The exact certificate already covers contractivity, so the pre-action
-    runs through no random guard.  Completion is vacuous here.
+    Construction: the fiber over r is the span of the elementary tensors
+    a (x) b of `_gns_slots`, with the semi-inner product `gns_raw_gram`, the
+    right action on the second leg and the left tensor shift on the first.
+    The separation rule of `hilbundles.separate` turns the trace-localized
+    raw Grams into quotient bases K_r.  Scattered into the padded slot grid,
+    they compress blockwise, as batched matmuls over k: the action to
+    K_rh* (B-product on the second leg) K_r, the shift to K_{phi(g)r}*
+    (A-product on the first leg) K_r, the inner products to K_r* ip0 K_s.
+    The exact certificate covers contractivity, so the shift runs through
+    no random guard.  Completion is vacuous here.
     """
     tol = tol or DEFAULT_TOL
     src, tgt, hom = t.source, t.target, t.hom
@@ -429,80 +445,52 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
         raise NotPositiveDefiniteError(
             f"map is not positive definite (margin {cert.margin:.3e})")
     grp, tgrp = src.group, tgt.group
-
-    # slot (k, i, j) = a_i^{(k)} (x) b_j^{(phi(k)^-1 r)}, ordered by k, i, j
-    def bleg(r, k):
-        return tgrp.mul(tgrp.inv(hom(k)), r)
-
-    offsets, dims0 = [], []
-    for r in tgrp.elements():
-        off_r, count = {}, 0
-        for k in grp.elements():
-            off_r[k] = count
-            count += src.dims[k] * tgt.dims[bleg(r, k)]
-        offsets.append(off_r)
-        dims0.append(count)
-
-    # right action: (xi . b)(k) = xi(k) . b on the second tensor leg
-    act = [[None] * tgrp.order for _ in tgrp.elements()]
-    for r in tgrp.elements():
-        for h in tgrp.elements():
-            rh = tgrp.mul(r, h)
-            mats = np.zeros((tgt.dims[h], dims0[rh], dims0[r]), dtype=np.complex128)
-            for k in grp.elements():
-                f1 = bleg(r, k)
-                f2 = bleg(rh, k)
-                da, d1, d2 = src.dims[k], tgt.dims[f1], tgt.dims[f2]
-                if da == 0 or d1 == 0:
-                    continue
-                tens = tgt.prod[f1][h]  # (d1, d_h, d2)
-                o_in, o_out = offsets[r][k], offsets[rh][k]
-                for i in range(da):
-                    mats[:, o_out + i * d2:o_out + (i + 1) * d2,
-                         o_in + i * d1:o_in + (i + 1) * d1] = tens.transpose(1, 2, 0)
-            act[r][h] = mats
-    raw = SemiInnerBundle(tgt, dims0, act, gns_raw_gram(t))
-
-    # left action: (rho(a) xi)(k) = a . xi(g^-1 k) on the first tensor leg
-    ops = [[None] * tgrp.order for _ in grp.elements()]
-    for g in grp.elements():
-        hg = hom(g)
-        for r in tgrp.elements():
-            out_r = tgrp.mul(hg, r)
-            mats = np.zeros((src.dims[g], dims0[out_r], dims0[r]), dtype=np.complex128)
-            for k in grp.elements():
-                gk = grp.mul(g, k)
-                f = bleg(r, k)  # equals bleg(out_r, gk)
-                da_in, da_out, db = src.dims[k], src.dims[gk], tgt.dims[f]
-                if da_in == 0 or db == 0:
-                    continue
-                tens = src.prod[g][k]  # (d_g, da_in, da_out)
-                o_in, o_out = offsets[r][k], offsets[out_r][gk]
-                for u in range(src.dims[g]):
-                    for i in range(da_in):
-                        for i2 in range(da_out):
-                            mats[u, o_out + i2 * db:o_out + (i2 + 1) * db,
-                                 o_in + i * db:o_in + (i + 1) * db] = \
-                                tens[u, i, i2] * np.eye(db)
-            ops[g][r] = mats
-    shift = Action(src, hom, raw, ops)
-
+    order, da, db = grp.order, max(src.dims), max(tgt.dims)
+    bleg, slots = _gns_slots(t)
+    ip0 = gns_raw_gram(t)
     try:
-        hbundle, quotients = separate(raw, tol)
+        keep = separating_bases([trace_localize(tgt, ip0[r][r]) for r in tgrp.elements()], tol)
     except InvariantViolationError as exc:
         raise NotPositiveDefiniteError(f"map is not positive definite ({exc})") from exc
-    rho = compress_action(shift, [q.conj().T for q in quotients], hbundle)
+    # K_r scattered into the padded slot grid: kpad[r] is (k, i, j, z)
+    dims, side = [k.shape[1] for k in keep], order * da * db
+    kpad = [np.zeros((order, da, db, m), dtype=np.complex128) for m in dims]
+    for pad, rows, k in zip(kpad, slots, keep):
+        pad.reshape(side, -1)[rows] = k
 
-    # xi is the class of 1 (x) 1, in slot (e, i, j) of the unit fiber
+    # right action: (xi . b)(k) = xi(k) . b on the second tensor leg
+    prod_b = padded(tgt.prod, (db, db, db)).transpose(0, 1, 3, 4, 2)  # (f, h, u, j2, j1)
+    act = [[None] * tgrp.order for _ in tgrp.elements()]
+    for r in tgrp.elements():
+        kr = kpad[r].transpose(0, 2, 1, 3).reshape(order, db, da * dims[r])  # (k, j1, (i, z))
+        for h in tgrp.elements():
+            moved = (prod_b[bleg[r], h].reshape(order, db * db, db) @ kr).reshape(
+                order, db, db, da, dims[r]).transpose(1, 0, 3, 2, 4)  # (u, k, i, j2, z)
+            out = kpad[tgrp.mul(r, h)].reshape(side, -1)
+            act[r][h] = (out.conj().T @ moved.reshape(db, side, dims[r]))[:tgt.dims[h]]
+
+    # left action: (rho(a) xi)(gk) = a . xi(k) on the first tensor leg
+    prod_a = padded(src.prod, (da, da, da)).transpose(0, 1, 2, 4, 3)  # (g, k, u, i2, i)
+    ops = [[None] * tgrp.order for _ in grp.elements()]
+    for g in grp.elements():
+        for r in tgrp.elements():
+            moved = (prod_a[g].reshape(order, da * da, da)
+                     @ kpad[r].reshape(order, da, db * dims[r])).reshape(
+                order, da, da * db, dims[r]).transpose(1, 0, 2, 3)  # (u, k, (i2, j), z)
+            out = kpad[tgrp.mul(hom(g), r)][grp.table[g]].reshape(side, -1)  # rows (gk, i2, j)
+            ops[g][r] = (out.conj().T @ moved.reshape(da, side, dims[r]))[:src.dims[g]]
+
+    hbundle = HilbertBundle(tgt, dims, act, compress_inner(ip0, keep))
+    # xi is the class of 1 (x) 1, in slots (e, i, j) of the unit fiber
     e_s, e_t = grp.identity, tgrp.identity
-    v0 = np.zeros(dims0[e_t], dtype=np.complex128)
-    o = offsets[e_t][e_s]
-    v0[o:o + src.dims[e_s] * tgt.dims[e_t]] = np.outer(src.unit_coords, tgt.unit_coords).ravel()
-    return hbundle, rho, quotients[e_t] @ v0
+    unit = np.outer(src.unit_coords, tgt.unit_coords).ravel()
+    xi = kpad[e_t][e_s, :src.dims[e_s], :tgt.dims[e_t]].reshape(unit.size, -1).conj().T @ unit
+    return hbundle, Action(src, hom, hbundle, ops), xi
 
 
 def roundtrip_residual(t: BundleMap, hbundle: HilbertBundle, rho: Action, xi) -> float:
-    """max over (g, basis a) of || T_g(a) - <xi, rho(a) xi> || (ambient)."""
+    """max over g of ||T_g - C_g||_F, C_g the matrix of a -> <xi, rho(a) xi>:
+    both in the HS-orthonormal fiber coordinates, not in the ambient algebra."""
     from .actions import coefficient_map
 
     back = coefficient_map(rho, xi)

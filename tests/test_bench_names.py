@@ -1,12 +1,15 @@
 """The benchmark tracer patches library names by string: every name it
-lists in bench/spans.py must still resolve.  The module is loaded read-only
-from its file; nothing is installed."""
+lists in bench/spans.py must still resolve, and its phase split must still
+see the library's calls.  The module is loaded read-only from its file."""
 
 import importlib.util
 from pathlib import Path
 
 import fellbundles
 import fellbundles.cli  # noqa: F401  (imports every module)
+from fellbundles.bundles import group_bundle
+from fellbundles.groups import make_cyclic
+from fellbundles.pdmaps import identity_bundle_map
 
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -28,3 +31,12 @@ def test_traced_names_resolve():
             assert meth in vars(getattr(mod, cls_name)), (modname, attr)
         else:
             assert callable(getattr(mod, attr)), (modname, attr)
+
+
+def test_tracer_splits_gns_at_its_first_eigensolve():
+    t = identity_bundle_map(group_bundle(make_cyclic(3)))
+    with _load_spans().Tracer().installed() as tracer:
+        fellbundles.pdmaps.gelfand_raikov(t)
+    self_s = tracer.totals()["self_s"]
+    assert self_s.get("pdmaps.gns_gram", 0.0) > 0.0
+    assert self_s.get("pdmaps.gns_separation", 0.0) > 0.0

@@ -1,13 +1,14 @@
-"""GNS through the shared separation against the inline version it replaced.
+"""GNS through the shared separation rule against a dense-loop oracle.
 
-`reference_gelfand_raikov` keeps the pre-change reconstruction, with its
-own trace localization, eigh, rank cut and compression einsums, as an
-oracle: the reconstruction through `hilbundles.separate` and
-`actions.compress_action` must give the same fiber dimensions, inner
-products, right and left actions and cyclic vector.
+`reference_gelfand_raikov` keeps an earlier reconstruction, with its own
+trace localization, eigh, rank cut, dense raw action and shift, and
+compression einsums, as an oracle: the blockwise quotient through the
+separation rule of `hilbundles.separate` must give the same fiber
+dimensions, inner products, right and left actions and cyclic vector.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from fellbundles import pdmaps
 from fellbundles import serialize as sz
 from fellbundles.actions import Action, coefficient_map
-from fellbundles.bundles import dynamical_bundle, group_bundle
+from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle
 from fellbundles.cli import main
 from fellbundles.groups import make_cyclic
 from fellbundles.hilbundles import HilbertBundle, InvariantViolationError
@@ -32,6 +33,7 @@ from fellbundles.pdmaps import (
 )
 
 from test_actions import z4_to_z2_rep_action
+from test_validators_batched import _c3_s3
 
 
 def reference_gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
@@ -164,6 +166,9 @@ def m3_z2():
 def oracle_maps(corpus):
     maps = {name: identity_bundle_map(corpus[name]) for name in ("z2", "z3", "s3", "m2_ad")}
     maps["m3_z2"] = identity_bundle_map(m3_z2())
+    maps["z2 zero fiber"] = identity_bundle_map(
+        FellBundle(make_cyclic(2), 1, [np.eye(1)[None], np.zeros((0, 1, 1))]))
+    maps["c3 s3"] = identity_bundle_map(_c3_s3())
     rho = z4_to_z2_rep_action()
     rng = np.random.default_rng(13)
     maps["z4 to z2"] = coefficient_map(
@@ -193,13 +198,26 @@ def test_gns_matches_inline_separation(corpus_bundles):
         assert roundtrip_residual(t, hb, rho, xi) <= 1e-12 * (1 + t.norm()), name
 
 
+def test_gns_memory_holds_no_dense_raw_tensors():
+    """The raw Gram of M3 x Z2 is 15 MiB; the dense raw action and shift
+    next to it took the peak to 45 MiB."""
+    t = identity_bundle_map(m3_z2())
+    tracemalloc.start()
+    try:
+        gelfand_raikov(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
+
+
 def _refuse(x, tol=None):
     raise InvariantViolationError("fiber 0: localized Gram is not PSD")
 
 
 def test_separation_refusal_is_not_positive_definite(monkeypatch, tmp_path, capsys):
     t = identity_bundle_map(group_bundle(make_cyclic(2)))
-    monkeypatch.setattr(pdmaps, "separate", _refuse)
+    monkeypatch.setattr(pdmaps, "separating_bases", _refuse)
     with pytest.raises(NotPositiveDefiniteError, match="localized Gram is not PSD"):
         gelfand_raikov(t)
     path = tmp_path / "id.json"
