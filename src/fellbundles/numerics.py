@@ -138,9 +138,9 @@ def split_draws(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """Relative deviation of m from its Hermitian part."""
-    return relative(frob(m - dagger(m)), frob(m))
+def hermitian_defect(m: np.ndarray, floor: float = 1.0) -> float:
+    """Deviation of m from its Hermitian part, relative to max(||m||_F, floor)."""
+    return frob(m - dagger(m)) / max(frob(m), floor)
 
 
 def hermitian_eigvals(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

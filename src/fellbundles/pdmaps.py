@@ -17,6 +17,7 @@ or shift is formed.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -197,17 +198,20 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
     # unpadded rows (k, x, a), x < dims[k], in the order of `pairs`
     rows = np.flatnonzero(np.repeat(np.arange(dm) < np.asarray(src.dims)[:, None], n))
     gram = t_values_ambient(t)
+    mu = _overflow_scale(gram)
     if len(rows) < len(gram):
         gram = gram[np.ix_(rows, rows)]
+    # the certificate over mu, which leaves every verdict and margin as it is
     row_scales = np.repeat(scales, n)
-    gram *= row_scales[:, None]
+    gram *= row_scales[:, None] / mu
     gram *= row_scales
-    defect = hermitian_defect(gram) if gram.size else 0.0
+    defect = hermitian_defect(gram, floor=1 / mu) if gram.size else 0.0
     # the spectrum of the Hermitian part gives both the margin and its scale
     ev = np.linalg.eigvalsh((gram + dagger(gram)) / 2) if gram.size else np.zeros(1)
-    margin = float(ev[0])
-    ok = defect <= 100 * tol.rel_eq and margin >= -tol.rel_psd * max(1.0, float(np.abs(ev).max()))
-    cert = PdCertificate(ok, margin, gram, defect)
+    low = float(ev[0])
+    ok = defect <= 100 * tol.rel_eq and low >= -tol.rel_psd * max(1 / mu, float(np.abs(ev).max()))
+    margin = _unscaled(low, mu, "certificate margin")
+    cert = PdCertificate(ok, margin, gram if mu == 1 else gram * mu, defect)
     if ok or not pairs:
         return cert
 
@@ -228,8 +232,28 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
     cs = (coeffs.reshape(size, 1, dbm) @ beta.reshape(size, dbm, n * n)).reshape(size * n, n)
     cert.witness = [(g, scales[p] * src.fibers[g][i], c.conj().T)
                     for p, ((g, i), c) in enumerate(zip(pairs, cs.reshape(size, n, n)))]
-    cert.witness_sum = dagger(cs) @ gram @ cs
+    cert.witness_sum = _unscaled(dagger(cs) @ gram @ cs, mu, "witness sum")
     return cert
+
+
+def _overflow_scale(form: np.ndarray) -> float:
+    """The power of two mu >= 1 that brings max|form| into [1, 2), or 1 when
+    max|form| <= 1.  Dividing by a power of two is exact, so the eigenvalues,
+    norms and products of form / mu are those of form divided by mu, yet they
+    cannot overflow on huge finite entries."""
+    peak = float(np.abs(form).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise OverflowError("the positivity form exceeds the floating-point range")
+    return 1.0 if peak <= 1.0 else math.ldexp(1.0, math.frexp(peak)[1] - 1)
+
+
+def _unscaled(value, mu: float, what: str):
+    """mu * value, refused as an OverflowError when it leaves the
+    floating-point range."""
+    out = value * mu
+    if not np.isfinite(out).all():
+        raise OverflowError(f"the {what} exceeds the floating-point range")
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass
@@ -256,8 +280,9 @@ def t_values_ambient(t: BundleMap) -> np.ndarray:
     Entry [(k, x, a), (k2, y, b)] is entry (a, b) of the ambient value of
     T(a_x^{k*} a_y^{k2}), with k, k2 source group elements, x, y basis
     indices zero-padded to the largest source fiber and a, b ambient
-    indices of the target: shape (G*dmax*n, G*dmax*n).  Built once per map;
-    the sampled checker and the reconstruction both read it.
+    indices of the target: shape (G*dmax*n, G*dmax*n).  Built afresh on each
+    call: the exact certificate, the sampled check and the reconstruction
+    each build and read their own copy, so `pd-check` builds it twice.
     """
     src, tgt = t.source, t.target
     grp = src.group
@@ -317,10 +342,18 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
 
     Positions sharing a label are summed first: S = E T E*, with T from
     t_values_ambient and E = sum_i conj(a_i)^T (x) b_i placed in the column
-    block of g_i.  Samples are evaluated together in chunks whose
-    intermediates stay near CHUNK_BYTES; the margins, Hermitian defects and
-    norms of a chunk come from one batched eigvalsh/norm.  The witness is the
-    first sample attaining the minimal margin.
+    block of g_i.  Each row block (k, x) of E is a combination of the d_B
+    target fiber basis matrices beta_c^{phi(k)} (d_B the largest of them), so
+    E T = coef y with y[(k, x, c), :] = beta_c^{phi(k)} T[(k, x), :], folded
+    once per call.  Per sample the folded product costs |G| d_A d_B n side
+    and the dense E T costs n side^2 (side = |G| d_A n), so T is folded
+    exactly when d_B < n; y holds d_B times the entries of T, and costs about
+    d_B dense samples to build.  The right product with E* stays dense.
+    Samples are evaluated together in chunks whose intermediates stay near
+    CHUNK_BYTES; the margins, Hermitian defects and norms of a chunk come
+    from one batched eigvalsh/norm, on T divided by a power of two so huge
+    finite entries cannot overflow.  The witness is the first sample
+    attaining the minimal margin.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
@@ -330,8 +363,17 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     da, db = np.asarray(src.dims), np.asarray(tgt.dims)[t.hom.map]
     dm, dbm = int(da.max(initial=0)), int(db.max(initial=0))
     tt = t_values_ambient(t)
+    mu = _overflow_scale(tt)
+    if mu != 1:
+        tt /= mu
     side = tt.shape[0]
-    fibers = _padded_fibers(tgt, t.hom.map, dbm).reshape(order, dbm, n * n)
+    fibers = _padded_fibers(tgt, t.hom.map, dbm)
+    fold = dbm < n
+    if fold:
+        # tt becomes y: y[(k, x, c), (r, col)] = sum_a beta_c^{phi(k)}[r, a] T[(k, x, a), col]
+        tt = (fibers.reshape(order, 1, dbm * n, n) @ tt.reshape(order, dm, n, side)).reshape(
+            order * dm * dbm, n * side)
+    fibers = fibers.reshape(order, dbm, n * n)
     # e, its transpose and conjugate, and e @ tt: four (n, side) arrays per sample
     chunk = max(1, CHUNK_BYTES // max(64 * n * side, 1))
     tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
@@ -346,12 +388,13 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
         np.add.at(coef, (sid, gs), a.conj()[:, :, None] * b[:, None, :])
         e = (coef @ fibers).reshape(len(block), order, dm, n, n)
         e = e.transpose(0, 3, 1, 2, 4).reshape(len(block), n, side)
-        s = (e.reshape(-1, side) @ tt).reshape(len(block), n, side) \
-            @ e.conj().transpose(0, 2, 1)
+        et = coef.reshape(len(block), -1) @ tt if fold else e.reshape(-1, side) @ tt
+        s = et.reshape(len(block), n, side) @ e.conj().transpose(0, 2, 1)
         sh = s.conj().transpose(0, 2, 1)
-        scale = np.maximum(1.0, np.linalg.norm(s, 2, axis=(1, 2)))
+        # the floors max(1, .) of the unscaled sums, over mu
+        scale = np.maximum(1 / mu, np.linalg.norm(s, 2, axis=(1, 2)))
         defect = np.linalg.norm(s - sh, axis=(1, 2)) / np.maximum(
-            np.linalg.norm(s, axis=(1, 2)), 1.0)
+            np.linalg.norm(s, axis=(1, 2)), 1 / mu)
         margin = np.linalg.eigvalsh((s + sh) / 2)[:, 0] / scale
         margin = np.where(defect > 100 * tol.rel_eq, np.minimum(margin, -defect), margin)
         p = int(np.argmin(margin))
@@ -365,7 +408,8 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
     witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
                for g, ai, bi in zip(gs, a, b)]
-    return SampledCheck(False, worst, witness, s)
+    with np.errstate(over="ignore"):  # a sum beyond the float range reads inf
+        return SampledCheck(False, worst, witness, s * mu)
 
 
 def _gns_slots(t: BundleMap):

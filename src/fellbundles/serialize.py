@@ -196,7 +196,10 @@ def bundle_map_to_json(t: BundleMap) -> dict:
 def bundle_map_from_json(data) -> BundleMap:
     try:
         source = bundle_from_json(data["source"])
-        target = bundle_from_json(data["target"])
+        # a map into its own source bundle shares one bundle object, as
+        # identity_bundle_map does
+        target = source if data["target"] == data["source"] \
+            else bundle_from_json(data["target"])
         phi = _hom(source.group, target.group, data)
         raw = _family(data, "blocks", _element_keys(source.group))
     except (KeyError, TypeError) as exc:

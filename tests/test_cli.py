@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fellbundles
 from fellbundles import serialize as sz
 from fellbundles.bundles import group_bundle
 from fellbundles.cli import main
@@ -180,24 +185,57 @@ def test_full_flag_embeds_gram(tmp_path, capsys):
     assert "gram" in json.loads(out_full)["exact"]
 
 
-def test_byte_identical_reports_across_processes(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import fellbundles
-
-    # the child imports the package under test, installed or not
+def _child_env():
+    """The environment of a child process that imports the package under
+    test, installed or not."""
     src = str(Path(fellbundles.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_byte_identical_reports_across_processes(tmp_path):
     path = scalar_map_file(tmp_path, 0.5)
     cmd = [sys.executable, "-m", "fellbundles.cli", "pd-check", path, "--seed", "3"]
-    r1 = subprocess.run(cmd, capture_output=True, env=env)
-    r2 = subprocess.run(cmd, capture_output=True, env=env)
+    r1 = subprocess.run(cmd, capture_output=True, env=_child_env())
+    r2 = subprocess.run(cmd, capture_output=True, env=_child_env())
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("entries, codes", [
+    ({"1": 1e308}, {"pd-check": 1, "report": 0}),
+    ({"1": -1.7e308, "2": -1.7e308}, {"pd-check": 2, "report": 2}),
+], ids=["huge entry", "margin beyond float range"])
+def test_huge_finite_entries_are_reported_as_json(tmp_path, entries, codes):
+    """A Z3 scalar map with block entries near the float maximum: the
+    positivity form is divided by a power of two before its eigensolves and
+    norms.  With one entry of 1e308, pd-check refutes the map (exit 1) and
+    report reports it (exit 0, as on any map); a margin beyond the float
+    range is refused (exit 2).  Every report is strict JSON, with no LAPACK
+    message, warning or traceback."""
+    b = group_bundle(make_cyclic(3))
+    payload = sz.bundle_map_to_json(
+        scalar_bundle_map(b, b, identity_hom(b.group), [1.0, 0.5, 0.5]))
+    for g, value in entries.items():
+        payload["blocks"][g] = [[[value, 0.0]]]
+    path = write(tmp_path, "huge.json", payload)
+    for command, code in codes.items():
+        r = subprocess.run([sys.executable, "-m", "fellbundles.cli", command, path],
+                           capture_output=True, env=_child_env())
+        assert r.returncode == code, command
+        report = json.loads(r.stdout, parse_constant=_strict_constant)
+        if code == 2:
+            assert "floating-point range" in report["error"], command
+        else:
+            cert = report["exact" if command == "pd-check" else "positive_definite"]
+            assert cert["verdict"] is False and cert["margin"] < -1e307, command
+        for stream in (r.stdout, r.stderr):
+            for marker in (b"DLASCL", b"Traceback", b"Warning"):
+                assert marker not in stream, (command, marker)
 
 
 def test_correspond_with_cyclicity_vector(tmp_path, capsys):

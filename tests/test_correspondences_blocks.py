@@ -30,7 +30,7 @@ from fellbundles.groups import make_cyclic
 from fellbundles.numerics import dagger, definite_blocks, definite_check, frob, relative
 
 from test_actions import z4_to_z2_rep_action
-from test_ambient_route import m2_z4
+from test_pdmaps_batched import m2_z4
 from test_validators_batched import _c3_s3, _condexp_raw, _gns_zero_fiber, _m2_z3
 
 

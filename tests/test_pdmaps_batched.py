@@ -146,6 +146,21 @@ def m3_z3():
     return dynamical_bundle(basis, make_cyclic(3), autos)
 
 
+def crossed(k, m, phases):
+    """M_k x Z_m with Z_m acting by Ad(diag(phases ** g)) on matrix units."""
+    basis = np.zeros((k * k, k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            basis[k * i + j, i, j] = 1.0
+    autos = [np.diag([(phases[i] * np.conj(phases[j])) ** g for i in range(k) for j in range(k)])
+             for g in range(m)]
+    return dynamical_bundle(basis, make_cyclic(m), autos)
+
+
+def m2_z4():
+    return crossed(2, 4, [1.0, 1j])
+
+
 def indefinite_identity(bundle, seed):
     """The identity map with T_e(a) = -a for one positive a in A_e."""
     rng = np.random.default_rng(seed)
@@ -179,6 +194,16 @@ def positive_maps(corpus):
     maps["zero fiber"] = identity_bundle_map(
         FellBundle(make_cyclic(2), 1, [np.ones((1, 1, 1)), np.zeros((0, 1, 1))]))
     maps["m3_z3"] = identity_bundle_map(m3_z3())
+    # both sides of the sampled check's fold rule (d_B < n folds): M2 x Z4
+    # folds with d_B = 4 < n = 8, M3 x Z2 keeps the dense product (9 > 6),
+    # and Z2 in M_2 with an empty fiber folds with d_B = 1 < n = 2
+    maps["m2_z4"] = identity_bundle_map(m2_z4())
+    maps["m3_z2"] = identity_bundle_map(crossed(3, 2, [1.0, -1.0, 1.0]))
+    maps["zero fiber in M_2"] = identity_bundle_map(FellBundle(
+        make_cyclic(2), 2, [np.eye(2)[None] / np.sqrt(2), np.zeros((0, 2, 2))]))
+    # entries over 2: the sums are judged on T over a power of two, whose
+    # max(1, .) floors must be rescaled to match
+    maps["z3 large values"] = scalar_map_z(3, [40.0, 10.0, 10.0])
     return maps
 
 
@@ -194,7 +219,12 @@ def indefinite_maps(corpus):
         "m2_ad indefinite": indefinite_identity(corpus["m2_ad"], 31),
         "s3 indefinite": indefinite_identity(corpus["s3"], 37),
         "m3_z3 indefinite": indefinite_identity(m3_z3(), 41),
+        "s4 indefinite scalar": s4_indefinite_scalar(),
     }
+
+
+# the loop oracle over S4's 24-element tuples is slow: fewer samples there
+SAMPLES = {"s4 indefinite scalar": 12}
 
 
 def _assert_matches_reference(t, samples, seed):
@@ -227,7 +257,7 @@ def test_sampled_check_matches_reference_on_positive_maps(corpus_bundles):
 
 def test_sampled_check_matches_reference_on_indefinite_maps(corpus_bundles):
     for name, t in indefinite_maps(corpus_bundles).items():
-        got = _assert_matches_reference(t, samples=100, seed=0)
+        got = _assert_matches_reference(t, samples=SAMPLES.get(name, 100), seed=0)
         assert not got.ok, name
         assert not pd_check_exact(t).ok, name
 
@@ -243,8 +273,9 @@ def test_raw_gram_matches_reference(corpus_bundles):
     for name, t in positive_maps(corpus_bundles).items():
         got, raw_inner = gns_raw_gram(t), reference_raw_inner(t)
         order = t.target.group.order
-        # the reference einsum is slow on M3 x Z3: check one off-diagonal pair
-        pairs = [(0, 1)] if name == "m3_z3" else [
+        # the reference einsum is slow on the larger crossed products: check
+        # one off-diagonal pair
+        pairs = [(0, 1)] if name in ("m3_z3", "m2_z4", "m3_z2") else [
             (r, s) for r in range(order) for s in range(order)]
         for r, s in pairs:
             want = raw_inner(r, s)

@@ -8,7 +8,7 @@ from fellbundles.actions import l2_action
 from fellbundles.bundles import dynamical_bundle, group_bundle
 from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.crosssec import Section
-from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
+from fellbundles.groups import GroupHom, identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import l2_bundle
 from fellbundles.pdmaps import identity_bundle_map, pd_check_exact, scalar_bundle_map
 
@@ -93,6 +93,21 @@ def test_identity_map_roundtrip():
     back = roundtrip(t, sz.bundle_map_to_json, sz.bundle_map_from_json)
     for g in b.group.elements():
         assert np.allclose(back.mats[g], t.mats[g], atol=0)
+
+
+def test_map_into_its_source_shares_one_bundle():
+    b = dynamical_bundle(*swap_system())
+    back = roundtrip(identity_bundle_map(b), sz.bundle_map_to_json, sz.bundle_map_from_json)
+    assert back.target is back.source
+    # a map into another bundle parses both bundles on their own
+    z4, z2 = group_bundle(make_cyclic(4)), group_bundle(make_cyclic(2))
+    t = scalar_bundle_map(z4, z2, GroupHom(z4.group, z2.group, np.array([0, 1, 0, 1])),
+                          [1.0, 0.2, 0.1, 0.2])
+    back = roundtrip(t, sz.bundle_map_to_json, sz.bundle_map_from_json)
+    assert back.target is not back.source
+    assert (back.source.group.order, back.target.group.order) == (4, 2)
+    for g in z4.group.elements():
+        assert np.array_equal(back.mats[g], t.mats[g])
 
 
 def test_malformed_matrix_rejected():

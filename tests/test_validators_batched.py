@@ -356,7 +356,7 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6):
 # -- the corpus ----------------------------------------------------------------------
 
 def _m2_z3():
-    from test_ambient_route import crossed
+    from test_pdmaps_batched import crossed
     return crossed(2, 3, [1.0, np.exp(2j * np.pi / 3)])
 
 
