@@ -9,6 +9,17 @@ axiom checking into span membership with explicit residuals.
 Fiber bases are orthonormalized in the Hilbert-Schmidt inner product at
 construction, so coordinates are stable and membership tests reduce to
 projections.
+
+Construction is whole-array.  The fibers are read as one zero-padded
+array indexed by group elements (`numerics.padded`): one batched Gram
+decides which are already HS-orthonormal, and the structure tensors come
+from batched products and projections over chunks of fiber pairs, each
+chunk's intermediates near `numerics.CHUNK_BYTES`; `prod[g][h]` and
+`star_tensor[g]` are views into one padded array.  `dynamical_bundle`
+solves the coordinates of every adjoint and product it checks with one
+least-squares call, judges the automorphism battery over all (g, i, j) at
+once (raising the error the per-element loop would raise first) and
+assembles the fibers by one scatter and one batched matmul.
 """
 
 from __future__ import annotations
@@ -18,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup
-from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, frob, hermitian_psd_check, \
-    numerical_rank, orthonormal_basis, padded
+from .numerics import CHUNK_BYTES, DEFAULT_TOL, Tolerance, as_cmatrix, chunks, frob, \
+    hermitian_psd_check, orthonormal_basis, padded
 from .reports import Report
 
 
@@ -33,6 +44,23 @@ class NotActionError(ValueError):
 
 class FiberEscapeError(ValueError):
     """A product or adjoint left the fiber it is graded into."""
+
+
+def _hs_orthonormal(stacks) -> np.ndarray:
+    """Whether each (d, n, n) stack is HS-orthonormal, its Gram within
+    allclose(atol=1e-10) of the identity, from one batched Gram of the
+    zero-padded stacks.  A unit row has no real or imaginary part above 1,
+    so a stack with one above 2 is not, and is left out of the Gram, whose
+    products could overflow."""
+    dims = np.array([len(s) for s in stacks])
+    db = int(dims.max(initial=0))
+    rows = padded([stacks], (db, *stacks[0].shape[1:]))[0].reshape(len(stacks), db, -1)
+    small = np.abs(rows.view(np.float64)).max(axis=(1, 2), initial=0.0) <= 2.0
+    rows[~small] = 0.0
+    gram = rows @ rows.conj().swapaxes(1, 2)
+    eye = (np.arange(db) < dims[:, None])[:, :, None] & np.eye(db, dtype=bool)
+    close = np.abs(gram - eye) <= 1e-10 + 1e-5 * eye
+    return small & close.all(axis=(1, 2))
 
 
 class FellBundle:
@@ -50,25 +78,20 @@ class FellBundle:
         self.ambient_dim = int(ambient_dim)
         if len(fibers) != group.order:
             raise ValueError("need one fiber per group element")
-        self.fibers: list[np.ndarray] = []
+        stacks = []
         for g in group.elements():
             mats = np.asarray(fibers[g], dtype=np.complex128)
             if mats.size == 0:
                 mats = mats.reshape(0, self.ambient_dim, self.ambient_dim)
             if mats.shape[1:] != (self.ambient_dim, self.ambient_dim):
                 raise ValueError(f"fiber {g}: matrices must be {ambient_dim}x{ambient_dim}")
-            if len(mats) == 0:
-                self.fibers.append(mats)
-                continue
-            rows = mats.reshape(len(mats), -1)
-            gram = rows @ rows.conj().T
-            if np.allclose(gram, np.eye(len(mats)), atol=1e-10):
-                # already HS-orthonormal: keep verbatim, so parsing a
-                # serialized bundle reproduces its coordinates exactly
-                self.fibers.append(mats)
-                continue
-            flat = orthonormal_basis(rows, tol)
-            self.fibers.append(flat.reshape(-1, self.ambient_dim, self.ambient_dim))
+            stacks.append(mats)
+        # an HS-orthonormal fiber is kept verbatim, so parsing a serialized
+        # bundle reproduces its coordinates exactly
+        self.fibers: list[np.ndarray] = [
+            mats if keep else orthonormal_basis(mats.reshape(len(mats), -1), tol).reshape(
+                -1, self.ambient_dim, self.ambient_dim)
+            for mats, keep in zip(stacks, _hs_orthonormal(stacks))]
         self.dims = [f.shape[0] for f in self.fibers]
         self.total_dim = int(sum(self.dims))
         self._tol = tol
@@ -95,40 +118,48 @@ class FellBundle:
 
     def _build_structure(self):
         grp = self.group
-        n, size = grp.order, self.ambient_dim ** 2
-        flat = [f.reshape(len(f), size) for f in self.fibers]
-        conj = [f.conj() for f in flat]
+        n, size, db = grp.order, self.ambient_dim ** 2, max(self.dims, default=0)
+        fib = padded([self.fibers], (db, self.ambient_dim, self.ambient_dim))[0]
+        flat = fib.reshape(n, db, size)
 
-        def project(g, rows):
-            """`coords` in A_g of every flattened matrix in `rows` at once (the
-            einsum keeps the sums of `coords`, so the coordinates are bitwise
-            the same), and the HS norm of what each leaves out."""
-            c = np.einsum("kx,...x->...k", conj[g], rows)
-            return c, np.linalg.norm(rows - c @ flat[g], axis=-1)
+        def project(rows, q):
+            """Coordinates of the flattened matrices rows[t] in the padded
+            basis of A_{q[t]} (the einsum keeps the sums of `coords`, so the
+            coordinates are bitwise the same), and the HS norm of what each
+            leaves out."""
+            c = np.einsum("tkx,trx->trk", flat[q].conj(), rows)
+            return c, np.linalg.norm(rows - c @ flat[q], axis=-1)
 
-        # product tensor: prod[g][h][i, j, :] = coords of b_i^g b_j^h in A_{gh},
-        # one batched product and one projection per pair (g, h); the grading
-        # residual is absolute, i.e. relative to the HS-unit factors, so a
-        # product that vanishes up to rounding stays small
-        self.prod = [[None] * n for _ in range(n)]
+        # product tensor: prod[g, h, i, j, :] = coords of b_i^g b_j^h in A_{gh},
+        # for chunks of pairs (g, h) at once; the grading residual is
+        # absolute, i.e. relative to the HS-unit factors, so a product that
+        # vanishes up to rounding stays small.  Each chunk is read four times
+        # (product, projection, reconstruction, residual), so it is kept to a
+        # quarter of CHUNK_BYTES: on the benchmark's crossed products the full
+        # budget ran up to 40% slower than the per-pair loop, a quarter as fast
+        prod = np.zeros((n, n, db, db, db), dtype=np.complex128)
         self.grading_residual = np.zeros((n, n))
-        for g in grp.elements():
-            for h in grp.elements():
-                p = self.fibers[g][:, None] @ self.fibers[h][None, :]
-                self.prod[g][h], miss = project(
-                    grp.mul(g, h), p.reshape(self.dims[g], self.dims[h], size))
-                self.grading_residual[g, h] = miss.max(initial=0.0)
+        for idx in chunks(n * n, db * db * size, CHUNK_BYTES // 4):
+            g, h = np.divmod(idx, n)
+            p = (fib[g][:, :, None] @ fib[h][:, None]).reshape(len(idx), db * db, size)
+            c, miss = project(p, grp.table[g, h])
+            prod[g, h] = c.reshape(len(idx), db, db, db)
+            self.grading_residual[g, h] = miss.max(axis=1, initial=0.0)
+        dgh = np.asarray(self.dims)[grp.table].tolist()
+        self.prod = [[prod[g, h, :self.dims[g], :self.dims[h], :dgh[g][h]]
+                      for h in grp.elements()] for g in grp.elements()]
         # star tensor: star[g][i, :] = coords of (b_i^g)^* in A_{g^-1}, with the
         # residual relative to each adjoint
-        self.star_tensor = []
+        star = np.zeros((n, db, db), dtype=np.complex128)
         self.involution_residual = np.zeros(n)
-        for g in grp.elements():
-            adj = self.fibers[g].conj().transpose(0, 2, 1).reshape(self.dims[g], size)
-            c, miss = project(grp.inv(g), adj)
+        for idx in chunks(n, db * size):
+            adj = fib[idx].conj().swapaxes(-1, -2).reshape(len(idx), db, size)
+            star[idx], miss = project(adj, grp.inverse[idx])
             scale = np.linalg.norm(adj, axis=-1)
-            self.star_tensor.append(c)
-            self.involution_residual[g] = np.divide(
-                miss, scale, out=np.zeros_like(miss), where=scale > 0).max(initial=0.0)
+            self.involution_residual[idx] = np.divide(
+                miss, scale, out=np.zeros_like(miss), where=scale > 0).max(axis=1, initial=0.0)
+        self.star_tensor = [star[g, :self.dims[g], :self.dims[grp.inv(g)]]
+                            for g in grp.elements()]
         eye = np.eye(self.ambient_dim, dtype=np.complex128)
         self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
         self.unital = self.unital_at(self._tol)
@@ -233,23 +264,81 @@ def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
 def group_bundle(group: FiniteGroup) -> FellBundle:
     """The group bundle: one-dimensional fibers spanned by the left-regular
     permutation matrices u_g inside M_|G|."""
-    fibers = [regular_unitary(group, g)[None] for g in group.elements()]
-    return FellBundle(group, group.order, fibers)
+    return FellBundle(group, group.order, regular_unitaries(group)[:, None])
+
+
+def regular_unitaries(group: FiniteGroup) -> np.ndarray:
+    """Left-regular permutation matrices of every element, (|G|, |G|, |G|):
+    u[g, gh, h] = 1, one scatter through the Cayley table."""
+    n = group.order
+    u = np.zeros((n, n, n), dtype=np.complex128)
+    g, h = np.indices((n, n))
+    u[g, group.table, h] = 1.0
+    return u
 
 
 def regular_unitary(group: FiniteGroup, g: int) -> np.ndarray:
     """Left-regular permutation matrix of g on C^|G|."""
     u = np.zeros((group.order, group.order), dtype=np.complex128)
-    for h in group.elements():
-        u[group.mul(g, h), h] = 1.0
+    u[group.table[g], np.arange(group.order)] = 1.0
     return u
 
 
-def _subalgebra_coords(basis_flat: np.ndarray, mat: np.ndarray) -> tuple[np.ndarray, float]:
-    c, *_ = np.linalg.lstsq(basis_flat.T, mat.ravel(), rcond=None)
-    res = float(np.linalg.norm(basis_flat.T @ c - mat.ravel()))
-    nm = float(np.linalg.norm(mat))
-    return c, res / nm if nm else 0.0
+def _subalgebra_coords(basis_flat: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coordinates (R, k) in the basis of every flattened
+    matrix of `mats` (R, m*m), from one lstsq with a matrix right-hand side,
+    and the residual of each relative to its norm (0 for a zero matrix)."""
+    c, *_ = np.linalg.lstsq(basis_flat.T, mats.T, rcond=None)
+    res = np.linalg.norm(basis_flat.T @ c - mats.T, axis=0)
+    nm = np.linalg.norm(mats, axis=1)
+    return c.T, np.divide(res, nm, out=np.zeros_like(res), where=nm > 0)
+
+
+# the automorphism battery in the order the per-element loop ran it for
+# each (g, i): its columns are these checks, the last two repeated per j
+_BATTERY = (
+    lambda g: NotAutomorphismError(f"alpha_{g} image of a* leaves A"),
+    lambda g: ValueError("algebra basis is not *-closed"),
+    lambda g: NotAutomorphismError(f"alpha_{g} is not *-preserving"),
+    lambda g: ValueError("algebra basis is not multiplicatively closed"),
+    lambda g: NotAutomorphismError(f"alpha_{g} is not multiplicative"),
+)
+
+
+def _check_automorphisms(basis: np.ndarray, alpha: np.ndarray, images: np.ndarray) -> None:
+    """Each alpha_g must be a *-automorphism of A = span(basis): raise the
+    error of the first failing check in (g, i, check, j) order.  images[g, i]
+    is alpha_g(a_i); the coordinates of every alpha_g(a_i)^*, a_i^* and
+    a_i a_j come from one least-squares solve."""
+    ng, k, m, _ = images.shape
+    flat = basis.reshape(k, -1)
+    img_star = images.conj().swapaxes(-1, -2).reshape(ng, k, m * m)
+    coords, res = _subalgebra_coords(flat, np.concatenate([
+        img_star.reshape(ng * k, m * m),
+        basis.conj().swapaxes(-1, -2).reshape(k, m * m),
+        (basis[:, None] @ basis[None]).reshape(k * k, m * m)]))
+    _, star_src, prod_src = np.split(coords, [ng * k, ng * k + k])
+    img_open, star_open, prod_open = (r > 1e-8 for r in np.split(res, [ng * k, ng * k + k]))
+    scale = max(frob(basis[i]) for i in range(k))
+    star_defect, mult_defect = np.zeros((ng, k)), np.zeros((ng, k, k))
+    for idx in chunks(ng, k * k * m * m):
+        # alpha_g(c) for coordinates c is (alpha_g c)^T . basis
+        star_img = (alpha[idx] @ star_src.T).swapaxes(1, 2) @ flat
+        star_defect[idx] = np.linalg.norm(star_img - img_star[idx], axis=-1)
+        lhs = (alpha[idx] @ prod_src.T).swapaxes(1, 2) @ flat
+        rhs = images[idx][:, :, None] @ images[idx][:, None]
+        mult_defect[idx] = np.linalg.norm(
+            lhs.reshape(len(idx), k, k, m * m) - rhs.reshape(len(idx), k, k, m * m), axis=-1)
+    fails = np.concatenate([
+        img_open.reshape(ng, k, 1),
+        np.broadcast_to(star_open[None, :, None], (ng, k, 1)),
+        (star_defect > 1e-8 * scale)[..., None],
+        np.stack([np.broadcast_to(prod_open.reshape(k, k), (ng, k, k)),
+                  mult_defect > 1e-8 * max(scale * scale, 1.0)], axis=-1).reshape(ng, k, 2 * k),
+    ], axis=-1)
+    if fails.any():
+        g, _, check = np.unravel_index(np.argmax(fails), fails.shape)
+        raise _BATTERY[check if check < 3 else 3 + (check - 3) % 2](int(g))
 
 
 def dynamical_bundle(algebra_basis, group: FiniteGroup, alpha,
@@ -270,53 +359,23 @@ def dynamical_bundle(algebra_basis, group: FiniteGroup, alpha,
     alpha = [np.asarray(a, dtype=np.complex128) for a in alpha]
     if len(alpha) != group.order or any(a.shape != (k, k) for a in alpha):
         raise NotActionError("need one k x k matrix per group element")
-
-    def apply(g, coeffs):
-        return np.tensordot(alpha[g] @ coeffs, basis, axes=(0, 0))
-
-    # each alpha_g must be a *-automorphism of A
-    scale = max(frob(basis[i]) for i in range(k))
-    for g in group.elements():
-        for i in range(k):
-            a_i = basis[i]
-            img_star = apply(g, np.eye(k)[i]).conj().T
-            want_star, res = _subalgebra_coords(flat, img_star)
-            if res > 1e-8:
-                raise NotAutomorphismError(f"alpha_{g} image of a* leaves A")
-            star_src, res2 = _subalgebra_coords(flat, a_i.conj().T)
-            if res2 > 1e-8:
-                raise ValueError("algebra basis is not *-closed")
-            if frob(apply(g, star_src) - img_star) > 1e-8 * scale:
-                raise NotAutomorphismError(f"alpha_{g} is not *-preserving")
-            for j in range(k):
-                prod_src, res3 = _subalgebra_coords(flat, a_i @ basis[j])
-                if res3 > 1e-8:
-                    raise ValueError("algebra basis is not multiplicatively closed")
-                lhs = apply(g, prod_src)
-                rhs = apply(g, np.eye(k)[i]) @ apply(g, np.eye(k)[j])
-                if frob(lhs - rhs) > 1e-8 * max(scale * scale, 1.0):
-                    raise NotAutomorphismError(f"alpha_{g} is not multiplicative")
-    e = group.identity
-    if frob(alpha[e] - np.eye(k)) > 1e-10 * k:
+    alpha, ng = np.array(alpha), group.order
+    # images[g, i] = alpha_g(a_i)
+    images = (alpha.swapaxes(1, 2) @ flat).reshape(ng, k, m, m)
+    _check_automorphisms(basis, alpha, images)
+    if frob(alpha[group.identity] - np.eye(k)) > 1e-10 * k:
         raise NotActionError("alpha_e must be the identity")
-    for g in group.elements():
-        for h in group.elements():
-            if frob(alpha[g] @ alpha[h] - alpha[group.mul(g, h)]) > 1e-8 * k:
-                raise NotActionError("alpha is not a group action")
+    for idx in chunks(ng, ng * k * k):
+        law = alpha[idx][:, None] @ alpha[None] - alpha[group.table[idx]]
+        if np.any(np.linalg.norm(law, axis=(-2, -1)) > 1e-8 * k):
+            raise NotActionError("alpha is not a group action")
 
-    ng = group.order
-    fibers = []
-    for g in group.elements():
-        v_g = np.kron(np.eye(m), regular_unitary(group, g))
-        mats = []
-        for i in range(k):
-            d = np.zeros((m * ng, m * ng), dtype=np.complex128)
-            for h in group.elements():
-                e_hh = np.zeros((ng, ng))
-                e_hh[h, h] = 1.0
-                d += np.kron(apply(group.inv(h), np.eye(k)[i]), e_hh)
-            mats.append(d @ v_g)
-        fibers.append(np.array(mats))
+    # d[i] = sum_h alpha_{h^-1}(a_i) (x) E_hh, one scatter into the diagonal
+    # blocks; the fiber over g is d . (1 (x) u_g)
+    d = np.zeros((k, m, ng, m, ng), dtype=np.complex128)
+    d[:, :, np.arange(ng), :, np.arange(ng)] = images[group.inverse]
+    v = np.eye(m)[None, :, None, :, None] * regular_unitaries(group)[:, None, :, None, :]
+    fibers = d.reshape(1, k, m * ng, m * ng) @ v.reshape(ng, 1, m * ng, m * ng)
     return FellBundle(group, m * ng, fibers, tol)
 
 
@@ -351,21 +410,20 @@ def crossed_extract(bundle: FellBundle, m: int, g: int, fiber_coords) -> np.ndar
 
 
 def check_saturated(bundle: FellBundle, tol: Tolerance | None = None) -> bool:
-    """True iff span(A_g.A_h) = A_gh for every pair (rank test on the
-    product tensor)."""
+    """True iff span(A_g.A_h) = A_gh for every pair: one batched rank test
+    on the padded product tensor, whose zero rows and columns add only zero
+    singular values, so the d_gh-th largest of prod[g, h] decides."""
     tol = tol or DEFAULT_TOL
-    for g in bundle.group.elements():
-        for h in bundle.group.elements():
-            gh = bundle.group.mul(g, h)
-            dgh = bundle.dims[gh]
-            if dgh == 0:
-                continue
-            t = bundle.prod[g][h].reshape(-1, dgh)
-            if t.shape[0] == 0:
-                return False
-            if numerical_rank(t, tol) < dgh:
-                return False
-    return True
+    grp = bundle.group
+    db = max(bundle.dims, default=0)
+    dgh = np.asarray(bundle.dims)[grp.table].ravel()
+    keep = dgh > 0
+    if not keep.any():
+        return True
+    t = padded(bundle.prod, (db, db, db)).reshape(-1, db * db, db)[keep]
+    sv = np.linalg.svd(t, compute_uv=False)
+    kth = sv[np.arange(len(sv)), dgh[keep] - 1]
+    return bool(np.all(kth > tol.rel_rank * np.maximum(sv[:, 0], 1.0)))
 
 
 @dataclass

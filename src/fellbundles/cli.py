@@ -171,7 +171,10 @@ def cmd_build(args) -> int:
                 identity_bundle_map(sz.bundle_from_json(spec["bundle"])))
         elif kind == "scalar_bundle_map":
             source = sz.bundle_from_json(spec["source"])
-            target = sz.bundle_from_json(spec["target"])
+            # a map into its own source bundle parses that bundle once, as
+            # serialize.bundle_map_from_json does
+            target = source if spec["target"] == spec["source"] \
+                else sz.bundle_from_json(spec["target"])
             hom = GroupHom(source.group, target.group,
                            np.asarray(spec["phi"], dtype=np.int64))
             values = sz.vector_from_json(spec["values"])

@@ -39,7 +39,7 @@ from .bundles import FellBundle, bundles_equal, padded_structure
 from .crosssec import Section, ambient_image, convolve, cstar_norm, star
 from .hilbundles import SemiInnerBundle, block_grams_psd, compress_bundle, padded_module
 from .numerics import DEFAULT_TOL, Tolerance, chunks, dagger, definite_blocks, frob, \
-    numerical_rank, orthonormal_basis, padded, psd_check, relative, worst_relative
+    numerical_rank, orthonormal_basis, padded, psd_check, rank_check, relative, worst_relative
 from .reports import Report
 
 
@@ -546,35 +546,17 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     worst = worst_relative(order ** 3, dm ** 4, compatible)
     rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
 
-    # fullness on both sides
-    def full_right():
-        for k in grp.elements():
-            dk = hb.bundle.dims[k]
-            if dk == 0:
-                continue
-            rows = []
-            for s in grp.elements():
-                tt = grp.mul(s, k)
-                rows.extend(hb.inner[s][tt].reshape(-1, dk))
-            if numerical_rank(np.array(rows), tol) < dk:
-                return False
-        return True
+    # fullness on both sides: the rows pairing into each fiber span it; the
+    # residual is the worst rank shortfall (numerics.rank_check)
+    def fullness(dims, blocks):
+        checks = [rank_check(np.concatenate([blk.reshape(-1, dk) for blk in blocks(k)]), dk, tol)
+                  for k, dk in enumerate(dims) if dk]
+        return all(ok for ok, _ in checks), max((res for _, res in checks), default=0.0)
 
-    def full_left():
-        for k in grp.elements():
-            dk = a_bundle.dims[k]
-            if dk == 0:
-                continue
-            rows = []
-            for s in grp.elements():
-                r = grp.mul(k, s)
-                rows.extend(e.linner[r][s].reshape(-1, dk))
-            if numerical_rank(np.array(rows), tol) < dk:
-                return False
-        return True
-
-    rep.add("right fullness", full_right(), 0.0)
-    rep.add("left fullness", full_left(), 0.0)
+    rep.add("right fullness", *fullness(
+        hb.bundle.dims, lambda k: [hb.inner[s][grp.mul(s, k)] for s in grp.elements()]))
+    rep.add("left fullness", *fullness(
+        a_bundle.dims, lambda k: [e.linner[grp.mul(k, s)][s] for s in grp.elements()]))
 
     # section-level identity and norm equality
     y = Correspondence(hb, action=e.left_action())

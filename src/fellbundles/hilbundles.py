@@ -36,7 +36,7 @@ import numpy as np
 from .bundles import FellBundle, crossed_embed, dynamical_bundle, padded_structure
 from .numerics import DEFAULT_TOL, Tolerance, chunks, definite_check, frob, hermitian_defect, \
     hermitian_psd_check, hermitian_psd_checks, opnorm, opnorms, padded, relative, \
-    split_draws, worst_relative
+    shortfall, split_draws, worst_relative
 from .reports import Report
 
 
@@ -213,10 +213,14 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     ok_pos, worst = block_grams_psd(diag, bundle.fibers[e], tol)
     rep.add("fiber Grams PSD", ok_pos, worst)
 
-    # definiteness: localized Gram of each fiber has full rank
+    # definiteness: localized Gram of each fiber has full rank; the residual
+    # is the worst shortfall of a smallest eigenvalue below its bound (an
+    # empty Gram is definite and falls short of nothing)
     if definite:
-        ok_def = all(definite_check(x.trace_gram(r), tol).ok for r in grp.elements())
-        rep.add("definiteness (localized Grams full rank)", ok_def, 0.0 if ok_def else 1.0)
+        grams = [definite_check(x.trace_gram(r), tol) for r in grp.elements()]
+        rep.add("definiteness (localized Grams full rank)", all(c.ok for c in grams),
+                max((shortfall(c.margin, c.scale, tol.rel_rank) for c in grams if not c.ok),
+                    default=0.0))
 
     # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data:
     # three draws (u in X_r, v in X_s, b in B_s) per pair (r, s) of nonzero

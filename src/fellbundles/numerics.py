@@ -88,11 +88,11 @@ CHUNK_BYTES = 1 << 22
 _LIVE_BYTES_PER_ENTRY = 8 * 16
 
 
-def chunks(count: int, entries: int):
+def chunks(count: int, entries: int, budget: int = CHUNK_BYTES):
     """Index arrays of consecutive items 0..count-1, so many per chunk that
-    the chunk's intermediates stay near CHUNK_BYTES, for items whose largest
-    block has `entries` complex entries."""
-    step = max(1, CHUNK_BYTES // max(_LIVE_BYTES_PER_ENTRY * entries, 1))
+    the chunk's intermediates stay near `budget` bytes, for items whose
+    largest block has `entries` complex entries."""
+    step = max(1, budget // max(_LIVE_BYTES_PER_ENTRY * entries, 1))
     for start in range(0, count, step):
         yield np.arange(start, min(start + step, count))
 
@@ -164,6 +164,7 @@ def hermitian_eigvals(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 class PsdResult:
     ok: bool
     margin: float  # minimal eigenvalue, reported either way
+    scale: float = 1.0  # the max(largest eigenvalue, 1) a definite margin is judged against
 
     def __bool__(self):
         return self.ok
@@ -221,7 +222,8 @@ def definite_check(g, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
     if a.shape[0] == 0:
         return PsdResult(True, 0.0)
     ev = np.linalg.eigvalsh((a + dagger(a)) / 2)
-    return PsdResult(bool(ev[0] > tol.rel_rank * max(float(ev[-1]), 1.0)), float(ev[0]))
+    scale = max(float(ev[-1]), 1.0)
+    return PsdResult(bool(ev[0] > tol.rel_rank * scale), float(ev[0]), scale)
 
 
 def definite_blocks(blocks, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
@@ -233,14 +235,30 @@ def definite_blocks(blocks, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
     if not evs:
         return PsdResult(True, 0.0)
     low = min(float(ev[0]) for ev in evs)
-    high = max(float(ev[-1]) for ev in evs)
-    return PsdResult(low > tol.rel_rank * max(high, 1.0), low)
+    scale = max(max(float(ev[-1]) for ev in evs), 1.0)
+    return PsdResult(low > tol.rel_rank * scale, low, scale)
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above rel_rank * max(largest, 1)."""
     sv = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0)))
+
+
+def shortfall(margin: float, scale: float, rel: float) -> float:
+    """How far margin / scale falls short of rel: the residual of a check
+    that passes when margin exceeds rel * scale, 0 when it does."""
+    return max(rel - margin / scale, 0.0)
+
+
+def rank_check(m, rank: int, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
+    """Whether numerical_rank(m) >= rank, with its residual: the shortfall
+    of the rank-th largest singular value, relative to max(largest, 1),
+    below rel_rank (0 when the rank is reached)."""
+    sv = np.linalg.svd(m, compute_uv=False) if np.size(m) else np.zeros(0)
+    scale = max(float(sv[0]), 1.0) if len(sv) else 1.0
+    kth = float(sv[rank - 1]) if len(sv) >= rank else 0.0
+    return kth > tol.rel_rank * scale, shortfall(kth, scale, tol.rel_rank)
 
 
 def kron(a, b) -> np.ndarray:

@@ -11,6 +11,8 @@ from fellbundles.bundles import group_bundle
 from fellbundles.groups import make_cyclic
 from fellbundles.pdmaps import identity_bundle_map
 
+from test_bundles_batched import crossed_system
+
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -40,3 +42,12 @@ def test_tracer_splits_gns_at_its_first_eigensolve():
     self_s = tracer.totals()["self_s"]
     assert self_s.get("pdmaps.gns_gram", 0.0) > 0.0
     assert self_s.get("pdmaps.gns_separation", 0.0) > 0.0
+
+
+def test_tracer_splits_crossed_product_construction_from_its_structure():
+    system = crossed_system(2, 2)
+    with _load_spans().Tracer().installed() as tracer:
+        fellbundles.bundles.dynamical_bundle(*system)
+    self_s = tracer.totals()["self_s"]
+    assert self_s.get("bundles.construct", 0.0) > 0.0
+    assert self_s.get("bundles.structure", 0.0) > 0.0

@@ -11,7 +11,7 @@ import fellbundles
 from fellbundles import serialize as sz
 from fellbundles.bundles import group_bundle
 from fellbundles.cli import main
-from fellbundles.groups import identity_hom, make_cyclic
+from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.pdmaps import identity_bundle_map, scalar_bundle_map
 
 
@@ -378,3 +378,26 @@ def test_unital_is_judged_at_the_report_tolerance(tmp_path, capsys):
         code, out = run(capsys, "report", path, *flags)
         assert code == (0 if unital else 1)
         assert json.loads(out)["unital"] is unital, flags
+
+
+@pytest.mark.parametrize("group", [make_cyclic(3), symmetric_group(3)], ids=["Z3", "S3"])
+def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, monkeypatch,
+                                                           group):
+    bundle = sz.bundle_to_json(group_bundle(group))
+    values = [[1.0, 0.0]] + [[0.5 / group.order, 0.0]] * (group.order - 1)
+    spec = write(tmp_path, "spec.json", {
+        "kind": "scalar_bundle_map", "source": bundle, "target": bundle,
+        "phi": list(range(group.order)), "values": values})
+    # the file the two-parse route writes
+    source, target = sz.bundle_from_json(bundle), sz.bundle_from_json(bundle)
+    want = json.dumps(sz.bundle_map_to_json(scalar_bundle_map(
+        source, target, identity_hom(source.group), sz.vector_from_json(values))),
+        sort_keys=True) + "\n"
+    parses = []
+    real = sz.bundle_from_json
+    monkeypatch.setattr(sz, "bundle_from_json", lambda data: parses.append(1) or real(data))
+    out_path = tmp_path / "map.json"
+    code, _ = run(capsys, "build", spec, "-o", str(out_path))
+    assert code == 0
+    assert len(parses) == 1
+    assert out_path.read_text() == want

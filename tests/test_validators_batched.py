@@ -114,10 +114,18 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
         worst = max(worst, residual)
     rep.add("fiber Grams PSD", ok_pos, worst)
 
-    # definiteness: localized Gram of each fiber has full rank
+    # definiteness: localized Gram of each fiber has full rank; the residual
+    # is the worst shortfall of a failing Gram's relative smallest eigenvalue
+    # below rel_rank
     if definite:
-        ok_def = all(definite_check(x.trace_gram(r), tol).ok for r in grp.elements())
-        rep.add("definiteness (localized Grams full rank)", ok_def, 0.0 if ok_def else 1.0)
+        ok_def, worst = True, 0.0
+        for r in grp.elements():
+            gram = x.trace_gram(r)
+            if not definite_check(gram, tol).ok:
+                ok_def = False
+                ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+                worst = max(worst, tol.rel_rank - ev[0] / max(ev[-1], 1.0))
+        rep.add("definiteness (localized Grams full rank)", ok_def, worst)
 
     # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data
     rng = np.random.default_rng(0)
@@ -305,8 +313,16 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6):
                 worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
 
-    # fullness on both sides
+    # fullness on both sides; the residual is the worst shortfall of the
+    # dk-th relative singular value of the stacked rows below rel_rank
+    def full(rows, dk):
+        sv = np.linalg.svd(np.array(rows), compute_uv=False)
+        kth = sv[dk - 1] if len(sv) >= dk else 0.0
+        return numerical_rank(np.array(rows), tol) >= dk, \
+            max(tol.rel_rank - kth / max(sv[0], 1.0), 0.0)
+
     def full_right():
+        ok, worst = True, 0.0
         for k in grp.elements():
             dk = hb.bundle.dims[k]
             if dk == 0:
@@ -315,11 +331,12 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6):
             for s in grp.elements():
                 tt = grp.mul(s, k)
                 rows.extend(hb.inner[s][tt].reshape(-1, dk))
-            if numerical_rank(np.array(rows), tol) < dk:
-                return False
-        return True
+            ok_k, res = full(rows, dk)
+            ok, worst = ok and ok_k, max(worst, res)
+        return ok, worst
 
     def full_left():
+        ok, worst = True, 0.0
         for k in grp.elements():
             dk = a_bundle.dims[k]
             if dk == 0:
@@ -328,12 +345,12 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6):
             for s in grp.elements():
                 r = grp.mul(k, s)
                 rows.extend(e.linner[r][s].reshape(-1, dk))
-            if numerical_rank(np.array(rows), tol) < dk:
-                return False
-        return True
+            ok_k, res = full(rows, dk)
+            ok, worst = ok and ok_k, max(worst, res)
+        return ok, worst
 
-    rep.add("right fullness", full_right(), 0.0)
-    rep.add("left fullness", full_left(), 0.0)
+    rep.add("right fullness", *full_right())
+    rep.add("left fullness", *full_left())
 
     # section-level identity and norm equality
     y = Correspondence(hb, action=e.left_action())
@@ -491,6 +508,36 @@ def test_semi_inner_validator_matches_the_loops_on_a_non_definite_bundle():
     got = validate_hilbert_bundle(x)
     assert_same_report(got, reference_validate(x), "condexp raw, definite")
     assert [i.name for i in got.failures()] == ["definiteness (localized Grams full rank)"]
+
+
+def test_definiteness_residual_is_the_shortfall_of_the_smallest_eigenvalue():
+    x = _condexp_raw()
+    item = {i.name: i for i in validate_hilbert_bundle(x).items}[
+        "definiteness (localized Grams full rank)"]
+    assert not item.ok
+    worst = 0.0
+    for r in x.bundle.group.elements():
+        ev = np.linalg.eigvalsh(x.trace_gram(r))
+        if len(ev):
+            worst = max(worst, DEFAULT_TOL.rel_rank - ev[0] / max(ev[-1], 1.0))
+    assert 0.0 < worst < 1.0
+    assert item.residual == pytest.approx(worst, rel=1e-12)
+
+
+def test_fullness_residual_is_the_rank_shortfall(corpus_bundles):
+    e = trivial_self_equivalence(corpus_bundles["z3"])
+    items = {i.name: i for i in verify_imprimitivity(e).items}
+    assert items["left fullness"].ok and items["left fullness"].residual == 0.0
+    faint = EquivalenceBundle(e.left_bundle, e.right, e.lact,
+                              [[1e-12 * blk for blk in row] for row in e.linner])
+    got = verify_imprimitivity(faint)
+    assert_same_report(got, reference_verify_imprimitivity(faint), "faint left inner product")
+    items = {i.name: i for i in got.items}
+    assert items["right fullness"].ok and items["right fullness"].residual == 0.0
+    assert not items["left fullness"].ok
+    # every left Gram row is 1e-12 of a unit row: the relative smallest
+    # singular value is about 1e-12, short of rel_rank by nearly all of it
+    assert 0.99e-9 < items["left fullness"].residual < DEFAULT_TOL.rel_rank
 
 
 def test_action_validator_matches_the_loops(corpus):
