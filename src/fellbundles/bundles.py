@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup
-from .numerics import CHUNK_BYTES, DEFAULT_TOL, Tolerance, as_cmatrix, chunks, frob, \
+from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, chunks, frob, \
     hermitian_psd_check, orthonormal_basis, padded
 from .reports import Report
 
@@ -134,12 +134,12 @@ class FellBundle:
         # for chunks of pairs (g, h) at once; the grading residual is
         # absolute, i.e. relative to the HS-unit factors, so a product that
         # vanishes up to rounding stays small.  Each chunk is read four times
-        # (product, projection, reconstruction, residual), so it is kept to a
-        # quarter of CHUNK_BYTES: on the benchmark's crossed products the full
-        # budget ran up to 40% slower than the per-pair loop, a quarter as fast
+        # (product, projection, reconstruction, residual), so it is counted as
+        # four blocks: on the benchmark's crossed products a chunk of one
+        # block's budget ran up to 40% slower than the per-pair loop
         prod = np.zeros((n, n, db, db, db), dtype=np.complex128)
         self.grading_residual = np.zeros((n, n))
-        for idx in chunks(n * n, db * db * size, CHUNK_BYTES // 4):
+        for idx in chunks(n * n, 4 * db * db * size):
             g, h = np.divmod(idx, n)
             p = (fib[g][:, :, None] @ fib[h][:, None]).reshape(len(idx), db * db, size)
             c, miss = project(p, grp.table[g, h])
@@ -279,9 +279,7 @@ def regular_unitaries(group: FiniteGroup) -> np.ndarray:
 
 def regular_unitary(group: FiniteGroup, g: int) -> np.ndarray:
     """Left-regular permutation matrix of g on C^|G|."""
-    u = np.zeros((group.order, group.order), dtype=np.complex128)
-    u[group.table[g], np.arange(group.order)] = 1.0
-    return u
+    return regular_unitaries(group)[g]
 
 
 def _subalgebra_coords(basis_flat: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

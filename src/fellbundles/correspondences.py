@@ -547,7 +547,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
 
     # fullness on both sides: the rows pairing into each fiber span it; the
-    # residual is the worst rank shortfall (numerics.rank_check)
+    # residual is the worst relative rank shortfall (numerics.rank_check)
     def fullness(dims, blocks):
         checks = [rank_check(np.concatenate([blk.reshape(-1, dk) for blk in blocks(k)]), dk, tol)
                   for k, dk in enumerate(dims) if dk]

@@ -214,8 +214,9 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     rep.add("fiber Grams PSD", ok_pos, worst)
 
     # definiteness: localized Gram of each fiber has full rank; the residual
-    # is the worst shortfall of a smallest eigenvalue below its bound (an
-    # empty Gram is definite and falls short of nothing)
+    # is the worst shortfall of a smallest eigenvalue below its bound,
+    # relative to the bound (1 for a singular Gram; an empty Gram is definite
+    # and falls short of nothing)
     if definite:
         grams = [definite_check(x.trace_gram(r), tol) for r in grp.elements()]
         rep.add("definiteness (localized Grams full rank)", all(c.ok for c in grams),

@@ -88,11 +88,11 @@ CHUNK_BYTES = 1 << 22
 _LIVE_BYTES_PER_ENTRY = 8 * 16
 
 
-def chunks(count: int, entries: int, budget: int = CHUNK_BYTES):
+def chunks(count: int, entries: int):
     """Index arrays of consecutive items 0..count-1, so many per chunk that
-    the chunk's intermediates stay near `budget` bytes, for items whose
-    largest block has `entries` complex entries."""
-    step = max(1, budget // max(_LIVE_BYTES_PER_ENTRY * entries, 1))
+    the chunk's intermediates stay near CHUNK_BYTES, for items whose largest
+    block has `entries` complex entries."""
+    step = max(1, CHUNK_BYTES // max(_LIVE_BYTES_PER_ENTRY * entries, 1))
     for start in range(0, count, step):
         yield np.arange(start, min(start + step, count))
 
@@ -246,15 +246,16 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def shortfall(margin: float, scale: float, rel: float) -> float:
-    """How far margin / scale falls short of rel: the residual of a check
-    that passes when margin exceeds rel * scale, 0 when it does."""
-    return max(rel - margin / scale, 0.0)
+    """How far margin falls short of its bound rel * scale, relative to the
+    bound: the residual of a check that passes when margin exceeds the bound,
+    0 when it does and 1 for a zero margin."""
+    return max(1.0 - margin / (rel * scale), 0.0)
 
 
 def rank_check(m, rank: int, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether numerical_rank(m) >= rank, with its residual: the shortfall
-    of the rank-th largest singular value, relative to max(largest, 1),
-    below rel_rank (0 when the rank is reached)."""
+    of the rank-th largest singular value below rel_rank * max(largest, 1),
+    relative to that bound (0 when the rank is reached, 1 when it is zero)."""
     sv = np.linalg.svd(m, compute_uv=False) if np.size(m) else np.zeros(0)
     scale = max(float(sv[0]), 1.0) if len(sv) else 1.0
     kth = float(sv[rank - 1]) if len(sv) >= rank else 0.0

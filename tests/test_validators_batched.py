@@ -115,8 +115,8 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
     rep.add("fiber Grams PSD", ok_pos, worst)
 
     # definiteness: localized Gram of each fiber has full rank; the residual
-    # is the worst shortfall of a failing Gram's relative smallest eigenvalue
-    # below rel_rank
+    # is the worst shortfall of a failing Gram's smallest eigenvalue below
+    # rel_rank * max(largest, 1), relative to that bound
     if definite:
         ok_def, worst = True, 0.0
         for r in grp.elements():
@@ -124,7 +124,7 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
             if not definite_check(gram, tol).ok:
                 ok_def = False
                 ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-                worst = max(worst, tol.rel_rank - ev[0] / max(ev[-1], 1.0))
+                worst = max(worst, 1.0 - ev[0] / (tol.rel_rank * max(ev[-1], 1.0)))
         rep.add("definiteness (localized Grams full rank)", ok_def, worst)
 
     # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data
@@ -314,12 +314,13 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6):
     rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
 
     # fullness on both sides; the residual is the worst shortfall of the
-    # dk-th relative singular value of the stacked rows below rel_rank
+    # dk-th singular value of the stacked rows below rel_rank * max(largest,
+    # 1), relative to that bound
     def full(rows, dk):
         sv = np.linalg.svd(np.array(rows), compute_uv=False)
         kth = sv[dk - 1] if len(sv) >= dk else 0.0
         return numerical_rank(np.array(rows), tol) >= dk, \
-            max(tol.rel_rank - kth / max(sv[0], 1.0), 0.0)
+            max(1.0 - kth / (tol.rel_rank * max(sv[0], 1.0)), 0.0)
 
     def full_right():
         ok, worst = True, 0.0
@@ -510,18 +511,32 @@ def test_semi_inner_validator_matches_the_loops_on_a_non_definite_bundle():
     assert [i.name for i in got.failures()] == ["definiteness (localized Grams full rank)"]
 
 
-def test_definiteness_residual_is_the_shortfall_of_the_smallest_eigenvalue():
+def test_definiteness_residual_is_the_shortfall_of_the_smallest_eigenvalue(corpus_bundles):
+    def definiteness(x):
+        return {i.name: i for i in validate_hilbert_bundle(x).items}[
+            "definiteness (localized Grams full rank)"]
+
+    def smallest(x):
+        return min(np.linalg.eigvalsh(x.trace_gram(r))[0]
+                   for r in x.bundle.group.elements() if x.dims[r])
+
+    # a singular Gram falls short of its bound by all of it
     x = _condexp_raw()
-    item = {i.name: i for i in validate_hilbert_bundle(x).items}[
-        "definiteness (localized Grams full rank)"]
+    item = definiteness(x)
     assert not item.ok
-    worst = 0.0
-    for r in x.bundle.group.elements():
-        ev = np.linalg.eigvalsh(x.trace_gram(r))
-        if len(ev):
-            worst = max(worst, DEFAULT_TOL.rel_rank - ev[0] / max(ev[-1], 1.0))
-    assert 0.0 < worst < 1.0
-    assert item.residual == pytest.approx(worst, rel=1e-12)
+    assert smallest(x) == pytest.approx(0.0, abs=1e-15)
+    assert item.residual == pytest.approx(1.0, abs=1e-6)
+    # inner products scaled so that the smallest eigenvalue is half the bound
+    # rel_rank (every Gram then lies below 1, so the bound is rel_rank)
+    x = l2_bundle(corpus_bundles["z2"])
+    assert definiteness(x).ok and definiteness(x).residual == 0.0
+    c = 0.5 * DEFAULT_TOL.rel_rank / smallest(x)
+    faint = SemiInnerBundle(x.bundle, x.dims, x.act, [[c * blk for blk in row] for row in x.inner])
+    got = validate_hilbert_bundle(faint)
+    assert_same_report(got, reference_validate(faint), "faint inner product")
+    item = definiteness(faint)
+    assert not item.ok
+    assert item.residual == pytest.approx(0.5, rel=1e-9)
 
 
 def test_fullness_residual_is_the_rank_shortfall(corpus_bundles):
@@ -535,9 +550,9 @@ def test_fullness_residual_is_the_rank_shortfall(corpus_bundles):
     items = {i.name: i for i in got.items}
     assert items["right fullness"].ok and items["right fullness"].residual == 0.0
     assert not items["left fullness"].ok
-    # every left Gram row is 1e-12 of a unit row: the relative smallest
-    # singular value is about 1e-12, short of rel_rank by nearly all of it
-    assert 0.99e-9 < items["left fullness"].residual < DEFAULT_TOL.rel_rank
+    # every left Gram row is 1e-12 of a unit row: the smallest singular
+    # value is about 1e-12, short of its bound rel_rank by nearly all of it
+    assert 0.99 < items["left fullness"].residual < 1.0
 
 
 def test_action_validator_matches_the_loops(corpus):
