@@ -7,28 +7,29 @@ then a finite family of tensor identities: multiplicativity, adjoint
 symmetry against the inner products, commutation with the right action,
 and the contractivity/Gram-domination bounds.
 
-The validator reads the nested lists through the padded graded layout of
-`hilbundles` (built afresh by every call): ops[g][h] becomes one array of
-shape (|G_A|, |G_B|, da, dm, dm), zero-padded to the largest source fiber
-dimension da and target fiber dimension dm, next to the padded act, inner,
-prod, star_tensor and fiber bases.  Each identity is one gather through the
-Cayley tables, grp.inverse and phi plus one batched matmul over all tuples
-(g, g', h) or (g, h, h'); the random-data bounds draw their samples in the
-order of the per-sample loop, then evaluate them together.  Batches are
-chunked so their intermediates stay near numerics.CHUNK_BYTES (4 MiB).
+The operators are stored once, in the padded graded layout of `hilbundles`:
+ops_array is one read-only array of shape (|G_A|, |G_B|, da, dm, dm),
+zero-padded to the largest source fiber dimension da and target fiber
+dimension dm, and ops[g][h] are tuples of views of its blocks.  The
+validator reads it next to the stored act, inner, prod, star_tensor and
+fiber bases.  Each identity is one gather through the Cayley tables,
+grp.inverse and phi plus one batched matmul over all tuples (g, g', h) or
+(g, h, h'); the random-data bounds draw their samples in the order of the
+per-sample loop, then evaluate them together.  Batches are chunked so
+their intermediates stay near numerics.CHUNK_BYTES (4 MiB).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundles import FellBundle, crossed_extract, dynamical_bundle, padded_structure
+from .bundles import FellBundle, crossed_extract, dynamical_bundle
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertModule, SemiInnerBundle, algebra_coords_map, ambient_inners, \
-    check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, padded_module, \
+    check_shapes, check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, \
     regularize_bundle, trivial_hilbert_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, hermitian_psd_checks, opnorms, \
-    padded, worst_relative
+    padded, stored, worst_relative
 from .reports import Report
 
 
@@ -49,7 +50,10 @@ class WrongFiberError(ValueError):
 
 
 class Action:
-    """(source, hom)-action on a Hilbert bundle over the hom's target group."""
+    """(source, hom)-action on a Hilbert bundle over the hom's target group.
+
+    ops_array (|G_A|, |G_B|, da, dm, dm) is the stored, read-only,
+    zero-padded operator tensor; ops is the tuple of views of its blocks."""
 
     def __init__(self, source: FellBundle, hom: GroupHom, target: SemiInnerBundle, ops):
         if hom.source != source.group or hom.target != target.bundle.group:
@@ -57,15 +61,12 @@ class Action:
         self.source = source
         self.hom = hom
         self.target = target
-        self.ops = ops
         src, tgt = source.group, target.bundle.group
-        for g in src.elements():
-            for h in tgt.elements():
-                out = tgt.mul(hom(g), h)
-                want = (source.dims[g], target.dims[out], target.dims[h])
-                if ops[g][h].shape != want:
-                    raise CompatibilityViolationError(
-                        f"ops[{g}][{h}] must have shape {want}")
+        check_shapes(ops, (src.order, tgt.order), lambda g, h: (
+            source.dims[g], target.dims[tgt.mul(hom(g), h)], target.dims[h]), "ops",
+            CompatibilityViolationError)
+        dm = max(target.dims, default=0)
+        self.ops_array, self.ops = stored(ops, (max(source.dims, default=0), dm, dm))
 
     def op_matrix(self, g: int, acoords, h: int) -> np.ndarray:
         """Matrix of x -> rho(a)x from X_h to X_{phi(g)h}."""
@@ -86,12 +87,10 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
     order_a, order_b = grp.order, tgt.order
     tab_a, tab_b, inv_a, phi = grp.table, tgt.table, grp.inverse, rho.hom.map
     quot = tab_b[tgt.inverse]  # quot[h, h2] = h^-1 h2
-    prod, star, src_fibers = padded_structure(src)
-    fibers = padded_structure(bundle)[2]
-    act, inner = padded_module(x)
+    prod, star, src_fibers = src.prod_array, src.star_array, src.fiber_array
+    fibers, act, inner, ops = bundle.fiber_array, x.act_array, x.inner_array, rho.ops_array
     da, db, dm = star.shape[-1], fibers.shape[1], act.shape[-1]
     ns, n = src.ambient_dim, bundle.ambient_dim
-    ops = padded(rho.ops, (da, dm, dm))
 
     # (i) fiber targeting and bilinearity hold by the tensor layout
     rep.add("fiber targeting (by construction)", True, 0.0)
@@ -208,18 +207,10 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
 
 
 def trivial_action(bundle: FellBundle) -> Action:
-    """Left multiplication of the bundle on itself."""
-    grp = bundle.group
-    x = trivial_hilbert_bundle(bundle)
-    ops = [[None] * grp.order for _ in grp.elements()]
-    for g in grp.elements():
-        for h in grp.elements():
-            ops[g][h] = np.stack([
-                bundle.left_mult_matrix(g, np.eye(bundle.dims[g])[i], h)
-                for i in range(bundle.dims[g])
-            ]) if bundle.dims[g] else np.zeros(
-                (0, bundle.dims[grp.mul(g, h)], bundle.dims[h]))
-    return Action(bundle, identity_hom(grp), x, ops)
+    """Left multiplication of the bundle on itself: x -> b_i x from A_h to
+    A_gh reads slice i of the product tensor."""
+    ops = [[p.transpose(0, 2, 1) for p in row] for row in bundle.prod]
+    return Action(bundle, identity_hom(bundle.group), trivial_hilbert_bundle(bundle), ops)
 
 
 def regularize_action(rho: Action) -> Action:
@@ -229,16 +220,12 @@ def regularize_action(rho: Action) -> Action:
     reg = regularize_bundle(rho.target)
     phi = rho.hom
     n = tgt.order
-    ops = [[None] * n for _ in src.group.elements()]
+    ops = []
     for g in src.group.elements():
         shift = np.zeros((n, n))
         for t in tgt.elements():
             shift[tgt.mul(phi(g), t), t] = 1.0
-        for h in tgt.elements():
-            base = rho.ops[g][h]
-            ops[g][h] = np.stack([np.kron(shift, base[i]) for i in range(base.shape[0])]) \
-                if base.shape[0] else np.zeros(
-                    (0, reg.dims[tgt.mul(phi(g), h)], reg.dims[h]))
+        ops.append([np.kron(shift, blk) for blk in rho.ops[g]])
     return Action(src, phi, reg, ops)
 
 
@@ -248,17 +235,16 @@ def l2_action(bundle: FellBundle) -> Action:
     y = l2_bundle(bundle)
     offs = np.concatenate([[0], np.cumsum(bundle.dims)]).astype(int)
     total = int(offs[-1])
-    ops = [[None] * grp.order for _ in grp.elements()]
+    ops = []
     for r in grp.elements():
+        # the block of b_i in A_r from tsrc = r^-1 t to t reads slice i of the
+        # product tensor; the operator does not depend on the target fiber
         mats = np.zeros((bundle.dims[r], total, total), dtype=np.complex128)
-        for i in range(bundle.dims[r]):
-            unit = np.eye(bundle.dims[r])[i]
-            for t in grp.elements():
-                tsrc = grp.mul(grp.inv(r), t)
-                blk = bundle.left_mult_matrix(r, unit, tsrc)
-                mats[i, offs[t]:offs[t + 1], offs[tsrc]:offs[tsrc + 1]] = blk
-        for s in grp.elements():
-            ops[r][s] = mats
+        for t in grp.elements():
+            tsrc = grp.mul(grp.inv(r), t)
+            mats[:, offs[t]:offs[t + 1], offs[tsrc]:offs[tsrc + 1]] = \
+                bundle.prod[r][tsrc].transpose(0, 2, 1)
+        ops.append([mats] * grp.order)
     return Action(bundle, identity_hom(grp), y, ops)
 
 
@@ -312,7 +298,7 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
     target = module_bundle_from_dynsys(module, grp_h, beta)
     m_a = np.asarray(a_basis).shape[1]
 
-    ops = [[None] * grp_h.order for _ in grp_g.elements()]
+    ops = []
     pinv_a = algebra_coords_map(a_basis)
     for g in grp_g.elements():
         mats = []
@@ -320,9 +306,8 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
             amat = crossed_extract(source, m_a, g, np.eye(source.dims[g])[i])
             acoords = pinv_a @ amat.ravel()
             mats.append(np.einsum("k,kuv->uv", acoords, module.left) @ gamma[g])
-        stacked = np.stack(mats) if mats else np.zeros((0, mx, mx))
-        for h in grp_h.elements():
-            ops[g][h] = stacked
+        # the operator does not depend on the target fiber
+        ops.append([np.stack(mats) if mats else np.zeros((0, mx, mx))] * grp_h.order)
     return Action(source, hom, target, ops)
 
 

@@ -10,16 +10,20 @@ Fiber bases are orthonormalized in the Hilbert-Schmidt inner product at
 construction, so coordinates are stable and membership tests reduce to
 projections.
 
-Construction is whole-array.  The fibers are read as one zero-padded
-array indexed by group elements (`numerics.padded`): one batched Gram
-decides which are already HS-orthonormal, and the structure tensors come
-from batched products and projections over chunks of fiber pairs, each
-chunk's intermediates near `numerics.CHUNK_BYTES`; `prod[g][h]` and
-`star_tensor[g]` are views into one padded array.  `dynamical_bundle`
-solves the coordinates of every adjoint and product it checks with one
-least-squares call, judges the automorphism battery over all (g, i, j) at
-once (raising the error the per-element loop would raise first) and
-assembles the fibers by one scatter and one batched matmul.
+The fibers, the product tensor and the star tensor are each stored once,
+as one read-only array indexed by group elements and zero-padded to the
+largest fiber dimension db (`fiber_array`, `prod_array`, `star_array`);
+`fibers[g]`, `prod[g][h]` and `star_tensor[g]` are tuples of read-only
+views of their blocks (`numerics.freeze`).
+
+Construction is whole-array.  One batched Gram decides which input fibers
+are already HS-orthonormal, and the structure tensors come from batched
+products and projections over chunks of fiber pairs, each chunk's
+intermediates near `numerics.CHUNK_BYTES`.  `dynamical_bundle` solves the
+coordinates of every adjoint and product it checks with one least-squares
+call, judges the automorphism battery over all (g, i, j) at once (raising
+the error the per-element loop would raise first) and assembles the fibers
+by one scatter and one batched matmul.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup
-from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, chunks, frob, \
+from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, chunks, freeze, frob, \
     hermitian_psd_check, orthonormal_basis, padded
 from .reports import Report
 
@@ -67,7 +71,8 @@ class FellBundle:
     """Graded family of subspaces of M_n over a finite group.
 
     fibers[g] is a (d_g, n, n) array whose slices form an HS-orthonormal
-    basis of the fiber over g.  Construction never raises on broken grading;
+    basis of the fiber over g, a view of fiber_array[g] of shape
+    (db, n, n).  Construction never raises on broken grading;
     residuals are recorded and surfaced by validate_bundle, so deliberately
     perturbed bundles can be built and reported on.
     """
@@ -88,11 +93,14 @@ class FellBundle:
             stacks.append(mats)
         # an HS-orthonormal fiber is kept verbatim, so parsing a serialized
         # bundle reproduces its coordinates exactly
-        self.fibers: list[np.ndarray] = [
+        fibers = [
             mats if keep else orthonormal_basis(mats.reshape(len(mats), -1), tol).reshape(
                 -1, self.ambient_dim, self.ambient_dim)
             for mats, keep in zip(stacks, _hs_orthonormal(stacks))]
-        self.dims = [f.shape[0] for f in self.fibers]
+        self.dims = [f.shape[0] for f in fibers]
+        n = self.ambient_dim
+        self.fiber_array = padded([fibers], (max(self.dims, default=0), n, n))[0]
+        self.fibers = freeze(self.fiber_array, [f.shape for f in fibers])
         self.total_dim = int(sum(self.dims))
         self._tol = tol
         self._record_directness()
@@ -119,7 +127,7 @@ class FellBundle:
     def _build_structure(self):
         grp = self.group
         n, size, db = grp.order, self.ambient_dim ** 2, max(self.dims, default=0)
-        fib = padded([self.fibers], (db, self.ambient_dim, self.ambient_dim))[0]
+        fib = self.fiber_array
         flat = fib.reshape(n, db, size)
 
         def project(rows, q):
@@ -146,8 +154,9 @@ class FellBundle:
             prod[g, h] = c.reshape(len(idx), db, db, db)
             self.grading_residual[g, h] = miss.max(axis=1, initial=0.0)
         dgh = np.asarray(self.dims)[grp.table].tolist()
-        self.prod = [[prod[g, h, :self.dims[g], :self.dims[h], :dgh[g][h]]
-                      for h in grp.elements()] for g in grp.elements()]
+        self.prod_array = prod
+        self.prod = freeze(prod, [[(self.dims[g], self.dims[h], dgh[g][h])
+                                   for h in grp.elements()] for g in grp.elements()])
         # star tensor: star[g][i, :] = coords of (b_i^g)^* in A_{g^-1}, with the
         # residual relative to each adjoint
         star = np.zeros((n, db, db), dtype=np.complex128)
@@ -158,8 +167,9 @@ class FellBundle:
             scale = np.linalg.norm(adj, axis=-1)
             self.involution_residual[idx] = np.divide(
                 miss, scale, out=np.zeros_like(miss), where=scale > 0).max(axis=1, initial=0.0)
-        self.star_tensor = [star[g, :self.dims[g], :self.dims[grp.inv(g)]]
-                            for g in grp.elements()]
+        self.star_array = star
+        self.star_tensor = freeze(star, [(self.dims[g], self.dims[grp.inv(g)])
+                                         for g in grp.elements()])
         eye = np.eye(self.ambient_dim, dtype=np.complex128)
         self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
         self.unital = self.unital_at(self._tol)
@@ -216,17 +226,6 @@ class FellBundle:
         """Ambient operator norm of element(g, coeffs)."""
         m = self.element(g, coeffs)
         return float(np.linalg.norm(m, 2)) if m.size else 0.0
-
-
-def padded_structure(bundle: FellBundle):
-    """The structure tensors and fiber bases as zero-padded arrays indexed
-    by group elements: (prod, star, fibers) with prod[g, h] of shape
-    (db, db, db), star[g] (db, db) and fibers[g] (db, n, n), where db is
-    the largest fiber dimension.  Built afresh on every call."""
-    db, n = max(bundle.dims, default=0), bundle.ambient_dim
-    return (padded(bundle.prod, (db, db, db)),
-            padded([bundle.star_tensor], (db, db))[0],
-            padded([bundle.fibers], (db, n, n))[0])
 
 
 def bundles_equal(b1: FellBundle, b2: FellBundle, atol: float = 1e-10) -> bool:
@@ -418,7 +417,7 @@ def check_saturated(bundle: FellBundle, tol: Tolerance | None = None) -> bool:
     keep = dgh > 0
     if not keep.any():
         return True
-    t = padded(bundle.prod, (db, db, db)).reshape(-1, db * db, db)[keep]
+    t = bundle.prod_array.reshape(-1, db * db, db)[keep]
     sv = np.linalg.svd(t, compute_uv=False)
     kth = sv[np.arange(len(sv)), dgh[keep] - 1]
     return bool(np.all(kth > tol.rel_rank * np.maximum(sv[:, 0], 1.0)))

@@ -14,32 +14,33 @@ completions coincide, so the delicate extension questions for the reduced
 left action trivialize; the cyclicity criterion and the generated
 subcorrespondence are still implemented since they carry the construction.
 
-The module arithmetic reads the Hilbert bundle and the action through the
-padded graded layout of `hilbundles` (act, inner and ops as single arrays
-indexed by group elements, zero-padded to the largest fiber dimensions),
-built once per Correspondence at first use: a vector is a (|G|, dm) array
-of fiber components, and each of right_mul, inner and left_mul is one
-batched matmul over all pairs of group elements plus one gather through the
-Cayley table.  The left action of a section is block-monomial on the
-section space (row fiber r reads column fiber phi(g)^-1 r), so the
-amplification lambda_g (x) pi_g(a) is never formed densely: its
-residuals are sums over the |G| disjoint supports of the lambda_k (see
-amplified_is_star_rep).
+The module arithmetic reads the stored padded arrays of the Hilbert bundle
+and the action (act_array, inner_array and ops_array, indexed by group
+elements and zero-padded to the largest fiber dimensions): a vector is a
+(|G|, dm) array of fiber components, and each of right_mul, inner and
+left_mul is one batched matmul over all pairs of group elements plus one
+gather through the Cayley table.  The left action of a section is
+block-monomial on the section space (row fiber r reads column fiber
+phi(g)^-1 r), so the amplification lambda_g (x) pi_g(a) is never formed
+densely: its residuals are sums over the |G| disjoint supports of the
+lambda_k (see amplified_is_star_rep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .actions import Action, WrongFiberError, compress_action, trivial_action
-from .bundles import FellBundle, bundles_equal, padded_structure
+from .bundles import FellBundle, bundles_equal
 from .crosssec import Section, ambient_image, convolve, cstar_norm, star
-from .hilbundles import SemiInnerBundle, block_grams_psd, compress_bundle, padded_module
+from .groups import identity_hom
+from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
+    compress_bundle, trace_localize
 from .numerics import DEFAULT_TOL, Tolerance, chunks, dagger, definite_blocks, frob, \
-    numerical_rank, orthonormal_basis, padded, psd_check, rank_check, relative, worst_relative
+    numerical_rank, orthonormal_basis, padded, psd_check, rank_check, relative, stored, \
+    worst_relative
 from .reports import Report
 
 
@@ -91,25 +92,12 @@ class Correspondence:
         """The vector of a (|G|, dm) array of fiber components."""
         return blocks[self._slots]
 
-    @cached_property
-    def _module(self):
-        """The padded (act, inner) of the Hilbert bundle, read at first use."""
-        return padded_module(self.hbundle)
-
-    @cached_property
-    def _ops(self) -> np.ndarray:
-        """The padded action, ops[g, h] of shape (da, dm, dm), read at first use."""
-        self._need_action()
-        da = max(self.action.source.dims, default=0)
-        dm = max(self.hbundle.dims, default=0)
-        return padded(self.action.ops, (da, dm, dm))
-
     # -- module structure ----------------------------------------------------
 
     def right_mul(self, xi, f: Section) -> np.ndarray:
         """(xi . f)(h) = sum_k xi(k) f(k^-1 h)."""
         grp = self.bundle.group
-        act = self._module[0]
+        act = self.hbundle.act_array
         c = padded([f.coeffs], (act.shape[2],))[0]
         # y[k, q] = xi(k) f(q) in X_{kq}
         y = (act @ self.blocks(xi)[:, None, None, :, None])[..., 0]
@@ -121,7 +109,7 @@ class Correspondence:
         """<xi, eta>(h) = sum_k <xi(k), eta(k h)>, a section of the target."""
         grp = self.bundle.group
         # w[k, s] = <xi(k), eta(s)> in B_{k^-1 s}
-        w = _pairings(self._module[1], self.blocks(xi).conj(), self.blocks(eta))
+        w = _pairings(self.hbundle.inner_array, self.blocks(xi).conj(), self.blocks(eta))
         out = w[np.arange(grp.order)[:, None], grp.table].sum(axis=0)
         return Section(self.bundle, [out[h, :d] for h, d in enumerate(self.bundle.dims)])
 
@@ -153,7 +141,7 @@ class Correspondence:
         self._need_action()
         if f.bundle is not self.action.source:
             raise ActionMismatchError("section does not live over the acting bundle")
-        ops = self._ops
+        ops = self.action.ops_array
         c = padded([f.coeffs], (ops.shape[2],))[0]
         # y[g, h] = rho(f(g)) xi(h) in X_{phi(g)h}
         y = (ops @ self.blocks(xi)[None, :, None, :, None])[..., 0]
@@ -342,7 +330,7 @@ class AmplifiedCorrespondence:
         self.group = self.src.group
         self.dim = self.group.order * y.dim
         # gen[g, r, i]: block of pi_g(a_i) in row fiber r
-        self._gen = y._ops[np.arange(self.group.order)[:, None], _sources(y)]
+        self._gen = y.action.ops_array[np.arange(self.group.order)[:, None], _sources(y)]
 
     def blocks(self, f: Section) -> np.ndarray:
         """pi_g(f(g)) for every g: shape (|G_A|, |G_B|, dm, dm)."""
@@ -394,7 +382,10 @@ def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0,
     div = grp.table[inv]  # div[g, k] = g^-1 k
     src = _sources(y)
     dm = amp._gen.shape[-1]
-    gram = padded([[y.hbundle.trace_gram(r) for r in tgt.elements()]], (dm, dm))[0]
+    # the fiber trace Grams, zero-padded to (|G_B|, dm, dm)
+    diag = np.arange(gb)
+    gram = trace_localize(y.bundle, y.hbundle.inner_array[
+        diag, diag, :, :, :y.bundle.dims[tgt.identity]])
     gram_scale = max(1.0, np.sqrt(ga * _sum_sq(gram)))
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -437,25 +428,41 @@ def _chunked_sum_sq(count: int, entries: int, defect) -> float:
 
 # -- imprimitivity -----------------------------------------------------------
 
-@dataclass
 class EquivalenceBundle:
     """Two-sided equivalence data over one group: a right Hilbert bundle over
     the right-hand bundle, plus a left action and a left-hand-valued inner
-    product [x, y] in A_{r s^-1} (linear in the first slot)."""
+    product [x, y] in A_{r s^-1} (linear in the first slot).
 
-    left_bundle: FellBundle
-    right: SemiInnerBundle
-    lact: list  # lact[g][r]: (dim A_g, m_{gr}, m_r)
-    linner: list  # linner[r][s]: (m_r, m_s, dim A_{r s^-1})
+    lact[g][r] has shape (dim A_g, m_{gr}, m_r) and linner[r][s] shape
+    (m_r, m_s, dim A_{r s^-1}).  Both are stored as read-only zero-padded
+    arrays, lact_array (the ops_array of the left action, built once) and
+    linner_array (|G|, |G|, dm, dm, da); lact and linner are tuples of
+    views of their blocks."""
+
+    def __init__(self, left_bundle: FellBundle, right: SemiInnerBundle, lact, linner):
+        grp = left_bundle.group
+        if grp != right.bundle.group:
+            raise ShapeMismatchError("the left and right bundles must share one group")
+        dims, size = right.dims, (grp.order, grp.order)
+        check_shapes(lact, size, lambda g, r: (
+            left_bundle.dims[g], dims[grp.mul(g, r)], dims[r]), "lact")
+        check_shapes(linner, size, lambda r, s: (
+            dims[r], dims[s], left_bundle.dims[grp.mul(r, grp.inv(s))]), "linner")
+        self.left_bundle = left_bundle
+        self.right = right
+        self._action = Action(left_bundle, identity_hom(grp), right, lact)
+        self.lact_array, self.lact = self._action.ops_array, self._action.ops
+        dm = max(dims, default=0)
+        self.linner_array, self.linner = stored(
+            linner, (dm, dm, max(left_bundle.dims, default=0)))
 
     def left_inner_coords(self, r: int, x, s: int, y) -> np.ndarray:
         return np.einsum("u,uvk,v->k", np.asarray(x), self.linner[r][s],
                          np.conj(np.asarray(y)))
 
     def left_action(self) -> Action:
-        from .groups import identity_hom
-        return Action(self.left_bundle, identity_hom(self.left_bundle.group),
-                      self.right, self.lact)
+        """The left action on the right Hilbert bundle, built once."""
+        return self._action
 
 
 def trivial_self_equivalence(bundle: FellBundle) -> EquivalenceBundle:
@@ -472,10 +479,8 @@ def trivial_self_equivalence(bundle: FellBundle) -> EquivalenceBundle:
 def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Section:
     """[xi, eta](h) = sum_k [xi(h k), eta(k)], a section of the left bundle."""
     grp = e.left_bundle.group
-    dm = max(e.right.dims, default=0)
-    linner = padded(e.linner, (dm, dm, max(e.left_bundle.dims, default=0)))
     # w[r, s] = [xi(r), eta(s)] in A_{r s^-1}
-    w = _pairings(linner, y.blocks(xi), y.blocks(eta).conj())
+    w = _pairings(e.linner_array, y.blocks(xi), y.blocks(eta).conj())
     out = w[grp.table, np.arange(grp.order)].sum(axis=1)
     return Section(e.left_bundle, [out[h, :d] for h, d in enumerate(e.left_bundle.dims)])
 
@@ -500,13 +505,11 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     act_rep = validate_action(e.left_action(), tol)
     rep.add("left action axioms", act_rep.ok, act_rep.worst)
 
-    # the left structure through the padded layout of hilbundles, built per call
+    # the left structure through the stored padded arrays
     order, tab, inv = grp.order, grp.table, grp.inverse
-    prod_a, star_a, _ = padded_structure(a_bundle)
-    act, inner = padded_module(hb)
+    prod_a, star_a = a_bundle.prod_array, a_bundle.star_array
+    act, inner, lact, linner = hb.act_array, hb.inner_array, e.lact_array, e.linner_array
     da, db, dm = star_a.shape[-1], act.shape[2], act.shape[-1]
-    lact = padded(e.lact, (da, dm, dm))
-    linner = padded(e.linner, (dm, dm, da))
     div = tab[:, inv]  # div[r, s] = r s^-1
 
     # left inner product: hermitian symmetry and left-linearity

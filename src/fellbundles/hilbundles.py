@@ -14,15 +14,15 @@ validator tests definiteness instead.  Completion is vacuous at finite
 dimension.  Cross-fiber inner products are required input: they are not
 reconstructed from unit-fiber data.
 
-The validator reads the nested lists through a padded graded layout,
-built afresh by every call (the lists stay the stored form and may be
-edited in place): act, inner and the bundle's prod, star_tensor and fiber
-bases become single arrays indexed by group elements, each block
+Both families are stored once, in a padded graded layout: act_array and
+inner_array are read-only arrays indexed by group elements, each block
 zero-padded to the largest bundle fiber dimension db and module fiber
-dimension dm (`padded_module`, `bundles.padded_structure`).  A tensor
-identity over all tuples (r, s, h) is then one gather through grp.table
-and grp.inverse plus one batched matmul, and the random-data inequalities
-draw their vectors in the order of the per-tuple loop, then evaluate them
+dimension dm, and act[r][h], inner[r][s] are tuples of read-only views of
+their blocks (`numerics.stored`).  The validator reads these arrays next to
+the bundle's prod_array, star_array and fiber_array.  A tensor identity
+over all tuples (r, s, h) is then one gather through grp.table and
+grp.inverse plus one batched matmul, and the random-data inequalities draw
+their vectors in the order of the per-tuple loop, then evaluate them
 together.  Batches are chunked so their intermediates stay near
 numerics.CHUNK_BYTES (4 MiB).
 """
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import FellBundle, crossed_embed, dynamical_bundle, padded_structure
+from .bundles import FellBundle, crossed_embed, dynamical_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, definite_check, frob, hermitian_defect, \
-    hermitian_psd_check, hermitian_psd_checks, opnorm, opnorms, padded, relative, \
-    shortfall, split_draws, worst_relative
+    hermitian_psd_check, hermitian_psd_checks, opnorm, opnorms, relative, shortfall, \
+    split_draws, stored, worst_relative
 from .reports import Report
 
 
@@ -52,9 +52,24 @@ class NotModuleError(ValueError):
     pass
 
 
+def check_shapes(blocks, size, want, name: str, error=ShapeMismatchError) -> None:
+    """Raise `error` unless blocks is a size[0] x size[1] list of lists whose
+    block [i][j] has the shape want(i, j)."""
+    if len(blocks) != size[0] or any(len(row) != size[1] for row in blocks):
+        raise error(f"{name} must hold {size[0]} x {size[1]} blocks")
+    for i, row in enumerate(blocks):
+        for j, blk in enumerate(row):
+            if np.shape(blk) != want(i, j):
+                raise error(f"{name}[{i}][{j}] must have shape {want(i, j)}")
+
+
 class SemiInnerBundle:
     """Semi-inner-product bundle: all Hilbert-bundle data, definiteness not
-    promised.  separate() quotients it to an honest Hilbert bundle."""
+    promised.  separate() quotients it to an honest Hilbert bundle.
+
+    act_array (|G|, |G|, db, dm, dm) and inner_array (|G|, |G|, dm, dm, db)
+    are the stored, read-only, zero-padded tensors; act and inner are tuples
+    of views of their blocks."""
 
     def __init__(self, bundle: FellBundle, dims, act, inner):
         self.bundle = bundle
@@ -62,18 +77,14 @@ class SemiInnerBundle:
         grp = bundle.group
         if len(self.dims) != grp.order:
             raise ShapeMismatchError("need one fiber dimension per group element")
-        self.act = act
-        self.inner = inner
-        for r in grp.elements():
-            for h in grp.elements():
-                want = (bundle.dims[h], self.dims[grp.mul(r, h)], self.dims[r])
-                if act[r][h].shape != want:
-                    raise ShapeMismatchError(f"act[{r}][{h}] must have shape {want}")
-            for s in grp.elements():
-                k = grp.mul(grp.inv(r), s)
-                want = (self.dims[r], self.dims[s], bundle.dims[k])
-                if inner[r][s].shape != want:
-                    raise ShapeMismatchError(f"inner[{r}][{s}] must have shape {want}")
+        size = (grp.order, grp.order)
+        check_shapes(act, size, lambda r, h: (
+            bundle.dims[h], self.dims[grp.mul(r, h)], self.dims[r]), "act")
+        check_shapes(inner, size, lambda r, s: (
+            self.dims[r], self.dims[s], bundle.dims[grp.mul(grp.inv(r), s)]), "inner")
+        db, dm = max(bundle.dims, default=0), max(self.dims, default=0)
+        self.act_array, self.act = stored(act, (db, dm, dm))
+        self.inner_array, self.inner = stored(inner, (dm, dm, db))
 
     # -- elementwise operations -------------------------------------------
 
@@ -107,17 +118,10 @@ class HilbertBundle(SemiInnerBundle):
 
 
 def trace_localize(bundle: FellBundle, tens) -> np.ndarray:
-    """Inner products tens (m, m', d_e) in unit-fiber coordinates, localized
-    at the ambient trace: (m, m')."""
+    """Inner products tens (..., m, m', d_e) in unit-fiber coordinates,
+    localized at the ambient trace: (..., m, m')."""
     traces = np.array([np.trace(b) for b in bundle.fibers[bundle.group.identity]])
-    return np.einsum("uvk,k->uv", tens, traces)
-
-
-def padded_module(x: SemiInnerBundle):
-    """(act, inner) of x as zero-padded arrays: act[r, h] of shape
-    (db, dm, dm) and inner[r, s] of shape (dm, dm, db)."""
-    db, dm = max(x.bundle.dims, default=0), max(x.dims, default=0)
-    return padded(x.act, (db, dm, dm)), padded(x.inner, (dm, dm, db))
+    return np.einsum("...k,k->...", tens, traces)
 
 
 def ambient_inners(inner, fibers, quot, r, u, s, v) -> np.ndarray:
@@ -153,8 +157,8 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     grp = bundle.group
     order, tab, inv = grp.order, grp.table, grp.inverse
     quot = tab[inv]  # quot[r, s] = r^-1 s
-    prod, star, fibers = padded_structure(bundle)
-    act, inner = padded_module(x)
+    prod, star, fibers = bundle.prod_array, bundle.star_array, bundle.fiber_array
+    act, inner = x.act_array, x.inner_array
     db, dm, n = fibers.shape[1], act.shape[-1], bundle.ambient_dim
     rep = Report(subject)
 
@@ -271,21 +275,12 @@ def validate_semi_inner_bundle(x: SemiInnerBundle, tol: Tolerance | None = None)
 def trivial_hilbert_bundle(bundle: FellBundle) -> HilbertBundle:
     """The bundle as a module over itself, <b, c> = b*c."""
     grp = bundle.group
-    dims = list(bundle.dims)
-    act = [[None] * grp.order for _ in grp.elements()]
-    inner = [[None] * grp.order for _ in grp.elements()]
-    for r in grp.elements():
-        for h in grp.elements():
-            act[r][h] = np.stack([
-                bundle.right_mult_matrix(r, h, np.eye(bundle.dims[h])[i])
-                for i in range(bundle.dims[h])
-            ]) if bundle.dims[h] else np.zeros((0, dims[grp.mul(r, h)], dims[r]))
-        for s in grp.elements():
-            rinv = grp.inv(r)
-            # <b_u, b_v> = b_u* b_v via the star and product tensors
-            inner[r][s] = np.einsum("uw,wvk->uvk",
-                                    bundle.star_tensor[r], bundle.prod[rinv][s])
-    return HilbertBundle(bundle, dims, act, inner)
+    # x -> x.b_i from A_r to A_rh reads slice [:, i] of the product tensor
+    act = [[p.transpose(1, 2, 0) for p in row] for row in bundle.prod]
+    # <b_u, b_v> = b_u* b_v via the star and product tensors
+    inner = [[np.einsum("uw,wvk->uvk", bundle.star_tensor[r], bundle.prod[grp.inv(r)][s])
+              for s in grp.elements()] for r in grp.elements()]
+    return HilbertBundle(bundle, list(bundle.dims), act, inner)
 
 
 def compress_bundle(x: SemiInnerBundle, bases) -> HilbertBundle:
@@ -345,14 +340,9 @@ def regularize_bundle(x: SemiInnerBundle) -> HilbertBundle:
     grp = x.bundle.group
     n = grp.order
     dims = [n * m for m in x.dims]
-    act = [[None] * n for _ in grp.elements()]
+    act = [[np.kron(np.eye(n), blk) for blk in row] for row in x.act]
     inner = [[None] * n for _ in grp.elements()]
-    eye = np.eye(n)
     for r in grp.elements():
-        for h in grp.elements():
-            base = x.act[r][h]
-            act[r][h] = np.stack([np.kron(eye, base[i]) for i in range(base.shape[0])]) \
-                if base.shape[0] else np.zeros((0, dims[grp.mul(r, h)], dims[r]))
         for s in grp.elements():
             k = x.inner[r][s].shape[2]
             out = np.zeros((dims[r], dims[s], k), dtype=np.complex128)
@@ -375,18 +365,19 @@ def l2_bundle(bundle: FellBundle) -> HilbertBundle:
     offs = np.concatenate([[0], np.cumsum(d)]).astype(int)
     total = int(offs[-1])
     dims = [total] * n
-    act = [[None] * n for _ in grp.elements()]
+    # the right action by b_i in B_s does not depend on the tag r; its block
+    # from tsrc = t s^-1 to t reads slice [:, i] of the product tensor
+    act_by = []
+    for s in grp.elements():
+        mats = np.zeros((d[s], total, total), dtype=np.complex128)
+        for t in grp.elements():
+            tsrc = grp.mul(t, grp.inv(s))
+            mats[:, offs[t]:offs[t + 1], offs[tsrc]:offs[tsrc + 1]] = \
+                bundle.prod[tsrc][s].transpose(1, 2, 0)
+        act_by.append(mats)
+    act = [act_by] * n
     inner = [[None] * n for _ in grp.elements()]
     for r in grp.elements():
-        for s in grp.elements():
-            mats = np.zeros((d[s], total, total), dtype=np.complex128)
-            for i in range(d[s]):
-                unit = np.eye(d[s])[i]
-                for t in grp.elements():
-                    tsrc = grp.mul(t, grp.inv(s))
-                    blk = bundle.right_mult_matrix(tsrc, s, unit)
-                    mats[i, offs[t]:offs[t + 1], offs[tsrc]:offs[tsrc + 1]] = blk
-            act[r][s] = mats
         for s in grp.elements():
             k = grp.mul(grp.inv(r), s)
             out = np.zeros((total, total, d[k]), dtype=np.complex128)

@@ -5,9 +5,11 @@ Grams) reduces to Hermitian eigenproblems, PSD and definiteness checks,
 numerical ranks and subspace bookkeeping on small complex matrices.  All tolerances are
 relative to a matrix norm, never absolute.
 
-The batched checks read nested per-group-element tensors as one zero-padded
-array (`padded`) and evaluate a family of small identities or matrices in
-chunks whose intermediates stay near CHUNK_BYTES (`chunks`).
+The bundle objects store each nested per-group-element tensor family once,
+as one zero-padded read-only array with nested tuples of views of its blocks
+(`stored`, `freeze`); the batched checks read those arrays and evaluate a
+family of small identities or matrices in chunks whose intermediates stay
+near CHUNK_BYTES (`chunks`).
 """
 
 from __future__ import annotations
@@ -124,6 +126,29 @@ def padded(blocks, shape) -> np.ndarray:
         for j, blk in enumerate(row):
             out[(i, j, *map(slice, np.shape(blk)))] = blk
     return out
+
+
+def freeze(arr: np.ndarray, shapes):
+    """Make arr read-only and return nested tuples of views of its blocks:
+    `shapes` nests lists of block shapes, and the block at index path
+    (i, j, ...) is arr[i, j, ..., :a, :b, ...] for the shape (a, b, ...)
+    at that path."""
+    arr.flags.writeable = False
+
+    def views(s, index):
+        if isinstance(s, tuple):
+            return arr[(*index, *map(slice, s))]
+        return tuple(views(t, (*index, i)) for i, t in enumerate(s))
+
+    return views(shapes, ())
+
+
+def stored(blocks, shape):
+    """The stored form of a list of lists of blocks: their `padded` array,
+    read-only, and the nested tuples of views of its blocks at their own
+    shapes (`freeze`)."""
+    arr = padded(blocks, shape)
+    return arr, freeze(arr, [[np.shape(b) for b in row] for row in blocks])
 
 
 def split_draws(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
@@ -262,6 +287,18 @@ def rank_check(m, rank: int, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]
     return kth > tol.rel_rank * scale, shortfall(kth, scale, tol.rel_rank)
 
 
+def overflow_scale(a, what: str) -> float:
+    """The power of two mu >= 1 that brings max|a| into [1, 2), or 1 when
+    max|a| <= 1.  Dividing by a power of two is exact, so the eigenvalues,
+    norms, products and singular vectors of a / mu are those of a divided by
+    mu, yet they cannot overflow on huge finite entries.  Non-finite entries
+    are refused as an OverflowError naming `what`."""
+    peak = float(np.abs(a).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise OverflowError(f"the {what} exceeds the floating-point range")
+    return 1.0 if peak <= 1.0 else math.ldexp(1.0, math.frexp(peak)[1] - 1)
+
+
 def kron(a, b) -> np.ndarray:
     return np.kron(as_cmatrix(a), as_cmatrix(b))
 
@@ -271,13 +308,19 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Returns rows spanning the same subspace, orthonormal in the standard
     Hermitian inner product.  Rank is decided by SVD at rel_rank relative
-    to the largest singular value.
+    to the largest singular value.  Finite rows whose norms would overflow
+    are first divided by the power of two of `overflow_scale` (of the real
+    and imaginary parts), which leaves the span as it is.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         v = v.reshape(len(v), -1)
     if v.shape[0] == 0:
         return v
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(np.linalg.norm(v, axis=1)).any() and np.isfinite(v).all()
+    if overflow:
+        v = v / max(overflow_scale(v.real, "vectors"), overflow_scale(v.imag, "vectors"))
     u, s, vh = np.linalg.svd(v, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, v.shape[1]), dtype=np.complex128)

@@ -17,7 +17,6 @@ or shift is formed.
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, compress_inner, \
     separating_bases, trace_localize
 from .numerics import CHUNK_BYTES, DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, \
-    opnorm, padded, split_draws
+    opnorm, overflow_scale, padded, split_draws
 
 
 class NotUnitalError(ValueError):
@@ -198,7 +197,7 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
     # unpadded rows (k, x, a), x < dims[k], in the order of `pairs`
     rows = np.flatnonzero(np.repeat(np.arange(dm) < np.asarray(src.dims)[:, None], n))
     gram = t_values_ambient(t)
-    mu = _overflow_scale(gram)
+    mu = overflow_scale(gram, "positivity form")
     if len(rows) < len(gram):
         gram = gram[np.ix_(rows, rows)]
     # the certificate over mu, which leaves every verdict and margin as it is
@@ -223,7 +222,7 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
     if not len(cols):
         return cert
     size = len(pairs)
-    beta = _padded_fibers(tgt, labels, dbm)
+    beta = tgt.fiber_array[labels, :dbm]
     local = _localized_form(gram, beta)[np.ix_(cols, cols)]
     _, v = np.linalg.eigh((local + dagger(local)) / 2)
     coeffs = np.zeros(size * dbm, dtype=np.complex128)
@@ -234,17 +233,6 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
                     for p, ((g, i), c) in enumerate(zip(pairs, cs.reshape(size, n, n)))]
     cert.witness_sum = _unscaled(dagger(cs) @ gram @ cs, mu, "witness sum")
     return cert
-
-
-def _overflow_scale(form: np.ndarray) -> float:
-    """The power of two mu >= 1 that brings max|form| into [1, 2), or 1 when
-    max|form| <= 1.  Dividing by a power of two is exact, so the eigenvalues,
-    norms and products of form / mu are those of form divided by mu, yet they
-    cannot overflow on huge finite entries."""
-    peak = float(np.abs(form).max(initial=0.0))
-    if not math.isfinite(peak):
-        raise OverflowError("the positivity form exceeds the floating-point range")
-    return 1.0 if peak <= 1.0 else math.ldexp(1.0, math.frexp(peak)[1] - 1)
 
 
 def _unscaled(value, mu: float, what: str):
@@ -267,43 +255,31 @@ class SampledCheck:
         return self.ok
 
 
-def _padded_fibers(bundle: FellBundle, labels, width: int) -> np.ndarray:
-    """(len(labels), width, n, n): the fiber bases over `labels`, each
-    zero-padded to `width` basis elements."""
-    n = bundle.ambient_dim
-    return padded([[bundle.fibers[g] for g in labels]], (width, n, n))[0]
-
-
 def t_values_ambient(t: BundleMap) -> np.ndarray:
     """The positivity form of t as one padded square array.
 
     Entry [(k, x, a), (k2, y, b)] is entry (a, b) of the ambient value of
     T(a_x^{k*} a_y^{k2}), with k, k2 source group elements, x, y basis
     indices zero-padded to the largest source fiber and a, b ambient
-    indices of the target: shape (G*dmax*n, G*dmax*n).  Built afresh on each
-    call: the exact certificate, the sampled check and the reconstruction
-    each build and read their own copy, so `pd-check` builds it twice.
+    indices of the target: shape (G*dmax*n, G*dmax*n).  It reads the stored
+    structure tensors of the source and fiber bases of the target, and pads
+    only the blocks of t, which stay nested.  The form is built afresh on
+    each call: the exact certificate, the sampled check and the
+    reconstruction each build and read their own copy, so `pd-check` builds
+    it twice.
     """
     src, tgt = t.source, t.target
     grp = src.group
     order, n = grp.order, tgt.ambient_dim
     dm, dbm = max(src.dims, default=0), max(tgt.dims, default=0)
     quot = grp.table[grp.inverse]  # quot[k, k2] = k^-1 k2
-    star = np.zeros((order, dm, dm), dtype=np.complex128)
-    prod = np.zeros((order, order, dm, dm, dm), dtype=np.complex128)
-    mats = np.zeros((order, dbm, dm), dtype=np.complex128)
-    for k in grp.elements():
-        kinv = grp.inv(k)
-        star[k, :src.dims[k], :src.dims[kinv]] = src.star_tensor[k]
-        mats[k, :tgt.dims[t.hom(k)], :src.dims[k]] = t.mats[k]
-        for k2 in grp.elements():
-            p = src.prod[kinv][k2]
-            prod[k, k2, :p.shape[0], :p.shape[1], :p.shape[2]] = p
+    star, prod = src.star_array, src.prod_array[grp.inverse]
+    mats = padded([t.mats], (dbm, dm))[0]
     # coords of a_x^{k*} a_y^{k2} in A_{k^-1 k2}, then of its image under T
     spt = (star[:, None] @ prod.reshape(order, order, dm, dm * dm)).reshape(
         order, order, dm * dm, dm)
     coords = spt @ mats[quot].transpose(0, 1, 3, 2)  # (G, G, dm*dm, dbm)
-    fibers = _padded_fibers(tgt, tgt.group.elements(), dbm).reshape(-1, dbm, n * n)
+    fibers = tgt.fiber_array.reshape(-1, dbm, n * n)
     phi_quot = t.hom.map[quot]
     tt = np.empty((order, dm, n, order, dm, n), dtype=np.complex128)
     for k in grp.elements():
@@ -363,11 +339,11 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     da, db = np.asarray(src.dims), np.asarray(tgt.dims)[t.hom.map]
     dm, dbm = int(da.max(initial=0)), int(db.max(initial=0))
     tt = t_values_ambient(t)
-    mu = _overflow_scale(tt)
+    mu = overflow_scale(tt, "positivity form")
     if mu != 1:
         tt /= mu
     side = tt.shape[0]
-    fibers = _padded_fibers(tgt, t.hom.map, dbm)
+    fibers = tgt.fiber_array[t.hom.map, :dbm]
     fold = dbm < n
     if fold:
         # tt becomes y: y[(k, x, c), (r, col)] = sum_a beta_c^{phi(k)}[r, a] T[(k, x, a), col]
@@ -447,7 +423,7 @@ def gns_raw_gram(t: BundleMap) -> list[list[np.ndarray]]:
     # tt as (k2, (k, x, b, y), c): the right-hand ambient index last
     tt = t_values_ambient(t).reshape(rows, order, dm, n).transpose(1, 0, 2, 3) \
         .reshape(order, rows * dm, n)
-    fibers = _padded_fibers(tgt, tgrp.elements(), dbm)
+    fibers = tgt.fiber_array
     bleg, slots = _gns_slots(t)
     ip0 = [[None] * tgrp.order for _ in tgrp.elements()]
     for s in tgrp.elements():
@@ -503,7 +479,7 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
         pad.reshape(side, -1)[rows] = k
 
     # right action: (xi . b)(k) = xi(k) . b on the second tensor leg
-    prod_b = padded(tgt.prod, (db, db, db)).transpose(0, 1, 3, 4, 2)  # (f, h, u, j2, j1)
+    prod_b = tgt.prod_array.transpose(0, 1, 3, 4, 2)  # (f, h, u, j2, j1)
     act = [[None] * tgrp.order for _ in tgrp.elements()]
     for r in tgrp.elements():
         kr = kpad[r].transpose(0, 2, 1, 3).reshape(order, db, da * dims[r])  # (k, j1, (i, z))
@@ -514,7 +490,7 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
             act[r][h] = (out.conj().T @ moved.reshape(db, side, dims[r]))[:tgt.dims[h]]
 
     # left action: (rho(a) xi)(gk) = a . xi(k) on the first tensor leg
-    prod_a = padded(src.prod, (da, da, da)).transpose(0, 1, 2, 4, 3)  # (g, k, u, i2, i)
+    prod_a = src.prod_array.transpose(0, 1, 2, 4, 3)  # (g, k, u, i2, i)
     ops = [[None] * tgrp.order for _ in grp.elements()]
     for g in grp.elements():
         for r in tgrp.elements():

@@ -310,6 +310,8 @@ def equivalence_from_json(data) -> EquivalenceBundle:
         raw_linner = _family(data, "linner", _pair_keys(grp))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"equivalence JSON is missing fields: {exc}") from exc
+    if right.bundle.group != grp:
+        raise FormatError("'left_bundle' and 'right' must be bundles over the same group")
     dims = right.dims
     lact = [[tensor3_from_json(
         raw_lact[f"{g},{r}"],

@@ -21,7 +21,7 @@ from fellbundles.cli import main
 from fellbundles.correspondences import trivial_self_equivalence, verify_imprimitivity
 from fellbundles.groups import make_cyclic
 from fellbundles.hilbundles import l2_bundle, validate_hilbert_bundle
-from fellbundles.numerics import Tolerance, frob
+from fellbundles.numerics import Tolerance, frob, stored
 from fellbundles.pdmaps import identity_bundle_map, pd_check_exact
 
 from test_pdmaps_batched import indefinite_identity, m3_z3
@@ -71,10 +71,11 @@ def reference_decode_tensor(data, shape):
 
 
 def reference_build_structure(self):
-    """FellBundle._build_structure as one `coords` call per basis product."""
+    """FellBundle._build_structure as one `coords` call per basis product,
+    stored in the padded read-only form."""
     grp = self.group
     n = grp.order
-    self.prod = [[None] * n for _ in range(n)]
+    prod = [[None] * n for _ in range(n)]
     self.grading_residual = np.zeros((n, n))
     for g in grp.elements():
         for h in grp.elements():
@@ -88,9 +89,9 @@ def reference_build_structure(self):
                     c, res = self.coords(gh, p)
                     tensor[i, j] = c
                     worst = max(worst, res * frob(p))
-            self.prod[g][h] = tensor
+            prod[g][h] = tensor
             self.grading_residual[g, h] = worst
-    self.star_tensor = []
+    star = []
     self.involution_residual = np.zeros(n)
     for g in grp.elements():
         ginv = grp.inv(g)
@@ -100,8 +101,12 @@ def reference_build_structure(self):
             c, res = self.coords(ginv, self.fibers[g][i].conj().T)
             t[i] = c
             worst = max(worst, res)
-        self.star_tensor.append(t)
+        star.append(t)
         self.involution_residual[g] = worst
+    db = max(self.dims, default=0)
+    self.prod_array, self.prod = stored(prod, (db, db, db))
+    star_array, star_views = stored([star], (db, db))
+    self.star_array, self.star_tensor = star_array[0], star_views[0]
     eye = np.eye(self.ambient_dim, dtype=np.complex128)
     self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
     self.unital = self.unit_residual <= 10 * self._tol.rel_rank

@@ -6,6 +6,7 @@ from fellbundles.bundles import (
     FellBundle,
     NotActionError,
     NotAutomorphismError,
+    bundles_equal,
     check_saturated,
     check_subbundle_and_expectation,
     dynamical_bundle,
@@ -44,6 +45,18 @@ def test_group_bundle_z2():
     assert np.allclose(u_g @ u_g, np.eye(2))
     assert validate_bundle(b).ok
     assert b.unital
+
+
+def test_huge_fibers_are_rescaled_not_dropped():
+    """Fibers with entries near the float maximum: their row norms overflow,
+    so they are divided by a power of two before the SVD and keep their
+    span, instead of vanishing."""
+    grp = make_cyclic(2)
+    u = [regular_unitary(grp, g) for g in grp.elements()]
+    b = FellBundle(grp, 2, [-1.7e308 * u[0][None], (1.7e308 + 1.7e308j) * u[1][None]])
+    assert b.dims == [1, 1]
+    assert bundles_equal(b, group_bundle(grp))
+    assert validate_bundle(b).ok
 
 
 def test_group_bundle_z3_order():

@@ -11,6 +11,7 @@ import fellbundles
 from fellbundles import serialize as sz
 from fellbundles.bundles import group_bundle
 from fellbundles.cli import main
+from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.pdmaps import identity_bundle_map, scalar_bundle_map
 
@@ -166,6 +167,19 @@ def test_morita_command(tmp_path, capsys):
     code, out = run(capsys, "morita", epath)
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_morita_refuses_bundles_over_different_groups(tmp_path, capsys):
+    """An equivalence file whose left bundle has a larger group than its
+    right Hilbert bundle, with lact and linner keyed by pairs of the larger
+    group, is malformed input (exit 2), not an IndexError traceback."""
+    payload = sz.equivalence_to_json(trivial_self_equivalence(group_bundle(make_cyclic(2))))
+    payload["left_bundle"] = sz.bundle_to_json(group_bundle(make_cyclic(3)))
+    for key in ("lact", "linner"):
+        payload[key] = {f"{g},{r}": payload[key]["0,0"] for g in range(3) for r in range(3)}
+    code, out = run(capsys, "morita", write(tmp_path, "mixed.json", payload))
+    assert code == 2
+    assert "same group" in json.loads(out)["error"]
 
 
 def test_report_command_on_bundle(z2_bundle_file, capsys):

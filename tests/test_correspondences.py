@@ -21,7 +21,7 @@ from fellbundles.correspondences import (
 )
 from fellbundles.crosssec import Section, convolve, cstar_norm, rep_matrix, star
 from fellbundles.groups import make_cyclic, symmetric_group
-from fellbundles.hilbundles import HilbertBundle, trivial_hilbert_bundle
+from fellbundles.hilbundles import HilbertBundle, ShapeMismatchError, trivial_hilbert_bundle
 from fellbundles.numerics import psd_check
 from fellbundles.pdmaps import cached_rep, gelfand_raikov, identity_bundle_map, phi_t
 
@@ -293,6 +293,24 @@ def test_imprimitivity_m2_over_c():
     e = EquivalenceBundle(a_bundle, right, lact, linner)
     rep = verify_imprimitivity(e, seed=18)
     assert rep.ok, str(rep)
+
+
+def test_equivalence_bundle_checks_its_groups_and_blocks():
+    """Groups must agree and every lact/linner block must have its shape,
+    since the stored form would zero-fill a block that is too small; the
+    left action is built once and shares its stored operators."""
+    b = group_bundle(make_cyclic(2))
+    e = trivial_self_equivalence(b)
+    assert e.left_action() is e.left_action()
+    assert e.lact_array is e.left_action().ops_array
+    with pytest.raises(ShapeMismatchError):
+        EquivalenceBundle(group_bundle(make_cyclic(3)), e.right, e.lact, e.linner)
+    for key in ("lact", "linner"):
+        tensors = {"lact": [list(row) for row in e.lact],
+                   "linner": [list(row) for row in e.linner]}
+        tensors[key][1][0] = tensors[key][1][0][..., :0]
+        with pytest.raises(ShapeMismatchError):
+            EquivalenceBundle(b, e.right, tensors["lact"], tensors["linner"])
 
 
 def test_imprimitivity_self_equivalence():

@@ -9,6 +9,7 @@ from fellbundles.bundles import (
 )
 from fellbundles.groups import make_cyclic, symmetric_group
 from fellbundles.hilbundles import (
+    HilbertBundle,
     HilbertModule,
     SemiInnerBundle,
     check_unitary_bundle_map,
@@ -72,8 +73,9 @@ def test_perturbed_inner_tensor_flagged():
     b = group_bundle(make_cyclic(2))
     x = trivial_hilbert_bundle(b)
     rng = np.random.default_rng(0)
-    x.inner[0][1] = x.inner[0][1] + 1e-3 * rng.standard_normal(x.inner[0][1].shape)
-    rep = validate_hilbert_bundle(x)
+    inner = [list(row) for row in x.inner]
+    inner[0][1] = inner[0][1] + 1e-3 * rng.standard_normal(inner[0][1].shape)
+    rep = validate_hilbert_bundle(HilbertBundle(b, x.dims, x.act, inner))
     assert not rep.ok
     assert any("<x,y>*" in item.name for item in rep.failures())
 
