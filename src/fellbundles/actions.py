@@ -206,11 +206,17 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
     return rep
 
 
+def left_multiplication(bundle: FellBundle):
+    """The operators of left multiplication of the bundle on itself, nested
+    by (g, h): x -> b_i x from A_h to A_gh reads slice i of the product
+    tensor."""
+    return [[p.transpose(0, 2, 1) for p in row] for row in bundle.prod]
+
+
 def trivial_action(bundle: FellBundle) -> Action:
-    """Left multiplication of the bundle on itself: x -> b_i x from A_h to
-    A_gh reads slice i of the product tensor."""
-    ops = [[p.transpose(0, 2, 1) for p in row] for row in bundle.prod]
-    return Action(bundle, identity_hom(bundle.group), trivial_hilbert_bundle(bundle), ops)
+    """Left multiplication of the bundle on itself."""
+    return Action(bundle, identity_hom(bundle.group), trivial_hilbert_bundle(bundle),
+                  left_multiplication(bundle))
 
 
 def regularize_action(rho: Action) -> Action:

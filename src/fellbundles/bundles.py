@@ -14,7 +14,9 @@ The fibers, the product tensor and the star tensor are each stored once,
 as one read-only array indexed by group elements and zero-padded to the
 largest fiber dimension db (`fiber_array`, `prod_array`, `star_array`);
 `fibers[g]`, `prod[g][h]` and `star_tensor[g]` are tuples of read-only
-views of their blocks (`numerics.freeze`).
+views of their blocks (`numerics.freeze`).  The irreducible types of the
+*-algebra spanned by all fibers (`blocks`) and of A_e (`unit_blocks`) are
+decomposed once per bundle, when first read.
 
 Construction is whole-array.  One batched Gram decides which input fibers
 are already HS-orthonormal, and the structure tensors come from batched
@@ -28,13 +30,14 @@ by one scatter and one batched matmul.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import FiniteGroup
-from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, chunks, freeze, frob, \
-    hermitian_psd_check, orthonormal_basis, padded
+from .numerics import DEFAULT_TOL, Blocks, Tolerance, as_cmatrix, chunks, decompose_algebra, \
+    freeze, frob, hermitian_psd_check, one_block, orthonormal_basis, padded
 from .reports import Report
 
 
@@ -174,6 +177,32 @@ class FellBundle:
         self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
         self.unital = self.unital_at(self._tol)
 
+    # -- irreducible blocks ------------------------------------------------
+
+    def _decomposed(self, basis, residual: float) -> Blocks:
+        """decompose_algebra of the span of `basis` at the construction
+        tolerance, or one block when the recorded grading or involution
+        `residual` says that the span is not a *-algebra."""
+        if residual > 10 * self._tol.rel_rank:
+            return one_block(self.ambient_dim)
+        return decompose_algebra(basis, self._tol)
+
+    @functools.cached_property
+    def blocks(self) -> Blocks:
+        """The irreducible types of the *-algebra spanned by all fibers,
+        decomposed on first use."""
+        return self._decomposed(
+            np.concatenate(self.fibers),
+            max(self.grading_residual.max(initial=0.0), self.involution_residual.max(initial=0.0)))
+
+    @functools.cached_property
+    def unit_blocks(self) -> Blocks:
+        """The irreducible types of the unit fiber A_e, decomposed on first
+        use."""
+        e = self.group.identity
+        return self._decomposed(
+            self.fibers[e], max(self.grading_residual[e, e], self.involution_residual[e]))
+
     def unital_at(self, tol: Tolerance) -> bool:
         """Whether the ambient identity lies in A_e, judged at `tol` from the
         recorded unit residual (`unital` is this at the construction
@@ -262,8 +291,9 @@ def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
 
 def group_bundle(group: FiniteGroup) -> FellBundle:
     """The group bundle: one-dimensional fibers spanned by the left-regular
-    permutation matrices u_g inside M_|G|."""
-    return FellBundle(group, group.order, regular_unitaries(group)[:, None])
+    permutation matrices u_g inside M_|G|, passed HS-normalized (each
+    u_g / sqrt|G|) so that the bundle keeps them verbatim."""
+    return FellBundle(group, group.order, regular_unitaries(group)[:, None] / np.sqrt(group.order))
 
 
 def regular_unitaries(group: FiniteGroup) -> np.ndarray:

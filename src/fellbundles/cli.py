@@ -347,6 +347,16 @@ def make_parser() -> argparse.ArgumentParser:
                     "definiteness, run the reconstruction pipeline and check "
                     "Morita equivalences.",
     )
+    # the arguments every command shares, added once and copied into each
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("file", help="input JSON file")
+    shared.add_argument("--tol-psd", type=float, default=1e-8)
+    shared.add_argument("--tol-rank", type=float, default=1e-9)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--samples", type=int, default=200)
+    shared.add_argument("--full", action="store_true",
+                        help="embed certificate matrices in the report")
+    shared.add_argument("-o", "--output", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("validate", "run the axiom battery for the object in FILE"),
@@ -357,15 +367,7 @@ def make_parser() -> argparse.ArgumentParser:
         ("morita", "verify an imprimitivity bimodule"),
         ("report", "extended diagnostics for the object in FILE"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="input JSON file")
-        p.add_argument("--tol-psd", type=float, default=1e-8)
-        p.add_argument("--tol-rank", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--full", action="store_true",
-                       help="embed certificate matrices in the report")
-        p.add_argument("-o", "--output", default=None)
+        p = sub.add_parser(name, help=help_text, parents=[shared])
         if name == "correspond":
             p.add_argument("--vector", default=None,
                            help="vector JSON for the cyclicity check; the vector "

@@ -32,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, WrongFiberError, compress_action, trivial_action
+from .actions import Action, WrongFiberError, compress_action, left_multiplication
 from .bundles import FellBundle, bundles_equal
 from .crosssec import Section, ambient_image, convolve, cstar_norm, star
 from .groups import identity_hom
 from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
-    compress_bundle, trace_localize
+    compress_bundle, trace_localize, trivial_hilbert_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, dagger, definite_blocks, frob, \
     numerical_rank, orthonormal_basis, padded, psd_check, rank_check, relative, stored, \
     worst_relative
@@ -469,11 +469,11 @@ def trivial_self_equivalence(bundle: FellBundle) -> EquivalenceBundle:
     """A unital bundle as an equivalence between itself and itself:
     [x, y] = x y* on the left, <x, y> = x* y on the right."""
     grp = bundle.group
-    rho = trivial_action(bundle)
     linner = [[np.einsum("vw,uwk->uvk", bundle.star_tensor[s],
                          bundle.prod[r][grp.inv(s)])
                for s in grp.elements()] for r in grp.elements()]
-    return EquivalenceBundle(bundle, rho.target, rho.ops, linner)
+    return EquivalenceBundle(bundle, trivial_hilbert_bundle(bundle), left_multiplication(bundle),
+                             linner)
 
 
 def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Section:
@@ -534,7 +534,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     # left positivity and definiteness via the fiber Grams
     unit = grp.identity
     diag = linner[np.arange(order), np.arange(order), :, :, :a_bundle.dims[unit]]
-    ok_pos, worst = block_grams_psd(diag, a_bundle.fibers[unit], tol)
+    ok_pos, worst = block_grams_psd(diag, a_bundle.fibers[unit], a_bundle.unit_blocks, tol)
     rep.add("left fiber Grams PSD", ok_pos, worst)
 
     # compatibility [x, y] z = x <y, z>, both sides indexed

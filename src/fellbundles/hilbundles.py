@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import FellBundle, crossed_embed, dynamical_bundle
-from .numerics import DEFAULT_TOL, Tolerance, chunks, definite_check, frob, hermitian_defect, \
-    hermitian_psd_check, hermitian_psd_checks, opnorm, opnorms, relative, shortfall, \
-    split_draws, stored, worst_relative
+from .numerics import DEFAULT_TOL, Blocks, Tolerance, chunks, definite_check, frob, \
+    hermitian_defect, hermitian_psd_blocks, hermitian_psd_check, opnorm, opnorms, relative, \
+    shortfall, split_draws, stored, worst_relative
 from .reports import Report
 
 
@@ -135,18 +135,28 @@ def ambient_inners(inner, fibers, quot, r, u, s, v) -> np.ndarray:
         .reshape(len(r), n, n)
 
 
-def block_grams_psd(diag, basis, tol: Tolerance) -> tuple[bool, float]:
+def block_grams_psd(diag, basis, blocks: Blocks, tol: Tolerance) -> tuple[bool, float]:
     """hermitian_psd_check of the ambient block Grams [ element(e, diag[r, u, v]) ]_uv
     of every fiber r, with basis the (d_e, n, n) unit-fiber basis: (all ok,
-    worst residual).  Zero padding of a Gram adds zero eigenvalues only, so
-    it changes neither verdict nor residual."""
+    worst residual).  Each Gram lies in M_m(A_e), so it is judged on its
+    irreducible blocks (`blocks`, the types of A_e): from the compressed
+    basis W_i* b W_i, the Gram of type i has side m * n_i, and its Frobenius
+    norms count m_i times (`numerics.hermitian_psd_blocks`).  Zero padding
+    of a Gram, and the zero part of a unit fiber that is not unital in M_n,
+    add zero eigenvalues only, so they change neither verdict nor residual."""
     count, m = diag.shape[:2]
-    n = basis.shape[-1]
+    groups = blocks.compress(basis)
+    entries = sum(len(mult) * (m * comp.shape[-1]) ** 2 for mult, comp in groups)
     ok, worst = True, 0.0
-    for idx in chunks(count, (m * n) ** 2):
-        grams = (diag[idx] @ basis.reshape(len(basis), n * n)).reshape(len(idx), m, m, n, n)
-        grams = grams.transpose(0, 1, 3, 2, 4).reshape(len(idx), m * n, m * n)
-        good, residual, _ = hermitian_psd_checks(grams, tol)
+    for idx in chunks(count, entries):
+        grams = []
+        for mult, comp in groups:
+            size, k = len(mult), comp.shape[-1]
+            g = (diag[idx] @ comp.reshape(len(comp), size * k * k)).reshape(
+                len(idx), m, m, size, k, k)
+            grams.append((mult, g.transpose(0, 3, 1, 4, 2, 5).reshape(
+                len(idx), size, m * k, m * k)))
+        good, residual, _ = hermitian_psd_blocks(grams, tol)
         ok = ok and bool(good.all())
         worst = max(worst, float(residual.max(initial=0.0)))
     return ok, worst
@@ -214,7 +224,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     # (4) positivity of each fiber Gram, in block form
     e = grp.identity
     diag = inner[np.arange(order), np.arange(order), :, :, :bundle.dims[e]]
-    ok_pos, worst = block_grams_psd(diag, bundle.fibers[e], tol)
+    ok_pos, worst = block_grams_psd(diag, bundle.fibers[e], bundle.unit_blocks, tol)
     rep.add("fiber Grams PSD", ok_pos, worst)
 
     # definiteness: localized Gram of each fiber has full rank; the residual

@@ -225,16 +225,42 @@ def hermitian_psd_checks(stack, tol: Tolerance = DEFAULT_TOL):
     """hermitian_psd_check of every matrix of a stack (B, k, k), from one
     batched eigvalsh whose eigenvalues also give each PSD scale.  Returns
     (ok, residual, hermitian) arrays of length B."""
-    a = np.asarray(stack, dtype=np.complex128)
-    ah = a.conj().swapaxes(-1, -2)
-    defect = np.linalg.norm(a - ah, axis=(-2, -1)) / np.maximum(
-        np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    return hermitian_psd_blocks([(np.ones(1), np.asarray(stack, dtype=np.complex128)[:, None])],
+                                tol)
+
+
+def block_spectra(groups):
+    """Spectral data of B matrices given blockwise: groups is a list of
+    (multiplicities (L,), stack (B, L, k, k)), and matrix b is the direct sum,
+    over the groups and l < L, of multiplicities[l] copies of stack[b, l].
+    Returns four arrays of length B: the Frobenius norms of M - M* and of M
+    (each block weighted by its multiplicity) and the smallest and largest
+    eigenvalues of (M + M*) / 2 (those of its blocks; a matrix with no
+    nonempty block reads 0)."""
+    anti = norm = 0.0
+    low, high = np.inf, -np.inf
+    for mult, a in groups:
+        ah = a.conj().swapaxes(-1, -2)
+        anti = anti + np.linalg.norm(a - ah, axis=(-2, -1)) ** 2 @ mult
+        norm = norm + np.linalg.norm(a, axis=(-2, -1)) ** 2 @ mult
+        if a.shape[-1]:
+            ev = np.linalg.eigvalsh((a + ah) / 2)
+            low = np.minimum(low, ev[..., 0].min(axis=-1))
+            high = np.maximum(high, ev[..., -1].max(axis=-1))
+    empty = ~np.isfinite(low)
+    return np.sqrt(anti), np.sqrt(norm), np.where(empty, 0.0, low), np.where(empty, 0.0, high)
+
+
+def hermitian_psd_blocks(groups, tol: Tolerance = DEFAULT_TOL):
+    """Judge B block Grams that should be Hermitian and PSD, each given by
+    its blocks (`block_spectra`).  A Hermitian defect above 100 * rel_eq
+    fails with the defect as residual; otherwise the margin passes when it
+    is at least -rel_psd * max(1, norm), and the residual is
+    max(-margin, 0).  Returns (ok, residual, hermitian) arrays of length B."""
+    anti, norm, margin, top = block_spectra(groups)
+    defect = anti / np.maximum(norm, 1.0)
     hermitian = defect <= 100 * tol.rel_eq
-    if a.shape[-1] == 0:
-        return hermitian, np.zeros(len(a)), hermitian
-    ev = np.linalg.eigvalsh((a + ah) / 2)
-    margin = ev[:, 0]
-    scale = np.maximum(1.0, np.maximum(-margin, ev[:, -1]))
+    scale = np.maximum(1.0, np.maximum(-margin, top))
     ok = hermitian & (margin >= -tol.rel_psd * scale)
     return ok, np.where(hermitian, np.maximum(-margin, 0.0), defect), hermitian
 
@@ -363,3 +389,142 @@ def same_span(basis1, basis2, tol: Tolerance = DEFAULT_TOL) -> bool:
     if b1.shape[0] != b2.shape[0]:
         return False
     return all(in_span(b2, row, tol) for row in b1)
+
+
+# -- irreducible blocks of a *-algebra ------------------------------------------
+
+@dataclass(frozen=True)
+class Blocks:
+    """A *-algebra A of n x n matrices as the sum of its irreducible types.
+
+    isometries[i] is an n x n_i matrix W_i with orthonormal columns whose
+    range carries one copy of type i, which C^n holds multiplicities[i]
+    times.  Up to a unitary, every x in A is the direct sum over i of
+    multiplicities[i] copies of W_i* x W_i, plus zero on the vectors that A
+    annihilates.  A single type of size n is A in M_n itself (`one_block`).
+    """
+
+    isometries: tuple
+    multiplicities: tuple
+
+    @property
+    def types(self) -> list[tuple[int, int]]:
+        """(n_i, m_i) of every type, in order."""
+        return [(w.shape[1], m) for w, m in zip(self.isometries, self.multiplicities)]
+
+    def by_size(self):
+        """The types grouped by size k, ascending: (k, isometries (L, n, k),
+        multiplicities (L,)) for the L types of that size, in order."""
+        for k in sorted(set(w.shape[1] for w in self.isometries)):
+            idx = [i for i, w in enumerate(self.isometries) if w.shape[1] == k]
+            yield (k, np.stack([self.isometries[i] for i in idx]),
+                   np.array([self.multiplicities[i] for i in idx], dtype=float))
+
+    def compress(self, mats) -> list[tuple[np.ndarray, np.ndarray]]:
+        """W_i* x W_i of every matrix x of a stack (..., n, n), grouped by
+        type size: one (multiplicities (L,), compressions (..., L, k, k))
+        per size k, ascending.  A single type of size n leaves the stack as
+        it is."""
+        a = np.asarray(mats)
+        if self.types == [(a.shape[-1], 1)]:
+            return [(np.ones(1), a[..., None, :, :])]
+        return [(mk, wk.conj().swapaxes(-1, -2) @ (a[..., None, :, :] @ wk))
+                for _, wk, mk in self.by_size()]
+
+
+def one_block(n: int) -> Blocks:
+    """The trivial decomposition W = 1_n: every check reads M_n itself."""
+    return Blocks((np.eye(n, dtype=np.complex128),), (1,))
+
+
+def decompose_algebra(basis, tol: Tolerance = DEFAULT_TOL) -> Blocks:
+    """The irreducible types of the *-algebra A spanned by a stack of n x n
+    matrices, after Murota, Kanno, Kojima and Kojima (Japan J. Indust. Appl.
+    Math. 27, 2010), from a fixed seed so that the result is reproducible:
+
+    1. the center of A: the elements of A that commute with two random
+       elements with complex coefficients;
+    2. the isotypic components: the eigenspaces of a Hermitian central
+       element h = z + z*, z with random complex coefficients (real ones
+       would merge conjugate characters), split at gaps above
+       sqrt(rel_rank) times its norm;
+    3. in each component, one copy of its type: the orbit A v of a minimal
+       vector v, a lowest eigenvector of a random Hermitian element of A
+       compressed to the component (no copy when A vanishes there); the
+       multiplicity is the component's dimension over the orbit's;
+    4. the self-check at rel_rank: every range is invariant under an
+       HS-orthonormal basis b_k of A, and the compressions W_i* b_k W_i,
+       weighted by the multiplicities, reproduce the HS Gram of the b_k.  So
+       the compression to the types is a faithful *-representation, and
+       Frobenius norms weighted by the multiplicities are the ambient ones.
+
+    Null spaces and ranges (of the span, the commutators, each orbit) are
+    read off small Hermitian Grams, with eigenvalues cut at rel_rank times
+    the largest.  Anything that does not fit (an empty basis, a multiplicity
+    that is not an integer, a failed self-check, a single type of size n)
+    gives `one_block(n)`, which is always correct.
+    """
+    mats = np.asarray(basis, dtype=np.complex128)
+    n = mats.shape[-1]
+    flat = mats.reshape(len(mats), n * n)
+    gram = flat.conj() @ flat.T
+    if len(flat) and np.abs(gram - np.eye(len(flat))).max() > tol.rel_rank:
+        # an orthonormal basis of the span: (sum_k conj(c_jk) b_k)_j for the
+        # columns c_j of its range, over the square roots of their eigenvalues
+        w, v = np.linalg.eigh(gram)
+        keep = w > tol.rel_rank * max(float(w[-1]), 1.0)
+        flat = (v[:, keep] / np.sqrt(w[keep])).conj().T @ flat
+    d = len(flat)
+    if d == 0:
+        return one_block(n)
+    b = flat.reshape(d, n, n)
+    rng = np.random.default_rng(0)
+    # three random elements: two probes for the center, one Hermitian part
+    # for the minimal vectors
+    coef = rng.standard_normal((2, 3, d))
+    r = ((coef[0] + 1j * coef[1]) @ flat).reshape(3, n, n)
+    # 1. the center: coefficient rows c with [sum_k c_k b_k, r] = 0 for both probes
+    comm = (b[:, None] @ r[:2] - r[:2] @ b[:, None]).reshape(d, -1)
+    w, v = np.linalg.eigh(comm @ dagger(comm))
+    null = v[:, w <= tol.rel_rank * max(float(w[-1]), 1.0)]
+    # 2. the isotypic components, from z = sum_j c_j (sum_k conj(null_kj) b_k)
+    coef = rng.standard_normal((2, null.shape[1]))
+    z = ((null.conj() @ (coef[0] + 1j * coef[1])) @ flat).reshape(n, n)
+    w, v = np.linalg.eigh(z + dagger(z))
+    cuts = (np.flatnonzero(np.diff(w) > math.sqrt(tol.rel_rank) * np.abs(w).max()) + 1).tolist()
+    # 3. one copy of each type; a one-dimensional component is its own copy
+    # unless the algebra vanishes on it
+    a = r[2] + dagger(r[2])
+    live = np.linalg.norm(b @ v, axis=(0, 1)) > tol.rel_rank
+    isometries, mults = [], []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        q = v[:, lo:hi]
+        if hi - lo == 1:
+            wi = q[:, :int(live[lo])]
+        else:
+            _, y = np.linalg.eigh(dagger(q) @ a @ q)
+            orbit = b @ (q @ y[:, 0])  # (d, n): rows b_k v
+            w, y = np.linalg.eigh(orbit.T @ orbit.conj())
+            wi = y[:, w > tol.rel_rank * max(float(w[-1]), 1.0)]
+        k = wi.shape[1]
+        if k == 0:
+            continue
+        if (hi - lo) % k:
+            return one_block(n)
+        isometries.append(wi)
+        mults.append((hi - lo) // k)
+    blocks = Blocks(tuple(isometries), tuple(mults))
+    if blocks.types in ([], [(n, 1)]):
+        return one_block(n)
+    # 4. the self-check, over the types of each size at once
+    gram = np.zeros((d, d), dtype=np.complex128)
+    for k, wk, mk in blocks.by_size():
+        bw = b[:, None] @ wk  # (d, L, n, k)
+        comp = wk.conj().swapaxes(-1, -2) @ bw
+        if np.linalg.norm(bw - wk @ comp, axis=(-2, -1)).max() > tol.rel_rank:
+            return one_block(n)
+        comp = comp.reshape(d, len(mk), k * k)
+        gram += (comp.conj() * mk[:, None]).reshape(d, -1) @ comp.reshape(d, -1).T
+    if np.abs(gram - np.eye(d)).max() > tol.rel_rank:
+        return one_block(n)
+    return blocks

@@ -9,6 +9,10 @@ condition.  The sampled checker draws the quantified form directly as a
 guard on that reduction.  The certificate, the sampled check and the
 reconstruction all read one positivity form, t_values_ambient, whose
 blocks are concrete matrices in the target's ambient algebra.  The
+certificate reads it per irreducible block of the algebra spanned by the
+target's fibers (`FellBundle.blocks`), from the compressed fibers; the
+sampled check, which guards the reduction, and the witness of a failed
+certificate read it in the ambient algebra.  The
 reconstruction quotients its elementary tensors blockwise: the bases of the
 separation rule compress the structure tensors directly, and no raw action
 or shift is formed.
@@ -28,8 +32,8 @@ from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, compress_inner, \
     separating_bases, trace_localize
-from .numerics import CHUNK_BYTES, DEFAULT_TOL, Tolerance, dagger, frob, hermitian_defect, \
-    opnorm, overflow_scale, padded, split_draws
+from .numerics import CHUNK_BYTES, DEFAULT_TOL, Blocks, Tolerance, block_spectra, dagger, \
+    frob, opnorm, opnorms, overflow_scale, padded, split_draws
 
 
 class NotUnitalError(ValueError):
@@ -139,14 +143,26 @@ def phi_t(t: BundleMap, f: Section) -> Section:
     return out
 
 
-@dataclass
 class PdCertificate:
-    ok: bool
-    margin: float
-    gram: np.ndarray
-    hermitian_defect: float
-    witness: list | None = None  # tuples (g, a_matrix, b_matrix) violating Eq-positivity
-    witness_sum: np.ndarray | None = None
+    """The verdict of the exact certificate, with its margin, the scale
+    max(1, norm) the margin is judged against, and its Hermitian defect.
+    `gram` is the certificate matrix in the target's ambient algebra, formed
+    on first read when it is given as a function; a failed certificate may
+    carry a violating tuple (g, a_matrix, b_matrix) per position and the sum
+    it attains."""
+
+    def __init__(self, ok: bool, margin: float, gram, hermitian_defect: float,
+                 witness: list | None = None, witness_sum: np.ndarray | None = None,
+                 scale: float = 1.0):
+        self.ok, self.margin, self._gram = ok, margin, gram
+        self.hermitian_defect, self.scale = hermitian_defect, scale
+        self.witness, self.witness_sum = witness, witness_sum
+
+    @property
+    def gram(self) -> np.ndarray:
+        if callable(self._gram):
+            self._gram = self._gram()
+        return self._gram
 
     def __bool__(self):
         return self.ok
@@ -156,12 +172,11 @@ def _basis_pairs(bundle: FellBundle):
     return [(g, i) for g in bundle.group.elements() for i in range(bundle.dims[g])]
 
 
-def _unit_norm_scales(bundle: FellBundle, pairs):
+def _unit_norm_scales(bundle: FellBundle) -> np.ndarray:
     """Rescale enumeration elements to unit ambient operator norm, so the
     certificate margin is normalization-independent (and agrees with the
-    circulant oracle on group bundles)."""
-    return np.array([1.0 / max(opnorm(bundle.fibers[g][i]), 1e-300)
-                     for g, i in pairs])
+    circulant oracle on group bundles); in the order of `_basis_pairs`."""
+    return 1.0 / np.maximum(opnorms(np.concatenate(bundle.fibers)), 1e-300)
 
 
 def _localized_form(gram: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -175,52 +190,104 @@ def _localized_form(gram: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return local.reshape(size * dbm, size * dbm)
 
 
-def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
-    """Certify positive definiteness by one Hermitian matrix.
+def _certificate_forms(t: BundleMap, fiber_stacks) -> tuple[list[np.ndarray], float]:
+    """The certificate over each of the target fiber arrays `fiber_stacks`
+    (|G_B|, dbm, ..., nb, nb), and mu.  Each is the positivity form of
+    `t_values_ambient` on its unpadded rows (g, i, .), every row and column
+    scaled by the unit-norm scale of a_i^g, over the power of two mu
+    (numerics.overflow_scale, the largest over the stacks), which keeps huge
+    finite entries from overflowing and leaves every verdict and margin as
+    it is: shape (..., side, side), side = (source dimension) * nb."""
+    src = t.source
+    dm, scales = max(src.dims, default=0), _unit_norm_scales(src)
+    forms = []
+    for fibers in fiber_stacks:
+        # unpadded rows (g, x, a), x < dims[g], in the order of `_basis_pairs`
+        rows = np.flatnonzero(np.repeat(np.arange(dm) < np.asarray(src.dims)[:, None],
+                                        fibers.shape[-1]))
+        form = t_values_ambient(t, fibers)
+        forms.append(form[..., rows[:, None], rows] if len(rows) < form.shape[-1] else form)
+    mu = max(overflow_scale(form, "positivity form") for form in forms)
+    for form, fibers in zip(forms, fiber_stacks):
+        row_scales = np.repeat(scales, fibers.shape[-1])
+        form *= row_scales[:, None] / mu
+        form *= row_scales
+    return forms, mu
 
-    The certificate has one block row/column per pair p = (g, basis element
-    a_p of A_g); block (p, q) is the concrete n x n value of T(a_p* a_q) in
-    the target's ambient algebra: the positivity form t_values_ambient on
-    its unpadded rows.  Each block holds one element of the fiber over
-    phi(g_p)^-1 phi(g_q), and such block matrices are faithful as concrete
-    matrices whether or not the target's fiber sum is direct.  On failure,
-    the most negative eigenvector of the module-localized form (the
-    certificate compressed by the fiber bases of B_{phi(g_p)^-1}) is folded
-    back into an explicit violating tuple, rescaled so its defect is at
-    least as negative as the reported margin.
+
+def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None) -> PdCertificate:
+    """The verdict, margin and Hermitian defect of the exact certificate,
+    judged per irreducible block of the target: `FellBundle.blocks` unless
+    `blocks` is given (`numerics.one_block` is the ambient route).  The
+    certificate matrix itself is formed on first read of `gram`.
+
+    The certificate M has one block row/column per pair p = (g, basis
+    element a_p of A_g), rescaled to unit operator norm; block (p, q) is
+    T(a_p* a_q), an element of the algebra B spanned by the target's fibers.
+    B is unitarily the sum of m_i copies of each type W_i* B W_i, plus zero
+    where B vanishes, so M is the sum of m_i copies of each
+    M_i = [W_i* T(a_p* a_q) W_i]_pq, the form of the compressed fibers.  So
+    the margin (the smallest eigenvalue) is the minimum over the blocks, the
+    norm is the maximum, and the Frobenius norms of M and M - M* add up the
+    blocks' weighted by m_i; the margin passes when it is at least
+    -rel_psd * max(1, norm)."""
+    groups = (blocks or t.target.blocks).compress(t.target.fiber_array)
+    forms, mu = _certificate_forms(t, [fibers for _, fibers in groups])
+    anti, norm, low, high = (float(x[0]) for x in block_spectra(
+        [(mult, form[None]) for (mult, _), form in zip(groups, forms)]))
+    defect, scale = anti / max(norm, 1 / mu), max(1 / mu, -low, high)
+    ok = defect <= 100 * tol.rel_eq and low >= -tol.rel_psd * scale
+    return PdCertificate(ok, _unscaled(low, mu, "certificate margin"), lambda: _ambient_gram(t),
+                         defect, scale=scale * mu)
+
+
+def _ambient_certificate(t: BundleMap) -> tuple[np.ndarray, float]:
+    """The certificate in the target's ambient algebra over mu, and mu."""
+    forms, mu = _certificate_forms(t, [t.target.fiber_array])
+    return forms[0], mu
+
+
+def _ambient_gram(t: BundleMap) -> np.ndarray:
+    """The certificate in the target's ambient algebra."""
+    form, mu = _ambient_certificate(t)
+    return form if mu == 1 else form * mu
+
+
+def pd_check_exact(t: BundleMap, tol: Tolerance | None = None,
+                   blocks: Blocks | None = None) -> PdCertificate:
+    """Certify positive definiteness by one Hermitian matrix, judged per
+    irreducible block of the target (`_certify`).
+
+    The reduction: any tuple's Gram factors through the basis Gram as
+    X M X*, so M >= 0 is the quantified condition.  Each block of M holds
+    one element of the fiber over phi(g_p)^-1 phi(g_q), and such block
+    matrices are faithful as concrete matrices whether or not the target's
+    fiber sum is direct.  A failed certificate carries a witness
+    (`_attach_witness`).
     """
-    tol = tol or DEFAULT_TOL
+    cert = _certify(t, tol or DEFAULT_TOL, blocks)
+    if not cert.ok:
+        _attach_witness(t, cert)
+    return cert
+
+
+def _attach_witness(t: BundleMap, cert: PdCertificate) -> None:
+    """Read the witness of a failed certificate in the ambient certificate,
+    which becomes `cert.gram`.  Compressed by the fiber bases of
+    B_{phi(g_p)^-1}, it is the localized module form over the tuple
+    (phi(g_p))_p; its most negative eigenvector is folded back into an
+    explicit violating tuple, rescaled so that its defect is at least as
+    negative as the margin."""
     src, tgt = t.source, t.target
     pairs = _basis_pairs(src)
-    scales = _unit_norm_scales(src, pairs)
-    dm, n = max(src.dims, default=0), tgt.ambient_dim
-    # unpadded rows (k, x, a), x < dims[k], in the order of `pairs`
-    rows = np.flatnonzero(np.repeat(np.arange(dm) < np.asarray(src.dims)[:, None], n))
-    gram = t_values_ambient(t)
-    mu = overflow_scale(gram, "positivity form")
-    if len(rows) < len(gram):
-        gram = gram[np.ix_(rows, rows)]
-    # the certificate over mu, which leaves every verdict and margin as it is
-    row_scales = np.repeat(scales, n)
-    gram *= row_scales[:, None] / mu
-    gram *= row_scales
-    defect = hermitian_defect(gram, floor=1 / mu) if gram.size else 0.0
-    # the spectrum of the Hermitian part gives both the margin and its scale
-    ev = np.linalg.eigvalsh((gram + dagger(gram)) / 2) if gram.size else np.zeros(1)
-    low = float(ev[0])
-    ok = defect <= 100 * tol.rel_eq and low >= -tol.rel_psd * max(1 / mu, float(np.abs(ev).max()))
-    margin = _unscaled(low, mu, "certificate margin")
-    cert = PdCertificate(ok, margin, gram if mu == 1 else gram * mu, defect)
-    if ok or not pairs:
-        return cert
-
-    # witness: the localized module form over the tuple (phi(g_p))_p, with
-    # the fiber bases of B_{phi(g_p)^-1}
+    gram, mu = _ambient_certificate(t)
+    cert._gram = gram if mu == 1 else gram * mu
+    n = tgt.ambient_dim
     labels = tgt.group.inverse[t.hom.map[[g for g, _ in pairs]]]
     dbm = max(tgt.dims[h] for h in labels)
     cols = np.flatnonzero(np.arange(dbm) < np.asarray(tgt.dims)[labels][:, None])
     if not len(cols):
-        return cert
+        return
     size = len(pairs)
     beta = tgt.fiber_array[labels, :dbm]
     local = _localized_form(gram, beta)[np.ix_(cols, cols)]
@@ -229,10 +296,10 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None) -> PdCertificate:
     coeffs[cols] = v[:, 0] * np.sqrt(n)
     # c_p = sum_z coeffs[p, z] beta_z in B_{phi(g_p)^-1}; the tuple carries b_p = c_p*
     cs = (coeffs.reshape(size, 1, dbm) @ beta.reshape(size, dbm, n * n)).reshape(size * n, n)
+    scales = _unit_norm_scales(src)
     cert.witness = [(g, scales[p] * src.fibers[g][i], c.conj().T)
                     for p, ((g, i), c) in enumerate(zip(pairs, cs.reshape(size, n, n)))]
     cert.witness_sum = _unscaled(dagger(cs) @ gram @ cs, mu, "witness sum")
-    return cert
 
 
 def _unscaled(value, mu: float, what: str):
@@ -255,7 +322,7 @@ class SampledCheck:
         return self.ok
 
 
-def t_values_ambient(t: BundleMap) -> np.ndarray:
+def t_values_ambient(t: BundleMap, fibers=None) -> np.ndarray:
     """The positivity form of t as one padded square array.
 
     Entry [(k, x, a), (k2, y, b)] is entry (a, b) of the ambient value of
@@ -263,14 +330,18 @@ def t_values_ambient(t: BundleMap) -> np.ndarray:
     indices zero-padded to the largest source fiber and a, b ambient
     indices of the target: shape (G*dmax*n, G*dmax*n).  It reads the stored
     structure tensors of the source and fiber bases of the target, and pads
-    only the blocks of t, which stay nested.  The form is built afresh on
-    each call: the exact certificate, the sampled check and the
-    reconstruction each build and read their own copy, so `pd-check` builds
-    it twice.
+    only the blocks of t, which stay nested.  `fibers` replaces the target's
+    fiber array by a stack (|G_B|, dbm, ..., nb, nb) of compressed fiber
+    bases, such as their irreducible blocks W* b W; the forms of all of them
+    come at once, shape (..., G*dmax*nb, G*dmax*nb).  The form is built afresh on
+    each call.
     """
     src, tgt = t.source, t.target
     grp = src.group
-    order, n = grp.order, tgt.ambient_dim
+    order = grp.order
+    fibers = tgt.fiber_array if fibers is None else fibers
+    batch, nb = fibers.shape[2:-2], fibers.shape[-1]
+    count = int(np.prod(batch))
     dm, dbm = max(src.dims, default=0), max(tgt.dims, default=0)
     quot = grp.table[grp.inverse]  # quot[k, k2] = k^-1 k2
     star, prod = src.star_array, src.prod_array[grp.inverse]
@@ -279,14 +350,14 @@ def t_values_ambient(t: BundleMap) -> np.ndarray:
     spt = (star[:, None] @ prod.reshape(order, order, dm, dm * dm)).reshape(
         order, order, dm * dm, dm)
     coords = spt @ mats[quot].transpose(0, 1, 3, 2)  # (G, G, dm*dm, dbm)
-    fibers = tgt.fiber_array.reshape(-1, dbm, n * n)
+    fibers = fibers.reshape(len(fibers), dbm, count * nb * nb)
     phi_quot = t.hom.map[quot]
-    tt = np.empty((order, dm, n, order, dm, n), dtype=np.complex128)
+    tt = np.empty((count, order, dm, nb, order, dm, nb), dtype=np.complex128)
     for k in grp.elements():
-        vals = (coords[k] @ fibers[phi_quot[k]]).reshape(order, dm, dm, n, n)
-        tt[k] = vals.transpose(1, 3, 0, 2, 4)
-    side = order * dm * n
-    return tt.reshape(side, side)
+        vals = (coords[k] @ fibers[phi_quot[k]]).reshape(order, dm, dm, count, nb, nb)
+        tt[:, k] = vals.transpose(3, 1, 4, 0, 2, 5)
+    side = order * dm * nb
+    return tt.reshape(*batch, side, side)
 
 
 def _sample_tuples(rng, samples: int, da: np.ndarray, db: np.ndarray):
@@ -460,7 +531,7 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
     src, tgt, hom = t.source, t.target, t.hom
     if not (src.unital and tgt.unital):
         raise NotUnitalError("both bundles must be unital")
-    cert = pd_check_exact(t, tol)
+    cert = _certify(t, tol)
     if not cert.ok:
         raise NotPositiveDefiniteError(
             f"map is not positive definite (margin {cert.margin:.3e})")

@@ -1,0 +1,292 @@
+"""Irreducible blocks: the decomposition of a bundle's algebras, and the
+certificate and the fiber Grams judged per block.
+
+The oracle is the same routine with the trivial decomposition
+(`numerics.one_block`), which reads every matrix in the ambient M_n.
+"""
+
+import numpy as np
+import pytest
+
+from fellbundles import pdmaps
+from fellbundles.actions import Action, trivial_action
+from fellbundles.bundles import FellBundle, group_bundle, validate_bundle
+from fellbundles.correspondences import EquivalenceBundle, trivial_self_equivalence
+from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
+from fellbundles.hilbundles import block_grams_psd, l2_bundle, trivial_hilbert_bundle
+from fellbundles.numerics import DEFAULT_TOL, Blocks, decompose_algebra, one_block
+from fellbundles.pdmaps import NotPositiveDefiniteError, conjugation_bundle_map, gelfand_raikov, \
+    identity_bundle_map, pd_check_exact, pd_check_sampled, perturb_bundle_map, scalar_bundle_map
+
+from test_pdmaps_batched import crossed, indefinite_identity, indefinite_maps
+
+LADDER = {f"Z{n}": make_cyclic(n) for n in (2, 3, 4, 6, 8, 12)}
+LADDER.update(S3=symmetric_group(3), S4=symmetric_group(4))
+CROSSED = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
+
+
+def ad_diag(k, m):
+    """M_k x Z_m with Z_m acting by Ad(diag(1, w, .., w^(k-1))), w = e^(2 pi i/m)."""
+    return crossed(k, m, [np.exp(2j * np.pi * i / m) for i in range(k)])
+
+
+def scalar_map(bundle, off):
+    """f(e) = 1 and f(g) = off elsewhere."""
+    grp = bundle.group
+    values = [1.0 if g == grp.identity else off for g in grp.elements()]
+    return scalar_bundle_map(bundle, bundle, identity_hom(grp), values)
+
+
+def corner(group, size):
+    """The group bundle of `group` in the top-left corner of M_size."""
+    u = group_bundle(group).fiber_array
+    fibers = np.zeros((group.order, 1, size, size), dtype=complex)
+    fibers[..., :group.order, :group.order] = u
+    return FellBundle(group, size, fibers)
+
+
+def c_plus_m2():
+    """The diagonal C + M_2 in M_3 as a bundle over the trivial group."""
+    units = np.zeros((5, 3, 3))
+    units[0, 0, 0] = 1.0
+    for i, (r, c) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
+        units[i + 1, r, c] = 1.0
+    return FellBundle(make_cyclic(1), 3, units[None])
+
+
+@pytest.fixture(scope="module")
+def maps(corpus_bundles):
+    """The maps of the benchmark's group ladder and crossed products, the
+    refuted maps of its refutations and the tests' indefinite maps."""
+    rng = np.random.default_rng(23)
+    out = {}
+    for label, group in LADDER.items():
+        b = group_bundle(group)
+        out[f"{label} scalar"] = scalar_map(b, 0.3 / group.order)
+        out[f"{label} indefinite scalar"] = scalar_map(b, 2.0)
+        # a random f with f(g^-1) = conj(f(g)): its extreme eigenvalues sit
+        # in single irreducible types
+        c = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+        out[f"{label} random scalar"] = scalar_bundle_map(
+            b, b, identity_hom(group), c + c[group.inverse].conj())
+    for k, m in CROSSED:
+        b = ad_diag(k, m)
+        out[f"M{k}xZ{m} identity"] = identity_bundle_map(b)
+    # C + M_2 in M_3 over the trivial group: its two types see different
+    # spectra, where a graded map over a group bundle or these crossed
+    # products reads the same one in every type
+    b = c_plus_m2()
+    out["C+M2 conjugation"] = conjugation_bundle_map(b, b.random_coords(0, rng))
+    out["C+M2 perturbed"] = perturb_bundle_map(identity_bundle_map(b), 0.5, rng)
+    out["M3xZ3 indefinite"] = indefinite_identity(ad_diag(3, 3), 5)
+    out["M4xZ2 indefinite"] = indefinite_identity(ad_diag(4, 2), 7)
+    out.update(indefinite_maps(corpus_bundles))
+    return out
+
+
+# -- the decomposition ---------------------------------------------------------
+
+def test_type_lists():
+    assert sorted(group_bundle(symmetric_group(4)).blocks.types) == [
+        (1, 1), (1, 1), (2, 2), (3, 3), (3, 3)]
+    assert group_bundle(make_cyclic(12)).blocks.types == [(1, 1)] * 12
+    assert ad_diag(3, 3).blocks.types == [(3, 1)] * 3
+    # the unit fibers: C.1 in M_|G|, and M_3 with one copy per group element
+    assert group_bundle(symmetric_group(4)).unit_blocks.types == [(1, 24)]
+    assert ad_diag(3, 3).unit_blocks.types == [(3, 3)]
+    assert sorted(c_plus_m2().blocks.types) == [(1, 1), (2, 1)]
+
+
+def test_compression_is_a_faithful_star_representation():
+    rng = np.random.default_rng(3)
+    for b in (group_bundle(symmetric_group(4)), group_bundle(make_cyclic(6)), ad_diag(3, 3),
+              ad_diag(2, 4), corner(make_cyclic(3), 4)):
+        for basis, blocks in ((np.concatenate(b.fibers), b.blocks),
+                              (b.fibers[b.group.identity], b.unit_blocks)):
+            n = b.ambient_dim
+            assert sum(k * m for k, m in blocks.types) <= n
+            x, y = (np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
+                    for _ in range(2))
+            for (_, cx), (_, cy), (mult, cxy), (_, cs) in zip(*(
+                    blocks.compress(a) for a in (x, y, x @ y, x.conj().T))):
+                assert np.allclose(cx @ cy, cxy, atol=1e-12)
+                assert np.allclose(cx.conj().swapaxes(-1, -2), cs, atol=1e-12)
+            # the Frobenius norm, its blocks weighted by the multiplicities
+            weighted = sum(float(np.linalg.norm(c, axis=(-2, -1)) ** 2 @ mult)
+                           for mult, c in blocks.compress(x))
+            assert weighted == pytest.approx(np.linalg.norm(x) ** 2, rel=1e-12)
+
+
+def test_types_of_a_rotated_algebra():
+    """U (M_2 (x) 1_3 + M_3 + C (x) 1_2 + 0_2) U* for a random unitary U,
+    spanned by random combinations of its matrix units."""
+    rng = np.random.default_rng(17)
+    n, units, offset = 13, [], 0
+    for k, m in ((2, 3), (3, 1), (1, 2)):
+        for i in range(k):
+            for j in range(k):
+                e = np.zeros((k, k))
+                e[i, j] = 1.0
+                u = np.zeros((n, n), dtype=complex)
+                u[offset:offset + k * m, offset:offset + k * m] = np.kron(e, np.eye(m))
+                units.append(u)
+        offset += k * m
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    units = q @ np.array(units) @ q.conj().T
+    mix = rng.standard_normal((len(units), len(units)))
+    blocks = decompose_algebra(np.tensordot(mix, units, axes=1))
+    assert sorted(blocks.types) == [(1, 2), (2, 3), (3, 1)]
+    x = np.tensordot(rng.standard_normal(len(units)), units, axes=1)
+    weighted = sum(float(np.linalg.norm(c, axis=(-2, -1)) ** 2 @ mult)
+                   for mult, c in blocks.compress(x))
+    assert weighted == pytest.approx(np.linalg.norm(x) ** 2, rel=1e-12)
+
+
+def test_decomposition_is_reproducible():
+    first, second = (group_bundle(symmetric_group(4)).blocks for _ in range(2))
+    assert first.types == second.types
+    for w1, w2 in zip(first.isometries, second.isometries):
+        assert w1.tobytes() == w2.tobytes()
+
+
+def test_perturbed_bundle_falls_back_to_one_block():
+    rng = np.random.default_rng(11)
+    grp = symmetric_group(3)
+    fibers = group_bundle(grp).fiber_array.copy()
+    fibers[1, 0] += 1e-3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    # the span is not closed under products: the self-check refuses it
+    assert decompose_algebra(fibers.reshape(-1, 6, 6)).types == [(6, 1)]
+    b = FellBundle(grp, 6, fibers)
+    assert not validate_bundle(b).ok
+    assert b.blocks.types == [(6, 1)]
+
+
+def test_one_block_is_the_ambient_algebra():
+    blocks = one_block(3)
+    x = np.arange(9.0).reshape(3, 3)
+    [(mult, comp)] = blocks.compress(x)
+    assert list(mult) == [1] and comp[0].tobytes() == x.tobytes()
+    assert decompose_algebra(np.zeros((0, 3, 3))).types == [(3, 1)]
+
+
+def test_decomposition_is_built_once_and_only_when_read():
+    b = group_bundle(symmetric_group(3))
+    t = scalar_map(b, 0.1)
+    validate_bundle(b)
+    pd_check_sampled(t, samples=5)
+    assert "blocks" not in vars(b) and "unit_blocks" not in vars(b)
+    pd_check_exact(t)
+    blocks = b.blocks
+    pd_check_exact(t)
+    assert b.blocks is blocks and "unit_blocks" not in vars(b)
+
+
+# -- the certificate per block -------------------------------------------------
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def test_certificate_matches_the_one_block_route(maps):
+    refuted = 0
+    for name, t in maps.items():
+        got = pd_check_exact(t)
+        want = pd_check_exact(t, blocks=one_block(t.target.ambient_dim))
+        assert got.ok == want.ok, name
+        assert _close(got.margin, want.margin), (name, got.margin, want.margin)
+        assert _close(got.scale, want.scale), name
+        assert _close(got.hermitian_defect, want.hermitian_defect), name
+        # the witness is read in the ambient certificate either way
+        assert (got.witness is None) == (want.witness is None), name
+        if want.witness is not None:
+            refuted += 1
+            for (g1, a1, b1), (g2, a2, b2) in zip(got.witness, want.witness, strict=True):
+                assert g1 == g2 and a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
+            assert got.witness_sum.tobytes() == want.witness_sum.tobytes(), name
+        assert got.gram.tobytes() == want.gram.tobytes(), name
+    assert refuted >= 10
+
+
+def test_block_certificate_is_smaller():
+    t = scalar_map(group_bundle(symmetric_group(4)), 0.01)
+    sides = [form.shape[-1] for form in pdmaps._certificate_forms(
+        t, [f for _, f in t.target.blocks.compress(t.target.fiber_array)])[0]]
+    assert sides == [24, 48, 72]
+
+
+def test_corner_embedded_target_keeps_its_verdicts():
+    b = corner(make_cyclic(3), 4)
+    assert b.blocks.types == [(1, 1)] * 3
+    for off, verdict in ((0.3, True), (2.0, False)):
+        t = scalar_map(b, off)
+        got = pd_check_exact(t)
+        want = pd_check_exact(t, blocks=one_block(4))
+        assert got.ok is want.ok is verdict
+    # the margin is the intrinsic one: the smallest Fourier coefficient of
+    # f, not clipped at the zero eigenvalues of the unused corner
+    got = pd_check_exact(scalar_map(b, 0.3))
+    assert got.margin == pytest.approx(0.7, abs=1e-12)
+    assert pd_check_exact(scalar_map(b, 0.3), blocks=one_block(4)).margin <= 1e-12
+    assert pd_check_exact(identity_bundle_map(b)).ok
+
+
+def test_gns_refuses_from_the_verdict_alone(monkeypatch, maps):
+    def no_witness(*args):
+        raise AssertionError("the reconstruction reads no witness")
+
+    monkeypatch.setattr(pdmaps, "_attach_witness", no_witness)
+    monkeypatch.setattr(pdmaps, "_ambient_certificate", no_witness)
+    for name in ("S4 indefinite scalar", "Z12 indefinite scalar", "M3xZ3 indefinite"):
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            gelfand_raikov(maps[name])
+
+
+# -- the fiber Grams per block -------------------------------------------------
+
+def test_block_grams_match_the_one_block_route():
+    rng = np.random.default_rng(13)
+    for b in (group_bundle(make_cyclic(3)), group_bundle(symmetric_group(3)), ad_diag(2, 2),
+              ad_diag(3, 2), corner(make_cyclic(3), 4)):
+        e = b.group.identity
+        x = l2_bundle(b)
+        diag = x.inner_array[np.arange(b.group.order), np.arange(b.group.order), :, :, :b.dims[e]]
+        noise = rng.standard_normal(diag.shape) + 1j * rng.standard_normal(diag.shape)
+        for tensor in (diag, diag + 0.5 * noise, diag - 3 * diag[:1]):
+            got = block_grams_psd(tensor, b.fibers[e], b.unit_blocks, DEFAULT_TOL)
+            want = block_grams_psd(tensor, b.fibers[e], one_block(b.ambient_dim), DEFAULT_TOL)
+            assert got[0] == want[0]
+            assert _close(got[1], want[1]), (got, want)
+
+
+# -- constructions ---------------------------------------------------------------
+
+def test_self_equivalence_builds_one_action(monkeypatch):
+    b = group_bundle(symmetric_group(3))
+    grp = b.group
+    rho = trivial_action(b)
+    linner = [[np.einsum("vw,uwk->uvk", b.star_tensor[s], b.prod[r][grp.inv(s)])
+               for s in grp.elements()] for r in grp.elements()]
+    want = EquivalenceBundle(b, rho.target, rho.ops, linner)
+    builds = []
+    init = Action.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Action, "__init__", counted)
+    got = trivial_self_equivalence(b)
+    assert len(builds) == 1
+    assert got.lact_array.tobytes() == want.lact_array.tobytes()
+    assert got.linner_array.tobytes() == want.linner_array.tobytes()
+    right = trivial_hilbert_bundle(b)
+    assert got.right.act_array.tobytes() == right.act_array.tobytes()
+    assert got.right.inner_array.tobytes() == right.inner_array.tobytes()
+
+
+def test_blocks_of_a_type_list():
+    w = np.eye(3, dtype=complex)
+    blocks = Blocks((w[:, :1], w[:, 1:]), (1, 1))
+    assert blocks.types == [(1, 1), (2, 1)]
+    sizes = [(k, len(mult)) for k, _, mult in blocks.by_size()]
+    assert sizes == [(1, 1), (2, 1)]

@@ -253,10 +253,16 @@ def test_regular_unitaries_match_the_loop():
         for g in group.elements():
             assert np.array_equal(regular_unitary(group, g), reference_regular_unitary(group, g))
         got = group_bundle(group)
-        want = FellBundle(group, group.order, [reference_regular_unitary(group, g)[None]
+        root = np.sqrt(group.order)
+        want = FellBundle(group, group.order, [reference_regular_unitary(group, g)[None] / root
                                                for g in group.elements()])
+        # the bundle orthonormalizes unnormalized unitaries with one SVD per
+        # fiber; group_bundle passes them normalized, equal up to rounding
+        svd = FellBundle(group, group.order, [reference_regular_unitary(group, g)[None]
+                                              for g in group.elements()])
         for g in group.elements():
             assert got.fibers[g].tobytes() == want.fibers[g].tobytes()
+            assert np.abs(got.fibers[g] - svd.fibers[g]).max() <= 1e-15
 
 
 def test_structure_tensors_match_the_loop(bundles):

@@ -415,3 +415,57 @@ def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, mo
     assert code == 0
     assert len(parses) == 1
     assert out_path.read_text() == want
+
+
+def reference_parser():
+    """The parser as built before the shared options moved into one parent
+    parser: every subcommand adds them itself."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="fellbundles",
+        description="Validate graded bundle data, certify positive "
+                    "definiteness, run the reconstruction pipeline and check "
+                    "Morita equivalences.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (
+        ("validate", "run the axiom battery for the object in FILE"),
+        ("build", "construct a named object from a build spec"),
+        ("pd-check", "certify positive definiteness of a bundle map"),
+        ("gns", "reconstruct (bundle, action, vector) from a map and round-trip it"),
+        ("correspond", "build the crossed-product module of an action"),
+        ("morita", "verify an imprimitivity bimodule"),
+        ("report", "extended diagnostics for the object in FILE"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="input JSON file")
+        p.add_argument("--tol-psd", type=float, default=1e-8)
+        p.add_argument("--tol-rank", type=float, default=1e-9)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--full", action="store_true",
+                       help="embed certificate matrices in the report")
+        p.add_argument("-o", "--output", default=None)
+        if name == "correspond":
+            p.add_argument("--vector", default=None,
+                           help="vector JSON for the cyclicity check; the vector "
+                                "must lie in the unit fiber of the target group")
+    return parser
+
+
+def _help_texts(parser):
+    [sub] = [a for a in parser._actions if a.dest == "command"]
+    return {"": parser.format_help(),
+            **{name: p.format_help() for name, p in sub.choices.items()}}
+
+
+def test_help_texts_and_parses_match_the_reference_parser():
+    from fellbundles.cli import make_parser
+
+    got, want = make_parser(), reference_parser()
+    assert _help_texts(got) == _help_texts(want)
+    for argv in (["validate", "f.json"], ["pd-check", "f.json", "--full", "--seed", "3"],
+                 ["correspond", "a.json", "--vector", "v.json", "-o", "out"],
+                 ["gns", "m.json", "--tol-psd", "1e-6", "--tol-rank", "1e-7", "--samples", "9"]):
+        assert vars(got.parse_args(argv)) == vars(want.parse_args(argv))
