@@ -60,8 +60,8 @@ def _hs_orthonormal(stacks) -> np.ndarray:
     so a stack with one above 2 is not, and is left out of the Gram, whose
     products could overflow."""
     dims = np.array([len(s) for s in stacks])
-    db = int(dims.max(initial=0))
-    rows = padded([stacks], (db, *stacks[0].shape[1:]))[0].reshape(len(stacks), db, -1)
+    db, n = int(dims.max(initial=0)), stacks[0].shape[-1]
+    rows = padded([stacks], (db, n, n))[0].reshape(len(stacks), db, n * n)
     small = np.abs(rows.view(np.float64)).max(axis=(1, 2), initial=0.0) <= 2.0
     rows[~small] = 0.0
     gram = rows @ rows.conj().swapaxes(1, 2)

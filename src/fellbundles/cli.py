@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +73,124 @@ def _emit(payload: dict, args) -> None:
         "samples": args.samples,
         **payload,
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(report_text(payload))
+
+
+# -- report text ---------------------------------------------------------------
+#
+# A report is the text json.dumps(payload, sort_keys=True, indent=2) gives,
+# byte for byte.  That call runs json's pure-Python encoder, which costs most
+# of a refutation's time when its witness holds large matrices, so reports are
+# written here instead: dicts and other lists are written item by item as json
+# writes them, and a rectangular nest of finite floats (every array that
+# serialize._encode makes) in one pass over its flattened leaves.
+
+_SEQUENCES = {list, tuple}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_nest(o, depth: int) -> str | None:
+    """The text of `o`, a list at nesting `depth`, when it is a rectangular
+    nest of finite floats; None otherwise.
+
+    Consecutive leaves are joined by a separator that depends only on r, the
+    number of trailing axes that roll over between them: it closes r lists,
+    writes a comma and opens r lists again."""
+    shape = []
+    x = o
+    while type(x) in _SEQUENCES:
+        if not x:
+            return None
+        shape.append(len(x))
+        x = x[0]
+    if not isinstance(x, float):
+        return None
+    leaves = list(o)
+    for n in shape[1:]:
+        if not set(map(type, leaves)) <= _SEQUENCES or set(map(len, leaves)) != {n}:
+            return None
+        leaves = list(chain.from_iterable(leaves))
+    if not all(issubclass(t, float) for t in set(map(type, leaves))) \
+            or not all(map(math.isfinite, leaves)):
+        return None
+    d = len(shape)
+    opens = ["[\n" + "  " * (depth + k) for k in range(1, d + 1)]
+    closes = ["\n" + "  " * (depth + k) + "]" for k in range(d - 1, -1, -1)]
+    seps = ["".join(closes[:r]) + ",\n" + "  " * (depth + d - r) + "".join(opens[d - r:])
+            for r in range(d)]
+    between = [seps[0]] * (shape[-1] - 1)
+    for r, n in enumerate(reversed(shape[:-1]), 1):
+        between = (between + [seps[r]]) * (n - 1) + between
+    parts = [None] * (2 * len(leaves) - 1)
+    parts[::2] = map(float.__repr__, leaves)
+    parts[1::2] = between
+    return "".join(opens) + "".join(parts) + "".join(closes)
+
+
+def _write(o, depth: int, out: list) -> None:
+    """Append the text of `o` at nesting `depth` to `out`, as json does."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        nest = _float_nest(o, depth)
+        if nest is not None:
+            out.append(nest)
+            return
+        sep = "\n" + "  " * (depth + 1)
+        out.append("[")
+        for item in o:
+            out.append(sep)
+            _write(item, depth + 1, out)
+            sep = ",\n" + "  " * (depth + 1)
+        out.append("\n" + "  " * depth + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        sep = "\n" + "  " * (depth + 1)
+        out.append("{")
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(value, depth + 1, out)
+            sep = ",\n" + "  " * (depth + 1)
+        out.append("\n" + "  " * depth + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def report_text(payload) -> str:
+    """`payload` as json.dumps(payload, sort_keys=True, indent=2) writes it,
+    for payloads whose dicts have str keys; TypeError for anything else json
+    refuses."""
+    out = []
+    _write(payload, 0, out)
+    return "".join(out)
 
 
 def _write_object(obj: dict, path: str | None) -> None:

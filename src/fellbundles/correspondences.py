@@ -235,37 +235,43 @@ def check_cyclic(y: Correspondence, x, tol: Tolerance | None = None) -> bool:
     return _span_fills_fibers(y, x, tol)
 
 
-def _generating_vectors(y: Correspondence, k: int, x):
-    """Vectors (rho(a)w)b in X_k over all (g, h) with phi(g)h = k."""
+def _generating_vectors(y: Correspondence, x):
+    """For each fiber k in turn, the vectors (rho(a) w) b in X_k over all
+    (g, h) with phi(g) h = k, a over the basis of A_g, w over the seeds (x,
+    or the standard basis of X_e) and b over the basis of B_h, as the rows of
+    one array in the order (g, a, w, b).
+
+    rho(a) w is one batched matmul over (g, a) for every fiber; each fiber
+    then gathers the blocks of B_h on X_phi(g) and applies them in one more."""
     y._need_action()
-    rho = y.action
-    src = rho.source
-    grp = y.bundle.group
+    rho, hb, grp = y.action, y.hbundle, y.bundle.group
     e = grp.identity
-    hb = y.hbundle
-    vecs = []
-    seeds = [x] if x is not None else list(np.eye(hb.dims[e], dtype=np.complex128))
-    for g in src.group.elements():
-        phi_g = rho.hom(g)
-        h = grp.mul(grp.inv(phi_g), k)
-        for i in range(src.dims[g]):
-            for w in seeds:
-                mid = rho.ops[g][e][i] @ w
-                for j in range(y.bundle.dims[h]):
-                    vecs.append(hb.act[phi_g][h][j] @ mid)
-    return vecs
+    ops, act = rho.ops_array, hb.act_array
+    na, da, dm = ops.shape[0], ops.shape[2], ops.shape[-1]
+    db = act.shape[2]
+    seeds = np.eye(hb.dims[e], dm, dtype=np.complex128) if x is None \
+        else padded([[x]], (dm,))[0]
+    # mid[g, i, s] = rho(a_i^g) w_s in X_phi(g)
+    mid = (ops[:, e] @ seeds.T).swapaxes(-1, -2).reshape(na, da * len(seeds), dm)
+    phi, sources = rho.hom.map, _sources(y)
+    live_a = np.arange(da) < np.asarray(rho.source.dims)[:, None]
+    for k in grp.elements():
+        h = sources[:, k]
+        blocks = act[phi, h].reshape(na, db * dm, dm)
+        vecs = (mid @ blocks.swapaxes(-1, -2)).reshape(na, da, len(seeds), db, dm)
+        live_b = np.arange(db) < np.asarray(y.bundle.dims)[h][:, None]
+        live = live_a[:, :, None, None] & live_b[:, None, None, :]
+        yield vecs[np.broadcast_to(live, vecs.shape[:4])][:, :hb.dims[k]]
 
 
 def _span_fills_fibers(y: Correspondence, x, tol: Tolerance | None) -> bool:
     tol = tol or DEFAULT_TOL
-    for k in y.bundle.group.elements():
-        mk = y.hbundle.dims[k]
+    for mk, vecs in zip(y.hbundle.dims, _generating_vectors(y, x)):
         if mk == 0:
             continue
-        vecs = _generating_vectors(y, k, x)
-        if not vecs:
+        if not len(vecs):
             return False
-        if numerical_rank(np.array(vecs), tol) < mk:
+        if numerical_rank(vecs, tol) < mk:
             return False
     return True
 
@@ -285,12 +291,8 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
     grp = y.bundle.group
     hb = y.hbundle
     rho = y.action
-    basis = []
-    for k in grp.elements():
-        vecs = _generating_vectors(y, k, x)
-        rows = orthonormal_basis(np.array(vecs), tol) if vecs else \
-            np.zeros((0, hb.dims[k]), dtype=np.complex128)
-        basis.append(rows.T)  # columns span S_k
+    # the columns of basis[k] span S_k
+    basis = [orthonormal_basis(vecs, tol).T for vecs in _generating_vectors(y, x)]
     sub_h = compress_bundle(hb, basis)
     # invariance check: both actions must stay inside the span
     for r in grp.elements():

@@ -162,6 +162,14 @@ def bundle_from_json(data) -> FellBundle:
     return bundle
 
 
+def _shared(bundle: FellBundle, data, hilbert_data) -> FellBundle | None:
+    """`bundle`, parsed from `data`, when the Hilbert bundle `hilbert_data`
+    is written over the same JSON, so that a file's bundle is parsed once."""
+    if isinstance(hilbert_data, dict) and hilbert_data.get("bundle") == data:
+        return bundle
+    return None
+
+
 def section_to_json(f: Section) -> dict:
     return {
         "type": "section",
@@ -228,9 +236,13 @@ def hilbert_to_json(x: SemiInnerBundle) -> dict:
     }
 
 
-def hilbert_from_json(data, definite: bool = True) -> SemiInnerBundle:
+def hilbert_from_json(data, definite: bool = True,
+                      bundle: FellBundle | None = None) -> SemiInnerBundle:
+    """The Hilbert bundle of `data`, over `bundle` when the caller has
+    parsed data["bundle"] already."""
     try:
-        bundle = bundle_from_json(data["bundle"])
+        if bundle is None:
+            bundle = bundle_from_json(data["bundle"])
         grp = bundle.group
         dims = [_integer(d, "fiber dimension") for d in data["dims"]]
         raw_act = _family(data, "action", _pair_keys(grp))
@@ -267,7 +279,10 @@ def action_to_json(rho: Action) -> dict:
 def action_from_json(data) -> Action:
     try:
         source = bundle_from_json(data["source"])
-        target = hilbert_from_json(data["target"])
+        # an action on a Hilbert bundle over its own source bundle shares one
+        # bundle object, as l2_action does
+        target = hilbert_from_json(data["target"],
+                                   bundle=_shared(source, data["source"], data["target"]))
         tgt_grp = target.bundle.group
         phi = _hom(source.group, tgt_grp, data)
         raw = _family(data, "ops", _pair_keys(source.group, tgt_grp))
@@ -304,7 +319,9 @@ def equivalence_to_json(e: EquivalenceBundle) -> dict:
 def equivalence_from_json(data) -> EquivalenceBundle:
     try:
         left = bundle_from_json(data["left_bundle"])
-        right = hilbert_from_json(data["right"])
+        # shared as in action_from_json, as trivial_self_equivalence does
+        right = hilbert_from_json(data["right"],
+                                  bundle=_shared(left, data["left_bundle"], data["right"]))
         grp = left.group
         raw_lact = _family(data, "lact", _pair_keys(grp))
         raw_linner = _family(data, "linner", _pair_keys(grp))

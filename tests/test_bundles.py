@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from fellbundles import serialize as sz
 from fellbundles.bundles import (
     CondExpectation,
     FellBundle,
@@ -15,6 +18,7 @@ from fellbundles.bundles import (
     regular_unitary,
     validate_bundle,
 )
+from fellbundles.cli import main
 from fellbundles.groups import make_cyclic, symmetric_group
 
 E11 = np.diag([1.0, 0.0])
@@ -57,6 +61,21 @@ def test_huge_fibers_are_rescaled_not_dropped():
     assert b.dims == [1, 1]
     assert bundles_equal(b, group_bundle(grp))
     assert validate_bundle(b).ok
+
+
+def test_bundle_of_zero_fibers_is_valid(tmp_path, capsys):
+    """Every fiber empty: construction, the structure tensors and both
+    decompositions handle total_dim 0, and `validate` passes (exit 0)."""
+    b = FellBundle(make_cyclic(2), 2, [np.zeros((0, 2, 2))] * 2)
+    assert b.dims == [0, 0] and b.total_dim == 0
+    assert b.prod_array.shape == (2, 2, 0, 0, 0) and b.star_array.shape == (2, 0, 0)
+    assert not b.unital
+    assert b.blocks.types == b.unit_blocks.types == [(2, 1)]
+    assert validate_bundle(b).ok
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(sz.bundle_to_json(b)))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_group_bundle_z3_order():

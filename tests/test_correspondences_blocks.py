@@ -4,7 +4,9 @@
 amplification (`kron(lambda_g, pi_g(a))` at dimension |G| dim Y, with its
 localized Gram `kron(1, localized_gram(y))`), and `loop_right_mul`,
 `loop_inner`, `loop_left_mul` and `loop_left_inner_section` keep the per-pair
-loops of the module arithmetic, all verbatim as oracles.
+loops of the module arithmetic, and `loop_generating_vectors` and
+`loop_span_fills_fibers` the per-vector loops of the cyclicity and
+nondegeneracy checks, all verbatim as oracles.
 `dense_star_residual` is the same dense check reporting the worst relative
 residual over all draws instead of stopping at the first failure, which is
 what `amplified_is_star_rep` reports.  The block route must give the same
@@ -19,17 +21,19 @@ import pytest
 
 from fellbundles import serialize as sz
 from fellbundles.actions import Action, l2_action, regularize_action, trivial_action
-from fellbundles.bundles import group_bundle, regular_unitary
+from fellbundles.bundles import dynamical_bundle, group_bundle, regular_unitary
 from fellbundles.cli import main
 from fellbundles.correspondences import ActionMismatchError, Correspondence, \
-    InvalidBundleError, amplified_correspondence, amplified_is_star_rep, \
-    attach_left_action, build_module, left_inner_section, subcorrespondence, \
-    trivial_self_equivalence
+    InvalidBundleError, _generating_vectors, _span_fills_fibers, amplified_correspondence, \
+    amplified_is_star_rep, attach_left_action, build_module, check_nondegenerate, \
+    left_inner_section, subcorrespondence, trivial_self_equivalence
 from fellbundles.crosssec import Section, convolve, star
 from fellbundles.groups import make_cyclic
-from fellbundles.numerics import dagger, definite_blocks, definite_check, frob, relative
+from fellbundles.numerics import DEFAULT_TOL, dagger, definite_blocks, definite_check, frob, \
+    numerical_rank, orthonormal_basis, relative
 
 from test_actions import z4_to_z2_rep_action
+from test_bundles_batched import crossed_system
 from test_pdmaps_batched import m2_z4
 from test_validators_batched import _c3_s3, _condexp_raw, _gns_zero_fiber, _m2_z3
 
@@ -172,6 +176,41 @@ def loop_left_inner_section(e, y, xi, eta):
     return out
 
 
+def loop_generating_vectors(y, k, x):
+    """Vectors (rho(a)w)b in X_k over all (g, h) with phi(g)h = k."""
+    y._need_action()
+    rho = y.action
+    src = rho.source
+    grp = y.bundle.group
+    e = grp.identity
+    hb = y.hbundle
+    vecs = []
+    seeds = [x] if x is not None else list(np.eye(hb.dims[e], dtype=np.complex128))
+    for g in src.group.elements():
+        phi_g = rho.hom(g)
+        h = grp.mul(grp.inv(phi_g), k)
+        for i in range(src.dims[g]):
+            for w in seeds:
+                mid = rho.ops[g][e][i] @ w
+                for j in range(y.bundle.dims[h]):
+                    vecs.append(hb.act[phi_g][h][j] @ mid)
+    return vecs
+
+
+def loop_span_fills_fibers(y, x, tol=None) -> bool:
+    tol = tol or DEFAULT_TOL
+    for k in y.bundle.group.elements():
+        mk = y.hbundle.dims[k]
+        if mk == 0:
+            continue
+        vecs = loop_generating_vectors(y, k, x)
+        if not vecs:
+            return False
+        if numerical_rank(np.array(vecs), tol) < mk:
+            return False
+    return True
+
+
 # -- the corpus ----------------------------------------------------------------------
 
 def _regular(bundle):
@@ -285,6 +324,42 @@ def test_module_arithmetic_matches_the_loops(correspondences):
             assert got.allclose(want, atol=1e-12 * scale), name
         with pytest.raises(ActionMismatchError):
             y.left_mul(Section.random(group_bundle(make_cyclic(1)), rng), xi)
+
+
+def test_generating_vectors_match_the_loop(correspondences):
+    """Per fiber, the same vectors in the same order within 1e-12, and the
+    same verdicts, for every correspondence of the corpus and the regular
+    actions of the benchmark's crossed products, seeded by the standard
+    basis of X_e (nondegeneracy), a random, a basis and a zero vector
+    (cyclicity), and the same subcorrespondence dimensions."""
+    bench = {f"M{k}xZ{m} regular (bench)": _regular(dynamical_bundle(*crossed_system(k, m)))
+             for k, m in ((2, 2), (2, 3), (2, 4))}
+    ys = {**correspondences,
+          **{name: attach_left_action(build_module(rho.target), rho)
+             for name, rho in bench.items()}}
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for name, y in ys.items():
+        me = y.hbundle.dims[y.bundle.group.identity]
+        seeds = {"basis": None, "zero": np.zeros(me), "first": np.eye(1, me)[0],
+                 "random": rng.standard_normal(me) + 1j * rng.standard_normal(me)}
+        for label, x in seeds.items():
+            for k, got in enumerate(_generating_vectors(y, x)):
+                vecs = loop_generating_vectors(y, k, x)
+                want = np.array(vecs, dtype=np.complex128).reshape(len(vecs), y.hbundle.dims[k])
+                assert got.shape == want.shape, (name, label, k)
+                scale = max(1.0, np.abs(want).max(initial=0.0))
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, (name, label, k)
+            verdict = _span_fills_fibers(y, x, None)
+            assert verdict == loop_span_fills_fibers(y, x), (name, label)
+            verdicts.add(verdict)
+            if "perturbed" not in name and x is not None:
+                sub = subcorrespondence(y, x)
+                want = [len(orthonormal_basis(np.array(loop_generating_vectors(y, k, x))))
+                        for k in y.bundle.group.elements()]
+                assert sub.hbundle.dims == want, (name, label)
+        assert check_nondegenerate(y) == loop_span_fills_fibers(y, None), name
+    assert verdicts == {True, False}
 
 
 def test_left_inner_section_matches_the_loop(corpus_bundles):

@@ -115,3 +115,42 @@ def test_malformed_matrix_rejected():
         sz.matrix_from_json([[1.0, 2.0]])
     with pytest.raises(sz.FormatError):
         sz.matrix_from_json([[[1.0, 0.0]]], shape=(2, 2))
+
+
+def _counting_parses(monkeypatch) -> list:
+    parses = []
+    real = sz.bundle_from_json
+    monkeypatch.setattr(sz, "bundle_from_json", lambda data: parses.append(1) or real(data))
+    return parses
+
+
+def _negated_fibers(bundle_json: dict) -> dict:
+    """The same bundle written with every basis matrix negated: equal spans,
+    unequal JSON."""
+    return {**bundle_json, "fibers": {
+        g: (-np.array(f)).tolist() for g, f in bundle_json["fibers"].items()}}
+
+
+@pytest.mark.parametrize("kind", ["action", "equivalence"])
+def test_object_over_its_own_bundle_parses_it_once(monkeypatch, kind):
+    b = group_bundle(make_cyclic(4))
+    if kind == "action":
+        obj, to_json, from_json = l2_action(b), sz.action_to_json, sz.action_from_json
+        outer, inner = "source", "target"
+    else:
+        obj, to_json, from_json = (trivial_self_equivalence(b), sz.equivalence_to_json,
+                                   sz.equivalence_from_json)
+        outer, inner = "left_bundle", "right"
+    data = json.loads(json.dumps(to_json(obj)))
+    parses = _counting_parses(monkeypatch)
+    back = from_json(data)
+    assert len(parses) == 1
+    assert getattr(back, outer) is getattr(back, inner).bundle
+    assert to_json(back) == data
+    # a Hilbert bundle over an unequally written bundle is parsed on its own
+    data[inner]["bundle"] = _negated_fibers(data[inner]["bundle"])
+    parses.clear()
+    back = from_json(data)
+    assert len(parses) == 2
+    assert getattr(back, outer) is not getattr(back, inner).bundle
+    assert to_json(back) == data
