@@ -76,14 +76,17 @@ def _emit(payload: dict, args) -> None:
     print(report_text(payload))
 
 
-# -- report text ---------------------------------------------------------------
+# -- JSON text -----------------------------------------------------------------
 #
-# A report is the text json.dumps(payload, sort_keys=True, indent=2) gives,
-# byte for byte.  That call runs json's pure-Python encoder, which costs most
-# of a refutation's time when its witness holds large matrices, so reports are
-# written here instead: dicts and other lists are written item by item as json
-# writes them, and a rectangular nest of finite floats (every array that
-# serialize._encode makes) in one pass over its flattened leaves.
+# A report is the text of json.dumps(payload, sort_keys=True, indent=2), and an
+# object file that of json.dumps(lists, sort_keys=True), for `lists` the
+# object's tree (serialize.*_tree) with its arrays turned to nested lists; both
+# byte for byte.  Both are written here: json's indenting encoder is pure
+# Python, and its C encoder makes and formats one Python float per entry of an
+# object's arrays, which hold few distinct values.  Dicts and lists are written
+# item by item as json writes them, a rectangular nest of finite floats (every
+# matrix that serialize.matrix_to_json makes) in one pass over its flattened
+# leaves, and the float arrays of an object's tree all at once.
 
 _SEQUENCES = {list, tuple}
 
@@ -98,105 +101,194 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _float_nest(o, depth: int) -> str | None:
-    """The text of `o`, a list at nesting `depth`, when it is a rectangular
-    nest of finite floats; None otherwise.
+class _Writer:
+    """Text of JSON-like values as json.dumps(o, sort_keys=True, indent=2)
+    writes them, for dicts with str keys; TypeError for anything else json
+    refuses."""
 
-    Consecutive leaves are joined by a separator that depends only on r, the
-    number of trailing axes that roll over between them: it closes r lists,
-    writes a comma and opens r lists again."""
-    shape = []
-    x = o
-    while type(x) in _SEQUENCES:
-        if not x:
+    def __init__(self):
+        self.out = []
+        self._separators = {}
+
+    def newline(self, depth: int) -> str:
+        return "\n" + "  " * depth
+
+    def comma(self, depth: int) -> str:
+        return ",\n" + "  " * depth
+
+    def nest(self, leaves: list, shape: tuple, depth: int) -> str:
+        """The text of a rectangular nest of `shape` at nesting `depth`, given
+        the texts of its leaves in order.
+
+        Consecutive leaves are joined by a separator that depends only on r,
+        the number of trailing axes that roll over between them: it closes r
+        lists, writes a comma and opens r lists again."""
+        key = shape, depth
+        if key not in self._separators:
+            d = len(shape)
+            opens = ["[" + self.newline(depth + k) for k in range(1, d + 1)]
+            closes = [self.newline(depth + k) + "]" for k in range(d - 1, -1, -1)]
+            seps = ["".join(closes[:r]) + self.comma(depth + d - r) + "".join(opens[d - r:])
+                    for r in range(d)]
+            between = [seps[0]] * (shape[-1] - 1)
+            for r, n in enumerate(reversed(shape[:-1]), 1):
+                between = (between + [seps[r]]) * (n - 1) + between
+            self._separators[key] = "".join(opens), between, "".join(closes)
+        head, between, tail = self._separators[key]
+        parts = [None] * (2 * len(leaves) - 1)
+        parts[::2] = leaves
+        parts[1::2] = between
+        return head + "".join(parts) + tail
+
+    def float_nest(self, o, depth: int) -> str | None:
+        """The text of `o`, a list at nesting `depth`, when it is a
+        rectangular nest of finite floats; None otherwise."""
+        shape = []
+        x = o
+        while type(x) in _SEQUENCES:
+            if not x:
+                return None
+            shape.append(len(x))
+            x = x[0]
+        if not isinstance(x, float):
             return None
-        shape.append(len(x))
-        x = x[0]
-    if not isinstance(x, float):
-        return None
-    leaves = list(o)
-    for n in shape[1:]:
-        if not set(map(type, leaves)) <= _SEQUENCES or set(map(len, leaves)) != {n}:
+        leaves = list(o)
+        for n in shape[1:]:
+            if not set(map(type, leaves)) <= _SEQUENCES or set(map(len, leaves)) != {n}:
+                return None
+            leaves = list(chain.from_iterable(leaves))
+        if not all(issubclass(t, float) for t in set(map(type, leaves))) \
+                or not all(map(math.isfinite, leaves)):
             return None
-        leaves = list(chain.from_iterable(leaves))
-    if not all(issubclass(t, float) for t in set(map(type, leaves))) \
-            or not all(map(math.isfinite, leaves)):
-        return None
-    d = len(shape)
-    opens = ["[\n" + "  " * (depth + k) for k in range(1, d + 1)]
-    closes = ["\n" + "  " * (depth + k) + "]" for k in range(d - 1, -1, -1)]
-    seps = ["".join(closes[:r]) + ",\n" + "  " * (depth + d - r) + "".join(opens[d - r:])
-            for r in range(d)]
-    between = [seps[0]] * (shape[-1] - 1)
-    for r, n in enumerate(reversed(shape[:-1]), 1):
-        between = (between + [seps[r]]) * (n - 1) + between
-    parts = [None] * (2 * len(leaves) - 1)
-    parts[::2] = map(float.__repr__, leaves)
-    parts[1::2] = between
-    return "".join(opens) + "".join(parts) + "".join(closes)
+        return self.nest(list(map(float.__repr__, leaves)), tuple(shape), depth)
 
+    def write(self, o, depth: int) -> None:
+        """Append the text of `o` at nesting `depth`, as json does."""
+        out = self.out
+        if isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                out.append("[]")
+                return
+            nest = self.float_nest(o, depth)
+            if nest is not None:
+                out.append(nest)
+                return
+            sep = self.newline(depth + 1)
+            out.append("[")
+            for item in o:
+                out.append(sep)
+                self.write(item, depth + 1)
+                sep = self.comma(depth + 1)
+            out.append(self.newline(depth) + "]")
+        elif isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            sep = self.newline(depth + 1)
+            out.append("{")
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                out.append(sep)
+                out.append(encode_basestring_ascii(key))
+                out.append(": ")
+                self.write(value, depth + 1)
+                sep = self.comma(depth + 1)
+            out.append(self.newline(depth) + "}")
+        else:
+            self.write_other(o, depth)
 
-def _write(o, depth: int, out: list) -> None:
-    """Append the text of `o` at nesting `depth` to `out`, as json does."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        nest = _float_nest(o, depth)
-        if nest is not None:
-            out.append(nest)
-            return
-        sep = "\n" + "  " * (depth + 1)
-        out.append("[")
-        for item in o:
-            out.append(sep)
-            _write(item, depth + 1, out)
-            sep = ",\n" + "  " * (depth + 1)
-        out.append("\n" + "  " * depth + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        sep = "\n" + "  " * (depth + 1)
-        out.append("{")
-        for key, value in sorted(o.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write(value, depth + 1, out)
-            sep = ",\n" + "  " * (depth + 1)
-        out.append("\n" + "  " * depth + "}")
-    else:
+    def write_other(self, o, depth: int) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def text(self, o) -> str:
+        self.write(o, 0)
+        return "".join(self.out)
+
+
+class _ObjectWriter(_Writer):
+    """Text of object trees as json.dumps(o, sort_keys=True) writes them once
+    every float64 array leaf is turned to nested lists by tolist().  The
+    array leaves are written last, together: each distinct value among all
+    their entries is formatted once (`_entry_texts`), and each array's leaf
+    texts are joined by the separators of its shape."""
+
+    def __init__(self):
+        super().__init__()
+        self._arrays = []  # (position in out, array) of every array leaf
+
+    def newline(self, depth: int) -> str:
+        return ""
+
+    def comma(self, depth: int) -> str:
+        return ", "
+
+    def write_other(self, o, depth: int) -> None:
+        if not (isinstance(o, np.ndarray) and o.dtype == np.float64):
+            super().write_other(o, depth)
+            return
+        self._arrays.append((len(self.out), o))
+        self.out.append(None)
+
+    def text(self, o) -> str:
+        self.write(o, 0)
+        if self._arrays:
+            leaves = _entry_texts(np.concatenate([a.ravel() for _, a in self._arrays]))
+            start = 0
+            for at, a in self._arrays:
+                shape = a.shape
+                if 0 in shape:  # tolist() gives nested empty lists
+                    shape = shape[:shape.index(0)]
+                    self.out[at] = self.nest(["[]"] * math.prod(shape), shape, 0) \
+                        if shape else "[]"
+                else:
+                    self.out[at] = self.nest(leaves[start:start + a.size], shape, 0)
+                    start += a.size
+        return "".join(self.out)
+
+
+def _entry_texts(flat: np.ndarray) -> list:
+    """The text of every entry of a float64 array, formatting each distinct
+    bit pattern once (so -0.0 stays apart from 0.0)."""
+    bits = flat.view(np.int64)
+    values = np.sort(bits)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    values = values[first]
+    texts = np.array(list(map(_float_text, values.view(np.float64).tolist())), dtype=object)
+    return texts[np.searchsorted(values, bits)].tolist()
 
 
 def report_text(payload) -> str:
     """`payload` as json.dumps(payload, sort_keys=True, indent=2) writes it,
     for payloads whose dicts have str keys; TypeError for anything else json
     refuses."""
-    out = []
-    _write(payload, 0, out)
-    return "".join(out)
+    return _Writer().text(payload)
 
 
-def _write_object(obj: dict, path: str | None) -> None:
+def object_text(tree) -> str:
+    """`tree`, a JSON-like value whose leaves may also be float arrays, as
+    json.dumps(lists, sort_keys=True) writes `lists`, the tree with every
+    array leaf turned to nested lists by tolist()."""
+    return _ObjectWriter().text(tree)
+
+
+def _write_object(tree, path: str | None) -> None:
     """Write an object file, compact sorted-key JSON on one line, to `path`,
     or print it when there is no path."""
-    text = json.dumps(obj, sort_keys=True) + "\n"
+    text = object_text(tree) + "\n"
     if path:
         Path(path).write_text(text)
     else:
@@ -266,28 +358,28 @@ def cmd_build(args) -> int:
         if kind in _GROUP_KINDS:
             obj = sz.group_to_json(_built_group(spec))
         elif kind == "group_bundle":
-            obj = sz.bundle_to_json(group_bundle(sz.group_from_json(spec["group"])))
+            obj = sz.bundle_tree(group_bundle(sz.group_from_json(spec["group"])))
         elif kind == "dynamical_bundle":
             algebra = np.array([sz.matrix_from_json(m) for m in spec["algebra"]])
             group = sz.group_from_json(spec["group"])
             autos = [sz.matrix_from_json(m) for m in spec["automorphisms"]]
-            obj = sz.bundle_to_json(dynamical_bundle(algebra, group, autos))
+            obj = sz.bundle_tree(dynamical_bundle(algebra, group, autos))
         elif kind in ("trivial_hilbert_bundle", "l2_bundle", "regular_hilbert_bundle"):
             bundle = sz.bundle_from_json(spec["bundle"])
             built = {"trivial_hilbert_bundle": trivial_hilbert_bundle,
                      "l2_bundle": l2_bundle,
                      "regular_hilbert_bundle":
                          lambda b: regularize_bundle(trivial_hilbert_bundle(b))}[kind](bundle)
-            obj = sz.hilbert_to_json(built)
+            obj = sz.hilbert_tree(built)
         elif kind in ("trivial_action", "l2_action", "regular_action"):
             bundle = sz.bundle_from_json(spec["bundle"])
             built = {"trivial_action": trivial_action,
                      "l2_action": l2_action,
                      "regular_action":
                          lambda b: regularize_action(trivial_action(b))}[kind](bundle)
-            obj = sz.action_to_json(built)
+            obj = sz.action_tree(built)
         elif kind == "identity_bundle_map":
-            obj = sz.bundle_map_to_json(
+            obj = sz.bundle_map_tree(
                 identity_bundle_map(sz.bundle_from_json(spec["bundle"])))
         elif kind == "scalar_bundle_map":
             source = sz.bundle_from_json(spec["source"])
@@ -298,9 +390,9 @@ def cmd_build(args) -> int:
             hom = GroupHom(source.group, target.group,
                            np.asarray(spec["phi"], dtype=np.int64))
             values = sz.vector_from_json(spec["values"])
-            obj = sz.bundle_map_to_json(scalar_bundle_map(source, target, hom, values))
+            obj = sz.bundle_map_tree(scalar_bundle_map(source, target, hom, values))
         elif kind == "self_equivalence":
-            obj = sz.equivalence_to_json(
+            obj = sz.equivalence_tree(
                 trivial_self_equivalence(sz.bundle_from_json(spec["bundle"])))
         else:
             raise sz.FormatError(f"unknown build kind {kind!r}")
@@ -345,9 +437,9 @@ def cmd_gns(args) -> int:
         "action": f"{prefix}.action.json",
         "vector": f"{prefix}.vector.json",
     }
-    _write_object(sz.hilbert_to_json(hb), paths["hilbert_bundle"])
-    _write_object(sz.action_to_json(rho), paths["action"])
-    _write_object(sz.vector_payload_to_json(xi, hb.bundle.group.identity), paths["vector"])
+    _write_object(sz.hilbert_tree(hb), paths["hilbert_bundle"])
+    _write_object(sz.action_tree(rho), paths["action"])
+    _write_object(sz.vector_payload_tree(xi, hb.bundle.group.identity), paths["vector"])
 
     # re-read everything and re-derive the map from the stored data
     rho2 = sz.action_from_json(_load(paths["action"]))

@@ -246,7 +246,8 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     r, s = np.repeat(r[keep], 3), np.repeat(s[keep], 3)
     lengths = np.stack([dims[r], dims[s], bdims[s]], axis=1).ravel()
     z = np.random.default_rng(0).standard_normal(2 * int(lengths.sum()))
-    draws = split_draws(z, lengths, max(dm, db)).reshape(len(r), 3, -1)
+    width = max(dm, db)
+    draws = split_draws(z, lengths, width).reshape(len(r), 3, width)
     worst_b = worst_c = 0.0
     # per tuple: five ambient n x n values and five gathered (dm, dm, db) blocks
     for idx in chunks(len(r), 5 * (n * n + dm * dm * db)):

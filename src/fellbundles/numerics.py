@@ -104,6 +104,8 @@ def worst_relative(count: int, entries: int, sides) -> float:
     where sides(idx) stacks the two sides, `entries` complex entries per
     item, of the items idx of one chunk."""
     worst = 0.0
+    if entries == 0:  # every item is empty, so no residual
+        return worst
     for idx in chunks(count, entries):
         lhs, rhs = (np.ascontiguousarray(side).reshape(len(idx), -1) for side in sides(idx))
         res = _row_norms(lhs - rhs) / np.maximum(_row_norms(lhs), 1.0)
@@ -247,6 +249,8 @@ def block_spectra(groups):
             ev = np.linalg.eigvalsh((a + ah) / 2)
             low = np.minimum(low, ev[..., 0].min(axis=-1))
             high = np.maximum(high, ev[..., -1].max(axis=-1))
+    # length B even when every block is empty and no eigenvalue was taken
+    low, high = np.broadcast_arrays(low, high, norm)[:2]
     empty = ~np.isfinite(low)
     return np.sqrt(anti), np.sqrt(norm), np.where(empty, 0.0, low), np.where(empty, 0.0, high)
 

@@ -4,6 +4,12 @@ Complex scalars are [re, im] pairs; group elements are integer indices;
 dictionary keys are decimal strings ("g" or "g,h").  Serialization is
 deterministic given the same object, and parse(serialize(x)) reproduces
 the data exactly.
+
+Each object kind has one tree builder, `*_tree`: the object's JSON with
+every complex array left as its float64 [re, im] view (`_encode`), which
+the command line writes without making a Python float per entry.  The
+public `*_to_json` functions return the same tree with those leaves turned
+to nested lists, so their results are JSON-native.
 """
 
 from __future__ import annotations
@@ -25,10 +31,20 @@ class FormatError(ValueError):
     pass
 
 
-def _encode(a) -> list:
-    """Nested lists of [re, im] pairs of a complex array, in one call."""
+def _encode(a) -> np.ndarray:
+    """The float64 array of [re, im] pairs of a complex array, a view when
+    the array is contiguous complex128."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
-    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+    return a.view(np.float64).reshape(a.shape + (2,))
+
+
+def _lists(tree):
+    """A tree of dicts with every array leaf turned to nested lists."""
+    if isinstance(tree, dict):
+        return {k: _lists(v) for k, v in tree.items()}
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    return tree
 
 
 def _decode(data, shape, what: str) -> np.ndarray:
@@ -97,7 +113,12 @@ def _pair_keys(grp: FiniteGroup, other: FiniteGroup | None = None) -> list[str]:
     return [f"{r},{s}" for r in grp.elements() for s in (other or grp).elements()]
 
 
-matrix_to_json = vector_to_json = tensor3_to_json = _encode
+def matrix_to_json(a) -> list:
+    """Nested lists of [re, im] pairs of a complex array, in one call."""
+    return _encode(a).tolist()
+
+
+vector_to_json = tensor3_to_json = matrix_to_json
 
 
 def matrix_from_json(data, shape=None) -> np.ndarray:
@@ -137,7 +158,7 @@ def _hom(source: FiniteGroup, target: FiniteGroup, data) -> GroupHom:
 
 # -- bundles ------------------------------------------------------------------
 
-def bundle_to_json(b: FellBundle) -> dict:
+def bundle_tree(b: FellBundle) -> dict:
     return {
         "type": "bundle",
         "group": group_to_json(b.group),
@@ -145,6 +166,10 @@ def bundle_to_json(b: FellBundle) -> dict:
         "unital": bool(b.unital),
         "fibers": {str(g): _encode(b.fibers[g]) for g in b.group.elements()},
     }
+
+
+def bundle_to_json(b: FellBundle) -> dict:
+    return _lists(bundle_tree(b))
 
 
 def bundle_from_json(data) -> FellBundle:
@@ -190,15 +215,18 @@ def section_from_json(bundle: FellBundle, data) -> Section:
 
 # -- bundle maps ----------------------------------------------------------------
 
-def bundle_map_to_json(t: BundleMap) -> dict:
+def bundle_map_tree(t: BundleMap) -> dict:
     return {
         "type": "bundle_map",
-        "source": bundle_to_json(t.source),
-        "target": bundle_to_json(t.target),
+        "source": bundle_tree(t.source),
+        "target": bundle_tree(t.target),
         "phi": t.hom.map.tolist(),
-        "blocks": {str(g): matrix_to_json(t.mats[g])
-                   for g in t.source.group.elements()},
+        "blocks": {str(g): _encode(t.mats[g]) for g in t.source.group.elements()},
     }
+
+
+def bundle_map_to_json(t: BundleMap) -> dict:
+    return _lists(bundle_map_tree(t))
 
 
 def bundle_map_from_json(data) -> BundleMap:
@@ -223,17 +251,21 @@ def bundle_map_from_json(data) -> BundleMap:
 
 # -- hilbert bundles and actions -------------------------------------------------
 
-def hilbert_to_json(x: SemiInnerBundle) -> dict:
+def hilbert_tree(x: SemiInnerBundle) -> dict:
     grp = x.bundle.group
     return {
         "type": "hilbert_bundle",
-        "bundle": bundle_to_json(x.bundle),
+        "bundle": bundle_tree(x.bundle),
         "dims": list(x.dims),
-        "action": {f"{r},{h}": tensor3_to_json(x.act[r][h])
+        "action": {f"{r},{h}": _encode(x.act[r][h])
                    for r in grp.elements() for h in grp.elements()},
-        "inner": {f"{r},{s}": tensor3_to_json(x.inner[r][s])
+        "inner": {f"{r},{s}": _encode(x.inner[r][s])
                   for r in grp.elements() for s in grp.elements()},
     }
+
+
+def hilbert_to_json(x: SemiInnerBundle) -> dict:
+    return _lists(hilbert_tree(x))
 
 
 def hilbert_from_json(data, definite: bool = True,
@@ -263,17 +295,21 @@ def hilbert_from_json(data, definite: bool = True,
     return cls(bundle, dims, act, inner)
 
 
-def action_to_json(rho: Action) -> dict:
+def action_tree(rho: Action) -> dict:
     src_grp = rho.source.group
     tgt_grp = rho.target.bundle.group
     return {
         "type": "action",
-        "source": bundle_to_json(rho.source),
+        "source": bundle_tree(rho.source),
         "phi": rho.hom.map.tolist(),
-        "target": hilbert_to_json(rho.target),
-        "ops": {f"{g},{h}": tensor3_to_json(rho.ops[g][h])
+        "target": hilbert_tree(rho.target),
+        "ops": {f"{g},{h}": _encode(rho.ops[g][h])
                 for g in src_grp.elements() for h in tgt_grp.elements()},
     }
+
+
+def action_to_json(rho: Action) -> dict:
+    return _lists(action_tree(rho))
 
 
 def action_from_json(data) -> Action:
@@ -295,25 +331,33 @@ def action_from_json(data) -> Action:
     return Action(source, phi, target, ops)
 
 
+def vector_payload_tree(x, fiber: int) -> dict:
+    return {"type": "vector", "fiber": int(fiber), "coords": _encode(x)}
+
+
 def vector_payload_to_json(x, fiber: int) -> dict:
-    return {"type": "vector", "fiber": int(fiber), "coords": vector_to_json(x)}
+    return _lists(vector_payload_tree(x, fiber))
 
 
 def vector_payload_from_json(data) -> tuple[np.ndarray, int]:
     return vector_from_json(data["coords"]), _integer(data.get("fiber", 0), "fiber")
 
 
-def equivalence_to_json(e: EquivalenceBundle) -> dict:
+def equivalence_tree(e: EquivalenceBundle) -> dict:
     grp = e.left_bundle.group
     return {
         "type": "equivalence",
-        "left_bundle": bundle_to_json(e.left_bundle),
-        "right": hilbert_to_json(e.right),
-        "lact": {f"{g},{r}": tensor3_to_json(e.lact[g][r])
+        "left_bundle": bundle_tree(e.left_bundle),
+        "right": hilbert_tree(e.right),
+        "lact": {f"{g},{r}": _encode(e.lact[g][r])
                  for g in grp.elements() for r in grp.elements()},
-        "linner": {f"{r},{s}": tensor3_to_json(e.linner[r][s])
+        "linner": {f"{r},{s}": _encode(e.linner[r][s])
                    for r in grp.elements() for s in grp.elements()},
     }
+
+
+def equivalence_to_json(e: EquivalenceBundle) -> dict:
+    return _lists(equivalence_tree(e))
 
 
 def equivalence_from_json(data) -> EquivalenceBundle:
