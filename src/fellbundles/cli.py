@@ -238,9 +238,11 @@ class _ObjectWriter(_Writer):
     def write_other(self, o, depth: int) -> None:
         if not (isinstance(o, np.ndarray) and o.dtype == np.float64):
             super().write_other(o, depth)
-            return
-        self._arrays.append((len(self.out), o))
-        self.out.append(None)
+        elif o.size == 0:  # nested empty lists, no entry to format
+            self.write(o.tolist(), depth)
+        else:
+            self._arrays.append((len(self.out), o))
+            self.out.append(None)
 
     def text(self, o) -> str:
         self.write(o, 0)
@@ -248,25 +250,17 @@ class _ObjectWriter(_Writer):
             leaves = _entry_texts(np.concatenate([a.ravel() for _, a in self._arrays]))
             start = 0
             for at, a in self._arrays:
-                shape = a.shape
-                if 0 in shape:  # tolist() gives nested empty lists
-                    shape = shape[:shape.index(0)]
-                    self.out[at] = self.nest(["[]"] * math.prod(shape), shape, 0) \
-                        if shape else "[]"
-                else:
-                    self.out[at] = self.nest(leaves[start:start + a.size], shape, 0)
-                    start += a.size
+                self.out[at] = self.nest(leaves[start:start + a.size], a.shape, 0)
+                start += a.size
         return "".join(self.out)
 
 
 def _entry_texts(flat: np.ndarray) -> list:
-    """The text of every entry of a float64 array, formatting each distinct
-    bit pattern once (so -0.0 stays apart from 0.0)."""
+    """The text of every entry of a nonempty float64 array, formatting each
+    distinct bit pattern once (so -0.0 stays apart from 0.0)."""
     bits = flat.view(np.int64)
     values = np.sort(bits)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    values = values[first]
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     texts = np.array(list(map(_float_text, values.view(np.float64).tolist())), dtype=object)
     return texts[np.searchsorted(values, bits)].tolist()
 
