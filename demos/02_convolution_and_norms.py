@@ -24,7 +24,7 @@ print("fiber sum is direct:", b.direct)
 
 rng = np.random.default_rng(1)
 vals = rng.standard_normal(n)
-f = Section(b, [vals[g] * np.array([np.sqrt(n)]) for g in grp.elements()])
+f = Section(b, vals[:, None] * np.sqrt(n))
 print("section with values", np.round(vals, 3), "on Z/6")
 print("C*-norm:", cstar_norm(f))
 print("max |DFT|:", np.abs(np.fft.fft(vals)).max())

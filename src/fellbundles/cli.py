@@ -32,8 +32,8 @@ from .correspondences import (
     trivial_self_equivalence,
     verify_imprimitivity,
 )
-from .groups import GroupHom, NoIdentityError, NotAssociativeError, NotLatinSquareError, \
-    make_cyclic, make_from_table, symmetric_group
+from .groups import NoIdentityError, NotAssociativeError, NotLatinSquareError, make_cyclic, \
+    make_from_table, symmetric_group
 from .hilbundles import trivial_hilbert_bundle, l2_bundle, regularize_bundle, \
     validate_hilbert_bundle
 from .numerics import Tolerance
@@ -381,8 +381,7 @@ def cmd_build(args) -> int:
             # serialize.bundle_map_from_json does
             target = source if spec["target"] == spec["source"] \
                 else sz.bundle_from_json(spec["target"])
-            hom = GroupHom(source.group, target.group,
-                           np.asarray(spec["phi"], dtype=np.int64))
+            hom = sz._hom(source.group, target.group, spec)
             values = sz.vector_from_json(spec["values"])
             obj = sz.bundle_map_tree(scalar_bundle_map(source, target, hom, values))
         elif kind == "self_equivalence":

@@ -17,13 +17,15 @@ subcorrespondence are still implemented since they carry the construction.
 The module arithmetic reads the stored padded arrays of the Hilbert bundle
 and the action (act_array, inner_array and ops_array, indexed by group
 elements and zero-padded to the largest fiber dimensions): a vector is a
-(|G|, dm) array of fiber components, and each of right_mul, inner and
-left_mul is one batched matmul over all pairs of group elements plus one
-gather through the Cayley table.  The left action of a section is
-block-monomial on the section space (row fiber r reads column fiber
-phi(g)^-1 r), so the amplification lambda_g (x) pi_g(a) is never formed
-densely: its residuals are sums over the |G| disjoint supports of the
-lambda_k (see amplified_is_star_rep).
+(|G|, dm) array of fiber components, a section is read and built as its
+padded coefficient array (Section.coeff_array), and each of right_mul,
+inner and left_mul is one batched matmul over all pairs of group elements
+plus one gather through the Cayley table; right_mul and left_mul share that
+kernel with crosssec.convolve (crosssec._diagonal_sum).  The left action of
+a section is block-monomial on the section space (row fiber r reads column
+fiber phi(g)^-1 r), so the amplification lambda_g (x) pi_g(a) is never
+formed densely: its residuals are sums over the |G| disjoint supports of
+the lambda_k (see amplified_is_star_rep).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .actions import Action, WrongFiberError, compress_action, left_multiplication
 from .bundles import FellBundle, bundles_equal
-from .crosssec import Section, ambient_image, convolve, cstar_norm, star
+from .crosssec import Section, _diagonal_sum, ambient_image, convolve, cstar_norm, star
 from .groups import identity_hom
 from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
     compress_bundle, trace_localize, trivial_hilbert_bundle
@@ -97,21 +99,16 @@ class Correspondence:
     def right_mul(self, xi, f: Section) -> np.ndarray:
         """(xi . f)(h) = sum_k xi(k) f(k^-1 h)."""
         grp = self.bundle.group
-        act = self.hbundle.act_array
-        c = padded([f.coeffs], (act.shape[2],))[0]
-        # y[k, q] = xi(k) f(q) in X_{kq}
-        y = (act @ self.blocks(xi)[:, None, None, :, None])[..., 0]
-        y = (c[None, :, None, :] @ y)[:, :, 0]
-        quot = grp.table[grp.inverse]  # quot[k, h] = k^-1 h
-        return self._flat(y[np.arange(grp.order)[:, None], quot].sum(axis=0))
+        # pair xi(k) f(q) in X_{kq}, then sum over k at q = k^-1 h
+        return self._flat(_diagonal_sum(self.hbundle.act_array, self.blocks(xi)[:, None],
+                                        f.coeff_array[None], grp.table[grp.inverse]))
 
     def inner(self, xi, eta) -> Section:
         """<xi, eta>(h) = sum_k <xi(k), eta(k h)>, a section of the target."""
         grp = self.bundle.group
         # w[k, s] = <xi(k), eta(s)> in B_{k^-1 s}
         w = _pairings(self.hbundle.inner_array, self.blocks(xi).conj(), self.blocks(eta))
-        out = w[np.arange(grp.order)[:, None], grp.table].sum(axis=0)
-        return Section(self.bundle, [out[h, :d] for h, d in enumerate(self.bundle.dims)])
+        return Section(self.bundle, w[np.arange(grp.order)[:, None], grp.table].sum(axis=0))
 
     def norm(self, xi) -> float:
         return float(np.sqrt(max(cstar_norm(self.inner(xi, xi)), 0.0)))
@@ -141,13 +138,9 @@ class Correspondence:
         self._need_action()
         if f.bundle is not self.action.source:
             raise ActionMismatchError("section does not live over the acting bundle")
-        ops = self.action.ops_array
-        c = padded([f.coeffs], (ops.shape[2],))[0]
-        # y[g, h] = rho(f(g)) xi(h) in X_{phi(g)h}
-        y = (ops @ self.blocks(xi)[None, :, None, :, None])[..., 0]
-        y = (c[:, None, None, :] @ y)[:, :, 0]
-        src = _sources(self)
-        return self._flat(y[np.arange(len(ops))[:, None], src].sum(axis=0))
+        # pair rho(f(g)) xi(h) in X_{phi(g)h}, then sum over g at h = phi(g)^-1 r
+        return self._flat(_diagonal_sum(self.action.ops_array, self.blocks(xi)[None],
+                                        f.coeff_array[:, None], _sources(self)))
 
 
 def _sources(y: Correspondence) -> np.ndarray:
@@ -339,8 +332,7 @@ class AmplifiedCorrespondence:
         if f.bundle is not self.src:
             raise ActionMismatchError("section does not live over the source bundle")
         ga, gb, da, dm = self._gen.shape[:4]
-        c = padded([f.coeffs], (da,))[0]
-        return (c[:, None, None, :] @ self._gen.reshape(ga, gb, da, dm * dm)).reshape(
+        return (f.coeff_array[:, None, None, :] @ self._gen.reshape(ga, gb, da, dm * dm)).reshape(
             ga, gb, dm, dm)
 
 
@@ -483,8 +475,7 @@ def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Sect
     grp = e.left_bundle.group
     # w[r, s] = [xi(r), eta(s)] in A_{r s^-1}
     w = _pairings(e.linner_array, y.blocks(xi), y.blocks(eta).conj())
-    out = w[grp.table, np.arange(grp.order)].sum(axis=1)
-    return Section(e.left_bundle, [out[h, :d] for h, d in enumerate(e.left_bundle.dims)])
+    return Section(e.left_bundle, w[grp.table, np.arange(grp.order)].sum(axis=1))
 
 
 def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,

@@ -1,12 +1,16 @@
 """Convolution sections, their ambient image, and the oracle representations.
 
 Sections are finitely supported graded functions on the group, stored as
-coefficient vectors over the HS-orthonormal fiber bases.  Their ambient
-image f -> sum_g f(g) in M_n is a *-homomorphism; it is injective exactly
-when the fiber sum is direct (FellBundle.direct), and an injective
-*-homomorphism of finite-dimensional C*-algebras is isometric, so the
-operator norm of the ambient image is the exact C*-norm.  For finite groups
-the full and reduced norms coincide.
+one read-only (|G|, db) array of coordinates over the HS-orthonormal fiber
+bases, zero-padded to the largest fiber dimension db (`coeff_array`);
+`coeffs[g]` is the view of its first dims[g] entries in row g.  Convolution
+is the bundle's right action on itself, so it shares the kernel of the
+module actions in `correspondences` (`_diagonal_sum`); the involution is one
+gather through the group inverse.  The ambient image f -> sum_g f(g) in M_n
+is a *-homomorphism; it is injective exactly when the fiber sum is direct
+(FellBundle.direct), and an injective *-homomorphism of finite-dimensional
+C*-algebras is isometric, so the operator norm of the ambient image is the
+exact C*-norm.  For finite groups the full and reduced norms coincide.
 
 The regular representation on the direct sum of all fibers (RegRep) and the
 block matrix algebras over tuples realized on sums of fibers (MatrixAlgOp)
@@ -16,12 +20,11 @@ library reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bundles import FellBundle, FiberEscapeError
-from .numerics import DEFAULT_TOL, PsdResult, Tolerance, dagger, hermitian_defect, opnorm, psd_check
+from .numerics import DEFAULT_TOL, PsdResult, Tolerance, dagger, freeze, hermitian_defect, \
+    opnorm, psd_check, split_draws
 
 
 class BundleMismatchError(ValueError):
@@ -37,25 +40,25 @@ class NotDirectError(ValueError):
     faithful."""
 
 
-@dataclass
 class Section:
-    """Element of the convolution *-algebra of a bundle (fiber coordinates)."""
+    """Element of the convolution *-algebra of a bundle, built from a copy of
+    its padded coefficient array (ValueError on a wrong shape or padding)."""
 
-    bundle: FellBundle
-    coeffs: list[np.ndarray]
-
-    def __post_init__(self):
-        fixed = []
-        for g in self.bundle.group.elements():
-            c = np.asarray(self.coeffs[g], dtype=np.complex128)
-            if c.shape != (self.bundle.dims[g],):
-                raise ValueError(f"fiber {g}: expected {self.bundle.dims[g]} coefficients")
-            fixed.append(c)
-        self.coeffs = fixed
+    def __init__(self, bundle: FellBundle, coeff_array):
+        arr, dims = np.array(coeff_array, dtype=np.complex128), np.asarray(bundle.dims)
+        if arr.shape != (len(dims), dims.max(initial=0)):
+            raise ValueError(f"a section needs a ({len(dims)}, {dims.max(initial=0)}) "
+                             f"coefficient array, not {arr.shape}")
+        stray = np.flatnonzero(((arr != 0) & (np.arange(arr.shape[1]) >= dims[:, None])).any(1))
+        if len(stray):
+            raise ValueError(f"fiber {stray[0]}: nonzero coefficient past its "
+                             f"{dims[stray[0]]} coordinates")
+        self.bundle, self.coeff_array = bundle, arr
+        self.coeffs = freeze(arr, [(d,) for d in bundle.dims])
 
     @staticmethod
     def zero(bundle: FellBundle) -> "Section":
-        return Section(bundle, [np.zeros(d, dtype=np.complex128) for d in bundle.dims])
+        return Section(bundle, np.zeros((bundle.group.order, max(bundle.dims, default=0))))
 
     @staticmethod
     def delta(bundle: FellBundle, g: int, mat) -> "Section":
@@ -63,45 +66,50 @@ class Section:
         c, res = bundle.coords(g, mat)
         if res > 1e-8:
             raise FiberEscapeError(f"value does not lie in the fiber over {g}")
-        s = Section.zero(bundle)
-        s.coeffs[g] = c
-        return s
+        return _supported(bundle, g, c)
 
     @staticmethod
     def unit(bundle: FellBundle) -> "Section":
         if not bundle.unital:
             raise ValueError("bundle is not unital")
-        s = Section.zero(bundle)
-        s.coeffs[bundle.group.identity] = bundle.unit_coords.copy()
-        return s
+        return _supported(bundle, bundle.group.identity, bundle.unit_coords)
 
     @staticmethod
     def random(bundle: FellBundle, rng) -> "Section":
-        return Section(bundle, [bundle.random_coords(g, rng) for g in bundle.group.elements()])
+        """Coordinates drawn as `random_coords` of each fiber in turn."""
+        z = rng.standard_normal(2 * bundle.total_dim)
+        return Section(bundle, split_draws(z, np.asarray(bundle.dims),
+                                           max(bundle.dims, default=0)))
 
     def ambient(self, g: int) -> np.ndarray:
         return self.bundle.element(g, self.coeffs[g])
 
     def support(self) -> list[int]:
-        return [g for g in self.bundle.group.elements() if np.any(self.coeffs[g])]
+        return np.flatnonzero(self.coeff_array.any(axis=1)).tolist()
 
     def __add__(self, other: "Section") -> "Section":
         _same_bundle(self, other)
-        return Section(self.bundle, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Section(self.bundle, self.coeff_array + other.coeff_array)
 
     def __sub__(self, other: "Section") -> "Section":
         _same_bundle(self, other)
-        return Section(self.bundle, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Section(self.bundle, self.coeff_array - other.coeff_array)
 
     def __rmul__(self, scalar) -> "Section":
-        return Section(self.bundle, [scalar * c for c in self.coeffs])
+        return Section(self.bundle, scalar * self.coeff_array)
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(sum(float(np.vdot(c, c).real) for c in self.coeffs)))
+        return float(np.sqrt(np.vdot(self.coeff_array, self.coeff_array).real))
 
     def allclose(self, other: "Section", atol=1e-10) -> bool:
         _same_bundle(self, other)
-        return all(np.allclose(a, b, atol=atol) for a, b in zip(self.coeffs, other.coeffs))
+        return np.allclose(self.coeff_array, other.coeff_array, atol=atol)
+
+
+def _supported(bundle: FellBundle, g: int, c) -> Section:
+    arr = np.zeros((bundle.group.order, max(bundle.dims, default=0)), dtype=np.complex128)
+    arr[g, :bundle.dims[g]] = c
+    return Section(bundle, arr)
 
 
 def _same_bundle(f1: Section, f2: Section):
@@ -117,33 +125,34 @@ def _guard_grading(bundle: FellBundle):
         )
 
 
+def _diagonal_sum(tensor, x, c, index) -> np.ndarray:
+    """out[h] = sum_k y[k, index[k, h]] for the pairing
+    y[k, j] = sum_i c[k, j, i] tensor[k, j, i] @ x[k, j], where tensor is a
+    padded (K, J, d, m, m') array of operators and the padded coordinate and
+    vector arrays c (., ., d) and x (., ., m') broadcast over (K, J)."""
+    y = (tensor @ x[..., None, :, None])[..., 0]
+    y = (c[..., None, :] @ y)[..., 0, :]
+    return y[np.arange(len(y))[:, None], index].sum(axis=0)
+
+
 def convolve(f1: Section, f2: Section) -> Section:
-    """(f1 * f2)(h) = sum_g f1(g) f2(g^-1 h), through the product tensors."""
+    """(f1 * f2)(h) = sum_g f1(g) f2(g^-1 h): the right action of the bundle
+    on itself, x -> x b_i read from slice [:, i] of the product tensor."""
     _same_bundle(f1, f2)
     bundle = f1.bundle
     _guard_grading(bundle)
     grp = bundle.group
-    out = Section.zero(bundle)
-    for g in grp.elements():
-        if not np.any(f1.coeffs[g]):
-            continue
-        for h in grp.elements():
-            k = grp.mul(grp.inv(g), h)
-            if not np.any(f2.coeffs[k]):
-                continue
-            out.coeffs[h] = out.coeffs[h] + bundle.product_coords(g, f1.coeffs[g], k, f2.coeffs[k])
-    return out
+    act = bundle.prod_array.transpose(0, 1, 3, 4, 2)
+    return Section(bundle, _diagonal_sum(act, f1.coeff_array[:, None], f2.coeff_array[None],
+                                         grp.table[grp.inverse]))
 
 
 def star(f: Section) -> Section:
     """f*(h) = f(h^-1)*."""
     bundle = f.bundle
     _guard_grading(bundle)
-    grp = bundle.group
-    out = Section.zero(bundle)
-    for h in grp.elements():
-        out.coeffs[h] = bundle.star_coords(grp.inv(h), f.coeffs[grp.inv(h)])
-    return out
+    inv = bundle.group.inverse
+    return Section(bundle, (f.coeff_array[inv, None].conj() @ bundle.star_array[inv])[:, 0])
 
 
 class RegRep:
@@ -200,7 +209,7 @@ def ambient_image(f: Section) -> np.ndarray:
         raise NotDirectError(
             f"directness of fiber sum fails (residual {bundle.directness_residual:.2e}); "
             "sections have no faithful ambient image")
-    return np.tensordot(np.concatenate(f.coeffs), np.concatenate(bundle.fibers), axes=1)
+    return np.tensordot(f.coeff_array, bundle.fiber_array, axes=2)
 
 
 def cstar_norm(f: Section) -> float:

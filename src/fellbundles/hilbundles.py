@@ -468,79 +468,66 @@ def trivial_module(algebra_basis) -> HilbertModule:
 
 
 def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
+    """The Hilbert-module axioms, each over all basis elements at once; the
+    residual of an identity is the worst over its items of
+    relative(frob(lhs - rhs), frob(lhs))."""
     tol = tol or DEFAULT_TOL
     rep = Report("hilbert-module axioms")
-    basis = x.algebra_basis
-    k = basis.shape[0]
+    basis, right, inner, dim = x.algebra_basis, x.right, x.inner, x.dim
+    k, m = basis.shape[:2]
     pinv = algebra_coords_map(basis)
+    amb = np.tensordot(inner, basis, axes=(2, 0))  # amb[u, v] = <e_u, e_v> in M_m
 
-    worst = 0.0
-    for i in range(k):
-        for j in range(k):
-            prod_coords = pinv @ (basis[i] @ basis[j]).ravel()
-            lhs = x.right[j] @ x.right[i]
-            rhs = np.einsum("k,kuv->uv", prod_coords, x.right)
-            worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+    worst = _multiplicative(basis, right, reverse=True)
     rep.add("right action multiplicative", worst <= 1e-8, worst)
 
-    worst = 0.0
-    for i in range(k):
-        lhs = np.einsum("uwk,wv->uvk", x.inner, x.right[i])
-        prod = np.stack([
-            np.stack([pinv @ (np.tensordot(x.inner[u, v], basis, axes=(0, 0)) @ basis[i]).ravel()
-                      for v in range(x.dim)])
-            for u in range(x.dim)
-        ])
-        worst = max(worst, relative(frob(lhs - prod), frob(lhs)))
+    def linear(idx):
+        lhs = np.einsum("uwk,iwv->iuvk", inner, right[idx])
+        return lhs, (amb @ basis[idx, None, None]).reshape(len(idx), dim, dim, -1) @ pinv.T
+
+    worst = worst_relative(k, dim * dim * m * m, linear)
     rep.add("<x, y b> = <x,y> b", worst <= 1e-8, worst)
 
-    worst = 0.0
-    for u in range(x.dim):
-        for v in range(x.dim):
-            a = np.tensordot(x.inner[u, v], basis, axes=(0, 0))
-            b = np.tensordot(x.inner[v, u], basis, axes=(0, 0))
-            worst = max(worst, relative(frob(a.conj().T - b), frob(a)))
+    adj = amb.conj().swapaxes(-1, -2).reshape(dim * dim, m * m)
+    swapped = amb.swapaxes(0, 1).reshape(dim * dim, m * m)
+    worst = worst_relative(dim * dim, m * m, lambda idx: (adj[idx], swapped[idx]))
     rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
 
-    m = basis.shape[1]
-    big = np.zeros((x.dim * m, x.dim * m), dtype=np.complex128)
-    for u in range(x.dim):
-        for v in range(x.dim):
-            big[u * m:(u + 1) * m, v * m:(v + 1) * m] = np.tensordot(
-                x.inner[u, v], basis, axes=(0, 0))
-    ok, residual, hermitian = hermitian_psd_check(big, tol)
+    ok, residual, hermitian = hermitian_psd_check(
+        amb.transpose(0, 2, 1, 3).reshape(dim * m, dim * m), tol)
     rep.add("Gram PSD", ok, residual, "" if hermitian else "Gram not Hermitian")
-    tg = np.einsum("uvk,k->uv", x.inner, np.array([np.trace(b) for b in basis]))
-    res = definite_check(tg, tol)
-    rep.add("definite", res.ok, max(-res.margin, 0.0))
+    res = definite_check(inner @ np.trace(basis, axis1=1, axis2=2), tol)
+    rep.add("definite", res.ok, 0.0 if res.ok else shortfall(res.margin, res.scale, tol.rel_rank))
 
     if x.left is not None:
-        kl = x.left_basis.shape[0]
-        lpinv = algebra_coords_map(x.left_basis)
-        worst = 0.0
-        for i in range(kl):
-            for j in range(kl):
-                prod_coords = lpinv @ (x.left_basis[i] @ x.left_basis[j]).ravel()
-                lhs = x.left[i] @ x.left[j]
-                rhs = np.einsum("k,kuv->uv", prod_coords, x.left)
-                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+        lbasis, left = np.asarray(x.left_basis, complex), np.asarray(x.left, complex)
+        kl = len(lbasis)
+        worst = _multiplicative(lbasis, left, reverse=False)
         rep.add("left action multiplicative", worst <= 1e-8, worst)
-        worst = 0.0
-        for i in range(kl):
-            adj_coords = lpinv @ (x.left_basis[i].conj().T).ravel()
-            adj = np.einsum("k,kuv->uv", adj_coords, x.left)
-            lhs = np.einsum("wu,wvk->uvk", x.left[i].conj(), x.inner)
-            rhs = np.einsum("uwk,wv->uvk", x.inner, adj)
-            worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+        # the operators of the adjoints a_i*
+        ladj = (lbasis.conj().swapaxes(-1, -2).reshape(kl, -1) @ algebra_coords_map(lbasis).T
+                @ left.reshape(kl, -1)).reshape(kl, dim, dim)
+        worst = worst_relative(kl, dim * dim * k, lambda idx: (
+            np.einsum("iwu,wvk->iuvk", left[idx].conj(), inner),
+            np.einsum("uwk,iwv->iuvk", inner, ladj[idx])))
         rep.add("left action adjointable", worst <= 1e-8, worst)
-        worst = 0.0
-        for i in range(kl):
-            for j in range(k):
-                lhs = x.right[j] @ x.left[i]
-                rhs = x.left[i] @ x.right[j]
-                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+        i, j = np.divmod(np.arange(kl * k), k)
+        worst = worst_relative(kl * k, dim * dim, lambda idx: (
+            right[j[idx]] @ left[i[idx]], left[i[idx]] @ right[j[idx]]))
         rep.add("left and right actions commute", worst <= 1e-8, worst)
     return rep
+
+
+def _multiplicative(basis, ops, reverse: bool) -> float:
+    """Worst residual over all pairs (i, j) of ops[i] ops[j] (ops[j] ops[i]
+    when reverse, as for a right action) against the operator of the
+    coordinates of b_i b_j."""
+    k = len(basis)
+    i, j = np.divmod(np.arange(k * k), k)
+    coords = (basis[i] @ basis[j]).reshape(k * k, -1) @ algebra_coords_map(basis).T
+    first, second = (j, i) if reverse else (i, j)
+    return worst_relative(k * k, ops.shape[-1] ** 2, lambda idx: (
+        ops[first[idx]] @ ops[second[idx]], coords[idx] @ ops.reshape(k, -1)))
 
 
 def module_bundle_from_dynsys(module: HilbertModule, group, beta,

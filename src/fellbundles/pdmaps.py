@@ -104,7 +104,14 @@ def identity_bundle_map(bundle: FellBundle) -> BundleMap:
 def scalar_bundle_map(source: FellBundle, target: FellBundle, hom: GroupHom,
                       values) -> BundleMap:
     """For group bundles: T_g(u_g) = f(g) u_{phi(g)}.  The sqrt factors
-    convert between the HS-normalized bases of the two bundles."""
+    convert between the HS-normalized bases of the two bundles; any other
+    bundle is refused (BundleMapMismatchError)."""
+    for side, bundle in (("source", source), ("target", target)):
+        g = next((g for g, d in enumerate(bundle.dims) if d != 1), None)
+        if g is not None:
+            raise BundleMapMismatchError(
+                f"a scalar bundle map needs one-dimensional fibers, but the {side} fiber "
+                f"over {g} has dimension {bundle.dims[g]}")
     vals = np.asarray(values, dtype=np.complex128)
     scale = np.sqrt(target.group.order / source.group.order)
     mats = [vals[g] * scale * np.ones((1, 1)) for g in source.group.elements()]
@@ -136,11 +143,10 @@ def phi_t(t: BundleMap, f: Section) -> Section:
     """Graded push-forward of sections: sum_g T_g(f(g)) placed at phi(g)."""
     if f.bundle is not t.source:
         raise BundleMapMismatchError("section does not live over the source bundle")
-    out = Section.zero(t.target)
-    for g in t.source.group.elements():
-        h = t.hom(g)
-        out.coeffs[h] = out.coeffs[h] + t.apply(g, f.coeffs[g])
-    return out
+    mats = padded([t.mats], (max(t.target.dims, default=0), max(t.source.dims, default=0)))[0]
+    out = np.zeros((t.target.group.order, mats.shape[1]), dtype=np.complex128)
+    np.add.at(out, t.hom.map, (mats @ f.coeff_array[..., None])[..., 0])
+    return Section(t.target, out)
 
 
 class PdCertificate:

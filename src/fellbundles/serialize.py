@@ -205,12 +205,13 @@ def section_to_json(f: Section) -> dict:
 
 def section_from_json(bundle: FellBundle, data) -> Section:
     raw = _family(data, "coeffs", _element_keys(bundle.group)) if "coeffs" in data else {}
-    coeffs = []
-    for g in bundle.group.elements():
-        vals = raw.get(str(g))
-        coeffs.append(vector_from_json(vals) if vals is not None
-                      else np.zeros(bundle.dims[g], dtype=np.complex128))
-    return Section(bundle, coeffs)
+    out = np.zeros((bundle.group.order, max(bundle.dims, default=0)), dtype=np.complex128)
+    for g, d in enumerate(bundle.dims):
+        c = np.zeros(d) if raw.get(str(g)) is None else vector_from_json(raw[str(g)])
+        if c.shape != (d,):
+            raise FormatError(f"section fiber {g} needs {d} coefficients")
+        out[g, :d] = c
+    return Section(bundle, out)
 
 
 # -- bundle maps ----------------------------------------------------------------

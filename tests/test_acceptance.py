@@ -323,10 +323,10 @@ def test_criterion_6_correspondence_identities(corpus_bundles):
                     a = b.random_coords(g, rng)
                     a2 = b.random_coords(g2, rng)
                     got = y.inner(y.embed(g, a), y.embed(g2, a2))
-                    want = Section.zero(b)
-                    want.coeffs[grp.mul(grp.inv(g), g2)] = b.product_coords(
+                    want = np.zeros_like(got.coeff_array)
+                    want[grp.mul(grp.inv(g), g2)] = b.product_coords(
                         grp.inv(g), b.star_coords(g, a), g2, a2)
-                    assert got.allclose(want, atol=0.0)  # exact identity
+                    assert got.allclose(Section(b, want), atol=0.0)  # exact identity
         # matrix-coefficient identity on random actions, vectors and sections
         for name in ("z3", "m2_ad"):
             b = corpus_bundles[name]

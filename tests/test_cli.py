@@ -417,6 +417,36 @@ def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, mo
     assert out_path.read_text() == want
 
 
+@pytest.mark.parametrize("name", ["M2xZ2", "empty fibers"])
+def test_build_scalar_map_refuses_fibers_that_are_not_one_dimensional(
+        tmp_path, capsys, corpus_bundles, name):
+    from fellbundles.bundles import FellBundle
+
+    b, dim = {"M2xZ2": (corpus_bundles["m2_ad"], 4),
+              "empty fibers": (FellBundle(make_cyclic(2), 2, [np.zeros((0, 2, 2))] * 2), 0)}[name]
+    bundle = sz.bundle_to_json(b)
+    spec = write(tmp_path, "spec.json", {
+        "kind": "scalar_bundle_map", "source": bundle, "target": bundle,
+        "phi": [0, 1], "values": [[1.0, 0.0], [0.5, 0.0]]})
+    code, out = run(capsys, "build", spec)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("BundleMapMismatchError")
+    assert "one-dimensional fibers" in error
+    assert f"source fiber over 0 has dimension {dim}" in error
+
+
+def test_build_scalar_map_refuses_a_fractional_phi(tmp_path, capsys):
+    bundle = sz.bundle_to_json(group_bundle(make_cyclic(2)))
+    spec = {"kind": "scalar_bundle_map", "source": bundle, "target": bundle,
+            "values": [[1.0, 0.0], [0.5, 0.0]]}
+    code, _ = run(capsys, "build", write(tmp_path, "whole.json", {**spec, "phi": [0, 1.0]}))
+    assert code == 0
+    code, out = run(capsys, "build", write(tmp_path, "spec.json", {**spec, "phi": [0, 1.7]}))
+    assert code == 2
+    assert "phi" in json.loads(out)["error"]
+
+
 def reference_parser():
     """The parser as built before the shared options moved into one parent
     parser: every subcommand adds them itself."""

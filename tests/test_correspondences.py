@@ -47,10 +47,10 @@ def test_trivial_module_inner_is_convolution():
             eta = y.embed(g2, a2)
             got = y.inner(xi, eta)
             # oracle: <a (+) g, a' (+) g'> = (a* a') (+) (g^-1 g'), exactly
-            want = Section.zero(b)
-            want.coeffs[grp.mul(grp.inv(g), g2)] = b.product_coords(
+            want = np.zeros_like(got.coeff_array)
+            want[grp.mul(grp.inv(g), g2)] = b.product_coords(
                 grp.inv(g), b.star_coords(g, a), g2, a2)
-            assert got.allclose(want, atol=1e-12)
+            assert got.allclose(Section(b, want), atol=1e-12)
 
 
 def test_trivial_module_matches_section_convolution():
@@ -254,9 +254,9 @@ def test_amplified_correspondence_dimensions_and_star_property():
     grp = b.group
     for g in grp.elements():
         for i in range(b.dims[g]):
-            f = Section.zero(b)
-            f.coeffs[g] = np.eye(b.dims[g])[i].astype(complex)
-            blocks = amp.blocks(f)
+            f = Section.zero(b).coeff_array.copy()
+            f[g, i] = 1.0
+            blocks = amp.blocks(Section(b, f))
             assert not np.any(np.delete(blocks, g, axis=0))
             dense = np.zeros((y.dim, y.dim), dtype=complex)
             for r in grp.elements():
@@ -369,9 +369,9 @@ def test_left_inner_section_matches_elementary_formula():
             xv = e.right.random_vector(g, rng)
             yv = e.right.random_vector(g2, rng)
             got = left_inner_section(e, y, y.embed(g, xv), y.embed(g2, yv))
-            want = Section.zero(b)
-            want.coeffs[grp.mul(g, grp.inv(g2))] = e.left_inner_coords(g, xv, g2, yv)
-            assert got.allclose(want, atol=1e-12)
+            want = np.zeros_like(got.coeff_array)
+            want[grp.mul(g, grp.inv(g2))] = e.left_inner_coords(g, xv, g2, yv)
+            assert got.allclose(Section(b, want), atol=1e-12)
 
 
 def test_attach_rejects_foreign_action():

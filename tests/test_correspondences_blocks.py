@@ -134,14 +134,14 @@ def loop_right_mul(y, xi, f):
 def loop_inner(y, xi, eta):
     """<xi, eta>(h) = sum_k <xi(k), eta(k h)>, a section of the target."""
     grp = y.bundle.group
-    out = Section.zero(y.bundle)
+    out = Section.zero(y.bundle).coeff_array.copy()
     for h in grp.elements():
-        acc = out.coeffs[h]
+        acc = out[h, :y.bundle.dims[h]]
         for k in grp.elements():
             kh = grp.mul(k, h)
             acc += y.hbundle.inner_coords(
                 k, y.component(xi, k), kh, y.component(eta, kh))
-    return out
+    return Section(y.bundle, out)
 
 
 def loop_left_mul(y, f, xi):
@@ -167,13 +167,13 @@ def loop_left_mul(y, f, xi):
 def loop_left_inner_section(e, y, xi, eta):
     """[xi, eta](h) = sum_k [xi(h k), eta(k)], a section of the left bundle."""
     grp = e.left_bundle.group
-    out = Section.zero(e.left_bundle)
+    out = Section.zero(e.left_bundle).coeff_array.copy()
     for h in grp.elements():
-        acc = out.coeffs[h]
+        acc = out[h, :e.left_bundle.dims[h]]
         for k in grp.elements():
             hk = grp.mul(h, k)
             acc += e.left_inner_coords(hk, y.component(xi, hk), k, y.component(eta, k))
-    return out
+    return Section(e.left_bundle, out)
 
 
 def loop_generating_vectors(y, k, x):
@@ -293,9 +293,9 @@ def test_amplified_blocks_expand_to_the_dense_generators(correspondences):
         src, tgt = amp.src, y.bundle.group
         for g in src.group.elements():
             for i in range(src.dims[g]):
-                f = Section.zero(src)
-                f.coeffs[g] = np.eye(src.dims[g])[i].astype(complex)
-                blocks = amp.blocks(f)
+                f = Section.zero(src).coeff_array.copy()
+                f[g, i] = 1.0
+                blocks = amp.blocks(Section(src, f))
                 pi = np.zeros((y.dim, y.dim), dtype=complex)
                 for r in tgt.elements():
                     s = tgt.mul(tgt.inv(y.action.hom(g)), r)

@@ -113,7 +113,7 @@ def test_convolve_refuses_broken_grading():
     rng = np.random.default_rng(5)
     bad = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     broken = FellBundle(g, 2, [np.eye(2)[None], bad[None]])
-    f = Section(broken, [np.ones(1), np.ones(1)])
+    f = Section(broken, np.ones((2, 1)))
     with pytest.raises(FiberEscapeError):
         convolve(f, f)
 
@@ -165,7 +165,7 @@ def test_cstar_norm_matches_dft_oracle():
         grp = make_cyclic(n)
         b = group_bundle(grp)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f = Section(b, [vals[g] * np.array([np.sqrt(n)]) for g in grp.elements()])
+        f = Section(b, vals[:, None] * np.sqrt(n))
         # coefficient sqrt(n) converts the HS-normalized basis u_g/sqrt(n)
         # back to the permutation matrix u_g, so f(g) = vals[g] u_g
         want = np.abs(np.fft.fft(vals)).max()

@@ -1,0 +1,176 @@
+"""validate_module as whole arrays, against the per-element loops it replaced.
+
+`loop_validate_module` keeps the loops over basis elements and module
+coordinates verbatim as the oracle; only its `definite` residual follows the
+shortfall rule that both routes report.  Every item must give the same verdict,
+and residuals within 1e-12 relative to max(1, |residual|), on passing modules
+and on modules that break one axiom each: a degenerate Gram, a right action
+that is not multiplicative and an inner product that is not Hermitian.
+"""
+
+import numpy as np
+import pytest
+
+from fellbundles.hilbundles import HilbertModule, algebra_coords_map, trivial_module, \
+    validate_module
+from fellbundles.numerics import DEFAULT_TOL, definite_check, frob, hermitian_psd_check, \
+    relative, shortfall
+from fellbundles.reports import Report
+
+from test_bundles import M2_BASIS, swap_system
+from test_hilbundles import row_module
+
+
+def loop_validate_module(x, tol=None):
+    """The per-element loops of validate_module."""
+    tol = tol or DEFAULT_TOL
+    rep = Report("hilbert-module axioms")
+    basis = x.algebra_basis
+    k = basis.shape[0]
+    pinv = algebra_coords_map(basis)
+
+    worst = 0.0
+    for i in range(k):
+        for j in range(k):
+            prod_coords = pinv @ (basis[i] @ basis[j]).ravel()
+            lhs = x.right[j] @ x.right[i]
+            rhs = np.einsum("k,kuv->uv", prod_coords, x.right)
+            worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+    rep.add("right action multiplicative", worst <= 1e-8, worst)
+
+    worst = 0.0
+    for i in range(k):
+        lhs = np.einsum("uwk,wv->uvk", x.inner, x.right[i])
+        prod = np.stack([
+            np.stack([pinv @ (np.tensordot(x.inner[u, v], basis, axes=(0, 0)) @ basis[i]).ravel()
+                      for v in range(x.dim)])
+            for u in range(x.dim)
+        ])
+        worst = max(worst, relative(frob(lhs - prod), frob(lhs)))
+    rep.add("<x, y b> = <x,y> b", worst <= 1e-8, worst)
+
+    worst = 0.0
+    for u in range(x.dim):
+        for v in range(x.dim):
+            a = np.tensordot(x.inner[u, v], basis, axes=(0, 0))
+            b = np.tensordot(x.inner[v, u], basis, axes=(0, 0))
+            worst = max(worst, relative(frob(a.conj().T - b), frob(a)))
+    rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
+
+    m = basis.shape[1]
+    big = np.zeros((x.dim * m, x.dim * m), dtype=np.complex128)
+    for u in range(x.dim):
+        for v in range(x.dim):
+            big[u * m:(u + 1) * m, v * m:(v + 1) * m] = np.tensordot(
+                x.inner[u, v], basis, axes=(0, 0))
+    ok, residual, hermitian = hermitian_psd_check(big, tol)
+    rep.add("Gram PSD", ok, residual, "" if hermitian else "Gram not Hermitian")
+    tg = np.einsum("uvk,k->uv", x.inner, np.array([np.trace(b) for b in basis]))
+    res = definite_check(tg, tol)
+    rep.add("definite", res.ok, 0.0 if res.ok else shortfall(res.margin, res.scale, tol.rel_rank))
+
+    if x.left is not None:
+        kl = x.left_basis.shape[0]
+        lpinv = algebra_coords_map(x.left_basis)
+        worst = 0.0
+        for i in range(kl):
+            for j in range(kl):
+                prod_coords = lpinv @ (x.left_basis[i] @ x.left_basis[j]).ravel()
+                lhs = x.left[i] @ x.left[j]
+                rhs = np.einsum("k,kuv->uv", prod_coords, x.left)
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+        rep.add("left action multiplicative", worst <= 1e-8, worst)
+        worst = 0.0
+        for i in range(kl):
+            adj_coords = lpinv @ (x.left_basis[i].conj().T).ravel()
+            adj = np.einsum("k,kuv->uv", adj_coords, x.left)
+            lhs = np.einsum("wu,wvk->uvk", x.left[i].conj(), x.inner)
+            rhs = np.einsum("uwk,wv->uvk", x.inner, adj)
+            worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+        rep.add("left action adjointable", worst <= 1e-8, worst)
+        worst = 0.0
+        for i in range(kl):
+            for j in range(k):
+                lhs = x.right[j] @ x.left[i]
+                rhs = x.left[i] @ x.right[j]
+                worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
+        rep.add("left and right actions commute", worst <= 1e-8, worst)
+    return rep
+
+
+C = np.ones((1, 1, 1), dtype=complex)  # the algebra C, basis {1}
+
+
+def degenerate_module():
+    """C^2 over C with <x, y> = conj(x_0) y_0: the vector e_1 has zero norm."""
+    inner = np.zeros((2, 2, 1), dtype=complex)
+    inner[0, 0, 0] = 1.0
+    return HilbertModule(C, 2, np.eye(2)[None], inner)
+
+
+def doubling_module():
+    """C over C with x.1 = 2x, which is not multiplicative (2 * 2 != 2)."""
+    return HilbertModule(C, 1, 2 * np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+
+
+def skew_module():
+    """C^2 over C with <e_0, e_1> = 1 but <e_1, e_0> = 0."""
+    inner = np.eye(2, dtype=complex)[:, :, None].copy()
+    inner[0, 1, 0] = 1.0
+    return HilbertModule(C, 2, np.eye(2)[None], inner)
+
+
+def modules():
+    basis, _, _ = swap_system()
+    square = trivial_module(M2_BASIS)
+    twisted = trivial_module(M2_BASIS)
+    twisted.right = twisted.right[[0, 2, 1, 3]]  # x.E12 and x.E21 swapped
+    return {"C2 trivial": trivial_module(basis), "M2 trivial": square,
+            "M2 rows": row_module(M2_BASIS), "M2 twisted": twisted,
+            "degenerate": degenerate_module(), "doubling": doubling_module(),
+            "skew": skew_module()}
+
+
+@pytest.mark.parametrize("name", list(modules()))
+def test_items_match_the_loops(name):
+    x = modules()[name]
+    got, want = validate_module(x), loop_validate_module(x)
+    assert [(i.name, i.ok, i.detail) for i in got.items] == \
+        [(i.name, i.ok, i.detail) for i in want.items]
+    for a, b in zip(got.items, want.items):
+        assert abs(a.residual - b.residual) <= 1e-12 * max(1.0, abs(b.residual)), a.name
+
+
+def _failures(rep):
+    return {item.name: item.residual for item in rep.failures()}
+
+
+def test_degenerate_gram_fails_definite_with_a_full_shortfall():
+    rep = validate_module(degenerate_module())
+    assert _failures(rep) == {"definite": 1.0}
+    assert rep.as_dict()["worst_residual"] == 1.0
+
+
+def test_non_multiplicative_right_action_is_reported():
+    rep = validate_module(doubling_module())
+    # x.1.1 = 4x against x.1 = 2x, and <x, y.1> = 2 against <x, y> 1 = 1, both
+    # relative to the left-hand side
+    assert _failures(rep) == {"right action multiplicative": 0.5, "<x, y b> = <x,y> b": 0.5}
+    rep = validate_module(modules()["M2 twisted"])
+    assert "right action multiplicative" in _failures(rep)
+
+
+def test_non_hermitian_inner_product_is_reported():
+    rep = validate_module(skew_module())
+    fails = _failures(rep)
+    assert set(fails) == {"<x,y>* = <y,x>", "Gram PSD"}
+    assert fails["<x,y>* = <y,x>"] == 1.0
+    # the Gram [[1, 1], [0, 1]] has Hermitian defect sqrt(2) / sqrt(3)
+    assert fails["Gram PSD"] == pytest.approx(np.sqrt(2 / 3), rel=1e-12)
+    assert [i.detail for i in rep.failures()] == ["", "Gram not Hermitian"]
+
+
+def test_zero_module_passes_every_item():
+    # the loops fail on it: they stack an empty list of Gram rows
+    rep = validate_module(HilbertModule(C, 0, np.zeros((1, 0, 0)), np.zeros((0, 0, 1))))
+    assert rep.ok and rep.worst == 0.0
