@@ -187,6 +187,12 @@ class FellBundle:
             return one_block(self.ambient_dim)
         return decompose_algebra(basis, self._tol)
 
+    @property
+    def tolerance(self) -> Tolerance:
+        """The construction tolerance: the grading, directness and
+        decompositions of the bundle are judged at it."""
+        return self._tol
+
     @functools.cached_property
     def blocks(self) -> Blocks:
         """The irreducible types of the *-algebra spanned by all fibers,

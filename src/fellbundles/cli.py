@@ -409,6 +409,10 @@ def cmd_pd_check(args) -> int:
         "sampled": {
             "ok": bool(sampled.ok),
             "worst_margin": float(sampled.worst_margin),
+            # the self-check of the target's decomposition, which the
+            # sampled sums are judged on
+            "decomposition_residual": float(t.target.blocks.residual),
+            "decomposition_bound": float(t.target.tolerance.rel_rank),
         },
         "consistent": bool(sampled.ok or not cert.ok),
     }
@@ -603,6 +607,12 @@ def main(argv=None) -> int:
             OverflowError, OSError) as exc:
         print(json.dumps({"ok": False, "error": f"{type(exc).__name__}: {exc}"},
                          sort_keys=True))
+        return BAD_INPUT
+    except MemoryError as exc:
+        # an input too large for dense linear algebra, found by running out
+        detail = f": {exc}" if str(exc) else ""
+        print(json.dumps({"ok": False, "error": f"MemoryError: {args.command} ran out of "
+                                                f"memory{detail}"}, sort_keys=True))
         return BAD_INPUT
 
 

@@ -98,6 +98,8 @@ class Correspondence:
 
     def right_mul(self, xi, f: Section) -> np.ndarray:
         """(xi . f)(h) = sum_k xi(k) f(k^-1 h)."""
+        if f.bundle is not self.bundle:
+            raise ActionMismatchError("section does not live over the module's target bundle")
         grp = self.bundle.group
         # pair xi(k) f(q) in X_{kq}, then sum over k at q = k^-1 h
         return self._flat(_diagonal_sum(self.hbundle.act_array, self.blocks(xi)[:, None],

@@ -406,10 +406,13 @@ class Blocks:
     times.  Up to a unitary, every x in A is the direct sum over i of
     multiplicities[i] copies of W_i* x W_i, plus zero on the vectors that A
     annihilates.  A single type of size n is A in M_n itself (`one_block`).
+    residual is the largest residual of the self-check that
+    `decompose_algebra` judged the types by, 0.0 for `one_block`.
     """
 
     isometries: tuple
     multiplicities: tuple
+    residual: float = 0.0
 
     @property
     def types(self) -> list[tuple[int, int]]:
@@ -461,6 +464,9 @@ def decompose_algebra(basis, tol: Tolerance = DEFAULT_TOL) -> Blocks:
        weighted by the multiplicities, reproduce the HS Gram of the b_k.  So
        the compression to the types is a faithful *-representation, and
        Frobenius norms weighted by the multiplicities are the ambient ones.
+       The largest of these residuals (the Frobenius norm of b_k W_i -
+       W_i W_i* b_k W_i, and the largest entry of the weighted Gram minus
+       the identity) is kept as `Blocks.residual`.
 
     Null spaces and ranges (of the span, the commutators, each orbit) are
     read off small Hermitian Grams, with eigenvalues cut at rel_rank times
@@ -522,13 +528,16 @@ def decompose_algebra(basis, tol: Tolerance = DEFAULT_TOL) -> Blocks:
         return one_block(n)
     # 4. the self-check, over the types of each size at once
     gram = np.zeros((d, d), dtype=np.complex128)
+    residual = 0.0
     for k, wk, mk in blocks.by_size():
         bw = b[:, None] @ wk  # (d, L, n, k)
         comp = wk.conj().swapaxes(-1, -2) @ bw
-        if np.linalg.norm(bw - wk @ comp, axis=(-2, -1)).max() > tol.rel_rank:
+        residual = max(residual, float(np.linalg.norm(bw - wk @ comp, axis=(-2, -1)).max()))
+        if residual > tol.rel_rank:
             return one_block(n)
         comp = comp.reshape(d, len(mk), k * k)
         gram += (comp.conj() * mk[:, None]).reshape(d, -1) @ comp.reshape(d, -1).T
-    if np.abs(gram - np.eye(d)).max() > tol.rel_rank:
+    residual = max(residual, float(np.abs(gram - np.eye(d)).max()))
+    if residual > tol.rel_rank:
         return one_block(n)
-    return blocks
+    return Blocks(blocks.isometries, blocks.multiplicities, residual)

@@ -9,10 +9,12 @@ condition.  The sampled checker draws the quantified form directly as a
 guard on that reduction.  The certificate, the sampled check and the
 reconstruction all read one positivity form, t_values_ambient, whose
 blocks are concrete matrices in the target's ambient algebra.  The
-certificate reads it per irreducible block of the algebra spanned by the
-target's fibers (`FellBundle.blocks`), from the compressed fibers; the
-sampled check, which guards the reduction, and the witness of a failed
-certificate read it in the ambient algebra.  The
+certificate and the sampled check read it per irreducible block of the
+algebra spanned by the target's fibers (`FellBundle.blocks`), from the
+compressed fibers; the decomposition's own self-check guards that
+reduction (`Blocks.residual`), and `numerics.one_block` gives the ambient
+route.  The witness of a failed certificate and the tuple sum of a refuting
+sample are read in the ambient algebra.  The
 reconstruction quotients its elementary tensors blockwise: the bases of the
 separation rule compress the structure tensors directly, and no raw action
 or shift is formed.
@@ -317,15 +319,34 @@ def _unscaled(value, mu: float, what: str):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass
 class SampledCheck:
-    ok: bool
-    worst_margin: float
-    witness: list | None = None
-    witness_sum: np.ndarray | None = None
+    """The verdict of the sampled check and its worst margin.  A refuted map
+    carries the first tuple (g, a_matrix, b_matrix) per position attaining
+    it, and its sum in the target's ambient algebra, `witness_sum`, formed
+    on first read when it is given as a function."""
+
+    def __init__(self, ok: bool, worst_margin: float, witness: list | None = None,
+                 witness_sum=None):
+        self.ok, self.worst_margin = ok, worst_margin
+        self.witness, self._witness_sum = witness, witness_sum
+
+    @property
+    def witness_sum(self) -> np.ndarray | None:
+        if callable(self._witness_sum):
+            self._witness_sum = self._witness_sum()
+        return self._witness_sum
 
     def __bool__(self):
         return self.ok
+
+
+def _tuple_sum(t: BundleMap, witness: list) -> np.ndarray:
+    """sum_ij b_i T(a_i* a_j) b_j* over a tuple (g_i, a_i, b_i) of ambient
+    matrices."""
+    grp = t.source.group
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond the float range reads inf
+        return sum(b1 @ t.apply_ambient(grp.mul(grp.inv(g1), g2), a1.conj().T @ a2) @ b2.conj().T
+                   for g1, a1, b1 in witness for g2, a2, b2 in witness)
 
 
 def t_values_ambient(t: BundleMap, fibers=None) -> np.ndarray:
@@ -384,51 +405,67 @@ def _sample_tuples(rng, samples: int, da: np.ndarray, db: np.ndarray):
 
 
 def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
-                     tol: Tolerance | None = None) -> SampledCheck:
+                     tol: Tolerance | None = None, blocks: Blocks | None = None) -> SampledCheck:
     """Evaluate the quantified positivity condition on random tuples.
 
     Each sample draws a tuple (g_i, a_i in A_{g_i}, b_i in B_{phi(g_i)}) and
-    tests the sum  S = sum_ij b_i T(a_i* a_j) b_j*  for positivity in the
-    ambient algebra of the target.  Sampling can miss violations but uses a
-    strictly looser threshold than the exact certificate, so it never
+    tests the sum  S = sum_ij b_i T(a_i* a_j) b_j*  for positivity.  S lies
+    in the algebra B spanned by the target's fibers, so it is judged per
+    irreducible block W* S W of B, as the certificate is (`_certify`):
+    `FellBundle.blocks` unless `blocks` is given (`numerics.one_block` is
+    the ambient route).  The compression is a faithful *-representation of
+    B, so the smallest eigenvalue of S, leaving out the corner that B
+    annihilates, is the smallest over the blocks, its operator norm is the
+    largest, and the Frobenius norms of S and S - S* add up the blocks'
+    weighted by their multiplicities.  Sampling can miss violations but uses
+    a strictly looser threshold than the exact certificate, so it never
     contradicts an exact pass.
 
     Positions sharing a label are summed first: S = E T E*, with T from
-    t_values_ambient and E = sum_i conj(a_i)^T (x) b_i placed in the column
-    block of g_i.  Each row block (k, x) of E is a combination of the d_B
-    target fiber basis matrices beta_c^{phi(k)} (d_B the largest of them), so
-    E T = coef y with y[(k, x, c), :] = beta_c^{phi(k)} T[(k, x), :], folded
-    once per call.  Per sample the folded product costs |G| d_A d_B n side
-    and the dense E T costs n side^2 (side = |G| d_A n), so T is folded
-    exactly when d_B < n; y holds d_B times the entries of T, and costs about
-    d_B dense samples to build.  The right product with E* stays dense.
-    Samples are evaluated together in chunks whose intermediates stay near
-    CHUNK_BYTES; the margins, Hermitian defects and norms of a chunk come
-    from one batched eigvalsh/norm, on T divided by a power of two so huge
-    finite entries cannot overflow.  The witness is the first sample
-    attaining the minimal margin.
+    t_values_ambient on the compressed fibers and E = sum_i conj(a_i)^T (x)
+    b_i placed in the column block of g_i.  Each row block (k, x) of E is a
+    combination of the d_B compressed target fiber basis matrices
+    beta_c^{phi(k)} (d_B the largest of them), so E T = coef y with
+    y[(k, x, c), :] = beta_c^{phi(k)} T[(k, x), :], folded once per call.
+    Per sample and block of side nb the folded product costs |G| d_A d_B nb
+    side and the dense E T costs nb side^2 (side = |G| d_A nb), so T is
+    folded exactly when d_B < nb; y holds d_B times the entries of T, and
+    costs about d_B dense samples to build.  The right product with E*
+    stays dense.  Samples are evaluated together in chunks whose
+    intermediates stay near CHUNK_BYTES in the largest group of blocks of
+    one size; the margins, Hermitian defects and norms of a chunk come from
+    one batched eigvalsh/norm per size, on T divided by a power of two so
+    huge finite entries cannot overflow.  The witness is the first sample
+    attaining the minimal margin; its sum S is formed in the ambient
+    algebra on first read of `witness_sum`.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
     tol = tol or DEFAULT_TOL
     src, tgt = t.source, t.target
-    order, n = src.group.order, tgt.ambient_dim
+    order = src.group.order
     da, db = np.asarray(src.dims), np.asarray(tgt.dims)[t.hom.map]
     dm, dbm = int(da.max(initial=0)), int(db.max(initial=0))
-    tt = t_values_ambient(t)
-    mu = overflow_scale(tt, "positivity form")
-    if mu != 1:
-        tt /= mu
-    side = tt.shape[0]
-    fibers = tgt.fiber_array[t.hom.map, :dbm]
-    fold = dbm < n
-    if fold:
-        # tt becomes y: y[(k, x, c), (r, col)] = sum_a beta_c^{phi(k)}[r, a] T[(k, x, a), col]
-        tt = (fibers.reshape(order, 1, dbm * n, n) @ tt.reshape(order, dm, n, side)).reshape(
-            order * dm * dbm, n * side)
-    fibers = fibers.reshape(order, dbm, n * n)
-    # e, its transpose and conjugate, and e @ tt: four (n, side) arrays per sample
-    chunk = max(1, CHUNK_BYTES // max(64 * n * side, 1))
+    groups = (blocks or tgt.blocks).compress(tgt.fiber_array)
+    forms = [t_values_ambient(t, fibers) for _, fibers in groups]
+    mu = max(overflow_scale(form, "positivity form") for form in forms)
+    sizes, live = [], 0
+    for mult, fibers in groups:
+        tt = forms.pop(0)  # so that T and its fold y are not both held
+        if mu != 1:
+            tt /= mu
+        count, nb, side = len(mult), fibers.shape[-1], tt.shape[-1]
+        fibers = fibers[t.hom.map, :dbm].transpose(2, 0, 1, 3, 4)  # (L, G, d_B, nb, nb)
+        if dbm < nb:  # fold: tt becomes y,
+            # y[l, (k, x, c), (r, col)] = sum_a beta_c^{phi(k)}_l[r, a] T_l[(k, x, a), col]
+            tt = (fibers.reshape(count, order, 1, dbm * nb, nb)
+                  @ tt.reshape(count, order, dm, nb, side)).reshape(
+                count, order * dm * dbm, nb * side)
+        fibers = fibers.transpose(1, 2, 0, 3, 4).reshape(order, dbm, count * nb * nb)
+        sizes.append((mult, nb, fibers, tt))
+        live = max(live, count * nb * side)
+    # e, its transpose and conjugate, and e @ tt: four (L, nb, side) arrays per sample
+    chunk = max(1, CHUNK_BYTES // max(64 * live, 1))
     tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
     worst = np.inf
     bad = None
@@ -439,30 +476,35 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
         a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
         coef = np.zeros((len(block), order, dm, dbm), dtype=np.complex128)
         np.add.at(coef, (sid, gs), a.conj()[:, :, None] * b[:, None, :])
-        e = (coef @ fibers).reshape(len(block), order, dm, n, n)
-        e = e.transpose(0, 3, 1, 2, 4).reshape(len(block), n, side)
-        et = coef.reshape(len(block), -1) @ tt if fold else e.reshape(-1, side) @ tt
-        s = et.reshape(len(block), n, side) @ e.conj().transpose(0, 2, 1)
-        sh = s.conj().transpose(0, 2, 1)
+        sums, top = [], 0.0
+        for mult, nb, fibers, tt in sizes:
+            count, side = len(mult), order * dm * nb
+            # e[l, sample]: (nb, side), with columns (k, x, col)
+            e = (coef @ fibers).reshape(len(block), order, dm, count, nb, nb)
+            e = e.transpose(3, 0, 4, 1, 2, 5).reshape(count, len(block), nb, side)
+            et = coef.reshape(len(block), -1) @ tt if dbm < nb else \
+                e.reshape(count, -1, side) @ tt
+            s = et.reshape(count, len(block), nb, side) @ e.conj().swapaxes(-1, -2)
+            sums.append((mult, s.swapaxes(0, 1)))
+            top = np.maximum(top, opnorms(s).max(axis=0))
+        anti, norm, low, _ = block_spectra(sums)
         # the floors max(1, .) of the unscaled sums, over mu
-        scale = np.maximum(1 / mu, np.linalg.norm(s, 2, axis=(1, 2)))
-        defect = np.linalg.norm(s - sh, axis=(1, 2)) / np.maximum(
-            np.linalg.norm(s, axis=(1, 2)), 1 / mu)
-        margin = np.linalg.eigvalsh((s + sh) / 2)[:, 0] / scale
+        scale = np.maximum(1 / mu, top)
+        defect = anti / np.maximum(norm, 1 / mu)
+        margin = low / scale
         margin = np.where(defect > 100 * tol.rel_eq, np.minimum(margin, -defect), margin)
         p = int(np.argmin(margin))
         if margin[p] < worst:
             worst = float(margin[p])
             if worst < -10 * tol.rel_psd:
-                bad = (block[p], s[p])
+                bad = block[p]
     if bad is None:
         return SampledCheck(True, worst if np.isfinite(worst) else 0.0)
-    (gs, za, zb), s = bad
+    gs, za, zb = bad
     a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
     witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
                for g, ai, bi in zip(gs, a, b)]
-    with np.errstate(over="ignore"):  # a sum beyond the float range reads inf
-        return SampledCheck(False, worst, witness, s * mu)
+    return SampledCheck(False, worst, witness, lambda: _tuple_sum(t, witness))
 
 
 def _gns_slots(t: BundleMap):

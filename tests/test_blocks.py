@@ -8,13 +8,14 @@ The oracle is the same routine with the trivial decomposition
 import numpy as np
 import pytest
 
-from fellbundles import pdmaps
+from fellbundles import bundles, pdmaps
 from fellbundles.actions import Action, trivial_action
 from fellbundles.bundles import FellBundle, group_bundle, validate_bundle
 from fellbundles.correspondences import EquivalenceBundle, trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import block_grams_psd, l2_bundle, trivial_hilbert_bundle
-from fellbundles.numerics import DEFAULT_TOL, Blocks, decompose_algebra, one_block
+from fellbundles.numerics import DEFAULT_TOL, Blocks, Tolerance, decompose_algebra, \
+    hermitian_defect, one_block
 from fellbundles.pdmaps import NotPositiveDefiniteError, conjugation_bundle_map, gelfand_raikov, \
     identity_bundle_map, pd_check_exact, pd_check_sampled, perturb_bundle_map, scalar_bundle_map
 
@@ -167,18 +168,36 @@ def test_one_block_is_the_ambient_algebra():
     [(mult, comp)] = blocks.compress(x)
     assert list(mult) == [1] and comp[0].tobytes() == x.tobytes()
     assert decompose_algebra(np.zeros((0, 3, 3))).types == [(3, 1)]
+    assert blocks.residual == 0.0
 
 
-def test_decomposition_is_built_once_and_only_when_read():
+def test_decomposition_records_its_self_check():
+    for b in (group_bundle(symmetric_group(4)), group_bundle(make_cyclic(12)), ad_diag(3, 3),
+              c_plus_m2(), corner(make_cyclic(3), 4)):
+        for blocks in (b.blocks, b.unit_blocks):
+            assert 0.0 <= blocks.residual <= DEFAULT_TOL.rel_rank
+    # a looser bound that the residual still meets keeps the same types
+    basis = np.concatenate(group_bundle(symmetric_group(3)).fibers)
+    exact = decompose_algebra(basis)
+    loose = decompose_algebra(basis, Tolerance(rel_rank=10 * exact.residual))
+    assert loose.types == exact.types and loose.residual == exact.residual
+
+
+def test_decomposition_is_built_once_and_only_when_read(monkeypatch):
+    calls = []
+    real = bundles.decompose_algebra
+    monkeypatch.setattr(bundles, "decompose_algebra",
+                        lambda *args: calls.append(1) or real(*args))
     b = group_bundle(symmetric_group(3))
     t = scalar_map(b, 0.1)
     validate_bundle(b)
+    assert "blocks" not in vars(b) and not calls
+    # the sampled check and the certificate share one decomposition
     pd_check_sampled(t, samples=5)
-    assert "blocks" not in vars(b) and "unit_blocks" not in vars(b)
-    pd_check_exact(t)
     blocks = b.blocks
     pd_check_exact(t)
-    assert b.blocks is blocks and "unit_blocks" not in vars(b)
+    pd_check_sampled(t, samples=5)
+    assert b.blocks is blocks and len(calls) == 1 and "unit_blocks" not in vars(b)
 
 
 # -- the certificate per block -------------------------------------------------
@@ -205,6 +224,41 @@ def test_certificate_matches_the_one_block_route(maps):
             assert got.witness_sum.tobytes() == want.witness_sum.tobytes(), name
         assert got.gram.tobytes() == want.gram.tobytes(), name
     assert refuted >= 10
+
+
+def test_sampled_check_matches_the_one_block_route(maps):
+    """The same verdicts and margins as the sampled check in the ambient
+    M_n, and a witness whose tuple sum fails the check."""
+    refuted = 0
+    for name, t in maps.items():
+        for seed in (0, 5):
+            got = pd_check_sampled(t, seed=seed)
+            want = pd_check_sampled(t, seed=seed, blocks=one_block(t.target.ambient_dim))
+            assert got.ok == want.ok, (name, seed)
+            assert _close(got.worst_margin, want.worst_margin), (name, seed)
+            if not got.ok:
+                refuted += 1
+                s = got.witness_sum
+                assert s.shape == (t.target.ambient_dim,) * 2
+                assert (np.linalg.eigvalsh((s + s.conj().T) / 2)[0] < 0
+                        or hermitian_defect(s) > 100 * DEFAULT_TOL.rel_eq), (name, seed)
+    assert refuted >= 20
+
+
+def test_corner_embedded_target_reads_the_intrinsic_sampled_margin():
+    """The sampled sums of the Z3 bundle in a corner of M_4 vanish on the
+    unused corner: the blocks leave it out, the ambient M_4 reads its 0."""
+    b = corner(make_cyclic(3), 4)
+    for off, verdict in ((0.3, True), (2.0, False)):
+        t = scalar_map(b, off)
+        for seed in (0, 5):
+            got = pd_check_sampled(t, seed=seed)
+            want = pd_check_sampled(t, seed=seed, blocks=one_block(4))
+            assert got.ok is want.ok is verdict
+            if verdict:
+                assert got.worst_margin > 1e-9 and want.worst_margin <= 1e-12
+            else:
+                assert _close(got.worst_margin, want.worst_margin)
 
 
 def test_block_certificate_is_smaller():

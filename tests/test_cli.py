@@ -59,6 +59,34 @@ def test_pd_check_failure_reports_witness(tmp_path, capsys):
     assert np.linalg.eigvalsh((s + s.conj().T) / 2)[0] <= -1.0 + 1e-9
 
 
+def test_pd_check_reports_the_decomposition_self_check(tmp_path, capsys):
+    b = group_bundle(symmetric_group(3))
+    path = write(tmp_path, "s3.json", sz.bundle_map_to_json(identity_bundle_map(b)))
+    code, out = run(capsys, "pd-check", path)
+    sampled = json.loads(out)["sampled"]
+    assert code == 0 and sampled["ok"] is True
+    assert sampled["decomposition_bound"] == b.tolerance.rel_rank
+    assert sampled["decomposition_residual"] == b.blocks.residual
+    assert 0.0 < sampled["decomposition_residual"] <= sampled["decomposition_bound"]
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 3.09 GiB", ""])
+def test_memory_error_exits_2_with_json(tmp_path, capsys, monkeypatch, message):
+    """Running out of memory is not a mathematical failure: exit 2, one JSON
+    error naming the command on stdout, and no traceback."""
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(fellbundles.cli.COMMANDS, "pd-check", exhausted)
+    code = main(["pd-check", scalar_map_file(tmp_path, 0.5)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    assert report["error"].startswith("MemoryError: pd-check ran out of memory")
+    assert message in report["error"]
+
+
 def test_pd_check_rejects_non_positive_samples(tmp_path, capsys):
     path = scalar_map_file(tmp_path, 0.5)
     for samples in ("0", "-1"):

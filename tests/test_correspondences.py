@@ -380,3 +380,16 @@ def test_attach_rejects_foreign_action():
     y = build_module(trivial_hilbert_bundle(b1), seed=22)
     with pytest.raises(ActionMismatchError):
         attach_left_action(y, trivial_action(b2), seed=22)
+
+
+def test_right_mul_rejects_foreign_sections():
+    """A section over another bundle, of the same group or of a larger one,
+    is refused rather than multiplied in or broadcast against."""
+    b = group_bundle(make_cyclic(2))
+    y = Correspondence(trivial_hilbert_bundle(b))
+    rng = np.random.default_rng(5)
+    xi = y.random(rng)
+    y.right_mul(xi, Section.random(b, rng))
+    for other in (group_bundle(make_cyclic(2)), group_bundle(make_cyclic(3))):
+        with pytest.raises(ActionMismatchError, match="target bundle"):
+            y.right_mul(xi, Section.random(other, rng))

@@ -283,11 +283,13 @@ def test_raw_gram_matches_reference(corpus_bundles):
             assert np.allclose(got[r][s], want, rtol=0, atol=1e-12), name
 
 
-@pytest.mark.parametrize("make", [
-    lambda: identity_bundle_map(m3_z3()),
-    s4_indefinite_scalar,
+# S4 is judged on blocks of side at most 72: its forms and chunks stay under
+# 6 MiB, where the ambient form of side 576 peaks at about 10.3 MiB
+@pytest.mark.parametrize("make, mib", [
+    (lambda: identity_bundle_map(m3_z3()), 20),
+    (s4_indefinite_scalar, 6),
 ], ids=["m3_z3", "s4 indefinite scalar"])
-def test_sampled_check_memory_is_chunk_bounded(make):
+def test_sampled_check_memory_is_chunk_bounded(make, mib):
     t = make()
     tracemalloc.start()
     try:
@@ -295,4 +297,4 @@ def test_sampled_check_memory_is_chunk_bounded(make):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2 ** 20
+    assert peak < mib * 2 ** 20
