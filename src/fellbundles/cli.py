@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -46,16 +47,6 @@ OK, MATH_FAIL, BAD_INPUT = 0, 1, 2
 
 class CliInputError(Exception):
     pass
-
-
-def _load(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(payload: dict, args) -> None:
@@ -289,14 +280,163 @@ def _write_object(tree, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# -- object files in -----------------------------------------------------------
+#
+# An object file is read as the tree serialize.*_tree builds: the value of
+# every element or pair key ("g" or "g,h") that is a regular nest of two or
+# more JSON numbers becomes a read-only float64 array, and everything else
+# stays what json.loads gives.  Such a leaf is cut out of the text and
+# replaced by a placeholder string, and json reads the small skeleton that is
+# left.  Each distinct leaf text is read once, to the array serialize would
+# make of what json gives: whole by json and numpy, or, when its numbers are
+# mostly short texts (zeros and small integers, which repeat), by reading
+# each distinct number text of the file once.  A leaf that json or numpy
+# refuses, or that holds fewer than two numbers, stays in the skeleton, so
+# json and serialize judge it as they would without the cut; json reads a
+# text with a syntax error again whole, so that it reports the error where it
+# is in the file.
+
+# a quoted element or pair key opening a member, and its value when that is a
+# run of number, bracket, comma and blank characters ending the member
+_LEAF = re.compile(r'"(?<=[{, \t\n\r]")[0-9]+(?:,[0-9]+)?"[ \t\n\r]*:[ \t\n\r]*'
+                   r'(\[[-+.0-9eE\[\], \t\n\r]*\])(?=[ \t\n\r]*[,}])')
+_MARK = "\0"  # begins each placeholder; json decodes it only from a \u0000 escape
+# texts shorter than this are read by json whole: in a fresh process, cutting
+# their few leaves costs more than the cut saves
+_CUT_FROM = 4096
+# leaves of at most this many characters per number are read number by number:
+# "0.0, " is 5, a full-precision float 20 or more
+_SHORT = 8
+_BLANKS = b" \t\n\r"
+_CLASSES = bytes.maketrans(b"-+.0123456789eE", b"n" * 15)  # number characters as "n"
+_MAX_DEPTH = 32  # deeper nests are left to json
+
+
+def _nest_shape(skeleton: bytes) -> tuple | None:
+    """The shape of the regular nest whose brackets and commas, in order, are
+    `skeleton`, or None when no regular nest has them."""
+    depth = len(skeleton) - len(skeleton.lstrip(b"["))
+    if not 0 < depth <= _MAX_DEPTH:
+        return None
+    # the first list of each level, innermost first, sets that level's length
+    shape = [skeleton.index(b"]") - depth + 1]
+    item = b"[" + b"," * (shape[0] - 1) + b"]"
+    for level in range(depth - 2, -1, -1):
+        n, at = 1, level + 1 + len(item)
+        while skeleton.startswith(b"," + item, at):
+            n, at = n + 1, at + 1 + len(item)
+        shape.insert(0, n)
+        item = b"[" + b",".join([item] * n) + b"]"
+    return tuple(shape) if item == skeleton else None
+
+
+class _ObjectReader:
+    """The tree of one object file's text; each distinct leaf text is read
+    once."""
+
+    def __init__(self):
+        self._arrays = []
+        self._numbers = {}  # number text, with the blanks around it -> float
+        self._shapes = {}  # brackets and commas of a nest -> its shape or None
+
+    def _by_number(self, leaf: bytes) -> np.ndarray | None:
+        """The array of a leaf whose brackets and commas are those of a
+        regular nest, with a number text in each slot; each distinct number
+        text of the file is read by json once.  None for any other leaf."""
+        classes = leaf.translate(_CLASSES, _BLANKS)
+        if b"]n" in classes or b"n[" in classes:  # a number outside its list
+            return None
+        skeleton = classes.translate(None, b"n")
+        if skeleton not in self._shapes:
+            self._shapes[skeleton] = _nest_shape(skeleton)
+        if self._shapes[skeleton] is None:
+            return None
+        pieces = leaf.translate(None, b"[]").split(b",")
+        numbers = self._numbers
+        new = set(pieces).difference(numbers)
+        if new:
+            new = list(new)
+            try:
+                values = np.array(json.loads(b"[" + b",".join(new) + b"]"), dtype=np.float64)
+            except (ValueError, OverflowError):  # not numbers, or an int past float
+                return None
+            if values.shape != (len(new),):  # an empty slot
+                return None
+            numbers.update(zip(new, values.tolist()))
+        values = np.fromiter(map(numbers.__getitem__, pieces), np.float64, len(pieces))
+        return values.reshape(self._shapes[skeleton])
+
+    def _leaf(self, leaf: str) -> int:
+        """The index of the array of `leaf`, or -1 when it stays text."""
+        values = None
+        if len(leaf) <= _SHORT * (leaf.count(",") + 1):
+            values = self._by_number(leaf.encode())
+        if values is None:
+            try:
+                values = np.array(json.loads(leaf), dtype=np.float64)
+            except (ValueError, TypeError, OverflowError):  # ValueError: bad JSON, ragged
+                return -1
+        if values.size < 2:  # serialize._same compares arrays of two or more
+            return -1
+        values.flags.writeable = False
+        self._arrays.append(values)
+        return len(self._arrays) - 1
+
+    def _restore(self, obj: dict) -> dict:
+        for key, value in obj.items():
+            if type(value) is str and value[:1] == _MARK:
+                obj[key] = self._arrays[int(value[1:])]
+        return obj
+
+    def tree(self, text: str):
+        # json reads the whole of a short text, of a text that is not a JSON
+        # object (a truncated file among them) and of one holding a string a
+        # placeholder could be mistaken for
+        if len(text) < _CUT_FROM or not text[-64:].rstrip(" \t\n\r").endswith("}") \
+                or '"\\u0000' in text:
+            return json.loads(text)
+        found = {}  # leaf text -> its placeholder, or None
+        parts, last = [], 0
+        for match in _LEAF.finditer(text):
+            leaf = match.group(1)
+            if leaf not in found:
+                at = self._leaf(leaf)
+                found[leaf] = None if at < 0 else f'"\\u0000{at}"'
+            if found[leaf] is not None:
+                start, end = match.span(1)
+                parts += (text[last:start], found[leaf])
+                last = end
+        if not parts:
+            return json.loads(text)
+        parts.append(text[last:])
+        try:
+            return json.loads("".join(parts), object_hook=self._restore)
+        except json.JSONDecodeError:
+            # a syntax error outside the leaves: json reports it where it is
+            return json.loads(text)
+
+
+def _load(path: str):
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _ObjectReader().tree(text)
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+
+
 # -- object dispatch -----------------------------------------------------------
 
-def _parse_object(data):
+def _parse_object(data, tol: Tolerance):
+    """The kind and object of `data`, its bundles built at `tol`."""
     if not isinstance(data, dict) or "type" not in data:
         raise sz.FormatError("input JSON must be an object with a 'type' field")
     kind = data["type"]
     parsers = {
-        "group": sz.group_from_json,
+        "group": lambda d, tol: sz.group_from_json(d),
         "bundle": sz.bundle_from_json,
         "hilbert_bundle": sz.hilbert_from_json,
         "action": sz.action_from_json,
@@ -305,12 +445,12 @@ def _parse_object(data):
     }
     if kind not in parsers:
         raise sz.FormatError(f"unknown object type {kind!r}")
-    return kind, parsers[kind](data)
+    return kind, parsers[kind](data, tol=tol)
 
 
 def cmd_validate(args) -> int:
-    kind, obj = _parse_object(_load(args.file))
     tol = args.tolerance
+    kind, obj = _parse_object(_load(args.file), tol)
     if kind == "group":
         # parsing already ran the full axiom battery
         _emit({"object": kind, "ok": True, "order": obj.order,
@@ -379,7 +519,7 @@ def cmd_build(args) -> int:
             source = sz.bundle_from_json(spec["source"])
             # a map into its own source bundle parses that bundle once, as
             # serialize.bundle_map_from_json does
-            target = source if spec["target"] == spec["source"] \
+            target = source if sz._same(spec["target"], spec["source"]) \
                 else sz.bundle_from_json(spec["target"])
             hom = sz._hom(source.group, target.group, spec)
             values = sz.vector_from_json(spec["values"])
@@ -399,8 +539,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_pd_check(args) -> int:
-    t = sz.bundle_map_from_json(_load(args.file))
     tol = args.tolerance
+    t = sz.bundle_map_from_json(_load(args.file), tol)
     cert = pd_check_exact(t, tol)
     sampled = pd_check_sampled(t, samples=args.samples, seed=args.seed, tol=tol)
     payload = {
@@ -421,8 +561,8 @@ def cmd_pd_check(args) -> int:
 
 
 def cmd_gns(args) -> int:
-    t = sz.bundle_map_from_json(_load(args.file))
     tol = args.tolerance
+    t = sz.bundle_map_from_json(_load(args.file), tol)
     try:
         hb, rho, xi = gelfand_raikov(t, tol)
     except (NotUnitalError, NotPositiveDefiniteError) as exc:
@@ -439,7 +579,7 @@ def cmd_gns(args) -> int:
     _write_object(sz.vector_payload_tree(xi, hb.bundle.group.identity), paths["vector"])
 
     # re-read everything and re-derive the map from the stored data
-    rho2 = sz.action_from_json(_load(paths["action"]))
+    rho2 = sz.action_from_json(_load(paths["action"]), tol)
     xi2, _ = sz.vector_payload_from_json(_load(paths["vector"]))
     residual = roundtrip_residual(t, hb, rho2, xi2)
     bound = 1e-8 * (1.0 + t.norm())
@@ -467,9 +607,9 @@ def _unit_fiber_vector(path: str, rho):
 
 
 def cmd_correspond(args) -> int:
-    rho = sz.action_from_json(_load(args.file))
-    xi = _unit_fiber_vector(args.vector, rho) if args.vector else None
     tol = args.tolerance
+    rho = sz.action_from_json(_load(args.file), tol)
+    xi = _unit_fiber_vector(args.vector, rho) if args.vector else None
     act_rep = validate_action(rho, tol, seed=args.seed)
     payload = {"action_report": act_rep.as_dict()}
     ok = act_rep.ok
@@ -493,15 +633,15 @@ def cmd_correspond(args) -> int:
 
 
 def cmd_morita(args) -> int:
-    e = sz.equivalence_from_json(_load(args.file))
+    e = sz.equivalence_from_json(_load(args.file), args.tolerance)
     rep = verify_imprimitivity(e, args.tolerance, seed=args.seed)
     _emit({"ok": rep.ok, "report": rep.as_dict()}, args)
     return OK if rep.ok else MATH_FAIL
 
 
 def cmd_report(args) -> int:
-    kind, obj = _parse_object(_load(args.file))
     tol = args.tolerance
+    kind, obj = _parse_object(_load(args.file), tol)
     payload = {"object": kind}
     ok = True
     if kind == "bundle":

@@ -432,8 +432,10 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     folded exactly when d_B < nb; y holds d_B times the entries of T, and
     costs about d_B dense samples to build.  The right product with E*
     stays dense.  Samples are evaluated together in chunks whose
-    intermediates stay near CHUNK_BYTES in the largest group of blocks of
-    one size; the margins, Hermitian defects and norms of a chunk come from
+    intermediates stay near CHUNK_BYTES: per sample, the coefficients of E,
+    the outer products a_i* (x) b_i of up to |G| d_A positions that they sum,
+    and four (L, nb, side) arrays of the largest group of blocks of one
+    size; the margins, Hermitian defects and norms of a chunk come from
     one batched eigvalsh/norm per size, on T divided by a power of two so
     huge finite entries cannot overflow.  The witness is the first sample
     attaining the minimal margin; its sum S is formed in the ambient
@@ -449,7 +451,7 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     groups = (blocks or tgt.blocks).compress(tgt.fiber_array)
     forms = [t_values_ambient(t, fibers) for _, fibers in groups]
     mu = max(overflow_scale(form, "positivity form") for form in forms)
-    sizes, live = [], 0
+    sizes, widest = [], 0
     for mult, fibers in groups:
         tt = forms.pop(0)  # so that T and its fold y are not both held
         if mu != 1:
@@ -463,9 +465,11 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
                 count, order * dm * dbm, nb * side)
         fibers = fibers.transpose(1, 2, 0, 3, 4).reshape(order, dbm, count * nb * nb)
         sizes.append((mult, nb, fibers, tt))
-        live = max(live, count * nb * side)
-    # e, its transpose and conjugate, and e @ tt: four (L, nb, side) arrays per sample
-    chunk = max(1, CHUNK_BYTES // max(64 * live, 1))
+        widest = max(widest, count * nb * side)
+    # complex entries per sample: coef, the outer products summed into it,
+    # and e, its transpose and conjugate, and e @ tt
+    live = order * dm * dbm * (1 + dm) + 4 * widest
+    chunk = max(1, CHUNK_BYTES // max(16 * live, 1))
     tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
     worst = np.inf
     bad = None

@@ -10,6 +10,14 @@ every complex array left as its float64 [re, im] view (`_encode`), which
 the command line writes without making a Python float per entry.  The
 public `*_to_json` functions return the same tree with those leaves turned
 to nested lists, so their results are JSON-native.
+
+The `*_from_json` functions read JSON-native trees, and trees whose leaves
+are such float64 arrays, as the command line's reader (`cli._load`) gives
+them: it reads the value of every element or pair key that is a regular nest
+of two or more JSON numbers as a read-only array, each distinct leaf text
+once, and leaves everything else to json.  An array leaf is decoded without
+a copy, and trees are compared by value (`_same`), as their lists would be.
+The functions that build bundles take the tolerance to build them at.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .correspondences import EquivalenceBundle
 from .crosssec import Section
 from .groups import FiniteGroup, GroupHom, make_from_table
 from .hilbundles import HilbertBundle, SemiInnerBundle
+from .numerics import DEFAULT_TOL, Tolerance
 from .pdmaps import BundleMap
 
 
@@ -48,11 +57,12 @@ def _lists(tree):
 
 
 def _decode(data, shape, what: str) -> np.ndarray:
-    """The complex array of `shape` held as nested [re, im] pairs, read as one
-    float array; a None axis takes its length from the data.  Entries must be
-    finite.  An empty target also accepts shallower nested empty lists."""
+    """The complex array of `shape` held as nested [re, im] pairs or as their
+    float64 array, read as one float array (a view of such an array); a None
+    axis takes its length from the data.  Entries must be finite.  An empty
+    target also accepts shallower nested empty lists."""
     try:
-        pairs = np.array(data, dtype=np.float64)
+        pairs = np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
     shape = tuple((pairs.shape[i] if i < pairs.ndim else 0) if s is None else s
@@ -93,6 +103,24 @@ def _integers(value, what: str) -> np.ndarray:
     return out
 
 
+def _same(a, b) -> bool:
+    """a == b for JSON trees whose dict values may be float arrays of two or
+    more entries, as the command line's reader makes them, with the verdict
+    of that equality on the trees with nested lists for arrays."""
+    if a is b:
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return _lists(a) == _lists(b)
+    try:
+        return a == b
+    except ValueError:  # arrays of two or more entries in dicts in lists
+        return len(a) == len(b) and all(map(_same, a, b))
+
+
 def _family(data, field: str, keys) -> dict:
     """The keyed family data[field]; a key the decoder does not read is refused."""
     raw = data[field]
@@ -130,7 +158,7 @@ def vector_from_json(data) -> np.ndarray:
 
 
 def tensor3_from_json(data, shape) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != shape[0]:
+    if not isinstance(data, (list, np.ndarray)) or len(data) != shape[0]:
         raise FormatError(f"tensor needs a list of {shape[0]} slabs")
     return _decode(data, tuple(shape), "tensor")
 
@@ -172,17 +200,25 @@ def bundle_to_json(b: FellBundle) -> dict:
     return _lists(bundle_tree(b))
 
 
-def bundle_from_json(data) -> FellBundle:
+def _or_empty(value):
+    """`value`, or [] for a falsy JSON value (a missing fiber is empty)."""
+    return value if isinstance(value, np.ndarray) else value or []
+
+
+def bundle_from_json(data, tol: Tolerance | None = None) -> FellBundle:
+    """The bundle of `data`, built at `tol` (DEFAULT_TOL by default); the
+    declared unitality is checked at DEFAULT_TOL, the tolerance the writer
+    judged it at."""
     try:
         group = group_from_json(data["group"])
         n = _integer(data["ambient_dim"], "ambient_dim")
         raw = _family(data, "fibers", _element_keys(group))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bundle JSON is missing fields: {exc}") from exc
-    fibers = [_decode(raw.get(str(g)) or [], (None, n, n), f"fiber {g}")
+    fibers = [_decode(_or_empty(raw.get(str(g))), (None, n, n), f"fiber {g}")
               for g in group.elements()]
-    bundle = FellBundle(group, n, fibers)
-    if "unital" in data and bool(data["unital"]) != bundle.unital:
+    bundle = FellBundle(group, n, fibers, tol or DEFAULT_TOL)
+    if "unital" in data and bool(data["unital"]) != bundle.unital_at(DEFAULT_TOL):
         raise FormatError("declared unitality does not match the fibers")
     return bundle
 
@@ -190,7 +226,7 @@ def bundle_from_json(data) -> FellBundle:
 def _shared(bundle: FellBundle, data, hilbert_data) -> FellBundle | None:
     """`bundle`, parsed from `data`, when the Hilbert bundle `hilbert_data`
     is written over the same JSON, so that a file's bundle is parsed once."""
-    if isinstance(hilbert_data, dict) and hilbert_data.get("bundle") == data:
+    if isinstance(hilbert_data, dict) and _same(hilbert_data.get("bundle"), data):
         return bundle
     return None
 
@@ -230,13 +266,13 @@ def bundle_map_to_json(t: BundleMap) -> dict:
     return _lists(bundle_map_tree(t))
 
 
-def bundle_map_from_json(data) -> BundleMap:
+def bundle_map_from_json(data, tol: Tolerance | None = None) -> BundleMap:
     try:
-        source = bundle_from_json(data["source"])
+        source = bundle_from_json(data["source"], tol)
         # a map into its own source bundle shares one bundle object, as
         # identity_bundle_map does
-        target = source if data["target"] == data["source"] \
-            else bundle_from_json(data["target"])
+        target = source if _same(data["target"], data["source"]) \
+            else bundle_from_json(data["target"], tol)
         phi = _hom(source.group, target.group, data)
         raw = _family(data, "blocks", _element_keys(source.group))
     except (KeyError, TypeError) as exc:
@@ -269,13 +305,13 @@ def hilbert_to_json(x: SemiInnerBundle) -> dict:
     return _lists(hilbert_tree(x))
 
 
-def hilbert_from_json(data, definite: bool = True,
-                      bundle: FellBundle | None = None) -> SemiInnerBundle:
+def hilbert_from_json(data, definite: bool = True, bundle: FellBundle | None = None,
+                      tol: Tolerance | None = None) -> SemiInnerBundle:
     """The Hilbert bundle of `data`, over `bundle` when the caller has
-    parsed data["bundle"] already."""
+    parsed data["bundle"] already, else over data["bundle"] built at `tol`."""
     try:
         if bundle is None:
-            bundle = bundle_from_json(data["bundle"])
+            bundle = bundle_from_json(data["bundle"], tol)
         grp = bundle.group
         dims = [_integer(d, "fiber dimension") for d in data["dims"]]
         raw_act = _family(data, "action", _pair_keys(grp))
@@ -313,12 +349,12 @@ def action_to_json(rho: Action) -> dict:
     return _lists(action_tree(rho))
 
 
-def action_from_json(data) -> Action:
+def action_from_json(data, tol: Tolerance | None = None) -> Action:
     try:
-        source = bundle_from_json(data["source"])
+        source = bundle_from_json(data["source"], tol)
         # an action on a Hilbert bundle over its own source bundle shares one
         # bundle object, as l2_action does
-        target = hilbert_from_json(data["target"],
+        target = hilbert_from_json(data["target"], tol=tol,
                                    bundle=_shared(source, data["source"], data["target"]))
         tgt_grp = target.bundle.group
         phi = _hom(source.group, tgt_grp, data)
@@ -361,11 +397,11 @@ def equivalence_to_json(e: EquivalenceBundle) -> dict:
     return _lists(equivalence_tree(e))
 
 
-def equivalence_from_json(data) -> EquivalenceBundle:
+def equivalence_from_json(data, tol: Tolerance | None = None) -> EquivalenceBundle:
     try:
-        left = bundle_from_json(data["left_bundle"])
+        left = bundle_from_json(data["left_bundle"], tol)
         # shared as in action_from_json, as trivial_self_equivalence does
-        right = hilbert_from_json(data["right"],
+        right = hilbert_from_json(data["right"], tol=tol,
                                   bundle=_shared(left, data["left_bundle"], data["right"]))
         grp = left.group
         raw_lact = _family(data, "lact", _pair_keys(grp))

@@ -2,11 +2,15 @@
 lists in bench/spans.py must still resolve, and its phase split must still
 see the library's calls.  The module is loaded read-only from its file."""
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import fellbundles
 import fellbundles.cli  # noqa: F401  (imports every module)
+from fellbundles import serialize as sz
 from fellbundles.bundles import group_bundle
 from fellbundles.groups import make_cyclic
 from fellbundles.pdmaps import identity_bundle_map
@@ -51,3 +55,13 @@ def test_tracer_splits_crossed_product_construction_from_its_structure():
     self_s = tracer.totals()["self_s"]
     assert self_s.get("bundles.construct", 0.0) > 0.0
     assert self_s.get("bundles.structure", 0.0) > 0.0
+
+
+def test_tracer_times_the_object_reader_and_counts_its_bytes(tmp_path):
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(sz.bundle_to_json(group_bundle(make_cyclic(3)))))
+    with _load_spans().Tracer().installed() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert fellbundles.cli.main(["validate", str(path)]) == 0
+    totals = tracer.totals()
+    assert totals["self_s"].get("serialize.parse", 0.0) > 0.0
+    assert totals["counts"]["serialize.bytes_in"] == path.stat().st_size

@@ -70,6 +70,28 @@ def test_pd_check_reports_the_decomposition_self_check(tmp_path, capsys):
     assert 0.0 < sampled["decomposition_residual"] <= sampled["decomposition_bound"]
 
 
+def test_pd_check_decomposes_at_the_callers_tolerance(tmp_path, capsys):
+    """At --tol-rank 1e-20 the decomposition's self-check (about 1e-15 on
+    S3) fails, so both checks run on the ambient route, as the oracle
+    does."""
+    from fellbundles.numerics import Tolerance, one_block
+    from fellbundles.pdmaps import pd_check_exact, pd_check_sampled
+
+    t = identity_bundle_map(group_bundle(symmetric_group(3)))
+    path = write(tmp_path, "s3map.json", sz.bundle_map_to_json(t))
+    code, out = run(capsys, "pd-check", path, "--tol-rank", "1e-20")
+    report = json.loads(out)
+    assert report["tolerances"]["rel_rank"] == report["sampled"]["decomposition_bound"] == 1e-20
+    assert report["sampled"]["decomposition_residual"] == 0.0  # one_block's
+    tol, ambient = Tolerance(rel_rank=1e-20), one_block(t.target.ambient_dim)
+    cert = pd_check_exact(t, tol, blocks=ambient)
+    sampled = pd_check_sampled(t, tol=tol, blocks=ambient)
+    assert code == (0 if cert.ok else 1)
+    assert report["exact"]["verdict"] is cert.ok and report["exact"]["margin"] == cert.margin
+    assert report["sampled"]["ok"] is sampled.ok
+    assert report["sampled"]["worst_margin"] == sampled.worst_margin
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 3.09 GiB", ""])
 def test_memory_error_exits_2_with_json(tmp_path, capsys, monkeypatch, message):
     """Running out of memory is not a mathematical failure: exit 2, one JSON

@@ -3,7 +3,8 @@
 Every mutant of a valid Z3 bundle-map file (a key dropped, a leaf replaced
 by a string, null, a huge or fractional number or a list, a list
 truncated) must end `gns` and `pd-check` with exit code 0, 1 or 2 and a
-printed verdict, never with an uncaught exception.
+printed verdict, never with an uncaught exception, and with the same exit
+code and report through the object reader as through its oracle, json.load.
 """
 
 import contextlib
@@ -13,13 +14,16 @@ import json
 import tempfile
 from pathlib import Path
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from fellbundles import serialize as sz
+from fellbundles import cli, serialize as sz
 from fellbundles.bundles import group_bundle
-from fellbundles.cli import main
 from fellbundles.groups import make_cyclic
 from fellbundles.pdmaps import identity_bundle_map
+
+from test_object_reader import json_load
 
 VALID = sz.bundle_map_to_json(identity_bundle_map(group_bundle(make_cyclic(3))))
 LEAVES = st.sampled_from(["abc", None, 10 ** 400, 1e308, -1e308, 0.5, 2.5, -1.5,
@@ -62,12 +66,17 @@ def _exit_code(command: str, doc) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.json"
         path.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path), "-o", str(Path(tmp) / "out")])
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    assert out.getvalue() or err.getvalue()
-    return code
+        results = []
+        for reader in (cli._load, json_load):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(cli, "_load", reader), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([command, str(path), "-o", str(Path(tmp) / "out")])
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            assert out.getvalue() or err.getvalue()
+            results.append((code, out.getvalue()))
+    assert results[0] == results[1], command
+    return results[0][0]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -11,10 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fellbundles import pdmaps
 from fellbundles.actions import coefficient_map, l2_action
 from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
-from fellbundles.numerics import DEFAULT_TOL, dagger, hermitian_defect, opnorm
+from fellbundles.numerics import DEFAULT_TOL, dagger, hermitian_defect, one_block, opnorm
 from fellbundles.pdmaps import (
     SampledCheck,
     conjugation_bundle_map,
@@ -298,3 +299,35 @@ def test_sampled_check_memory_is_chunk_bounded(make, mib):
     finally:
         tracemalloc.stop()
     assert peak < mib * 2 ** 20
+
+
+def _sampled_peak(t, **kwargs):
+    tracemalloc.start()
+    try:
+        result = pd_check_sampled(t, samples=200, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _witness_bytes(result):
+    return [(g, a.tobytes(), b.tobytes()) for g, a, b in result.witness or ()]
+
+
+def test_sampled_chunks_count_the_coefficients_and_outer_products(monkeypatch):
+    """M3 x Z3 splits into three blocks of side 3, so the block route's
+    chunks hold three times the ambient route's samples: its per-sample
+    coefficients and outer products must count, or its peak exceeds the
+    ambient route's.  Chunking leaves the margins and the witness as they
+    are."""
+    t = perturb_bundle_map(identity_bundle_map(m3_z3()), 0.5, np.random.default_rng(3))
+    assert t.target.blocks.types == [(3, 1)] * 3
+    blocked, peak = _sampled_peak(t)
+    _, ambient_peak = _sampled_peak(t, blocks=one_block(t.target.ambient_dim))
+    assert peak <= ambient_peak
+    assert not blocked.ok and blocked.witness
+    monkeypatch.setattr(pdmaps, "CHUNK_BYTES", 1 << 40)  # one chunk
+    whole = pd_check_sampled(t, samples=200)
+    assert whole.worst_margin == blocked.worst_margin
+    assert _witness_bytes(whole) == _witness_bytes(blocked)

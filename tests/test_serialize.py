@@ -120,7 +120,8 @@ def test_malformed_matrix_rejected():
 def _counting_parses(monkeypatch) -> list:
     parses = []
     real = sz.bundle_from_json
-    monkeypatch.setattr(sz, "bundle_from_json", lambda data: parses.append(1) or real(data))
+    monkeypatch.setattr(sz, "bundle_from_json",
+                        lambda data, tol=None: parses.append(1) or real(data, tol))
     return parses
 
 
@@ -154,3 +155,34 @@ def test_object_over_its_own_bundle_parses_it_once(monkeypatch, kind):
     assert len(parses) == 2
     assert getattr(back, outer) is not getattr(back, inner).bundle
     assert to_json(back) == data
+
+
+_A = np.array([[0.5, -0.0], [1.0, 0.0]])
+SAME_CASES = {
+    "one array object": (_A, _A),
+    "equal arrays": (_A, _A.copy()),
+    "-0.0 against 0.0": (_A, np.abs(_A)),
+    "unequal arrays": (_A, _A + 1.0),
+    "unequal shapes": (_A, _A.ravel()),
+    "an array against its lists": (_A, _A.tolist()),
+    "an array against int lists": (np.array([1.0, 0.0]), [1, 0]),
+    "an array against other nesting": (np.array([[1.0, 0.0]]), [1.0, 0.0]),
+    "arrays in dicts": ({"0": _A, "n": 2}, {"0": _A.copy(), "n": 2}),
+    "arrays in dicts in lists": ([{"0": _A}], [{"0": _A + 1.0}]),
+    "unequal keys": ({"0": _A}, {"1": _A}),
+    "plain lists": ([[1, 2], [3]], [[1, 2], [3]]),
+    "a dict against a list": ({"0": _A}, [_A]),
+}
+
+
+def _deep_lists(tree):
+    if isinstance(tree, dict):
+        return {k: _deep_lists(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_deep_lists(v) for v in tree]
+    return tree.tolist() if isinstance(tree, np.ndarray) else tree
+
+
+@pytest.mark.parametrize("a, b", SAME_CASES.values(), ids=SAME_CASES.keys())
+def test_trees_compare_as_their_lists(a, b):
+    assert sz._same(a, b) is (_deep_lists(a) == _deep_lists(b))
