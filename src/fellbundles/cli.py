@@ -287,10 +287,8 @@ def _write_object(tree, path: str | None) -> None:
 # more JSON numbers becomes a read-only float64 array, and everything else
 # stays what json.loads gives.  Such a leaf is cut out of the text and
 # replaced by a placeholder string, and json reads the small skeleton that is
-# left.  Each distinct leaf text is read once, to the array serialize would
-# make of what json gives: whole by json and numpy, or, when its numbers are
-# mostly short texts (zeros and small integers, which repeat), by reading
-# each distinct number text of the file once.  A leaf that json or numpy
+# left.  Each distinct leaf text is read once, by json and numpy, to the array
+# serialize would make of what json gives.  A leaf that json or numpy
 # refuses, or that holds fewer than two numbers, stays in the skeleton, so
 # json and serialize judge it as they would without the cut; json reads a
 # text with a syntax error again whole, so that it reports the error where it
@@ -301,33 +299,6 @@ def _write_object(tree, path: str | None) -> None:
 _LEAF = re.compile(r'"(?<=[{, \t\n\r]")[0-9]+(?:,[0-9]+)?"[ \t\n\r]*:[ \t\n\r]*'
                    r'(\[[-+.0-9eE\[\], \t\n\r]*\])(?=[ \t\n\r]*[,}])')
 _MARK = "\0"  # begins each placeholder; json decodes it only from a \u0000 escape
-# texts shorter than this are read by json whole: in a fresh process, cutting
-# their few leaves costs more than the cut saves
-_CUT_FROM = 4096
-# leaves of at most this many characters per number are read number by number:
-# "0.0, " is 5, a full-precision float 20 or more
-_SHORT = 8
-_BLANKS = b" \t\n\r"
-_CLASSES = bytes.maketrans(b"-+.0123456789eE", b"n" * 15)  # number characters as "n"
-_MAX_DEPTH = 32  # deeper nests are left to json
-
-
-def _nest_shape(skeleton: bytes) -> tuple | None:
-    """The shape of the regular nest whose brackets and commas, in order, are
-    `skeleton`, or None when no regular nest has them."""
-    depth = len(skeleton) - len(skeleton.lstrip(b"["))
-    if not 0 < depth <= _MAX_DEPTH:
-        return None
-    # the first list of each level, innermost first, sets that level's length
-    shape = [skeleton.index(b"]") - depth + 1]
-    item = b"[" + b"," * (shape[0] - 1) + b"]"
-    for level in range(depth - 2, -1, -1):
-        n, at = 1, level + 1 + len(item)
-        while skeleton.startswith(b"," + item, at):
-            n, at = n + 1, at + 1 + len(item)
-        shape.insert(0, n)
-        item = b"[" + b",".join([item] * n) + b"]"
-    return tuple(shape) if item == skeleton else None
 
 
 class _ObjectReader:
@@ -336,46 +307,13 @@ class _ObjectReader:
 
     def __init__(self):
         self._arrays = []
-        self._numbers = {}  # number text, with the blanks around it -> float
-        self._shapes = {}  # brackets and commas of a nest -> its shape or None
-
-    def _by_number(self, leaf: bytes) -> np.ndarray | None:
-        """The array of a leaf whose brackets and commas are those of a
-        regular nest, with a number text in each slot; each distinct number
-        text of the file is read by json once.  None for any other leaf."""
-        classes = leaf.translate(_CLASSES, _BLANKS)
-        if b"]n" in classes or b"n[" in classes:  # a number outside its list
-            return None
-        skeleton = classes.translate(None, b"n")
-        if skeleton not in self._shapes:
-            self._shapes[skeleton] = _nest_shape(skeleton)
-        if self._shapes[skeleton] is None:
-            return None
-        pieces = leaf.translate(None, b"[]").split(b",")
-        numbers = self._numbers
-        new = set(pieces).difference(numbers)
-        if new:
-            new = list(new)
-            try:
-                values = np.array(json.loads(b"[" + b",".join(new) + b"]"), dtype=np.float64)
-            except (ValueError, OverflowError):  # not numbers, or an int past float
-                return None
-            if values.shape != (len(new),):  # an empty slot
-                return None
-            numbers.update(zip(new, values.tolist()))
-        values = np.fromiter(map(numbers.__getitem__, pieces), np.float64, len(pieces))
-        return values.reshape(self._shapes[skeleton])
 
     def _leaf(self, leaf: str) -> int:
         """The index of the array of `leaf`, or -1 when it stays text."""
-        values = None
-        if len(leaf) <= _SHORT * (leaf.count(",") + 1):
-            values = self._by_number(leaf.encode())
-        if values is None:
-            try:
-                values = np.array(json.loads(leaf), dtype=np.float64)
-            except (ValueError, TypeError, OverflowError):  # ValueError: bad JSON, ragged
-                return -1
+        try:
+            values = np.array(json.loads(leaf), dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):  # ValueError: bad JSON, ragged
+            return -1
         if values.size < 2:  # serialize._same compares arrays of two or more
             return -1
         values.flags.writeable = False
@@ -389,11 +327,10 @@ class _ObjectReader:
         return obj
 
     def tree(self, text: str):
-        # json reads the whole of a short text, of a text that is not a JSON
-        # object (a truncated file among them) and of one holding a string a
+        # json reads the whole of a text that is not a JSON object (a
+        # truncated file among them) and of one holding a string a
         # placeholder could be mistaken for
-        if len(text) < _CUT_FROM or not text[-64:].rstrip(" \t\n\r").endswith("}") \
-                or '"\\u0000' in text:
+        if not text[-64:].rstrip(" \t\n\r").endswith("}") or '"\\u0000' in text:
             return json.loads(text)
         found = {}  # leaf text -> its placeholder, or None
         parts, last = [], 0

@@ -187,11 +187,14 @@ def _hom(source: FiniteGroup, target: FiniteGroup, data) -> GroupHom:
 # -- bundles ------------------------------------------------------------------
 
 def bundle_tree(b: FellBundle) -> dict:
+    """The object tree of `b`; its "unital" flag is judged at DEFAULT_TOL,
+    the tolerance bundle_from_json checks it at, whatever tolerance `b` was
+    built at."""
     return {
         "type": "bundle",
         "group": group_to_json(b.group),
         "ambient_dim": b.ambient_dim,
-        "unital": bool(b.unital),
+        "unital": b.unital_at(DEFAULT_TOL),
         "fibers": {str(g): _encode(b.fibers[g]) for g in b.group.elements()},
     }
 
@@ -207,8 +210,8 @@ def _or_empty(value):
 
 def bundle_from_json(data, tol: Tolerance | None = None) -> FellBundle:
     """The bundle of `data`, built at `tol` (DEFAULT_TOL by default); the
-    declared unitality is checked at DEFAULT_TOL, the tolerance the writer
-    judged it at."""
+    declared unitality is checked at DEFAULT_TOL, the tolerance bundle_tree
+    judges it at."""
     try:
         group = group_from_json(data["group"])
         n = _integer(data["ambient_dim"], "ambient_dim")

@@ -444,6 +444,26 @@ def test_unital_is_judged_at_the_report_tolerance(tmp_path, capsys):
         assert json.loads(out)["unital"] is unital, flags
 
 
+def test_gns_at_a_loose_rank_tolerance_rereads_its_own_files(tmp_path, capsys):
+    """At --tol-rank 1e-3 the near-unit bundle above is unital, so gns runs;
+    the files it writes declare unitality as the reader checks it, so gns's
+    own re-read and a later command accept them."""
+    from fellbundles.bundles import FellBundle
+
+    b = FellBundle(make_cyclic(1), 2, [np.diag([1.0, 1.0 + 1e-6])[None]])
+    path = write(tmp_path, "near_unit_map.json", sz.bundle_map_to_json(identity_bundle_map(b)))
+    prefix = str(tmp_path / "near")
+    code, out = run(capsys, "gns", path, "-o", prefix, "--tol-rank", "1e-3")
+    assert code in (0, 1), out
+    assert "error" not in json.loads(out)
+    hilbert = json.loads(Path(f"{prefix}.bundle.json").read_text())
+    action = json.loads(Path(f"{prefix}.action.json").read_text())
+    for bundle in (hilbert["bundle"], action["source"], action["target"]["bundle"]):
+        assert bundle["unital"] is False
+    code, out = run(capsys, "correspond", f"{prefix}.action.json", "--tol-rank", "1e-3")
+    assert code in (0, 1), out
+
+
 @pytest.mark.parametrize("group", [make_cyclic(3), symmetric_group(3)], ids=["Z3", "S3"])
 def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, monkeypatch,
                                                            group):

@@ -119,15 +119,13 @@ def test_every_object_file_writes_back_to_its_own_text(object_files):
         assert cli.object_text(cli._load(path)) + "\n" == Path(path).read_text(), name
 
 
-def test_short_and_truncated_texts_are_read_by_json_whole(object_files):
-    short = Path(object_files["S3 bundle"]).read_text()
+def test_truncated_texts_are_read_by_json_whole(object_files):
     text = Path(object_files["S3 l2_action"]).read_text()
-    assert len(short) < cli._CUT_FROM <= len(text)
-    for whole in (short, text[:len(text) // 2]):
-        with mock.patch.object(cli.json, "loads", wraps=json.loads) as loads, \
-                contextlib.suppress(json.JSONDecodeError):
-            cli._ObjectReader().tree(whole)
-        loads.assert_called_once_with(whole)
+    whole = text[:len(text) // 2]
+    with mock.patch.object(cli.json, "loads", wraps=json.loads) as loads, \
+            pytest.raises(json.JSONDecodeError):
+        cli._ObjectReader().tree(whole)
+    loads.assert_called_once_with(whole)
 
 
 def test_leaves_are_shared_read_only_arrays(object_files):
@@ -154,7 +152,7 @@ def test_truncated_object_files_report_as_the_oracle(object_files, tmp_path, sev
 
 def _long_numbers_bundle() -> str:
     """A Z2 bundle file in M_6 whose fiber entries are random full-precision
-    floats, so that json reads its leaves whole."""
+    floats, none of them repeated."""
     data = sz.bundle_to_json(group_bundle(make_cyclic(2)))
     rng = np.random.default_rng(7)
     data["ambient_dim"] = 6
@@ -163,9 +161,8 @@ def _long_numbers_bundle() -> str:
     return json.dumps(data, sort_keys=True)
 
 
-# bundle files whose fiber "1" leaf gets one entry or row replaced: json reads
-# the Z2 leaf whole, the reader reads the Z12 leaf, of short numbers, number
-# by number
+# bundle files whose fiber "1" leaf gets one entry or row replaced: the Z2
+# leaf holds distinct full-precision numbers, the Z12 leaf short repeated ones
 BASES = {"Z2": _long_numbers_bundle(),
          "Z12": json.dumps(sz.bundle_to_json(group_bundle(make_cyclic(12))), sort_keys=True)}
 TOKENS = ("01", "+1", "1.", ".5", "1e", "1 2", "NaN", '"1.5"', "true", "-0", "-0.0",
@@ -211,25 +208,23 @@ def test_leaves_json_refuses_or_reads_differently_report_as_the_oracle(tmp_path,
 
 
 @pytest.mark.parametrize("token", TOKENS)
-def test_a_leaf_read_number_by_number_is_what_json_and_numpy_give(token):
-    """A JSON number (an integer one as json reads it, as an int) is read to
-    the float64 numpy makes of json's value; anything else, NaN and an
-    integer past the largest float included, is left to json whole."""
-    leaf = f"[[0.0, 0.5], [{token}, 0.0], [-0.0, 0.5]]"
-    got = cli._ObjectReader()._by_number(leaf.encode())
+def test_a_leaf_is_read_to_what_json_and_numpy_give(token):
+    """A leaf of JSON numbers (an integer one as json reads it, as an int) is
+    read to the float64 array numpy makes of json's value; any other leaf,
+    one holding an integer past the largest float included, is read by json,
+    which gives its value or refuses the text as it does without the cut."""
+    text = f'{{"1": [[0.0, 0.5], [{token}, 0.0], [-0.0, 0.5]]}}'
+    try:
+        want = json.loads(text)["1"]
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as got:
+            cli._ObjectReader().tree(text)
+        assert str(got.value) == str(exc)
+        return
+    got = cli._ObjectReader().tree(text)["1"]
     if token in ("-0", "-0.0", "1e400", "-1", "1E-3"):
-        want = np.array(json.loads(leaf), dtype=np.float64)
+        want = np.array(want, dtype=np.float64)
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     else:
-        assert got is None
-
-
-@pytest.mark.parametrize("leaves", [["[]"], ["[[0.0], [0.5]]", "[[0.0], []]"], ["[0.5]", "[ ]"]])
-def test_an_empty_slot_is_left_to_json(leaves):
-    """An empty list holds no number text to check, even when every other
-    slot's text was read before."""
-    reader = cli._ObjectReader()
-    *known, leaf = leaves
-    for text in known:
-        assert reader._by_number(text.encode()) is not None
-    assert reader._by_number(leaf.encode()) is None
+        assert type(got) is list and repr(got) == repr(want)
