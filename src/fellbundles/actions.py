@@ -27,9 +27,9 @@ from .bundles import FellBundle, crossed_extract, dynamical_bundle
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertModule, SemiInnerBundle, algebra_coords_map, ambient_inners, \
     check_shapes, check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, \
-    regularize_bundle, trivial_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, hermitian_psd_checks, opnorms, \
-    padded, stored, worst_relative
+    regularize_bundle, separate, trivial_hilbert_bundle
+from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, judge_psd, opnorms, padded, \
+    relative_residuals, stack_spectra, stored, worst_relative
 from .reports import Report
 
 
@@ -197,8 +197,8 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
             big_r, big_s = grams(hs[idx], xs[idx]), grams(hs[idx], ys)
             na2 = norms(np.full(k, e), a[idx]) ** 2
             scale = np.maximum(1.0, np.maximum(na2 * opnorms(big_r), opnorms(big_s)))
-            _, slack, hermitian = hermitian_psd_checks(
-                (na2[:, None, None] * big_r - big_s) / scale[:, None, None], tol)
+            _, slack, hermitian = judge_psd(*stack_spectra(
+                (na2[:, None, None] * big_r - big_s) / scale[:, None, None]), tol)
             slack = np.where(hermitian, slack, np.inf)
             ok = ok and bool((slack <= 1e-8).all())
             worst = max(worst, float(slack.max(initial=0.0)))
@@ -275,30 +275,34 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
     e = grp_g.identity
     if frob(gamma[e] - np.eye(mx)) > 1e-10 * mx:
         raise CompatibilityViolationError("gamma_e must be the identity")
-    for g in grp_g.elements():
-        for g2 in grp_g.elements():
-            if frob(gamma[g] @ gamma[g2] - gamma[grp_g.mul(g, g2)]) > 1e-8 * mx:
-                raise CompatibilityViolationError("gamma is not a homomorphism")
+    order, phi = grp_g.order, hom.map
+    gamma, alpha, beta = np.array(gamma), np.array(alpha), np.array(beta)
+    g, g2 = np.divmod(np.arange(order * order), order)
+    if worst_relative(order * order, mx * mx, lambda t: (gamma[g[t]] @ gamma[g2[t]],
+                      gamma[grp_g.table[g[t], g2[t]]], np.full(len(t), mx))) > 1e-8:
+        raise CompatibilityViolationError("gamma is not a homomorphism")
 
-    alpha = [np.asarray(a) for a in alpha]
-    beta = [np.asarray(b) for b in beta]
-    ka, kb = len(module.left), module.right.shape[0]
-    for g in grp_g.elements():
-        hg = hom(g)
-        for i in range(ka):
-            lhs = gamma[g] @ module.left[i]
-            rhs = np.einsum("k,kuv->uv", alpha[g][:, i], module.left) @ gamma[g]
-            if frob(lhs - rhs) > 1e-8 * max(frob(lhs), 1.0):
-                raise CompatibilityViolationError("gamma(a.x) = alpha(a).gamma(x) fails")
-        for j in range(kb):
-            lhs = gamma[g] @ module.right[j]
-            rhs = np.einsum("k,kuv->uv", beta[hg][:, j], module.right) @ gamma[g]
-            if frob(lhs - rhs) > 1e-8 * max(frob(lhs), 1.0):
-                raise CompatibilityViolationError("gamma(x.b) = gamma(x).beta(b) fails")
-        lhs = np.einsum("uw,uvk,vz->wzk", gamma[g].conj(), module.inner, gamma[g])
-        rhs = np.einsum("uvk,lk->uvl", module.inner, beta[hg])
-        if frob(lhs - rhs) > 1e-8 * max(frob(rhs), 1.0):
-            raise CompatibilityViolationError("<gamma x, gamma y> = beta(<x,y>) fails")
+    # gamma_g c_i = (sum_k coefs[g][k, i] c_k) gamma_g for the left and right
+    # operators c_i, then <gamma_g x, gamma_g y> = beta_phi(g)(<x,y>): the
+    # error of the first failing check in (g, check, i) order
+    def covariant(ops, coefs):
+        g, i = np.divmod(np.arange(order * len(ops)), len(ops))
+        return relative_residuals(len(g), mx * mx, lambda t: (
+            gamma[g[t]] @ ops[i[t]],
+            np.einsum("tk,kuv->tuv", coefs[g[t], :, i[t]], ops) @ gamma[g[t]])).reshape(order, -1)
+
+    left, inner = np.asarray(module.left, dtype=np.complex128), module.inner
+    fails = np.hstack([covariant(left, alpha), covariant(module.right, beta[phi]),
+                       relative_residuals(order, inner.size, lambda t: (
+                           np.einsum("uvk,tlk->tuvl", inner, beta[phi[t]]),
+                           np.einsum("tuw,uvk,tvz->twzk", gamma[t].conj(), inner, gamma[t]))
+                       )[:, None]]) > 1e-8
+    if fails.any():
+        check, ka = int(np.argmax(fails)) % fails.shape[1], len(left)
+        raise CompatibilityViolationError(
+            "gamma(a.x) = alpha(a).gamma(x) fails" if check < ka else
+            "<gamma x, gamma y> = beta(<x,y>) fails" if check == fails.shape[1] - 1 else
+            "gamma(x.b) = gamma(x).beta(b) fails")
 
     source = dynamical_bundle(a_basis, grp_g, alpha)
     target = module_bundle_from_dynsys(module, grp_h, beta)
@@ -332,24 +336,24 @@ def rep_action(source: FellBundle, pi, module: HilbertModule, hom: GroupHom,
     for g in grp.elements():
         if pi[g].shape != (source.dims[g], module.dim, module.dim):
             raise NotStarRepError(f"pi[{g}] has the wrong shape")
-    # multiplicativity
-    for g in grp.elements():
-        for g2 in grp.elements():
-            comp = np.einsum("iuw,jwv->ijuv", pi[g], pi[g2])
-            via = np.einsum("ijk,kuv->ijuv", source.prod[g][g2], pi[grp.mul(g, g2)])
-            if frob(comp - via) > 1e-8 * max(frob(comp), 1.0):
-                raise NotStarRepError("pi is not multiplicative")
-    # adjoint: <pi_g(a)x, y>_B = <x, pi_{g^-1}(a*)y>_B
-    for g in grp.elements():
-        ginv = grp.inv(g)
-        lhs = np.einsum("iwu,wvk->iuvk", pi[g].conj(), module.inner)
-        rhs = np.einsum("il,lwv,uwk->iuvk", source.star_tensor[g], pi[ginv], module.inner)
-        if frob(lhs - rhs) > 1e-8 * max(frob(lhs), 1.0):
-            raise NotStarRepError("pi is not adjoint-compatible")
+    order, inner = grp.order, module.inner
+    ops = padded([pi], (max(source.dims, default=0), module.dim, module.dim))[0]
+    g, g2 = np.divmod(np.arange(order * order), order)
+    # multiplicativity over all pairs (g, g2)
+    if worst_relative(order * order, ops[0].size * len(ops[0]), lambda t: (
+            np.einsum("tiuw,tjwv->tijuv", ops[g[t]], ops[g2[t]]),
+            np.einsum("tijk,tkuv->tijuv", source.prod_array[g[t], g2[t]],
+                      ops[grp.table[g[t], g2[t]]]))) > 1e-8:
+        raise NotStarRepError("pi is not multiplicative")
+    # adjoint: <pi_g(a)x, y>_B = <x, pi_{g^-1}(a*)y>_B over all g
+    if worst_relative(order, ops[0].size * inner.shape[-1], lambda t: (
+            np.einsum("tiwu,wvk->tiuvk", ops[t].conj(), inner),
+            np.einsum("til,tlwv,uwk->tiuvk", source.star_array[t], ops[grp.inverse[t]],
+                      inner))) > 1e-8:
+        raise NotStarRepError("pi is not adjoint-compatible")
 
     tgt = hom.target
-    kb = module.right.shape[0]
-    trivial_beta = [np.eye(kb) for _ in tgt.elements()]
+    trivial_beta = [np.eye(inner.shape[-1]) for _ in tgt.elements()]
     target = module_bundle_from_dynsys(module, tgt, trivial_beta)
     ops = [[pi[g] for _ in tgt.elements()] for g in grp.elements()]
     return Action(source, GroupHom(grp, target.bundle.group, hom.map), target, ops)
@@ -394,9 +398,6 @@ def separate_pre_action(rho0: Action, tol: Tolerance | None = None,
     <rho(a)x, rho(a)x> <= ||a||^2 <x, x>  (which also sends null vectors to
     null vectors); it is validated on random data before quotienting.
     """
-    from .hilbundles import separate
-    from .numerics import psd_check
-
     tol = tol or DEFAULT_TOL
     x = rho0.target
     src = rho0.source
@@ -413,8 +414,10 @@ def separate_pre_action(rho0: Action, tol: Tolerance | None = None,
         out = tgt.mul(rho0.hom(g), h)
         w = rho0.apply(g, a, h, v)
         diff = na * na * x.inner_ambient(h, v, h, v) - x.inner_ambient(out, w, out, w)
-        res = psd_check((diff + diff.conj().T) / 2, tol)
-        if res.margin < -1e-8 * max(1.0, na * na):
+        # the Hermitian part of diff, judged against ||a||^2 alone
+        ok, _, _ = judge_psd(*stack_spectra(diff[None]), tol, hermitian_bound=np.inf,
+                             bound=1e-8 * max(1.0, na * na))
+        if not ok[0]:
             raise CompatibilityViolationError(
                 "pre-action violates the contractivity inequality")
     hil, quotients = separate(x, tol)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, as_cmatrix, chunks, decompose_algebra, \
-    freeze, frob, hermitian_psd_check, one_block, orthonormal_basis, padded
+    freeze, frob, judge_psd, one_block, orthonormal_basis, padded, stack_spectra, worst_relative
 from .reports import Report
 
 
@@ -500,52 +500,65 @@ def projection_expectation(sup: FellBundle, sub: FellBundle) -> CondExpectation:
 def check_subbundle_and_expectation(exp: CondExpectation,
                                     tol: Tolerance | None = None) -> Report:
     """Verify B_g <= A_g, E restricted to B is the identity, bimodularity
-    over basis triples, and positivity of the induced semi-inner product."""
+    over basis triples, and positivity of the induced semi-inner product.
+
+    Every check is whole-array over the padded fiber arrays of both bundles
+    and the padded maps (whose zero rows and columns add zero residuals):
+    E_k(x) is the HS projection of x onto A_k in coordinates, mapped by
+    maps[k] and read back in B_k."""
     tol = tol or DEFAULT_TOL
     sup, sub = exp.sup, exp.sub
-    grp = sup.group
+    order, tab, inv = sup.group.order, sup.group.table, sup.group.inverse
+    fa, fb, n = sup.fiber_array, sub.fiber_array, sup.ambient_dim
+    da, db = fa.shape[1], fb.shape[1]
+    maps = padded([exp.maps], (db, da))[0]
     rep = Report("conditional expectation")
 
-    worst = 0.0
-    for g in grp.elements():
-        for b in sub.fibers[g]:
-            _, res = sup.coords(g, b)
-            worst = max(worst, res)
+    def coords(k, x):
+        """HS coordinates in A_k (T, da) of ambient matrices x (T, n, n)."""
+        return np.einsum("tiab,tab->ti", fa[k].conj(), x)
+
+    def expect(k, x):
+        """E_k(x) of ambient matrices x (T, n, n), ambient."""
+        return np.einsum("tj,tjab->tab", np.einsum("tji,ti->tj", maps[k], coords(k, x)), fb[k])
+
+    # containment: each b_j in B_g against its HS projection onto A_g
+    g, j = np.divmod(np.arange(order * db), db)
+    worst = worst_relative(len(g), (da + 4) * n * n, lambda t: (
+        fb[g[t], j[t]], np.einsum("ti,tiab->tab", coords(g[t], fb[g[t], j[t]]), fa[g[t]])))
     rep.add("sub-bundle containment B_g in A_g", worst <= 10 * tol.rel_rank, worst)
 
-    worst = 0.0
-    for g in grp.elements():
-        for j in range(sub.dims[g]):
-            c, _ = sup.coords(g, sub.fibers[g][j])
-            diff = exp.apply(g, c) - np.eye(sub.dims[g])[j]
-            worst = max(worst, float(np.linalg.norm(diff)))
+    # idempotence: E_g(b_j) in coordinates against e_j, absolute
+    unit = np.eye(db)[j] * (j < np.asarray(sub.dims)[g])[:, None]
+    worst = worst_relative(len(g), (da + 1) * n * n, lambda t: (
+        np.einsum("tji,ti->tj", maps[g[t]], coords(g[t], fb[g[t], j[t]])), unit[t],
+        np.ones(len(t))))
     rep.add("idempotence: E restricted to B is the identity",
             worst <= 1e-8, worst)
 
-    worst = 0.0
-    for gl in grp.elements():
-        for g in grp.elements():
-            for gr in grp.elements():
-                out = grp.mul(grp.mul(gl, g), gr)
-                for b in sub.fibers[gl]:
-                    for a in sup.fibers[g]:
-                        for b2 in sub.fibers[gr]:
-                            lhs = exp.apply_ambient(out, b @ a @ b2)
-                            rhs = b @ exp.apply_ambient(g, a) @ b2
-                            scale = max(frob(b @ a @ b2), 1.0)
-                            worst = max(worst, frob(lhs - rhs) / scale)
+    # bimodularity over (gl, g, gr, i, j, l): E(b_i a_j b_l) against
+    # b_i E(a_j) b_l, relative to max(||b_i a_j b_l||_F, 1)
+    ea = expect(np.repeat(np.arange(order), da), fa.reshape(-1, n, n)).reshape(fa.shape)
+    triples = (order, order, order, db, da, db)
+
+    def bimodular(t):
+        gl, g, gr, i, j, l = np.unravel_index(t, triples)
+        b, b2 = fb[gl, i], fb[gr, l]
+        x = b @ fa[g, j] @ b2
+        return expect(tab[tab[gl, g], gr], x), b @ ea[g, j] @ b2, np.linalg.norm(x, axis=(1, 2))
+
+    worst = worst_relative(int(np.prod(triples)), (da + db + 6) * n * n, bimodular)
     rep.add("bimodularity E(b a b') = b E(a) b'", worst <= 1e-7, worst)
 
-    # positivity of <a, a'> = E_{g^-1 g'}(a* a') via the localized Choi Gram
-    pairs = [(g, i) for g in grp.elements() for i in range(sup.dims[g])]
-    namb = sup.ambient_dim
-    big = np.zeros((len(pairs) * namb, len(pairs) * namb), dtype=np.complex128)
-    for p, (g, i) in enumerate(pairs):
-        for q, (g2, i2) in enumerate(pairs):
-            k = grp.mul(grp.inv(g), g2)
-            val = exp.apply_ambient(k, sup.fibers[g][i].conj().T @ sup.fibers[g2][i2])
-            big[p * namb:(p + 1) * namb, q * namb:(q + 1) * namb] = val
-    ok, residual, hermitian = hermitian_psd_check(big, tol)
-    rep.add("positivity of induced semi-inner product", ok, residual,
+    # positivity of <a, a'> = E_{g^-1 g'}(a* a') via the localized Choi Gram,
+    # whose block (p, q) is E_k(a_p* a_q), k = g_p^-1 g_q, over the unpadded
+    # pairs p = (g, i) in order
+    pairs = np.flatnonzero(np.arange(da) < np.asarray(sup.dims)[:, None])
+    gs, elems, size = pairs // da, fa.reshape(-1, n, n)[pairs], len(pairs)
+    prods = elems.conj().swapaxes(-1, -2)[:, None] @ elems[None]
+    vals = expect(tab[inv[gs][:, None], gs].ravel(), prods.reshape(-1, n, n))
+    big = vals.reshape(size, size, n, n).transpose(0, 2, 1, 3).reshape(1, size * n, size * n)
+    (ok,), (residual,), (hermitian,) = judge_psd(*stack_spectra(big), tol)
+    rep.add("positivity of induced semi-inner product", bool(ok), float(residual),
             "" if hermitian else "Gram is not Hermitian")
     return rep

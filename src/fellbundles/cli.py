@@ -363,6 +363,8 @@ def _load(path: str):
         return _ObjectReader().tree(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliInputError(f"{path} is nested too deeply to read: {exc}") from exc
 
 
 # -- object dispatch -----------------------------------------------------------

@@ -34,14 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action, WrongFiberError, compress_action, left_multiplication
+from .actions import Action, WrongFiberError, compress_action, left_multiplication, \
+    validate_action
 from .bundles import FellBundle, bundles_equal
 from .crosssec import Section, _diagonal_sum, ambient_image, convolve, cstar_norm, star
 from .groups import identity_hom
 from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
-    compress_bundle, trace_localize, trivial_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, chunks, dagger, definite_blocks, frob, \
-    numerical_rank, orthonormal_basis, padded, psd_check, rank_check, relative, stored, \
+    compress_bundle, trace_gram_stacks, trace_localize, trivial_hilbert_bundle, \
+    validate_hilbert_bundle
+from .numerics import DEFAULT_TOL, Tolerance, block_spectra, chunks, judge_definite, judge_psd, \
+    numerical_rank, orthonormal_basis, padded, rank_check, relative, stack_spectra, stored, \
     worst_relative
 from .reports import Report
 
@@ -174,13 +176,17 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
         rhs = convolve(y.inner(xi, eta), f)
         if not lhs.allclose(rhs, atol=1e-8 * (1 + f.l2_norm())):
             raise InvalidBundleError("<xi, eta.f> = <xi,eta>*f fails")
-        gram = ambient_image(y.inner(xi, xi))
-        res = psd_check((gram + dagger(gram)) / 2, tol)
-        if frob(gram - dagger(gram)) > 1e-8 * max(1.0, frob(gram)) or not res.ok:
+        ok, _, _ = judge_psd(*stack_spectra(ambient_image(y.inner(xi, xi))[None]), tol,
+                             hermitian_bound=1e-8)
+        if not ok[0]:
             raise InvalidBundleError("module Gram is not PSD")
-    # the localized Gram is block diagonal with the fiber trace Grams as blocks
-    if not definite_blocks([hbundle.trace_gram(r) for r in y.bundle.group.elements()], tol).ok:
-        raise InvalidBundleError("module inner product is degenerate")
+    # the localized Gram is block diagonal with the fiber trace Grams as
+    # blocks; one with no nonempty block is definite
+    stacks = trace_gram_stacks(hbundle)
+    if stacks:
+        _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in stacks])
+        if not judge_definite(low, high, tol)[0][0]:
+            raise InvalidBundleError("module inner product is degenerate")
     return y
 
 
@@ -283,31 +289,37 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (y.hbundle.dims[e],):
         raise WrongFiberError("generator must lie in the unit fiber")
-    grp = y.bundle.group
-    hb = y.hbundle
-    rho = y.action
     # the columns of basis[k] span S_k
     basis = [orthonormal_basis(vecs, tol).T for vecs in _generating_vectors(y, x)]
-    sub_h = compress_bundle(hb, basis)
-    # invariance check: both actions must stay inside the span
-    for r in grp.elements():
-        for h in grp.elements():
-            rh = grp.mul(r, h)
-            for i in range(y.bundle.dims[h]):
-                img = hb.act[r][h][i] @ basis[r]
-                res = img - basis[rh] @ (basis[rh].conj().T @ img)
-                if frob(res) > 1e-7 * max(1.0, frob(img)):
-                    raise InvalidBundleError("span is not right-invariant")
-    src = rho.source
-    for g in src.group.elements():
-        for h in grp.elements():
-            out_f = grp.mul(rho.hom(g), h)
-            for i in range(src.dims[g]):
-                img = rho.ops[g][h][i] @ basis[h]
-                res = img - basis[out_f] @ (basis[out_f].conj().T @ img)
-                if frob(res) > 1e-7 * max(1.0, frob(img)):
-                    raise InvalidBundleError("span is not left-invariant")
-    return Correspondence(sub_h, action=compress_action(rho, basis, sub_h))
+    sub_h = compress_bundle(y.hbundle, basis)
+    _check_invariant(y, basis)
+    return Correspondence(sub_h, action=compress_action(y.action, basis, sub_h))
+
+
+def _check_invariant(y: Correspondence, basis) -> None:
+    """Both actions must keep the fiber spans of the orthonormal columns of
+    basis[k] (raises InvalidBundleError): the part of op_i K_src outside the
+    span of K_dst, relative to max(1, ||op_i K_src||_F), over every operator
+    op_i = ops[a, b, i] of a family from fiber src[a, b] into dst[a, b]."""
+    tab, phi = y.bundle.group.table, y.action.hom.map
+    dm = y.hbundle.act_array.shape[-1]
+    bases = padded([basis], (dm, max((k.shape[1] for k in basis), default=0)))[0]
+    fibers = np.arange(len(tab))
+
+    def escape(ops, src, dst) -> float:
+        items = ops.shape[:3]
+        src, dst = np.broadcast_to(src, items[:2]), np.broadcast_to(dst, items[:2])
+
+        def sides(t):
+            a, b, i = np.unravel_index(t, items)
+            img, kd = ops[a, b, i] @ bases[src[a, b]], bases[dst[a, b]]
+            return img, kd @ (kd.conj().swapaxes(-1, -2) @ img)
+        return worst_relative(int(np.prod(items)), dm * (dm + 4 * bases.shape[-1]), sides)
+
+    if escape(y.hbundle.act_array, fibers[:, None], tab) > 1e-7:
+        raise InvalidBundleError("span is not right-invariant")
+    if escape(y.action.ops_array, fibers, tab[phi]) > 1e-7:
+        raise InvalidBundleError("span is not left-invariant")
 
 
 class AmplifiedCorrespondence:
@@ -485,9 +497,6 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     """Full two-sided verification: both module structures, the compatibility
     identity, fullness on both sides, the section-level imprimitivity
     identity, and equality of the two induced norms."""
-    from .actions import validate_action
-    from .hilbundles import validate_hilbert_bundle
-
     tol = tol or DEFAULT_TOL
     rep = Report("imprimitivity bimodule")
     grp = e.left_bundle.group

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import FellBundle, FiberEscapeError
-from .numerics import DEFAULT_TOL, PsdResult, Tolerance, dagger, freeze, hermitian_defect, \
-    opnorm, psd_check, split_draws
+from .numerics import DEFAULT_TOL, PsdResult, Tolerance, freeze, judge_psd, opnorm, split_draws, \
+    stack_spectra
 
 
 class BundleMismatchError(ValueError):
@@ -265,15 +265,12 @@ class MatrixAlgOp:
     def norm(self) -> float:
         return opnorm(self.matrix)
 
-    def is_hermitian(self, tol: Tolerance | None = None) -> bool:
-        tol = tol or DEFAULT_TOL
-        return hermitian_defect(self.matrix) <= 100 * tol.rel_eq
-
     def psd(self, tol: Tolerance | None = None) -> PsdResult:
-        tol = tol or DEFAULT_TOL
-        if not self.is_hermitian(tol):
-            return PsdResult(False, float("-inf"))
-        return psd_check((self.matrix + dagger(self.matrix)) / 2, tol)
+        """The PSD verdict of L_R (`numerics.judge_psd`) and its smallest
+        eigenvalue, -inf when L_R is not Hermitian."""
+        defect, low, high = stack_spectra(self.matrix[None])
+        ok, _, hermitian = judge_psd(defect[0], low[0], high[0], tol or DEFAULT_TOL)
+        return PsdResult(bool(ok), float(low[0]) if hermitian else float("-inf"))
 
     def vector_to_tuple(self, v: np.ndarray) -> list[np.ndarray]:
         """Split a vector on the localized module into fiber elements of

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import FellBundle, crossed_embed, dynamical_bundle
-from .numerics import DEFAULT_TOL, Blocks, Tolerance, chunks, definite_check, frob, \
-    hermitian_defect, hermitian_psd_blocks, hermitian_psd_check, opnorm, opnorms, relative, \
-    shortfall, split_draws, stored, worst_relative
+from .bundles import FellBundle, bundles_equal, crossed_embed, dynamical_bundle
+from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, hermitian_defect, \
+    judge_definite, judge_psd, opnorm, opnorms, padded, split_draws, stack_spectra, stored, \
+    worst_relative
 from .reports import Report
 
 
@@ -117,6 +117,15 @@ class HilbertBundle(SemiInnerBundle):
     """Semi-inner bundle whose fiber inner products are definite."""
 
 
+def trace_gram_stacks(x: SemiInnerBundle) -> list[np.ndarray]:
+    """The trace-localized Grams of the nonempty fibers, one stack (L, m, m)
+    per fiber dimension m, never zero-padded: padding would add zero
+    eigenvalues."""
+    dims = np.asarray(x.dims)
+    return [np.stack([x.trace_gram(r) for r in np.flatnonzero(dims == m)])
+            for m in sorted(set(x.dims) - {0})]
+
+
 def trace_localize(bundle: FellBundle, tens) -> np.ndarray:
     """Inner products tens (..., m, m', d_e) in unit-fiber coordinates,
     localized at the ambient trace: (..., m, m')."""
@@ -136,12 +145,13 @@ def ambient_inners(inner, fibers, quot, r, u, s, v) -> np.ndarray:
 
 
 def block_grams_psd(diag, basis, blocks: Blocks, tol: Tolerance) -> tuple[bool, float]:
-    """hermitian_psd_check of the ambient block Grams [ element(e, diag[r, u, v]) ]_uv
-    of every fiber r, with basis the (d_e, n, n) unit-fiber basis: (all ok,
-    worst residual).  Each Gram lies in M_m(A_e), so it is judged on its
-    irreducible blocks (`blocks`, the types of A_e): from the compressed
-    basis W_i* b W_i, the Gram of type i has side m * n_i, and its Frobenius
-    norms count m_i times (`numerics.hermitian_psd_blocks`).  Zero padding
+    """The PSD verdict (`numerics.judge_psd`) of the ambient block Grams
+    [ element(e, diag[r, u, v]) ]_uv of every fiber r, with basis the
+    (d_e, n, n) unit-fiber basis: (all ok, worst residual).  Each Gram lies
+    in M_m(A_e), so it is judged on its irreducible blocks (`blocks`, the
+    types of A_e): from the compressed basis W_i* b W_i, the Gram of type i
+    has side m * n_i, and its Frobenius norms count m_i times
+    (`numerics.block_spectra`).  Zero padding
     of a Gram, and the zero part of a unit fiber that is not unital in M_n,
     add zero eigenvalues only, so they change neither verdict nor residual."""
     count, m = diag.shape[:2]
@@ -156,7 +166,7 @@ def block_grams_psd(diag, basis, blocks: Blocks, tol: Tolerance) -> tuple[bool, 
                 len(idx), m, m, size, k, k)
             grams.append((mult, g.transpose(0, 3, 1, 4, 2, 5).reshape(
                 len(idx), size, m * k, m * k)))
-        good, residual, _ = hermitian_psd_blocks(grams, tol)
+        good, residual, _ = judge_psd(*block_spectra(grams), tol)
         ok = ok and bool(good.all())
         worst = max(worst, float(residual.max(initial=0.0)))
     return ok, worst
@@ -232,10 +242,12 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     # relative to the bound (1 for a singular Gram; an empty Gram is definite
     # and falls short of nothing)
     if definite:
-        grams = [definite_check(x.trace_gram(r), tol) for r in grp.elements()]
-        rep.add("definiteness (localized Grams full rank)", all(c.ok for c in grams),
-                max((shortfall(c.margin, c.scale, tol.rel_rank) for c in grams if not c.ok),
-                    default=0.0))
+        ok, worst = True, 0.0
+        for stack in trace_gram_stacks(x):
+            _, low, high = stack_spectra(stack)
+            good, residual = judge_definite(low, high, tol)
+            ok, worst = ok and bool(good.all()), max(worst, float(residual.max()))
+        rep.add("definiteness (localized Grams full rank)", ok, worst)
 
     # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data:
     # three draws (u in X_r, v in X_s, b in B_s) per pair (r, s) of nonzero
@@ -328,20 +340,21 @@ def separate(x: SemiInnerBundle, tol: Tolerance | None = None):
 def separating_bases(grams, tol: Tolerance | None = None) -> list[np.ndarray]:
     """The separation rule: K_r holds the orthonormal eigenvectors of the
     trace-localized Gram of fiber r above the rank cut.  A Gram that is not
-    Hermitian or not PSD raises InvariantViolationError."""
+    Hermitian or not PSD (`numerics.judge_psd`, on the eigenvalues of the
+    one eigh that also gives K_r) raises InvariantViolationError."""
     tol = tol or DEFAULT_TOL
     keep: list[np.ndarray] = []
     for r, g in enumerate(grams):
         if g.shape[0] == 0:
             keep.append(np.zeros((0, 0), dtype=np.complex128))
             continue
-        if hermitian_defect(g) > 100 * tol.rel_eq:
-            raise InvariantViolationError(f"fiber {r}: localized Gram is not Hermitian")
         w, v = np.linalg.eigh((g + g.conj().T) / 2)
-        scale = max(float(w[-1]), 0.0)
-        if float(w[0]) < -tol.rel_psd * max(1.0, scale):
+        ok, _, hermitian = judge_psd(hermitian_defect(g), w[0], w[-1], tol)
+        if not hermitian:
+            raise InvariantViolationError(f"fiber {r}: localized Gram is not Hermitian")
+        if not ok:
             raise InvariantViolationError(f"fiber {r}: localized Gram is not PSD")
-        keep.append(v[:, w > tol.rel_rank * max(scale, 1.0)])
+        keep.append(v[:, w > tol.rel_rank * max(float(w[-1]), 1.0)])
     return keep
 
 
@@ -493,11 +506,14 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
     worst = worst_relative(dim * dim, m * m, lambda idx: (adj[idx], swapped[idx]))
     rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
 
-    ok, residual, hermitian = hermitian_psd_check(
-        amb.transpose(0, 2, 1, 3).reshape(dim * m, dim * m), tol)
-    rep.add("Gram PSD", ok, residual, "" if hermitian else "Gram not Hermitian")
-    res = definite_check(inner @ np.trace(basis, axis1=1, axis2=2), tol)
-    rep.add("definite", res.ok, 0.0 if res.ok else shortfall(res.margin, res.scale, tol.rel_rank))
+    (ok,), (residual,), (hermitian,) = judge_psd(
+        *stack_spectra(amb.transpose(0, 2, 1, 3).reshape(1, dim * m, dim * m)), tol)
+    rep.add("Gram PSD", bool(ok), float(residual), "" if hermitian else "Gram not Hermitian")
+    ok, residual = True, 0.0  # an empty Gram is definite
+    if dim:
+        _, low, high = stack_spectra((inner @ np.trace(basis, axis1=1, axis2=2))[None])
+        (ok,), (residual,) = judge_definite(low, high, tol)
+    rep.add("definite", bool(ok), float(residual))
 
     if x.left is not None:
         lbasis, left = np.asarray(x.left_basis, complex), np.asarray(x.left, complex)
@@ -618,7 +634,6 @@ def check_unitary_bundle_map(u_maps, x: SemiInnerBundle, x2: SemiInnerBundle,
     """Unitary equivalence: each U_g bijective, U intertwines the right
     actions, and U preserves all cross-fiber inner products."""
     tol = tol or DEFAULT_TOL
-    from .bundles import bundles_equal
     if not bundles_equal(x.bundle, x2.bundle):
         raise ShapeMismatchError("bundles must agree")
     grp = x.bundle.group
@@ -630,15 +645,14 @@ def check_unitary_bundle_map(u_maps, x: SemiInnerBundle, x2: SemiInnerBundle,
             return False
         if x.dims[g] and np.linalg.matrix_rank(u[g]) < x.dims[g]:
             return False
-    for g in grp.elements():
-        for h in grp.elements():
-            gh = grp.mul(g, h)
-            lhs = np.einsum("iuv,vw->iuw", x2.act[g][h], u[g])
-            rhs = np.einsum("uv,ivw->iuw", u[gh], x.act[g][h])
-            if relative(frob(lhs - rhs), frob(rhs)) > 1e-7:
-                return False
-        for s in grp.elements():
-            lhs = np.einsum("wu,wzk,zv->uvk", u[g].conj(), x2.inner[g][s], u[s])
-            if relative(frob(lhs - x.inner[g][s]), frob(x.inner[g][s])) > 1e-7:
-                return False
-    return True
+    # over all pairs, relative to the x-side of each identity; the padded
+    # rows and columns of u, act and inner are zero on both sides
+    act, inner = x.act_array, x.inner_array
+    up = padded([u], act.shape[-2:])[0]
+    g, h = np.divmod(np.arange(grp.order ** 2), grp.order)
+    intertwining = worst_relative(len(g), act[0, 0].size, lambda t: (
+        np.einsum("tuv,tivw->tiuw", up[grp.table[g[t], h[t]]], act[g[t], h[t]]),
+        np.einsum("tiuv,tvw->tiuw", x2.act_array[g[t], h[t]], up[g[t]])))
+    isometric = worst_relative(len(g), inner[0, 0].size, lambda t: (inner[g[t], h[t]], np.einsum(
+        "twu,twzk,tzv->tuvk", up[g[t]].conj(), x2.inner_array[g[t], h[t]], up[h[t]])))
+    return intertwining <= 1e-7 and isometric <= 1e-7

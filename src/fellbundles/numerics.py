@@ -5,6 +5,13 @@ Grams) reduces to Hermitian eigenproblems, PSD and definiteness checks,
 numerical ranks and subspace bookkeeping on small complex matrices.  All tolerances are
 relative to a matrix norm, never absolute.
 
+Every PSD and definiteness verdict is decided here, from spectral data:
+`block_spectra` is the one eigenvalue kernel (Hermitian defect, smallest
+and largest eigenvalue of matrices given blockwise, `stack_spectra` for a
+plain stack), `judge_psd` the one PSD judge and `judge_definite` the one
+definiteness judge.  A caller that needs eigenvectors takes its own `eigh`
+and still reads its verdict from the judge.
+
 The bundle objects store each nested per-group-element tensor family once,
 as one zero-padded read-only array with nested tuples of views of its blocks
 (`stored`, `freeze`); the batched checks read those arrays and evaluate a
@@ -18,14 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class NotSquareError(ValueError):
-    pass
-
-
-class NotHermitianError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,34 @@ def chunks(count: int, entries: int):
 def worst_relative(count: int, entries: int, sides) -> float:
     """max over items t < count of relative(frob(lhs_t - rhs_t), frob(lhs_t)),
     where sides(idx) stacks the two sides, `entries` complex entries per
-    item, of the items idx of one chunk."""
+    item, of the items idx of one chunk.  sides may return a third array,
+    the scales (len(idx),) to judge against in place of frob(lhs_t)."""
     worst = 0.0
-    if entries == 0:  # every item is empty, so no residual
-        return worst
-    for idx in chunks(count, entries):
-        lhs, rhs = (np.ascontiguousarray(side).reshape(len(idx), -1) for side in sides(idx))
-        res = _row_norms(lhs - rhs) / np.maximum(_row_norms(lhs), 1.0)
+    for _, res in _chunk_residuals(count, entries, sides):
         worst = max(worst, float(res.max(initial=0.0)))
     return worst
+
+
+def relative_residuals(count: int, entries: int, sides) -> np.ndarray:
+    """The residual of every item t < count, as worst_relative takes them:
+    for a check that reports which item fails first."""
+    out = np.zeros(count)
+    for idx, res in _chunk_residuals(count, entries, sides):
+        out[idx] = res
+    return out
+
+
+def _chunk_residuals(count: int, entries: int, sides):
+    """(idx, residuals) of each chunk of items (see worst_relative).  A
+    chunk's arrays stay alive until the next chunk's are built, so that the
+    allocator reuses their pages."""
+    if entries == 0:  # every item is empty, so no residual
+        return
+    for idx in chunks(count, entries):
+        lhs, rhs, *scale = (np.ascontiguousarray(side).reshape(len(idx), -1)
+                            for side in sides(idx))
+        yield idx, _row_norms(lhs - rhs) / np.maximum(
+            scale[0][:, 0] if scale else _row_norms(lhs), 1.0)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -170,75 +188,23 @@ def hermitian_defect(m: np.ndarray, floor: float = 1.0) -> float:
     return frob(m - dagger(m)) / max(frob(m), floor)
 
 
-def hermitian_eigvals(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Raises NotSquareError / NotHermitianError if the input fails the
-    preconditions (Hermitian within ``rel_eq`` relative to Frobenius norm).
-    """
-    a = as_cmatrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}")
-    if hermitian_defect(a) > tol.rel_eq:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    if a.shape[0] == 0:
-        return np.zeros(0)
-    # Work with the exact Hermitian part so eigvalsh sees a symmetric input.
-    return np.linalg.eigvalsh((a + dagger(a)) / 2)
-
-
 @dataclass(frozen=True)
 class PsdResult:
     ok: bool
     margin: float  # minimal eigenvalue, reported either way
-    scale: float = 1.0  # the max(largest eigenvalue, 1) a definite margin is judged against
 
     def __bool__(self):
         return self.ok
 
 
-def psd_check(m, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
-    """Decide positive semidefiniteness of a Hermitian matrix.
-
-    Passes iff the minimal eigenvalue is >= -rel_psd * max(1, ||m||).
-    """
-    a = as_cmatrix(m)
-    if a.shape[0] == 0:
-        return PsdResult(True, 0.0)
-    ev = hermitian_eigvals(a, tol)
-    margin = float(ev[0])
-    # the norm of a Hermitian matrix is its largest |eigenvalue|
-    scale = max(1.0, -margin, float(ev[-1]))
-    return PsdResult(margin >= -tol.rel_psd * scale, margin)
-
-
-def hermitian_psd_check(m, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float, bool]:
-    """Judge a block Gram that should be Hermitian and PSD.
-
-    Returns (ok, residual, hermitian).  A Hermitian defect above
-    100 * rel_eq fails with the defect as residual; otherwise the Hermitian
-    part is judged as by psd_check and the residual is max(-margin, 0).
-    """
-    ok, residual, hermitian = hermitian_psd_checks(as_cmatrix(m)[None], tol)
-    return bool(ok[0]), float(residual[0]), bool(hermitian[0])
-
-
-def hermitian_psd_checks(stack, tol: Tolerance = DEFAULT_TOL):
-    """hermitian_psd_check of every matrix of a stack (B, k, k), from one
-    batched eigvalsh whose eigenvalues also give each PSD scale.  Returns
-    (ok, residual, hermitian) arrays of length B."""
-    return hermitian_psd_blocks([(np.ones(1), np.asarray(stack, dtype=np.complex128)[:, None])],
-                                tol)
-
-
-def block_spectra(groups):
+def block_spectra(groups, floor: float = 1.0):
     """Spectral data of B matrices given blockwise: groups is a list of
     (multiplicities (L,), stack (B, L, k, k)), and matrix b is the direct sum,
     over the groups and l < L, of multiplicities[l] copies of stack[b, l].
-    Returns four arrays of length B: the Frobenius norms of M - M* and of M
-    (each block weighted by its multiplicity) and the smallest and largest
-    eigenvalues of (M + M*) / 2 (those of its blocks; a matrix with no
-    nonempty block reads 0)."""
+    Returns three arrays of length B: the Hermitian defect ||M - M*||_F /
+    max(||M||_F, floor) (each block's Frobenius norm weighted by its
+    multiplicity) and the smallest and largest eigenvalues of (M + M*) / 2
+    (those of its blocks; a matrix with no nonempty block reads 0)."""
     anti = norm = 0.0
     low, high = np.inf, -np.inf
     for mult, a in groups:
@@ -252,46 +218,47 @@ def block_spectra(groups):
     # length B even when every block is empty and no eigenvalue was taken
     low, high = np.broadcast_arrays(low, high, norm)[:2]
     empty = ~np.isfinite(low)
-    return np.sqrt(anti), np.sqrt(norm), np.where(empty, 0.0, low), np.where(empty, 0.0, high)
+    defect = np.sqrt(anti) / np.maximum(np.sqrt(norm), floor)
+    return defect, np.where(empty, 0.0, low), np.where(empty, 0.0, high)
 
 
-def hermitian_psd_blocks(groups, tol: Tolerance = DEFAULT_TOL):
-    """Judge B block Grams that should be Hermitian and PSD, each given by
-    its blocks (`block_spectra`).  A Hermitian defect above 100 * rel_eq
-    fails with the defect as residual; otherwise the margin passes when it
-    is at least -rel_psd * max(1, norm), and the residual is
-    max(-margin, 0).  Returns (ok, residual, hermitian) arrays of length B."""
-    anti, norm, margin, top = block_spectra(groups)
-    defect = anti / np.maximum(norm, 1.0)
-    hermitian = defect <= 100 * tol.rel_eq
-    scale = np.maximum(1.0, np.maximum(-margin, top))
-    ok = hermitian & (margin >= -tol.rel_psd * scale)
-    return ok, np.where(hermitian, np.maximum(-margin, 0.0), defect), hermitian
+def stack_spectra(stack, floor: float = 1.0):
+    """block_spectra of every matrix of a stack (B, k, k), each one block."""
+    return block_spectra([(np.ones(1), np.asarray(stack, dtype=np.complex128)[:, None])], floor)
 
 
-def definite_check(g, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
-    """Judge a localized (scalar) Gram definite: full rank, i.e. its minimal
-    eigenvalue exceeds rel_rank * max(largest, 1).  The margin is the
-    minimal eigenvalue; an empty Gram is definite."""
-    a = as_cmatrix(g)
-    if a.shape[0] == 0:
-        return PsdResult(True, 0.0)
-    ev = np.linalg.eigvalsh((a + dagger(a)) / 2)
-    scale = max(float(ev[-1]), 1.0)
-    return PsdResult(bool(ev[0] > tol.rel_rank * scale), float(ev[0]), scale)
+def judge_psd(defect, low, high, tol: Tolerance = DEFAULT_TOL, floor: float = 1.0, *,
+              hermitian_bound: float | None = None, bound=None, refute: float | None = None):
+    """The PSD verdict of matrices M from their spectral data (`block_spectra`):
+    Hermitian defect, smallest and largest eigenvalues low, high of
+    (M + M*) / 2.  M passes when its defect is at most 100 * rel_eq and
+
+        low >= -rel_psd * max(floor, ||M||),   ||M|| = max(-low, high).
+
+    A caller whose rule differs passes its own bound in: `hermitian_bound`
+    for the defect; `bound`, the bound on -low itself; or `refute` = k, the
+    looser bound of a sampled refutation, which fails M only when low <
+    -k * rel_psd * max(floor, ||M||) or when its defect exceeds both 100 *
+    rel_eq and k * rel_psd (a defect counts there as the margin -defect).
+    Returns (ok, residual, hermitian), arrays shaped like the inputs: the
+    residual is max(-low, 0) for a Hermitian M and its defect otherwise."""
+    hermitian = defect <= (100 * tol.rel_eq if hermitian_bound is None else hermitian_bound)
+    rel = tol.rel_psd if refute is None else refute * tol.rel_psd
+    if bound is None:
+        bound = rel * np.maximum(floor, np.maximum(-low, high))
+    ok = (low >= -bound) & (hermitian if refute is None else hermitian | (defect <= rel))
+    return ok, np.where(hermitian, np.maximum(-low, 0.0), defect), hermitian
 
 
-def definite_blocks(blocks, tol: Tolerance = DEFAULT_TOL) -> PsdResult:
-    """definite_check of the block-diagonal matrix with the given square
-    blocks, from the eigenvalues of each block: the smallest of all against
-    rel_rank * max(largest of all, 1).  Empty blocks add no eigenvalue."""
-    evs = [np.linalg.eigvalsh((a + dagger(a)) / 2)
-           for a in map(as_cmatrix, blocks) if a.shape[0]]
-    if not evs:
-        return PsdResult(True, 0.0)
-    low = min(float(ev[0]) for ev in evs)
-    scale = max(max(float(ev[-1]) for ev in evs), 1.0)
-    return PsdResult(low > tol.rel_rank * scale, low, scale)
+def judge_definite(low, high, tol: Tolerance = DEFAULT_TOL):
+    """The definiteness verdict of nonempty Hermitian matrices from their
+    smallest and largest eigenvalues: full rank, low > rel_rank * max(1,
+    high).  Returns (ok, residual), arrays shaped like the inputs: the
+    residual is 0 when ok, and the `shortfall` of low below its bound
+    otherwise."""
+    scale = np.maximum(high, 1.0)
+    ok = low > tol.rel_rank * scale
+    return ok, np.where(ok, 0.0, shortfall(low, scale, tol.rel_rank))
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -300,11 +267,11 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0)))
 
 
-def shortfall(margin: float, scale: float, rel: float) -> float:
+def shortfall(margin, scale, rel: float):
     """How far margin falls short of its bound rel * scale, relative to the
     bound: the residual of a check that passes when margin exceeds the bound,
-    0 when it does and 1 for a zero margin."""
-    return max(1.0 - margin / (rel * scale), 0.0)
+    0 when it does and 1 for a zero margin (elementwise on arrays)."""
+    return np.maximum(1.0 - margin / (rel * scale), 0.0)
 
 
 def rank_check(m, rank: int, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -314,7 +281,7 @@ def rank_check(m, rank: int, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]
     sv = np.linalg.svd(m, compute_uv=False) if np.size(m) else np.zeros(0)
     scale = max(float(sv[0]), 1.0) if len(sv) else 1.0
     kth = float(sv[rank - 1]) if len(sv) >= rank else 0.0
-    return kth > tol.rel_rank * scale, shortfall(kth, scale, tol.rel_rank)
+    return kth > tol.rel_rank * scale, float(shortfall(kth, scale, tol.rel_rank))
 
 
 def overflow_scale(a, what: str) -> float:
@@ -364,35 +331,6 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         if abs(pivot) > 0:
             rows[i] = rows[i] * (pivot.conjugate() / abs(pivot))
     return rows
-
-
-def in_span(basis, v, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership of v in the row span of an orthonormal basis, decided by
-    residual <= rel_rank * ||v||."""
-    return span_residual(basis, v) <= tol.rel_rank
-
-
-def span_residual(basis, v) -> float:
-    """Relative distance of v from the row span of an orthonormal basis."""
-    b = np.asarray(basis, dtype=np.complex128)
-    w = np.asarray(v, dtype=np.complex128).ravel()
-    nv = float(np.linalg.norm(w))
-    if nv == 0.0:
-        return 0.0
-    if b.shape[0] == 0:
-        return 1.0
-    proj = b.conj() @ w
-    res = w - b.T @ proj
-    return float(np.linalg.norm(res)) / nv
-
-
-def same_span(basis1, basis2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Span equality for two families of vectors (rows)."""
-    b1 = orthonormal_basis(basis1, tol)
-    b2 = orthonormal_basis(basis2, tol)
-    if b1.shape[0] != b2.shape[0]:
-        return False
-    return all(in_span(b2, row, tol) for row in b1)
 
 
 # -- irreducible blocks of a *-algebra ------------------------------------------

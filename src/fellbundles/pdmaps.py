@@ -28,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import Action
+from .actions import Action, coefficient_map
 from .bundles import FellBundle
 from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, compress_inner, \
     separating_bases, trace_localize
 from .numerics import CHUNK_BYTES, DEFAULT_TOL, Blocks, Tolerance, block_spectra, dagger, \
-    frob, opnorm, opnorms, overflow_scale, padded, split_draws
+    frob, judge_psd, opnorm, opnorms, overflow_scale, padded, split_draws
 
 
 class NotUnitalError(ValueError):
@@ -237,16 +237,15 @@ def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None) -> PdCe
     M_i = [W_i* T(a_p* a_q) W_i]_pq, the form of the compressed fibers.  So
     the margin (the smallest eigenvalue) is the minimum over the blocks, the
     norm is the maximum, and the Frobenius norms of M and M - M* add up the
-    blocks' weighted by m_i; the margin passes when it is at least
-    -rel_psd * max(1, norm)."""
+    blocks' weighted by m_i; `numerics.judge_psd` decides, with the floor
+    1 / mu of the form M / mu."""
     groups = (blocks or t.target.blocks).compress(t.target.fiber_array)
     forms, mu = _certificate_forms(t, [fibers for _, fibers in groups])
-    anti, norm, low, high = (float(x[0]) for x in block_spectra(
-        [(mult, form[None]) for (mult, _), form in zip(groups, forms)]))
-    defect, scale = anti / max(norm, 1 / mu), max(1 / mu, -low, high)
-    ok = defect <= 100 * tol.rel_eq and low >= -tol.rel_psd * scale
-    return PdCertificate(ok, _unscaled(low, mu, "certificate margin"), lambda: _ambient_gram(t),
-                         defect, scale=scale * mu)
+    defect, low, high = (float(x[0]) for x in block_spectra(
+        [(mult, form[None]) for (mult, _), form in zip(groups, forms)], 1 / mu))
+    ok, _, _ = judge_psd(defect, low, high, tol, 1 / mu)
+    return PdCertificate(bool(ok), _unscaled(low, mu, "certificate margin"),
+                         lambda: _ambient_gram(t), defect, scale=max(1 / mu, -low, high) * mu)
 
 
 def _ambient_certificate(t: BundleMap) -> tuple[np.ndarray, float]:
@@ -417,9 +416,10 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     B, so the smallest eigenvalue of S, leaving out the corner that B
     annihilates, is the smallest over the blocks, its operator norm is the
     largest, and the Frobenius norms of S and S - S* add up the blocks'
-    weighted by their multiplicities.  Sampling can miss violations but uses
-    a strictly looser threshold than the exact certificate, so it never
-    contradicts an exact pass.
+    weighted by their multiplicities.  Sampling can miss violations but
+    refutes at a strictly looser bound than the exact certificate
+    (`numerics.judge_psd` with refute=10), so it never contradicts an exact
+    pass.
 
     Positions sharing a label are summed first: S = E T E*, with T from
     t_values_ambient on the compressed fibers and E = sum_i conj(a_i)^T (x)
@@ -471,8 +471,7 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     live = order * dm * dbm * (1 + dm) + 4 * widest
     chunk = max(1, CHUNK_BYTES // max(16 * live, 1))
     tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
-    worst = np.inf
-    bad = None
+    worst, first, refuted = np.inf, None, False
     while block := list(itertools.islice(tuples, chunk)):
         # coefficient of e_x (x) f_c in column block k of E, per sample
         sid = np.repeat(np.arange(len(block)), [len(gs) for gs, _, _ in block])
@@ -491,20 +490,18 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
             s = et.reshape(count, len(block), nb, side) @ e.conj().swapaxes(-1, -2)
             sums.append((mult, s.swapaxes(0, 1)))
             top = np.maximum(top, opnorms(s).max(axis=0))
-        anti, norm, low, _ = block_spectra(sums)
         # the floors max(1, .) of the unscaled sums, over mu
-        scale = np.maximum(1 / mu, top)
-        defect = anti / np.maximum(norm, 1 / mu)
-        margin = low / scale
-        margin = np.where(defect > 100 * tol.rel_eq, np.minimum(margin, -defect), margin)
+        defect, low, _ = block_spectra(sums, 1 / mu)
+        ok, _, hermitian = judge_psd(defect, low, top, tol, 1 / mu, refute=10)
+        margin = low / np.maximum(1 / mu, top)
+        margin = np.where(hermitian, margin, np.minimum(margin, -defect))
         p = int(np.argmin(margin))
         if margin[p] < worst:
-            worst = float(margin[p])
-            if worst < -10 * tol.rel_psd:
-                bad = block[p]
-    if bad is None:
+            worst, first = float(margin[p]), block[p]
+        refuted = refuted or not ok.all()
+    if not refuted:
         return SampledCheck(True, worst if np.isfinite(worst) else 0.0)
-    gs, za, zb = bad
+    gs, za, zb = first
     a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
     witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
                for g, ai, bi in zip(gs, a, b)]
@@ -634,8 +631,6 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
 def roundtrip_residual(t: BundleMap, hbundle: HilbertBundle, rho: Action, xi) -> float:
     """max over g of ||T_g - C_g||_F, C_g the matrix of a -> <xi, rho(a) xi>:
     both in the HS-orthonormal fiber coordinates, not in the ambient algebra."""
-    from .actions import coefficient_map
-
     back = coefficient_map(rho, xi)
     worst = 0.0
     for g in t.source.group.elements():

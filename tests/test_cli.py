@@ -126,6 +126,18 @@ def test_validate_malformed_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_input_exits_2_with_one_json_error(tmp_path):
+    depth = 100_000
+    p = tmp_path / "deep.json"
+    p.write_text('{"type": "bundle", "x": ' + "[" * depth + "]" * depth + "}")
+    r = subprocess.run([sys.executable, "-m", "fellbundles.cli", "validate", str(p)],
+                       capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    error = json.loads(r.stdout)
+    assert error["ok"] is False and "nested too deeply" in error["error"]
+
+
 def test_validate_wrong_schema(tmp_path, capsys):
     path = write(tmp_path, "odd.json", {"type": "bundle", "group": {}})
     code, out = run(capsys, "validate", path)

@@ -29,11 +29,13 @@ from fellbundles.correspondences import ActionMismatchError, Correspondence, \
     left_inner_section, subcorrespondence, trivial_self_equivalence
 from fellbundles.crosssec import Section, convolve, star
 from fellbundles.groups import make_cyclic
-from fellbundles.numerics import DEFAULT_TOL, dagger, definite_blocks, definite_check, frob, \
+from fellbundles.hilbundles import trace_gram_stacks
+from fellbundles.numerics import DEFAULT_TOL, block_spectra, dagger, frob, judge_definite, \
     numerical_rank, orthonormal_basis, relative
 
 from test_actions import z4_to_z2_rep_action
 from test_bundles_batched import crossed_system
+from test_numerics import definite_verdict
 from test_pdmaps_batched import m2_z4
 from test_validators_batched import _c3_s3, _condexp_raw, _gns_zero_fiber, _m2_z3
 
@@ -382,13 +384,17 @@ def test_module_definiteness_matches_the_localized_gram(correspondences):
     hbs["condexp raw"] = _condexp_raw()
     for name, hb in hbs.items():
         y = Correspondence(hb)
-        want = definite_check(localized_gram(y))
-        got = definite_blocks([hb.trace_gram(r) for r in hb.bundle.group.elements()])
-        assert got.ok == want.ok and close(got.margin, want.margin), name
-    assert not definite_check(localized_gram(Correspondence(hbs["condexp raw"]))).ok
+        want = definite_verdict(localized_gram(y))
+        stacks = trace_gram_stacks(hb)
+        assert sum(map(len, stacks)) == sum(d > 0 for d in hb.dims), name
+        if not stacks:  # no nonempty fiber: definite, as build_module reads it
+            assert want[0], name
+            continue
+        _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in stacks])
+        assert judge_definite(low, high)[0][0] == want[0] and close(low[0], want[2]), name
+    assert not definite_verdict(localized_gram(Correspondence(hbs["condexp raw"])))[0]
     with pytest.raises(InvalidBundleError, match="degenerate"):
         build_module(hbs["condexp raw"])
-    assert definite_blocks([np.zeros((0, 0))]).ok
 
 
 def test_correspond_reports_the_star_residual_and_its_bound(tmp_path, capsys, corpus_bundles):

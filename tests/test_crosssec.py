@@ -21,12 +21,12 @@ from fellbundles.crosssec import (
     star,
 )
 from fellbundles.groups import make_cyclic, symmetric_group
-from fellbundles.numerics import psd_check
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_bundles import ad_diag_system
+from test_numerics import psd_ok
 
 
 @settings(max_examples=12, deadline=None)
@@ -137,7 +137,7 @@ def test_rep_of_gram_sections_is_psd():
     rep = regular_rep(b)
     for _ in range(5):
         f = Section.random(b, rng)
-        assert psd_check(rep_matrix(rep, convolve(star(f), f))).ok
+        assert psd_ok(rep_matrix(rep, convolve(star(f), f)))
 
 
 def test_rep_is_star_homomorphism_on_random_sections():

@@ -13,12 +13,12 @@ import pytest
 
 from fellbundles.hilbundles import HilbertModule, algebra_coords_map, trivial_module, \
     validate_module
-from fellbundles.numerics import DEFAULT_TOL, definite_check, frob, hermitian_psd_check, \
-    relative, shortfall
+from fellbundles.numerics import DEFAULT_TOL, frob, relative
 from fellbundles.reports import Report
 
 from test_bundles import M2_BASIS, swap_system
 from test_hilbundles import row_module
+from test_numerics import definite_verdict, psd_verdict
 
 
 def loop_validate_module(x, tol=None):
@@ -63,11 +63,11 @@ def loop_validate_module(x, tol=None):
         for v in range(x.dim):
             big[u * m:(u + 1) * m, v * m:(v + 1) * m] = np.tensordot(
                 x.inner[u, v], basis, axes=(0, 0))
-    ok, residual, hermitian = hermitian_psd_check(big, tol)
+    ok, residual, hermitian = psd_verdict(big, tol)
     rep.add("Gram PSD", ok, residual, "" if hermitian else "Gram not Hermitian")
     tg = np.einsum("uvk,k->uv", x.inner, np.array([np.trace(b) for b in basis]))
-    res = definite_check(tg, tol)
-    rep.add("definite", res.ok, 0.0 if res.ok else shortfall(res.margin, res.scale, tol.rel_rank))
+    ok, residual, _ = definite_verdict(tg, tol)
+    rep.add("definite", ok, residual)
 
     if x.left is not None:
         kl = x.left_basis.shape[0]

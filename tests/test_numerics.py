@@ -3,16 +3,17 @@ import pytest
 
 from fellbundles.numerics import (
     DEFAULT_TOL,
-    NotHermitianError,
-    NotSquareError,
     Tolerance,
-    hermitian_eigvals,
-    in_span,
+    block_spectra,
+    hermitian_defect,
+    judge_definite,
+    judge_psd,
     kron,
     orthonormal_basis,
-    psd_check,
-    same_span,
-    span_residual,
+    relative_residuals,
+    shortfall,
+    stack_spectra,
+    worst_relative,
 )
 
 
@@ -48,28 +49,60 @@ def eigvals_oracle(m):
     return np.sort(np.roots(charpoly_coeffs(m)).real)
 
 
+def extremes(m):
+    """(smallest, largest) eigenvalue of one Hermitian matrix, by block_spectra."""
+    _, low, high = stack_spectra(np.asarray(m, dtype=np.complex128)[None])
+    return float(low[0]), float(high[0])
+
+
+def psd_verdict(m, tol=DEFAULT_TOL):
+    """judge_psd of one matrix, as one block: (ok, residual, hermitian)."""
+    ok, residual, hermitian = judge_psd(
+        *stack_spectra(np.asarray(m, dtype=np.complex128)[None]), tol)
+    return bool(ok[0]), float(residual[0]), bool(hermitian[0])
+
+
+def psd_ok(m, tol=DEFAULT_TOL):
+    return psd_verdict(m, tol)[0]
+
+
+def definite_verdict(m, tol=DEFAULT_TOL):
+    """judge_definite of one Gram, as one block: (ok, residual, smallest
+    eigenvalue); an empty Gram is definite."""
+    if not len(m):
+        return True, 0.0, 0.0
+    _, low, high = stack_spectra(np.asarray(m, dtype=np.complex128)[None])
+    ok, residual = judge_definite(low, high, tol)
+    return bool(ok[0]), float(residual[0]), float(low[0])
+
+
 def test_eigvals_identity():
-    assert np.allclose(hermitian_eigvals(np.eye(2)), [1.0, 1.0])
+    assert np.allclose(extremes(np.eye(2)), [1.0, 1.0])
 
 
 def test_eigvals_offdiagonal_symmetry():
-    assert np.allclose(hermitian_eigvals([[0, 1], [1, 0]]), [-1.0, 1.0])
+    assert np.allclose(extremes([[0, 1], [1, 0]]), [-1.0, 1.0])
 
 
 def test_eigvals_match_companion_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = rand_hermitian(rng, 4)
-        got = hermitian_eigvals(m)
         want = eigvals_oracle(m)
-        assert np.allclose(got, want, atol=1e-8)
+        assert np.allclose(extremes(m), [want[0], want[-1]], atol=1e-8)
 
 
 def test_eigvals_sum_is_trace():
+    """The mean eigenvalue tr(m) / n lies between the extremes, and a rank
+    one shift of c 1 has the extremes c and c + ||x||^2."""
     rng = np.random.default_rng(3)
     m = rand_hermitian(rng, 6)
-    ev = hermitian_eigvals(m)
-    assert abs(ev.sum() - np.trace(m).real) <= 1e-9 * np.linalg.norm(m)
+    low, high = extremes(m)
+    mean = np.trace(m).real / 6
+    assert low - 1e-9 <= mean <= high + 1e-9
+    x = rand_complex(rng, 6)
+    low, high = extremes(np.outer(x, x.conj()) + 0.5 * np.eye(6))
+    assert np.allclose([low, high], [0.5, 0.5 + np.vdot(x, x).real], atol=1e-9)
 
 
 def test_eigvals_unitary_invariance():
@@ -77,34 +110,42 @@ def test_eigvals_unitary_invariance():
     for _ in range(10):
         m = rand_hermitian(rng, 5)
         u = rand_unitary(rng, 5)
-        assert np.allclose(
-            hermitian_eigvals(u.conj().T @ m @ u), hermitian_eigvals(m), atol=1e-8
-        )
+        assert np.allclose(extremes(u.conj().T @ m @ u), extremes(m), atol=1e-8)
 
 
-def test_eigvals_rejects_bad_input():
-    with pytest.raises(NotSquareError):
-        hermitian_eigvals(np.ones((2, 3)))
-    with pytest.raises(NotHermitianError):
-        hermitian_eigvals([[0, 1], [0, 0]])
+def test_block_spectra_of_a_direct_sum():
+    """Blocks with multiplicities read as their direct sum, and the defect
+    is hermitian_defect of the assembled matrix."""
+    rng = np.random.default_rng(13)
+    a, b = rand_complex(rng, 2, 2), rand_complex(rng, 3, 3)
+    whole = np.zeros((7, 7), dtype=np.complex128)
+    whole[:2, :2], whole[2:5, 2:5], whole[5:, 5:] = a, b, a
+    defect, low, high = block_spectra([(np.array([2.0]), a[None, None]),
+                                       (np.array([1.0]), b[None, None])])
+    ev = np.linalg.eigvalsh((whole + whole.conj().T) / 2)
+    assert np.allclose([low[0], high[0]], [ev[0], ev[-1]])
+    assert defect[0] == pytest.approx(hermitian_defect(whole))
+    _, low, high = block_spectra([(np.ones(1), np.zeros((1, 1, 0, 0)))])
+    assert low.tolist() == high.tolist() == [0.0]
 
 
 def test_psd_identity():
-    res = psd_check(np.eye(3))
-    assert res.ok and abs(res.margin - 1.0) < 1e-12
+    ok, residual, hermitian = judge_psd(*stack_spectra(np.eye(3)[None]))
+    assert ok[0] and hermitian[0] and residual[0] == 0.0
+    assert extremes(np.eye(3))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psd_indefinite():
-    res = psd_check([[1, 2], [2, 1]])
-    assert not res.ok
-    assert abs(res.margin - (-1.0)) < 1e-12
+    ok, residual, _ = judge_psd(*stack_spectra(np.array([[[1, 2], [2, 1]]], dtype=complex)))
+    assert not ok[0]
+    assert abs(residual[0] - 1.0) < 1e-12
 
 
 def test_psd_gram_construction():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rand_complex(rng, 3, 7)
-        assert psd_check(x.conj().T @ x).ok
+        assert psd_ok(x.conj().T @ x)
 
 
 def test_psd_fails_on_witnessed_negativity():
@@ -114,7 +155,52 @@ def test_psd_fails_on_witnessed_negativity():
         v = rand_complex(rng, 5)
         val = (v.conj() @ m @ v).real / (v.conj() @ v).real
         if val < -DEFAULT_TOL.rel_psd * np.linalg.norm(m, 2):
-            assert not psd_check(m).ok
+            assert not psd_ok(m)
+
+
+def test_psd_judge_rule_and_bounds():
+    """The rule and each bound a caller passes in, on scalar spectral data."""
+    tol = DEFAULT_TOL
+    edge = -tol.rel_psd * 4.0
+    assert judge_psd(0.0, edge, 4.0, tol)[0] and not judge_psd(0.0, 1.01 * edge, 4.0, tol)[0]
+    # the floor replaces 1 under a small norm
+    assert judge_psd(0.0, -0.5 * tol.rel_psd, 0.1, tol)[0]
+    assert not judge_psd(0.0, -0.5 * tol.rel_psd, 0.1, tol, floor=0.1)[0]
+    # a non-Hermitian matrix fails with its defect as residual
+    ok, residual, hermitian = judge_psd(1e-3, 1.0, 1.0, tol)
+    assert not ok and not hermitian and residual == 1e-3
+    assert judge_psd(1e-3, 1.0, 1.0, tol, hermitian_bound=1e-2)[0]
+    # an absolute bound on -low ignores the norm
+    assert judge_psd(0.0, -1e-8, 1e9, tol, bound=2e-8)[0]
+    assert not judge_psd(0.0, -3e-8, 1e9, tol, bound=2e-8)[0]
+    # a refutation: margins and defects up to 10 rel_psd pass
+    assert judge_psd(0.0, 5 * edge, 4.0, tol, refute=10)[0]
+    assert not judge_psd(0.0, 11 * edge, 4.0, tol, refute=10)[0]
+    loose = Tolerance(rel_psd=1e-6)
+    assert judge_psd(5e-6, 1.0, 1.0, loose, refute=10)[0]
+    assert not judge_psd(5e-6, 1.0, 1.0, loose)[0]
+    assert not judge_psd(2e-5, 1.0, 1.0, loose, refute=10)[0]
+
+
+def test_definite_judge():
+    tol = DEFAULT_TOL
+    ok, residual = judge_definite(np.array([1.0, 0.0, 2e-9, -1.0]), np.array([1.0, 1.0, 1.0, 3.0]))
+    assert ok.tolist() == [True, False, True, False]
+    assert residual[0] == 0.0 and residual[1] == 1.0 and residual[2] == 0.0
+    assert residual[3] == pytest.approx(shortfall(-1.0, 3.0, tol.rel_rank))
+
+
+def test_worst_relative_scales_and_residuals():
+    """Items judged against frob(lhs), or against scales given per item; the
+    per-item residuals are those worst_relative takes the max of."""
+    rng = np.random.default_rng(14)
+    lhs, rhs = rand_complex(rng, 5, 3), rand_complex(rng, 5, 3)
+    want = np.linalg.norm(lhs - rhs, axis=1) / np.maximum(np.linalg.norm(lhs, axis=1), 1.0)
+    got = relative_residuals(5, 3, lambda idx: (lhs[idx], rhs[idx]))
+    assert np.allclose(got, want)
+    assert worst_relative(5, 3, lambda idx: (lhs[idx], rhs[idx])) == pytest.approx(want.max())
+    fixed = worst_relative(5, 3, lambda idx: (lhs[idx], rhs[idx], np.full(len(idx), 7.0)))
+    assert fixed == pytest.approx(np.linalg.norm(lhs - rhs, axis=1).max() / 7.0)
 
 
 # -- independent oracle: null space dimension by Gaussian elimination.
@@ -165,22 +251,6 @@ def test_orthonormalize_dedup():
     basis = orthonormal_basis([e1, 2 * e1])
     assert basis.shape == (1, 3)
     assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
-
-
-def test_membership():
-    e1 = np.array([[1.0, 0.0]])
-    assert not in_span(e1, np.array([0.0, 1.0]))
-    assert in_span(e1, np.array([3.0, 0.0]))
-    assert span_residual(e1, np.array([1.0, 1.0])) == pytest.approx(np.sqrt(0.5))
-
-
-def test_span_equality_of_random_bases():
-    rng = np.random.default_rng(12)
-    seed_basis = rand_complex(rng, 3, 8)
-    b1 = rand_complex(rng, 3, 3) @ seed_basis
-    b2 = rand_complex(rng, 3, 3) @ seed_basis
-    assert same_span(b1, b2)
-    assert not same_span(b1, rand_complex(rng, 3, 8))
 
 
 def test_tolerance_validation():

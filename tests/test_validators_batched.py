@@ -27,13 +27,13 @@ from fellbundles.groups import make_cyclic, symmetric_group
 from fellbundles.hilbundles import HilbertBundle, SemiInnerBundle, condexp_raw_semibundle, \
     l2_bundle, regularize_bundle, trivial_hilbert_bundle, validate_hilbert_bundle, \
     validate_semi_inner_bundle
-from fellbundles.numerics import DEFAULT_TOL, definite_check, frob, hermitian_psd_check, \
-    numerical_rank, opnorm, relative
+from fellbundles.numerics import DEFAULT_TOL, frob, numerical_rank, opnorm, relative
 from fellbundles.pdmaps import gelfand_raikov, identity_bundle_map
 from fellbundles.reports import Report
 
 from test_actions import z4_to_z2_rep_action
 from test_bundles import M2_BASIS
+from test_numerics import definite_verdict, psd_verdict
 
 
 # -- the loop oracles ----------------------------------------------------------------
@@ -109,7 +109,7 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
     worst = 0.0
     ok_pos = True
     for r in grp.elements():
-        ok, residual, _ = hermitian_psd_check(block_gram(x, r), tol)
+        ok, residual, _ = psd_verdict(block_gram(x, r), tol)
         ok_pos &= ok
         worst = max(worst, residual)
     rep.add("fiber Grams PSD", ok_pos, worst)
@@ -121,7 +121,7 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
         ok_def, worst = True, 0.0
         for r in grp.elements():
             gram = x.trace_gram(r)
-            if not definite_check(gram, tol).ok:
+            if not definite_verdict(gram, tol)[0]:
                 ok_def = False
                 ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
                 worst = max(worst, 1.0 - ev[0] / (tol.rel_rank * max(ev[-1], 1.0)))
@@ -237,7 +237,7 @@ def reference_validate_action(rho, tol=None, seed=0, samples=8):
             big_s = np.block([[x.inner_ambient(hs[i], ys[i], hs[j], ys[j])
                                for j in range(3)] for i in range(3)])
             scale = max(1.0, na * na * opnorm(big_r), opnorm(big_s))
-            _, slack, hermitian = hermitian_psd_check((na * na * big_r - big_s) / scale, tol)
+            _, slack, hermitian = psd_verdict((na * na * big_r - big_s) / scale, tol)
             slack = slack if hermitian else np.inf
             ok = ok and slack <= 1e-8
             worst = max(worst, slack)
@@ -295,7 +295,7 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6):
             for v in range(m):
                 big[u * n_a:(u + 1) * n_a, v * n_a:(v + 1) * n_a] = \
                     a_bundle.element(grp.identity, e.linner[r][r][u, v])
-        ok, residual, _ = hermitian_psd_check(big, tol)
+        ok, residual, _ = psd_verdict(big, tol)
         ok_pos &= ok
         worst = max(worst, residual)
     rep.add("left fiber Grams PSD", ok_pos, worst)
