@@ -28,8 +28,8 @@ from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertModule, SemiInnerBundle, algebra_coords_map, ambient_inners, \
     check_shapes, check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, \
     regularize_bundle, separate, trivial_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, judge_psd, opnorms, padded, \
-    relative_residuals, stack_spectra, stored, worst_relative
+from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judge_psd, opnorms, \
+    padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
 from .reports import Report
 
 
@@ -79,6 +79,7 @@ class Action:
 def validate_action(rho: Action, tol: Tolerance | None = None,
                     seed: int = 0, samples: int = 8) -> Report:
     tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
     rep = Report("action axioms")
     src = rho.source
     x = rho.target
@@ -103,7 +104,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
         return comp, via
 
     worst = worst_relative(order_a ** 2 * order_b, (da * dm) ** 2, multiplicative)
-    rep.add("multiplicativity rho(aa') = rho(a)rho(a')", worst <= 1e-8, worst)
+    rep.add("multiplicativity rho(aa') = rho(a)rho(a')", worst <= bound, worst)
 
     # (iii) <rho(a)x, y> = <x, rho(a*)y>; so[g, h2] = rho(a_i^{g*}) on X_h2
     so = (star[:, None] @ ops[inv_a].reshape(order_a, order_b, da, dm * dm)).reshape(
@@ -119,7 +120,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
         return lhs, rhs.reshape(-1, da, dm, db, dm).transpose(0, 1, 2, 4, 3)
 
     worst = worst_relative(order_a * order_b ** 2, da * dm * dm * db, adjoint)
-    rep.add("adjoint symmetry <rho(a)x,y> = <x,rho(a*)y>", worst <= 1e-8, worst)
+    rep.add("adjoint symmetry <rho(a)x,y> = <x,rho(a*)y>", worst <= bound, worst)
 
     # (iv) (rho(a)x) b = rho(a)(x b)
     def commuting(idx):
@@ -129,7 +130,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
         return lhs, rhs
 
     worst = worst_relative(order_a * order_b ** 2, da * db * dm * dm, commuting)
-    rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= 1e-8, worst)
+    rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= bound, worst)
 
     def applied(g, a, h, v):
         """rho(a_t) v_t from X_{h_t} to X_{phi(g_t) h_t}, per sample."""
@@ -167,10 +168,10 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
         nvv, nww = opnorms(np.concatenate([
             ambient_inners(inner, fibers, quot, h, v[idx], h, v[idx]),
             ambient_inners(inner, fibers, quot, out, w, out, w)])).reshape(2, -1)
-        bound = norms(g, a[idx]) * np.sqrt(nvv)
-        slack = (np.sqrt(nww) - bound) / np.maximum(bound, 1.0)
+        limit = norms(g, a[idx]) * np.sqrt(nvv)
+        slack = (np.sqrt(nww) - limit) / np.maximum(limit, 1.0)
         worst = max(worst, float(slack.max(initial=0.0)))
-    rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= 1e-8, worst)
+    rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= bound, worst)
 
     # Gram domination S <= ||a||^2 R for a in the unit fiber, judged on the
     # 3 x 3 matrices of ambient blocks (one fiber element per block:
@@ -200,7 +201,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
             _, slack, hermitian = judge_psd(*stack_spectra(
                 (na2[:, None, None] * big_r - big_s) / scale[:, None, None]), tol)
             slack = np.where(hermitian, slack, np.inf)
-            ok = ok and bool((slack <= 1e-8).all())
+            ok = ok and bool((slack <= bound).all())
             worst = max(worst, float(slack.max(initial=0.0)))
     rep.add("Gram domination S <= ||a||^2 R", ok, worst)
     return rep
@@ -273,13 +274,13 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
     mx = module.dim
 
     e = grp_g.identity
-    if frob(gamma[e] - np.eye(mx)) > 1e-10 * mx:
+    if frob(gamma[e] - np.eye(mx)) > unit_bound(mx, tol):
         raise CompatibilityViolationError("gamma_e must be the identity")
     order, phi = grp_g.order, hom.map
     gamma, alpha, beta = np.array(gamma), np.array(alpha), np.array(beta)
     g, g2 = np.divmod(np.arange(order * order), order)
     if worst_relative(order * order, mx * mx, lambda t: (gamma[g[t]] @ gamma[g2[t]],
-                      gamma[grp_g.table[g[t], g2[t]]], np.full(len(t), mx))) > 1e-8:
+                      gamma[grp_g.table[g[t], g2[t]]], np.full(len(t), mx))) > identity_bound(tol):
         raise CompatibilityViolationError("gamma is not a homomorphism")
 
     # gamma_g c_i = (sum_k coefs[g][k, i] c_k) gamma_g for the left and right
@@ -296,7 +297,7 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
                        relative_residuals(order, inner.size, lambda t: (
                            np.einsum("uvk,tlk->tuvl", inner, beta[phi[t]]),
                            np.einsum("tuw,uvk,tvz->twzk", gamma[t].conj(), inner, gamma[t]))
-                       )[:, None]]) > 1e-8
+                       )[:, None]]) > identity_bound(tol)
     if fails.any():
         check, ka = int(np.argmax(fails)) % fails.shape[1], len(left)
         raise CompatibilityViolationError(
@@ -304,7 +305,7 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
             "<gamma x, gamma y> = beta(<x,y>) fails" if check == fails.shape[1] - 1 else
             "gamma(x.b) = gamma(x).beta(b) fails")
 
-    source = dynamical_bundle(a_basis, grp_g, alpha)
+    source = dynamical_bundle(a_basis, grp_g, alpha, tol)
     target = module_bundle_from_dynsys(module, grp_h, beta)
     m_a = np.asarray(a_basis).shape[1]
 
@@ -343,13 +344,13 @@ def rep_action(source: FellBundle, pi, module: HilbertModule, hom: GroupHom,
     if worst_relative(order * order, ops[0].size * len(ops[0]), lambda t: (
             np.einsum("tiuw,tjwv->tijuv", ops[g[t]], ops[g2[t]]),
             np.einsum("tijk,tkuv->tijuv", source.prod_array[g[t], g2[t]],
-                      ops[grp.table[g[t], g2[t]]]))) > 1e-8:
+                      ops[grp.table[g[t], g2[t]]]))) > identity_bound(tol):
         raise NotStarRepError("pi is not multiplicative")
     # adjoint: <pi_g(a)x, y>_B = <x, pi_{g^-1}(a*)y>_B over all g
     if worst_relative(order, ops[0].size * inner.shape[-1], lambda t: (
             np.einsum("tiwu,wvk->tiuvk", ops[t].conj(), inner),
             np.einsum("til,tlwv,uwk->tiuvk", source.star_array[t], ops[grp.inverse[t]],
-                      inner))) > 1e-8:
+                      inner))) > identity_bound(tol):
         raise NotStarRepError("pi is not adjoint-compatible")
 
     tgt = hom.target
@@ -416,7 +417,7 @@ def separate_pre_action(rho0: Action, tol: Tolerance | None = None,
         diff = na * na * x.inner_ambient(h, v, h, v) - x.inner_ambient(out, w, out, w)
         # the Hermitian part of diff, judged against ||a||^2 alone
         ok, _, _ = judge_psd(*stack_spectra(diff[None]), tol, hermitian_bound=np.inf,
-                             bound=1e-8 * max(1.0, na * na))
+                             bound=identity_bound(tol) * max(1.0, na * na))
         if not ok[0]:
             raise CompatibilityViolationError(
                 "pre-action violates the contractivity inequality")

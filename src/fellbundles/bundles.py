@@ -37,7 +37,8 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, as_cmatrix, chunks, decompose_algebra, \
-    freeze, frob, judge_psd, one_block, orthonormal_basis, padded, stack_spectra, worst_relative
+    freeze, frob, identity_bound, judge_psd, membership_bound, one_block, orthonormal_basis, \
+    padded, product_bound, rank_check, rank_cut, stack_spectra, unit_bound, worst_relative
 from .reports import Report
 
 
@@ -112,18 +113,18 @@ class FellBundle:
     def _record_directness(self):
         """The fiber sum is direct iff the stacked HS-orthonormal bases have
         full rank; f -> sum_g f(g) is then a faithful *-representation of
-        the cross-sectional algebra.  The smallest singular value relative
-        to the largest is kept so validate_bundle can judge it at its own
+        the cross-sectional algebra.  The smallest and largest singular
+        values are kept so validate_bundle can judge the rank cut at its own
         tolerance."""
         if self.total_dim == 0:
-            self.directness_residual, self.directness_ratio = 0.0, 1.0
+            self.directness_residual, self.directness_sv = 0.0, (1.0, 1.0)
         else:
             rows = np.concatenate(self.fibers).reshape(self.total_dim, -1)
             sv = np.linalg.svd(rows, compute_uv=False)
             smallest = float(sv[-1]) if len(sv) == self.total_dim else 0.0
             self.directness_residual = 1.0 - smallest
-            self.directness_ratio = smallest / float(sv[0])
-        self.direct = self.directness_ratio > self._tol.rel_rank
+            self.directness_sv = (smallest, float(sv[0]))
+        self.direct = bool(rank_cut(*self.directness_sv, self._tol)[0])
 
     # -- structure tensors ------------------------------------------------
 
@@ -183,7 +184,7 @@ class FellBundle:
         """decompose_algebra of the span of `basis` at the construction
         tolerance, or one block when the recorded grading or involution
         `residual` says that the span is not a *-algebra."""
-        if residual > 10 * self._tol.rel_rank:
+        if residual > membership_bound(self._tol):
             return one_block(self.ambient_dim)
         return decompose_algebra(basis, self._tol)
 
@@ -213,7 +214,7 @@ class FellBundle:
         """Whether the ambient identity lies in A_e, judged at `tol` from the
         recorded unit residual (`unital` is this at the construction
         tolerance)."""
-        return bool(self.unit_residual <= 10 * tol.rel_rank)
+        return bool(self.unit_residual <= membership_bound(tol))
 
     # -- fiber arithmetic --------------------------------------------------
 
@@ -282,10 +283,10 @@ def validate_bundle(bundle: FellBundle, tol: Tolerance | None = None) -> Report:
     tol = tol or DEFAULT_TOL
     rep = Report("fell-bundle axioms")
     worst_grade = float(bundle.grading_residual.max(initial=0.0))
-    rep.add("grading A_g.A_h in A_gh", worst_grade <= 10 * tol.rel_rank, worst_grade)
+    rep.add("grading A_g.A_h in A_gh", worst_grade <= membership_bound(tol), worst_grade)
     worst_inv = float(bundle.involution_residual.max(initial=0.0))
-    rep.add("involution A_g* in A_ginv", worst_inv <= 10 * tol.rel_rank, worst_inv)
-    rep.add("directness of fiber sum", bundle.directness_ratio > tol.rel_rank,
+    rep.add("involution A_g* in A_ginv", worst_inv <= membership_bound(tol), worst_inv)
+    rep.add("directness of fiber sum", rank_cut(*bundle.directness_sv, tol)[0],
             bundle.directness_residual)
     if bundle.unital_at(tol):
         rep.add("ambient unit lies in A_e", True, bundle.unit_residual)
@@ -338,7 +339,8 @@ _BATTERY = (
 )
 
 
-def _check_automorphisms(basis: np.ndarray, alpha: np.ndarray, images: np.ndarray) -> None:
+def _check_automorphisms(basis: np.ndarray, alpha: np.ndarray, images: np.ndarray,
+                         tol: Tolerance) -> None:
     """Each alpha_g must be a *-automorphism of A = span(basis): raise the
     error of the first failing check in (g, i, check, j) order.  images[g, i]
     is alpha_g(a_i); the coordinates of every alpha_g(a_i)^*, a_i^* and
@@ -351,7 +353,7 @@ def _check_automorphisms(basis: np.ndarray, alpha: np.ndarray, images: np.ndarra
         basis.conj().swapaxes(-1, -2).reshape(k, m * m),
         (basis[:, None] @ basis[None]).reshape(k * k, m * m)]))
     _, star_src, prod_src = np.split(coords, [ng * k, ng * k + k])
-    img_open, star_open, prod_open = (r > 1e-8 for r in np.split(res, [ng * k, ng * k + k]))
+    img_open, star_open, prod_open = np.split(res > membership_bound(tol), [ng * k, ng * k + k])
     scale = max(frob(basis[i]) for i in range(k))
     star_defect, mult_defect = np.zeros((ng, k)), np.zeros((ng, k, k))
     for idx in chunks(ng, k * k * m * m):
@@ -365,9 +367,10 @@ def _check_automorphisms(basis: np.ndarray, alpha: np.ndarray, images: np.ndarra
     fails = np.concatenate([
         img_open.reshape(ng, k, 1),
         np.broadcast_to(star_open[None, :, None], (ng, k, 1)),
-        (star_defect > 1e-8 * scale)[..., None],
+        (star_defect > identity_bound(tol) * scale)[..., None],
         np.stack([np.broadcast_to(prod_open.reshape(k, k), (ng, k, k)),
-                  mult_defect > 1e-8 * max(scale * scale, 1.0)], axis=-1).reshape(ng, k, 2 * k),
+                  mult_defect > identity_bound(tol) * max(scale * scale, 1.0)],
+                 axis=-1).reshape(ng, k, 2 * k),
     ], axis=-1)
     if fails.any():
         g, _, check = np.unravel_index(np.argmax(fails), fails.shape)
@@ -395,12 +398,12 @@ def dynamical_bundle(algebra_basis, group: FiniteGroup, alpha,
     alpha, ng = np.array(alpha), group.order
     # images[g, i] = alpha_g(a_i)
     images = (alpha.swapaxes(1, 2) @ flat).reshape(ng, k, m, m)
-    _check_automorphisms(basis, alpha, images)
-    if frob(alpha[group.identity] - np.eye(k)) > 1e-10 * k:
+    _check_automorphisms(basis, alpha, images, tol)
+    if frob(alpha[group.identity] - np.eye(k)) > unit_bound(k, tol):
         raise NotActionError("alpha_e must be the identity")
     for idx in chunks(ng, ng * k * k):
         law = alpha[idx][:, None] @ alpha[None] - alpha[group.table[idx]]
-        if np.any(np.linalg.norm(law, axis=(-2, -1)) > 1e-8 * k):
+        if np.any(np.linalg.norm(law, axis=(-2, -1)) > identity_bound(tol) * k):
             raise NotActionError("alpha is not a group action")
 
     # d[i] = sum_h alpha_{h^-1}(a_i) (x) E_hh, one scatter into the diagonal
@@ -453,10 +456,8 @@ def check_saturated(bundle: FellBundle, tol: Tolerance | None = None) -> bool:
     keep = dgh > 0
     if not keep.any():
         return True
-    t = bundle.prod_array.reshape(-1, db * db, db)[keep]
-    sv = np.linalg.svd(t, compute_uv=False)
-    kth = sv[np.arange(len(sv)), dgh[keep] - 1]
-    return bool(np.all(kth > tol.rel_rank * np.maximum(sv[:, 0], 1.0)))
+    ok, _ = rank_check(bundle.prod_array.reshape(-1, db * db, db)[keep], dgh[keep], tol)
+    return bool(ok.all())
 
 
 @dataclass
@@ -526,7 +527,7 @@ def check_subbundle_and_expectation(exp: CondExpectation,
     g, j = np.divmod(np.arange(order * db), db)
     worst = worst_relative(len(g), (da + 4) * n * n, lambda t: (
         fb[g[t], j[t]], np.einsum("ti,tiab->tab", coords(g[t], fb[g[t], j[t]]), fa[g[t]])))
-    rep.add("sub-bundle containment B_g in A_g", worst <= 10 * tol.rel_rank, worst)
+    rep.add("sub-bundle containment B_g in A_g", worst <= membership_bound(tol), worst)
 
     # idempotence: E_g(b_j) in coordinates against e_j, absolute
     unit = np.eye(db)[j] * (j < np.asarray(sub.dims)[g])[:, None]
@@ -534,7 +535,7 @@ def check_subbundle_and_expectation(exp: CondExpectation,
         np.einsum("tji,ti->tj", maps[g[t]], coords(g[t], fb[g[t], j[t]])), unit[t],
         np.ones(len(t))))
     rep.add("idempotence: E restricted to B is the identity",
-            worst <= 1e-8, worst)
+            worst <= identity_bound(tol), worst)
 
     # bimodularity over (gl, g, gr, i, j, l): E(b_i a_j b_l) against
     # b_i E(a_j) b_l, relative to max(||b_i a_j b_l||_F, 1)
@@ -548,7 +549,7 @@ def check_subbundle_and_expectation(exp: CondExpectation,
         return expect(tab[tab[gl, g], gr], x), b @ ea[g, j] @ b2, np.linalg.norm(x, axis=(1, 2))
 
     worst = worst_relative(int(np.prod(triples)), (da + db + 6) * n * n, bimodular)
-    rep.add("bimodularity E(b a b') = b E(a) b'", worst <= 1e-7, worst)
+    rep.add("bimodularity E(b a b') = b E(a) b'", worst <= product_bound(tol), worst)
 
     # positivity of <a, a'> = E_{g^-1 g'}(a* a') via the localized Choi Gram,
     # whose block (p, q) is E_k(a_p* a_q), k = g_p^-1 g_q, over the unpadded

@@ -37,7 +37,7 @@ from .groups import NoIdentityError, NotAssociativeError, NotLatinSquareError, m
     make_from_table, symmetric_group
 from .hilbundles import trivial_hilbert_bundle, l2_bundle, regularize_bundle, \
     validate_hilbert_bundle
-from .numerics import Tolerance
+from .numerics import Tolerance, identity_bound
 from .pdmaps import NotPositiveDefiniteError, NotUnitalError, gelfand_raikov, \
     identity_bundle_map, pd_check_exact, pd_check_sampled, roundtrip_residual, scalar_bundle_map
 from . import serialize as sz
@@ -423,7 +423,7 @@ def _built_group(spec):
 
 
 def cmd_build(args) -> int:
-    spec = _load(args.file)
+    spec, tol = _load(args.file), args.tolerance
     if not isinstance(spec, dict) or "kind" not in spec:
         raise sz.FormatError("build spec must be an object with a 'kind' field")
     kind = spec["kind"]
@@ -436,16 +436,16 @@ def cmd_build(args) -> int:
             algebra = np.array([sz.matrix_from_json(m) for m in spec["algebra"]])
             group = sz.group_from_json(spec["group"])
             autos = [sz.matrix_from_json(m) for m in spec["automorphisms"]]
-            obj = sz.bundle_tree(dynamical_bundle(algebra, group, autos))
+            obj = sz.bundle_tree(dynamical_bundle(algebra, group, autos, tol))
         elif kind in ("trivial_hilbert_bundle", "l2_bundle", "regular_hilbert_bundle"):
-            bundle = sz.bundle_from_json(spec["bundle"])
+            bundle = sz.bundle_from_json(spec["bundle"], tol)
             built = {"trivial_hilbert_bundle": trivial_hilbert_bundle,
                      "l2_bundle": l2_bundle,
                      "regular_hilbert_bundle":
                          lambda b: regularize_bundle(trivial_hilbert_bundle(b))}[kind](bundle)
             obj = sz.hilbert_tree(built)
         elif kind in ("trivial_action", "l2_action", "regular_action"):
-            bundle = sz.bundle_from_json(spec["bundle"])
+            bundle = sz.bundle_from_json(spec["bundle"], tol)
             built = {"trivial_action": trivial_action,
                      "l2_action": l2_action,
                      "regular_action":
@@ -453,19 +453,19 @@ def cmd_build(args) -> int:
             obj = sz.action_tree(built)
         elif kind == "identity_bundle_map":
             obj = sz.bundle_map_tree(
-                identity_bundle_map(sz.bundle_from_json(spec["bundle"])))
+                identity_bundle_map(sz.bundle_from_json(spec["bundle"], tol)))
         elif kind == "scalar_bundle_map":
-            source = sz.bundle_from_json(spec["source"])
+            source = sz.bundle_from_json(spec["source"], tol)
             # a map into its own source bundle parses that bundle once, as
             # serialize.bundle_map_from_json does
             target = source if sz._same(spec["target"], spec["source"]) \
-                else sz.bundle_from_json(spec["target"])
+                else sz.bundle_from_json(spec["target"], tol)
             hom = sz._hom(source.group, target.group, spec)
             values = sz.vector_from_json(spec["values"])
             obj = sz.bundle_map_tree(scalar_bundle_map(source, target, hom, values))
         elif kind == "self_equivalence":
             obj = sz.equivalence_tree(
-                trivial_self_equivalence(sz.bundle_from_json(spec["bundle"])))
+                trivial_self_equivalence(sz.bundle_from_json(spec["bundle"], tol)))
         else:
             raise sz.FormatError(f"unknown build kind {kind!r}")
     except (NotLatinSquareError, NotAssociativeError, NoIdentityError) as exc:
@@ -521,7 +521,7 @@ def cmd_gns(args) -> int:
     rho2 = sz.action_from_json(_load(paths["action"]), tol)
     xi2, _ = sz.vector_payload_from_json(_load(paths["vector"]))
     residual = roundtrip_residual(t, hb, rho2, xi2)
-    bound = 1e-8 * (1.0 + t.norm())
+    bound = identity_bound(tol) * (1.0 + t.norm())
     ok = residual <= bound
     _emit({
         "ok": ok,
@@ -559,7 +559,7 @@ def cmd_correspond(args) -> int:
         payload["module_dimension"] = y.dim
         payload["nondegenerate"] = check_nondegenerate(y, tol)
         payload["amplified_dimension"] = amp.dim
-        star_rep = amplified_is_star_rep(amp, seed=args.seed)
+        star_rep = amplified_is_star_rep(amp, seed=args.seed, tol=tol)
         payload["amplified_star_representation"] = star_rep.ok
         payload["amplified_star_residual"] = star_rep.residual
         payload["amplified_star_bound"] = star_rep.bound

@@ -42,9 +42,9 @@ from .groups import identity_hom
 from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
     compress_bundle, trace_gram_stacks, trace_localize, trivial_hilbert_bundle, \
     validate_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, block_spectra, chunks, judge_definite, judge_psd, \
-    numerical_rank, orthonormal_basis, padded, rank_check, relative, stack_spectra, stored, \
-    worst_relative
+from .numerics import DEFAULT_TOL, Tolerance, block_spectra, chunks, identity_bound, \
+    judge_definite, judge_psd, orthonormal_basis, padded, product_bound, rank_check, relative, \
+    stack_spectra, stored, worst_relative
 from .reports import Report
 
 
@@ -167,6 +167,7 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
     """Wrap a Hilbert bundle's section space as a right module and verify
     the module identities on random data (raises InvalidBundleError)."""
     tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
     y = Correspondence(hbundle)
     rng = np.random.default_rng(seed)
     for _ in range(checks):
@@ -174,19 +175,16 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
         f = Section.random(y.bundle, rng)
         lhs = y.inner(xi, y.right_mul(eta, f))
         rhs = convolve(y.inner(xi, eta), f)
-        if not lhs.allclose(rhs, atol=1e-8 * (1 + f.l2_norm())):
+        if not lhs.allclose(rhs, atol=bound * (1 + f.l2_norm())):
             raise InvalidBundleError("<xi, eta.f> = <xi,eta>*f fails")
         ok, _, _ = judge_psd(*stack_spectra(ambient_image(y.inner(xi, xi))[None]), tol,
-                             hermitian_bound=1e-8)
+                             hermitian_bound=bound)
         if not ok[0]:
             raise InvalidBundleError("module Gram is not PSD")
-    # the localized Gram is block diagonal with the fiber trace Grams as
-    # blocks; one with no nonempty block is definite
-    stacks = trace_gram_stacks(hbundle)
-    if stacks:
-        _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in stacks])
-        if not judge_definite(low, high, tol)[0][0]:
-            raise InvalidBundleError("module inner product is degenerate")
+    # the localized Gram is block diagonal with the fiber trace Grams as blocks
+    _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in trace_gram_stacks(hbundle)])
+    if not judge_definite(low, high, tol)[0][0]:
+        raise InvalidBundleError("module inner product is degenerate")
     return y
 
 
@@ -197,6 +195,7 @@ def attach_left_action(y: Correspondence, rho: Action,
     against the module inner product, commutes with the right action, and is
     bounded by the C*-norm of the acting section."""
     tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
     if rho.target is not y.hbundle:
         same = (bundles_equal(rho.target.bundle, y.bundle)
                 and rho.target.dims == y.hbundle.dims)
@@ -210,14 +209,15 @@ def attach_left_action(y: Correspondence, rho: Action,
         fr = Section.random(y.bundle, rng)
         lhs = out.inner(out.left_mul(f, xi), eta)
         rhs = out.inner(xi, out.left_mul(star(f), eta))
-        if not lhs.allclose(rhs, atol=1e-8 * (1 + f.l2_norm()) * (1 + out.norm(xi)) * (1 + out.norm(eta))):
+        scale = (1 + f.l2_norm()) * (1 + out.norm(xi)) * (1 + out.norm(eta))
+        if not lhs.allclose(rhs, atol=bound * scale):
             raise ActionMismatchError("left action is not adjointable")
         assoc1 = out.left_mul(f, out.right_mul(xi, fr))
         assoc2 = out.right_mul(out.left_mul(f, xi), fr)
-        if np.linalg.norm(assoc1 - assoc2) > 1e-8 * (1 + np.linalg.norm(assoc1)):
+        if np.linalg.norm(assoc1 - assoc2) > bound * (1 + np.linalg.norm(assoc1)):
             raise ActionMismatchError("left and right actions do not commute")
-        bound = cstar_norm(f) * out.norm(xi)
-        if out.norm(out.left_mul(f, xi)) > bound + 1e-8 * (1 + bound):
+        limit = cstar_norm(f) * out.norm(xi)
+        if out.norm(out.left_mul(f, xi)) > limit + bound * (1 + limit):
             raise ActionMismatchError("left action exceeds its C*-norm bound")
     return out
 
@@ -267,14 +267,8 @@ def _generating_vectors(y: Correspondence, x):
 
 def _span_fills_fibers(y: Correspondence, x, tol: Tolerance | None) -> bool:
     tol = tol or DEFAULT_TOL
-    for mk, vecs in zip(y.hbundle.dims, _generating_vectors(y, x)):
-        if mk == 0:
-            continue
-        if not len(vecs):
-            return False
-        if numerical_rank(vecs, tol) < mk:
-            return False
-    return True
+    return all(rank_check(vecs, mk, tol)[0]
+               for mk, vecs in zip(y.hbundle.dims, _generating_vectors(y, x)) if mk)
 
 
 def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Correspondence:
@@ -292,11 +286,11 @@ def subcorrespondence(y: Correspondence, x, tol: Tolerance | None = None) -> Cor
     # the columns of basis[k] span S_k
     basis = [orthonormal_basis(vecs, tol).T for vecs in _generating_vectors(y, x)]
     sub_h = compress_bundle(y.hbundle, basis)
-    _check_invariant(y, basis)
+    _check_invariant(y, basis, tol)
     return Correspondence(sub_h, action=compress_action(y.action, basis, sub_h))
 
 
-def _check_invariant(y: Correspondence, basis) -> None:
+def _check_invariant(y: Correspondence, basis, tol: Tolerance | None = None) -> None:
     """Both actions must keep the fiber spans of the orthonormal columns of
     basis[k] (raises InvalidBundleError): the part of op_i K_src outside the
     span of K_dst, relative to max(1, ||op_i K_src||_F), over every operator
@@ -316,9 +310,10 @@ def _check_invariant(y: Correspondence, basis) -> None:
             return img, kd @ (kd.conj().swapaxes(-1, -2) @ img)
         return worst_relative(int(np.prod(items)), dm * (dm + 4 * bases.shape[-1]), sides)
 
-    if escape(y.hbundle.act_array, fibers[:, None], tab) > 1e-7:
+    bound = product_bound(tol or DEFAULT_TOL)
+    if escape(y.hbundle.act_array, fibers[:, None], tab) > bound:
         raise InvalidBundleError("span is not right-invariant")
-    if escape(y.action.ops_array, fibers, tab[phi]) > 1e-7:
+    if escape(y.action.ops_array, fibers, tab[phi]) > bound:
         raise InvalidBundleError("span is not left-invariant")
 
 
@@ -367,8 +362,8 @@ class StarRepCheck:
         return self.ok
 
 
-def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0,
-                          checks: int = 5) -> StarRepCheck:
+def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0, checks: int = 5,
+                          tol: Tolerance | None = None) -> StarRepCheck:
     """Multiplicativity as matrices plus adjointability against the
     localized Gram kron(1, G0) of the amplified module, G0 the block-diagonal
     matrix of the fiber trace Grams, on `checks` pairs of random sections.
@@ -382,7 +377,7 @@ def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0,
 
     in the layout of AmplifiedCorrespondence.blocks.  Each residual is
     measured against max(1, ||.||_F) of the product and of the localized
-    Gram, as in the dense matrices, and judged at 1e-8."""
+    Gram, as in the dense matrices, and judged at `numerics.identity_bound`."""
     y = amp.base
     grp, tgt = amp.group, y.bundle.group
     ga, gb = grp.order, tgt.order
@@ -420,7 +415,8 @@ def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0,
 
         defect = _chunked_sum_sq(ga * gb, dm * dm, adjoint_defect)
         worst = max(worst, np.sqrt(ga * defect) / gram_scale)
-    return StarRepCheck(bool(worst <= 1e-8), float(worst), 1e-8)
+    bound = identity_bound(tol or DEFAULT_TOL)
+    return StarRepCheck(bool(worst <= bound), float(worst), bound)
 
 
 def _sum_sq(a) -> float:
@@ -498,6 +494,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     identity, fullness on both sides, the section-level imprimitivity
     identity, and equality of the two induced norms."""
     tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
     rep = Report("imprimitivity bimodule")
     grp = e.left_bundle.group
     a_bundle = e.left_bundle
@@ -523,7 +520,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
         return linner[s, r].transpose(0, 2, 1, 3), starred
 
     worst = worst_relative(order ** 2, dm * dm * da, symmetric)
-    rep.add("[x,y]* = [y,x]", worst <= 1e-8, worst)
+    rep.add("[x,y]* = [y,x]", worst <= bound, worst)
 
     def left_linear(idx):
         g, r, s = np.unravel_index(idx, (order,) * 3)
@@ -533,7 +530,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
         return lhs, rhs.reshape(-1, dm, dm, da, da).transpose(0, 3, 1, 2, 4)  # (i, u, v, m)
 
     worst = worst_relative(order ** 3, (da * dm) ** 2, left_linear)
-    rep.add("[ax, y] = a[x,y]", worst <= 1e-8, worst)
+    rep.add("[ax, y] = a[x,y]", worst <= bound, worst)
 
     # left positivity and definiteness via the fiber Grams
     unit = grp.identity
@@ -551,7 +548,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
         return lhs, rhs.reshape(-1, dm, dm, dm, dm).transpose(0, 4, 1, 3, 2)
 
     worst = worst_relative(order ** 3, dm ** 4, compatible)
-    rep.add("[x,y]z = x<y,z>", worst <= 1e-8, worst)
+    rep.add("[x,y]z = x<y,z>", worst <= bound, worst)
 
     # fullness on both sides: the rows pairing into each fiber span it; the
     # residual is the worst relative rank shortfall (numerics.rank_check)
@@ -578,6 +575,6 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
         na = cstar_norm(left_inner_section(e, y, xi, xi))
         nb = cstar_norm(y.inner(xi, xi))
         worst_norm = max(worst_norm, relative(abs(na - nb), max(na, nb)))
-    rep.add("imprimitivity identity on sections", worst_id <= 1e-8, worst_id)
-    rep.add("norm equality of the two inner products", worst_norm <= 1e-8, worst_norm)
+    rep.add("imprimitivity identity on sections", worst_id <= bound, worst_id)
+    rep.add("norm equality of the two inner products", worst_norm <= bound, worst_norm)
     return rep

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bundles import FellBundle, FiberEscapeError
-from .numerics import DEFAULT_TOL, PsdResult, Tolerance, freeze, judge_psd, opnorm, split_draws, \
-    stack_spectra
+from .numerics import DEFAULT_TOL, PsdResult, Tolerance, freeze, grading_guard, judge_psd, \
+    membership_bound, opnorm, rank_check, split_draws, stack_spectra
 
 
 class BundleMismatchError(ValueError):
@@ -62,9 +62,10 @@ class Section:
 
     @staticmethod
     def delta(bundle: FellBundle, g: int, mat) -> "Section":
-        """Section supported at g with the given ambient value."""
+        """Section supported at g with the given ambient value, which must lie
+        in the fiber up to the bundle's membership bound."""
         c, res = bundle.coords(g, mat)
-        if res > 1e-8:
+        if res > membership_bound(bundle.tolerance):
             raise FiberEscapeError(f"value does not lie in the fiber over {g}")
         return _supported(bundle, g, c)
 
@@ -119,7 +120,7 @@ def _same_bundle(f1: Section, f2: Section):
 
 def _guard_grading(bundle: FellBundle):
     worst = float(bundle.grading_residual.max(initial=0.0))
-    if worst > 1e-6:
+    if worst > grading_guard(bundle.tolerance):
         raise FiberEscapeError(
             f"bundle grading is violated (residual {worst:.2e}); convolution is ill-defined"
         )
@@ -223,8 +224,7 @@ def rep_is_faithful(rep: RegRep, tol: Tolerance | None = None) -> bool:
     rows = [m.ravel() for m in rep.generators.values()]
     if not rows:
         return True
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    return len(sv) == rep.bundle.total_dim and sv[-1] > tol.rel_rank * sv[0]
+    return bool(rank_check(np.array(rows), rep.bundle.total_dim, tol)[0])
 
 
 class MatrixAlgOp:
@@ -244,15 +244,15 @@ class MatrixAlgOp:
         self.block_coords = [[None] * n for _ in range(n)]
         arr = [[np.asarray(blocks[i][j], dtype=np.complex128) for j in range(n)]
                for i in range(n)]
-        scale = max((float(np.linalg.norm(arr[i][j])) for i in range(n)
-                     for j in range(n)), default=0.0)
+        bound = membership_bound(tol) * max(
+            1.0, *(float(np.linalg.norm(blk)) for row in arr for blk in row))
         for i, gi in enumerate(self.gtuple):
             for j, gj in enumerate(self.gtuple):
                 gij = grp.mul(grp.inv(gi), gj)
                 c, res = bundle.coords(gij, arr[i][j])
                 # residual from coords() is relative to the block itself;
                 # judge escapes against the overall scale of the matrix
-                if res * float(np.linalg.norm(arr[i][j])) > 1e-8 * max(scale, 1.0):
+                if res * float(np.linalg.norm(arr[i][j])) > bound:
                     raise BlockEscapeError(
                         f"block ({i},{j}) does not lie in the fiber over {gij}"
                     )

@@ -35,8 +35,8 @@ import numpy as np
 
 from .bundles import FellBundle, bundles_equal, crossed_embed, dynamical_bundle
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, hermitian_defect, \
-    judge_definite, judge_psd, opnorm, opnorms, padded, split_draws, stack_spectra, stored, \
-    worst_relative
+    identity_bound, judge_definite, judge_psd, membership_bound, opnorm, opnorms, padded, \
+    product_bound, rank_cut, split_draws, stack_spectra, stored, worst_relative
 from .reports import Report
 
 
@@ -118,12 +118,12 @@ class HilbertBundle(SemiInnerBundle):
 
 
 def trace_gram_stacks(x: SemiInnerBundle) -> list[np.ndarray]:
-    """The trace-localized Grams of the nonempty fibers, one stack (L, m, m)
-    per fiber dimension m, never zero-padded: padding would add zero
-    eigenvalues."""
+    """The trace-localized Grams of the fibers, one stack (L, m, m) per fiber
+    dimension m, ascending and never zero-padded (padding would add zero
+    eigenvalues); empty fibers form the stack of m = 0, read as definite."""
     dims = np.asarray(x.dims)
     return [np.stack([x.trace_gram(r) for r in np.flatnonzero(dims == m)])
-            for m in sorted(set(x.dims) - {0})]
+            for m in sorted(set(x.dims))]
 
 
 def trace_localize(bundle: FellBundle, tens) -> np.ndarray:
@@ -180,6 +180,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     prod, star, fibers = bundle.prod_array, bundle.star_array, bundle.fiber_array
     act, inner = x.act_array, x.inner_array
     db, dm, n = fibers.shape[1], act.shape[-1], bundle.ambient_dim
+    bound = identity_bound(tol)
     rep = Report(subject)
 
     def tuples(idx, k):
@@ -193,7 +194,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
         return comp, via
 
     worst = worst_relative(order ** 3, (db * dm) ** 2, composition)
-    rep.add("(xb)c = x(bc)", worst <= 1e-8, worst)
+    rep.add("(xb)c = x(bc)", worst <= bound, worst)
 
     # (3) first part: <x, yb> = <x,y> b
     def right_linear(idx):
@@ -204,7 +205,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
         return lhs, rhs.reshape(-1, dm, dm, db, db).transpose(0, 3, 1, 4, 2)
 
     worst = worst_relative(order ** 3, (db * dm) ** 2, right_linear)
-    rep.add("<x, yb> = <x,y>b", worst <= 1e-8, worst)
+    rep.add("<x, yb> = <x,y>b", worst <= bound, worst)
 
     # (3) second part: <x,y>* = <y,x>
     def symmetric(idx):
@@ -213,7 +214,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
         return inner[s, r].transpose(0, 2, 1, 3), starred
 
     worst = worst_relative(order ** 2, dm * dm * db, symmetric)
-    rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
+    rep.add("<x,y>* = <y,x>", worst <= bound, worst)
 
     # derived (a): <xb, y> = b* <x,y>; sp[h, q] holds the coordinates of
     # b_i^{h*} c_k for c_k in A_q, in A_{h^-1 q}
@@ -229,7 +230,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
         return lhs, rhs.reshape(-1, dm, dm, db, db).transpose(0, 3, 1, 2, 4)
 
     worst = worst_relative(order ** 3, (db * dm) ** 2, left_adjoint)
-    rep.add("<xb, y> = b*<x,y>", worst <= 1e-8, worst)
+    rep.add("<xb, y> = b*<x,y>", worst <= bound, worst)
 
     # (4) positivity of each fiber Gram, in block form
     e = grp.identity
@@ -239,15 +240,11 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
 
     # definiteness: localized Gram of each fiber has full rank; the residual
     # is the worst shortfall of a smallest eigenvalue below its bound,
-    # relative to the bound (1 for a singular Gram; an empty Gram is definite
-    # and falls short of nothing)
+    # relative to the bound (1 for a singular Gram)
     if definite:
-        ok, worst = True, 0.0
-        for stack in trace_gram_stacks(x):
-            _, low, high = stack_spectra(stack)
-            good, residual = judge_definite(low, high, tol)
-            ok, worst = ok and bool(good.all()), max(worst, float(residual.max()))
-        rep.add("definiteness (localized Grams full rank)", ok, worst)
+        verdicts = [judge_definite(*stack_spectra(s)[1:], tol) for s in trace_gram_stacks(x)]
+        rep.add("definiteness (localized Grams full rank)",
+                all(ok.all() for ok, _ in verdicts), max(res.max() for _, res in verdicts))
 
     # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data:
     # three draws (u in X_r, v in X_s, b in B_s) per pair (r, s) of nonzero
@@ -280,8 +277,8 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
         slack = (nxb - nu * nb) / np.maximum(nu * nb, 1.0)
         worst_c = max(worst_c, float(cs.max(initial=0.0)))
         worst_b = max(worst_b, float(slack[bdims[si] > 0].max(initial=0.0)))
-    rep.add("||xb|| <= ||x|| ||b||", worst_b <= 1e-8, worst_b)
-    rep.add("Cauchy-Schwarz", worst_c <= 1e-8, worst_c)
+    rep.add("||xb|| <= ||x|| ||b||", worst_b <= bound, worst_b)
+    rep.add("Cauchy-Schwarz", worst_c <= bound, worst_c)
     return rep
 
 
@@ -354,7 +351,7 @@ def separating_bases(grams, tol: Tolerance | None = None) -> list[np.ndarray]:
             raise InvariantViolationError(f"fiber {r}: localized Gram is not Hermitian")
         if not ok:
             raise InvariantViolationError(f"fiber {r}: localized Gram is not PSD")
-        keep.append(v[:, w > tol.rel_rank * max(float(w[-1]), 1.0)])
+        keep.append(v[:, rank_cut(w, w[-1], tol)[0]])
     return keep
 
 
@@ -485,6 +482,7 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
     residual of an identity is the worst over its items of
     relative(frob(lhs - rhs), frob(lhs))."""
     tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
     rep = Report("hilbert-module axioms")
     basis, right, inner, dim = x.algebra_basis, x.right, x.inner, x.dim
     k, m = basis.shape[:2]
@@ -492,45 +490,43 @@ def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
     amb = np.tensordot(inner, basis, axes=(2, 0))  # amb[u, v] = <e_u, e_v> in M_m
 
     worst = _multiplicative(basis, right, reverse=True)
-    rep.add("right action multiplicative", worst <= 1e-8, worst)
+    rep.add("right action multiplicative", worst <= bound, worst)
 
     def linear(idx):
         lhs = np.einsum("uwk,iwv->iuvk", inner, right[idx])
         return lhs, (amb @ basis[idx, None, None]).reshape(len(idx), dim, dim, -1) @ pinv.T
 
     worst = worst_relative(k, dim * dim * m * m, linear)
-    rep.add("<x, y b> = <x,y> b", worst <= 1e-8, worst)
+    rep.add("<x, y b> = <x,y> b", worst <= bound, worst)
 
     adj = amb.conj().swapaxes(-1, -2).reshape(dim * dim, m * m)
     swapped = amb.swapaxes(0, 1).reshape(dim * dim, m * m)
     worst = worst_relative(dim * dim, m * m, lambda idx: (adj[idx], swapped[idx]))
-    rep.add("<x,y>* = <y,x>", worst <= 1e-8, worst)
+    rep.add("<x,y>* = <y,x>", worst <= bound, worst)
 
     (ok,), (residual,), (hermitian,) = judge_psd(
         *stack_spectra(amb.transpose(0, 2, 1, 3).reshape(1, dim * m, dim * m)), tol)
     rep.add("Gram PSD", bool(ok), float(residual), "" if hermitian else "Gram not Hermitian")
-    ok, residual = True, 0.0  # an empty Gram is definite
-    if dim:
-        _, low, high = stack_spectra((inner @ np.trace(basis, axis1=1, axis2=2))[None])
-        (ok,), (residual,) = judge_definite(low, high, tol)
+    _, low, high = stack_spectra((inner @ np.trace(basis, axis1=1, axis2=2))[None])
+    (ok,), (residual,) = judge_definite(low, high, tol)
     rep.add("definite", bool(ok), float(residual))
 
     if x.left is not None:
         lbasis, left = np.asarray(x.left_basis, complex), np.asarray(x.left, complex)
         kl = len(lbasis)
         worst = _multiplicative(lbasis, left, reverse=False)
-        rep.add("left action multiplicative", worst <= 1e-8, worst)
+        rep.add("left action multiplicative", worst <= bound, worst)
         # the operators of the adjoints a_i*
         ladj = (lbasis.conj().swapaxes(-1, -2).reshape(kl, -1) @ algebra_coords_map(lbasis).T
                 @ left.reshape(kl, -1)).reshape(kl, dim, dim)
         worst = worst_relative(kl, dim * dim * k, lambda idx: (
             np.einsum("iwu,wvk->iuvk", left[idx].conj(), inner),
             np.einsum("uwk,iwv->iuvk", inner, ladj[idx])))
-        rep.add("left action adjointable", worst <= 1e-8, worst)
+        rep.add("left action adjointable", worst <= bound, worst)
         i, j = np.divmod(np.arange(kl * k), k)
         worst = worst_relative(kl * k, dim * dim, lambda idx: (
             right[j[idx]] @ left[i[idx]], left[i[idx]] @ right[j[idx]]))
-        rep.add("left and right actions commute", worst <= 1e-8, worst)
+        rep.add("left and right actions commute", worst <= bound, worst)
     return rep
 
 
@@ -566,7 +562,7 @@ def module_bundle_from_dynsys(module: HilbertModule, group, beta,
         for i in range(k):
             mat = crossed_embed(grp, module.algebra_basis, beta, np.eye(k)[i], h)
             c, res = bundle.coords(h, mat)
-            if res > 1e-8:
+            if res > membership_bound(bundle.tolerance):
                 raise NotModuleError("crossed-product embedding escaped its fiber")
             cols.append(c)
         to_fiber.append(np.stack(cols, axis=1))  # (d_h, k)
@@ -655,4 +651,4 @@ def check_unitary_bundle_map(u_maps, x: SemiInnerBundle, x2: SemiInnerBundle,
         np.einsum("tiuv,tvw->tiuw", x2.act_array[g[t], h[t]], up[g[t]])))
     isometric = worst_relative(len(g), inner[0, 0].size, lambda t: (inner[g[t], h[t]], np.einsum(
         "twu,twzk,tzv->tuvk", up[g[t]].conj(), x2.inner_array[g[t], h[t]], up[h[t]])))
-    return intertwining <= 1e-7 and isometric <= 1e-7
+    return intertwining <= product_bound(tol) and isometric <= product_bound(tol)

@@ -5,12 +5,17 @@ Grams) reduces to Hermitian eigenproblems, PSD and definiteness checks,
 numerical ranks and subspace bookkeeping on small complex matrices.  All tolerances are
 relative to a matrix norm, never absolute.
 
-Every PSD and definiteness verdict is decided here, from spectral data:
-`block_spectra` is the one eigenvalue kernel (Hermitian defect, smallest
-and largest eigenvalue of matrices given blockwise, `stack_spectra` for a
-plain stack), `judge_psd` the one PSD judge and `judge_definite` the one
-definiteness judge.  A caller that needs eigenvectors takes its own `eigh`
-and still reads its verdict from the judge.
+Every verdict is decided here, from the caller's Tolerance.  PSD and
+definiteness come from spectral data: `block_spectra` is the one eigenvalue
+kernel (Hermitian defect, smallest and largest eigenvalue of matrices given
+blockwise, `stack_spectra` for a plain stack), `judge_psd` the one PSD judge
+and `judge_definite` the one definiteness judge.  A caller that needs
+eigenvectors takes its own `eigh` and still reads its verdict from the
+judge.  Every other check compares its residual with one of the bounds
+`identity_bound`, `product_bound`, `unit_bound`, `grading_guard` and
+`membership_bound`, and every rank cut of a verdict (directness,
+saturation, fullness, nondegeneracy, separation) is `rank_cut`
+(`rank_check` on stacks of matrices).
 
 The bundle objects store each nested per-group-element tensor family once,
 as one zero-padded read-only array with nested tuples of views of its blocks
@@ -204,7 +209,12 @@ def block_spectra(groups, floor: float = 1.0):
     Returns three arrays of length B: the Hermitian defect ||M - M*||_F /
     max(||M||_F, floor) (each block's Frobenius norm weighted by its
     multiplicity) and the smallest and largest eigenvalues of (M + M*) / 2
-    (those of its blocks; a matrix with no nonempty block reads 0)."""
+    (those of its blocks).  A matrix with no nonempty block is empty: its
+    smallest eigenvalue reads +inf and its largest -inf, the extremes of no
+    eigenvalue, so the judges read it as PSD and definite with residual 0.
+    groups must not be empty."""
+    if not groups:
+        raise ValueError("block_spectra needs at least one group of blocks")
     anti = norm = 0.0
     low, high = np.inf, -np.inf
     for mult, a in groups:
@@ -217,9 +227,7 @@ def block_spectra(groups, floor: float = 1.0):
             high = np.maximum(high, ev[..., -1].max(axis=-1))
     # length B even when every block is empty and no eigenvalue was taken
     low, high = np.broadcast_arrays(low, high, norm)[:2]
-    empty = ~np.isfinite(low)
-    defect = np.sqrt(anti) / np.maximum(np.sqrt(norm), floor)
-    return defect, np.where(empty, 0.0, low), np.where(empty, 0.0, high)
+    return np.sqrt(anti) / np.maximum(np.sqrt(norm), floor), low, high
 
 
 def stack_spectra(stack, floor: float = 1.0):
@@ -251,20 +259,59 @@ def judge_psd(defect, low, high, tol: Tolerance = DEFAULT_TOL, floor: float = 1.
 
 
 def judge_definite(low, high, tol: Tolerance = DEFAULT_TOL):
-    """The definiteness verdict of nonempty Hermitian matrices from their
-    smallest and largest eigenvalues: full rank, low > rel_rank * max(1,
-    high).  Returns (ok, residual), arrays shaped like the inputs: the
-    residual is 0 when ok, and the `shortfall` of low below its bound
-    otherwise."""
-    scale = np.maximum(high, 1.0)
-    ok = low > tol.rel_rank * scale
-    return ok, np.where(ok, 0.0, shortfall(low, scale, tol.rel_rank))
+    """The definiteness verdict of Hermitian matrices from their smallest
+    and largest eigenvalues: full rank, `rank_cut(low, high)`.  Returns (ok,
+    residual), arrays shaped like the inputs: the residual is the `shortfall`
+    of low below its bound, 0 when ok.  An empty matrix (`block_spectra`:
+    low = +inf, high = -inf) is definite."""
+    return rank_cut(low, high, tol)
+
+
+def identity_bound(tol: Tolerance = DEFAULT_TOL) -> float:
+    """The bound on the relative residual of a tensor identity, a guard
+    inequality on random data or a round trip: 10 * rel_eq."""
+    return 10 * tol.rel_eq
+
+
+def product_bound(tol: Tolerance = DEFAULT_TOL) -> float:
+    """The bound of the checks that chain three factors or a subspace: the
+    bimodularity of a conditional expectation, the invariance of a
+    generated subcorrespondence and a unitary bundle map, 10 *
+    identity_bound."""
+    return 10 * identity_bound(tol)
+
+
+def unit_bound(k: int, tol: Tolerance = DEFAULT_TOL) -> float:
+    """The bound on ||m - 1||_F for a k x k matrix m that must be the
+    identity (gamma_e, alpha_e): rel_eq / 10 * k."""
+    return tol.rel_eq / 10 * k
+
+
+def grading_guard(tol: Tolerance = DEFAULT_TOL) -> float:
+    """The largest grading residual at which convolution of sections is
+    still defined: 100 * identity_bound."""
+    return 100 * identity_bound(tol)
+
+
+def membership_bound(tol: Tolerance = DEFAULT_TOL) -> float:
+    """The bound on the relative residual of a projection onto a span (the
+    grading, involution, unit and containment of fibers, a value in a
+    fiber, an automorphic image in its algebra): 10 * rel_rank."""
+    return 10 * tol.rel_rank
+
+
+def rank_cut(values, top, tol: Tolerance = DEFAULT_TOL):
+    """The one rank cut, elementwise: whether values (singular values, or
+    eigenvalues of a PSD Gram) lie above rel_rank * max(top, 1), for top the
+    largest of their family, and the `shortfall` of each below that bound."""
+    scale = np.maximum(top, 1.0)
+    return values > tol.rel_rank * scale, shortfall(values, scale, tol.rel_rank)
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above rel_rank * max(largest, 1)."""
+    """Number of singular values of m that pass the rank cut."""
     sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > tol.rel_rank * max(float(sv[0]), 1.0)))
+    return int(np.sum(rank_cut(sv, sv[0], tol)[0]))
 
 
 def shortfall(margin, scale, rel: float):
@@ -274,14 +321,18 @@ def shortfall(margin, scale, rel: float):
     return np.maximum(1.0 - margin / (rel * scale), 0.0)
 
 
-def rank_check(m, rank: int, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether numerical_rank(m) >= rank, with its residual: the shortfall
-    of the rank-th largest singular value below rel_rank * max(largest, 1),
-    relative to that bound (0 when the rank is reached, 1 when it is zero)."""
-    sv = np.linalg.svd(m, compute_uv=False) if np.size(m) else np.zeros(0)
-    scale = max(float(sv[0]), 1.0) if len(sv) else 1.0
-    kth = float(sv[rank - 1]) if len(sv) >= rank else 0.0
-    return kth > tol.rel_rank * scale, float(shortfall(kth, scale, tol.rel_rank))
+def rank_check(m, rank, tol: Tolerance = DEFAULT_TOL):
+    """Whether each matrix of a stack m (..., p, q) has numerical rank at
+    least `rank` (>= 1; an int or an array of the stack's shape), with its
+    residual: the `rank_cut` of its rank-th largest singular value (0 when
+    it has fewer) against its largest, so 0 when the rank is reached and 1
+    when that value is zero.  Returns (ok, residual), arrays of the stack's
+    shape."""
+    m = np.asarray(m)
+    sv = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros((*m.shape[:-2], 0))
+    sv = np.concatenate([sv, np.zeros((*sv.shape[:-1], 1))], axis=-1)  # a zero past the last
+    kth = np.minimum(np.broadcast_to(rank, sv.shape[:-1]), sv.shape[-1]) - 1
+    return rank_cut(np.take_along_axis(sv, kth[..., None], axis=-1)[..., 0], sv[..., 0], tol)
 
 
 def overflow_scale(a, what: str) -> float:
@@ -420,7 +471,7 @@ def decompose_algebra(basis, tol: Tolerance = DEFAULT_TOL) -> Blocks:
         # an orthonormal basis of the span: (sum_k conj(c_jk) b_k)_j for the
         # columns c_j of its range, over the square roots of their eigenvalues
         w, v = np.linalg.eigh(gram)
-        keep = w > tol.rel_rank * max(float(w[-1]), 1.0)
+        keep = rank_cut(w, w[-1], tol)[0]
         flat = (v[:, keep] / np.sqrt(w[keep])).conj().T @ flat
     d = len(flat)
     if d == 0:
@@ -434,7 +485,7 @@ def decompose_algebra(basis, tol: Tolerance = DEFAULT_TOL) -> Blocks:
     # 1. the center: coefficient rows c with [sum_k c_k b_k, r] = 0 for both probes
     comm = (b[:, None] @ r[:2] - r[:2] @ b[:, None]).reshape(d, -1)
     w, v = np.linalg.eigh(comm @ dagger(comm))
-    null = v[:, w <= tol.rel_rank * max(float(w[-1]), 1.0)]
+    null = v[:, ~rank_cut(w, w[-1], tol)[0]]
     # 2. the isotypic components, from z = sum_j c_j (sum_k conj(null_kj) b_k)
     coef = rng.standard_normal((2, null.shape[1]))
     z = ((null.conj() @ (coef[0] + 1j * coef[1])) @ flat).reshape(n, n)
@@ -453,7 +504,7 @@ def decompose_algebra(basis, tol: Tolerance = DEFAULT_TOL) -> Blocks:
             _, y = np.linalg.eigh(dagger(q) @ a @ q)
             orbit = b @ (q @ y[:, 0])  # (d, n): rows b_k v
             w, y = np.linalg.eigh(orbit.T @ orbit.conj())
-            wi = y[:, w > tol.rel_rank * max(float(w[-1]), 1.0)]
+            wi = y[:, rank_cut(w, w[-1], tol)[0]]
         k = wi.shape[1]
         if k == 0:
             continue

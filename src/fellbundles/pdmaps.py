@@ -244,7 +244,9 @@ def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None) -> PdCe
     defect, low, high = (float(x[0]) for x in block_spectra(
         [(mult, form[None]) for (mult, _), form in zip(groups, forms)], 1 / mu))
     ok, _, _ = judge_psd(defect, low, high, tol, 1 / mu)
-    return PdCertificate(bool(ok), _unscaled(low, mu, "certificate margin"),
+    # an empty certificate (no basis pair) has low = +inf and reports margin 0
+    margin = _unscaled(low, mu, "certificate margin") if np.isfinite(low) else 0.0
+    return PdCertificate(bool(ok), margin,
                          lambda: _ambient_gram(t), defect, scale=max(1 / mu, -low, high) * mu)
 
 

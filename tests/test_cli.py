@@ -13,6 +13,7 @@ from fellbundles.bundles import group_bundle
 from fellbundles.cli import main
 from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
+from fellbundles.hilbundles import trivial_hilbert_bundle
 from fellbundles.pdmaps import identity_bundle_map, scalar_bundle_map
 
 
@@ -476,6 +477,33 @@ def test_gns_at_a_loose_rank_tolerance_rereads_its_own_files(tmp_path, capsys):
     assert code in (0, 1), out
 
 
+def test_build_builds_at_the_rank_tolerance(tmp_path, capsys):
+    """The fiber span{1, diag(1, 1 + 1e-6)} has singular values about 2 and
+    3.5e-7: build keeps both at --tol-rank 1e-9, one at 1e-5, and writes at
+    the default flags what the default tolerance builds."""
+    bundle = sz.bundle_to_json(group_bundle(make_cyclic(1)))
+    del bundle["unital"]
+    bundle["ambient_dim"] = 2
+    bundle["fibers"] = {"0": sz.tensor3_to_json(
+        np.array([np.eye(2), np.diag([1.0, 1.0 + 1e-6])]))}
+    for kind, read, build in (
+            ("trivial_hilbert_bundle", lambda tree: tree["dims"],
+             lambda b: sz.hilbert_to_json(trivial_hilbert_bundle(b))),
+            ("identity_bundle_map", lambda tree: [len(tree["blocks"]["0"])],
+             lambda b: sz.bundle_map_to_json(identity_bundle_map(b)))):
+        spec = write(tmp_path, f"{kind}.json", {"kind": kind, "bundle": bundle})
+        built = {}
+        for flags in ((), ("--tol-rank", "1e-9"), ("--tol-rank", "1e-5")):
+            out_path = tmp_path / f"{kind}{len(built)}.json"
+            code, _ = run(capsys, "build", spec, "-o", str(out_path), *flags)
+            assert code == 0
+            built[flags] = json.loads(out_path.read_text())
+        assert read(built[()]) == read(built[("--tol-rank", "1e-9")]) == [2], kind
+        assert read(built[("--tol-rank", "1e-5")]) == [1], kind
+        want = build(sz.bundle_from_json(bundle))
+        assert built[()] == json.loads(json.dumps(want)), kind
+
+
 @pytest.mark.parametrize("group", [make_cyclic(3), symmetric_group(3)], ids=["Z3", "S3"])
 def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, monkeypatch,
                                                            group):
@@ -491,7 +519,8 @@ def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, mo
         sort_keys=True) + "\n"
     parses = []
     real = sz.bundle_from_json
-    monkeypatch.setattr(sz, "bundle_from_json", lambda data: parses.append(1) or real(data))
+    monkeypatch.setattr(sz, "bundle_from_json",
+                        lambda data, tol=None: parses.append(1) or real(data, tol))
     out_path = tmp_path / "map.json"
     code, _ = run(capsys, "build", spec, "-o", str(out_path))
     assert code == 0

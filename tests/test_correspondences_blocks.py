@@ -21,7 +21,7 @@ import pytest
 
 from fellbundles import serialize as sz
 from fellbundles.actions import Action, l2_action, regularize_action, trivial_action
-from fellbundles.bundles import dynamical_bundle, group_bundle, regular_unitary
+from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle, regular_unitary
 from fellbundles.cli import main
 from fellbundles.correspondences import ActionMismatchError, Correspondence, \
     InvalidBundleError, _generating_vectors, _span_fills_fibers, amplified_correspondence, \
@@ -29,7 +29,7 @@ from fellbundles.correspondences import ActionMismatchError, Correspondence, \
     left_inner_section, subcorrespondence, trivial_self_equivalence
 from fellbundles.crosssec import Section, convolve, star
 from fellbundles.groups import make_cyclic
-from fellbundles.hilbundles import trace_gram_stacks
+from fellbundles.hilbundles import trace_gram_stacks, trivial_hilbert_bundle
 from fellbundles.numerics import DEFAULT_TOL, block_spectra, dagger, frob, judge_definite, \
     numerical_rank, orthonormal_basis, relative
 
@@ -382,16 +382,18 @@ def test_module_definiteness_matches_the_localized_gram(correspondences):
     hbs = {name: y.hbundle for name, y in correspondences.items()}
     hbs["gns zero fiber"] = _gns_zero_fiber()[0]
     hbs["condexp raw"] = _condexp_raw()
+    hbs["all fibers empty"] = trivial_hilbert_bundle(
+        FellBundle(make_cyclic(2), 2, [np.zeros((0, 2, 2))] * 2))
     for name, hb in hbs.items():
         y = Correspondence(hb)
         want = definite_verdict(localized_gram(y))
         stacks = trace_gram_stacks(hb)
-        assert sum(map(len, stacks)) == sum(d > 0 for d in hb.dims), name
-        if not stacks:  # no nonempty fiber: definite, as build_module reads it
-            assert want[0], name
-            continue
+        assert sum(map(len, stacks)) == len(hb.dims), name
         _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in stacks])
-        assert judge_definite(low, high)[0][0] == want[0] and close(low[0], want[2]), name
+        assert judge_definite(low, high)[0][0] == want[0], name
+        assert low[0] == want[2] or close(low[0], want[2]), name
+    assert definite_verdict(localized_gram(Correspondence(hbs["all fibers empty"])))[0]
+    assert build_module(hbs["all fibers empty"]).dim == 0
     assert not definite_verdict(localized_gram(Correspondence(hbs["condexp raw"])))[0]
     with pytest.raises(InvalidBundleError, match="degenerate"):
         build_module(hbs["condexp raw"])

@@ -68,9 +68,7 @@ def psd_ok(m, tol=DEFAULT_TOL):
 
 def definite_verdict(m, tol=DEFAULT_TOL):
     """judge_definite of one Gram, as one block: (ok, residual, smallest
-    eigenvalue); an empty Gram is definite."""
-    if not len(m):
-        return True, 0.0, 0.0
+    eigenvalue)."""
     _, low, high = stack_spectra(np.asarray(m, dtype=np.complex128)[None])
     ok, residual = judge_definite(low, high, tol)
     return bool(ok[0]), float(residual[0]), float(low[0])
@@ -125,8 +123,15 @@ def test_block_spectra_of_a_direct_sum():
     ev = np.linalg.eigvalsh((whole + whole.conj().T) / 2)
     assert np.allclose([low[0], high[0]], [ev[0], ev[-1]])
     assert defect[0] == pytest.approx(hermitian_defect(whole))
-    _, low, high = block_spectra([(np.ones(1), np.zeros((1, 1, 0, 0)))])
-    assert low.tolist() == high.tolist() == [0.0]
+    # a matrix with no nonempty block has the extremes of no eigenvalue, and
+    # the judges read it as PSD and definite with residual 0
+    defect, low, high = block_spectra([(np.ones(1), np.zeros((1, 1, 0, 0)))])
+    assert defect.tolist() == [0.0] and low.tolist() == [np.inf] and high.tolist() == [-np.inf]
+    assert [x.tolist() for x in judge_psd(defect, low, high)] == [[True], [0.0], [True]]
+    assert [x.tolist() for x in judge_definite(low, high)] == [[True], [0.0]]
+    assert definite_verdict(np.zeros((0, 0))) == (True, 0.0, np.inf)
+    with pytest.raises(ValueError, match="at least one group"):
+        block_spectra([])
 
 
 def test_psd_identity():

@@ -530,6 +530,10 @@ def test_definiteness_residual_is_the_shortfall_of_the_smallest_eigenvalue(corpu
     # rel_rank (every Gram then lies below 1, so the bound is rel_rank)
     x = l2_bundle(corpus_bundles["z2"])
     assert definiteness(x).ok and definiteness(x).residual == 0.0
+    # the Gram of an empty fiber is definite and falls short of nothing
+    empty = FellBundle(make_cyclic(2), 2, [np.zeros((0, 2, 2))] * 2)
+    for y in (_gns_zero_fiber()[0], trivial_hilbert_bundle(empty)):
+        assert definiteness(y).ok and definiteness(y).residual == 0.0
     c = 0.5 * DEFAULT_TOL.rel_rank / smallest(x)
     faint = SemiInnerBundle(x.bundle, x.dims, x.act, [[c * blk for blk in row] for row in x.inner])
     got = validate_hilbert_bundle(faint)
