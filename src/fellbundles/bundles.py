@@ -218,9 +218,6 @@ class FellBundle:
 
     # -- fiber arithmetic --------------------------------------------------
 
-    def basis(self, g: int) -> np.ndarray:
-        return self.fibers[g]
-
     def element(self, g: int, coeffs) -> np.ndarray:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.shape != (self.dims[g],):
@@ -390,7 +387,7 @@ def dynamical_bundle(algebra_basis, group: FiniteGroup, alpha,
     basis = np.asarray(algebra_basis, dtype=np.complex128)
     k, m, _ = basis.shape
     flat = basis.reshape(k, -1)
-    if np.linalg.matrix_rank(flat) != k:
+    if k and not rank_check(flat, k, tol)[0]:
         raise ValueError("algebra basis must be linearly independent")
     alpha = [np.asarray(a, dtype=np.complex128) for a in alpha]
     if len(alpha) != group.order or any(a.shape != (k, k) for a in alpha):

@@ -36,7 +36,7 @@ import numpy as np
 from .bundles import FellBundle, bundles_equal, crossed_embed, dynamical_bundle
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, hermitian_defect, \
     identity_bound, judge_definite, judge_psd, membership_bound, opnorm, opnorms, padded, \
-    product_bound, rank_cut, split_draws, stack_spectra, stored, worst_relative
+    product_bound, rank_check, rank_cut, split_draws, stack_spectra, stored, worst_relative
 from .reports import Report
 
 
@@ -639,7 +639,7 @@ def check_unitary_bundle_map(u_maps, x: SemiInnerBundle, x2: SemiInnerBundle,
             raise ShapeMismatchError(f"U_{g} has the wrong shape")
         if x.dims[g] != x2.dims[g]:
             return False
-        if x.dims[g] and np.linalg.matrix_rank(u[g]) < x.dims[g]:
+        if x.dims[g] and not rank_check(u[g], x.dims[g], tol)[0]:
             return False
     # over all pairs, relative to the x-side of each identity; the padded
     # rows and columns of u, act and inner are zero on both sides

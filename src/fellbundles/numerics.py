@@ -355,8 +355,8 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormalize a family of vectors (rows), dropping dependencies.
 
     Returns rows spanning the same subspace, orthonormal in the standard
-    Hermitian inner product.  Rank is decided by SVD at rel_rank relative
-    to the largest singular value.  Finite rows whose norms would overflow
+    Hermitian inner product.  Rank is decided by the rank cut (`rank_cut`)
+    on the singular values.  Finite rows whose norms would overflow
     are first divided by the power of two of `overflow_scale` (of the real
     and imaginary parts), which leaves the span as it is.
     """
@@ -372,7 +372,7 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     u, s, vh = np.linalg.svd(v, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, v.shape[1]), dtype=np.complex128)
-    rank = int(np.sum(s > tol.rel_rank * s[0]))
+    rank = int(np.sum(rank_cut(s, s[0], tol)[0]))
     rows = vh[:rank]
     # canonical phase: largest-magnitude entry real positive, so bases are
     # deterministic and sign/phase choices survive serialization round-trips

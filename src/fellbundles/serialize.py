@@ -1,4 +1,5 @@
-"""JSON encoding of every object the command line reads or writes.
+"""JSON encoding of every object the command line reads or writes, from
+trees to text and back.
 
 Complex scalars are [re, im] pairs; group elements are integer indices;
 dictionary keys are decimal strings ("g" or "g,h").  Serialization is
@@ -6,14 +7,15 @@ deterministic given the same object, and parse(serialize(x)) reproduces
 the data exactly.
 
 Each object kind has one tree builder, `*_tree`: the object's JSON with
-every complex array left as its float64 [re, im] view (`_encode`), which
-the command line writes without making a Python float per entry.  The
+every complex array left as its float64 [re, im] view (`_encode`).  The
 public `*_to_json` functions return the same tree with those leaves turned
-to nested lists, so their results are JSON-native.
+to nested lists, so their results are JSON-native.  One writer makes the
+text of such trees without a Python float per entry: `object_text` for
+object files, `report_text` for the command line's reports.
 
 The `*_from_json` functions read JSON-native trees, and trees whose leaves
-are such float64 arrays, as the command line's reader (`cli._load`) gives
-them: it reads the value of every element or pair key that is a regular nest
+are such float64 arrays, as `read_tree` gives them from an object file's
+text: it reads the value of every element or pair key that is a regular nest
 of two or more JSON numbers as a read-only array, each distinct leaf text
 once, and leaves everything else to json.  An array leaf is decoded without
 a copy, and trees are compared by value (`_same`), as their lists would be.
@@ -22,7 +24,10 @@ The functions that build bundles take the tolerance to build them at.
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -48,12 +53,159 @@ def _encode(a) -> np.ndarray:
 
 
 def _lists(tree):
-    """A tree of dicts with every array leaf turned to nested lists."""
+    """A tree with every array leaf turned to nested lists."""
     if isinstance(tree, dict):
         return {k: _lists(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_lists(v) for v in tree]
     if isinstance(tree, np.ndarray):
         return tree.tolist()
     return tree
+
+
+# -- JSON text -----------------------------------------------------------------
+#
+# The text of a tree is that of json.dumps(_lists(tree), sort_keys=True) for an
+# object file, and with indent=2 for a report; both byte for byte.  json's
+# indenting encoder is pure Python, and its C encoder makes and formats one
+# Python float per entry of a tree's arrays, which hold few distinct values.
+# So dicts and lists are written item by item as json writes them, and the
+# float64 array leaves all at once at the end: each distinct value among all
+# their entries is formatted once (`_entry_texts`), and each array's entry
+# texts are joined by the separators of its shape at its nesting depth.
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _entry_texts(flat: np.ndarray) -> list:
+    """The text of every entry of a nonempty float64 array, formatting each
+    distinct bit pattern once (so -0.0 stays apart from 0.0)."""
+    bits = flat.view(np.int64)
+    values = np.sort(bits)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    texts = np.array(list(map(_float_text, values.view(np.float64).tolist())), dtype=object)
+    return texts[np.searchsorted(values, bits)].tolist()
+
+
+class _Writer:
+    """Text of JSON-like values whose leaves may also be float64 arrays, as
+    json.dumps(_lists(o), sort_keys=True, indent=indent) writes them, for
+    dicts with str keys; TypeError for anything else json refuses."""
+
+    def __init__(self, indent: int | None):
+        self.indent = indent
+        self.out = []
+        self._arrays = []  # (position in out, nesting depth, array) of every array leaf
+        self._separators = {}
+
+    def newline(self, depth: int) -> str:
+        return "" if self.indent is None else "\n" + " " * (self.indent * depth)
+
+    def comma(self, depth: int) -> str:
+        return ", " if self.indent is None else "," + self.newline(depth)
+
+    def nest(self, leaves: list, shape: tuple, depth: int) -> str:
+        """The text of a rectangular nest of `shape` at nesting `depth`, given
+        the texts of its leaves in order.
+
+        Consecutive leaves are joined by a separator that depends only on r,
+        the number of trailing axes that roll over between them: it closes r
+        lists, writes a comma and opens r lists again."""
+        key = shape, depth
+        if key not in self._separators:
+            d = len(shape)
+            opens = ["[" + self.newline(depth + k) for k in range(1, d + 1)]
+            closes = [self.newline(depth + k) + "]" for k in range(d - 1, -1, -1)]
+            seps = ["".join(closes[:r]) + self.comma(depth + d - r) + "".join(opens[d - r:])
+                    for r in range(d)]
+            between = [seps[0]] * (shape[-1] - 1)
+            for r, n in enumerate(reversed(shape[:-1]), 1):
+                between = (between + [seps[r]]) * (n - 1) + between
+            self._separators[key] = "".join(opens), between, "".join(closes)
+        head, between, tail = self._separators[key]
+        parts = [None] * (2 * len(leaves) - 1)
+        parts[::2] = leaves
+        parts[1::2] = between
+        return head + "".join(parts) + tail
+
+    def write(self, o, depth: int) -> None:
+        """Append the text of `o` at nesting `depth`, as json does; an array
+        leaf is held as its place in the text, written by `text`."""
+        out = self.out
+        if isinstance(o, str):
+            out.append(encode_basestring_ascii(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, float):
+            out.append(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                out.append("[]")
+                return
+            sep = self.newline(depth + 1)
+            out.append("[")
+            for item in o:
+                out.append(sep)
+                self.write(item, depth + 1)
+                sep = self.comma(depth + 1)
+            out.append(self.newline(depth) + "]")
+        elif isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            sep = self.newline(depth + 1)
+            out.append("{")
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                out.append(sep)
+                out.append(encode_basestring_ascii(key))
+                out.append(": ")
+                self.write(value, depth + 1)
+                sep = self.comma(depth + 1)
+            out.append(self.newline(depth) + "}")
+        elif not (isinstance(o, np.ndarray) and o.dtype == np.float64):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        elif o.size == 0:  # nested empty lists, no entry to format
+            self.write(o.tolist(), depth)
+        else:
+            self._arrays.append((len(out), depth, o))
+            out.append(None)
+
+    def text(self, o) -> str:
+        self.write(o, 0)
+        if self._arrays:
+            leaves = _entry_texts(np.concatenate([a.ravel() for _, _, a in self._arrays]))
+            start = 0
+            for at, depth, a in self._arrays:
+                self.out[at] = self.nest(leaves[start:start + a.size], a.shape, depth)
+                start += a.size
+        return "".join(self.out)
+
+
+def object_text(tree) -> str:
+    """`tree`, a JSON-like value whose leaves may also be float64 arrays, as
+    json.dumps(_lists(tree), sort_keys=True) writes it: an object file."""
+    return _Writer(None).text(tree)
+
+
+def report_text(payload) -> str:
+    """`payload` as object_text writes it, but at indent 2: the text of
+    json.dumps(_lists(payload), sort_keys=True, indent=2)."""
+    return _Writer(2).text(payload)
 
 
 def _decode(data, shape, what: str) -> np.ndarray:
@@ -139,6 +291,103 @@ def _element_keys(grp: FiniteGroup) -> list[str]:
 
 def _pair_keys(grp: FiniteGroup, other: FiniteGroup | None = None) -> list[str]:
     return [f"{r},{s}" for r in grp.elements() for s in (other or grp).elements()]
+
+
+# -- object files in -----------------------------------------------------------
+#
+# An object file is read as the tree the *_tree builders make: the value of
+# every element or pair key ("g" or "g,h") that is a regular nest of two or
+# more JSON numbers becomes a read-only float64 array, and everything else
+# stays what json.loads gives.  Such a leaf is cut out of the text and
+# replaced by a placeholder string, and json reads the small skeleton that is
+# left.  Each distinct leaf text is read once, by json and numpy, to the array
+# _decode would make of what json gives.  A leaf that json or numpy refuses,
+# or that holds fewer than two numbers, stays in the skeleton, so json and the
+# decoders judge it as they would without the cut; json reads a text with a
+# syntax error again whole, so that it reports the error where it is in the
+# file.
+
+# a quoted element or pair key opening a member, and its value when that is a
+# run of number, bracket, comma and blank characters ending the member
+_LEAF = re.compile(r'"(?<=[{, \t\n\r]")[0-9]+(?:,[0-9]+)?"[ \t\n\r]*:[ \t\n\r]*'
+                   r'(\[[-+.0-9eE\[\], \t\n\r]*\])(?=[ \t\n\r]*[,}])')
+_MARK = "\0"  # begins each placeholder; json decodes it only from a \u0000 escape
+
+
+class _ObjectReader:
+    """The tree of one object file's text; each distinct leaf text is read
+    once."""
+
+    def __init__(self):
+        self._arrays = []
+
+    def _leaf(self, leaf: str) -> int:
+        """The index of the array of `leaf`, or -1 when it stays text."""
+        try:
+            values = np.array(json.loads(leaf), dtype=np.float64)
+        except (ValueError, TypeError, OverflowError):  # ValueError: bad JSON, ragged
+            return -1
+        if values.size < 2:  # _same compares arrays of two or more
+            return -1
+        values.flags.writeable = False
+        self._arrays.append(values)
+        return len(self._arrays) - 1
+
+    def _restore(self, obj: dict) -> dict:
+        for key, value in obj.items():
+            if type(value) is str and value[:1] == _MARK:
+                obj[key] = self._arrays[int(value[1:])]
+        return obj
+
+    def tree(self, text: str):
+        # json reads the whole of a text that is not a JSON object (a
+        # truncated file among them) and of one holding a string a
+        # placeholder could be mistaken for
+        if not text[-64:].rstrip(" \t\n\r").endswith("}") or '"\\u0000' in text:
+            return json.loads(text)
+        found = {}  # leaf text -> its placeholder, or None
+        parts, last = [], 0
+        for match in _LEAF.finditer(text):
+            leaf = match.group(1)
+            if leaf not in found:
+                at = self._leaf(leaf)
+                found[leaf] = None if at < 0 else f'"\\u0000{at}"'
+            if found[leaf] is not None:
+                start, end = match.span(1)
+                parts += (text[last:start], found[leaf])
+                last = end
+        if not parts:
+            return json.loads(text)
+        parts.append(text[last:])
+        try:
+            return json.loads("".join(parts), object_hook=self._restore)
+        except json.JSONDecodeError:
+            # a syntax error outside the leaves: json reports it where it is
+            return json.loads(text)
+
+
+def read_tree(text: str):
+    """The tree of an object file's text; json.JSONDecodeError when it is not
+    JSON."""
+    return _ObjectReader().tree(text)
+
+
+def parse_object(data, tol: Tolerance):
+    """The kind and object of `data`, its bundles built at `tol`."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise FormatError("input JSON must be an object with a 'type' field")
+    kind = data["type"]
+    parsers = {
+        "group": lambda d, tol: group_from_json(d),
+        "bundle": bundle_from_json,
+        "hilbert_bundle": hilbert_from_json,
+        "action": action_from_json,
+        "bundle_map": bundle_map_from_json,
+        "equivalence": equivalence_from_json,
+    }
+    if kind not in parsers:
+        raise FormatError(f"unknown object type {kind!r}")
+    return kind, parsers[kind](data, tol=tol)
 
 
 def matrix_to_json(a) -> list:
@@ -269,14 +518,20 @@ def bundle_map_to_json(t: BundleMap) -> dict:
     return _lists(bundle_map_tree(t))
 
 
+def bundle_map_ends(data, tol: Tolerance | None = None):
+    """The source and target bundles of the map `data` (or of a build spec
+    naming them), built at `tol`, and its homomorphism "phi".  A map into its
+    own source bundle shares one bundle object, parsed once, as
+    identity_bundle_map does."""
+    source = bundle_from_json(data["source"], tol)
+    target = source if _same(data["target"], data["source"]) \
+        else bundle_from_json(data["target"], tol)
+    return source, target, _hom(source.group, target.group, data)
+
+
 def bundle_map_from_json(data, tol: Tolerance | None = None) -> BundleMap:
     try:
-        source = bundle_from_json(data["source"], tol)
-        # a map into its own source bundle shares one bundle object, as
-        # identity_bundle_map does
-        target = source if _same(data["target"], data["source"]) \
-            else bundle_from_json(data["target"], tol)
-        phi = _hom(source.group, target.group, data)
+        source, target, phi = bundle_map_ends(data, tol)
         raw = _family(data, "blocks", _element_keys(source.group))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bundle map JSON is missing fields: {exc}") from exc
@@ -425,18 +680,23 @@ def equivalence_from_json(data, tol: Tolerance | None = None) -> EquivalenceBund
     return EquivalenceBundle(left, right, lact, linner)
 
 
-def certificate_to_json(cert, full: bool = False) -> dict:
+def certificate_tree(cert, full: bool = False) -> dict:
+    """The report of a positive definiteness certificate: its verdict,
+    margin and Hermitian defect, the witness of a failed one, and with
+    `full` its matrix."""
     out = {
         "verdict": bool(cert.ok),
         "margin": float(cert.margin),
         "hermitian_defect": float(cert.hermitian_defect),
     }
     if cert.witness is not None:
-        out["witness"] = [
-            {"g": int(g), "a": matrix_to_json(a), "b": matrix_to_json(b)}
-            for g, a, b in cert.witness
-        ]
-        out["witness_sum"] = matrix_to_json(cert.witness_sum)
+        out["witness"] = [{"g": int(g), "a": _encode(a), "b": _encode(b)}
+                          for g, a, b in cert.witness]
+        out["witness_sum"] = _encode(cert.witness_sum)
     if full:
-        out["gram"] = matrix_to_json(cert.gram)
+        out["gram"] = _encode(cert.gram)
     return out
+
+
+def certificate_to_json(cert, full: bool = False) -> dict:
+    return _lists(certificate_tree(cert, full))

@@ -55,7 +55,7 @@ def reference_dynamical_bundle(algebra_basis, group: FiniteGroup, alpha,
     basis = np.asarray(algebra_basis, dtype=np.complex128)
     k, m, _ = basis.shape
     flat = basis.reshape(k, -1)
-    if np.linalg.matrix_rank(flat) != k:
+    if k and numerical_rank(flat, tol) != k:
         raise ValueError("algebra basis must be linearly independent")
     alpha = [np.asarray(a, dtype=np.complex128) for a in alpha]
     if len(alpha) != group.order or any(a.shape != (k, k) for a in alpha):

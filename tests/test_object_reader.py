@@ -83,7 +83,7 @@ def object_files(tmp_path_factory) -> dict[str, str]:
                "M2xZ2": dynamical_bundle(*crossed_system(2, 2))}
     for label, bundle in bundles.items():
         path = tmp / f"{label}.bundle.json"
-        path.write_text(cli.object_text(sz.bundle_tree(bundle)) + "\n")
+        path.write_text(sz.object_text(sz.bundle_tree(bundle)) + "\n")
         files[f"{label} bundle"] = str(path)
         bjson = sz.bundle_to_json(bundle)
         specs = {kind: {"kind": kind, "bundle": bjson} for kind in KINDS}
@@ -105,7 +105,7 @@ def object_files(tmp_path_factory) -> dict[str, str]:
 def _parsed(tree):
     if tree.get("type") == "vector":
         return sz.vector_payload_from_json(tree)
-    return cli._parse_object(tree, sz.DEFAULT_TOL)[1]
+    return sz.parse_object(tree, sz.DEFAULT_TOL)[1]
 
 
 def test_every_object_file_parses_to_the_oracles_objects(object_files):
@@ -116,7 +116,7 @@ def test_every_object_file_parses_to_the_oracles_objects(object_files):
 
 def test_every_object_file_writes_back_to_its_own_text(object_files):
     for name, path in object_files.items():
-        assert cli.object_text(cli._load(path)) + "\n" == Path(path).read_text(), name
+        assert sz.object_text(cli._load(path)) + "\n" == Path(path).read_text(), name
 
 
 def test_truncated_texts_are_read_by_json_whole(object_files):
@@ -124,7 +124,7 @@ def test_truncated_texts_are_read_by_json_whole(object_files):
     whole = text[:len(text) // 2]
     with mock.patch.object(cli.json, "loads", wraps=json.loads) as loads, \
             pytest.raises(json.JSONDecodeError):
-        cli._ObjectReader().tree(whole)
+        sz._ObjectReader().tree(whole)
     loads.assert_called_once_with(whole)
 
 
@@ -218,10 +218,10 @@ def test_a_leaf_is_read_to_what_json_and_numpy_give(token):
         want = json.loads(text)["1"]
     except json.JSONDecodeError as exc:
         with pytest.raises(json.JSONDecodeError) as got:
-            cli._ObjectReader().tree(text)
+            sz._ObjectReader().tree(text)
         assert str(got.value) == str(exc)
         return
-    got = cli._ObjectReader().tree(text)["1"]
+    got = sz._ObjectReader().tree(text)["1"]
     if token in ("-0", "-0.0", "1e400", "-1", "1E-3"):
         want = np.array(want, dtype=np.float64)
         assert isinstance(got, np.ndarray) and not got.flags.writeable

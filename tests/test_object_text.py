@@ -1,7 +1,7 @@
 """Object files against their oracle, json.dumps(lists, sort_keys=True).
 
 The command line writes each object's tree (`serialize.*_tree`, complex
-arrays left as float64 [re, im] views) with `cli.object_text`; the public
+arrays left as float64 [re, im] views) with `serialize.object_text`; the public
 `serialize.*_to_json` give the same tree with its leaves turned to lists.
 The file must be exactly json.dumps(sz.X_to_json(obj), sort_keys=True) plus
 a newline, and every public result must be JSON-native.  The bundle whose
@@ -21,11 +21,12 @@ from hypothesis.extra import numpy as hnp
 from fellbundles import serialize as sz
 from fellbundles.actions import l2_action, regularize_action, trivial_action
 from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle
-from fellbundles.cli import main, object_text
+from fellbundles.cli import main
 from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic
 from fellbundles.hilbundles import l2_bundle, regularize_bundle, trivial_hilbert_bundle
 from fellbundles.pdmaps import gelfand_raikov, identity_bundle_map, scalar_bundle_map
+from fellbundles.serialize import object_text
 
 
 def lists(tree):

@@ -1,5 +1,7 @@
-"""The CLI's report writer against its oracle, json.dumps(sort_keys=True,
-indent=2): the same text for every JSON-like payload, and the same refusals."""
+"""The report writer against its oracle, json.dumps(sort_keys=True,
+indent=2): the same text for every JSON-like payload, and the same refusals.
+A float64 array leaf is written as json writes its nested lists, at any
+depth, so a certificate's tree prints as its public encoding."""
 
 import json
 import math
@@ -8,18 +10,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fellbundles import serialize as sz
 from fellbundles.actions import regularize_action, trivial_action
 from fellbundles.bundles import group_bundle
-from fellbundles.cli import main, report_text
+from fellbundles.cli import main
 from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic
-from fellbundles.pdmaps import identity_bundle_map, scalar_bundle_map
+from fellbundles.pdmaps import identity_bundle_map, pd_check_exact, scalar_bundle_map
+from fellbundles.serialize import report_text
 
 
 def oracle(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def lists(payload):
+    """`payload` with every array leaf turned to nested lists."""
+    if isinstance(payload, dict):
+        return {k: lists(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [lists(v) for v in payload]
+    return payload.tolist() if isinstance(payload, np.ndarray) else payload
+
+
+def array_oracle(payload) -> str:
+    return oracle(lists(payload))
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324,
@@ -89,8 +106,7 @@ def stable_id(payload):
 
 
 @pytest.mark.parametrize("payload", [
-    np.float64(2.0) ** 0.5, [np.int64(3)], [1.0, np.array([2.0])], [np.array([1.0])],
-    {"a": {1, 2}}, [[1.0], np.array([2.0])], {"a": np.bool_(True)}, [OBJECT],
+    np.float64(2.0) ** 0.5, [np.int64(3)], {"a": {1, 2}}, {"a": np.bool_(True)}, [OBJECT],
 ], ids=stable_id)
 def test_report_text_refuses_what_json_refuses(payload):
     try:
@@ -105,6 +121,75 @@ def test_report_text_refuses_what_json_refuses(payload):
 def test_report_text_refuses_non_string_keys():
     with pytest.raises(TypeError):
         report_text({1: 1.0})
+
+
+# -- float64 array leaves, written as json writes their nested lists -------------
+
+# every entry drawn on its own, so that values such as -0.0 and 0.0 meet
+arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                                 max_side=3),
+                    elements=floats, fill=st.nothing())
+array_trees = st.recursive(
+    scalars | arrays | arrays.map(np.ndarray.tolist),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=10)
+
+
+def _wrapped(tree, wrappers):
+    """`tree` inside one list or one-key dict per wrapper, outermost last."""
+    for kind in wrappers:
+        tree = [tree] if kind == "list" else {"k": tree}
+    return tree
+
+
+# each tree also sunk to a drawn depth, so array leaves meet every indentation
+deep_array_trees = st.builds(_wrapped, array_trees,
+                             st.lists(st.sampled_from(["list", "dict"]), max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(deep_array_trees)
+def test_report_text_writes_arrays_as_json_dumps_of_their_lists(tree):
+    assert report_text(tree) == array_oracle(tree)
+
+
+@pytest.mark.parametrize("payload", [
+    [1.0, np.array([2.0])], [np.array([1.0])], [[1.0], np.array([2.0])],
+    np.array([[-0.0, 0.0], [math.nan, -math.inf]]), {"a": np.zeros((2, 0))},
+    {"a": [{"b": np.ones((2, 1, 2))}, np.zeros(0)]}, [[np.arange(6.0).reshape(3, 2)]],
+], ids=lambda payload: json.dumps(lists(payload)))
+def test_report_text_array_edge_cases(payload):
+    assert report_text(payload) == array_oracle(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    [np.arange(2)], {"a": np.array([True])}, [np.ones(2, dtype=np.float32)],
+    [np.ones(2, dtype=complex)],
+], ids=["int64", "bool", "float32", "complex128"])
+def test_report_text_refuses_arrays_that_are_not_float64(payload):
+    with pytest.raises(TypeError):
+        report_text(payload)
+
+
+def _certificates():
+    """A passing certificate, a refuted one with its witness, and the
+    refuted one with its matrix (--full)."""
+    b = group_bundle(make_cyclic(3))
+    hom = identity_hom(b.group)
+    refuted = pd_check_exact(scalar_bundle_map(b, b, hom, [1.0, 2.0, 2.0]))
+    assert not refuted.ok and refuted.witness
+    return [(pd_check_exact(identity_bundle_map(b)), False), (refuted, False),
+            (refuted, True)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["passing", "refuted", "refuted full"])
+def test_certificate_to_json_is_the_lists_of_its_tree(case):
+    cert, full = _certificates()[case]
+    tree = sz.certificate_tree(cert, full=full)
+    public = sz.certificate_to_json(cert, full=full)
+    assert public == lists(tree)
+    assert report_text({"exact": tree}) == oracle({"exact": public})
 
 
 # -- every command's stdout is its own json.dumps(indent=2) re-encoding ---------

@@ -1,9 +1,10 @@
 """Every verdict rule is decided in one module: no module of the package but
-numerics reads the tolerances those rules are written in, or states a bound
-of its own as a float literal.  The report header (cli._emit) prints the
-tolerances, cmd_pd_check reports the bound of the target's decomposition,
-and docstrings may state a rule; a read or a literal bound anywhere else
-restates a rule, which should call a judge or a bound of numerics instead."""
+numerics reads the tolerances those rules are written in, states a bound
+of its own as a float literal, or decides a rank by numpy's own cut
+(matrix_rank).  The report header (cli._emit) prints the tolerances,
+cmd_pd_check reports the bound of the target's decomposition, and docstrings
+may state a rule; a read or a literal bound anywhere else restates a rule,
+which should call a judge or a bound of numerics instead."""
 
 import ast
 import math
@@ -14,6 +15,9 @@ import pytest
 
 import fellbundles
 from fellbundles import numerics
+from fellbundles.bundles import dynamical_bundle, group_bundle
+from fellbundles.groups import make_cyclic
+from fellbundles.hilbundles import SemiInnerBundle, check_unitary_bundle_map
 from fellbundles.numerics import DEFAULT_TOL, Tolerance
 
 PACKAGE = Path(fellbundles.__file__).resolve().parent
@@ -28,16 +32,16 @@ LITERALS_ALLOWED = {("numerics.py", None), ("cli.py", "make_parser"),
 
 
 def _scan(path: Path):
-    """(function, line) of every attribute read of a rule field, and of every
-    float literal in (0, 1e-3), in the code of one module; docstrings and
-    comments are not code."""
+    """(function, line) of every attribute read of a rule field or of
+    matrix_rank, and of every float literal in (0, 1e-3), in the code of one
+    module; docstrings and comments are not code."""
     tree = ast.parse(path.read_text())
     reads, literals = [], []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Attribute) and node.attr in RULE_FIELDS:
+        if isinstance(node, ast.Attribute) and node.attr in RULE_FIELDS | {"matrix_rank"}:
             reads.append((function, node.lineno))
         if isinstance(node, ast.Constant) and type(node.value) is float \
                 and 0 < node.value < 1e-3:
@@ -81,6 +85,13 @@ def test_the_scan_sees_a_read_in_code_but_not_in_a_docstring(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text('def f(tol):\n    """low >= -tol.rel_psd"""\n    return tol.rel_eq\n')
     assert _reads(module) == [("f", 3)]
+
+
+def test_the_scan_sees_numpys_rank_cut(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text('import numpy as np\n\ndef f(m):\n    """np.linalg.matrix_rank"""\n'
+                      '    return np.linalg.matrix_rank(m)\n')
+    assert _reads(module) == [("f", 5)]
 
 
 def test_the_scan_sees_a_literal_in_a_comparison_and_a_keyword_but_not_in_a_docstring(
@@ -130,3 +141,41 @@ def test_the_rank_cut_is_elementwise():
     assert not ok and residual == 1.0
     ok, residual = numerics.rank_check(np.zeros((0, 3)), 1)
     assert not ok and residual == 1.0
+
+
+# -- the one rank cut at every site ----------------------------------------------
+#
+# Each input below has a singular value between numpy's cut (matrix_rank:
+# largest * max(shape) * eps, about 1e-15 here) and the rank cut at the
+# default tolerance (rel_rank * max(largest, 1) = 1e-9), so numpy's cut would
+# count it and the rank cut does not; at rel_rank = 1e-13 the rank cut counts
+# it too.
+
+FINE = Tolerance(rel_rank=1e-13)
+
+
+def test_dynamical_bundle_decides_independence_by_the_rank_cut():
+    basis = np.array([np.eye(2), np.eye(2) + 1e-11 * np.diag([1.0, -1.0])])
+    assert np.linalg.matrix_rank(basis.reshape(2, -1)) == 2
+    system = basis, make_cyclic(2), [np.eye(2)] * 2
+    with pytest.raises(ValueError, match="linearly independent"):
+        dynamical_bundle(*system)
+    assert dynamical_bundle(*system, FINE).dims == [2, 2]
+
+
+def test_check_unitary_bundle_map_decides_bijectivity_by_the_rank_cut():
+    # one fiber C^2 over the trivial group, the unit acting as 1 and the
+    # second vector null, so U = diag(1, 1e-11) intertwines and is isometric
+    x = SemiInnerBundle(group_bundle(make_cyclic(1)), [2], [[np.eye(2)[None]]],
+                        [[np.diag([1.0, 0.0])[..., None]]])
+    u = [np.diag([1.0, 1e-11])]
+    assert np.linalg.matrix_rank(u[0]) == 2
+    assert not check_unitary_bundle_map(u, x, x)
+    assert check_unitary_bundle_map(u, x, x, FINE)
+
+
+def test_orthonormal_basis_cuts_at_the_rank_cut():
+    vectors = np.diag([1e-3, 1e-11])  # the cut of rel_rank * largest alone is 1e-12
+    assert numerics.orthonormal_basis(vectors).shape == (1, 2)
+    assert numerics.orthonormal_basis(vectors, Tolerance(rel_rank=1e-12 / 2)).shape == (2, 2)
+    assert numerics.orthonormal_basis([[1e-10, 0.0]]).shape == (0, 2)
