@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import FellBundle, crossed_extract, dynamical_bundle
+from .bundles import FellBundle, dynamical_bundle
 from .groups import GroupHom, identity_hom
-from .hilbundles import HilbertModule, SemiInnerBundle, algebra_coords_map, ambient_inners, \
-    check_shapes, check_unitary_bundle_map, l2_bundle, module_bundle_from_dynsys, \
+from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, check_shapes, \
+    check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
     regularize_bundle, separate, trivial_hilbert_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judge_psd, opnorms, \
     padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
@@ -307,18 +307,15 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
 
     source = dynamical_bundle(a_basis, grp_g, alpha, tol)
     target = module_bundle_from_dynsys(module, grp_h, beta)
-    m_a = np.asarray(a_basis).shape[1]
 
+    # the algebra coordinates of the fiber basis over g: the pseudo-inverse
+    # of the fiber coordinates of the elements (a_i, g)
+    coords = crossed_coords(source, a_basis, alpha)
     ops = []
-    pinv_a = algebra_coords_map(a_basis)
     for g in grp_g.elements():
-        mats = []
-        for i in range(source.dims[g]):
-            amat = crossed_extract(source, m_a, g, np.eye(source.dims[g])[i])
-            acoords = pinv_a @ amat.ravel()
-            mats.append(np.einsum("k,kuv->uv", acoords, module.left) @ gamma[g])
+        mats = np.linalg.pinv(coords[g, :source.dims[g]]).T @ left.reshape(len(left), -1)
         # the operator does not depend on the target fiber
-        ops.append([np.stack(mats) if mats else np.zeros((0, mx, mx))] * grp_h.order)
+        ops.append([mats.reshape(source.dims[g], mx, mx) @ gamma[g]] * grp_h.order)
     return Action(source, hom, target, ops)
 
 
@@ -329,7 +326,8 @@ def rep_action(source: FellBundle, pi, module: HilbertModule, hom: GroupHom,
 
     pi[g] has shape (dim A_g, module.dim, module.dim).  The target bundle is
     the crossed product of the module's algebra by the trivial action of the
-    hom's target group.
+    hom's target group.  The action must pass validate_action: the first
+    failing item raises NotStarRepError.
     """
     tol = tol or DEFAULT_TOL
     grp = source.group
@@ -337,27 +335,23 @@ def rep_action(source: FellBundle, pi, module: HilbertModule, hom: GroupHom,
     for g in grp.elements():
         if pi[g].shape != (source.dims[g], module.dim, module.dim):
             raise NotStarRepError(f"pi[{g}] has the wrong shape")
-    order, inner = grp.order, module.inner
-    ops = padded([pi], (max(source.dims, default=0), module.dim, module.dim))[0]
-    g, g2 = np.divmod(np.arange(order * order), order)
-    # multiplicativity over all pairs (g, g2)
-    if worst_relative(order * order, ops[0].size * len(ops[0]), lambda t: (
-            np.einsum("tiuw,tjwv->tijuv", ops[g[t]], ops[g2[t]]),
-            np.einsum("tijk,tkuv->tijuv", source.prod_array[g[t], g2[t]],
-                      ops[grp.table[g[t], g2[t]]]))) > identity_bound(tol):
-        raise NotStarRepError("pi is not multiplicative")
-    # adjoint: <pi_g(a)x, y>_B = <x, pi_{g^-1}(a*)y>_B over all g
-    if worst_relative(order, ops[0].size * inner.shape[-1], lambda t: (
-            np.einsum("tiwu,wvk->tiuvk", ops[t].conj(), inner),
-            np.einsum("til,tlwv,uwk->tiuvk", source.star_array[t], ops[grp.inverse[t]],
-                      inner))) > identity_bound(tol):
-        raise NotStarRepError("pi is not adjoint-compatible")
-
     tgt = hom.target
-    trivial_beta = [np.eye(inner.shape[-1]) for _ in tgt.elements()]
+    trivial_beta = [np.eye(len(module.algebra_basis))] * tgt.order
     target = module_bundle_from_dynsys(module, tgt, trivial_beta)
-    ops = [[pi[g] for _ in tgt.elements()] for g in grp.elements()]
-    return Action(source, GroupHom(grp, target.bundle.group, hom.map), target, ops)
+    rho = Action(source, GroupHom(grp, target.bundle.group, hom.map), target,
+                 [[pi[g]] * tgt.order for g in grp.elements()])
+    failed = validate_action(rho, tol).failures()
+    if failed:
+        name = failed[0].name
+        raise NotStarRepError(_REP_ERRORS.get(name, f"pi fails {name}"))
+    return rho
+
+
+# the messages of rep_action for the first failing item of validate_action
+_REP_ERRORS = {
+    "multiplicativity rho(aa') = rho(a)rho(a')": "pi is not multiplicative",
+    "adjoint symmetry <rho(a)x,y> = <x,rho(a*)y>": "pi is not adjoint-compatible",
+}
 
 
 def action_to_star_rep(rho: Action):

@@ -24,8 +24,9 @@ products and projections over chunks of fiber pairs, each chunk's
 intermediates near `numerics.CHUNK_BYTES`.  `dynamical_bundle` solves the
 coordinates of every adjoint and product it checks with one least-squares
 call, judges the automorphism battery over all (g, i, j) at once (raising
-the error the per-element loop would raise first) and assembles the fibers
-by one scatter and one batched matmul.
+the error the per-element loop would raise first) and takes its fibers from
+`crossed_stack`, the one construction of the crossed-product embedding,
+which `crossed_embed` and the module bundles of `hilbundles` read too.
 """
 
 from __future__ import annotations
@@ -403,43 +404,33 @@ def dynamical_bundle(algebra_basis, group: FiniteGroup, alpha,
         if np.any(np.linalg.norm(law, axis=(-2, -1)) > identity_bound(tol) * k):
             raise NotActionError("alpha is not a group action")
 
-    # d[i] = sum_h alpha_{h^-1}(a_i) (x) E_hh, one scatter into the diagonal
-    # blocks; the fiber over g is d . (1 (x) u_g)
+    return FellBundle(group, m * ng, crossed_stack(group, basis, alpha), tol)
+
+
+def crossed_stack(group: FiniteGroup, algebra_basis, alpha) -> np.ndarray:
+    """The crossed-product elements (a_i, g) of the regular-covariant
+    realization, (|G|, k, m|G|, m|G|): entry [g, i] is
+    (sum_h alpha_{h^-1}(a_i) (x) E_hh) . (1 (x) u_g), for alpha[g] the k x k
+    matrix of alpha_g.  The diagonal factors come from one scatter into the
+    diagonal blocks, the products from one batched matmul."""
+    basis = np.asarray(algebra_basis, dtype=np.complex128)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    k, m, _ = basis.shape
+    ng = group.order
+    # images[g, i] = alpha_g(a_i)
+    images = (alpha.swapaxes(1, 2) @ basis.reshape(k, -1)).reshape(ng, k, m, m)
     d = np.zeros((k, m, ng, m, ng), dtype=np.complex128)
     d[:, :, np.arange(ng), :, np.arange(ng)] = images[group.inverse]
     v = np.eye(m)[None, :, None, :, None] * regular_unitaries(group)[:, None, :, None, :]
-    fibers = d.reshape(1, k, m * ng, m * ng) @ v.reshape(ng, 1, m * ng, m * ng)
-    return FellBundle(group, m * ng, fibers, tol)
+    return d.reshape(1, k, m * ng, m * ng) @ v.reshape(ng, 1, m * ng, m * ng)
 
 
 def crossed_embed(group: FiniteGroup, algebra_basis, beta, b_coords, g: int) -> np.ndarray:
     """Concrete matrix of the crossed-product element (b, g) in the
-    regular-covariant realization used by dynamical_bundle."""
-    basis = np.asarray(algebra_basis, dtype=np.complex128)
-    k, m, _ = basis.shape
-    n = group.order
-    out = np.zeros((m * n, m * n), dtype=np.complex128)
-    for t in group.elements():
-        e_tt = np.zeros((n, n))
-        e_tt[t, t] = 1.0
-        twisted = np.tensordot(
-            np.asarray(beta[group.inv(t)]) @ np.asarray(b_coords, dtype=np.complex128),
-            basis, axes=(0, 0),
-        )
-        out += np.kron(twisted, e_tt)
-    return out @ np.kron(np.eye(m), regular_unitary(group, g))
-
-
-def crossed_extract(bundle: FellBundle, m: int, g: int, fiber_coords) -> np.ndarray:
-    """Recover the algebra element b of a crossed-product fiber element
-    (b, g), by reading off the identity block of its concrete matrix."""
-    mat = bundle.element(g, fiber_coords)
-    n = bundle.group.order
-    ginv = bundle.group.inv(g)
-    e = bundle.group.identity
-    rows = [i * n + e for i in range(m)]
-    cols = [j * n + ginv for j in range(m)]
-    return mat[np.ix_(rows, cols)]
+    regular-covariant realization used by dynamical_bundle: the combination
+    of the stack of crossed_stack over g with b's coordinates."""
+    return np.tensordot(np.asarray(b_coords, dtype=np.complex128),
+                        crossed_stack(group, algebra_basis, beta)[g], axes=(0, 0))
 
 
 def check_saturated(bundle: FellBundle, tol: Tolerance | None = None) -> bool:

@@ -123,9 +123,9 @@ _GROUP_KINDS = {"cyclic_group", "symmetric_group", "table_group"}
 def _built_group(spec):
     kind = spec["kind"]
     if kind == "cyclic_group":
-        return make_cyclic(int(spec["n"]))
+        return make_cyclic(sz.integer(spec["n"], "n"))
     if kind == "symmetric_group":
-        return symmetric_group(int(spec["n"]))
+        return symmetric_group(sz.integer(spec["n"], "n"))
     return make_from_table(spec["table"])
 
 

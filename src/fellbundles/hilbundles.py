@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import FellBundle, bundles_equal, crossed_embed, dynamical_bundle
+from .bundles import FellBundle, bundles_equal, crossed_stack, dynamical_bundle
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, hermitian_defect, \
     identity_bound, judge_definite, judge_psd, membership_bound, opnorm, opnorms, padded, \
     product_bound, rank_check, rank_cut, split_draws, stack_spectra, stored, worst_relative
@@ -478,68 +478,44 @@ def trivial_module(algebra_basis) -> HilbertModule:
 
 
 def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
-    """The Hilbert-module axioms, each over all basis elements at once; the
-    residual of an identity is the worst over its items of
-    relative(frob(lhs - rhs), frob(lhs))."""
+    """The Hilbert-module axioms, as the bundle axioms over the one-point
+    group: the items of validate_hilbert_bundle on the module as a Hilbert
+    bundle (module_bundle_from_dynsys with beta = 1), then, for a module
+    with a left action, the items of actions.validate_action on that action
+    of the left algebra as a one-point bundle (dynsys_action with gamma = 1).
+    An algebra basis that does not span a *-algebra raises dynamical_bundle's
+    ValueError."""
+    from .actions import dynsys_action, validate_action
+    from .groups import identity_hom, make_cyclic
+
     tol = tol or DEFAULT_TOL
-    bound = identity_bound(tol)
-    rep = Report("hilbert-module axioms")
-    basis, right, inner, dim = x.algebra_basis, x.right, x.inner, x.dim
-    k, m = basis.shape[:2]
-    pinv = algebra_coords_map(basis)
-    amb = np.tensordot(inner, basis, axes=(2, 0))  # amb[u, v] = <e_u, e_v> in M_m
-
-    worst = _multiplicative(basis, right, reverse=True)
-    rep.add("right action multiplicative", worst <= bound, worst)
-
-    def linear(idx):
-        lhs = np.einsum("uwk,iwv->iuvk", inner, right[idx])
-        return lhs, (amb @ basis[idx, None, None]).reshape(len(idx), dim, dim, -1) @ pinv.T
-
-    worst = worst_relative(k, dim * dim * m * m, linear)
-    rep.add("<x, y b> = <x,y> b", worst <= bound, worst)
-
-    adj = amb.conj().swapaxes(-1, -2).reshape(dim * dim, m * m)
-    swapped = amb.swapaxes(0, 1).reshape(dim * dim, m * m)
-    worst = worst_relative(dim * dim, m * m, lambda idx: (adj[idx], swapped[idx]))
-    rep.add("<x,y>* = <y,x>", worst <= bound, worst)
-
-    (ok,), (residual,), (hermitian,) = judge_psd(
-        *stack_spectra(amb.transpose(0, 2, 1, 3).reshape(1, dim * m, dim * m)), tol)
-    rep.add("Gram PSD", bool(ok), float(residual), "" if hermitian else "Gram not Hermitian")
-    _, low, high = stack_spectra((inner @ np.trace(basis, axis1=1, axis2=2))[None])
-    (ok,), (residual,) = judge_definite(low, high, tol)
-    rep.add("definite", bool(ok), float(residual))
-
-    if x.left is not None:
-        lbasis, left = np.asarray(x.left_basis, complex), np.asarray(x.left, complex)
-        kl = len(lbasis)
-        worst = _multiplicative(lbasis, left, reverse=False)
-        rep.add("left action multiplicative", worst <= bound, worst)
-        # the operators of the adjoints a_i*
-        ladj = (lbasis.conj().swapaxes(-1, -2).reshape(kl, -1) @ algebra_coords_map(lbasis).T
-                @ left.reshape(kl, -1)).reshape(kl, dim, dim)
-        worst = worst_relative(kl, dim * dim * k, lambda idx: (
-            np.einsum("iwu,wvk->iuvk", left[idx].conj(), inner),
-            np.einsum("uwk,iwv->iuvk", inner, ladj[idx])))
-        rep.add("left action adjointable", worst <= bound, worst)
-        i, j = np.divmod(np.arange(kl * k), k)
-        worst = worst_relative(kl * k, dim * dim, lambda idx: (
-            right[j[idx]] @ left[i[idx]], left[i[idx]] @ right[j[idx]]))
-        rep.add("left and right actions commute", worst <= bound, worst)
+    point, rep = make_cyclic(1), Report("hilbert-module axioms")
+    ident = [np.eye(len(x.algebra_basis))]  # the one automorphism of the one-point group
+    if x.left is None:
+        rep.items = validate_hilbert_bundle(module_bundle_from_dynsys(x, point, ident), tol).items
+        return rep
+    left = (x.left_basis, point, [np.eye(len(x.left_basis))])
+    rho = dynsys_action(x, [np.eye(x.dim)], left, (x.algebra_basis, point, ident),
+                        identity_hom(point), tol)
+    rep.items = validate_hilbert_bundle(rho.target, tol).items + validate_action(rho, tol).items
     return rep
 
 
-def _multiplicative(basis, ops, reverse: bool) -> float:
-    """Worst residual over all pairs (i, j) of ops[i] ops[j] (ops[j] ops[i]
-    when reverse, as for a right action) against the operator of the
-    coordinates of b_i b_j."""
-    k = len(basis)
-    i, j = np.divmod(np.arange(k * k), k)
-    coords = (basis[i] @ basis[j]).reshape(k * k, -1) @ algebra_coords_map(basis).T
-    first, second = (j, i) if reverse else (i, j)
-    return worst_relative(k * k, ops.shape[-1] ** 2, lambda idx: (
-        ops[first[idx]] @ ops[second[idx]], coords[idx] @ ops.reshape(k, -1)))
+def crossed_coords(bundle: FellBundle, algebra_basis, beta) -> np.ndarray:
+    """The HS coordinates of the crossed-product elements (b_i, h) of
+    `bundles.crossed_stack` in the padded basis of the fiber over h of
+    `bundle`, (|H|, db, k), from one batched projection.  Raises
+    NotModuleError when one of them leaves its fiber (its relative residual
+    above the membership bound of the bundle's tolerance)."""
+    stack = crossed_stack(bundle.group, algebra_basis, beta)
+    ng, k = stack.shape[:2]
+    rows = stack.reshape(ng, k, -1)
+    basis = bundle.fiber_array.reshape(ng, -1, rows.shape[-1])
+    coords = basis.conj() @ rows.swapaxes(1, 2)
+    miss = np.linalg.norm(rows - coords.swapaxes(1, 2) @ basis, axis=-1)
+    if np.any(miss > membership_bound(bundle.tolerance) * np.linalg.norm(rows, axis=-1)):
+        raise NotModuleError("crossed-product embedding escaped its fiber")
+    return coords
 
 
 def module_bundle_from_dynsys(module: HilbertModule, group, beta,
@@ -554,40 +530,17 @@ def module_bundle_from_dynsys(module: HilbertModule, group, beta,
     if bundle is None:
         bundle = dynamical_bundle(module.algebra_basis, group, beta)
     grp = bundle.group
-    k = module.algebra_basis.shape[0]
-    # pair (algebra coords, h) <-> fiber coordinates of B_h
-    to_fiber = []
-    for h in grp.elements():
-        cols = []
-        for i in range(k):
-            mat = crossed_embed(grp, module.algebra_basis, beta, np.eye(k)[i], h)
-            c, res = bundle.coords(h, mat)
-            if res > membership_bound(bundle.tolerance):
-                raise NotModuleError("crossed-product embedding escaped its fiber")
-            cols.append(c)
-        to_fiber.append(np.stack(cols, axis=1))  # (d_h, k)
+    dim, k = module.dim, len(module.algebra_basis)
+    # to_fiber[h] sends algebra coordinates of b to the fiber coordinates of (b, h)
+    coords = crossed_coords(bundle, module.algebra_basis, beta)
+    to_fiber = [coords[h, :d] for h, d in enumerate(bundle.dims)]
     from_fiber = [np.linalg.pinv(m) for m in to_fiber]
-
-    dims = [module.dim] * grp.order
-    act = [[None] * grp.order for _ in grp.elements()]
-    inner = [[None] * grp.order for _ in grp.elements()]
-    for g in grp.elements():
-        for h in grp.elements():
-            mats = []
-            for i in range(bundle.dims[h]):
-                bcoords = from_fiber[h] @ np.eye(bundle.dims[h])[i]
-                twisted = beta[g] @ bcoords
-                mats.append(np.einsum("k,kuv->uv", twisted, module.right))
-            act[g][h] = np.stack(mats) if mats else np.zeros((0, module.dim, module.dim))
-        for h in grp.elements():
-            gh = grp.mul(grp.inv(g), h)
-            out = np.zeros((module.dim, module.dim, bundle.dims[gh]), dtype=np.complex128)
-            binv = beta[grp.inv(g)]
-            for u in range(module.dim):
-                twisted = (binv @ module.inner[u].T).T  # (dim, k)
-                out[u] = twisted @ to_fiber[gh].T
-            inner[g][h] = out
-    return HilbertBundle(bundle, dims, act, inner)
+    right = module.right.reshape(k, dim * dim)
+    act = [[((beta[g] @ from_fiber[h]).T @ right).reshape(d, dim, dim)
+            for h, d in enumerate(bundle.dims)] for g in grp.elements()]
+    inner = [[module.inner @ (beta[grp.inv(g)].T @ to_fiber[grp.mul(grp.inv(g), h)].T)
+              for h in grp.elements()] for g in grp.elements()]
+    return HilbertBundle(bundle, [dim] * grp.order, act, inner)
 
 
 def condexp_raw_semibundle(exp) -> SemiInnerBundle:

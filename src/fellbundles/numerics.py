@@ -308,12 +308,6 @@ def rank_cut(values, top, tol: Tolerance = DEFAULT_TOL):
     return values > tol.rel_rank * scale, shortfall(values, scale, tol.rel_rank)
 
 
-def numerical_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values of m that pass the rank cut."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(rank_cut(sv, sv[0], tol)[0]))
-
-
 def shortfall(margin, scale, rel: float):
     """How far margin falls short of its bound rel * scale, relative to the
     bound: the residual of a check that passes when margin exceeds the bound,

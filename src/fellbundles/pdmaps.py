@@ -105,9 +105,10 @@ def identity_bundle_map(bundle: FellBundle) -> BundleMap:
 
 def scalar_bundle_map(source: FellBundle, target: FellBundle, hom: GroupHom,
                       values) -> BundleMap:
-    """For group bundles: T_g(u_g) = f(g) u_{phi(g)}.  The sqrt factors
-    convert between the HS-normalized bases of the two bundles; any other
-    bundle is refused (BundleMapMismatchError)."""
+    """For group bundles: T_g(u_g) = f(g) u_{phi(g)}, from one value f(g) per
+    source element.  The sqrt factors convert between the HS-normalized
+    bases of the two bundles; any other bundle, or another number of values,
+    is refused (BundleMapMismatchError)."""
     for side, bundle in (("source", source), ("target", target)):
         g = next((g for g, d in enumerate(bundle.dims) if d != 1), None)
         if g is not None:
@@ -115,6 +116,10 @@ def scalar_bundle_map(source: FellBundle, target: FellBundle, hom: GroupHom,
                 f"a scalar bundle map needs one-dimensional fibers, but the {side} fiber "
                 f"over {g} has dimension {bundle.dims[g]}")
     vals = np.asarray(values, dtype=np.complex128)
+    if vals.shape != (source.group.order,):
+        raise BundleMapMismatchError(
+            f"a scalar bundle map needs one value per source element ({source.group.order}), "
+            f"but got values of shape {vals.shape}")
     scale = np.sqrt(target.group.order / source.group.order)
     mats = [vals[g] * scale * np.ones((1, 1)) for g in source.group.elements()]
     return BundleMap(source, target, hom, mats)

@@ -228,7 +228,7 @@ def _decode(data, shape, what: str) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
-def _integer(value, what: str) -> int:
+def integer(value, what: str) -> int:
     """An integer field; a number with a fractional part is refused, an
     integral float such as 3.0 is read as its integer."""
     try:
@@ -242,7 +242,7 @@ def _integer(value, what: str) -> int:
 
 def _integers(value, what: str) -> np.ndarray:
     """An integer array field, refusing entries with a fractional part as
-    _integer does."""
+    integer does."""
     try:
         raw = np.asarray(value)
         integral = raw.dtype.kind != "f" or bool(np.all(
@@ -424,7 +424,7 @@ def group_from_json(data) -> FiniteGroup:
     except (KeyError, TypeError) as exc:
         raise FormatError("group JSON needs a 'table'") from exc
     g = make_from_table(_integers(table, "group table"))
-    if "order" in data and _integer(data["order"], "order") != g.order:
+    if "order" in data and integer(data["order"], "order") != g.order:
         raise FormatError("declared order does not match the table")
     return g
 
@@ -463,7 +463,7 @@ def bundle_from_json(data, tol: Tolerance | None = None) -> FellBundle:
     judges it at."""
     try:
         group = group_from_json(data["group"])
-        n = _integer(data["ambient_dim"], "ambient_dim")
+        n = integer(data["ambient_dim"], "ambient_dim")
         raw = _family(data, "fibers", _element_keys(group))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bundle JSON is missing fields: {exc}") from exc
@@ -571,7 +571,7 @@ def hilbert_from_json(data, definite: bool = True, bundle: FellBundle | None = N
         if bundle is None:
             bundle = bundle_from_json(data["bundle"], tol)
         grp = bundle.group
-        dims = [_integer(d, "fiber dimension") for d in data["dims"]]
+        dims = [integer(d, "fiber dimension") for d in data["dims"]]
         raw_act = _family(data, "action", _pair_keys(grp))
         raw_inner = _family(data, "inner", _pair_keys(grp))
     except (KeyError, TypeError) as exc:
@@ -635,7 +635,7 @@ def vector_payload_to_json(x, fiber: int) -> dict:
 
 
 def vector_payload_from_json(data) -> tuple[np.ndarray, int]:
-    return vector_from_json(data["coords"]), _integer(data.get("fiber", 0), "fiber")
+    return vector_from_json(data["coords"]), integer(data.get("fiber", 0), "fiber")
 
 
 def equivalence_tree(e: EquivalenceBundle) -> dict:

@@ -176,6 +176,21 @@ def test_rep_action_round_trip_with_trivial_target_group():
         rep_action(src, [2.0 * p for p in pi], mod, hom)
 
 
+def test_rep_action_names_any_other_failing_item():
+    # C^2 over C + C with the semi-inner product <x, y> = conj(x_0) y_0 E11:
+    # T = [[1, 0], [1, 0]] is idempotent and symmetric for it, so multiplicative
+    # and adjoint-compatible, but T(x.E11) != (Tx).E11
+    basis = swap_system()[0]
+    inner = np.zeros((2, 2, 2), dtype=complex)
+    inner[0, 0, 0] = 1.0
+    mod = HilbertModule(basis, 2, np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), inner)
+    point = make_cyclic(1)
+    with pytest.raises(NotStarRepError) as err:
+        rep_action(group_bundle(point), [np.array([[[1.0, 0.0], [1.0, 0.0]]])], mod,
+                   identity_hom(point))
+    assert str(err.value) == "pi fails right-module commutation (rho(a)x)b = rho(a)(xb)"
+
+
 def test_rep_action_from_regular_representation_over_unit_fiber():
     # the left convolution representation, viewed on the section space as a
     # module over the unit fiber, induces a valid action

@@ -20,9 +20,10 @@ import pytest
 from fellbundles.bundles import FellBundle, NotActionError, NotAutomorphismError, \
     check_saturated, dynamical_bundle, group_bundle, regular_unitary, validate_bundle
 from fellbundles.groups import FiniteGroup, make_cyclic, make_from_table, symmetric_group
-from fellbundles.numerics import DEFAULT_TOL, Tolerance, frob, numerical_rank, stored
+from fellbundles.numerics import DEFAULT_TOL, Tolerance, frob, stored
 
 from test_bundles import E11, E22, M2_BASIS, ad_diag_system, swap_system
+from test_numerics import numerical_rank
 
 
 # -- the loop oracles ----------------------------------------------------------------

@@ -610,3 +610,30 @@ def test_help_texts_and_parses_match_the_reference_parser():
                  ["correspond", "a.json", "--vector", "v.json", "-o", "out"],
                  ["gns", "m.json", "--tol-psd", "1e-6", "--tol-rank", "1e-7", "--samples", "9"]):
         assert vars(got.parse_args(argv)) == vars(want.parse_args(argv))
+
+
+@pytest.mark.parametrize("count, code", [(1, 2), (3, 0), (4, 2)],
+                         ids=["too few", "exactly enough", "too many"])
+def test_build_scalar_map_needs_one_value_per_source_element(tmp_path, capsys, count, code):
+    bundle = sz.bundle_to_json(group_bundle(make_cyclic(3)))
+    spec = write(tmp_path, "spec.json", {
+        "kind": "scalar_bundle_map", "source": bundle, "target": bundle, "phi": [0, 1, 2],
+        "values": [[1.0, 0.0]] + [[0.1, 0.0]] * (count - 1)})
+    got, out = run(capsys, "build", spec)
+    assert got == code
+    if code:
+        error = json.loads(out)["error"]
+        assert error == "BundleMapMismatchError: a scalar bundle map needs one value per " \
+            f"source element (3), but got values of shape ({count},)"
+    else:
+        assert len(json.loads(out)["blocks"]) == 3
+
+
+@pytest.mark.parametrize("kind", ["cyclic_group", "symmetric_group"])
+def test_build_group_refuses_a_fractional_n(tmp_path, capsys, kind):
+    code, out = run(capsys, "build", write(tmp_path, "whole.json", {"kind": kind, "n": 3.0}))
+    assert code == 0
+    assert json.loads(out)["order"] == {"cyclic_group": 3, "symmetric_group": 6}[kind]
+    code, out = run(capsys, "build", write(tmp_path, "spec.json", {"kind": kind, "n": 2.5}))
+    assert code == 2
+    assert json.loads(out)["error"] == "FormatError: bad n: 2.5 is not an integer"

@@ -31,11 +31,11 @@ from fellbundles.crosssec import Section, convolve, star
 from fellbundles.groups import make_cyclic
 from fellbundles.hilbundles import trace_gram_stacks, trivial_hilbert_bundle
 from fellbundles.numerics import DEFAULT_TOL, block_spectra, dagger, frob, judge_definite, \
-    numerical_rank, orthonormal_basis, relative
+    orthonormal_basis, relative
 
 from test_actions import z4_to_z2_rep_action
 from test_bundles_batched import crossed_system
-from test_numerics import definite_verdict
+from test_numerics import definite_verdict, numerical_rank
 from test_pdmaps_batched import m2_z4
 from test_validators_batched import _c3_s3, _condexp_raw, _gns_zero_fiber, _m2_z3
 

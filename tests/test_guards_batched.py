@@ -21,12 +21,12 @@ from fellbundles.correspondences import InvalidBundleError, _check_invariant, \
 from fellbundles.groups import GroupHom, identity_hom, make_cyclic, symmetric_group, trivial_hom
 from fellbundles.hilbundles import HilbertModule, ShapeMismatchError, check_unitary_bundle_map, \
     l2_bundle, trivial_hilbert_bundle, trivial_module
-from fellbundles.numerics import DEFAULT_TOL, frob, numerical_rank, orthonormal_basis, relative
+from fellbundles.numerics import DEFAULT_TOL, frob, orthonormal_basis, relative
 from fellbundles.reports import Report
 
 from test_actions import hilbert_space_module
 from test_bundles import swap_system
-from test_numerics import psd_verdict
+from test_numerics import numerical_rank, psd_verdict
 
 
 def outcome(fn, *args):

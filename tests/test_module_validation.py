@@ -1,16 +1,20 @@
-"""validate_module as whole arrays, against the per-element loops it replaced.
+"""validate_module runs the bundle battery, against the per-element loops of
+the module battery it replaced.
 
-`loop_validate_module` keeps the loops over basis elements and module
-coordinates verbatim as the oracle; only its `definite` residual follows the
-shortfall rule that both routes report.  Every item must give the same verdict,
-and residuals within 1e-12 relative to max(1, |residual|), on passing modules
-and on modules that break one axiom each: a degenerate Gram, a right action
-that is not multiplicative and an inner product that is not Hermitian.
+validate_module validates a module over B as a Hilbert bundle over the
+one-point group, and a left action as the action of a one-point bundle, so
+it reports the items of validate_hilbert_bundle and validate_action.
+`loop_validate_module` keeps the old module battery's loops verbatim as the
+verdict oracle; only its `definite` residual follows the shortfall rule.  On
+passing modules and on modules that break one axiom each, both routes give
+the same overall verdict, and every failing item of the oracle has its
+counterparts in `MUST_FAIL_WITH` failing too.
 """
 
 import numpy as np
 import pytest
 
+from fellbundles.bundles import NotAutomorphismError
 from fellbundles.hilbundles import HilbertModule, algebra_coords_map, trivial_module, \
     validate_module
 from fellbundles.numerics import DEFAULT_TOL, frob, relative
@@ -19,6 +23,19 @@ from fellbundles.reports import Report
 from test_bundles import M2_BASIS, swap_system
 from test_hilbundles import row_module
 from test_numerics import definite_verdict, psd_verdict
+
+# each item of the module battery, with the items of the bundle battery
+# that must fail whenever it fails
+MUST_FAIL_WITH = {
+    "right action multiplicative": ["(xb)c = x(bc)"],
+    "<x, y b> = <x,y> b": ["<x, yb> = <x,y>b"],
+    "<x,y>* = <y,x>": ["<x,y>* = <y,x>"],
+    "Gram PSD": ["fiber Grams PSD"],
+    "definite": ["definiteness (localized Grams full rank)"],
+    "left action multiplicative": ["multiplicativity rho(aa') = rho(a)rho(a')"],
+    "left action adjointable": ["adjoint symmetry <rho(a)x,y> = <x,rho(a*)y>"],
+    "left and right actions commute": ["right-module commutation (rho(a)x)b = rho(a)(xb)"],
+}
 
 
 def loop_validate_module(x, tol=None):
@@ -120,25 +137,44 @@ def skew_module():
     return HilbertModule(C, 2, np.eye(2)[None], inner)
 
 
+def with_left(x, left):
+    """x with its left action replaced by the operators `left`."""
+    return HilbertModule(x.algebra_basis, x.dim, x.right, x.inner, x.left_basis, left)
+
+
 def modules():
     basis, _, _ = swap_system()
     square = trivial_module(M2_BASIS)
     twisted = trivial_module(M2_BASIS)
     twisted.right = twisted.right[[0, 2, 1, 3]]  # x.E12 and x.E21 swapped
-    return {"C2 trivial": trivial_module(basis), "M2 trivial": square,
+    pair = trivial_module(basis)
+    skew = np.eye(4) + 0.5 * np.eye(4, k=1)  # invertible, not unitary
+    return {"C2 trivial": pair, "M2 trivial": square,
             "M2 rows": row_module(M2_BASIS), "M2 twisted": twisted,
             "degenerate": degenerate_module(), "doubling": doubling_module(),
-            "skew": skew_module()}
+            "skew": skew_module(),
+            "C2 doubled left": with_left(pair, 2 * pair.left),
+            "M2 swapped left": with_left(square, square.left[[0, 2, 1, 3]]),
+            "M2 conjugated left": with_left(square, skew @ square.left @ np.linalg.inv(skew)),
+            "M2 right as left": with_left(square, square.right)}
 
 
 @pytest.mark.parametrize("name", list(modules()))
-def test_items_match_the_loops(name):
+def test_verdicts_match_the_loops(name):
     x = modules()[name]
     got, want = validate_module(x), loop_validate_module(x)
-    assert [(i.name, i.ok, i.detail) for i in got.items] == \
-        [(i.name, i.ok, i.detail) for i in want.items]
-    for a, b in zip(got.items, want.items):
-        assert abs(a.residual - b.residual) <= 1e-12 * max(1.0, abs(b.residual)), a.name
+    assert got.ok == want.ok
+    failed = {item.name for item in got.failures()}
+    for item in want.failures():
+        assert set(MUST_FAIL_WITH[item.name]) <= failed, (item.name, failed)
+    assert got.subject == want.subject
+
+
+def test_every_module_item_is_mapped_and_every_counterpart_is_reported():
+    x = modules()["M2 trivial"]
+    names = {item.name for item in validate_module(x).items}
+    assert set(MUST_FAIL_WITH) == {item.name for item in loop_validate_module(x).items}
+    assert set().union(*MUST_FAIL_WITH.values()) <= names
 
 
 def _failures(rep):
@@ -147,30 +183,47 @@ def _failures(rep):
 
 def test_degenerate_gram_fails_definite_with_a_full_shortfall():
     rep = validate_module(degenerate_module())
-    assert _failures(rep) == {"definite": 1.0}
+    assert _failures(rep) == {"definiteness (localized Grams full rank)": 1.0}
     assert rep.as_dict()["worst_residual"] == 1.0
 
 
 def test_non_multiplicative_right_action_is_reported():
     rep = validate_module(doubling_module())
-    # x.1.1 = 4x against x.1 = 2x, and <x, y.1> = 2 against <x, y> 1 = 1, both
-    # relative to the left-hand side
-    assert _failures(rep) == {"right action multiplicative": 0.5, "<x, y b> = <x,y> b": 0.5}
+    # x.1.1 = 4x against x.1 = 2x, <x, y.1> = 2 against <x, y> 1 = 1 and
+    # <x.1, y> = 2 against 1* <x, y> = 1, each relative to the left-hand side;
+    # ||x.1|| = 2 ||x|| exceeds ||x|| ||1|| by ||x||
+    fails = _failures(rep)
+    assert set(fails) == {"(xb)c = x(bc)", "<x, yb> = <x,y>b", "<xb, y> = b*<x,y>",
+                          "||xb|| <= ||x|| ||b||"}
+    assert fails["(xb)c = x(bc)"] == fails["<x, yb> = <x,y>b"] == fails["<xb, y> = b*<x,y>"] == 0.5
+    assert fails["||xb|| <= ||x|| ||b||"] == pytest.approx(1.0, rel=1e-12)
     rep = validate_module(modules()["M2 twisted"])
-    assert "right action multiplicative" in _failures(rep)
+    assert "(xb)c = x(bc)" in _failures(rep)
 
 
 def test_non_hermitian_inner_product_is_reported():
     rep = validate_module(skew_module())
     fails = _failures(rep)
-    assert set(fails) == {"<x,y>* = <y,x>", "Gram PSD"}
-    assert fails["<x,y>* = <y,x>"] == 1.0
-    # the Gram [[1, 1], [0, 1]] has Hermitian defect sqrt(2) / sqrt(3)
-    assert fails["Gram PSD"] == pytest.approx(np.sqrt(2 / 3), rel=1e-12)
-    assert [i.detail for i in rep.failures()] == ["", "Gram not Hermitian"]
+    assert set(fails) == {"<x,y>* = <y,x>", "fiber Grams PSD", "Cauchy-Schwarz"}
+    # the Gram [[1, 1], [0, 1]] differs from its adjoint by sqrt(2) in norm,
+    # relative to its norm sqrt(3), and has Hermitian defect sqrt(2) / sqrt(3)
+    assert fails["<x,y>* = <y,x>"] == pytest.approx(np.sqrt(2 / 3), rel=1e-12)
+    assert fails["fiber Grams PSD"] == pytest.approx(np.sqrt(2 / 3), rel=1e-12)
 
 
 def test_zero_module_passes_every_item():
     # the loops fail on it: they stack an empty list of Gram rows
     rep = validate_module(HilbertModule(C, 0, np.zeros((1, 0, 0)), np.zeros((0, 0, 1))))
     assert rep.ok and rep.worst == 0.0
+
+
+def test_an_algebra_that_is_not_a_star_algebra_is_refused():
+    # the upper triangular matrices, as right and as left algebra, are not
+    # closed under the adjoint: the identity automorphism of the one-point
+    # bundle sends E12 to an element whose adjoint leaves them
+    upper, square = [0, 1, 3], trivial_module(M2_BASIS)
+    for x in (trivial_module(M2_BASIS[upper]),
+              HilbertModule(M2_BASIS, 4, square.right, square.inner, M2_BASIS[upper],
+                            square.left[upper])):
+        with pytest.raises(NotAutomorphismError, match=r"alpha_0 image of a\* leaves A"):
+            validate_module(x)

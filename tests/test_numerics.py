@@ -10,6 +10,7 @@ from fellbundles.numerics import (
     judge_psd,
     kron,
     orthonormal_basis,
+    rank_cut,
     relative_residuals,
     shortfall,
     stack_spectra,
@@ -64,6 +65,13 @@ def psd_verdict(m, tol=DEFAULT_TOL):
 
 def psd_ok(m, tol=DEFAULT_TOL):
     return psd_verdict(m, tol)[0]
+
+
+def numerical_rank(m, tol=DEFAULT_TOL):
+    """The rank oracle of the loop tests: the number of singular values of m
+    that pass the rank cut, 0 for a matrix with no entries."""
+    sv = np.linalg.svd(np.asarray(m), compute_uv=False)
+    return int(np.sum(rank_cut(sv, sv.max(initial=0.0), tol)[0]))
 
 
 def definite_verdict(m, tol=DEFAULT_TOL):
@@ -228,6 +236,18 @@ def rank_by_row_reduction(m, tol=1e-9):
                 a[r] -= a[r, col] * a[rank]
         rank += 1
     return rank
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 3)])
+def test_numerical_rank_of_a_matrix_with_no_entries_is_0(shape):
+    assert numerical_rank(np.zeros(shape)) == 0
+
+
+def test_numerical_rank_cuts_at_rel_rank():
+    m = np.diag([2.0, 1e-3, 1e-12])
+    assert numerical_rank(m) == 2
+    assert numerical_rank(m, Tolerance(rel_rank=1e-2)) == 1
+    assert numerical_rank(np.zeros((2, 2))) == 0
 
 
 def test_kron_block_diagonal():

@@ -27,13 +27,13 @@ from fellbundles.groups import make_cyclic, symmetric_group
 from fellbundles.hilbundles import HilbertBundle, SemiInnerBundle, condexp_raw_semibundle, \
     l2_bundle, regularize_bundle, trivial_hilbert_bundle, validate_hilbert_bundle, \
     validate_semi_inner_bundle
-from fellbundles.numerics import DEFAULT_TOL, frob, numerical_rank, opnorm, relative
+from fellbundles.numerics import DEFAULT_TOL, frob, opnorm, relative
 from fellbundles.pdmaps import gelfand_raikov, identity_bundle_map
 from fellbundles.reports import Report
 
 from test_actions import z4_to_z2_rep_action
 from test_bundles import M2_BASIS
-from test_numerics import definite_verdict, psd_verdict
+from test_numerics import definite_verdict, numerical_rank, psd_verdict
 
 
 # -- the loop oracles ----------------------------------------------------------------
