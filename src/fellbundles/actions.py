@@ -180,7 +180,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
     worst = 0.0
     ok = True
     e = grp.identity
-    if src.dims[e] and bundle.total_dim:
+    if src.dims[e] and bundle.total_dim and dm:
         draws = []
         for _ in range(samples):
             ae = src.random_coords(e, rng)
@@ -340,10 +340,7 @@ def rep_action(source: FellBundle, pi, module: HilbertModule, hom: GroupHom,
     target = module_bundle_from_dynsys(module, tgt, trivial_beta)
     rho = Action(source, GroupHom(grp, target.bundle.group, hom.map), target,
                  [[pi[g]] * tgt.order for g in grp.elements()])
-    failed = validate_action(rho, tol).failures()
-    if failed:
-        name = failed[0].name
-        raise NotStarRepError(_REP_ERRORS.get(name, f"pi fails {name}"))
+    validate_action(rho, tol).refuse(NotStarRepError, "pi", _REP_ERRORS)
     return rho
 
 
@@ -385,37 +382,17 @@ def coefficient_map(rho: Action, x, y=None):
     return BundleMap(rho.source, rho.target.bundle, rho.hom, mats)
 
 
-def separate_pre_action(rho0: Action, tol: Tolerance | None = None,
-                        seed: int = 0, checks: int = 12) -> Action:
+def separate_pre_action(rho0: Action, tol: Tolerance | None = None, seed: int = 0) -> Action:
     """Descend a pre-action on a semi-inner bundle to the separated bundle.
 
     Pre-actions must satisfy the contractivity inequality
     <rho(a)x, rho(a)x> <= ||a||^2 <x, x>  (which also sends null vectors to
-    null vectors); it is validated on random data before quotienting.
+    null vectors).  validate_action covers it: Gram domination on A_e with
+    multiplicativity and adjoint symmetry gives it for a in A_g through a*a.
+    Its first failing item raises CompatibilityViolationError.
     """
-    tol = tol or DEFAULT_TOL
-    x = rho0.target
-    src = rho0.source
-    grp, tgt = src.group, x.bundle.group
-    rng = np.random.default_rng(seed)
-    for _ in range(checks):
-        g = int(rng.integers(grp.order))
-        h = int(rng.integers(tgt.order))
-        if src.dims[g] == 0 or x.dims[h] == 0:
-            continue
-        a = src.random_coords(g, rng)
-        v = x.random_vector(h, rng)
-        na = src.fiber_norm(g, a)
-        out = tgt.mul(rho0.hom(g), h)
-        w = rho0.apply(g, a, h, v)
-        diff = na * na * x.inner_ambient(h, v, h, v) - x.inner_ambient(out, w, out, w)
-        # the Hermitian part of diff, judged against ||a||^2 alone
-        ok, _, _ = judge_psd(*stack_spectra(diff[None]), tol, hermitian_bound=np.inf,
-                             bound=identity_bound(tol) * max(1.0, na * na))
-        if not ok[0]:
-            raise CompatibilityViolationError(
-                "pre-action violates the contractivity inequality")
-    hil, quotients = separate(x, tol)
+    validate_action(rho0, tol, seed=seed).refuse(CompatibilityViolationError, "pre-action")
+    hil, quotients = separate(rho0.target, tol)
     return compress_action(rho0, [q.conj().T for q in quotients], hil)
 
 

@@ -20,10 +20,9 @@ from . import __version__
 from .actions import l2_action, regularize_action, trivial_action, validate_action
 from .bundles import check_saturated, dynamical_bundle, group_bundle, validate_bundle
 from .correspondences import (
+    Correspondence,
     amplified_correspondence,
     amplified_is_star_rep,
-    attach_left_action,
-    build_module,
     check_cyclic,
     check_nondegenerate,
     trivial_self_equivalence,
@@ -255,8 +254,12 @@ def cmd_correspond(args) -> int:
     payload = {"action_report": act_rep.as_dict()}
     ok = act_rep.ok
     if ok:
-        y = attach_left_action(build_module(rho.target, tol, seed=args.seed),
-                               rho, tol, seed=args.seed)
+        # judged only after the action passes, so a refuted action costs no more
+        module_rep = validate_hilbert_bundle(rho.target, tol)
+        payload["module_report"] = module_rep.as_dict()
+        ok = module_rep.ok
+    if ok:
+        y = Correspondence(rho.target, action=rho)
         amp = amplified_correspondence(y)
         payload["module_dimension"] = y.dim
         payload["nondegenerate"] = check_nondegenerate(y, tol)

@@ -6,8 +6,16 @@ product; attaching a left action of another bundle turns it into a
 correspondence between the two cross-sectional C*-algebras.  Norms are
 operator norms of the ambient image sum_g <xi, xi>(g) of the
 algebra-valued Gram (exact at finite dimension when the fiber sum is
-direct; crosssec.ambient_image refuses other bundles).  Module vectors are
-coordinatized on the direct sum of the fibers.
+direct; Correspondence refuses other bundles by crosssec.require_direct,
+the rule of crosssec.ambient_image).  Module vectors are coordinatized on
+the direct sum of the fibers.
+
+build_module and attach_left_action judge their inputs with the fiberwise
+batteries, hilbundles.validate_hilbert_bundle and actions.validate_action,
+and raise on the first failing item.  The section-level identities follow
+from the fiberwise ones by linearity, and the bound ||f . xi|| <=
+||f|| ||xi|| from multiplicativity and adjointability, as for any
+*-homomorphism into adjointable operators.
 
 Because the groups here are finite, the full and reduced module
 completions coincide, so the delicate extension questions for the reduced
@@ -37,14 +45,12 @@ import numpy as np
 from .actions import Action, WrongFiberError, compress_action, left_multiplication, \
     validate_action
 from .bundles import FellBundle, bundles_equal
-from .crosssec import Section, _diagonal_sum, ambient_image, convolve, cstar_norm, star
+from .crosssec import Section, _diagonal_sum, convolve, cstar_norm, require_direct, star
 from .groups import identity_hom
 from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
-    compress_bundle, trace_gram_stacks, trace_localize, trivial_hilbert_bundle, \
-    validate_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, block_spectra, chunks, identity_bound, \
-    judge_definite, judge_psd, orthonormal_basis, padded, product_bound, rank_check, relative, \
-    stack_spectra, stored, worst_relative
+    compress_bundle, trace_localize, trivial_hilbert_bundle, validate_hilbert_bundle
+from .numerics import DEFAULT_TOL, Tolerance, chunks, identity_bound, orthonormal_basis, padded, \
+    product_bound, rank_check, relative, stored, worst_relative
 from .reports import Report
 
 
@@ -61,6 +67,10 @@ class Correspondence:
     algebra of its target bundle, with an optional left bundle action."""
 
     def __init__(self, hbundle: SemiInnerBundle, action: Action | None = None):
+        # norm is the ambient C*-norm: both bundles need a direct fiber sum
+        require_direct(hbundle.bundle)
+        if action is not None:
+            require_direct(action.source)
         self.hbundle = hbundle
         self.bundle = hbundle.bundle
         self.offsets = np.concatenate([[0], np.cumsum(hbundle.dims)]).astype(int)
@@ -162,63 +172,28 @@ def _pairings(tensor, x, y) -> np.ndarray:
     return (y[None, :, None, :] @ w.reshape(order, order, dm, d))[:, :, 0]
 
 
-def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None,
-                 seed: int = 0, checks: int = 6) -> Correspondence:
-    """Wrap a Hilbert bundle's section space as a right module and verify
-    the module identities on random data (raises InvalidBundleError)."""
-    tol = tol or DEFAULT_TOL
-    bound = identity_bound(tol)
+def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None) -> Correspondence:
+    """Wrap a Hilbert bundle's section space as a right module.  The module
+    identities follow fiberwise from validate_hilbert_bundle, whose first
+    failing item raises InvalidBundleError."""
     y = Correspondence(hbundle)
-    rng = np.random.default_rng(seed)
-    for _ in range(checks):
-        xi, eta = y.random(rng), y.random(rng)
-        f = Section.random(y.bundle, rng)
-        lhs = y.inner(xi, y.right_mul(eta, f))
-        rhs = convolve(y.inner(xi, eta), f)
-        if not lhs.allclose(rhs, atol=bound * (1 + f.l2_norm())):
-            raise InvalidBundleError("<xi, eta.f> = <xi,eta>*f fails")
-        ok, _, _ = judge_psd(*stack_spectra(ambient_image(y.inner(xi, xi))[None]), tol,
-                             hermitian_bound=bound)
-        if not ok[0]:
-            raise InvalidBundleError("module Gram is not PSD")
-    # the localized Gram is block diagonal with the fiber trace Grams as blocks
-    _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in trace_gram_stacks(hbundle)])
-    if not judge_definite(low, high, tol)[0][0]:
-        raise InvalidBundleError("module inner product is degenerate")
+    validate_hilbert_bundle(hbundle, tol).refuse(InvalidBundleError, "module")
     return y
 
 
-def attach_left_action(y: Correspondence, rho: Action,
-                       tol: Tolerance | None = None, seed: int = 0,
-                       checks: int = 6) -> Correspondence:
-    """Attach a left action and verify on random data that it is adjointable
-    against the module inner product, commutes with the right action, and is
-    bounded by the C*-norm of the acting section."""
-    tol = tol or DEFAULT_TOL
-    bound = identity_bound(tol)
+def attach_left_action(y: Correspondence, rho: Action, tol: Tolerance | None = None,
+                       seed: int = 0) -> Correspondence:
+    """Attach a left action of another bundle.  Adjointability, commutation
+    with the right action and the C*-norm bound on sections follow from the
+    fiberwise identities of validate_action, whose first failing item raises
+    ActionMismatchError."""
     if rho.target is not y.hbundle:
         same = (bundles_equal(rho.target.bundle, y.bundle)
                 and rho.target.dims == y.hbundle.dims)
         if not same:
             raise ActionMismatchError("action acts on a different Hilbert bundle")
     out = Correspondence(y.hbundle, action=rho)
-    rng = np.random.default_rng(seed)
-    for _ in range(checks):
-        xi, eta = out.random(rng), out.random(rng)
-        f = Section.random(rho.source, rng)
-        fr = Section.random(y.bundle, rng)
-        lhs = out.inner(out.left_mul(f, xi), eta)
-        rhs = out.inner(xi, out.left_mul(star(f), eta))
-        scale = (1 + f.l2_norm()) * (1 + out.norm(xi)) * (1 + out.norm(eta))
-        if not lhs.allclose(rhs, atol=bound * scale):
-            raise ActionMismatchError("left action is not adjointable")
-        assoc1 = out.left_mul(f, out.right_mul(xi, fr))
-        assoc2 = out.right_mul(out.left_mul(f, xi), fr)
-        if np.linalg.norm(assoc1 - assoc2) > bound * (1 + np.linalg.norm(assoc1)):
-            raise ActionMismatchError("left and right actions do not commute")
-        limit = cstar_norm(f) * out.norm(xi)
-        if out.norm(out.left_mul(f, xi)) > limit + bound * (1 + limit):
-            raise ActionMismatchError("left action exceeds its C*-norm bound")
+    validate_action(rho, tol, seed=seed).refuse(ActionMismatchError, "left action")
     return out
 
 

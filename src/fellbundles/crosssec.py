@@ -202,15 +202,20 @@ def rep_matrix(rep: RegRep, f: Section) -> np.ndarray:
     return out
 
 
-def ambient_image(f: Section) -> np.ndarray:
-    """sum_g f(g) in M_n, the faithful image of a section over a bundle whose
-    fiber sum is direct (NotDirectError otherwise)."""
-    bundle = f.bundle
+def require_direct(bundle: FellBundle) -> None:
+    """Refuse a bundle whose fiber sum is not direct (NotDirectError): the
+    ambient image of its sections is not faithful."""
     if not bundle.direct:
         raise NotDirectError(
             f"directness of fiber sum fails (residual {bundle.directness_residual:.2e}); "
             "sections have no faithful ambient image")
-    return np.tensordot(f.coeff_array, bundle.fiber_array, axes=2)
+
+
+def ambient_image(f: Section) -> np.ndarray:
+    """sum_g f(g) in M_n, the faithful image of a section over a bundle whose
+    fiber sum is direct (NotDirectError otherwise)."""
+    require_direct(f.bundle)
+    return np.tensordot(f.coeff_array, f.bundle.fiber_array, axes=2)
 
 
 def cstar_norm(f: Section) -> float:

@@ -39,6 +39,14 @@ class Report:
     def failures(self) -> list[CheckItem]:
         return [item for item in self.items if not item.ok]
 
+    def refuse(self, error: type[Exception], who: str, messages: dict | None = None) -> None:
+        """Raise `error` for the first failing item, with its entry in
+        `messages` or else "<who> fails <item name>"; return if all passed."""
+        failed = self.failures()
+        if failed:
+            name = failed[0].name
+            raise error((messages or {}).get(name, f"{who} fails {name}"))
+
     def as_dict(self) -> dict:
         return {
             "subject": self.subject,

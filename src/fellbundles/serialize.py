@@ -228,25 +228,32 @@ def _decode(data, shape, what: str) -> np.ndarray:
     return pairs.view(np.complex128)[..., 0]
 
 
+def _bool_or_str(value) -> bool:
+    """Whether a JSON value, or an entry of its nested lists, is a boolean or
+    a string: integer fields refuse both, though Python reads them as ints."""
+    if isinstance(value, list):
+        return any(map(_bool_or_str, value))
+    return isinstance(value, (bool, str))
+
+
 def integer(value, what: str) -> int:
-    """An integer field; a number with a fractional part is refused, an
-    integral float such as 3.0 is read as its integer."""
+    """An integer field; a boolean, a string or a number with a fractional
+    part is refused, an integral float such as 3.0 is read as its integer."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc
-    if not isinstance(value, str) and out != value:
+    if _bool_or_str(value) or out != value:
         raise FormatError(f"bad {what}: {value!r} is not an integer")
     return out
 
 
 def _integers(value, what: str) -> np.ndarray:
-    """An integer array field, refusing entries with a fractional part as
-    integer does."""
+    """An integer array field, refusing the entries integer refuses."""
     try:
         raw = np.asarray(value)
-        integral = raw.dtype.kind != "f" or bool(np.all(
-            np.isfinite(raw) & (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63)))
+        integral = not _bool_or_str(value) and (raw.dtype.kind != "f" or bool(np.all(
+            np.isfinite(raw) & (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63))))
         out = raw.astype(np.int64) if integral else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad {what}: {exc}") from exc

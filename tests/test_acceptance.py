@@ -257,7 +257,7 @@ def test_criterion_4_axiom_suites(corpus_bundles):
                 assert not validate_action(broken).ok, name
 
         for name, x in hilberts.items():
-            build_module(x, seed=4)  # raises when the module axioms fail
+            build_module(x)  # raises when the module axioms fail
 
     announce(4, "axiom suites on constructors and perturbations", body)
 
@@ -268,8 +268,8 @@ def test_criterion_5_inequality_suite(corpus_bundles):
         setups = [l2_action(corpus_bundles["z3"]),
                   trivial_action(corpus_bundles["m2_ad"]),
                   regularize_action(trivial_action(corpus_bundles["z2"]))]
-        modules = [attach_left_action(build_module(rho.target, seed=6, checks=1),
-                                      rho, seed=6, checks=1) for rho in setups]
+        modules = [attach_left_action(build_module(rho.target),
+                                      rho, seed=6) for rho in setups]
         contractivity = gram_domination = bounded = 0
         while min(contractivity, gram_domination, bounded) < 500:
             pick = int(rng.integers(len(setups)))
@@ -318,7 +318,7 @@ def test_criterion_6_correspondence_identities(corpus_bundles):
             b = corpus_bundles[name]
             grp = b.group
             rho = trivial_action(b)
-            y = attach_left_action(build_module(rho.target, seed=8), rho, seed=8)
+            y = attach_left_action(build_module(rho.target), rho, seed=8)
             for g in grp.elements():
                 for g2 in grp.elements():
                     a = b.random_coords(g, rng)
@@ -332,7 +332,7 @@ def test_criterion_6_correspondence_identities(corpus_bundles):
         for name in ("z3", "m2_ad"):
             b = corpus_bundles[name]
             rho = l2_action(b)
-            y = attach_left_action(build_module(rho.target, seed=9), rho, seed=9)
+            y = attach_left_action(build_module(rho.target), rho, seed=9)
             e = b.group.identity
             for _ in range(10):
                 x = rho.target.random_vector(e, rng)
@@ -401,7 +401,7 @@ def test_criterion_8_cyclicity(corpus_bundles):
         for name in ("z2", "z3", "s3", "m2_ad"):
             b = corpus_bundles[name]
             rho = regularize_action(trivial_action(b))
-            y = attach_left_action(build_module(rho.target, seed=13), rho, seed=13)
+            y = attach_left_action(build_module(rho.target), rho, seed=13)
             e = b.group.identity
             x = np.zeros(rho.target.dims[e], dtype=complex)
             x[e * b.dims[e]:(e + 1) * b.dims[e]] = b.unit_coords
@@ -411,7 +411,7 @@ def test_criterion_8_cyclicity(corpus_bundles):
         flat = FellBundle(g2, 1, [np.eye(1)[None].reshape(1, 1, 1),
                                   np.zeros((0, 1, 1))])
         rho = regularize_action(trivial_action(flat))
-        y = attach_left_action(build_module(rho.target, seed=14), rho, seed=14)
+        y = attach_left_action(build_module(rho.target), rho, seed=14)
         e = g2.identity
         x = np.zeros(rho.target.dims[e], dtype=complex)
         x[e * flat.dims[e]:(e + 1) * flat.dims[e]] = flat.unit_coords

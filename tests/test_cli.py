@@ -218,6 +218,33 @@ def test_correspond_command(tmp_path, capsys):
     assert payload["nondegenerate"] is True
     assert payload["amplified_star_representation"] is True
     assert payload["amplified_dimension"] == 2 * payload["module_dimension"]
+    assert payload["module_report"]["ok"] is True
+    assert payload["module_report"]["subject"] == "hilbert-bundle axioms"
+
+
+def test_correspond_exits_1_when_the_module_fails_its_axioms(tmp_path, capsys):
+    """The Z2 left multiplication with its cross-fiber inner products doubled
+    passes the action battery, not the Hilbert-bundle one: a mathematical
+    failure, not malformed input."""
+    from fellbundles.actions import Action, trivial_action
+    from fellbundles.hilbundles import HilbertBundle
+
+    b = group_bundle(make_cyclic(2))
+    rho = trivial_action(b)
+    x = rho.target
+    inner = [[(1.0 if r == s else 2.0) * np.asarray(x.inner[r][s]) for s in range(2)]
+             for r in range(2)]
+    bent = Action(b, rho.hom, HilbertBundle(b, x.dims, x.act, inner), rho.ops)
+    path = write(tmp_path, "bent.json", sz.action_to_json(bent))
+    code, out = _run_clean(capsys, "validate", path)
+    assert code == 0  # validate_action does not judge its target
+    code, out = _run_clean(capsys, "correspond", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["action_report"]["ok"] is True
+    failed = [c["name"] for c in payload["module_report"]["checks"] if not c["ok"]]
+    assert failed == ["<x, yb> = <x,y>b", "<xb, y> = b*<x,y>", "Cauchy-Schwarz"]
+    assert "module_dimension" not in payload
 
 
 def test_morita_command(tmp_path, capsys):
@@ -637,3 +664,32 @@ def test_build_group_refuses_a_fractional_n(tmp_path, capsys, kind):
     code, out = run(capsys, "build", write(tmp_path, "spec.json", {"kind": kind, "n": 2.5}))
     assert code == 2
     assert json.loads(out)["error"] == "FormatError: bad n: 2.5 is not an integer"
+
+
+@pytest.mark.parametrize("case", ["n true", "n string", "boolean table", "string table",
+                                  "order true", "fiber string"])
+def test_booleans_and_strings_in_integer_fields_exit_2(tmp_path, capsys, case):
+    """JSON booleans and numeric strings are not integers, though Python's
+    int() reads them."""
+    objs = _z2_objects()
+    b = group_bundle(make_cyclic(2))
+    argv = None
+    if case.startswith("n "):
+        spec = {"kind": "cyclic_group", "n": True if case == "n true" else "3"}
+        argv = ["build", write(tmp_path, "spec.json", spec)]
+    elif case.endswith("table"):
+        payload = objs["group"]
+        payload["table"] = [[False, True], [True, False]] if case == "boolean table" \
+            else [["0", "1"], ["1", "0"]]
+    elif case == "order true":
+        payload = objs["group"]
+        payload["order"] = True
+        payload["table"] = [[0]]
+    else:
+        apath = write(tmp_path, "act.json", objs["action"])
+        vpath = write(tmp_path, "vec.json", _unit_vector(b, "0"))
+        argv = ["correspond", apath, "--vector", vpath]
+    argv = argv or ["validate", write(tmp_path, "obj.json", payload)]
+    code, out = _run_clean(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith("FormatError: bad ")

@@ -6,7 +6,11 @@ localized Gram `kron(1, localized_gram(y))`), and `loop_right_mul`,
 `loop_inner`, `loop_left_mul` and `loop_left_inner_section` keep the per-pair
 loops of the module arithmetic, and `loop_generating_vectors` and
 `loop_span_fills_fibers` the per-vector loops of the cyclicity and
-nondegeneracy checks, all verbatim as oracles.
+nondegeneracy checks, all verbatim as oracles.  `loop_build_module`,
+`loop_attach_left_action` and `loop_separate_pre_action` keep the sampled
+guards those functions ran before they called the Hilbert-bundle and action
+batteries: wherever a loop refuses, the battery route must refuse with the
+same exception class, and both must accept every valid input.
 `dense_star_residual` is the same dense check reporting the worst relative
 residual over all draws instead of stopping at the first failure, which is
 what `amplified_is_star_rep` reports.  The block route must give the same
@@ -20,23 +24,31 @@ import numpy as np
 import pytest
 
 from fellbundles import serialize as sz
-from fellbundles.actions import Action, l2_action, regularize_action, trivial_action
-from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle, regular_unitary
+from fellbundles.actions import Action, CompatibilityViolationError, compress_action, \
+    l2_action, regularize_action, separate_pre_action, trivial_action
+from fellbundles.bundles import FellBundle, bundles_equal, dynamical_bundle, group_bundle, \
+    projection_expectation, regular_unitary
 from fellbundles.cli import main
 from fellbundles.correspondences import ActionMismatchError, Correspondence, \
     InvalidBundleError, _generating_vectors, _span_fills_fibers, amplified_correspondence, \
     amplified_is_star_rep, attach_left_action, build_module, check_nondegenerate, \
     left_inner_section, subcorrespondence, trivial_self_equivalence
-from fellbundles.crosssec import Section, convolve, star
-from fellbundles.groups import make_cyclic
-from fellbundles.hilbundles import trace_gram_stacks, trivial_hilbert_bundle
-from fellbundles.numerics import DEFAULT_TOL, block_spectra, dagger, frob, judge_definite, \
-    orthonormal_basis, relative
+from fellbundles.crosssec import Section, ambient_image, convolve, cstar_norm, star
+from fellbundles.groups import identity_hom, make_cyclic
+from fellbundles.hilbundles import HilbertBundle, condexp_raw_semibundle, condexp_semibundle, \
+    l2_bundle, module_bundle_from_dynsys, regularize_bundle, separate, trace_gram_stacks, \
+    trivial_hilbert_bundle, trivial_module
+from fellbundles.numerics import DEFAULT_TOL, block_spectra, dagger, frob, identity_bound, \
+    judge_definite, judge_psd, orthonormal_basis, relative, stack_spectra
+from fellbundles.pdmaps import gelfand_raikov, identity_bundle_map
 
+from test_acceptance import _perturb_hilbert
 from test_actions import z4_to_z2_rep_action
+from test_bundles import M2_BASIS
 from test_bundles_batched import crossed_system
 from test_numerics import definite_verdict, numerical_rank
 from test_pdmaps_batched import m2_z4
+from test_tolerance_governs import LOOSE, scaled
 from test_validators_batched import _c3_s3, _condexp_raw, _gns_zero_fiber, _m2_z3
 
 
@@ -213,6 +225,91 @@ def loop_span_fills_fibers(y, x, tol=None) -> bool:
     return True
 
 
+def loop_build_module(hbundle, tol=None, seed=0, checks=6):
+    """The sampled module guard build_module ran before it called the
+    Hilbert-bundle battery."""
+    tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
+    y = Correspondence(hbundle)
+    rng = np.random.default_rng(seed)
+    for _ in range(checks):
+        xi, eta = y.random(rng), y.random(rng)
+        f = Section.random(y.bundle, rng)
+        lhs = y.inner(xi, y.right_mul(eta, f))
+        rhs = convolve(y.inner(xi, eta), f)
+        if not lhs.allclose(rhs, atol=bound * (1 + f.l2_norm())):
+            raise InvalidBundleError("<xi, eta.f> = <xi,eta>*f fails")
+        ok, _, _ = judge_psd(*stack_spectra(ambient_image(y.inner(xi, xi))[None]), tol,
+                             hermitian_bound=bound)
+        if not ok[0]:
+            raise InvalidBundleError("module Gram is not PSD")
+    # the localized Gram is block diagonal with the fiber trace Grams as blocks
+    _, low, high = block_spectra([(np.ones(len(a)), a[None]) for a in trace_gram_stacks(hbundle)])
+    if not judge_definite(low, high, tol)[0][0]:
+        raise InvalidBundleError("module inner product is degenerate")
+    return y
+
+
+def loop_attach_left_action(y, rho, tol=None, seed=0, checks=6):
+    """The sampled left-action guard attach_left_action ran before it called
+    the action battery."""
+    tol = tol or DEFAULT_TOL
+    bound = identity_bound(tol)
+    if rho.target is not y.hbundle:
+        same = (bundles_equal(rho.target.bundle, y.bundle)
+                and rho.target.dims == y.hbundle.dims)
+        if not same:
+            raise ActionMismatchError("action acts on a different Hilbert bundle")
+    out = Correspondence(y.hbundle, action=rho)
+    rng = np.random.default_rng(seed)
+    for _ in range(checks):
+        xi, eta = out.random(rng), out.random(rng)
+        f = Section.random(rho.source, rng)
+        fr = Section.random(y.bundle, rng)
+        lhs = out.inner(out.left_mul(f, xi), eta)
+        rhs = out.inner(xi, out.left_mul(star(f), eta))
+        scale = (1 + f.l2_norm()) * (1 + out.norm(xi)) * (1 + out.norm(eta))
+        if not lhs.allclose(rhs, atol=bound * scale):
+            raise ActionMismatchError("left action is not adjointable")
+        assoc1 = out.left_mul(f, out.right_mul(xi, fr))
+        assoc2 = out.right_mul(out.left_mul(f, xi), fr)
+        if np.linalg.norm(assoc1 - assoc2) > bound * (1 + np.linalg.norm(assoc1)):
+            raise ActionMismatchError("left and right actions do not commute")
+        limit = cstar_norm(f) * out.norm(xi)
+        if out.norm(out.left_mul(f, xi)) > limit + bound * (1 + limit):
+            raise ActionMismatchError("left action exceeds its C*-norm bound")
+    return out
+
+
+def loop_separate_pre_action(rho0, tol=None, seed=0, checks=12):
+    """The sampled contractivity guard separate_pre_action ran before it
+    called the action battery."""
+    tol = tol or DEFAULT_TOL
+    x = rho0.target
+    src = rho0.source
+    grp, tgt = src.group, x.bundle.group
+    rng = np.random.default_rng(seed)
+    for _ in range(checks):
+        g = int(rng.integers(grp.order))
+        h = int(rng.integers(tgt.order))
+        if src.dims[g] == 0 or x.dims[h] == 0:
+            continue
+        a = src.random_coords(g, rng)
+        v = x.random_vector(h, rng)
+        na = src.fiber_norm(g, a)
+        out = tgt.mul(rho0.hom(g), h)
+        w = rho0.apply(g, a, h, v)
+        diff = na * na * x.inner_ambient(h, v, h, v) - x.inner_ambient(out, w, out, w)
+        # the Hermitian part of diff, judged against ||a||^2 alone
+        ok, _, _ = judge_psd(*stack_spectra(diff[None]), tol, hermitian_bound=np.inf,
+                             bound=identity_bound(tol) * max(1.0, na * na))
+        if not ok[0]:
+            raise CompatibilityViolationError(
+                "pre-action violates the contractivity inequality")
+    hil, quotients = separate(x, tol)
+    return compress_action(rho0, [q.conj().T for q in quotients], hil)
+
+
 # -- the corpus ----------------------------------------------------------------------
 
 def _regular(bundle):
@@ -244,7 +341,7 @@ def correspondences(corpus_bundles):
     valid["M2xZ2 l2"] = l2_action(corpus_bundles["m2_ad"])
     valid["Z4 to Z2"] = z4_to_z2_rep_action()
     valid["C3xS3 trivial"] = trivial_action(_c3_s3())
-    out = {name: attach_left_action(build_module(rho.target, seed=3), rho, seed=3)
+    out = {name: attach_left_action(build_module(rho.target), rho, seed=3)
            for name, rho in valid.items()}
     zero = np.zeros(out["S3 regular"].hbundle.dims[0])
     out["S3 zero subcorrespondence"] = subcorrespondence(out["S3 regular"], zero)
@@ -395,7 +492,7 @@ def test_module_definiteness_matches_the_localized_gram(correspondences):
     assert definite_verdict(localized_gram(Correspondence(hbs["all fibers empty"])))[0]
     assert build_module(hbs["all fibers empty"]).dim == 0
     assert not definite_verdict(localized_gram(Correspondence(hbs["condexp raw"])))[0]
-    with pytest.raises(InvalidBundleError, match="degenerate"):
+    with pytest.raises(InvalidBundleError, match=r"definiteness \(localized Grams full rank\)"):
         build_module(hbs["condexp raw"])
 
 
@@ -412,3 +509,130 @@ def test_correspond_reports_the_star_residual_and_its_bound(tmp_path, capsys, co
     assert payload["amplified_star_bound"] == 1e-8
     assert close(payload["amplified_star_residual"], want)
     assert 0.0 < payload["amplified_star_residual"] <= payload["amplified_star_bound"]
+
+
+# -- the module guards against their sampled loops ----------------------------------
+
+def refusal(guard, *args):
+    """The exception class a guard raises, or None when it accepts."""
+    try:
+        guard(*args)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+def _axiom_suite(corpus_bundles):
+    """The Hilbert bundles and actions of test_acceptance's axiom suite, each
+    followed by its perturbation there (same generator, same order): names
+    ending in "perturbed" are broken."""
+    rng = np.random.default_rng(3)
+    b, z3 = corpus_bundles["m2_ad"], corpus_bundles["z3"]
+    swap_basis = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    swap_alpha = [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    gns_hb, gns_rho, _ = gelfand_raikov(identity_bundle_map(z3))
+    hilberts = {
+        "trivial": trivial_hilbert_bundle(b),
+        "regular": regularize_bundle(trivial_hilbert_bundle(z3)),
+        "l2": l2_bundle(z3),
+        "dynamical": module_bundle_from_dynsys(trivial_module(swap_basis), make_cyclic(2),
+                                               swap_alpha),
+        "condexp": condexp_semibundle(projection_expectation(b, b))[0],
+        "gns": gns_hb,
+    }
+    for name in list(hilberts):
+        hilberts[f"{name} perturbed"] = _perturb_hilbert(hilberts[name], rng)
+    actions = {
+        "trivial": trivial_action(b),
+        "regular": regularize_action(trivial_action(z3)),
+        "l2": l2_action(z3),
+        "rep": z4_to_z2_rep_action(),
+        "gns": gns_rho,
+    }
+    for name in list(actions):
+        rho = actions[name]
+        bad_ops = [[arr.copy() for arr in row] for row in rho.ops]
+        g = int(rng.integers(rho.source.group.order))
+        h = int(rng.integers(rho.target.bundle.group.order))
+        if np.prod(bad_ops[g][h].shape):
+            bad_ops[g][h] = bad_ops[g][h] + 1e-3 * (
+                rng.standard_normal(bad_ops[g][h].shape)
+                + 1j * rng.standard_normal(bad_ops[g][h].shape))
+            actions[f"{name} perturbed"] = Action(rho.source, rho.hom, rho.target, bad_ops)
+    return hilberts, actions
+
+
+def _guard_fixtures(corpus_bundles):
+    """(Hilbert bundles, actions), each a name -> (object, tolerance) dict:
+    the corpus's trivial, l2 and regular constructions, the axiom suite and
+    its perturbations, and the inputs test_tolerance_governs bends by
+    5e-8, at the default and at the ten times looser tolerance."""
+    hilberts, actions = _axiom_suite(corpus_bundles)
+    hbs = {name: (hb, DEFAULT_TOL) for name, hb in hilberts.items()}
+    rhos = {name: (rho, DEFAULT_TOL) for name, rho in actions.items()}
+    for label, b in corpus_bundles.items():
+        for kind, rho in (("trivial", trivial_action(b)), ("l2", l2_action(b)),
+                          ("regular", _regular(b))):
+            hbs[f"{label} {kind}"] = (rho.target, DEFAULT_TOL)
+            rhos[f"{label} {kind}"] = (rho, DEFAULT_TOL)
+    z3 = group_bundle(make_cyclic(3))
+    hb, rho = trivial_hilbert_bundle(z3), trivial_action(z3)
+    bent_hb = HilbertBundle(z3, hb.dims, scaled(hb.act), hb.inner)
+    bent_rho = Action(z3, rho.hom, rho.target, scaled(rho.ops))
+    for tol, label in ((DEFAULT_TOL, "bent"), (LOOSE, "bent, loose")):
+        hbs[label] = (bent_hb, tol)
+        rhos[label] = (bent_rho, tol)
+    return hbs, rhos
+
+
+def _valid(name):
+    return "perturbed" not in name and name != "bent"
+
+
+def _pre_actions(corpus_bundles):
+    """The actions of _guard_fixtures plus the compressed left multiplication
+    of M2 on the raw semi-inner bundle of the corner expectation, as it is
+    and with its operators doubled (perturbed)."""
+    _, rhos = _guard_fixtures(corpus_bundles)
+    triv = make_cyclic(1)
+    sup = FellBundle(triv, 2, [M2_BASIS])
+    sub = FellBundle(triv, 2, [np.array([np.diag([1.0, 0.0])])])
+    raw = condexp_raw_semibundle(projection_expectation(sup, sub))
+    ops = np.stack([sup.left_mult_matrix(0, np.eye(4)[i], 0) for i in range(4)])
+    rhos["corner pre-action"] = (Action(sup, identity_hom(triv), raw, [[ops]]), DEFAULT_TOL)
+    rhos["corner pre-action doubled perturbed"] = (
+        Action(sup, identity_hom(triv), raw, [[2.0 * ops]]), DEFAULT_TOL)
+    return rhos
+
+
+def _assert_battery_covers_loop(cases, loop, guard):
+    """Where the loop refuses the guard refuses with the same class; both
+    accept every valid case.  Returns the names the loop refused."""
+    refused = set()
+    for name, args in cases.items():
+        want, got = refusal(loop, *args), refusal(guard, *args)
+        if want is not None:
+            refused.add(name)
+            assert got is want, (name, got, want)
+        if _valid(name):
+            assert want is None and got is None, (name, got, want)
+    return refused
+
+
+def test_module_guard_refuses_where_its_loop_does(corpus_bundles):
+    hbs, _ = _guard_fixtures(corpus_bundles)
+    assert _assert_battery_covers_loop(hbs, loop_build_module, build_module)
+
+
+def test_left_action_guard_refuses_where_its_loop_does(corpus_bundles, correspondences):
+    _, rhos = _guard_fixtures(corpus_bundles)
+    cases = {name: (Correspondence(rho.target), rho, tol) for name, (rho, tol) in rhos.items()}
+    cases.update({name: (Correspondence(y.hbundle), y.action, DEFAULT_TOL)
+                  for name, y in correspondences.items()})
+    assert _assert_battery_covers_loop(cases, loop_attach_left_action, attach_left_action)
+
+
+def test_pre_action_guard_refuses_where_its_loop_does(corpus_bundles):
+    refused = _assert_battery_covers_loop(_pre_actions(corpus_bundles),
+                                          loop_separate_pre_action, separate_pre_action)
+    assert "corner pre-action doubled perturbed" in refused, refused

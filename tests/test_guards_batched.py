@@ -255,7 +255,7 @@ def loop_check_invariant(y, basis):
 
 def _correspondence(bundle, seed):
     rho = l2_action(bundle)
-    return attach_left_action(build_module(rho.target, seed=seed), rho, seed=seed)
+    return attach_left_action(build_module(rho.target), rho, seed=seed)
 
 
 def _invariance_cases():
