@@ -16,14 +16,15 @@ fiber bases.  Each identity is one gather through the Cayley tables,
 grp.inverse and phi plus one batched matmul over all tuples (g, g', h) or
 (g, h, h'); the random-data bounds draw their samples in the order of the
 per-sample loop, then evaluate them together.  Batches are chunked so
-their intermediates stay near numerics.CHUNK_BYTES (4 MiB).
+their intermediates stay near numerics.CHUNK_BYTES (4 MiB).  `l2_action`
+reads its operators from `bundles.regular_representations`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundles import FellBundle, dynamical_bundle
+from .bundles import FellBundle, dynamical_bundle, regular_representations, regular_unitaries
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, check_shapes, \
     check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
@@ -32,6 +33,7 @@ from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judg
     padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
 from .reports import Report
 
+SAMPLES = 8  # the random draws of each sampled bound of validate_action
 
 class CompatibilityViolationError(ValueError):
     pass
@@ -76,8 +78,7 @@ class Action:
         return self.op_matrix(g, acoords, h) @ np.asarray(x)
 
 
-def validate_action(rho: Action, tol: Tolerance | None = None,
-                    seed: int = 0, samples: int = 8) -> Report:
+def validate_action(rho: Action, tol: Tolerance | None = None, seed: int = 0) -> Report:
     tol = tol or DEFAULT_TOL
     bound = identity_bound(tol)
     rep = Report("action axioms")
@@ -152,7 +153,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
     # ||rho(a)x|| <= ||a|| ||x|| on random data, drawn in loop order
     rng = np.random.default_rng(seed)
     draws = []
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         g = int(rng.integers(grp.order))
         h = int(rng.integers(tgt.order))
         if src.dims[g] == 0 or x.dims[h] == 0:
@@ -182,7 +183,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
     e = grp.identity
     if src.dims[e] and bundle.total_dim and dm:
         draws = []
-        for _ in range(samples):
+        for _ in range(SAMPLES):
             ae = src.random_coords(e, rng)
             he = [phi[int(rng.integers(grp.order))] for _ in range(3)]
             draws.append((ae, he, [x.random_vector(h, rng) for h in he]))
@@ -191,7 +192,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None,
         xs = padded([d[2] for d in draws], (dm,))
         # per sample: nine gathered (dm, dm, db) blocks per Gram, three ops
         # blocks and a few 3n x 3n block matrices
-        for idx in chunks(samples, 9 * dm * dm * db + 3 * da * dm * dm + 4 * (3 * n) ** 2):
+        for idx in chunks(SAMPLES, 9 * dm * dm * db + 3 * da * dm * dm + 4 * (3 * n) ** 2):
             k = len(idx)
             ys = applied(np.full(3 * k, e), np.repeat(a[idx], 3, axis=0), hs[idx].ravel(),
                          xs[idx].reshape(-1, dm)).reshape(k, 3, dm)
@@ -221,38 +222,21 @@ def trivial_action(bundle: FellBundle) -> Action:
 
 
 def regularize_action(rho: Action) -> Action:
-    """Shifted block-diagonal action on the regularized bundle."""
-    src = rho.source
-    tgt = rho.target.bundle.group
-    reg = regularize_bundle(rho.target)
-    phi = rho.hom
-    n = tgt.order
-    ops = []
-    for g in src.group.elements():
-        shift = np.zeros((n, n))
-        for t in tgt.elements():
-            shift[tgt.mul(phi(g), t), t] = 1.0
-        ops.append([np.kron(shift, blk) for blk in rho.ops[g]])
-    return Action(src, phi, reg, ops)
+    """Shifted block-diagonal action on the regularized bundle: a in A_g
+    acts as the left-regular shift of phi(g) (x) rho(a)."""
+    shifts = regular_unitaries(rho.target.bundle.group).real[rho.hom.map]
+    ops = [[np.kron(shift, blk) for blk in row] for shift, row in zip(shifts, rho.ops)]
+    return Action(rho.source, rho.hom, regularize_bundle(rho.target), ops)
 
 
 def l2_action(bundle: FellBundle) -> Action:
-    """Regular-representation action on the square-summable bundle."""
+    """Regular-representation action on the square-summable bundle: b_i in
+    A_r acts as the left regular representation, whatever the target
+    fiber."""
     grp = bundle.group
-    y = l2_bundle(bundle)
-    offs = np.concatenate([[0], np.cumsum(bundle.dims)]).astype(int)
-    total = int(offs[-1])
-    ops = []
-    for r in grp.elements():
-        # the block of b_i in A_r from tsrc = r^-1 t to t reads slice i of the
-        # product tensor; the operator does not depend on the target fiber
-        mats = np.zeros((bundle.dims[r], total, total), dtype=np.complex128)
-        for t in grp.elements():
-            tsrc = grp.mul(grp.inv(r), t)
-            mats[:, offs[t]:offs[t + 1], offs[tsrc]:offs[tsrc + 1]] = \
-                bundle.prod[r][tsrc].transpose(0, 2, 1)
-        ops.append([mats] * grp.order)
-    return Action(bundle, identity_hom(grp), y, ops)
+    left = regular_representations(bundle)[0]
+    ops = [[left[r, :d]] * grp.order for r, d in enumerate(bundle.dims)]
+    return Action(bundle, identity_hom(grp), l2_bundle(bundle), ops)
 
 
 def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,

@@ -26,7 +26,9 @@ coordinates of every adjoint and product it checks with one least-squares
 call, judges the automorphism battery over all (g, i, j) at once (raising
 the error the per-element loop would raise first) and takes its fibers from
 `crossed_stack`, the one construction of the crossed-product embedding,
-which `crossed_embed` and the module bundles of `hilbundles` read too.
+which `crossed_embed` and the module bundles of `hilbundles` read too; the
+coordinates of every b*c (`FellBundle.adjoint_products`) and the regular
+representations (`regular_representations`) have one construction each.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, as_cmatrix, chunks, decompose_algebra, \
-    freeze, frob, identity_bound, judge_psd, membership_bound, one_block, orthonormal_basis, \
-    padded, product_bound, rank_check, rank_cut, stack_spectra, unit_bound, worst_relative
+    direct_sum_slots, freeze, frob, identity_bound, judge_psd, membership_bound, one_block, \
+    orthonormal_basis, padded, product_bound, rank_check, rank_cut, stack_spectra, unit_bound, \
+    worst_relative
 from .reports import Report
 
 
@@ -179,6 +182,17 @@ class FellBundle:
         self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
         self.unital = self.unital_at(self._tol)
 
+    @functools.cached_property
+    def adjoint_products(self) -> np.ndarray:
+        """The padded, read-only (|G|, |G|, db, db, db) array whose entry
+        [g, h, i, j] holds the coordinates of (b_i^g)* b_j^h in A_{g^-1 h}:
+        the star tensor times the product tensor, formed on first use."""
+        n, db = self.group.order, self.star_array.shape[-1]
+        sp = (self.star_array[:, None] @ self.prod_array[self.group.inverse].reshape(
+            n, n, db, db * db)).reshape(n, n, db, db, db)
+        sp.flags.writeable = False
+        return sp
+
     # -- irreducible blocks ------------------------------------------------
 
     def _decomposed(self, basis, residual: float) -> Blocks:
@@ -314,6 +328,22 @@ def regular_unitaries(group: FiniteGroup) -> np.ndarray:
 def regular_unitary(group: FiniteGroup, g: int) -> np.ndarray:
     """Left-regular permutation matrix of g on C^|G|."""
     return regular_unitaries(group)[g]
+
+
+def regular_representations(bundle: FellBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right regular representations on the direct sum of the
+    fibers (`numerics.direct_sum_slots`): padded (|G|, db, D, D) arrays, D
+    the total fiber dimension, left[g, i] the matrix of x -> b_i^g x and
+    right[h, i] that of x -> x b_i^h.  Each is one gather of the product
+    tensor where the Cayley table sends the column's fiber to the row's."""
+    grp, prod = bundle.group, bundle.prod_array
+    t, a = direct_sum_slots(bundle.dims)
+    tr, ar, tc, ac = t[:, None], a[:, None], t[None, :], a[None, :]  # row and column slots
+    k, i = np.arange(grp.order)[:, None, None, None], np.arange(prod.shape[2])[:, None, None]
+    # b_i^k sends component a of A_t to A_{kt}, x b_i^k sends it to A_{tk}
+    left = np.where(grp.table[k, tc] == tr, prod[k, tc, i, ac, ar], 0)
+    right = np.where(grp.table[tc, k] == tr, prod[tc, k, ac, i, ar], 0)
+    return left, right
 
 
 def _subalgebra_coords(basis_flat: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -358,6 +359,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early: quiet the flush at exit, exit as for any OSError
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BAD_INPUT
+
+
+def _main(argv) -> int:
     from .bundles import NotActionError, NotAutomorphismError
 
     args = make_parser().parse_args(argv)

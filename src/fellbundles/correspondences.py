@@ -49,10 +49,12 @@ from .crosssec import Section, _diagonal_sum, convolve, cstar_norm, require_dire
 from .groups import identity_hom
 from .hilbundles import SemiInnerBundle, ShapeMismatchError, block_grams_psd, check_shapes, \
     compress_bundle, trace_localize, trivial_hilbert_bundle, validate_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, chunks, identity_bound, orthonormal_basis, padded, \
-    product_bound, rank_check, relative, stored, worst_relative
+from .numerics import DEFAULT_TOL, Tolerance, chunks, direct_sum_slots, identity_bound, \
+    orthonormal_basis, padded, product_bound, rank_check, relative, stored, worst_relative
 from .reports import Report
 
+STAR_REP_CHECKS = 5  # the pairs of random sections amplified_is_star_rep draws
+IMPRIMITIVITY_CHECKS = 6  # the triples of random sections verify_imprimitivity draws
 
 class InvalidBundleError(ValueError):
     pass
@@ -77,8 +79,7 @@ class Correspondence:
         self.dim = int(self.offsets[-1])
         self.action = action
         # coordinate j of a vector is component _slots[1][j] of fiber _slots[0][j]
-        fiber = np.repeat(np.arange(len(hbundle.dims)), hbundle.dims)
-        self._slots = (fiber, np.arange(self.dim) - self.offsets[fiber])
+        self._slots = direct_sum_slots(hbundle.dims)
 
     # -- coordinates --------------------------------------------------------
 
@@ -337,11 +338,11 @@ class StarRepCheck:
         return self.ok
 
 
-def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0, checks: int = 5,
+def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0,
                           tol: Tolerance | None = None) -> StarRepCheck:
     """Multiplicativity as matrices plus adjointability against the
     localized Gram kron(1, G0) of the amplified module, G0 the block-diagonal
-    matrix of the fiber trace Grams, on `checks` pairs of random sections.
+    matrix of the fiber trace Grams, on STAR_REP_CHECKS pairs of random sections.
 
     Each defect is a sum over k of lambda_k (x) D_k, and the lambda_k have
     disjoint supports with |G| ones each, so its Frobenius norm is
@@ -367,7 +368,7 @@ def amplified_is_star_rep(amp: AmplifiedCorrespondence, seed: int = 0, checks: i
     gram_scale = max(1.0, np.sqrt(ga * _sum_sq(gram)))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(checks):
+    for _ in range(STAR_REP_CHECKS):
         f1 = Section.random(amp.src, rng)
         f2 = Section.random(amp.src, rng)
         b1, b2 = amp.blocks(f1), amp.blocks(f2)
@@ -464,7 +465,7 @@ def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Sect
 
 
 def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
-                         seed: int = 0, checks: int = 6) -> Report:
+                         seed: int = 0) -> Report:
     """Full two-sided verification: both module structures, the compatibility
     identity, fullness on both sides, the section-level imprimitivity
     identity, and equality of the two induced norms."""
@@ -541,7 +542,7 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     y = Correspondence(hb, action=e.left_action())
     rng = np.random.default_rng(seed)
     worst_id, worst_norm = 0.0, 0.0
-    for _ in range(checks):
+    for _ in range(IMPRIMITIVITY_CHECKS):
         xi, eta, zeta = y.random(rng), y.random(rng), y.random(rng)
         lhs = y.left_mul(left_inner_section(e, y, xi, eta), zeta)
         rhs = y.right_mul(xi, y.inner(eta, zeta))

@@ -12,17 +12,18 @@ is a *-homomorphism; it is injective exactly when the fiber sum is direct
 C*-algebras is isometric, so the operator norm of the ambient image is the
 exact C*-norm.  For finite groups the full and reduced norms coincide.
 
-The regular representation on the direct sum of all fibers (RegRep) and the
-block matrix algebras over tuples realized on sums of fibers (MatrixAlgOp)
-are kept as independent oracles for the ambient route; no verdict of the
-library reads them.
+The regular representation on the direct sum of all fibers (RegRep, the
+left half of `bundles.regular_representations`, which the square-summable
+module and action read too) and the block matrix algebras over tuples
+realized on sums of fibers (MatrixAlgOp) are kept as independent oracles
+for the ambient route; no verdict of the library reads them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundles import FellBundle, FiberEscapeError
+from .bundles import FellBundle, FiberEscapeError, regular_representations
 from .numerics import DEFAULT_TOL, PsdResult, Tolerance, freeze, grading_guard, judge_psd, \
     membership_bound, opnorm, rank_check, split_draws, stack_spectra
 
@@ -157,36 +158,21 @@ def star(f: Section) -> Section:
 
 
 class RegRep:
-    """Left convolution action on the direct sum of all fibers.
-
-    The images of every graded basis element are cached at construction;
-    afterwards the object is pure and shareable.
-    """
+    """Left convolution action on the direct sum of all fibers: `left`, the
+    left regular representation of `bundles.regular_representations`, and
+    `generators`, the dict of its basis images keyed by (g, i).  The object
+    is pure and shareable."""
 
     def __init__(self, bundle: FellBundle):
         self.bundle = bundle
-        grp = bundle.group
         self.dim = bundle.total_dim
-        self.offsets = np.concatenate([[0], np.cumsum(bundle.dims)]).astype(int)
-        self.generators: dict[tuple[int, int], np.ndarray] = {}
-        for g in grp.elements():
-            for i in range(bundle.dims[g]):
-                m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-                unit = np.eye(bundle.dims[g])[i]
-                for h in grp.elements():
-                    gh = grp.mul(g, h)
-                    blk = bundle.left_mult_matrix(g, unit, h)
-                    m[self.offsets[gh]:self.offsets[gh + 1],
-                      self.offsets[h]:self.offsets[h + 1]] = blk
-                self.generators[(g, i)] = m
+        self.left = regular_representations(bundle)[0]
+        g, i = np.nonzero(np.arange(self.left.shape[1]) < np.asarray(bundle.dims)[:, None])
+        self.generators = dict(zip(zip(g.tolist(), i.tolist()), self.left[g, i]))
 
     def of_element(self, g: int, coeffs) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=np.complex128)
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for i in range(self.bundle.dims[g]):
-            if c[i] != 0:
-                out += c[i] * self.generators[(g, i)]
-        return out
+        return np.tensordot(np.asarray(coeffs, dtype=np.complex128),
+                            self.left[g, :self.bundle.dims[g]], axes=(0, 0))
 
 
 def regular_rep(bundle: FellBundle) -> RegRep:
@@ -196,10 +182,7 @@ def regular_rep(bundle: FellBundle) -> RegRep:
 def rep_matrix(rep: RegRep, f: Section) -> np.ndarray:
     if f.bundle is not rep.bundle:
         raise BundleMismatchError("section does not belong to this representation")
-    out = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-    for g in rep.bundle.group.elements():
-        out += rep.of_element(g, f.coeffs[g])
-    return out
+    return np.tensordot(f.coeff_array, rep.left, axes=2)
 
 
 def require_direct(bundle: FellBundle) -> None:
@@ -226,10 +209,8 @@ def cstar_norm(f: Section) -> float:
 def rep_is_faithful(rep: RegRep, tol: Tolerance | None = None) -> bool:
     """Rank check: the linear map f -> lambda(f) has trivial kernel."""
     tol = tol or DEFAULT_TOL
-    rows = [m.ravel() for m in rep.generators.values()]
-    if not rows:
-        return True
-    return bool(rank_check(np.array(rows), rep.bundle.total_dim, tol)[0])
+    # the padding of `left` adds zero rows, which change no singular value
+    return rep.dim == 0 or bool(rank_check(rep.left.reshape(-1, rep.dim ** 2), rep.dim, tol)[0])
 
 
 class MatrixAlgOp:

@@ -24,7 +24,9 @@ over all tuples (r, s, h) is then one gather through grp.table and
 grp.inverse plus one batched matmul, and the random-data inequalities draw
 their vectors in the order of the per-tuple loop, then evaluate them
 together.  Batches are chunked so their intermediates stay near
-numerics.CHUNK_BYTES (4 MiB).
+numerics.CHUNK_BYTES (4 MiB).  Every inner product b*c of a constructor is
+read off `FellBundle.adjoint_products`, and l2_bundle's right action off
+`bundles.regular_representations`.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import FellBundle, bundles_equal, crossed_stack, dynamical_bundle
-from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, hermitian_defect, \
-    identity_bound, judge_definite, judge_psd, membership_bound, opnorm, opnorms, padded, \
-    product_bound, rank_check, rank_cut, split_draws, stack_spectra, stored, worst_relative
+from .bundles import FellBundle, bundles_equal, crossed_stack, dynamical_bundle, \
+    regular_representations
+from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, direct_sum_slots, \
+    hermitian_defect, identity_bound, judge_definite, judge_psd, membership_bound, opnorm, \
+    opnorms, padded, product_bound, rank_check, rank_cut, split_draws, stack_spectra, stored, \
+    worst_relative
 from .reports import Report
 
 
@@ -218,8 +222,7 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
 
     # derived (a): <xb, y> = b* <x,y>; sp[h, q] holds the coordinates of
     # b_i^{h*} c_k for c_k in A_q, in A_{h^-1 q}
-    sp = (star[:, None] @ prod[inv].reshape(order, order, db, db * db)).reshape(
-        order, order, db, db, db)
+    sp = bundle.adjoint_products
 
     def left_adjoint(idx):
         r, s, h = tuples(idx, 3)
@@ -294,13 +297,13 @@ def validate_semi_inner_bundle(x: SemiInnerBundle, tol: Tolerance | None = None)
 
 def trivial_hilbert_bundle(bundle: FellBundle) -> HilbertBundle:
     """The bundle as a module over itself, <b, c> = b*c."""
-    grp = bundle.group
+    grp, d = bundle.group, bundle.dims
     # x -> x.b_i from A_r to A_rh reads slice [:, i] of the product tensor
     act = [[p.transpose(1, 2, 0) for p in row] for row in bundle.prod]
-    # <b_u, b_v> = b_u* b_v via the star and product tensors
-    inner = [[np.einsum("uw,wvk->uvk", bundle.star_tensor[r], bundle.prod[grp.inv(r)][s])
-              for s in grp.elements()] for r in grp.elements()]
-    return HilbertBundle(bundle, list(bundle.dims), act, inner)
+    # <b_u, b_v> = b_u* b_v, a block of the adjoint products
+    inner = [[bundle.adjoint_products[r, s, :d[r], :d[s], :d[k]] for s, k in enumerate(row)]
+             for r, row in enumerate(grp.table[grp.inverse].tolist())]
+    return HilbertBundle(bundle, list(d), act, inner)
 
 
 def compress_bundle(x: SemiInnerBundle, bases) -> HilbertBundle:
@@ -358,20 +361,18 @@ def separating_bases(grams, tol: Tolerance | None = None) -> list[np.ndarray]:
 def regularize_bundle(x: SemiInnerBundle) -> HilbertBundle:
     """|H|-fold direct sum per fiber with summed inner product and pointwise
     right action (fiber over r holds functions H -> X_r)."""
-    grp = x.bundle.group
-    n = grp.order
-    dims = [n * m for m in x.dims]
+    n = x.bundle.group.order
     act = [[np.kron(np.eye(n), blk) for blk in row] for row in x.act]
-    inner = [[None] * n for _ in grp.elements()]
-    for r in grp.elements():
-        for s in grp.elements():
-            k = x.inner[r][s].shape[2]
-            out = np.zeros((dims[r], dims[s], k), dtype=np.complex128)
-            mr, ms = x.dims[r], x.dims[s]
-            for t in range(n):
-                out[t * mr:(t + 1) * mr, t * ms:(t + 1) * ms, :] = x.inner[r][s]
-            inner[r][s] = out
-    return HilbertBundle(x.bundle, dims, act, inner)
+    return HilbertBundle(x.bundle, [n * m for m in x.dims], act,
+                         [[_block_diagonal(blk, n) for blk in row] for row in x.inner])
+
+
+def _block_diagonal(blk, n: int) -> np.ndarray:
+    """n copies of blk (a, b, k) down the diagonal of (n a, n b, k) zeros."""
+    a, b, k = blk.shape
+    out = np.zeros((n, a, n, b, k), dtype=np.complex128)
+    out[np.arange(n), :, np.arange(n)] = blk
+    return out.reshape(n * a, n * b, k)
 
 
 def l2_bundle(bundle: FellBundle) -> HilbertBundle:
@@ -381,35 +382,18 @@ def l2_bundle(bundle: FellBundle) -> HilbertBundle:
         (xi . b)(t) = xi(t s^-1) b,   <(xi,r),(eta,s)> = sum_t xi(tr)* eta(ts).
     """
     grp = bundle.group
-    n = grp.order
-    d = bundle.dims
-    offs = np.concatenate([[0], np.cumsum(d)]).astype(int)
-    total = int(offs[-1])
-    dims = [total] * n
-    # the right action by b_i in B_s does not depend on the tag r; its block
-    # from tsrc = t s^-1 to t reads slice [:, i] of the product tensor
-    act_by = []
-    for s in grp.elements():
-        mats = np.zeros((d[s], total, total), dtype=np.complex128)
-        for t in grp.elements():
-            tsrc = grp.mul(t, grp.inv(s))
-            mats[:, offs[t]:offs[t + 1], offs[tsrc]:offs[tsrc + 1]] = \
-                bundle.prod[tsrc][s].transpose(1, 2, 0)
-        act_by.append(mats)
-    act = [act_by] * n
-    inner = [[None] * n for _ in grp.elements()]
-    for r in grp.elements():
-        for s in grp.elements():
-            k = grp.mul(grp.inv(r), s)
-            out = np.zeros((total, total, d[k]), dtype=np.complex128)
-            for t in grp.elements():
-                t2 = grp.mul(grp.mul(t, grp.inv(r)), s)
-                tinv = grp.inv(t)
-                # <delta_t b_i (tag r), delta_t2 b_j (tag s)> = b_i* b_j
-                tensor = np.einsum("iw,wjk->ijk", bundle.star_tensor[t], bundle.prod[tinv][t2])
-                out[offs[t]:offs[t + 1], offs[t2]:offs[t2 + 1], :] = tensor
-            inner[r][s] = out
-    return HilbertBundle(bundle, dims, act, inner)
+    d, quot = bundle.dims, grp.table[grp.inverse]
+    t, a = direct_sum_slots(d)
+    # b_i in B_s acts by the right regular representation, whatever the tag r
+    right = regular_representations(bundle)[1]
+    act = [[right[s, :d[s]] for s in grp.elements()]] * grp.order
+    # <delta_t b_i (tag r), delta_t2 b_j (tag s)> = b_i* b_j when t^-1 t2 = r^-1 s,
+    # so by_quot[k] is the inner product of every pair of tags with r^-1 s = k
+    slot_quot = quot[t[:, None], t[None, :], None]
+    by_quot = np.where(slot_quot == np.arange(grp.order)[:, None, None, None],
+                       bundle.adjoint_products[t[:, None], t[None, :], a[:, None], a[None, :]], 0)
+    return HilbertBundle(bundle, [len(t)] * grp.order, act,
+                         [[by_quot[k, :, :, :d[k]] for k in row] for row in quot.tolist()])
 
 
 # -- Hilbert modules over a concrete C*-algebra ----------------------------
@@ -550,7 +534,6 @@ def condexp_raw_semibundle(exp) -> SemiInnerBundle:
     grp = sup.group
     dims = list(sup.dims)
     act = [[None] * grp.order for _ in grp.elements()]
-    inner = [[None] * grp.order for _ in grp.elements()]
     for g in grp.elements():
         for h in grp.elements():
             mats = []
@@ -559,11 +542,10 @@ def condexp_raw_semibundle(exp) -> SemiInnerBundle:
                 mats.append(sup.right_mult_matrix(g, h, c))
             act[g][h] = np.stack(mats) if mats else np.zeros(
                 (0, dims[grp.mul(g, h)], dims[g]))
-        for g2 in grp.elements():
-            k = grp.mul(grp.inv(g), g2)
-            emap = np.asarray(exp.maps[k])
-            star_prod = np.einsum("uw,wvk->uvk", sup.star_tensor[g], sup.prod[grp.inv(g)][g2])
-            inner[g][g2] = np.einsum("uvk,lk->uvl", star_prod, emap)
+    # E applied to the inner products a* a' of the bundle as a module over itself
+    inner = [[np.einsum("uvk,lk->uvl", star_prod, np.asarray(exp.maps[k]))
+              for star_prod, k in zip(*row)]
+             for row in zip(trivial_hilbert_bundle(sup).inner, grp.table[grp.inverse].tolist())]
     return SemiInnerBundle(sub, dims, act, inner)
 
 

@@ -176,6 +176,14 @@ def stored(blocks, shape):
     return arr, freeze(arr, [[np.shape(b) for b in row] for row in blocks])
 
 
+def direct_sum_slots(dims) -> tuple[np.ndarray, np.ndarray]:
+    """The layout of the direct sum of the C^{d_t}, summands in order:
+    coordinate p is component a[p] of summand t[p]; returns (t, a)."""
+    dims = np.asarray(dims, dtype=int)
+    t = np.repeat(np.arange(len(dims)), dims)
+    return t, np.arange(len(t)) - (np.cumsum(dims) - dims)[t]
+
+
 def split_draws(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
     """Coordinates drawn as consecutive `random_coords` calls (real parts,
     then imaginary parts, of each element in turn), zero-padded to

@@ -377,12 +377,10 @@ def t_values_ambient(t: BundleMap, fibers=None) -> np.ndarray:
     count = int(np.prod(batch))
     dm, dbm = max(src.dims, default=0), max(tgt.dims, default=0)
     quot = grp.table[grp.inverse]  # quot[k, k2] = k^-1 k2
-    star, prod = src.star_array, src.prod_array[grp.inverse]
     mats = padded([t.mats], (dbm, dm))[0]
     # coords of a_x^{k*} a_y^{k2} in A_{k^-1 k2}, then of its image under T
-    spt = (star[:, None] @ prod.reshape(order, order, dm, dm * dm)).reshape(
-        order, order, dm * dm, dm)
-    coords = spt @ mats[quot].transpose(0, 1, 3, 2)  # (G, G, dm*dm, dbm)
+    coords = src.adjoint_products.reshape(order, order, dm * dm, dm) \
+        @ mats[quot].transpose(0, 1, 3, 2)  # (G, G, dm*dm, dbm)
     fibers = fibers.reshape(len(fibers), dbm, count * nb * nb)
     phi_quot = t.hom.map[quot]
     tt = np.empty((count, order, dm, nb, order, dm, nb), dtype=np.complex128)

@@ -35,7 +35,7 @@ from .actions import Action
 from .bundles import FellBundle
 from .correspondences import EquivalenceBundle
 from .crosssec import Section
-from .groups import FiniteGroup, GroupHom, make_from_table
+from .groups import FiniteGroup, GroupHom, check_hom, make_from_table
 from .hilbundles import HilbertBundle, SemiInnerBundle
 from .numerics import DEFAULT_TOL, Tolerance
 from .pdmaps import BundleMap
@@ -437,7 +437,11 @@ def group_from_json(data) -> FiniteGroup:
 
 
 def _hom(source: FiniteGroup, target: FiniteGroup, data) -> GroupHom:
-    return GroupHom(source, target, _integers(data["phi"], "phi"))
+    """The group homomorphism "phi" of `data` (FormatError if it is not one)."""
+    phi = GroupHom(source, target, _integers(data["phi"], "phi"))
+    if not check_hom(phi):
+        raise FormatError("bad phi: not a group homomorphism")
+    return phi
 
 
 # -- bundles ------------------------------------------------------------------
@@ -570,8 +574,8 @@ def hilbert_to_json(x: SemiInnerBundle) -> dict:
     return _lists(hilbert_tree(x))
 
 
-def hilbert_from_json(data, definite: bool = True, bundle: FellBundle | None = None,
-                      tol: Tolerance | None = None) -> SemiInnerBundle:
+def hilbert_from_json(data, bundle: FellBundle | None = None,
+                      tol: Tolerance | None = None) -> HilbertBundle:
     """The Hilbert bundle of `data`, over `bundle` when the caller has
     parsed data["bundle"] already, else over data["bundle"] built at `tol`."""
     try:
@@ -593,8 +597,7 @@ def hilbert_from_json(data, definite: bool = True, bundle: FellBundle | None = N
         raw_inner[f"{r},{s}"],
         (dims[r], dims[s], bundle.dims[grp.mul(grp.inv(r), s)]))
         for s in grp.elements()] for r in grp.elements()]
-    cls = HilbertBundle if definite else SemiInnerBundle
-    return cls(bundle, dims, act, inner)
+    return HilbertBundle(bundle, dims, act, inner)
 
 
 def action_tree(rho: Action) -> dict:

@@ -693,3 +693,51 @@ def test_booleans_and_strings_in_integer_fields_exit_2(tmp_path, capsys, case):
     code, out = _run_clean(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"].startswith("FormatError: bad ")
+
+
+def test_a_phi_that_is_not_a_homomorphism_exits_2(tmp_path, capsys):
+    """phi(e) = e fails for [1, 1, 1] and multiplicativity for [0, 1, 1]:
+    an action, a bundle map and a scalar-map build spec carrying either are
+    malformed input, refused where the file is read."""
+    from fellbundles.actions import trivial_action
+    from fellbundles.groups import GroupHom
+
+    b = group_bundle(make_cyclic(3))
+    action = sz.action_to_json(trivial_action(b))
+    path = write(tmp_path, "action.json", {**action, "phi": [1, 1, 1]})
+    for command in ("validate", "correspond"):
+        code, out = run(capsys, command, path)
+        assert code == 2, command
+        assert json.loads(out)["error"] == "FormatError: bad phi: not a group homomorphism"
+    bent = scalar_bundle_map(b, b, GroupHom(b.group, b.group, [0, 1, 1]), [1.0, 0.0, 0.0])
+    path = write(tmp_path, "map.json", sz.bundle_map_to_json(bent))
+    for command in ("pd-check", "gns"):
+        code, out = run(capsys, command, path)
+        assert code == 2, command
+        assert "bad phi" in json.loads(out)["error"]
+    bundle = sz.bundle_to_json(b)
+    spec = {"kind": "scalar_bundle_map", "source": bundle, "target": bundle,
+            "values": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    code, _ = run(capsys, "build", write(tmp_path, "good.json", {**spec, "phi": [0, 1, 2]}))
+    assert code == 0
+    code, out = run(capsys, "build", write(tmp_path, "spec.json", {**spec, "phi": [0, 1, 1]}))
+    assert code == 2
+    assert "bad phi" in json.loads(out)["error"]
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    """Python's SIGPIPE recipe: a report written to a pipe nobody reads
+    exits 2, as any other OSError does, and prints no traceback."""
+    from fellbundles.actions import l2_action
+
+    path = write(tmp_path, "z4.json", sz.action_to_json(l2_action(group_bundle(make_cyclic(4)))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "fellbundles.cli", "validate", path],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True,
+                           env=_child_env())
+    finally:
+        os.close(write_end)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "BrokenPipeError" not in r.stderr
