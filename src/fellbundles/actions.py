@@ -18,17 +18,20 @@ grp.inverse and phi plus one batched matmul over all tuples (g, g', h) or
 per-sample loop, then evaluate them together.  Batches are chunked so
 their intermediates stay near numerics.CHUNK_BYTES (4 MiB).  `l2_action`
 reads its operators from `bundles.regular_representations`.
+`validate_module` judges a Hilbert module and its left action as bundles
+over the one-point group; `coefficient_map` returns a `bundles.BundleMap`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bundles import FellBundle, dynamical_bundle, regular_representations, regular_unitaries
-from .groups import GroupHom, identity_hom
+from .bundles import BundleMap, FellBundle, NotAutomorphismError, dynamical_bundle, \
+    regular_representations, regular_unitaries
+from .groups import GroupHom, identity_hom, make_cyclic
 from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, check_shapes, \
     check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
-    regularize_bundle, separate, trivial_hilbert_bundle
+    regularize_bundle, separate, trivial_hilbert_bundle, validate_hilbert_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judge_psd, opnorms, \
     padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
 from .reports import Report
@@ -303,6 +306,34 @@ def dynsys_action(module: HilbertModule, gamma, sigma, omega, hom: GroupHom,
     return Action(source, hom, target, ops)
 
 
+def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
+    """The Hilbert-module axioms, as the bundle axioms over the one-point
+    group: the items of validate_hilbert_bundle on the module as a Hilbert
+    bundle (module_bundle_from_dynsys with beta = 1), then, for a module
+    with a left action, the items of validate_action on that action of the
+    left algebra as a one-point bundle (dynsys_action with gamma = 1).  A
+    basis that is not *-closed raises ValueError("algebra basis is not
+    *-closed"); one not closed under products, dynamical_bundle's."""
+    tol = tol or DEFAULT_TOL
+    point, rep = make_cyclic(1), Report("hilbert-module axioms")
+    ident = [np.eye(len(x.algebra_basis))]  # the one automorphism of the one-point group
+    try:
+        if x.left is None:
+            target = module_bundle_from_dynsys(x, point, ident)
+        else:
+            left = (x.left_basis, point, [np.eye(len(x.left_basis))])
+            rho = dynsys_action(x, [np.eye(x.dim)], left, (x.algebra_basis, point, ident),
+                                identity_hom(point), tol)
+            target = rho.target
+    except NotAutomorphismError as exc:
+        # the identity sends a* out of A exactly when the basis is not *-closed
+        raise ValueError("algebra basis is not *-closed") from exc
+    rep.items = validate_hilbert_bundle(target, tol).items
+    if x.left is not None:
+        rep.items += validate_action(rho, tol).items
+    return rep
+
+
 def rep_action(source: FellBundle, pi, module: HilbertModule, hom: GroupHom,
                tol: Tolerance | None = None) -> Action:
     """Action induced by a *-representation of the source bundle on a
@@ -343,23 +374,20 @@ def action_to_star_rep(rho: Action):
     return [rho.ops[g][0] for g in rho.source.group.elements()]
 
 
-def coefficient_map(rho: Action, x, y=None):
-    """Diagonal (or off-diagonal, when y is given) matrix coefficient of an
-    action at unit-fiber vectors: T_g(a) = <x, rho(a) y>."""
-    from .pdmaps import BundleMap
-
+def coefficient_map(rho: Action, x) -> BundleMap:
+    """Diagonal matrix coefficient of an action at a unit-fiber vector:
+    T_g(a) = <x, rho(a) x>."""
     tgt = rho.target.bundle.group
     e = tgt.identity
     x = np.asarray(x, dtype=np.complex128)
-    yy = x if y is None else np.asarray(y, dtype=np.complex128)
-    if x.shape != (rho.target.dims[e],) or yy.shape != (rho.target.dims[e],):
+    if x.shape != (rho.target.dims[e],):
         raise WrongFiberError("coefficient vectors must lie in the unit fiber")
     mats = []
     for g in rho.source.group.elements():
         hg = rho.hom(g)
         cols = []
         for i in range(rho.source.dims[g]):
-            img = rho.ops[g][e][i] @ yy
+            img = rho.ops[g][e][i] @ x
             cols.append(rho.target.inner_coords(e, x, hg, img))
         mats.append(np.stack(cols, axis=1) if cols else
                     np.zeros((rho.target.bundle.dims[hg], 0)))

@@ -29,6 +29,8 @@ the error the per-element loop would raise first) and takes its fibers from
 which `crossed_embed` and the module bundles of `hilbundles` read too; the
 coordinates of every b*c (`FellBundle.adjoint_products`) and the regular
 representations (`regular_representations`) have one construction each.
+A graded map (`BundleMap`) stores one matrix per fiber in the HS bases;
+`projection_expectation` is the one onto a sub-bundle over the identity.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, GroupHom, identity_hom
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, as_cmatrix, chunks, decompose_algebra, \
-    direct_sum_slots, freeze, frob, identity_bound, judge_psd, membership_bound, one_block, \
-    orthonormal_basis, padded, product_bound, rank_check, rank_cut, stack_spectra, unit_bound, \
-    worst_relative
+    direct_sum_slots, freeze, frob, identity_bound, membership_bound, one_block, opnorm, \
+    orthonormal_basis, padded, rank_check, rank_cut, unit_bound
 from .reports import Report
 
 
@@ -276,14 +277,14 @@ class FellBundle:
         return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
-def bundles_equal(b1: FellBundle, b2: FellBundle, atol: float = 1e-10) -> bool:
+def bundles_equal(b1: FellBundle, b2: FellBundle) -> bool:
     """Structural equality: same group table, ambient algebra, and fibers."""
     if b1 is b2:
         return True
     if b1.group != b2.group or b1.ambient_dim != b2.ambient_dim or b1.dims != b2.dims:
         return False
     return all(
-        np.allclose(b1.fibers[g], b2.fibers[g], atol=atol)
+        np.allclose(b1.fibers[g], b2.fibers[g], atol=1e-10)
         for g in b1.group.elements()
     )
 
@@ -478,106 +479,53 @@ def check_saturated(bundle: FellBundle, tol: Tolerance | None = None) -> bool:
     return bool(ok.all())
 
 
-@dataclass
-class CondExpectation:
-    """Fiberwise expectation E_g: A_g -> B_g of a sub-bundle, in fiber bases."""
+class BundleMapMismatchError(ValueError):
+    pass
 
-    sup: FellBundle
-    sub: FellBundle
-    maps: list[np.ndarray]  # maps[g]: (dim B_g, dim A_g)
+
+@dataclass
+class BundleMap:
+    """Family of fiberwise linear maps T_g: A_g -> B_{phi(g)}, stored as
+    matrices in the HS-orthonormal fiber bases."""
+
+    source: FellBundle
+    target: FellBundle
+    hom: GroupHom
+    mats: list[np.ndarray]
 
     def __post_init__(self):
-        if self.sup.group != self.sub.group or self.sup.ambient_dim != self.sub.ambient_dim:
-            raise ValueError("sub-bundle must live in the same ambient algebra and group")
-        for g in self.sup.group.elements():
-            want = (self.sub.dims[g], self.sup.dims[g])
-            if np.asarray(self.maps[g]).shape != want:
-                raise ValueError(f"E_{g} must have shape {want}")
+        if self.hom.source != self.source.group or self.hom.target != self.target.group:
+            raise BundleMapMismatchError("homomorphism does not connect the bundles")
+        fixed = []
+        for g in self.source.group.elements():
+            m = np.asarray(self.mats[g], dtype=np.complex128)
+            want = (self.target.dims[self.hom(g)], self.source.dims[g])
+            if m.shape != want:
+                raise BundleMapMismatchError(f"T_{g} must have shape {want}")
+            fixed.append(m)
+        self.mats = fixed
 
-    def apply(self, g: int, sup_coords) -> np.ndarray:
-        return np.asarray(self.maps[g]) @ np.asarray(sup_coords)
+    def apply(self, g: int, acoords) -> np.ndarray:
+        return self.mats[g] @ np.asarray(acoords, dtype=np.complex128)
 
     def apply_ambient(self, g: int, mat) -> np.ndarray:
-        c, _ = self.sup.coords(g, mat)
-        return self.sub.element(g, self.apply(g, c))
+        c, _ = self.source.coords(g, mat)
+        return self.target.element(self.hom(g), self.apply(g, c))
+
+    def norm(self) -> float:
+        """Largest fiberwise operator norm (HS coordinates); a scale, not a
+        C*-norm."""
+        return max((opnorm(m) for m in self.mats), default=0.0)
 
 
-def projection_expectation(sup: FellBundle, sub: FellBundle) -> CondExpectation:
-    """Fiberwise HS-orthogonal projection onto the sub-bundle.
+def projection_expectation(sup: FellBundle, sub: FellBundle) -> BundleMap:
+    """Fiberwise HS-orthogonal projection onto the sub-bundle, a bundle map
+    over the identity of the group.
 
     This is a genuine conditional expectation whenever the HS projection is
     bimodular for the pair (e.g. compression to a diagonal/averaged
-    subalgebra); check_subbundle_and_expectation decides that.
+    subalgebra); pdmaps.check_subbundle_and_expectation decides that.
     """
-    maps = []
-    for g in sup.group.elements():
-        e = np.einsum("jab,iab->ji", sub.fibers[g].conj(), sup.fibers[g])
-        maps.append(e)
-    return CondExpectation(sup, sub, maps)
-
-
-def check_subbundle_and_expectation(exp: CondExpectation,
-                                    tol: Tolerance | None = None) -> Report:
-    """Verify B_g <= A_g, E restricted to B is the identity, bimodularity
-    over basis triples, and positivity of the induced semi-inner product.
-
-    Every check is whole-array over the padded fiber arrays of both bundles
-    and the padded maps (whose zero rows and columns add zero residuals):
-    E_k(x) is the HS projection of x onto A_k in coordinates, mapped by
-    maps[k] and read back in B_k."""
-    tol = tol or DEFAULT_TOL
-    sup, sub = exp.sup, exp.sub
-    order, tab, inv = sup.group.order, sup.group.table, sup.group.inverse
-    fa, fb, n = sup.fiber_array, sub.fiber_array, sup.ambient_dim
-    da, db = fa.shape[1], fb.shape[1]
-    maps = padded([exp.maps], (db, da))[0]
-    rep = Report("conditional expectation")
-
-    def coords(k, x):
-        """HS coordinates in A_k (T, da) of ambient matrices x (T, n, n)."""
-        return np.einsum("tiab,tab->ti", fa[k].conj(), x)
-
-    def expect(k, x):
-        """E_k(x) of ambient matrices x (T, n, n), ambient."""
-        return np.einsum("tj,tjab->tab", np.einsum("tji,ti->tj", maps[k], coords(k, x)), fb[k])
-
-    # containment: each b_j in B_g against its HS projection onto A_g
-    g, j = np.divmod(np.arange(order * db), db)
-    worst = worst_relative(len(g), (da + 4) * n * n, lambda t: (
-        fb[g[t], j[t]], np.einsum("ti,tiab->tab", coords(g[t], fb[g[t], j[t]]), fa[g[t]])))
-    rep.add("sub-bundle containment B_g in A_g", worst <= membership_bound(tol), worst)
-
-    # idempotence: E_g(b_j) in coordinates against e_j, absolute
-    unit = np.eye(db)[j] * (j < np.asarray(sub.dims)[g])[:, None]
-    worst = worst_relative(len(g), (da + 1) * n * n, lambda t: (
-        np.einsum("tji,ti->tj", maps[g[t]], coords(g[t], fb[g[t], j[t]])), unit[t],
-        np.ones(len(t))))
-    rep.add("idempotence: E restricted to B is the identity",
-            worst <= identity_bound(tol), worst)
-
-    # bimodularity over (gl, g, gr, i, j, l): E(b_i a_j b_l) against
-    # b_i E(a_j) b_l, relative to max(||b_i a_j b_l||_F, 1)
-    ea = expect(np.repeat(np.arange(order), da), fa.reshape(-1, n, n)).reshape(fa.shape)
-    triples = (order, order, order, db, da, db)
-
-    def bimodular(t):
-        gl, g, gr, i, j, l = np.unravel_index(t, triples)
-        b, b2 = fb[gl, i], fb[gr, l]
-        x = b @ fa[g, j] @ b2
-        return expect(tab[tab[gl, g], gr], x), b @ ea[g, j] @ b2, np.linalg.norm(x, axis=(1, 2))
-
-    worst = worst_relative(int(np.prod(triples)), (da + db + 6) * n * n, bimodular)
-    rep.add("bimodularity E(b a b') = b E(a) b'", worst <= product_bound(tol), worst)
-
-    # positivity of <a, a'> = E_{g^-1 g'}(a* a') via the localized Choi Gram,
-    # whose block (p, q) is E_k(a_p* a_q), k = g_p^-1 g_q, over the unpadded
-    # pairs p = (g, i) in order
-    pairs = np.flatnonzero(np.arange(da) < np.asarray(sup.dims)[:, None])
-    gs, elems, size = pairs // da, fa.reshape(-1, n, n)[pairs], len(pairs)
-    prods = elems.conj().swapaxes(-1, -2)[:, None] @ elems[None]
-    vals = expect(tab[inv[gs][:, None], gs].ravel(), prods.reshape(-1, n, n))
-    big = vals.reshape(size, size, n, n).transpose(0, 2, 1, 3).reshape(1, size * n, size * n)
-    (ok,), (residual,), (hermitian,) = judge_psd(*stack_spectra(big), tol)
-    rep.add("positivity of induced semi-inner product", bool(ok), float(residual),
-            "" if hermitian else "Gram is not Hermitian")
-    return rep
+    maps = [np.einsum("jab,iab->ji", sub.fibers[g].conj(), sup.fibers[g])
+            for g in sup.group.elements()]
+    return BundleMap(sup, sub, identity_hom(sup.group), maps)

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .actions import l2_action, regularize_action, trivial_action, validate_action
-from .bundles import check_saturated, dynamical_bundle, group_bundle, validate_bundle
+from .bundles import NotActionError, NotAutomorphismError, check_saturated, dynamical_bundle, \
+    group_bundle, validate_bundle
 from .correspondences import (
     Correspondence,
     amplified_correspondence,
@@ -370,8 +371,6 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    from .bundles import NotActionError, NotAutomorphismError
-
     args = make_parser().parse_args(argv)
     try:
         args.tolerance = Tolerance(rel_psd=args.tol_psd, rel_rank=args.tol_rank)

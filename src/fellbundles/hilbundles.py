@@ -26,7 +26,8 @@ their vectors in the order of the per-tuple loop, then evaluate them
 together.  Batches are chunked so their intermediates stay near
 numerics.CHUNK_BYTES (4 MiB).  Every inner product b*c of a constructor is
 read off `FellBundle.adjoint_products`, and l2_bundle's right action off
-`bundles.regular_representations`.
+`bundles.regular_representations`.  `actions.validate_module` validates
+Hilbert modules over a concrete algebra.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import FellBundle, bundles_equal, crossed_stack, dynamical_bundle, \
+from .bundles import BundleMap, FellBundle, bundles_equal, crossed_stack, dynamical_bundle, \
     regular_representations
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, direct_sum_slots, \
     hermitian_defect, identity_bound, judge_definite, judge_psd, membership_bound, opnorm, \
@@ -461,30 +462,6 @@ def trivial_module(algebra_basis) -> HilbertModule:
     return HilbertModule(basis, k, right, inner, left_basis=basis, left=left)
 
 
-def validate_module(x: HilbertModule, tol: Tolerance | None = None) -> Report:
-    """The Hilbert-module axioms, as the bundle axioms over the one-point
-    group: the items of validate_hilbert_bundle on the module as a Hilbert
-    bundle (module_bundle_from_dynsys with beta = 1), then, for a module
-    with a left action, the items of actions.validate_action on that action
-    of the left algebra as a one-point bundle (dynsys_action with gamma = 1).
-    An algebra basis that does not span a *-algebra raises dynamical_bundle's
-    ValueError."""
-    from .actions import dynsys_action, validate_action
-    from .groups import identity_hom, make_cyclic
-
-    tol = tol or DEFAULT_TOL
-    point, rep = make_cyclic(1), Report("hilbert-module axioms")
-    ident = [np.eye(len(x.algebra_basis))]  # the one automorphism of the one-point group
-    if x.left is None:
-        rep.items = validate_hilbert_bundle(module_bundle_from_dynsys(x, point, ident), tol).items
-        return rep
-    left = (x.left_basis, point, [np.eye(len(x.left_basis))])
-    rho = dynsys_action(x, [np.eye(x.dim)], left, (x.algebra_basis, point, ident),
-                        identity_hom(point), tol)
-    rep.items = validate_hilbert_bundle(rho.target, tol).items + validate_action(rho, tol).items
-    return rep
-
-
 def crossed_coords(bundle: FellBundle, algebra_basis, beta) -> np.ndarray:
     """The HS coordinates of the crossed-product elements (b_i, h) of
     `bundles.crossed_stack` in the padded basis of the fiber over h of
@@ -527,10 +504,10 @@ def module_bundle_from_dynsys(module: HilbertModule, group, beta,
     return HilbertBundle(bundle, [dim] * grp.order, act, inner)
 
 
-def condexp_raw_semibundle(exp) -> SemiInnerBundle:
+def condexp_raw_semibundle(exp: BundleMap) -> SemiInnerBundle:
     """The semi-inner bundle of a conditional expectation before separation:
     the expecting bundle's own fibers with <a, a'> = E_{g^-1 g'}(a* a')."""
-    sup, sub = exp.sup, exp.sub
+    sup, sub = exp.source, exp.target
     grp = sup.group
     dims = list(sup.dims)
     act = [[None] * grp.order for _ in grp.elements()]
@@ -543,13 +520,13 @@ def condexp_raw_semibundle(exp) -> SemiInnerBundle:
             act[g][h] = np.stack(mats) if mats else np.zeros(
                 (0, dims[grp.mul(g, h)], dims[g]))
     # E applied to the inner products a* a' of the bundle as a module over itself
-    inner = [[np.einsum("uvk,lk->uvl", star_prod, np.asarray(exp.maps[k]))
+    inner = [[np.einsum("uvk,lk->uvl", star_prod, exp.mats[k])
               for star_prod, k in zip(*row)]
              for row in zip(trivial_hilbert_bundle(sup).inner, grp.table[grp.inverse].tolist())]
     return SemiInnerBundle(sub, dims, act, inner)
 
 
-def condexp_semibundle(exp, tol: Tolerance | None = None):
+def condexp_semibundle(exp: BundleMap, tol: Tolerance | None = None):
     """Semi-inner bundle of a conditional expectation, <a, a'> =
     E_{g^-1 g'}(a* a'), followed by separation.
 

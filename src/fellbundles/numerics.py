@@ -196,9 +196,9 @@ def split_draws(z: np.ndarray, dims: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def hermitian_defect(m: np.ndarray, floor: float = 1.0) -> float:
-    """Deviation of m from its Hermitian part, relative to max(||m||_F, floor)."""
-    return frob(m - dagger(m)) / max(frob(m), floor)
+def hermitian_defect(m: np.ndarray) -> float:
+    """Deviation of m from its Hermitian part, relative to max(||m||_F, 1)."""
+    return frob(m - dagger(m)) / max(frob(m), 1.0)
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,9 @@ def block_spectra(groups, floor: float = 1.0):
     return np.sqrt(anti) / np.maximum(np.sqrt(norm), floor), low, high
 
 
-def stack_spectra(stack, floor: float = 1.0):
+def stack_spectra(stack):
     """block_spectra of every matrix of a stack (B, k, k), each one block."""
-    return block_spectra([(np.ones(1), np.asarray(stack, dtype=np.complex128)[:, None])], floor)
+    return block_spectra([(np.ones(1), np.asarray(stack, dtype=np.complex128)[:, None])])
 
 
 def judge_psd(defect, low, high, tol: Tolerance = DEFAULT_TOL, floor: float = 1.0, *,

@@ -1,5 +1,6 @@
-"""Graded maps between bundles, positivity certificates, and the
-reconstruction of an action from a positive definite map.
+"""Constructors of graded maps between bundles (`bundles.BundleMap`),
+positivity certificates, conditional expectations, and the reconstruction
+of an action from a positive definite map.
 
 Positive definiteness quantifies over all finite tuples; at finite
 dimension it collapses to one Hermitian certificate matrix over the full
@@ -17,25 +18,28 @@ route.  The witness of a failed certificate and the tuple sum of a refuting
 sample are read in the ambient algebra.  The
 reconstruction quotients its elementary tensors blockwise: the bases of the
 separation rule compress the structure tensors directly, and no raw action
-or shift is formed.
+or shift is formed.  A conditional expectation is an idempotent, bimodular,
+positive bundle map over the identity (Tomiyama, Proc. Japan Acad. 33,
+1957): its positivity is the verdict of its certificate.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import Action, coefficient_map
-from .bundles import FellBundle
+from .bundles import BundleMap, BundleMapMismatchError, FellBundle
 from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, compress_inner, \
     separating_bases, trace_localize
 from .numerics import CHUNK_BYTES, DEFAULT_TOL, Blocks, Tolerance, block_spectra, dagger, \
-    frob, judge_psd, opnorm, opnorms, overflow_scale, padded, split_draws
+    frob, identity_bound, judge_psd, membership_bound, opnorms, overflow_scale, padded, \
+    product_bound, split_draws, worst_relative
+from .reports import Report
 
 
 class NotUnitalError(ValueError):
@@ -43,10 +47,6 @@ class NotUnitalError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    pass
-
-
-class BundleMapMismatchError(ValueError):
     pass
 
 
@@ -61,41 +61,6 @@ def cached_rep(bundle: FellBundle) -> RegRep:
         rep = RegRep(bundle)
         _rep_cache[bundle] = rep
     return rep
-
-
-@dataclass
-class BundleMap:
-    """Family of fiberwise linear maps T_g: A_g -> B_{phi(g)}, stored as
-    matrices in the HS-orthonormal fiber bases."""
-
-    source: FellBundle
-    target: FellBundle
-    hom: GroupHom
-    mats: list[np.ndarray]
-
-    def __post_init__(self):
-        if self.hom.source != self.source.group or self.hom.target != self.target.group:
-            raise BundleMapMismatchError("homomorphism does not connect the bundles")
-        fixed = []
-        for g in self.source.group.elements():
-            m = np.asarray(self.mats[g], dtype=np.complex128)
-            want = (self.target.dims[self.hom(g)], self.source.dims[g])
-            if m.shape != want:
-                raise BundleMapMismatchError(f"T_{g} must have shape {want}")
-            fixed.append(m)
-        self.mats = fixed
-
-    def apply(self, g: int, acoords) -> np.ndarray:
-        return self.mats[g] @ np.asarray(acoords, dtype=np.complex128)
-
-    def apply_ambient(self, g: int, mat) -> np.ndarray:
-        c, _ = self.source.coords(g, mat)
-        return self.target.element(self.hom(g), self.apply(g, c))
-
-    def norm(self) -> float:
-        """Largest fiberwise operator norm (HS coordinates); a scale, not a
-        C*-norm."""
-        return max((opnorm(m) for m in self.mats), default=0.0)
 
 
 def identity_bundle_map(bundle: FellBundle) -> BundleMap:
@@ -158,17 +123,17 @@ def phi_t(t: BundleMap, f: Section) -> Section:
 
 class PdCertificate:
     """The verdict of the exact certificate, with its margin, the scale
-    max(1, norm) the margin is judged against, and its Hermitian defect.
-    `gram` is the certificate matrix in the target's ambient algebra, formed
-    on first read when it is given as a function; a failed certificate may
-    carry a violating tuple (g, a_matrix, b_matrix) per position and the sum
-    it attains."""
+    max(1, norm) the margin is judged against, its Hermitian defect and that
+    defect's verdict.  `gram` is the certificate matrix in the target's
+    ambient algebra, formed on first read when it is given as a function; a
+    failed certificate may carry a violating tuple (g, a_matrix, b_matrix)
+    per position and the sum it attains."""
 
     def __init__(self, ok: bool, margin: float, gram, hermitian_defect: float,
                  witness: list | None = None, witness_sum: np.ndarray | None = None,
-                 scale: float = 1.0):
+                 scale: float = 1.0, hermitian: bool = True):
         self.ok, self.margin, self._gram = ok, margin, gram
-        self.hermitian_defect, self.scale = hermitian_defect, scale
+        self.hermitian_defect, self.scale, self.hermitian = hermitian_defect, scale, hermitian
         self.witness, self.witness_sum = witness, witness_sum
 
     @property
@@ -248,11 +213,11 @@ def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None) -> PdCe
     forms, mu = _certificate_forms(t, [fibers for _, fibers in groups])
     defect, low, high = (float(x[0]) for x in block_spectra(
         [(mult, form[None]) for (mult, _), form in zip(groups, forms)], 1 / mu))
-    ok, _, _ = judge_psd(defect, low, high, tol, 1 / mu)
+    ok, _, hermitian = judge_psd(defect, low, high, tol, 1 / mu)
     # an empty certificate (no basis pair) has low = +inf and reports margin 0
     margin = _unscaled(low, mu, "certificate margin") if np.isfinite(low) else 0.0
-    return PdCertificate(bool(ok), margin,
-                         lambda: _ambient_gram(t), defect, scale=max(1 / mu, -low, high) * mu)
+    return PdCertificate(bool(ok), margin, lambda: _ambient_gram(t), defect,
+                         scale=max(1 / mu, -low, high) * mu, hermitian=bool(hermitian))
 
 
 def _ambient_certificate(t: BundleMap) -> tuple[np.ndarray, float]:
@@ -323,6 +288,68 @@ def _unscaled(value, mu: float, what: str):
     if not np.isfinite(out).all():
         raise OverflowError(f"the {what} exceeds the floating-point range")
     return float(out) if np.ndim(out) == 0 else out
+
+
+def check_subbundle_and_expectation(exp: BundleMap, tol: Tolerance | None = None) -> Report:
+    """Verify B_g <= A_g, E restricted to B is the identity, bimodularity
+    over basis triples, and positivity of <a, a'> = E_{g^-1 g'}(a* a'): the
+    certificate of exp (`pd_check_exact`).  A map into another ambient
+    algebra, or over another homomorphism than the identity, raises
+    ValueError.  The first three checks are whole-array over the padded
+    fiber arrays and maps (whose zero rows and columns add zero residuals):
+    E_k(x) is the HS projection of x onto A_k, mapped by mats[k]."""
+    tol = tol or DEFAULT_TOL
+    sup, sub = exp.source, exp.target
+    order, tab = sup.group.order, sup.group.table
+    if sup.ambient_dim != sub.ambient_dim or (exp.hom.map != np.arange(order)).any():
+        raise ValueError("sub-bundle must live in the same ambient algebra, over the identity")
+    fa, fb, n = sup.fiber_array, sub.fiber_array, sup.ambient_dim
+    da, db = fa.shape[1], fb.shape[1]
+    maps = padded([exp.mats], (db, da))[0]
+    rep = Report("conditional expectation")
+
+    def coords(k, x):
+        """HS coordinates in A_k (T, da) of ambient matrices x (T, n, n)."""
+        return np.einsum("tiab,tab->ti", fa[k].conj(), x)
+
+    def expect(k, x):
+        """E_k(x) of ambient matrices x (T, n, n), ambient."""
+        return np.einsum("tj,tjab->tab", np.einsum("tji,ti->tj", maps[k], coords(k, x)), fb[k])
+
+    # containment: each b_j in B_g against its HS projection onto A_g
+    g, j = np.divmod(np.arange(order * db), db)
+    worst = worst_relative(len(g), (da + 4) * n * n, lambda t: (
+        fb[g[t], j[t]], np.einsum("ti,tiab->tab", coords(g[t], fb[g[t], j[t]]), fa[g[t]])))
+    rep.add("sub-bundle containment B_g in A_g", worst <= membership_bound(tol), worst)
+
+    # idempotence: E_g(b_j) in coordinates against e_j, absolute
+    unit = np.eye(db)[j] * (j < np.asarray(sub.dims)[g])[:, None]
+    worst = worst_relative(len(g), (da + 1) * n * n, lambda t: (
+        np.einsum("tji,ti->tj", maps[g[t]], coords(g[t], fb[g[t], j[t]])), unit[t],
+        np.ones(len(t))))
+    rep.add("idempotence: E restricted to B is the identity",
+            worst <= identity_bound(tol), worst)
+
+    # bimodularity over (gl, g, gr, i, j, l): E(b_i a_j b_l) against
+    # b_i E(a_j) b_l, relative to max(||b_i a_j b_l||_F, 1)
+    ea = expect(np.repeat(np.arange(order), da), fa.reshape(-1, n, n)).reshape(fa.shape)
+    triples = (order, order, order, db, da, db)
+
+    def bimodular(t):
+        gl, g, gr, i, j, l = np.unravel_index(t, triples)
+        b, b2 = fb[gl, i], fb[gr, l]
+        x = b @ fa[g, j] @ b2
+        return expect(tab[tab[gl, g], gr], x), b @ ea[g, j] @ b2, np.linalg.norm(x, axis=(1, 2))
+
+    worst = worst_relative(int(np.prod(triples)), (da + db + 6) * n * n, bimodular)
+    rep.add("bimodularity E(b a b') = b E(a) b'", worst <= product_bound(tol), worst)
+
+    # positivity: the residual of judge_psd, read off the certificate
+    cert = pd_check_exact(exp, tol)
+    rep.add("positivity of induced semi-inner product", cert.ok,
+            max(0.0, -cert.margin) if cert.hermitian else cert.hermitian_defect,
+            "" if cert.hermitian else "Gram is not Hermitian")
+    return rep
 
 
 class SampledCheck:

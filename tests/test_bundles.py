@@ -5,13 +5,12 @@ import pytest
 
 from fellbundles import serialize as sz
 from fellbundles.bundles import (
-    CondExpectation,
+    BundleMap,
     FellBundle,
     NotActionError,
     NotAutomorphismError,
     bundles_equal,
     check_saturated,
-    check_subbundle_and_expectation,
     dynamical_bundle,
     group_bundle,
     projection_expectation,
@@ -19,7 +18,8 @@ from fellbundles.bundles import (
     validate_bundle,
 )
 from fellbundles.cli import main
-from fellbundles.groups import make_cyclic, symmetric_group
+from fellbundles.groups import identity_hom, make_cyclic, symmetric_group, trivial_hom
+from fellbundles.pdmaps import check_subbundle_and_expectation
 
 E11 = np.diag([1.0, 0.0])
 E22 = np.diag([0.0, 1.0])
@@ -226,7 +226,18 @@ def test_expectation_group_subbundle_of_swap_crossed_product():
 def test_non_idempotent_expectation_flagged():
     b = group_bundle(make_cyclic(2))
     exp = projection_expectation(b, b)
-    shrunk = CondExpectation(b, b, [0.5 * m for m in exp.maps])
+    shrunk = BundleMap(b, b, identity_hom(b.group), [0.5 * m for m in exp.mats])
     rep = check_subbundle_and_expectation(shrunk)
     assert not rep.ok
     assert any("idempotence" in item.name for item in rep.failures())
+
+
+def test_expectation_into_another_algebra_or_over_another_hom_is_refused():
+    point = make_cyclic(1)
+    into_m3 = BundleMap(FellBundle(point, 2, [np.eye(2)[None]]),
+                        FellBundle(point, 3, [np.eye(3)[None]]), identity_hom(point), [np.eye(1)])
+    b = group_bundle(make_cyclic(2))
+    collapsing = BundleMap(b, b, trivial_hom(b.group, b.group), [np.eye(1)] * 2)
+    for exp in (into_m3, collapsing):
+        with pytest.raises(ValueError, match="same ambient algebra, over the identity"):
+            check_subbundle_and_expectation(exp)

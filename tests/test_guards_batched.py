@@ -4,8 +4,11 @@ against the per-element loops they replaced.
 Each `loop_*` function keeps the old loops verbatim as the oracle.  On a
 passing input and on broken ones, both routes must raise the same exception
 class with the same message (or return the same verdict); for
-check_subbundle_and_expectation every item must also give the same verdict,
-with residuals within 1e-12 relative to max(1, |residual|).
+check_subbundle_and_expectation every item must also give the same verdict
+and detail, with residuals within 1e-12 relative to max(1, |residual|).  Its
+positivity item reads the certificate, which scales every basis element to
+unit operator norm, so that residual is held to the certificate's ambient
+route instead of the loop's Gram of HS-normalized elements.
 """
 
 import numpy as np
@@ -13,15 +16,15 @@ import pytest
 
 from fellbundles.actions import CompatibilityViolationError, NotStarRepError, dynsys_action, \
     l2_action, rep_action
-from fellbundles.bundles import CondExpectation, FellBundle, bundles_equal, \
-    check_subbundle_and_expectation, dynamical_bundle, group_bundle, projection_expectation, \
-    regular_unitary
+from fellbundles.bundles import BundleMap, FellBundle, bundles_equal, dynamical_bundle, \
+    group_bundle, projection_expectation, regular_unitary
 from fellbundles.correspondences import InvalidBundleError, _check_invariant, \
     _generating_vectors, attach_left_action, build_module
 from fellbundles.groups import GroupHom, identity_hom, make_cyclic, symmetric_group, trivial_hom
 from fellbundles.hilbundles import HilbertModule, ShapeMismatchError, check_unitary_bundle_map, \
     l2_bundle, trivial_hilbert_bundle, trivial_module
-from fellbundles.numerics import DEFAULT_TOL, frob, orthonormal_basis, relative
+from fellbundles.numerics import DEFAULT_TOL, frob, one_block, orthonormal_basis, relative
+from fellbundles.pdmaps import check_subbundle_and_expectation, pd_check_exact
 from fellbundles.reports import Report
 
 from test_actions import hilbert_space_module
@@ -297,10 +300,10 @@ def test_invariance_guard_matches_its_loops(name):
     assert (want[0] == "returned") == (name in invariant), (name, want)
 
 
-# -- bundles.check_subbundle_and_expectation ------------------------------------
+# -- pdmaps.check_subbundle_and_expectation -------------------------------------
 
 def loop_check_subbundle_and_expectation(exp, tol=DEFAULT_TOL):
-    sup, sub = exp.sup, exp.sub
+    sup, sub = exp.source, exp.target
     grp = sup.group
     rep = Report("conditional expectation")
 
@@ -359,7 +362,7 @@ def _expectation_cases():
     # add a map that kills B_g's coordinates but not the rest of A_g:
     # idempotent on B, no longer bimodular
     skew = []
-    for g, m in enumerate(onto_group.maps):
+    for g, m in enumerate(onto_group.mats):
         c, _ = sup.coords(g, sub.fibers[g][0])
         w = rng.standard_normal(sup.dims[g]) + 1j * rng.standard_normal(sup.dims[g])
         w -= (c.conj() @ w) / (c.conj() @ c) * c
@@ -369,12 +372,24 @@ def _expectation_cases():
         "identity on z2": projection_expectation(z2, z2),
         "onto the group bundle of the swap product": onto_group,
         "identity on s3": projection_expectation(s3, s3),
-        "not idempotent": CondExpectation(z2, z2, [0.5 * m for m in
-                                                    projection_expectation(z2, z2).maps]),
-        "not bimodular": CondExpectation(sup, sub, skew),
+        "not idempotent": BundleMap(z2, z2, identity_hom(z2.group), [
+            0.5 * m for m in projection_expectation(z2, z2).mats]),
+        "not bimodular": BundleMap(sup, sub, identity_hom(grp), skew),
         "not a sub-bundle": projection_expectation(sub, FellBundle(
             grp, 4, [np.eye(4)[None], np.kron(np.diag([1.0, -1.0]), np.eye(2))[None]])),
+        "not positive": not_positive_expectation(),
     }
+
+
+def not_positive_expectation():
+    """Over the one-point group, E(x1 E11 + x2 E22) = (2 x1 - x2) 1 from the
+    diagonal of M_2 onto the scalars: the identity on the scalars and
+    bimodular over them, but E(E22) = -1."""
+    point = make_cyclic(1)
+    diagonal = FellBundle(point, 2, [np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])])
+    scalars = FellBundle(point, 2, [np.eye(2)[None] / np.sqrt(2)])
+    return BundleMap(diagonal, scalars, identity_hom(point),
+                     [np.array([[2.0, -1.0]]) * np.sqrt(2)])
 
 
 @pytest.mark.parametrize("name", list(_expectation_cases()))
@@ -383,14 +398,30 @@ def test_expectation_guard_matches_its_loops(name):
     want = loop_check_subbundle_and_expectation(exp)
     got = check_subbundle_and_expectation(exp)
     assert [i.name for i in got.items] == [i.name for i in want.items]
+    ambient = pd_check_exact(exp, blocks=one_block(exp.target.ambient_dim))
+    positivity = max(0.0, -ambient.margin) if ambient.hermitian else ambient.hermitian_defect
     for g, w in zip(got.items, want.items):
         assert g.ok == w.ok and g.detail == w.detail, (name, g.name)
-        assert abs(g.residual - w.residual) <= 1e-12 * max(1.0, abs(w.residual)), (
-            name, g.name, g.residual, w.residual)
+        residual = positivity if g.name.startswith("positivity") else w.residual
+        assert abs(g.residual - residual) <= 1e-12 * max(1.0, abs(residual)), (
+            name, g.name, g.residual, residual)
     failing = {i.name.split(":")[0].split(" ")[0] for i in want.items if not i.ok}
     assert failing == {"identity on z2": set(), "identity on s3": set(),
                        "onto the group bundle of the swap product": set(),
                        "not idempotent": {"idempotence"},
                        "not bimodular": {"bimodularity", "positivity"},
                        "not a sub-bundle": {"sub-bundle", "idempotence", "bimodularity"},
+                       "not positive": {"positivity"},
                        }[name], (name, failing)
+
+
+def test_idempotent_and_bimodular_are_not_enough():
+    exp = not_positive_expectation()
+    assert exp.apply_ambient(0, np.diag([0.0, 1.0])) == pytest.approx(-np.eye(2))
+    rep = check_subbundle_and_expectation(exp)
+    assert [item.name for item in rep.failures()] == ["positivity of induced semi-inner product"]
+    assert rep.failures()[0].residual == pytest.approx(1.0, rel=1e-12)
+    cert = pd_check_exact(exp)
+    assert cert.margin == pytest.approx(-1.0, rel=1e-12)
+    assert cert.witness is not None
+    assert np.linalg.eigvalsh((cert.witness_sum + cert.witness_sum.conj().T) / 2)[0] < 0

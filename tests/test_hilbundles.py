@@ -1,5 +1,6 @@
 import numpy as np
 
+from fellbundles.actions import validate_module
 from fellbundles.bundles import (
     FellBundle,
     crossed_embed,
@@ -21,7 +22,6 @@ from fellbundles.hilbundles import (
     trivial_hilbert_bundle,
     trivial_module,
     validate_hilbert_bundle,
-    validate_module,
     validate_semi_inner_bundle,
 )
 

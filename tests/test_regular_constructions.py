@@ -138,13 +138,13 @@ def loop_trivial_inner(bundle: FellBundle):
 
 
 def loop_condexp_inner(exp):
-    sup = exp.sup
+    sup = exp.source
     grp = sup.group
     inner = [[None] * grp.order for _ in grp.elements()]
     for g in grp.elements():
         for g2 in grp.elements():
             k = grp.mul(grp.inv(g), g2)
-            emap = np.asarray(exp.maps[k])
+            emap = np.asarray(exp.mats[k])
             star_prod = np.einsum("uw,wvk->uvk", sup.star_tensor[g], sup.prod[grp.inv(g)][g2])
             inner[g][g2] = np.einsum("uvk,lk->uvl", star_prod, emap)
     return inner
@@ -311,5 +311,5 @@ def test_condexp_inner_matches_its_einsums(bundle, which):
         exp = projection_expectation(FellBundle(triv, 2, [m2]),
                                      FellBundle(triv, 2, [np.array([np.diag([1.0, 0.0])])]))
     got = condexp_raw_semibundle(exp)
-    want = SemiInnerBundle(exp.sub, list(exp.sup.dims), got.act, loop_condexp_inner(exp))
+    want = SemiInnerBundle(exp.target, list(exp.source.dims), got.act, loop_condexp_inner(exp))
     assert_same_bits(got.inner_array, want.inner_array)

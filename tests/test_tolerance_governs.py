@@ -8,15 +8,16 @@ import pytest
 
 from fellbundles.actions import Action, CompatibilityViolationError, NotStarRepError, \
     dynsys_action, rep_action, trivial_action, validate_action
-from fellbundles.bundles import CondExpectation, check_subbundle_and_expectation, group_bundle, \
-    projection_expectation
+from fellbundles.actions import validate_module
+from fellbundles.bundles import BundleMap, group_bundle, projection_expectation
 from fellbundles.correspondences import ActionMismatchError, AmplifiedCorrespondence, \
     Correspondence, EquivalenceBundle, amplified_is_star_rep, attach_left_action, build_module, \
     trivial_self_equivalence, verify_imprimitivity
 from fellbundles.groups import GroupHom, identity_hom, make_cyclic
 from fellbundles.hilbundles import HilbertBundle, HilbertModule, check_unitary_bundle_map, \
-    trivial_hilbert_bundle, trivial_module, validate_hilbert_bundle, validate_module
+    trivial_hilbert_bundle, trivial_module, validate_hilbert_bundle
 from fellbundles.numerics import DEFAULT_TOL, Tolerance, identity_bound, product_bound
+from fellbundles.pdmaps import check_subbundle_and_expectation
 
 from test_actions import hilbert_space_module
 from test_bundles import swap_system
@@ -76,8 +77,9 @@ def test_validate_module():
 
 
 def test_check_subbundle_and_expectation(z3):
-    maps = projection_expectation(z3, z3).maps
-    bent = CondExpectation(z3, z3, [m * (1 + EPS) if g == 1 else m for g, m in enumerate(maps)])
+    maps = projection_expectation(z3, z3).mats
+    bent = BundleMap(z3, z3, identity_hom(z3.group),
+                     [m * (1 + EPS) if g == 1 else m for g, m in enumerate(maps)])
     rep = check_subbundle_and_expectation(bent)
     assert not rep.ok and in_window(rep.worst)
     assert check_subbundle_and_expectation(bent, LOOSE).ok
