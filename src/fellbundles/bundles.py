@@ -10,13 +10,22 @@ Fiber bases are orthonormalized in the Hilbert-Schmidt inner product at
 construction, so coordinates are stable and membership tests reduce to
 projections.
 
+From ambient side 16 on, the span of the fibers is decomposed into its
+irreducible types first (Murota, Kanno, Kojima and Kojima, Japan J.
+Indust. Appl. Math. 27, 2010), and the structure tensors and residuals are
+built from the compressed fibers W_i* b W_i weighted by the multiplicities
+m_i, which keep the HS inner product of the span; a bundle whose
+decomposition fails, or whose block build is not at rounding level, is
+built in the ambient M_n as before.
+
 The fibers, the product tensor and the star tensor are each stored once,
 as one read-only array indexed by group elements and zero-padded to the
 largest fiber dimension db (`fiber_array`, `prod_array`, `star_array`);
 `fibers[g]`, `prod[g][h]` and `star_tensor[g]` are tuples of read-only
 views of their blocks (`numerics.freeze`).  The irreducible types of the
 *-algebra spanned by all fibers (`blocks`) and of A_e (`unit_blocks`) are
-decomposed once per bundle, when first read.
+decomposed once per bundle: at construction when the structure is built on
+them, otherwise when first read.
 
 Construction is whole-array.  One batched Gram decides which input fibers
 are already HS-orthonormal, and the structure tensors come from batched
@@ -36,15 +45,23 @@ A graded map (`BundleMap`) stores one matrix per fiber in the HS bases;
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import FiniteGroup, GroupHom, identity_hom
-from .numerics import DEFAULT_TOL, Blocks, Tolerance, as_cmatrix, chunks, decompose_algebra, \
-    direct_sum_slots, freeze, frob, identity_bound, membership_bound, one_block, opnorm, \
-    orthonormal_basis, padded, rank_check, rank_cut, unit_bound
+from .numerics import DEFAULT_TOL, ROUNDING, Blocks, Tolerance, as_cmatrix, chunks, \
+    decompose_algebra, direct_sum_slots, freeze, frob, identity_bound, membership_bound, \
+    one_block, opnorm, orthonormal_basis, padded, rank_check, rank_cut, unit_bound
 from .reports import Report
+
+
+# the smallest ambient side whose structure is built in the blocks of its
+# span: below it the decomposition costs more than the blocks save (on the
+# group bundles Z2-Z12 and S3 and the crossed products M2xZ2-M4xZ2, 0.2 to
+# 0.7 ms more per build), so those bundles decompose only when read
+_BLOCK_SIDE = 16
 
 
 class NotAutomorphismError(ValueError):
@@ -112,19 +129,23 @@ class FellBundle:
         self.fibers = freeze(self.fiber_array, [f.shape for f in fibers])
         self.total_dim = int(sum(self.dims))
         self._tol = tol
-        self._record_directness()
         self._build_structure()
+        self._record_directness()
 
     def _record_directness(self):
         """The fiber sum is direct iff the stacked HS-orthonormal bases have
         full rank; f -> sum_g f(g) is then a faithful *-representation of
         the cross-sectional algebra.  The smallest and largest singular
         values are kept so validate_bundle can judge the rank cut at its own
-        tolerance."""
+        tolerance.  After the block build they are read off the fibers' block
+        coordinates, an isometry of the span, whose singular values are the
+        ambient ones up to a relative error of the decomposition's residual."""
         if self.total_dim == 0:
             self.directness_residual, self.directness_sv = 0.0, (1.0, 1.0)
         else:
-            rows = np.concatenate(self.fibers).reshape(self.total_dim, -1)
+            flat = vars(self).get("_block_fibers", self.fiber_array)
+            rows = flat.reshape(*flat.shape[:2], -1)[
+                np.arange(flat.shape[1]) < np.asarray(self.dims)[:, None]]
             sv = np.linalg.svd(rows, compute_uv=False)
             smallest = float(sv[-1]) if len(sv) == self.total_dim else 0.0
             self.directness_residual = 1.0 - smallest
@@ -134,18 +155,64 @@ class FellBundle:
     # -- structure tensors ------------------------------------------------
 
     def _build_structure(self):
+        """The product and star tensors, their grading and involution
+        residuals and the unit's coordinates.  From ambient side _BLOCK_SIDE
+        on they are built in the block coordinates of the span of the fibers
+        (`_span_blocks`, decomposed first) when it has more than one
+        irreducible block and that build stands (`_stands_in_blocks`);
+        otherwise, as for a broken bundle, in the ambient M_n: the same
+        build on the trivial decomposition (`numerics.one_block`)."""
+        grp, n = self.group, self.ambient_dim
+        built = None
+        if n >= _BLOCK_SIDE and self._span_blocks.types != [(n, 1)]:
+            built = self._structure(self._span_blocks.compress(self.fiber_array))
+            if self._stands_in_blocks(built[2], built[4]):
+                # the fibers' block coordinates, which `_record_directness` reads
+                self._block_fibers = built[0]
+            else:
+                built = None
+        if built is None:
+            built = self._structure(one_block(n).compress(self.fiber_array))
+        _, prod, self.grading_residual, star, self.involution_residual = built
+        dgh = np.asarray(self.dims)[grp.table].tolist()
+        self.prod_array, self.star_array = prod, star
+        self.prod = freeze(prod, [[(self.dims[g], self.dims[h], dgh[g][h])
+                                   for h in grp.elements()] for g in grp.elements()])
+        self.star_tensor = freeze(star, [(self.dims[g], self.dims[grp.inv(g)])
+                                         for g in grp.elements()])
+        eye = np.eye(n, dtype=np.complex128)
+        self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
+        self.unital = self.unital_at(self._tol)
+
+    def _structure(self, groups):
+        """The structure tensors in block coordinates: the compressions
+        `groups` of the fiber array (`Blocks.compress`) flatten, each type
+        weighted by the square root of its multiplicity, to coordinates in
+        which the HS inner product of the span is the plain one (for the
+        trivial decomposition, the flattened ambient matrices).  Products
+        and adjoints are taken type by type.  Returns the flattened fibers
+        (|G|, db, K), the product tensor and grading residuals, and the
+        star tensor and involution residuals."""
         grp = self.group
-        n, size, db = grp.order, self.ambient_dim ** 2, max(self.dims, default=0)
-        fib = self.fiber_array
-        flat = fib.reshape(n, db, size)
+        n, db = grp.order, self.fiber_array.shape[1]
+        roots = [np.sqrt(mult)[:, None, None] for mult, _ in groups]
+
+        def flat(parts, lead):
+            out = [(c if (r == 1).all() else c * r).reshape(*lead, math.prod(c.shape[-3:]))
+                   for c, r in zip(parts, roots)]
+            return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+
+        fib = flat([c for _, c in groups], (n, db))
+        size = fib.shape[-1]
 
         def project(rows, q):
             """Coordinates of the flattened matrices rows[t] in the padded
             basis of A_{q[t]} (the einsum keeps the sums of `coords`, so the
-            coordinates are bitwise the same), and the HS norm of what each
-            leaves out."""
-            c = np.einsum("tkx,trx->trk", flat[q].conj(), rows)
-            return c, np.linalg.norm(rows - c @ flat[q], axis=-1)
+            ambient coordinates are bitwise the same), and the norm of what
+            each leaves out: the weighted norm of the compressed
+            difference."""
+            c = np.einsum("tkx,trx->trk", fib[q].conj(), rows)
+            return c, np.linalg.norm(rows - c @ fib[q], axis=-1)
 
         # product tensor: prod[g, h, i, j, :] = coords of b_i^g b_j^h in A_{gh},
         # for chunks of pairs (g, h) at once; the grading residual is
@@ -155,33 +222,45 @@ class FellBundle:
         # four blocks: on the benchmark's crossed products a chunk of one
         # block's budget ran up to 40% slower than the per-pair loop
         prod = np.zeros((n, n, db, db, db), dtype=np.complex128)
-        self.grading_residual = np.zeros((n, n))
+        grading = np.zeros((n, n))
         for idx in chunks(n * n, 4 * db * db * size):
             g, h = np.divmod(idx, n)
-            p = (fib[g][:, :, None] @ fib[h][:, None]).reshape(len(idx), db * db, size)
+            p = flat([c[g][:, :, None] @ c[h][:, None] for _, c in groups], (len(idx), db * db))
             c, miss = project(p, grp.table[g, h])
             prod[g, h] = c.reshape(len(idx), db, db, db)
-            self.grading_residual[g, h] = miss.max(axis=1, initial=0.0)
-        dgh = np.asarray(self.dims)[grp.table].tolist()
-        self.prod_array = prod
-        self.prod = freeze(prod, [[(self.dims[g], self.dims[h], dgh[g][h])
-                                   for h in grp.elements()] for g in grp.elements()])
+            grading[g, h] = miss.max(axis=1, initial=0.0)
         # star tensor: star[g][i, :] = coords of (b_i^g)^* in A_{g^-1}, with the
         # residual relative to each adjoint
         star = np.zeros((n, db, db), dtype=np.complex128)
-        self.involution_residual = np.zeros(n)
+        involution = np.zeros(n)
         for idx in chunks(n, db * size):
-            adj = fib[idx].conj().swapaxes(-1, -2).reshape(len(idx), db, size)
+            adj = flat([c[idx].conj().swapaxes(-1, -2) for _, c in groups], (len(idx), db))
             star[idx], miss = project(adj, grp.inverse[idx])
             scale = np.linalg.norm(adj, axis=-1)
-            self.involution_residual[idx] = np.divide(
+            involution[idx] = np.divide(
                 miss, scale, out=np.zeros_like(miss), where=scale > 0).max(axis=1, initial=0.0)
-        self.star_array = star
-        self.star_tensor = freeze(star, [(self.dims[g], self.dims[grp.inv(g)])
-                                         for g in grp.elements()])
-        eye = np.eye(self.ambient_dim, dtype=np.complex128)
-        self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
-        self.unital = self.unital_at(self._tol)
+        return fib, prod, grading, star, involution
+
+    def _stands_in_blocks(self, grading, involution) -> bool:
+        """Whether the block build gives the ambient one up to rounding: the
+        decomposition's self-check and every residual are at rounding level
+        (`numerics.ROUNDING`), so the span is a *-algebra there, and a random
+        element v = x y + z + w* of the span, its products and adjoints
+        keeps its HS norm under the weighted compression.  The self-check
+        shows that only on the span, and v is generic in the sum of the
+        span, its products and its adjoints, which the residuals are
+        differences in."""
+        blocks, n = self._span_blocks, self.ambient_dim
+        if max(blocks.residual, grading.max(initial=0.0),
+               involution.max(initial=0.0)) > ROUNDING:
+            return False
+        basis = self.fiber_array.reshape(-1, n * n)
+        coef = np.random.default_rng(0).standard_normal((2, 4, len(basis)))
+        x, y, z, w = ((coef[0] + 1j * coef[1]) @ basis).reshape(4, n, n)
+        v = x @ y + z + w.conj().T
+        weighted = sum(float(np.linalg.norm(c, axis=(-2, -1)) ** 2 @ mult)
+                       for mult, c in blocks.compress(v))
+        return abs(weighted - frob(v) ** 2) <= ROUNDING * frob(v) ** 2
 
     @functools.cached_property
     def adjoint_products(self) -> np.ndarray:
@@ -196,13 +275,19 @@ class FellBundle:
 
     # -- irreducible blocks ------------------------------------------------
 
-    def _decomposed(self, basis, residual: float) -> Blocks:
-        """decompose_algebra of the span of `basis` at the construction
-        tolerance, or one block when the recorded grading or involution
-        `residual` says that the span is not a *-algebra."""
+    def _decomposed(self, decompose, residual: float) -> Blocks:
+        """decompose(), a decomposition at the construction tolerance, or one block when the
+        recorded grading or involution `residual` says that the span is not
+        a *-algebra."""
         if residual > membership_bound(self._tol):
             return one_block(self.ambient_dim)
-        return decompose_algebra(basis, self._tol)
+        return decompose()
+
+    @functools.cached_property
+    def _span_blocks(self) -> Blocks:
+        """decompose_algebra of the span of all fibers at the construction
+        tolerance, which the structure tensors are built on."""
+        return decompose_algebra(np.concatenate(self.fibers), self._tol)
 
     @property
     def tolerance(self) -> Tolerance:
@@ -212,10 +297,10 @@ class FellBundle:
 
     @functools.cached_property
     def blocks(self) -> Blocks:
-        """The irreducible types of the *-algebra spanned by all fibers,
-        decomposed on first use."""
+        """The irreducible types of the *-algebra spanned by all fibers: the
+        decomposition the structure tensors were built on."""
         return self._decomposed(
-            np.concatenate(self.fibers),
+            lambda: self._span_blocks,
             max(self.grading_residual.max(initial=0.0), self.involution_residual.max(initial=0.0)))
 
     @functools.cached_property
@@ -224,7 +309,8 @@ class FellBundle:
         use."""
         e = self.group.identity
         return self._decomposed(
-            self.fibers[e], max(self.grading_residual[e, e], self.involution_residual[e]))
+            lambda: decompose_algebra(self.fibers[e], self._tol),
+            max(self.grading_residual[e, e], self.involution_residual[e]))
 
     def unital_at(self, tol: Tolerance) -> bool:
         """Whether the ambient identity lies in A_e, judged at `tol` from the

@@ -11,7 +11,8 @@ kernel (Hermitian defect, smallest and largest eigenvalue of matrices given
 blockwise, `stack_spectra` for a plain stack), `judge_psd` the one PSD judge
 and `judge_definite` the one definiteness judge.  A caller that needs
 eigenvectors takes its own `eigh` and still reads its verdict from the
-judge.  Every other check compares its residual with one of the bounds
+judge; `canonical_min_vector` picks one lowest eigenvector independently
+of the basis eigh returns.  Every other check compares its residual with one of the bounds
 `identity_bound`, `product_bound`, `unit_bound`, `grading_guard` and
 `membership_bound`, and every rank cut of a verdict (directness,
 saturation, fullness, nondegeneracy, separation) is `rank_cut`
@@ -85,6 +86,11 @@ def relative(diff: float, scale: float) -> float:
     validator."""
     return diff / max(scale, 1.0)
 
+
+# the level of a residual that is rounding alone: a bundle's structure built
+# in the blocks of its span is kept only when every residual of that build
+# stays below it
+ROUNDING = 1e-12
 
 # bytes of batch intermediates per chunk of a batched check
 CHUNK_BYTES = 1 << 22
@@ -264,6 +270,24 @@ def judge_psd(defect, low, high, tol: Tolerance = DEFAULT_TOL, floor: float = 1.
         bound = rel * np.maximum(floor, np.maximum(-low, high))
     ok = (low >= -bound) & (hermitian if refute is None else hermitian | (defect <= rel))
     return ok, np.where(hermitian, np.maximum(-low, 0.0), defect), hermitian
+
+
+def canonical_min_vector(h: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+                         floor: float = 1.0) -> np.ndarray:
+    """A canonical unit vector of the eigenspace of the Hermitian h for its
+    eigenvalues within rel_rank * max(floor, |lambda_min|) of the smallest,
+    whatever basis eigh returns for that space: the projection of the first
+    fixed unit vector e_j whose projection has norm at least 1e-3,
+    normalized, with its largest entry real positive (the first entry within
+    a relative 1e-9 of the largest, so that near-ties are read alike)."""
+    w, v = np.linalg.eigh(h)
+    near = v[:, w <= w[0] + tol.rel_rank * max(floor, abs(w[0]))]
+    norms = np.linalg.norm(near, axis=1)
+    j = int(np.argmax(norms >= 1e-3))
+    x = near @ near[j].conj() / norms[j]
+    size = np.abs(x)
+    top = x[int(np.argmax(size >= (1 - 1e-9) * size.max()))]
+    return x * (abs(top) / top)
 
 
 def judge_definite(low, high, tol: Tolerance = DEFAULT_TOL):

@@ -14,8 +14,10 @@ certificate and the sampled check read it per irreducible block of the
 algebra spanned by the target's fibers (`FellBundle.blocks`), from the
 compressed fibers; the decomposition's own self-check guards that
 reduction (`Blocks.residual`), and `numerics.one_block` gives the ambient
-route.  The witness of a failed certificate and the tuple sum of a refuting
-sample are read in the ambient algebra.  The
+route.  The witness of a failed certificate is read off the same block
+forms, as the canonical lowest eigenvector of the localized form, and its
+sum as unit-fiber coordinates; the ambient certificate is formed only when
+it is read, and the tuple sum of a refuting sample only when read.  The
 reconstruction quotients its elementary tensors blockwise: the bases of the
 separation rule compress the structure tensors directly, and no raw action
 or shift is formed.  A conditional expectation is an idempotent, bimodular,
@@ -25,7 +27,6 @@ positive bundle map over the identity (Tomiyama, Proc. Japan Acad. 33,
 
 from __future__ import annotations
 
-import itertools
 import weakref
 
 import numpy as np
@@ -36,9 +37,9 @@ from .crosssec import RegRep, Section
 from .groups import GroupHom, identity_hom
 from .hilbundles import HilbertBundle, InvariantViolationError, compress_inner, \
     separating_bases, trace_localize
-from .numerics import CHUNK_BYTES, DEFAULT_TOL, Blocks, Tolerance, block_spectra, dagger, \
-    frob, identity_bound, judge_psd, membership_bound, opnorms, overflow_scale, padded, \
-    product_bound, split_draws, worst_relative
+from .numerics import CHUNK_BYTES, DEFAULT_TOL, ROUNDING, Blocks, Tolerance, block_spectra, \
+    canonical_min_vector, dagger, frob, identity_bound, judge_psd, membership_bound, opnorms, \
+    overflow_scale, padded, product_bound, worst_relative
 from .reports import Report
 
 
@@ -157,15 +158,19 @@ def _unit_norm_scales(bundle: FellBundle) -> np.ndarray:
     return 1.0 / np.maximum(opnorms(np.concatenate(bundle.fibers)), 1e-300)
 
 
-def _localized_form(gram: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Compress the n x n blocks G_pq of gram by the bases beta[p] (padded,
-    shape (P, dbm, n, n)): entry ((p, z), (q, w)) is tr(beta_pz* G_pq beta_qw)."""
-    size, dbm, n = beta.shape[:3]
-    right = gram.reshape(size, n, size, n).transpose(2, 0, 1, 3).reshape(size, size * n, n) \
-        @ beta.transpose(0, 2, 1, 3).reshape(size, n, dbm * n)  # (q, (p, b), (w, a))
-    right = right.reshape(size, size, n, dbm, n).transpose(1, 2, 4, 0, 3)  # (p, b, a, q, w)
-    local = beta.conj().reshape(size, dbm, n * n) @ right.reshape(size, n * n, size * dbm)
-    return local.reshape(size * dbm, size * dbm)
+def _localized_forms(forms: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Compress the k x k blocks G_pq of each form (L, P*k, P*k) by the
+    bases beta[p] (padded, shape (P, Z, L, k, k), the last two axes one
+    type's blocks): entry [l, (p, z), (q, w)] is
+    tr(beta_pzl* G_lpq beta_qwl), shape (L, P*Z, P*Z)."""
+    size, dbm, count, k = beta.shape[:4]
+    b = beta.transpose(2, 0, 1, 3, 4)  # (l, p, z, a, b)
+    right = forms.reshape(count, size * k, size, k).transpose(0, 2, 1, 3) \
+        @ b.transpose(0, 1, 3, 2, 4).reshape(count, size, k, dbm * k)  # (l, q, (p, a), (w, b))
+    right = right.reshape(count, size, size, k, dbm, k).transpose(0, 2, 3, 5, 1, 4)
+    local = b.conj().reshape(count, size, dbm, k * k) \
+        @ right.reshape(count, size, k * k, size * dbm)  # (l, p, z, (q, w))
+    return local.reshape(count, size * dbm, size * dbm)
 
 
 def _certificate_forms(t: BundleMap, fiber_stacks) -> tuple[list[np.ndarray], float]:
@@ -193,11 +198,13 @@ def _certificate_forms(t: BundleMap, fiber_stacks) -> tuple[list[np.ndarray], fl
     return forms, mu
 
 
-def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None) -> PdCertificate:
+def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None):
     """The verdict, margin and Hermitian defect of the exact certificate,
     judged per irreducible block of the target: `FellBundle.blocks` unless
     `blocks` is given (`numerics.one_block` is the ambient route).  The
-    certificate matrix itself is formed on first read of `gram`.
+    certificate matrix itself is formed on first read of `gram`.  Returns
+    the certificate and what its witness reads: the compressed target
+    fibers per type size, (multiplicities, fibers), their forms and mu.
 
     The certificate M has one block row/column per pair p = (g, basis
     element a_p of A_g), rescaled to unit operator norm; block (p, q) is
@@ -216,8 +223,9 @@ def _certify(t: BundleMap, tol: Tolerance, blocks: Blocks | None = None) -> PdCe
     ok, _, hermitian = judge_psd(defect, low, high, tol, 1 / mu)
     # an empty certificate (no basis pair) has low = +inf and reports margin 0
     margin = _unscaled(low, mu, "certificate margin") if np.isfinite(low) else 0.0
-    return PdCertificate(bool(ok), margin, lambda: _ambient_gram(t), defect,
+    cert = PdCertificate(bool(ok), margin, lambda: _ambient_gram(t), defect,
                          scale=max(1 / mu, -low, high) * mu, hermitian=bool(hermitian))
+    return cert, (groups, forms, mu)
 
 
 def _ambient_certificate(t: BundleMap) -> tuple[np.ndarray, float]:
@@ -244,41 +252,57 @@ def pd_check_exact(t: BundleMap, tol: Tolerance | None = None,
     fiber sum is direct.  A failed certificate carries a witness
     (`_attach_witness`).
     """
-    cert = _certify(t, tol or DEFAULT_TOL, blocks)
+    tol = tol or DEFAULT_TOL
+    cert, forms = _certify(t, tol, blocks)
     if not cert.ok:
-        _attach_witness(t, cert)
+        _attach_witness(t, cert, tol, *forms)
     return cert
 
 
-def _attach_witness(t: BundleMap, cert: PdCertificate) -> None:
-    """Read the witness of a failed certificate in the ambient certificate,
-    which becomes `cert.gram`.  Compressed by the fiber bases of
-    B_{phi(g_p)^-1}, it is the localized module form over the tuple
-    (phi(g_p))_p; its most negative eigenvector is folded back into an
-    explicit violating tuple, rescaled so that its defect is at least as
-    negative as the margin."""
+def _attach_witness(t: BundleMap, cert: PdCertificate, tol: Tolerance, groups, forms,
+                    mu: float) -> None:
+    """Read the witness of a failed certificate off the block forms of
+    `_certify`.  Compressed by the fiber bases of B_{phi(g_p)^-1}, the
+    certificate is the localized module form over the tuple (phi(g_p))_p:
+    the sum over the types of m_i times the localized block forms.  Its
+    canonical lowest eigenvector (`numerics.canonical_min_vector`) is
+    folded back into an explicit violating tuple, rescaled so that its
+    defect is at least as negative as the margin.  The tuple's sum
+    S = sum_pq c_p* M_pq c_q lies in B_e: it is formed type by type and read
+    as unit-fiber coordinates, sum_i m_i <W_i* b W_i, W_i* S W_i> for the
+    basis b of B_e, or as it is when the blocks are the ambient M_n.  The
+    ambient certificate is formed only when `cert.gram` is read."""
     src, tgt = t.source, t.target
     pairs = _basis_pairs(src)
-    gram, mu = _ambient_certificate(t)
-    cert._gram = gram if mu == 1 else gram * mu
-    n = tgt.ambient_dim
+    n, e = tgt.ambient_dim, tgt.group.identity
     labels = tgt.group.inverse[t.hom.map[[g for g, _ in pairs]]]
     dbm = max(tgt.dims[h] for h in labels)
     cols = np.flatnonzero(np.arange(dbm) < np.asarray(tgt.dims)[labels][:, None])
     if not len(cols):
         return
     size = len(pairs)
-    beta = tgt.fiber_array[labels, :dbm]
-    local = _localized_form(gram, beta)[np.ix_(cols, cols)]
-    _, v = np.linalg.eigh((local + dagger(local)) / 2)
+    local = sum(np.tensordot(mult, _localized_forms(form, fibers[labels, :dbm]), axes=1)
+                for (mult, fibers), form in zip(groups, forms))[np.ix_(cols, cols)]
     coeffs = np.zeros(size * dbm, dtype=np.complex128)
-    coeffs[cols] = v[:, 0] * np.sqrt(n)
+    coeffs[cols] = canonical_min_vector((local + dagger(local)) / 2, tol, 1 / mu) * np.sqrt(n)
+    coeffs = coeffs.reshape(size, 1, dbm)
     # c_p = sum_z coeffs[p, z] beta_z in B_{phi(g_p)^-1}; the tuple carries b_p = c_p*
-    cs = (coeffs.reshape(size, 1, dbm) @ beta.reshape(size, dbm, n * n)).reshape(size * n, n)
+    cs = (coeffs @ tgt.fiber_array[labels, :dbm].reshape(size, dbm, n * n)).reshape(size, n, n)
     scales = _unit_norm_scales(src)
     cert.witness = [(g, scales[p] * src.fibers[g][i], c.conj().T)
-                    for p, ((g, i), c) in enumerate(zip(pairs, cs.reshape(size, n, n)))]
-    cert.witness_sum = _unscaled(dagger(cs) @ gram @ cs, mu, "witness sum")
+                    for p, ((g, i), c) in enumerate(zip(pairs, cs))]
+    total = np.zeros(tgt.dims[e], dtype=np.complex128)
+    for (mult, fibers), form in zip(groups, forms):
+        count, k = fibers.shape[2], fibers.shape[-1]
+        # x[l]: the blocks W_l* c_p W_l stacked over p, (size * k, k)
+        x = (coeffs @ fibers[labels, :dbm].reshape(size, dbm, -1)).reshape(size, count, k, k)
+        x = x.transpose(1, 0, 2, 3).reshape(count, size * k, k)
+        part = x.conj().swapaxes(-1, -2) @ form @ x  # W_l* S W_l
+        if k == n:  # the ambient M_n
+            cert.witness_sum = _unscaled(part[0], mu, "witness sum")
+            return
+        total += np.einsum("jlab,lab,l->j", fibers[e, :tgt.dims[e]].conj(), part, mult)
+    cert.witness_sum = _unscaled(tgt.element(e, total), mu, "witness sum")
 
 
 def _unscaled(value, mu: float, what: str):
@@ -419,20 +443,40 @@ def t_values_ambient(t: BundleMap, fibers=None) -> np.ndarray:
 
 
 def _sample_tuples(rng, samples: int, da: np.ndarray, db: np.ndarray):
-    """Yield random tuples (labels g_i, draws for the a_i in A_{g_i}, draws
-    for the b_i in B_{phi(g_i)}), where da[g] and db[g] are the dimensions
-    of A_g and B_{phi(g)}.  The draws are those of one `random_coords` call
-    per element, a's before b's (decode them with numerics.split_draws); tuples
-    touching a zero fiber are drawn and dropped."""
+    """Random tuples (labels g_i, coordinates of the a_i in A_{g_i} and of
+    the b_i in B_{phi(g_i)}), where da[g] and db[g] are the dimensions of
+    A_g and B_{phi(g)}.  One call each draws the tuple lengths, the labels
+    of all positions, and the real and imaginary parts of all a's, then of
+    all b's, as (positions, 2, width) arrays zeroed past each fiber's
+    dimension.  Tuples touching a zero fiber are drawn and dropped.
+    Returns the lengths of the kept tuples and their positions'
+    concatenated labels (P,), a's (P, dm) and b's (P, dbm)."""
     order = len(da)
-    max_len = max(1, order * int(da.max()))
-    for _ in range(samples):
-        size = int(rng.integers(1, max_len + 1))
-        gs = rng.integers(order, size=size)
-        if not (da[gs].all() and db[gs].all()):
-            continue
-        yield (gs, rng.standard_normal(2 * int(da[gs].sum())),
-               rng.standard_normal(2 * int(db[gs].sum())))
+    dm, dbm = int(da.max(initial=0)), int(db.max(initial=0))
+    lengths = rng.integers(1, max(1, order * dm) + 1, size=samples)
+    labels = rng.integers(order, size=int(lengths.sum()))
+    a, b = ((z[:, 0] + 1j * z[:, 1]) * (np.arange(width) < dims[labels][:, None])
+            for z, width, dims in ((rng.standard_normal((len(labels), 2, dm)), dm, da),
+                                   (rng.standard_normal((len(labels), 2, dbm)), dbm, db)))
+    sid = np.repeat(np.arange(samples), lengths)
+    dropped = np.zeros(samples, dtype=bool)
+    dropped[sid[(da[labels] == 0) | (db[labels] == 0)]] = True
+    keep = ~dropped[sid]
+    return lengths[~dropped], labels[keep], a[keep], b[keep]
+
+
+def _summed_outer(key: np.ndarray, a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """sum over positions i with key[i] = r of conj(a_i) (x) b_i, for every
+    row r < rows: (rows, len(a_i) * len(b_i)), from one stable sort of the
+    keys and one np.add.reduceat over their runs."""
+    perm = np.argsort(key, kind="stable")
+    key = key[perm]
+    runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    out = np.zeros((rows, a.shape[1] * b.shape[1]), dtype=np.complex128)
+    if len(key):
+        outer = (a[perm].conj()[:, :, None] * b[perm][:, None, :]).reshape(len(key), -1)
+        out[key[runs]] = np.add.reduceat(outer, runs, axis=0)
+    return out
 
 
 def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
@@ -465,13 +509,16 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     costs about d_B dense samples to build.  The right product with E*
     stays dense.  Samples are evaluated together in chunks whose
     intermediates stay near CHUNK_BYTES: per sample, the coefficients of E,
-    the outer products a_i* (x) b_i of up to |G| d_A positions that they sum,
-    and four (L, nb, side) arrays of the largest group of blocks of one
-    size; the margins, Hermitian defects and norms of a chunk come from
-    one batched eigvalsh/norm per size, on T divided by a power of two so
-    huge finite entries cannot overflow.  The witness is the first sample
-    attaining the minimal margin; its sum S is formed in the ambient
-    algebra on first read of `witness_sum`.
+    the outer products a_i* (x) b_i of up to |G| d_A positions that they sum
+    (`_summed_outer`) and their copy in key order, and four (L, nb, side)
+    arrays of the largest group of blocks of one size.  The tuples are drawn
+    at once (`_sample_tuples`) and sliced per chunk.  The margins, Hermitian
+    defects and norms of a chunk come from one batched eigvalsh per size, on
+    T divided by a power of two so huge finite entries cannot overflow: the
+    norm of a sum that is Hermitian up to rounding is its largest
+    |eigenvalue|, and only the other sums take singular values.  The
+    witness is the first sample attaining the minimal margin; its sum S is
+    formed in the ambient algebra on first read of `witness_sum`.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
@@ -498,45 +545,51 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
         fibers = fibers.transpose(1, 2, 0, 3, 4).reshape(order, dbm, count * nb * nb)
         sizes.append((mult, nb, fibers, tt))
         widest = max(widest, count * nb * side)
-    # complex entries per sample: coef, the outer products summed into it,
-    # and e, its transpose and conjugate, and e @ tt
-    live = order * dm * dbm * (1 + dm) + 4 * widest
+    # complex entries per sample: coef, the outer products summed into it
+    # and their reordered copy, and e, its transpose and conjugate, and e @ tt
+    live = order * dm * dbm * (1 + 2 * dm) + 4 * widest
     chunk = max(1, CHUNK_BYTES // max(16 * live, 1))
-    tuples = _sample_tuples(np.random.default_rng(seed), samples, da, db)
+    lengths, labels, a_all, b_all = _sample_tuples(np.random.default_rng(seed), samples, da, db)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
     worst, first, refuted = np.inf, None, False
-    while block := list(itertools.islice(tuples, chunk)):
+    for lo in range(0, len(lengths), chunk):
+        hi = min(lo + chunk, len(lengths))
+        span = slice(starts[lo], ends[hi - 1])
         # coefficient of e_x (x) f_c in column block k of E, per sample
-        sid = np.repeat(np.arange(len(block)), [len(gs) for gs, _, _ in block])
-        gs, za, zb = (np.concatenate(part) for part in zip(*block))
-        a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
-        coef = np.zeros((len(block), order, dm, dbm), dtype=np.complex128)
-        np.add.at(coef, (sid, gs), a.conj()[:, :, None] * b[:, None, :])
-        sums, top = [], 0.0
+        sid = np.repeat(np.arange(hi - lo), lengths[lo:hi])
+        coef = _summed_outer(sid * order + labels[span], a_all[span], b_all[span],
+                             (hi - lo) * order).reshape(hi - lo, order, dm, dbm)
+        sums = []
         for mult, nb, fibers, tt in sizes:
             count, side = len(mult), order * dm * nb
             # e[l, sample]: (nb, side), with columns (k, x, col)
-            e = (coef @ fibers).reshape(len(block), order, dm, count, nb, nb)
-            e = e.transpose(3, 0, 4, 1, 2, 5).reshape(count, len(block), nb, side)
-            et = coef.reshape(len(block), -1) @ tt if dbm < nb else \
+            e = (coef @ fibers).reshape(hi - lo, order, dm, count, nb, nb)
+            e = e.transpose(3, 0, 4, 1, 2, 5).reshape(count, hi - lo, nb, side)
+            et = coef.reshape(hi - lo, -1) @ tt if dbm < nb else \
                 e.reshape(count, -1, side) @ tt
-            s = et.reshape(count, len(block), nb, side) @ e.conj().swapaxes(-1, -2)
+            s = et.reshape(count, hi - lo, nb, side) @ e.conj().swapaxes(-1, -2)
             sums.append((mult, s.swapaxes(0, 1)))
-            top = np.maximum(top, opnorms(s).max(axis=0))
         # the floors max(1, .) of the unscaled sums, over mu
-        defect, low, _ = block_spectra(sums, 1 / mu)
+        defect, low, high = block_spectra(sums, 1 / mu)
+        # ||S||: the largest |eigenvalue| of a sum that is Hermitian up to
+        # rounding, the largest singular value of its blocks otherwise
+        top = np.maximum(np.maximum(-low, high), 0.0)
+        skew = np.flatnonzero(defect > ROUNDING)
+        if len(skew):
+            top[skew] = np.max([opnorms(s[skew]).max(axis=-1) for _, s in sums], axis=0)
         ok, _, hermitian = judge_psd(defect, low, top, tol, 1 / mu, refute=10)
         margin = low / np.maximum(1 / mu, top)
         margin = np.where(hermitian, margin, np.minimum(margin, -defect))
         p = int(np.argmin(margin))
         if margin[p] < worst:
-            worst, first = float(margin[p]), block[p]
+            worst, first = float(margin[p]), lo + p
         refuted = refuted or not ok.all()
     if not refuted:
         return SampledCheck(True, worst if np.isfinite(worst) else 0.0)
-    gs, za, zb = first
-    a, b = split_draws(za, da[gs], dm), split_draws(zb, db[gs], dbm)
+    span = slice(starts[first], ends[first])
     witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
-               for g, ai, bi in zip(gs, a, b)]
+               for g, ai, bi in zip(labels[span], a_all[span], b_all[span])]
     return SampledCheck(False, worst, witness, lambda: _tuple_sum(t, witness))
 
 
@@ -612,7 +665,7 @@ def gelfand_raikov(t: BundleMap, tol: Tolerance | None = None):
     src, tgt, hom = t.source, t.target, t.hom
     if not (src.unital and tgt.unital):
         raise NotUnitalError("both bundles must be unital")
-    cert = _certify(t, tol)
+    cert, _ = _certify(t, tol)
     if not cert.ok:
         raise NotPositiveDefiniteError(
             f"map is not positive definite (margin {cert.margin:.3e})")

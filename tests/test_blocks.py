@@ -1,25 +1,31 @@
-"""Irreducible blocks: the decomposition of a bundle's algebras, and the
-certificate and the fiber Grams judged per block.
+"""Irreducible blocks: the decomposition of a bundle's algebras, the
+structure tensors built on it, and the certificate, its witness and the
+fiber Grams judged per block.
 
 The oracle is the same routine with the trivial decomposition
-(`numerics.one_block`), which reads every matrix in the ambient M_n.
+(`numerics.one_block`), which reads every matrix in the ambient M_n: for
+the structure tensors, `FellBundle._structure` on it.  The witness's oracle
+is read in the ambient certificate (`reference_witness`, with the ambient
+localized form kept here as `reference_localized_form`).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fellbundles import bundles, pdmaps
 from fellbundles.actions import Action, trivial_action
-from fellbundles.bundles import FellBundle, group_bundle, validate_bundle
+from fellbundles.bundles import FellBundle, group_bundle, regular_unitaries, validate_bundle
 from fellbundles.correspondences import EquivalenceBundle, trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import block_grams_psd, l2_bundle, trivial_hilbert_bundle
-from fellbundles.numerics import DEFAULT_TOL, Blocks, Tolerance, decompose_algebra, \
-    hermitian_defect, one_block
+from fellbundles.numerics import DEFAULT_TOL, Blocks, Tolerance, canonical_min_vector, \
+    decompose_algebra, hermitian_defect, membership_bound, one_block
 from fellbundles.pdmaps import NotPositiveDefiniteError, conjugation_bundle_map, gelfand_raikov, \
     identity_bundle_map, pd_check_exact, pd_check_sampled, perturb_bundle_map, scalar_bundle_map
 
-from test_pdmaps_batched import crossed, indefinite_identity, indefinite_maps
+from test_pdmaps_batched import crossed, indefinite_identity, indefinite_maps, s4_indefinite_scalar
 
 LADDER = {f"Z{n}": make_cyclic(n) for n in (2, 3, 4, 6, 8, 12)}
 LADDER.update(S3=symmetric_group(3), S4=symmetric_group(4))
@@ -206,6 +212,47 @@ def _close(a, b):
     return abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
+def _close_arrays(a, b):
+    return bool(np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))))
+
+
+def reference_localized_form(gram, beta):
+    """Compress the n x n blocks G_pq of the ambient certificate by the
+    bases beta[p] (padded, shape (P, dbm, n, n)): entry ((p, z), (q, w)) is
+    tr(beta_pz* G_pq beta_qw)."""
+    size, dbm, n = beta.shape[:3]
+    right = gram.reshape(size, n, size, n).transpose(2, 0, 1, 3).reshape(size, size * n, n) \
+        @ beta.transpose(0, 2, 1, 3).reshape(size, n, dbm * n)  # (q, (p, b), (w, a))
+    right = right.reshape(size, size, n, dbm, n).transpose(1, 2, 4, 0, 3)  # (p, b, a, q, w)
+    local = beta.conj().reshape(size, dbm, n * n) @ right.reshape(size, n * n, size * dbm)
+    return local.reshape(size * dbm, size * dbm)
+
+
+def reference_witness(t, tol=DEFAULT_TOL):
+    """The witness read in the ambient certificate: the certificate
+    compressed by the fiber bases of B_{phi(g_p)^-1} is the localized form,
+    whose canonical lowest eigenvector is folded back into the tuple, and
+    the tuple's sum is sum_pq c_p* M_pq c_q with the ambient M.  Returns the
+    tuple and its sum."""
+    src, tgt = t.source, t.target
+    pairs = pdmaps._basis_pairs(src)
+    gram, mu = pdmaps._ambient_certificate(t)
+    n = tgt.ambient_dim
+    labels = tgt.group.inverse[t.hom.map[[g for g, _ in pairs]]]
+    dbm = max(tgt.dims[h] for h in labels)
+    cols = np.flatnonzero(np.arange(dbm) < np.asarray(tgt.dims)[labels][:, None])
+    size = len(pairs)
+    beta = tgt.fiber_array[labels, :dbm]
+    local = reference_localized_form(gram, beta)[np.ix_(cols, cols)]
+    coeffs = np.zeros(size * dbm, dtype=np.complex128)
+    coeffs[cols] = canonical_min_vector((local + local.conj().T) / 2, tol, 1 / mu) * np.sqrt(n)
+    cs = (coeffs.reshape(size, 1, dbm) @ beta.reshape(size, dbm, n * n)).reshape(size * n, n)
+    scales = 1.0 / np.maximum(np.linalg.norm(np.concatenate(src.fibers), 2, axis=(1, 2)), 1e-300)
+    witness = [(g, scales[p] * src.fibers[g][i], c.conj().T)
+               for p, ((g, i), c) in enumerate(zip(pairs, cs.reshape(size, n, n)))]
+    return witness, (cs.conj().T @ gram @ cs) * mu
+
+
 def test_certificate_matches_the_one_block_route(maps):
     refuted = 0
     for name, t in maps.items():
@@ -215,13 +262,15 @@ def test_certificate_matches_the_one_block_route(maps):
         assert _close(got.margin, want.margin), (name, got.margin, want.margin)
         assert _close(got.scale, want.scale), name
         assert _close(got.hermitian_defect, want.hermitian_defect), name
-        # the witness is read in the ambient certificate either way
+        # both routes give the witness read in the ambient certificate
         assert (got.witness is None) == (want.witness is None), name
         if want.witness is not None:
             refuted += 1
-            for (g1, a1, b1), (g2, a2, b2) in zip(got.witness, want.witness, strict=True):
-                assert g1 == g2 and a1.tobytes() == a2.tobytes() and b1.tobytes() == b2.tobytes()
-            assert got.witness_sum.tobytes() == want.witness_sum.tobytes(), name
+            witness, witness_sum = reference_witness(t)
+            for cert in (got, want):
+                for (g1, a1, b1), (g2, a2, b2) in zip(cert.witness, witness, strict=True):
+                    assert g1 == g2 and _close_arrays(a1, a2) and _close_arrays(b1, b2), name
+                assert _close_arrays(cert.witness_sum, witness_sum), name
         assert got.gram.tobytes() == want.gram.tobytes(), name
     assert refuted >= 10
 
@@ -284,6 +333,67 @@ def test_corner_embedded_target_keeps_its_verdicts():
     assert pd_check_exact(identity_bundle_map(b)).ok
 
 
+def test_refuted_certificate_forms_the_ambient_certificate_only_when_read(monkeypatch, maps):
+    def refuse(*args):
+        raise AssertionError("the witness reads the block forms")
+
+    for name in ("S4 indefinite scalar", "M3xZ3 indefinite", "C+M2 perturbed"):
+        t = maps[name]
+        with monkeypatch.context() as m:
+            m.setattr(pdmaps, "_ambient_gram", refuse)
+            m.setattr(pdmaps, "_ambient_certificate", refuse)
+            cert = pd_check_exact(t)
+        assert not cert.ok and cert.witness, name
+        assert cert.gram.tobytes() == pdmaps._ambient_gram(t).tobytes(), name
+
+
+def test_refuted_s4_certificate_stays_small():
+    """The S4 certificate of side 576 is never formed: its blocks have side
+    at most 72 (10.6 MiB peak when the witness read the ambient one)."""
+    t = s4_indefinite_scalar()
+    tracemalloc.start()
+    try:
+        cert = pd_check_exact(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not cert.ok and cert.witness
+    assert peak <= 3 * 2 ** 20
+
+
+def test_s5_rung_refutes_with_a_witness():
+    """S5, one rung past the ladder (|G| = n = 120): f = 1 at e and 2
+    elsewhere is refuted with an explicit tuple.  Every a_p and b_p is a
+    multiple of the permutation matrix u_{g_p}, so the tuple's sum
+    sum_pq b_p T(a_p* a_q) b_q* is w* F w times the identity, with
+    w_p = alpha_p conj(beta_p) and F_pq = f(g_p^-1 g_q): re-evaluated from
+    the map's definition, not from the certificate."""
+    grp = symmetric_group(5)
+    b = group_bundle(grp)
+    t = scalar_map(b, 2.0)
+    tracemalloc.start()
+    try:
+        cert = pd_check_exact(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2 ** 20
+    assert not cert.ok and len(cert.witness) == grp.order
+    u, n = regular_unitaries(grp), grp.order
+    labels, w = [], []
+    for g, a, bp in cert.witness:
+        alpha, beta = np.vdot(u[g], a) / n, np.vdot(u[g], bp) / n
+        assert np.abs(a - alpha * u[g]).max() <= 1e-12
+        assert np.abs(bp - beta * u[g]).max() <= 1e-12
+        labels.append(g)
+        w.append(alpha * np.conj(beta))
+    labels, w = np.array(labels), np.array(w)
+    f = np.where(np.arange(n) == grp.identity, 1.0, 2.0)
+    value = w.conj() @ f[grp.table[grp.inverse[labels][:, None], labels[None, :]]] @ w
+    assert value.real < -0.5 and cert.margin < 0
+    assert np.abs(cert.witness_sum - value * np.eye(n)).max() <= 1e-9 * max(1.0, abs(value))
+
+
 def test_gns_refuses_from_the_verdict_alone(monkeypatch, maps):
     def no_witness(*args):
         raise AssertionError("the reconstruction reads no witness")
@@ -293,6 +403,96 @@ def test_gns_refuses_from_the_verdict_alone(monkeypatch, maps):
     for name in ("S4 indefinite scalar", "Z12 indefinite scalar", "M3xZ3 indefinite"):
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
             gelfand_raikov(maps[name])
+
+
+# -- the structure tensors per block ------------------------------------------
+
+def _ambient_structure(b):
+    """The ambient build: the structure on the trivial decomposition."""
+    return b._structure(one_block(b.ambient_dim).compress(b.fiber_array))
+
+
+def _perturbed(b, scale, seed):
+    """b with one basis element of its first non-identity nonzero fiber
+    moved by `scale` times a random matrix."""
+    rng = np.random.default_rng(seed)
+    grp, n = b.group, b.ambient_dim
+    g = next(h for h in grp.elements() if h != grp.identity and b.dims[h])
+    fibers = [b.fibers[h].copy() for h in grp.elements()]
+    fibers[g][0] += scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return FellBundle(grp, n, fibers)
+
+
+def _structure_corpus():
+    bases = {label: group_bundle(group) for label, group in LADDER.items()}
+    bases.update({f"M{k}xZ{m}": ad_diag(k, m) for k, m in CROSSED})
+    bases.update({"Z16": group_bundle(make_cyclic(16)), "M4xZ4": ad_diag(4, 4),
+                  "Z3 in M_4": corner(make_cyclic(3), 4),
+                  "Z12 in M_16": corner(make_cyclic(12), 16), "C+M2": c_plus_m2()})
+    out = dict(bases)
+    for i, (label, b) in enumerate(bases.items()):
+        if b.group.order > 1:
+            for scale in (1e-3, 1e-9, 1e-13):
+                out[f"{label} moved {scale:g}"] = _perturbed(b, scale, i)
+    return out
+
+
+def _verdicts(grading, involution, tol=DEFAULT_TOL):
+    bound = membership_bound(tol)
+    return grading.max(initial=0.0) <= bound, involution.max(initial=0.0) <= bound
+
+
+def test_block_structure_matches_the_ambient_build():
+    """Wherever the block build stands, it gives the ambient build's
+    structure tensors and residuals within 1e-12 max(1, |x|), and so its
+    verdicts; wherever it does not, or the decomposition fails, the bundle
+    keeps the ambient build bit for bit.  The build reads the blocks from
+    ambient side 16 on; below it the block build is checked directly."""
+    stood, refused = [], []
+    for name, b in _structure_corpus().items():
+        want = _ambient_structure(b)
+        blocks = b._span_blocks
+        split = blocks.types != [(b.ambient_dim, 1)]
+        got = b._structure(blocks.compress(b.fiber_array)) if split else None
+        if got is not None and b._stands_in_blocks(got[2], got[4]):
+            stood.append(name)
+            for x, y in zip(got[1:], want[1:]):
+                assert _close_arrays(x, y), name
+            assert _verdicts(got[2], got[4]) == _verdicts(want[2], want[4]), name
+        else:
+            refused.append(name)
+        if b.ambient_dim >= bundles._BLOCK_SIDE and name in stood:
+            assert "_block_fibers" in vars(b), name
+            got = (b.prod_array, b.grading_residual, b.star_array, b.involution_residual)
+            for x, y in zip(got, want[1:]):
+                assert _close_arrays(x, y), name
+            sv = np.linalg.svd(np.concatenate(b.fibers).reshape(b.total_dim, -1),
+                               compute_uv=False)
+            assert _close_arrays(np.array(b.directness_sv), np.array([sv[-1], sv[0]])), name
+        else:
+            assert "_block_fibers" not in vars(b), name
+            got = (b.prod_array, b.grading_residual, b.star_array, b.involution_residual)
+            for x, y in zip(got, want[1:]):
+                assert x.tobytes() == y.tobytes(), name
+    # every valid bundle stands; moved beyond rounding, none does
+    assert not [name for name in refused if "moved" not in name]
+    assert not [name for name in stood if "moved 0.001" in name or "moved 1e-09" in name]
+    assert len(stood) >= 25 and len(refused) >= 40
+
+
+def test_a_large_bundle_is_built_on_its_decomposition(monkeypatch):
+    """From ambient side 16 on the decomposition comes first; the
+    certificate and the sampled check share it."""
+    calls = []
+    real = bundles.decompose_algebra
+    monkeypatch.setattr(bundles, "decompose_algebra",
+                        lambda *args: calls.append(1) or real(*args))
+    b = group_bundle(symmetric_group(4))
+    assert len(calls) == 1 and "_block_fibers" in vars(b)
+    t = scalar_map(b, 0.1)
+    pd_check_exact(t)
+    pd_check_sampled(t, samples=5)
+    assert b.blocks is b._span_blocks and len(calls) == 1 and "unit_blocks" not in vars(b)
 
 
 # -- the fiber Grams per block -------------------------------------------------

@@ -55,21 +55,31 @@ def reference_t_values(t):
 
 
 def reference_pd_check_sampled(t, samples=200, seed=0, tol=DEFAULT_TOL):
-    """The per-sample, per-pair loop of the sampled tuple check."""
+    """The per-sample, per-pair loop of the sampled tuple check, on the
+    tuples the sampler draws: one call each for the tuple lengths, the
+    labels of all positions, and the real and imaginary parts of all a's,
+    then of all b's, as (positions, 2, width) arrays read up to each fiber's
+    dimension."""
     src, tgt, hom = t.source, t.target, t.hom
     grp = src.group
     rng = np.random.default_rng(seed)
-    max_len = max(1, grp.order * max(src.dims, default=1))
+    dm = max(src.dims, default=0)
+    dbm = max((tgt.dims[hom(g)] for g in grp.elements()), default=0)
+    lengths = rng.integers(1, max(1, grp.order * dm) + 1, size=samples)
+    labels = rng.integers(grp.order, size=int(lengths.sum()))
+    za = rng.standard_normal((len(labels), 2, dm))
+    zb = rng.standard_normal((len(labels), 2, dbm))
     tt = reference_t_values(t)
     worst = np.inf
     bad = None
-    for _ in range(samples):
-        size = int(rng.integers(1, max_len + 1))
-        gs = [int(rng.integers(grp.order)) for _ in range(size)]
+    for start, size in zip(np.cumsum(lengths) - lengths, lengths):
+        pos = range(start, start + size)
+        gs = [int(labels[i]) for i in pos]
         if any(src.dims[g] == 0 or tgt.dims[hom(g)] == 0 for g in gs):
             continue
-        a_coords = [src.random_coords(g, rng) for g in gs]
-        bs = [tgt.element(hom(g), tgt.random_coords(hom(g), rng)) for g in gs]
+        a_coords = [za[i, 0, :src.dims[g]] + 1j * za[i, 1, :src.dims[g]] for i, g in zip(pos, gs)]
+        bs = [tgt.element(hom(g), zb[i, 0, :tgt.dims[hom(g)]] + 1j * zb[i, 1, :tgt.dims[hom(g)]])
+              for i, g in zip(pos, gs)]
         s = np.zeros((tgt.ambient_dim, tgt.ambient_dim), dtype=np.complex128)
         for i in range(size):
             for j in range(size):
@@ -318,9 +328,9 @@ def _witness_bytes(result):
 def test_sampled_chunks_count_the_coefficients_and_outer_products(monkeypatch):
     """M3 x Z3 splits into three blocks of side 3, so the block route's
     chunks hold three times the ambient route's samples: its per-sample
-    coefficients and outer products must count, or its peak exceeds the
-    ambient route's.  Chunking leaves the margins and the witness as they
-    are."""
+    coefficients, outer products and their copy in key order must count, or
+    its peak exceeds the ambient route's.  Chunking leaves the margins and
+    the witness as they are."""
     t = perturb_bundle_map(identity_bundle_map(m3_z3()), 0.5, np.random.default_rng(3))
     assert t.target.blocks.types == [(3, 1)] * 3
     blocked, peak = _sampled_peak(t)
