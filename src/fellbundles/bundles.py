@@ -22,10 +22,13 @@ The fibers, the product tensor and the star tensor are each stored once,
 as one read-only array indexed by group elements and zero-padded to the
 largest fiber dimension db (`fiber_array`, `prod_array`, `star_array`);
 `fibers[g]`, `prod[g][h]` and `star_tensor[g]` are tuples of read-only
-views of their blocks (`numerics.freeze`).  The irreducible types of the
-*-algebra spanned by all fibers (`blocks`) and of A_e (`unit_blocks`) are
-decomposed once per bundle: at construction when the structure is built on
-them, otherwise when first read.
+views of their blocks (`numerics.freeze`).  Construction keeps the fibers
+and the unit's coordinates; the product and star tensors, their residuals
+and the directness of the fiber sum are built on the first read of any of
+them, so a command that only writes a bundle out never forms them.  The
+irreducible types of the *-algebra spanned by all fibers (`blocks`) and of
+A_e (`unit_blocks`) are decomposed once per bundle: when the structure is
+built on them, otherwise when first read.
 
 Construction is whole-array.  One batched Gram decides which input fibers
 are already HS-orthonormal, and the structure tensors come from batched
@@ -64,6 +67,13 @@ from .reports import Report
 _BLOCK_SIDE = 16
 
 
+# the attributes of a FellBundle built on first read: those `_build_structure`
+# sets, and those `_record_directness` sets after it
+_STRUCTURE = frozenset({"prod_array", "star_array", "prod", "star_tensor",
+                        "grading_residual", "involution_residual"})
+_DIRECTNESS = frozenset({"directness_residual", "directness_sv", "direct"})
+
+
 class NotAutomorphismError(ValueError):
     pass
 
@@ -99,8 +109,9 @@ class FellBundle:
     fibers[g] is a (d_g, n, n) array whose slices form an HS-orthonormal
     basis of the fiber over g, a view of fiber_array[g] of shape
     (db, n, n).  Construction never raises on broken grading;
-    residuals are recorded and surfaced by validate_bundle, so deliberately
-    perturbed bundles can be built and reported on.
+    residuals are recorded when the structure is built and surfaced by
+    validate_bundle, so deliberately perturbed bundles can be built and
+    reported on.
     """
 
     def __init__(self, group: FiniteGroup, ambient_dim: int, fibers,
@@ -129,8 +140,22 @@ class FellBundle:
         self.fibers = freeze(self.fiber_array, [f.shape for f in fibers])
         self.total_dim = int(sum(self.dims))
         self._tol = tol
-        self._build_structure()
-        self._record_directness()
+        eye = np.eye(n, dtype=np.complex128)
+        self.unit_coords, self.unit_residual = self.coords(group.identity, eye)
+        self.unital = self.unital_at(tol)
+
+    def __getattr__(self, name):
+        """The structure tensors and residuals (`_build_structure`) and the
+        directness fields (`_record_directness`, which reads the block
+        fibers of the structure build), built on the first read of one of
+        them and kept."""
+        if name not in _STRUCTURE and name not in _DIRECTNESS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if "prod_array" not in vars(self):
+            self._build_structure()
+        if name in _DIRECTNESS:
+            self._record_directness()
+        return vars(self)[name]
 
     def _record_directness(self):
         """The fiber sum is direct iff the stacked HS-orthonormal bases have
@@ -155,9 +180,9 @@ class FellBundle:
     # -- structure tensors ------------------------------------------------
 
     def _build_structure(self):
-        """The product and star tensors, their grading and involution
-        residuals and the unit's coordinates.  From ambient side _BLOCK_SIDE
-        on they are built in the block coordinates of the span of the fibers
+        """The product and star tensors and their grading and involution
+        residuals.  From ambient side _BLOCK_SIDE on they are built in the
+        block coordinates of the span of the fibers
         (`_span_blocks`, decomposed first) when it has more than one
         irreducible block and that build stands (`_stands_in_blocks`);
         otherwise, as for a broken bundle, in the ambient M_n: the same
@@ -180,9 +205,6 @@ class FellBundle:
                                    for h in grp.elements()] for g in grp.elements()])
         self.star_tensor = freeze(star, [(self.dims[g], self.dims[grp.inv(g)])
                                          for g in grp.elements()])
-        eye = np.eye(n, dtype=np.complex128)
-        self.unit_coords, self.unit_residual = self.coords(grp.identity, eye)
-        self.unital = self.unital_at(self._tol)
 
     def _structure(self, groups):
         """The structure tensors in block coordinates: the compressions

@@ -5,15 +5,20 @@ Every command reads JSON, prints one JSON report to stdout and exits with
 the axiom or eigenvalue) or 2 (malformed input).  Reports embed the
 tolerances, seed and sample count that produced them and contain no
 timestamps, so identical invocations are byte-identical.
+
+`read_argv` reads argv in one pass against one table of options, which
+also gives the help text; an argv it refuses, a negative --seed and a
+--samples below 1 exit 2 with one JSON error on stderr before FILE is read.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -324,39 +329,167 @@ COMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fellbundles",
-        description="Validate graded bundle data, certify positive "
-                    "definiteness, run the reconstruction pipeline and check "
-                    "Morita equivalences.",
-    )
-    # the arguments every command shares, added once and copied into each
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("file", help="input JSON file")
-    shared.add_argument("--tol-psd", type=float, default=1e-8)
-    shared.add_argument("--tol-rank", type=float, default=1e-9)
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--samples", type=int, default=200)
-    shared.add_argument("--full", action="store_true",
-                        help="embed certificate matrices in the report")
-    shared.add_argument("-o", "--output", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("validate", "run the axiom battery for the object in FILE"),
-        ("build", "construct a named object from a build spec"),
-        ("pd-check", "certify positive definiteness of a bundle map"),
-        ("gns", "reconstruct (bundle, action, vector) from a map and round-trip it"),
-        ("correspond", "build the crossed-product module of an action"),
-        ("morita", "verify an imprimitivity bimodule"),
-        ("report", "extended diagnostics for the object in FILE"),
-    ):
-        p = sub.add_parser(name, help=help_text, parents=[shared])
-        if name == "correspond":
-            p.add_argument("--vector", default=None,
-                           help="vector JSON for the cyclicity check; the vector "
-                                "must lie in the unit fiber of the target group")
-    return parser
+# -- the command line ----------------------------------------------------------
+
+_SUMMARIES = {
+    "validate": "run the axiom battery for the object in FILE",
+    "build": "construct a named object from a build spec",
+    "pd-check": "certify positive definiteness of a bundle map",
+    "gns": "reconstruct (bundle, action, vector) from a map and round-trip it",
+    "correspond": "build the crossed-product module of an action",
+    "morita": "verify an imprimitivity bimodule",
+    "report": "extended diagnostics for the object in FILE",
+}
+_DESCRIPTION = ("Validate graded bundle data, certify positive definiteness, run the\n"
+                "reconstruction pipeline and check Morita equivalences.")
+_TOL_DEFAULTS = {f.name: f.default for f in fields(Tolerance)}
+
+
+@dataclass(frozen=True)
+class _Option:
+    names: tuple[str, ...]
+    dest: str
+    read: type | None  # None for a flag
+    default: object
+    help: str
+
+
+# the options every command takes, then correspond's own
+_OPTIONS = (
+    _Option(("--tol-psd",), "tol_psd", float, _TOL_DEFAULTS["rel_psd"],
+            "relative tolerance of PSD margins"),
+    _Option(("--tol-rank",), "tol_rank", float, _TOL_DEFAULTS["rel_rank"],
+            "relative tolerance of rank and membership decisions"),
+    _Option(("--seed",), "seed", int, 0, "seed of the sampled checks, non-negative"),
+    _Option(("--samples",), "samples", int, 200, "number of sampled tuples, positive"),
+    _Option(("--full",), "full", None, False, "embed certificate matrices in the report"),
+    _Option(("-o", "--output"), "output", str, None,
+            "file to write (build) or prefix of the written files (gns)"),
+)
+_VECTOR = _Option(("--vector",), "vector", str, None,
+                  "vector JSON for the cyclicity check; the vector must lie in the "
+                  "unit fiber of the target group")
+_HELP = _Option(("-h", "--help"), "help", None, False, "print this help and exit")
+_METAVARS = {float: " X", int: " N", str: " PATH", None: ""}
+
+
+class UsageError(Exception):
+    """An argv the command line refuses; the message names the token."""
+
+
+def _command_options(command: str) -> tuple[_Option, ...]:
+    return _OPTIONS + (_VECTOR, _HELP) if command == "correspond" else _OPTIONS + (_HELP,)
+
+
+def _help_text(command: str | None = None) -> str:
+    if command is None:
+        usage, options = "COMMAND FILE [options]", _OPTIONS + (_VECTOR, _HELP)
+        lines = [_DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<12} {summary}" for name, summary in _SUMMARIES.items()]
+    else:
+        usage, options = f"{command} FILE [options]", _command_options(command)
+        lines = [_SUMMARIES[command]]
+    lines += ["", "options:"]
+    for opt in options:
+        scope = "correspond only: " if opt is _VECTOR and command is None else ""
+        default = "" if opt.read in (None, str) else f" (default {opt.default})"
+        lines.append(f"  {', '.join(opt.names)}{_METAVARS[opt.read]}")
+        lines.append(f"      {scope}{opt.help}{default}")
+    lines += ["", "Long options may be shortened to a unique prefix and take their value as",
+              "--opt VALUE or --opt=VALUE; -o takes -o OUT or -oOUT; every argument after",
+              "-- is FILE.  Exit codes: 0 all checks passed, 1 a mathematical check failed,",
+              "2 malformed input or usage, with one JSON error."]
+    return f"usage: fellbundles {usage}\n\n" + "\n".join(lines)
+
+
+def _negative_number(token: str) -> bool:
+    """Whether `token` reads as -N or -N.N, which the reader takes as a value."""
+    whole, dot, frac = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (whole == "" or whole.isdecimal()) and frac.isdecimal()
+
+
+def _classify(token: str, names: dict):
+    """None for a value, else (option, the value attached to the token or
+    None): a long option may be a unique prefix of its name and carry
+    =VALUE, a short one its value glued on (-oOUT).  Raises UsageError for
+    an option that matches no name or more than one."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return names[token], None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return names[name], value
+    if token.startswith("--"):
+        found = [(s, value if eq else None) for s in names if s.startswith(name)]
+    else:
+        found = [(s, token[2:] if s == token[:2] else None) for s in names
+                 if s == token[:2] or s.startswith(token)]
+    if len(found) == 1:
+        return names[found[0][0]], found[0][1]
+    if found:
+        raise UsageError(f"ambiguous option {token}: could be "
+                         + ", ".join(s for s, _ in found))
+    if _negative_number(token) or " " in token:
+        return None
+    raise UsageError(f"unknown option {token}")
+
+
+def read_argv(argv: list[str]):
+    """The namespace of `argv`: `command`, `file` and every option of the
+    command, each absent one at its default, or None when `argv` asks for
+    help.  Raises UsageError, naming the token, for an argv it refuses."""
+    if not argv:
+        raise UsageError(f"a command is required: one of {', '.join(_SUMMARIES)}")
+    command, rest = argv[0], argv[1:]
+    if command not in _SUMMARIES:
+        if command != "--" and _classify(command, {s: _HELP for s in _HELP.names}) == (_HELP, None):
+            print(_help_text())
+            return None
+        raise UsageError(f"unknown command {command!r}: expected one of {', '.join(_SUMMARIES)}")
+    options = _command_options(command)
+    names = {s: opt for opt in options for s in opt.names}
+    values = {opt.dest: opt.default for opt in options if opt is not _HELP}
+    files, plain, after_file, i = [], False, False, 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if plain:
+            files.append(token)
+            continue
+        if token == "--":
+            # it marks FILE: it comes right before it or right after it
+            if files and not after_file:
+                raise UsageError(f"-- must come right before or right after FILE {files[0]!r}")
+            plain = True
+            continue
+        kind = _classify(token, names)
+        after_file = kind is None
+        if kind is None:
+            files.append(token)
+        elif kind[0].read is None:
+            if kind[1] is not None:
+                raise UsageError(f"{token}: {kind[0].names[-1]} takes no value")
+            if kind[0] is _HELP:
+                print(_help_text(command))
+                return None
+            values[kind[0].dest] = True
+        else:
+            opt, value = kind
+            if value is None:
+                if i == len(rest) or rest[i] == "--" or _classify(rest[i], names) is not None:
+                    raise UsageError(f"{token} needs a value")
+                value, i = rest[i], i + 1
+            try:
+                values[opt.dest] = opt.read(value)
+            except ValueError:
+                raise UsageError(f"{token} {value!r}: not a valid {opt.read.__name__}") from None
+    if len(files) != 1:
+        raise UsageError(f"{command} needs one FILE, got {len(files)}"
+                         + (f": {', '.join(files)}" if files else ""))
+    return SimpleNamespace(command=command, file=files[0], **values)
 
 
 def main(argv=None) -> int:
@@ -371,7 +504,13 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = read_argv(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(json.dumps({"ok": False, "error": str(exc)}), file=sys.stderr)
+        return BAD_INPUT
+    if args is None:
+        return OK
     try:
         args.tolerance = Tolerance(rel_psd=args.tol_psd, rel_rank=args.tol_rank)
     except ValueError as exc:
@@ -379,6 +518,10 @@ def _main(argv) -> int:
         return BAD_INPUT
     if args.samples < 1:
         print(json.dumps({"ok": False, "error": "--samples must be a positive integer"}),
+              file=sys.stderr)
+        return BAD_INPUT
+    if args.seed < 0:
+        print(json.dumps({"ok": False, "error": "--seed must be a non-negative integer"}),
               file=sys.stderr)
         return BAD_INPUT
     try:

@@ -269,7 +269,9 @@ def test_decoder_reads_numeric_strings_as_before():
 def _reference_copy(bundle, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(FellBundle, "_build_structure", reference_build_structure)
-        return FellBundle(bundle.group, bundle.ambient_dim, bundle.fibers)
+        ref = FellBundle(bundle.group, bundle.ambient_dim, bundle.fibers)
+        ref.prod_array  # built on first read, while the reference is patched in
+        return ref
 
 
 @pytest.mark.parametrize("name", BUNDLES)

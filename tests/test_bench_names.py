@@ -51,7 +51,7 @@ def test_tracer_splits_gns_at_its_first_eigensolve():
 def test_tracer_splits_crossed_product_construction_from_its_structure():
     system = crossed_system(2, 2)
     with _load_spans().Tracer().installed() as tracer:
-        fellbundles.bundles.dynamical_bundle(*system)
+        fellbundles.bundles.dynamical_bundle(*system).prod_array
     self_s = tracer.totals()["self_s"]
     assert self_s.get("bundles.construct", 0.0) > 0.0
     assert self_s.get("bundles.structure", 0.0) > 0.0

@@ -461,9 +461,10 @@ def test_block_structure_matches_the_ambient_build():
             assert _verdicts(got[2], got[4]) == _verdicts(want[2], want[4]), name
         else:
             refused.append(name)
+        # the structure is built on this first read
+        got = (b.prod_array, b.grading_residual, b.star_array, b.involution_residual)
         if b.ambient_dim >= bundles._BLOCK_SIDE and name in stood:
             assert "_block_fibers" in vars(b), name
-            got = (b.prod_array, b.grading_residual, b.star_array, b.involution_residual)
             for x, y in zip(got, want[1:]):
                 assert _close_arrays(x, y), name
             sv = np.linalg.svd(np.concatenate(b.fibers).reshape(b.total_dim, -1),
@@ -471,7 +472,6 @@ def test_block_structure_matches_the_ambient_build():
             assert _close_arrays(np.array(b.directness_sv), np.array([sv[-1], sv[0]])), name
         else:
             assert "_block_fibers" not in vars(b), name
-            got = (b.prod_array, b.grading_residual, b.star_array, b.involution_residual)
             for x, y in zip(got, want[1:]):
                 assert x.tobytes() == y.tobytes(), name
     # every valid bundle stands; moved beyond rounding, none does
@@ -481,13 +481,16 @@ def test_block_structure_matches_the_ambient_build():
 
 
 def test_a_large_bundle_is_built_on_its_decomposition(monkeypatch):
-    """From ambient side 16 on the decomposition comes first; the
-    certificate and the sampled check share it."""
+    """From ambient side 16 on the decomposition comes first, when the
+    structure is first read; the certificate and the sampled check share
+    it."""
     calls = []
     real = bundles.decompose_algebra
     monkeypatch.setattr(bundles, "decompose_algebra",
                         lambda *args: calls.append(1) or real(*args))
     b = group_bundle(symmetric_group(4))
+    assert not calls and "prod_array" not in vars(b)
+    b.prod_array
     assert len(calls) == 1 and "_block_fibers" in vars(b)
     t = scalar_map(b, 0.1)
     pd_check_exact(t)

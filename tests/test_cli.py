@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,14 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fellbundles
 from fellbundles import serialize as sz
 from fellbundles.bundles import group_bundle
-from fellbundles.cli import main
+from fellbundles.cli import UsageError, main, read_argv
 from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.groups import identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import trivial_hilbert_bundle
+from fellbundles.numerics import Tolerance
 from fellbundles.pdmaps import identity_bundle_map, scalar_bundle_map
 
 
@@ -622,21 +627,207 @@ def reference_parser():
     return parser
 
 
-def _help_texts(parser):
-    [sub] = [a for a in parser._actions if a.dest == "command"]
-    return {"": parser.format_help(),
-            **{name: p.format_help() for name, p in sub.choices.items()}}
+def _reference_vars(argv):
+    """vars of the reference parser's namespace, or its exit code when it
+    refuses `argv` (or prints help)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(reference_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_help_texts_and_parses_match_the_reference_parser():
-    from fellbundles.cli import make_parser
+def _reader_vars(argv):
+    """vars of the reader's namespace, or 2 when it refuses `argv`."""
+    try:
+        return vars(read_argv(argv))
+    except UsageError:
+        return 2
 
-    got, want = make_parser(), reference_parser()
-    assert _help_texts(got) == _help_texts(want)
+
+def _same_vars(got, want):
+    """Equal namespaces, a nan tolerance equal to a nan."""
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return got == want
+    return got.keys() == want.keys() and all(
+        got[k] == want[k] or got[k] != got[k] and want[k] != want[k] for k in got)
+
+
+def test_reader_matches_the_reference_parser():
     for argv in (["validate", "f.json"], ["pd-check", "f.json", "--full", "--seed", "3"],
                  ["correspond", "a.json", "--vector", "v.json", "-o", "out"],
-                 ["gns", "m.json", "--tol-psd", "1e-6", "--tol-rank", "1e-7", "--samples", "9"]):
-        assert vars(got.parse_args(argv)) == vars(want.parse_args(argv))
+                 ["gns", "m.json", "--tol-psd", "1e-6", "--tol-rank", "1e-7", "--samples", "9"],
+                 ["build", "--out=x", "-oOUT", "--se", "-4", "--", "-5"],
+                 ["report", "f.json", "--", "--full"]):
+        assert _reader_vars(argv) == _reference_vars(argv), argv
+
+
+def test_default_tolerances_are_the_fields_of_tolerance():
+    args = read_argv(["validate", "f.json"])
+    assert Tolerance(rel_psd=args.tol_psd, rel_rank=args.tol_rank) == Tolerance()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["correspond", "-h"]])
+def test_help_lists_every_command_and_flag(capsys, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    commands = ["correspond"] if argv[0] == "correspond" else list(fellbundles.cli.COMMANDS)
+    for word in commands + ["FILE", "--tol-psd", "--tol-rank", "--seed", "--samples",
+                            "--full", "-o", "--output", "--vector", "--help"]:
+        assert word in text, word
+
+
+def test_a_commands_help_leaves_out_the_options_it_does_not_take(capsys):
+    assert main(["validate", "FILE", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "--seed" in text and "--vector" not in text
+
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "command"),
+    (["bogus", "f.json"], "bogus"),
+    (["validate"], "FILE"),
+    (["validate", "f.json", "g.json"], "g.json"),
+    (["validate", "f.json", "--tol", "1e-3"], "--tol"),
+    (["validate", "f.json", "--s", "1"], "--s"),
+    (["validate", "f.json", "--seed", "x"], "--seed"),
+    (["validate", "f.json", "--samples"], "--samples"),
+    (["validate", "f.json", "--full=1"], "--full=1"),
+    (["validate", "f.json", "--vector", "v.json"], "--vector"),
+    (["validate", "f.json", "-o", "--full"], "-o"),
+    (["validate", "f.json", "--full", "--"], "--"),
+], ids=["no arguments", "unknown command", "no FILE", "second FILE", "ambiguous --tol",
+        "ambiguous --s", "--seed x", "no value at the end", "--full=1", "--vector on validate",
+        "an option for a value", "a stray --"])
+def test_refused_argvs_exit_2_with_one_json_error(capsys, argv, token):
+    assert _reference_vars(argv) == 2
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    error = json.loads(captured.err)
+    assert error["ok"] is False and token in error["error"]
+
+
+@pytest.mark.parametrize("kind", ["bundle", "action", "bundle_map", "equivalence"])
+def test_a_negative_seed_exits_2_before_reading_the_file(tmp_path, capsys, monkeypatch, kind):
+    """Whatever the command and the object, --seed -1 is a usage error:
+    exit 2, one JSON error naming --seed on stderr, and FILE is not read."""
+    objs = _z2_objects()
+    objs["equivalence"] = sz.equivalence_to_json(
+        trivial_self_equivalence(group_bundle(make_cyclic(2))))
+    path = write(tmp_path, f"{kind}.json", objs[kind])
+    monkeypatch.setattr(fellbundles.cli, "_load", lambda p: pytest.fail(f"read {p}"))
+    commands = {"bundle": ["validate", "report"], "action": ["validate", "correspond"],
+                "bundle_map": ["pd-check", "gns"], "equivalence": ["morita"]}[kind]
+    for command in commands:
+        code = main([command, path, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", command
+        assert "--seed" in json.loads(captured.err)["error"], command
+
+
+_OPTION_VALUES = {
+    "--tol-psd": ["1e-7", "3", "-.5", "nan"], "--tol-rank": ["1e-12", "-1", "inf"],
+    "--seed": ["3", "0", "-1", " 7"], "--samples": ["9", "0"],
+    "--output": ["out", "-", "-5", "a b"], "--vector": ["v.json"], "--full": []}
+# values no option reads: not a number, empty, or read as an option
+_BAD_VALUES = ["x", "", "-x", "--", "--full", "1.5"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one command: options, each under its long name or a prefix
+    of it, with its value apart, after = or glued to -o, and FILE (or none,
+    or two) before, between or after them, maybe marked by --.  About one
+    part in eight is refused: a bad value, --full=1, --vector off
+    correspond, an ambiguous prefix or a stray --."""
+    command = draw(st.sampled_from(["validate", "build", "pd-check", "correspond"]))
+    rare = st.integers(0, 7).map(lambda k: k == 0)
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        names = [n for n in sorted(_OPTION_VALUES) if n != "--vector" or command == "correspond"]
+        name = draw(st.sampled_from(sorted(_OPTION_VALUES) if draw(rare) else names))
+        prefix = name[:draw(st.integers(4 if draw(rare) else 7, max(7, len(name))))]
+        if name == "--full":
+            parts.append([f"{prefix}=1" if draw(rare) else prefix])
+            continue
+        value = draw(st.sampled_from(_BAD_VALUES if draw(rare) else _OPTION_VALUES[name]))
+        form = draw(st.sampled_from(["apart", "equals", "glued"]))
+        # an attached "--" is test_an_attached_dashes_value_is_its_text's
+        if form == "glued" and name == "--output" and value not in ("", "--"):
+            parts.append([f"-o{value}"])
+        elif form == "equals" and value != "--":
+            parts.append([f"{prefix}={value}"])
+        else:
+            parts.append([prefix, value])
+    files = draw(st.sampled_from([["f.json"]] * 4 + [["--", "f.json"], ["f.json", "--"]]))
+    if draw(rare):
+        files = draw(st.sampled_from([[], ["f.json", "g.json"], ["--"]]))
+    parts.insert(draw(st.integers(0, len(parts))), files)
+    return [command] + [token for part in parts for token in part]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_argvs())
+def test_reader_agrees_with_the_reference_parser(argv):
+    """Where the reference parser accepts an argv the reader gives the same
+    namespace, and where it refuses one the reader refuses it too."""
+    want = _reference_vars(argv)
+    assert want != 0  # no help token in the corpus
+    assert _same_vars(_reader_vars(argv), want), argv
+
+
+def test_an_attached_dashes_value_is_its_text():
+    """The reference parser drops the "--" of --opt=-- or -o-- and stores [],
+    so `pd-check FILE --seed=--` ran and reported "seed": []; the reader
+    keeps the text, so --seed=-- is refused and --output=-- names the file
+    "--"."""
+    assert _reference_vars(["validate", "f.json", "--seed=--"])["seed"] == []
+    assert _reference_vars(["build", "f.json", "-o--"])["output"] == []
+    assert _reader_vars(["validate", "f.json", "--seed=--"]) == 2
+    assert _reader_vars(["build", "f.json", "--output=--"])["output"] == "--"
+    assert _reader_vars(["build", "f.json", "-o--"])["output"] == "--"
+
+
+@pytest.mark.parametrize("spec", ["identity_bundle_map", "scalar_bundle_map"])
+def test_build_map_never_builds_the_structure(tmp_path, capsys, monkeypatch, spec):
+    """`build` of a map writes its bundles without their structure tensors;
+    read later, they equal those of a bundle read at once, bit for bit."""
+    from fellbundles.bundles import FellBundle
+
+    b = group_bundle(symmetric_group(4) if spec == "identity_bundle_map" else make_cyclic(3))
+    bundle = sz.bundle_to_json(b)
+    payload = {"kind": spec, "bundle": bundle} if spec == "identity_bundle_map" else {
+        "kind": spec, "source": bundle, "target": bundle, "phi": [0, 1, 2],
+        "values": [[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]]}
+    out = tmp_path / "map.json"
+
+    def refuse(self):
+        raise AssertionError("the structure was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(FellBundle, "_build_structure", refuse)
+        assert main(["build", write(tmp_path, "spec.json", payload), "-o", str(out)]) == 0
+    capsys.readouterr()
+    lazy = sz.bundle_map_from_json(json.loads(out.read_text())).source
+    eager = sz.bundle_from_json(bundle)
+    want = (eager.prod_array.tobytes(), eager.directness_sv)
+    assert "prod_array" not in vars(lazy)
+    sv = lazy.directness_sv  # directness first: it builds the structure before it
+    assert (lazy.prod_array.tobytes(), sv) == want
+    assert ("_block_fibers" in vars(lazy)) == ("_block_fibers" in vars(eager))
+
+
+def test_a_fresh_process_reads_its_own_argv(tmp_path):
+    """`main()` with no argument reads sys.argv: help exits 0, no arguments
+    exit 2 with one JSON error and no traceback."""
+    cmd = [sys.executable, "-m", "fellbundles.cli"]
+    shown = subprocess.run(cmd + ["--help"], capture_output=True, text=True, env=_child_env())
+    assert shown.returncode == 0 and "pd-check" in shown.stdout
+    bare = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
+    assert bare.returncode == 2 and bare.stdout == "" and "Traceback" not in bare.stderr
+    assert json.loads(bare.stderr)["ok"] is False
 
 
 @pytest.mark.parametrize("count, code", [(1, 2), (3, 0), (4, 2)],

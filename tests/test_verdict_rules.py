@@ -23,10 +23,10 @@ from fellbundles.numerics import DEFAULT_TOL, Tolerance
 PACKAGE = Path(fellbundles.__file__).resolve().parent
 RULE_FIELDS = {"rel_psd", "rel_eq", "rel_rank"}
 ALLOWED = {("numerics.py", None), ("cli.py", "_emit"), ("cli.py", "cmd_pd_check")}
-# literals that give no verdict: the CLI's default tolerances, the floor
-# that keeps a norm from dividing by zero, the test that keeps a fiber
-# verbatim, and the default closeness of two objects
-LITERALS_ALLOWED = {("numerics.py", None), ("cli.py", "make_parser"),
+# literals that give no verdict: the floor that keeps a norm from dividing by
+# zero, the test that keeps a fiber verbatim, and the default closeness of two
+# objects; the CLI's default tolerances are the fields of numerics.Tolerance
+LITERALS_ALLOWED = {("numerics.py", None),
                     ("pdmaps.py", "_unit_norm_scales"), ("bundles.py", "_hs_orthonormal"),
                     ("bundles.py", "bundles_equal"), ("crosssec.py", "allclose")}
 
