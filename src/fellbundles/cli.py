@@ -4,7 +4,9 @@ Every command reads JSON, prints one JSON report to stdout and exits with
 0 (all checks passed), 1 (a mathematical check failed; the report names
 the axiom or eigenvalue) or 2 (malformed input).  Reports embed the
 tolerances, seed and sample count that produced them and contain no
-timestamps, so identical invocations are byte-identical.
+timestamps, so identical invocations are byte-identical.  The seed draws
+only pd-check's sampled tuples and correspond's amplified sections; every
+other verdict is the same under every seed.
 
 `read_argv` reads argv in one pass against one table of options, which
 also gives the help text; an argv it refuses, a negative --seed and a
@@ -55,7 +57,7 @@ def _emit(payload: dict, args) -> None:
     payload = {
         "tool": "fellbundles",
         "version": __version__,
-        "report_schema": 1,
+        "report_schema": 2,
         "command": args.command,
         "tolerances": {
             "rel_psd": args.tolerance.rel_psd,
@@ -97,14 +99,14 @@ def _load(path: str):
 
 # -- commands ------------------------------------------------------------------
 
-# the validator of each object kind that has one, called as (obj, tol, seed);
-# each looks its validator up by name when called, so that a wrapper bound to
-# that name in this module (the benchmark's tracer) is the one that runs
+# the validator of each object kind that has one, called as (obj, tol); each
+# looks its validator up by name when called, so that a wrapper bound to that
+# name in this module (the benchmark's tracer) is the one that runs
 _VALIDATORS = {
-    "bundle": lambda obj, tol, seed: validate_bundle(obj, tol),
-    "hilbert_bundle": lambda obj, tol, seed: validate_hilbert_bundle(obj, tol),
-    "action": lambda obj, tol, seed: validate_action(obj, tol, seed=seed),
-    "equivalence": lambda obj, tol, seed: verify_imprimitivity(obj, tol, seed=seed),
+    "bundle": lambda obj, tol: validate_bundle(obj, tol),
+    "hilbert_bundle": lambda obj, tol: validate_hilbert_bundle(obj, tol),
+    "action": lambda obj, tol: validate_action(obj, tol),
+    "equivalence": lambda obj, tol: verify_imprimitivity(obj, tol),
 }
 
 
@@ -118,7 +120,7 @@ def cmd_validate(args) -> int:
     if kind not in _VALIDATORS:  # bundle_map: structural shapes were checked during parsing
         _emit({"object": kind, "ok": True}, args)
         return OK
-    rep = _VALIDATORS[kind](obj, args.tolerance, args.seed)
+    rep = _VALIDATORS[kind](obj, args.tolerance)
     _emit({"object": kind, "ok": rep.ok, "report": rep.as_dict()}, args)
     return OK if rep.ok else MATH_FAIL
 
@@ -257,7 +259,7 @@ def cmd_correspond(args) -> int:
     tol = args.tolerance
     rho = sz.action_from_json(_load(args.file), tol)
     xi = _unit_fiber_vector(args.vector, rho) if args.vector else None
-    act_rep = validate_action(rho, tol, seed=args.seed)
+    act_rep = validate_action(rho, tol)
     payload = {"action_report": act_rep.as_dict()}
     ok = act_rep.ok
     if ok:
@@ -285,7 +287,7 @@ def cmd_correspond(args) -> int:
 
 def cmd_morita(args) -> int:
     e = sz.equivalence_from_json(_load(args.file), args.tolerance)
-    rep = verify_imprimitivity(e, args.tolerance, seed=args.seed)
+    rep = verify_imprimitivity(e, args.tolerance)
     _emit({"ok": rep.ok, "report": rep.as_dict()}, args)
     return OK if rep.ok else MATH_FAIL
 
@@ -296,7 +298,7 @@ def cmd_report(args) -> int:
     payload = {"object": kind}
     ok = True
     if kind in _VALIDATORS:
-        rep = _VALIDATORS[kind](obj, tol, args.seed)
+        rep = _VALIDATORS[kind](obj, tol)
         payload["report"] = rep.as_dict()
         ok = rep.ok
     if kind == "bundle":
@@ -360,7 +362,9 @@ _OPTIONS = (
             "relative tolerance of PSD margins"),
     _Option(("--tol-rank",), "tol_rank", float, _TOL_DEFAULTS["rel_rank"],
             "relative tolerance of rank and membership decisions"),
-    _Option(("--seed",), "seed", int, 0, "seed of the sampled checks, non-negative"),
+    _Option(("--seed",), "seed", int, 0,
+            "seed of pd-check's sampled tuples and correspond's amplified sections, "
+            "non-negative"),
     _Option(("--samples",), "samples", int, 200, "number of sampled tuples, positive"),
     _Option(("--full",), "full", None, False, "embed certificate matrices in the report"),
     _Option(("-o", "--output"), "output", str, None,

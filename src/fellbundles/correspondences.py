@@ -15,7 +15,15 @@ batteries, hilbundles.validate_hilbert_bundle and actions.validate_action,
 and raise on the first failing item.  The section-level identities follow
 from the fiberwise ones by linearity, and the bound ||f . xi|| <=
 ||f|| ||xi|| from multiplicativity and adjointability, as for any
-*-homomorphism into adjointable operators.
+*-homomorphism into adjointable operators.  verify_imprimitivity judges
+the fiberwise identities and one section-level identity.  The two induced
+norms agree in every imprimitivity bimodule (Raeburn and Williams, Morita
+Equivalence and Continuous-Trace C*-Algebras, 1998, ch. 3), so their
+equality is not re-checked.  The imprimitivity identity on sections is the
+fiberwise compatibility [x,y]z = x<y,z> summed over the group, but is kept:
+within a factor of two of the identity bound, one perturbed act or lact
+block can break it while every fiberwise identity passes.  Its sections are
+drawn from one fixed seed, so no verdict reads the command line's seed.
 
 Because the groups here are finite, the full and reduced module
 completions coincide, so the delicate extension questions for the reduced
@@ -182,8 +190,8 @@ def build_module(hbundle: SemiInnerBundle, tol: Tolerance | None = None) -> Corr
     return y
 
 
-def attach_left_action(y: Correspondence, rho: Action, tol: Tolerance | None = None,
-                       seed: int = 0) -> Correspondence:
+def attach_left_action(y: Correspondence, rho: Action, tol: Tolerance | None = None) \
+        -> Correspondence:
     """Attach a left action of another bundle.  Adjointability, commutation
     with the right action and the C*-norm bound on sections follow from the
     fiberwise identities of validate_action, whose first failing item raises
@@ -194,7 +202,7 @@ def attach_left_action(y: Correspondence, rho: Action, tol: Tolerance | None = N
         if not same:
             raise ActionMismatchError("action acts on a different Hilbert bundle")
     out = Correspondence(y.hbundle, action=rho)
-    validate_action(rho, tol, seed=seed).refuse(ActionMismatchError, "left action")
+    validate_action(rho, tol).refuse(ActionMismatchError, "left action")
     return out
 
 
@@ -464,11 +472,10 @@ def left_inner_section(e: EquivalenceBundle, y: Correspondence, xi, eta) -> Sect
     return Section(e.left_bundle, w[grp.table, np.arange(grp.order)].sum(axis=1))
 
 
-def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
-                         seed: int = 0) -> Report:
+def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None) -> Report:
     """Full two-sided verification: both module structures, the compatibility
-    identity, fullness on both sides, the section-level imprimitivity
-    identity, and equality of the two induced norms."""
+    identity, fullness on both sides and the section-level imprimitivity
+    identity."""
     tol = tol or DEFAULT_TOL
     bound = identity_bound(tol)
     rep = Report("imprimitivity bimodule")
@@ -538,19 +545,14 @@ def verify_imprimitivity(e: EquivalenceBundle, tol: Tolerance | None = None,
     rep.add("left fullness", *fullness(
         a_bundle.dims, lambda k: [e.linner[grp.mul(k, s)][s] for s in grp.elements()]))
 
-    # section-level identity and norm equality
+    # section-level identity, on sections drawn from one fixed seed
     y = Correspondence(hb, action=e.left_action())
-    rng = np.random.default_rng(seed)
-    worst_id, worst_norm = 0.0, 0.0
+    rng = np.random.default_rng(0)
+    worst = 0.0
     for _ in range(IMPRIMITIVITY_CHECKS):
         xi, eta, zeta = y.random(rng), y.random(rng), y.random(rng)
         lhs = y.left_mul(left_inner_section(e, y, xi, eta), zeta)
         rhs = y.right_mul(xi, y.inner(eta, zeta))
-        worst_id = max(worst_id, relative(float(np.linalg.norm(lhs - rhs)),
-                                      float(np.linalg.norm(lhs))))
-        na = cstar_norm(left_inner_section(e, y, xi, xi))
-        nb = cstar_norm(y.inner(xi, xi))
-        worst_norm = max(worst_norm, relative(abs(na - nb), max(na, nb)))
-    rep.add("imprimitivity identity on sections", worst_id <= bound, worst_id)
-    rep.add("norm equality of the two inner products", worst_norm <= bound, worst_norm)
+        worst = max(worst, relative(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs))))
+    rep.add("imprimitivity identity on sections", worst <= bound, worst)
     return rep

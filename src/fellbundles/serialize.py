@@ -34,7 +34,6 @@ import numpy as np
 from .actions import Action
 from .bundles import FellBundle
 from .correspondences import EquivalenceBundle
-from .crosssec import Section
 from .groups import FiniteGroup, GroupHom, check_hom, make_from_table
 from .hilbundles import HilbertBundle, SemiInnerBundle
 from .numerics import DEFAULT_TOL, Tolerance
@@ -492,25 +491,6 @@ def _shared(bundle: FellBundle, data, hilbert_data) -> FellBundle | None:
     if isinstance(hilbert_data, dict) and _same(hilbert_data.get("bundle"), data):
         return bundle
     return None
-
-
-def section_to_json(f: Section) -> dict:
-    return {
-        "type": "section",
-        "coeffs": {str(g): vector_to_json(f.coeffs[g])
-                   for g in f.bundle.group.elements()},
-    }
-
-
-def section_from_json(bundle: FellBundle, data) -> Section:
-    raw = _family(data, "coeffs", _element_keys(bundle.group)) if "coeffs" in data else {}
-    out = np.zeros((bundle.group.order, max(bundle.dims, default=0)), dtype=np.complex128)
-    for g, d in enumerate(bundle.dims):
-        c = np.zeros(d) if raw.get(str(g)) is None else vector_from_json(raw[str(g)])
-        if c.shape != (d,):
-            raise FormatError(f"section fiber {g} needs {d} coefficients")
-        out[g, :d] = c
-    return Section(bundle, out)
 
 
 # -- bundle maps ----------------------------------------------------------------

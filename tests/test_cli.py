@@ -248,7 +248,7 @@ def test_correspond_exits_1_when_the_module_fails_its_axioms(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["ok"] is False and payload["action_report"]["ok"] is True
     failed = [c["name"] for c in payload["module_report"]["checks"] if not c["ok"]]
-    assert failed == ["<x, yb> = <x,y>b", "<xb, y> = b*<x,y>", "Cauchy-Schwarz"]
+    assert failed == ["<x, yb> = <x,y>b", "<xb, y> = b*<x,y>"]
     assert "module_dimension" not in payload
 
 
@@ -309,6 +309,37 @@ def test_byte_identical_reports_across_processes(tmp_path):
     r2 = subprocess.run(cmd, capture_output=True, env=_child_env())
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_verdicts_do_not_read_the_seed(tmp_path, capsys):
+    """--seed draws only pd-check's tuples and correspond's amplified
+    sections: validate, report and morita print the same report under every
+    seed, the header's "seed" apart."""
+    from fellbundles.actions import Action, l2_action
+
+    z3 = group_bundle(make_cyclic(3))
+    rho = l2_action(z3)
+    ops = [[np.array(op) for op in row] for row in rho.ops]
+    ops[1][2] = ops[1][2] + 1e-3 * np.random.default_rng(0).standard_normal(ops[1][2].shape)
+    perturbed = Action(z3, rho.hom, rho.target, ops)
+    s3 = trivial_self_equivalence(group_bundle(symmetric_group(3)))
+    objects = {  # object, commands, whether it passes
+        "z3": (sz.bundle_to_json(z3), ("validate", "report"), True),
+        "l2": (sz.action_to_json(rho), ("validate", "report"), True),
+        "perturbed": (sz.action_to_json(perturbed), ("validate", "report"), False),
+        "s3 equivalence": (sz.equivalence_to_json(s3), ("validate", "report", "morita"), True),
+    }
+    for name, (tree, commands, passes) in objects.items():
+        path = write(tmp_path, f"{name}.json", tree)
+        for command in commands:
+            runs = []
+            for seed in ("0", "5"):
+                code, out = run(capsys, command, path, "--seed", seed)
+                payload = json.loads(out)
+                assert payload.pop("seed") == int(seed)
+                runs.append((code, payload))
+            assert runs[0] == runs[1], (name, command)
+            assert runs[0][1].get("report", runs[0][1])["ok"] is passes, (name, command)
 
 
 def _strict_constant(name):

@@ -31,7 +31,7 @@ from test_numerics import psd_ok
 def trivial_correspondence(bundle):
     rho = trivial_action(bundle)
     y = build_module(rho.target)
-    return attach_left_action(y, rho, seed=1)
+    return attach_left_action(y, rho)
 
 
 def test_trivial_module_inner_is_convolution():
@@ -71,7 +71,7 @@ def test_trivial_module_matches_section_convolution():
 def test_single_fiber_sections_have_fiber_norm():
     b = dynamical_bundle(*ad_diag_system())
     rho = l2_action(b)
-    y = attach_left_action(build_module(rho.target), rho, seed=2)
+    y = attach_left_action(build_module(rho.target), rho)
     rng = np.random.default_rng(3)
     for k in b.group.elements():
         w = rho.target.random_vector(k, rng)
@@ -94,7 +94,7 @@ def test_nondegenerate_action_gives_nondegenerate_left_module_action():
     # span{f . xi} must fill the whole module when the action is nondegenerate
     b = dynamical_bundle(*swap_system())
     rho = l2_action(b)
-    y = attach_left_action(build_module(rho.target), rho, seed=30)
+    y = attach_left_action(build_module(rho.target), rho)
     assert check_nondegenerate(y)
     columns = []
     for g in b.group.elements():
@@ -107,7 +107,7 @@ def test_nondegenerate_action_gives_nondegenerate_left_module_action():
 def test_left_action_is_bounded_by_cstar_norm():
     b = dynamical_bundle(*swap_system())
     rho = l2_action(b)
-    y = attach_left_action(build_module(rho.target), rho, seed=6)
+    y = attach_left_action(build_module(rho.target), rho)
     rng = np.random.default_rng(7)
     for _ in range(15):
         f = Section.random(b, rng)
@@ -131,7 +131,7 @@ def test_psi_equals_phi_t_identity():
     # <xi_x, f . xi_x> recovers the push-forward along the coefficient map
     for b in (group_bundle(make_cyclic(3)), dynamical_bundle(*swap_system())):
         rho = l2_action(b)
-        y = attach_left_action(build_module(rho.target), rho, seed=9)
+        y = attach_left_action(build_module(rho.target), rho)
         rng = np.random.default_rng(10)
         e = b.group.identity
         x = rho.target.random_vector(e, rng)
@@ -148,7 +148,7 @@ def test_gns_vector_is_cyclic():
     b = dynamical_bundle(*ad_diag_system())
     t = identity_bundle_map(b)
     hb, rho, xi = gelfand_raikov(t)
-    y = attach_left_action(build_module(hb), rho, seed=11)
+    y = attach_left_action(build_module(hb), rho)
     assert check_cyclic(y, xi)
     assert check_nondegenerate(y)
 
@@ -157,7 +157,7 @@ def test_regular_action_cyclicity_on_saturated_bundle():
     for b in (group_bundle(make_cyclic(2)), group_bundle(symmetric_group(3)),
               dynamical_bundle(*swap_system())):
         rho = regularize_action(trivial_action(b))
-        y = attach_left_action(build_module(rho.target), rho, seed=12)
+        y = attach_left_action(build_module(rho.target), rho)
         e = b.group.identity
         x = np.zeros(rho.target.dims[e], dtype=complex)
         x[e * b.dims[e]:(e + 1) * b.dims[e]] = b.unit_coords
@@ -168,7 +168,7 @@ def test_regular_action_cyclicity_fails_without_saturation():
     g2 = make_cyclic(2)
     b = FellBundle(g2, 1, [np.eye(1)[None].reshape(1, 1, 1), np.zeros((0, 1, 1))])
     rho = regularize_action(trivial_action(b))
-    y = attach_left_action(build_module(rho.target), rho, seed=13)
+    y = attach_left_action(build_module(rho.target), rho)
     e = g2.identity
     x = np.zeros(rho.target.dims[e], dtype=complex)
     x[e * b.dims[e]:(e + 1) * b.dims[e]] = b.unit_coords
@@ -209,7 +209,7 @@ def direct_sum_of_trivial_actions(b):
 def test_subcorrespondence_of_direct_sum_picks_one_summand():
     b = group_bundle(make_cyclic(2))
     rho = direct_sum_of_trivial_actions(b)
-    y = attach_left_action(build_module(rho.target), rho, seed=14)
+    y = attach_left_action(build_module(rho.target), rho)
     e = b.group.identity
     x = np.kron(np.eye(2)[0], b.unit_coords)  # unit of the first summand
     sub = subcorrespondence(y, x)
@@ -221,7 +221,7 @@ def test_subcorrespondence_of_direct_sum_picks_one_summand():
 def test_subcorrespondence_of_cyclic_vector_is_everything():
     b = group_bundle(make_cyclic(3))
     rho = trivial_action(b)
-    y = attach_left_action(build_module(rho.target), rho, seed=15)
+    y = attach_left_action(build_module(rho.target), rho)
     sub = subcorrespondence(y, b.unit_coords)
     assert sub.hbundle.dims == y.hbundle.dims
     assert check_cyclic(y, b.unit_coords)
@@ -244,7 +244,7 @@ def test_subcorrespondence_rejects_wrong_fiber():
 def test_amplified_correspondence_dimensions_and_star_property():
     b = dynamical_bundle(*swap_system())
     rho = l2_action(b)
-    y = attach_left_action(build_module(rho.target), rho, seed=16)
+    y = attach_left_action(build_module(rho.target), rho)
     amp = amplified_correspondence(y)
     assert amp.dim == b.group.order * y.dim
     check = amplified_is_star_rep(amp, seed=17)
@@ -291,7 +291,7 @@ def test_imprimitivity_m2_over_c():
             e_uv[u, v] = 1.0
             linner[0][0][u, v] = a_bundle.coords(0, e_uv)[0]
     e = EquivalenceBundle(a_bundle, right, lact, linner)
-    rep = verify_imprimitivity(e, seed=18)
+    rep = verify_imprimitivity(e)
     assert rep.ok, str(rep)
 
 
@@ -317,7 +317,7 @@ def test_imprimitivity_self_equivalence():
     for b in (group_bundle(make_cyclic(2)), group_bundle(symmetric_group(3)),
               dynamical_bundle(*swap_system())):
         e = trivial_self_equivalence(b)
-        rep = verify_imprimitivity(e, seed=19)
+        rep = verify_imprimitivity(e)
         assert rep.ok, str(rep)
 
 
@@ -350,7 +350,7 @@ def test_imprimitivity_corner_fails_fullness():
             e_uv[u, v] = 1.0
             linner[0][0][u, v] = a_bundle.coords(0, e_uv)[0]
     e = EquivalenceBundle(a_bundle, right, lact, linner)
-    rep = verify_imprimitivity(e, seed=20)
+    rep = verify_imprimitivity(e)
     assert not rep.ok
     failed = [item.name for item in rep.failures()]
     assert "left fullness" in failed
@@ -379,7 +379,7 @@ def test_attach_rejects_foreign_action():
     b2 = group_bundle(make_cyclic(3))
     y = build_module(trivial_hilbert_bundle(b1))
     with pytest.raises(ActionMismatchError):
-        attach_left_action(y, trivial_action(b2), seed=22)
+        attach_left_action(y, trivial_action(b2))
 
 
 def test_right_mul_rejects_foreign_sections():

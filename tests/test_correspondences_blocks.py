@@ -341,7 +341,7 @@ def correspondences(corpus_bundles):
     valid["M2xZ2 l2"] = l2_action(corpus_bundles["m2_ad"])
     valid["Z4 to Z2"] = z4_to_z2_rep_action()
     valid["C3xS3 trivial"] = trivial_action(_c3_s3())
-    out = {name: attach_left_action(build_module(rho.target), rho, seed=3)
+    out = {name: attach_left_action(build_module(rho.target), rho)
            for name, rho in valid.items()}
     zero = np.zeros(out["S3 regular"].hbundle.dims[0])
     out["S3 zero subcorrespondence"] = subcorrespondence(out["S3 regular"], zero)

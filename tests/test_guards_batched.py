@@ -256,14 +256,14 @@ def loop_check_invariant(y, basis):
                     raise InvalidBundleError("span is not left-invariant")
 
 
-def _correspondence(bundle, seed):
+def _correspondence(bundle):
     rho = l2_action(bundle)
-    return attach_left_action(build_module(rho.target), rho, seed=seed)
+    return attach_left_action(build_module(rho.target), rho)
 
 
 def _invariance_cases():
-    s3 = _correspondence(group_bundle(symmetric_group(3)), 21)
-    swap = _correspondence(dynamical_bundle(*swap_system()), 22)
+    s3 = _correspondence(group_bundle(symmetric_group(3)))
+    swap = _correspondence(dynamical_bundle(*swap_system()))
     rng = np.random.default_rng(23)
 
     def random_spans(y, k):

@@ -7,7 +7,6 @@ from fellbundles import serialize as sz
 from fellbundles.actions import l2_action
 from fellbundles.bundles import dynamical_bundle, group_bundle
 from fellbundles.correspondences import trivial_self_equivalence
-from fellbundles.crosssec import Section
 from fellbundles.groups import GroupHom, identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import l2_bundle
 from fellbundles.pdmaps import identity_bundle_map, pd_check_exact, scalar_bundle_map
@@ -39,14 +38,6 @@ def test_bundle_roundtrip_is_identity_on_data():
         for g in b.group.elements():
             assert np.allclose(back.fibers[g], b.fibers[g], atol=0)
         assert back.unital == b.unital
-
-
-def test_section_roundtrip():
-    b = dynamical_bundle(*swap_system())
-    rng = np.random.default_rng(0)
-    f = Section.random(b, rng)
-    back = sz.section_from_json(b, json.loads(json.dumps(sz.section_to_json(f))))
-    assert f.allclose(back, atol=0)
 
 
 def test_bundle_map_roundtrip_preserves_certificate():
