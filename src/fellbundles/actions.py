@@ -4,22 +4,29 @@ An action stores one operator tensor per (source element g, target fiber
 h): ops[g][h] has shape (dim A_g, m_{phi(g)h}, m_h), giving the matrix of
 every source basis element from fiber h into fiber phi(g)h.  Validation is
 then a finite family of tensor identities: multiplicativity, adjoint
-symmetry against the inner products and commutation with the right action.
-Contractivity ||rho(a)x|| <= ||a|| ||x|| and Gram domination
-<rho(a)x, rho(a)x> <= ||a||^2 <x,x> are not re-checked on random data: they
-hold for every *-homomorphism into the adjointable operators, which those
-three identities make rho (Lance, Hilbert C*-Modules, 1995, ch. 1).  No
-verdict reads a seed.
+symmetry against the inner products, commutation with the right action,
+and the contractivity/Gram-domination bounds on random data.  On a Hilbert
+module the identities imply both bounds (Lance, Hilbert C*-Modules, 1995,
+ch. 1), but both stay.  The validator does not judge its target, and the
+identities are linear in the target's inner products: an action whose
+target has every inner product negated passes them, and Gram domination,
+whose a = 0 case is positivity of the target's Grams, refuses it when A_e
+is not scalar.  Contractivity reads a one-block perturbation against the
+sampled vectors, not the whole tensor, so within a factor of three of the
+identity bound it can refuse what every identity passes.  Both bounds draw
+from one fixed seed, so no verdict reads the command line's seed.
 
 The operators are stored once, in the padded graded layout of `hilbundles`:
 ops_array is one read-only array of shape (|G_A|, |G_B|, da, dm, dm),
 zero-padded to the largest source fiber dimension da and target fiber
 dimension dm, and ops[g][h] are tuples of views of its blocks.  The
-validator reads it next to the stored act, inner, prod and star_tensor.
-Each identity is one gather through the Cayley tables, grp.inverse and phi
-plus one batched matmul over all tuples (g, g', h) or (g, h, h').  Batches
-are chunked so their intermediates stay near numerics.CHUNK_BYTES (4 MiB).
-`l2_action` reads its operators from `bundles.regular_representations`.
+validator reads it next to the stored act, inner, prod, star_tensor and
+fiber bases.  Each identity is one gather through the Cayley tables,
+grp.inverse and phi plus one batched matmul over all tuples (g, g', h) or
+(g, h, h'); the random-data bounds draw their samples in the order of the
+per-sample loop, then evaluate them together.  Batches are chunked so
+their intermediates stay near numerics.CHUNK_BYTES (4 MiB).  `l2_action`
+reads its operators from `bundles.regular_representations`.
 `validate_module` judges a Hilbert module and its left action as bundles
 over the one-point group; `coefficient_map` returns a `bundles.BundleMap`.
 """
@@ -31,13 +38,14 @@ import numpy as np
 from .bundles import BundleMap, FellBundle, NotAutomorphismError, dynamical_bundle, \
     regular_representations, regular_unitaries
 from .groups import GroupHom, identity_hom, make_cyclic
-from .hilbundles import HilbertModule, SemiInnerBundle, check_shapes, check_unitary_bundle_map, \
-    crossed_coords, l2_bundle, module_bundle_from_dynsys, regularize_bundle, separate, \
-    trivial_hilbert_bundle, validate_hilbert_bundle
-from .numerics import DEFAULT_TOL, Tolerance, frob, identity_bound, relative_residuals, stored, \
-    unit_bound, worst_relative
+from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, check_shapes, \
+    check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
+    regularize_bundle, separate, trivial_hilbert_bundle, validate_hilbert_bundle
+from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judge_psd, opnorms, \
+    padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
 from .reports import Report
 
+SAMPLES = 8  # the random draws of each sampled bound of validate_action
 
 class CompatibilityViolationError(ValueError):
     pass
@@ -86,13 +94,17 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
     tol = tol or DEFAULT_TOL
     bound = identity_bound(tol)
     rep = Report("action axioms")
-    src, x = rho.source, rho.target
-    grp, tgt = src.group, x.bundle.group
+    src = rho.source
+    x = rho.target
+    bundle = x.bundle
+    grp, tgt = src.group, bundle.group
     order_a, order_b = grp.order, tgt.order
     tab_a, tab_b, inv_a, phi = grp.table, tgt.table, grp.inverse, rho.hom.map
-    prod, star = src.prod_array, src.star_array
-    act, inner, ops = x.act_array, x.inner_array, rho.ops_array
-    da, db, dm = star.shape[-1], inner.shape[-1], act.shape[-1]
+    quot = tab_b[tgt.inverse]  # quot[h, h2] = h^-1 h2
+    prod, star, src_fibers = src.prod_array, src.star_array, src.fiber_array
+    fibers, act, inner, ops = bundle.fiber_array, x.act_array, x.inner_array, rho.ops_array
+    da, db, dm = star.shape[-1], fibers.shape[1], act.shape[-1]
+    ns, n = src.ambient_dim, bundle.ambient_dim
 
     # (i) fiber targeting and bilinearity hold by the tensor layout
     rep.add("fiber targeting (by construction)", True, 0.0)
@@ -132,6 +144,80 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
 
     worst = worst_relative(order_a * order_b ** 2, da * db * dm * dm, commuting)
     rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= bound, worst)
+
+    def applied(g, a, h, v):
+        """rho(a_t) v_t from X_{h_t} to X_{phi(g_t) h_t}, per sample."""
+        return ((a[:, None] @ ops[g, h].reshape(-1, da, dm * dm)).reshape(-1, dm, dm)
+                @ v[:, :, None])[..., 0]
+
+    def norms(g, a):
+        """||a_t|| for a_t in A_{g_t}, per sample."""
+        return opnorms((a[:, None] @ src_fibers[g].reshape(-1, da, ns * ns)).reshape(-1, ns, ns))
+
+    def grams(hs, vecs):
+        """The 3 x 3 matrices of ambient blocks [<v_i, v_j>]_ij, v_i in X_{h_i}."""
+        left, right = np.repeat([0, 1, 2], 3), np.tile([0, 1, 2], 3)
+        vals = ambient_inners(inner, fibers, quot, hs[:, left].ravel(),
+                              vecs[:, left].reshape(-1, dm), hs[:, right].ravel(),
+                              vecs[:, right].reshape(-1, dm))
+        return vals.reshape(-1, 3, 3, n, n).transpose(0, 1, 3, 2, 4).reshape(-1, 3 * n, 3 * n)
+
+    # ||rho(a)x|| <= ||a|| ||x|| on random data, drawn in loop order from a
+    # fixed seed
+    rng = np.random.default_rng(0)
+    draws = []
+    for _ in range(SAMPLES):
+        g = int(rng.integers(grp.order))
+        h = int(rng.integers(tgt.order))
+        if src.dims[g] == 0 or x.dims[h] == 0:
+            continue
+        draws.append((g, h, src.random_coords(g, rng), x.random_vector(h, rng)))
+    gs, hs = (np.array([d[k] for d in draws], dtype=int) for k in (0, 1))
+    a = padded([[d[2] for d in draws]], (da,))[0]
+    v = padded([[d[3] for d in draws]], (dm,))[0]
+    worst = 0.0
+    for idx in chunks(len(draws), 2 * (n * n + dm * dm * db) + da * dm * dm):
+        g, h = gs[idx], hs[idx]
+        out, w = tab_b[phi[g], h], applied(g, a[idx], h, v[idx])
+        nvv, nww = opnorms(np.concatenate([
+            ambient_inners(inner, fibers, quot, h, v[idx], h, v[idx]),
+            ambient_inners(inner, fibers, quot, out, w, out, w)])).reshape(2, -1)
+        limit = norms(g, a[idx]) * np.sqrt(nvv)
+        slack = (np.sqrt(nww) - limit) / np.maximum(limit, 1.0)
+        worst = max(worst, float(slack.max(initial=0.0)))
+    rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= bound, worst)
+
+    # Gram domination S <= ||a||^2 R for a in the unit fiber, judged on the
+    # 3 x 3 matrices of ambient blocks (one fiber element per block:
+    # faithful) divided by the size of the two compared blocks,
+    # max(1, ||a||^2 ||R||, ||S||)
+    worst = 0.0
+    ok = True
+    e = grp.identity
+    if src.dims[e] and bundle.total_dim and dm:
+        draws = []
+        for _ in range(SAMPLES):
+            ae = src.random_coords(e, rng)
+            he = [phi[int(rng.integers(grp.order))] for _ in range(3)]
+            draws.append((ae, he, [x.random_vector(h, rng) for h in he]))
+        a = np.array([d[0] for d in draws])
+        hs = np.array([d[1] for d in draws], dtype=int)
+        xs = padded([d[2] for d in draws], (dm,))
+        # per sample: nine gathered (dm, dm, db) blocks per Gram, three ops
+        # blocks and a few 3n x 3n block matrices
+        for idx in chunks(SAMPLES, 9 * dm * dm * db + 3 * da * dm * dm + 4 * (3 * n) ** 2):
+            k = len(idx)
+            ys = applied(np.full(3 * k, e), np.repeat(a[idx], 3, axis=0), hs[idx].ravel(),
+                         xs[idx].reshape(-1, dm)).reshape(k, 3, dm)
+            big_r, big_s = grams(hs[idx], xs[idx]), grams(hs[idx], ys)
+            na2 = norms(np.full(k, e), a[idx]) ** 2
+            scale = np.maximum(1.0, np.maximum(na2 * opnorms(big_r), opnorms(big_s)))
+            _, slack, hermitian = judge_psd(*stack_spectra(
+                (na2[:, None, None] * big_r - big_s) / scale[:, None, None]), tol)
+            slack = np.where(hermitian, slack, np.inf)
+            ok = ok and bool((slack <= bound).all())
+            worst = max(worst, float(slack.max(initial=0.0)))
+    rep.add("Gram domination S <= ||a||^2 R", ok, worst)
     return rep
 
 
@@ -323,9 +409,9 @@ def separate_pre_action(rho0: Action, tol: Tolerance | None = None) -> Action:
 
     Pre-actions must satisfy the contractivity inequality
     <rho(a)x, rho(a)x> <= ||a||^2 <x, x>  (which also sends null vectors to
-    null vectors).  validate_action covers it: multiplicativity and adjoint
-    symmetry make rho a *-homomorphism into adjointable operators, which is
-    contractive.  Its first failing item raises CompatibilityViolationError.
+    null vectors).  validate_action covers it: Gram domination on A_e with
+    multiplicativity and adjoint symmetry gives it for a in A_g through a*a.
+    Its first failing item raises CompatibilityViolationError.
     """
     validate_action(rho0, tol).refuse(CompatibilityViolationError, "pre-action")
     hil, quotients = separate(rho0.target, tol)

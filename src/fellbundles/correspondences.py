@@ -21,7 +21,7 @@ norms agree in every imprimitivity bimodule (Raeburn and Williams, Morita
 Equivalence and Continuous-Trace C*-Algebras, 1998, ch. 3), so their
 equality is not re-checked.  The imprimitivity identity on sections is the
 fiberwise compatibility [x,y]z = x<y,z> summed over the group, but is kept:
-within a factor of two of the identity bound, one perturbed act or lact
+within a factor of three of the identity bound, one perturbed act or lact
 block can break it while every fiberwise identity passes.  Its sections are
 drawn from one fixed seed, so no verdict reads the command line's seed.
 

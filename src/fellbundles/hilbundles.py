@@ -21,17 +21,10 @@ dimension dm, and act[r][h], inner[r][s] are tuples of read-only views of
 their blocks (`numerics.stored`).  The validator reads these arrays next to
 the bundle's prod_array, star_array and fiber_array.  A tensor identity
 over all tuples (r, s, h) is then one gather through grp.table and
-grp.inverse plus one batched matmul.  Batches are chunked so their
-intermediates stay near numerics.CHUNK_BYTES (4 MiB).
-
-The validator judges exact identities over every basis tuple, and one
-inequality on random data.  Cauchy-Schwarz is not re-checked: it is a
-theorem about a module whose identities and PSD Grams hold (Lance, Hilbert
-C*-Modules, 1995, ch. 1).  ||xb|| <= ||x|| ||b|| follows the same way, but
-is kept: within a factor of two of the identity bound, one perturbed block
-can break it while every exact identity passes.  Its vectors are drawn from
-one fixed seed, in the order of the per-tuple loop, so no verdict reads the
-command line's seed.  Every inner product b*c of a constructor is
+grp.inverse plus one batched matmul, and the random-data inequalities draw
+their vectors in the order of the per-tuple loop, then evaluate them
+together.  Batches are chunked so their intermediates stay near
+numerics.CHUNK_BYTES (4 MiB).  Every inner product b*c of a constructor is
 read off `FellBundle.adjoint_products`, and l2_bundle's right action off
 `bundles.regular_representations`.  `actions.validate_module` validates
 Hilbert modules over a concrete algebra.
@@ -257,9 +250,9 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
         rep.add("definiteness (localized Grams full rank)",
                 all(ok.all() for ok, _ in verdicts), max(res.max() for _, res in verdicts))
 
-    # derived (b): ||xb|| <= ||x|| ||b||, random data: three draws (u in X_r,
-    # v in X_s, b in B_s) per pair (r, s) of nonzero fibers, in loop order,
-    # decoded from one draw; v is drawn only to keep that order
+    # derived (b) and (c): ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, random data:
+    # three draws (u in X_r, v in X_s, b in B_s) per pair (r, s) of nonzero
+    # fibers, in loop order, decoded from one draw
     dims, bdims = np.asarray(x.dims), np.asarray(bundle.dims)
     r, s = np.indices((order, order)).reshape(2, -1)
     keep = (dims[r] > 0) & (dims[s] > 0)
@@ -268,23 +261,28 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     z = np.random.default_rng(0).standard_normal(2 * int(lengths.sum()))
     width = max(dm, db)
     draws = split_draws(z, lengths, width).reshape(len(r), 3, width)
-    worst = 0.0
-    # per tuple: three ambient n x n values and three gathered (dm, dm, db) blocks
-    for idx in chunks(len(r), 3 * (n * n + dm * dm * db)):
-        ri, si, u, b = r[idx], s[idx], draws[idx, 0, :dm], draws[idx, 2, :db]
+    worst_b = worst_c = 0.0
+    # per tuple: five ambient n x n values and five gathered (dm, dm, db) blocks
+    for idx in chunks(len(r), 5 * (n * n + dm * dm * db)):
+        ri, si, u, v, b = r[idx], s[idx], draws[idx, 0, :dm], draws[idx, 1, :dm], draws[idx, 2, :db]
         xb = ((b[:, None] @ act[ri, si].reshape(-1, db, dm * dm)).reshape(-1, dm, dm)
               @ u[:, :, None])[..., 0]
         rs = tab[ri, si]
         stack = np.concatenate([
             ambient_inners(inner, fibers, quot, ri, u, ri, u),
+            ambient_inners(inner, fibers, quot, si, v, si, v),
+            ambient_inners(inner, fibers, quot, ri, u, si, v),
             (b[:, None] @ fibers[si].reshape(-1, db, n * n)).reshape(-1, n, n),
             ambient_inners(inner, fibers, quot, rs, xb, rs, xb),
         ])
-        nuu, nb, nxbxb = opnorms(stack).reshape(3, -1)
-        nu, nxb = np.sqrt(nuu), np.sqrt(nxbxb)
+        nuu, nvv, nuv, nb, nxbxb = opnorms(stack).reshape(5, -1)
+        nu, nv, nxb = np.sqrt(nuu), np.sqrt(nvv), np.sqrt(nxbxb)
+        cs = (nuv - nu * nv) / np.maximum(nu * nv, 1.0)
         slack = (nxb - nu * nb) / np.maximum(nu * nb, 1.0)
-        worst = max(worst, float(slack[bdims[si] > 0].max(initial=0.0)))
-    rep.add("||xb|| <= ||x|| ||b||", worst <= bound, worst)
+        worst_c = max(worst_c, float(cs.max(initial=0.0)))
+        worst_b = max(worst_b, float(slack[bdims[si] > 0].max(initial=0.0)))
+    rep.add("||xb|| <= ||x|| ||b||", worst_b <= bound, worst_b)
+    rep.add("Cauchy-Schwarz", worst_c <= bound, worst_c)
     return rep
 
 

@@ -50,7 +50,7 @@ from fellbundles.pdmaps import (
 )
 
 from test_numerics import psd_ok
-from test_validators_batched import reference_verify_imprimitivity
+from test_validators_batched import retired_imprimitivity_items
 
 M2_BASIS = np.array(
     [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]],
@@ -364,7 +364,7 @@ def test_criterion_7_morita(corpus_bundles):
         rep = verify_imprimitivity(e)
         assert rep.ok, str(rep)
         # the two induced norms agree, a consequence the library does not re-check
-        norm_item = [i for i in reference_verify_imprimitivity(e, seed=10).items
+        norm_item = [i for i in retired_imprimitivity_items(e, seed=10).items
                      if "norm equality" in i.name][0]
         assert norm_item.residual <= 1e-8
 
@@ -372,7 +372,7 @@ def test_criterion_7_morita(corpus_bundles):
             e = trivial_self_equivalence(corpus_bundles[name])
             rep = verify_imprimitivity(e)
             assert rep.ok, f"{name}: {rep}"
-            norm_item = [i for i in reference_verify_imprimitivity(e, seed=11).items
+            norm_item = [i for i in retired_imprimitivity_items(e, seed=11).items
                          if "norm equality" in i.name][0]
             assert norm_item.residual <= 1e-8
 

@@ -418,10 +418,7 @@ def test_gram_domination_over_random_tuples():
 
 
 def _gram_domination(rho):
-    """The Gram-domination item of the action oracle, which the library no
-    longer judges."""
-    from test_validators_batched import reference_validate_action
-    return next(i for i in reference_validate_action(rho).items
+    return next(i for i in validate_action(rho).items
                 if i.name == "Gram domination S <= ||a||^2 R")
 
 

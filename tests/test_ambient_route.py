@@ -4,9 +4,8 @@ Certificates, witnesses, Gram domination and C*-norms are read in the
 target's ambient algebra.  `reference_pd_check_exact` keeps the certificate
 assembled through the regular representation (RegRep) and the witness
 through the block matrix algebra over tuples (matrix_alg);
-`reference_gram_domination` keeps the Gram-domination check of the action
-oracle (`test_validators_batched.reference_validate_action`; the library no
-longer judges it) through matrix_alg.  Verdicts must agree exactly and
+`reference_gram_domination` keeps the Gram-domination check of
+`validate_action` through matrix_alg.  Verdicts must agree exactly and
 numbers to rounding level.
 """
 
@@ -16,7 +15,8 @@ import numpy as np
 import pytest
 
 from fellbundles import serialize as sz
-from fellbundles.actions import Action, coefficient_map, l2_action, trivial_action
+from fellbundles.actions import Action, coefficient_map, l2_action, trivial_action, \
+    validate_action
 from fellbundles.bundles import FellBundle, group_bundle, validate_bundle
 from fellbundles.cli import main
 from fellbundles.crosssec import NotDirectError, Section, ambient_image, convolve, \
@@ -30,7 +30,6 @@ from fellbundles.pdmaps import BundleMap, PdCertificate, cached_rep, identity_bu
 from test_actions import z4_to_z2_rep_action
 from test_gns_separation import m3_z2
 from test_pdmaps_batched import indefinite_identity, indefinite_maps, m2_z4, star_prod_tensor
-from test_validators_batched import reference_validate_action
 
 
 def reference_pd_check_exact(t, tol=DEFAULT_TOL):
@@ -77,14 +76,15 @@ def reference_pd_check_exact(t, tol=DEFAULT_TOL):
     return cert, lherm
 
 
-def reference_gram_domination(rho, tol=DEFAULT_TOL, seed=0, samples=8):
-    """(ok, residual) of the oracle's Gram domination through matrix_alg,
-    drawing the same random data (the contractivity samples draw first),
-    judged against the size of the two compared blocks."""
+def reference_gram_domination(rho, tol=DEFAULT_TOL, samples=8):
+    """(ok, residual) of validate_action's Gram domination through matrix_alg,
+    drawing the same random data from the same fixed seed (the contractivity
+    samples draw first), judged against the size of the two compared
+    blocks."""
     src, x = rho.source, rho.target
     bundle = x.bundle
     grp, tgt = src.group, bundle.group
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(samples):
         g = int(rng.integers(grp.order))
         h = int(rng.integers(tgt.order))
@@ -223,13 +223,12 @@ def test_gram_domination_matches_block_algebra(corpus_bundles):
     }
     actions.update({f"{name} doubled": _doubled(rho) for name, rho in list(actions.items())})
     for name, rho in actions.items():
-        for seed in (0, 3):
-            item = next(i for i in reference_validate_action(rho, seed=seed).items
-                        if i.name == "Gram domination S <= ||a||^2 R")
-            ok, residual = reference_gram_domination(rho, seed=seed)
-            assert item.ok == ok, name
-            assert item.residual == pytest.approx(residual, rel=1e-9, abs=1e-12), name
-            assert item.ok == ("doubled" not in name), name
+        item = next(i for i in validate_action(rho).items
+                    if i.name == "Gram domination S <= ||a||^2 R")
+        ok, residual = reference_gram_domination(rho)
+        assert item.ok == ok, name
+        assert item.residual == pytest.approx(residual, rel=1e-9, abs=1e-12), name
+        assert item.ok == ("doubled" not in name), name
 
 
 def test_non_direct_bundle_refuses_the_ambient_image(tmp_path, capsys):

@@ -248,7 +248,7 @@ def test_correspond_exits_1_when_the_module_fails_its_axioms(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["ok"] is False and payload["action_report"]["ok"] is True
     failed = [c["name"] for c in payload["module_report"]["checks"] if not c["ok"]]
-    assert failed == ["<x, yb> = <x,y>b", "<xb, y> = b*<x,y>"]
+    assert failed == ["<x, yb> = <x,y>b", "<xb, y> = b*<x,y>", "Cauchy-Schwarz"]
     assert "module_dimension" not in payload
 
 

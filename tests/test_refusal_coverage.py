@@ -1,32 +1,41 @@
-"""Every input that a retired random-data item refuses, the library refuses too.
+"""Every input that the retired random-data item refuses, the library refuses too.
 
-Four items that re-checked consequences of the exact identities on random
-data (`test_validators_batched.RETIRED`: Cauchy-Schwarz, contractivity,
-Gram domination and the equality of the two induced norms) were taken out of
-the verdicts.  Their loop oracles (`retired_validate_items`,
-`retired_action_items` and `retired_imprimitivity_items`) still run here,
-and wherever one of them fails the library's verdict on the same object
-must be a failure too, so that retiring them changed no verdict.  For an
-imprimitivity bimodule the retired items are those of its right Hilbert
-bundle, of its left action and its own norm equality.
+The equality of the two induced norms of an imprimitivity bimodule, a
+consequence of its exact identities re-checked on random sections
+(`test_validators_batched.RETIRED`), was taken out of the verdicts.  Its
+loop oracle (`retired_imprimitivity_items`) still runs here, at seed 0 and
+at one seed per input, and wherever it fails on an input of the corpus
+below, `verify_imprimitivity` must fail on the same object too.  The kept
+random-data items draw at seed 0 the data that report schema 1 drew at its
+default seed 0, so on this corpus the library gives schema 1's verdicts at
+that seed.  The corpus is finite: this shows nothing about other inputs.
 
-Two random-data items stay in the library, drawn from one fixed seed
-(`KEPT`): ||xb|| <= ||x|| ||b|| and the imprimitivity identity on sections.
-On sweep inputs perturbed by 1.5e-8 to 2.3e-8 each is the only item that
-fails, so retiring it would have changed those verdicts.
+Five random-data items stay in the library, drawn from one fixed seed
+(`KEPT`), because on some input each fails with no item but kept ones:
+  - ||xb|| <= ||x|| ||b||, Cauchy-Schwarz, contractivity and the
+    imprimitivity identity on sections, on sweep inputs perturbed within a
+    factor of three of the identity bound.  The exact items read such a
+    one-block perturbation against the whole tuple tensor, about half as
+    large as the random-data items read it, and pass;
+  - Gram domination, on an action of M2 x| Z2 whose target has every inner
+    product negated.  validate_action does not judge its target, and
+    multiplicativity, adjoint symmetry and commutation are linear in the
+    target's inner products.
 
 The corpus, all drawn from one fixed seed:
   - the perturbation corpora of `test_acceptance` criterion 4: one diagonal
     inner block, or one operator block, moved by 1e-3;
   - the 5e-8 bends of `test_tolerance_governs`;
   - every action of the sweep and of criterion 4 with its operators doubled;
+  - every Hilbert bundle, action target and self-equivalence of the sweep
+    with its inner products negated (both of them for an equivalence);
   - a log-uniform sweep of one-block perturbations, from 3 down to the
-    identity bound 1e-8, over the trivial, l2 and regular Hilbert bundles and
-    actions and the self-equivalences of Z3, S3 and M2 x| Z2: a diagonal or
-    off-diagonal inner block or an act block of a Hilbert bundle; an operator
-    block or an inner block of an action's target (the retired action items
-    read no act block); an inner, act, lact or linner block of an
-    equivalence.
+    identity bound 1e-8, with NEAR more scales between 1e-8 and 3e-8, over
+    the trivial, l2 and regular Hilbert bundles and actions and the
+    self-equivalences of Z3, S3 and M2 x| Z2: a diagonal or off-diagonal
+    inner block or an act block of a Hilbert bundle; an operator block or
+    an inner block of an action's target; an inner, act, lact or linner
+    block of an equivalence.
 """
 
 import numpy as np
@@ -47,32 +56,47 @@ from fellbundles.pdmaps import gelfand_raikov, identity_bundle_map
 from test_acceptance import _perturb_hilbert, z4_to_z2_rep_action
 from test_ambient_route import _doubled
 from test_tolerance_governs import scaled
-from test_validators_batched import RETIRED, _bumped, retired_action_items, \
-    retired_imprimitivity_items, retired_validate_items
+from test_validators_batched import RETIRED, _bumped, inequality_items, \
+    retired_imprimitivity_items, sampled_action_items, section_items
 
 SCALES = 11  # strata of the log-uniform sweep from 3 down to the identity bound
+NEAR = 4  # further scales of the sweep within a factor of three of the identity bound
 # the random-data items the library keeps
-KEPT = frozenset({"||xb|| <= ||x|| ||b||", "imprimitivity identity on sections"})
+KEPT = frozenset({"||xb|| <= ||x|| ||b||", "Cauchy-Schwarz",
+                  "contractivity ||rho(a)x|| <= ||a|| ||x||", "Gram domination S <= ||a||^2 R",
+                  "imprimitivity identity on sections"})
 
 
 def _failed(*reports):
     return {item.name for rep in reports for item in rep.failures()}
 
 
-def hilbert_verdicts(x, seed):
-    """(failing items of the library, failing retired items) of a Hilbert
-    bundle."""
-    return _failed(validate_hilbert_bundle(x)), _failed(retired_validate_items(x, seed))
+def _verdicts(failed, retired, kept):
+    """(failing items of the library, of the retired oracle, and of the
+    kept items' oracles) of one input; the kept items' oracles run only
+    where the library fails no item but kept ones."""
+    return failed, retired, _failed(*kept()) if failed <= KEPT else set()
 
 
-def action_verdicts(rho, seed):
-    return _failed(validate_action(rho)), _failed(retired_action_items(rho, seed=seed))
+def hilbert_verdicts(x, seeds):
+    return _verdicts(_failed(validate_hilbert_bundle(x)), set(),
+                     lambda: (inequality_items(x, seed) for seed in seeds))
 
 
-def equivalence_verdicts(e, seed):
-    return _failed(verify_imprimitivity(e)), _failed(
-        retired_validate_items(e.right, seed), retired_action_items(e.left_action(), seed=seed),
-        retired_imprimitivity_items(e, seed=seed))
+def action_verdicts(rho, seeds):
+    return _verdicts(_failed(validate_action(rho)), set(),
+                     lambda: (sampled_action_items(rho, seed=seed) for seed in seeds))
+
+
+def equivalence_verdicts(e, seeds):
+    """For an equivalence, the kept items include those of its right
+    Hilbert bundle and its left action."""
+    return _verdicts(
+        _failed(verify_imprimitivity(e)),
+        _failed(*(retired_imprimitivity_items(e, seed) for seed in seeds)),
+        lambda: (rep for seed in seeds for rep in (
+            inequality_items(e.right, seed), sampled_action_items(e.left_action(), seed=seed),
+            section_items(e, seed))))
 
 
 def _ops_perturbed(rho, rng):
@@ -91,10 +115,17 @@ def _with_target(rho, target):
     return Action(rho.source, rho.hom, target, rho.ops)
 
 
+def _negated(blocks):
+    return [[-np.asarray(blk) for blk in row] for row in blocks]
+
+
 def _sweep_scales(rng):
-    """One scale drawn log-uniformly from each of SCALES strata of [1e-8, 3]."""
-    edges = np.geomspace(3.0, identity_bound(DEFAULT_TOL), SCALES + 1)
-    return edges[1:] * (edges[:-1] / edges[1:]) ** rng.random(SCALES)
+    """One scale drawn log-uniformly from each of SCALES strata of [1e-8, 3],
+    then NEAR more from [1e-8, 3e-8]."""
+    bound = identity_bound(DEFAULT_TOL)
+    edges = np.geomspace(3.0, bound, SCALES + 1)
+    strata = edges[1:] * (edges[:-1] / edges[1:]) ** rng.random(SCALES)
+    return np.concatenate([strata, bound * 3.0 ** rng.random(NEAR)])
 
 
 def _position(rng, order, kind):
@@ -160,6 +191,8 @@ def _corpus(corpus_bundles):
         sweep_actions = {"trivial": trivial_action(b), "l2": l2_action(b),
                          "regular": regularize_action(trivial_action(b))}
         for name, x in sweep_hilberts.items():
+            inputs.append((f"{bname} {name} bundle negated", hilbert_verdicts,
+                           SemiInnerBundle(b, x.dims, x.act, _negated(x.inner))))
             for kind in ("diagonal", "off-diagonal", "act"):
                 for scale in _sweep_scales(rng):
                     pos = _position(rng, order, kind)
@@ -173,6 +206,8 @@ def _corpus(corpus_bundles):
         for name, rho in sweep_actions.items():
             inputs.append((f"{bname} {name} action doubled", action_verdicts, _doubled(rho)))
             x = rho.target
+            inputs.append((f"{bname} {name} action negated", action_verdicts, _with_target(
+                rho, SemiInnerBundle(b, x.dims, x.act, _negated(x.inner)))))
             for kind in ("ops", "diagonal", "off-diagonal"):
                 for scale in _sweep_scales(rng):
                     pos = _position(rng, order, kind)
@@ -184,6 +219,9 @@ def _corpus(corpus_bundles):
                     inputs.append((f"{bname} {name} action {kind} {scale:.1e}", action_verdicts,
                                    bad))
         e = trivial_self_equivalence(b)
+        inputs.append((f"{bname} equivalence negated", equivalence_verdicts, EquivalenceBundle(
+            b, SemiInnerBundle(b, e.right.dims, e.right.act, _negated(e.right.inner)), e.lact,
+            _negated(e.linner))))
         for kind in ("inner", "act", "lact", "linner"):
             for scale in _sweep_scales(rng):
                 pos = _position(rng, order, "any")
@@ -203,26 +241,29 @@ def _corpus(corpus_bundles):
 
 @pytest.fixture(scope="module")
 def verdicts(corpus_bundles):
-    return [(label, *judge(obj, seed)) for seed, (label, judge, obj)
-            in enumerate(_corpus(corpus_bundles))]
+    """(label, library failures, retired failures, kept failures) per input,
+    the oracles run at seed 0 and at the input's own seed."""
+    return [(label, *judge(obj, (0, seed))) for seed, (label, judge, obj)
+            in enumerate(_corpus(corpus_bundles), 1)]
 
 
-def test_every_refusal_of_a_retired_item_is_a_refusal_of_the_library(verdicts):
-    alone = [(label, sorted(retired)) for label, failed, retired in verdicts
+def test_every_refusal_of_the_retired_item_is_a_refusal_of_the_library(verdicts):
+    alone = [(label, sorted(retired)) for label, failed, retired, _ in verdicts
              if retired and not failed]
     assert not alone, alone
 
 
-def test_the_corpus_makes_every_retired_item_fail(verdicts):
-    """The corpus is not vacuous: each retired item fails somewhere, and the
+def test_the_corpus_makes_the_retired_item_fail(verdicts):
+    """The corpus is not vacuous: the retired item fails somewhere, and the
     sweep reaches scales where the library passes."""
-    failing = set().union(*(retired for _, _, retired in verdicts))
+    failing = set().union(*(retired for _, _, retired, _ in verdicts))
     assert failing == RETIRED
-    assert any(not failed for _, failed, _ in verdicts)
+    assert any(not failed for _, failed, _, _ in verdicts)
 
 
 def test_each_kept_item_alone_refuses_some_input(verdicts):
-    """Why the two random-data items stay: each is the library's only
-    failing item on some input of the sweep."""
-    alone = {label: failed for label, failed, _ in verdicts if failed and failed <= KEPT}
+    """Why the five random-data items stay: on some input of the corpus
+    each fails, at seed 0 or the input's own seed, while every item of the
+    library but the kept ones passes."""
+    alone = {label: kept for label, failed, _, kept in verdicts if kept and failed <= KEPT}
     assert set().union(*alone.values()) == KEPT, alone

@@ -5,12 +5,16 @@
 `hilbundles._validate`, `actions.validate_action` and
 `correspondences.verify_imprimitivity` as oracles, verbatim except that
 the Gram domination is judged on the block matrix scaled by the size of the
-two compared blocks, max(1, ||a||^2 ||R||, ||S||).  They keep the items the
-library no longer judges, the random-data re-checks named in `RETIRED`,
-which `test_refusal_coverage.py` runs; `retired=False` leaves them out.
-The batched routes must report the same items as the oracles without them:
-the same names, order, verdicts and notes, and every residual to 1e-12
+two compared blocks, max(1, ||a||^2 ||R||, ||S||), as the library now does.
+The batched routes must draw the same random data, report the same check
+names, order, verdicts and notes, and agree on every residual to 1e-12
 relative to max(1, |residual|).
+
+The random-data items of each oracle (`inequality_items`,
+`sampled_action_items`, `section_items`) take a seed, 0 being the
+library's; `retired_imprimitivity_items` keeps, as a loop, the random-data
+re-check the library no longer judges (`RETIRED`).
+`test_refusal_coverage.py` runs them at other seeds.
 """
 
 import itertools
@@ -40,23 +44,9 @@ from test_numerics import definite_verdict, numerical_rank, psd_verdict
 
 # -- the loop oracles ----------------------------------------------------------------
 
-# the items of the oracles that re-check, on random data, consequences of the
-# exact items; the library reports none of them
-RETIRED = frozenset({
-    "Cauchy-Schwarz", "contractivity ||rho(a)x|| <= ||a|| ||x||",
-    "Gram domination S <= ||a||^2 R", "norm equality of the two inner products",
-})
-
-
-def _kept(rep, retired):
-    """The items of rep, without the RETIRED ones unless `retired`."""
-    return [i for i in rep.items if retired or i.name not in RETIRED]
-
-
-def _only_retired(rep):
-    out = Report(rep.subject)
-    out.items = [i for i in rep.items if i.name in RETIRED]
-    return out
+# the item that re-checks, on random data, a consequence of the exact items;
+# the library does not report it
+RETIRED = frozenset({"norm equality of the two inner products"})
 
 
 def block_gram(x, r):
@@ -73,10 +63,8 @@ def block_gram(x, r):
     return out
 
 
-def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundle axioms",
-                       retired=True):
-    """hilbundles._validate as one einsum per tuple of group elements, with
-    Cauchy-Schwarz when `retired`."""
+def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundle axioms"):
+    """hilbundles._validate as one einsum per tuple of group elements."""
     bundle = x.bundle
     grp = bundle.group
     rep = Report(subject)
@@ -149,13 +137,13 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
                 ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
                 worst = max(worst, 1.0 - ev[0] / (tol.rel_rank * max(ev[-1], 1.0)))
         rep.add("definiteness (localized Grams full rank)", ok_def, worst)
-    rep.items += _kept(module_inequality_items(x), retired)
+
+    rep.items += inequality_items(x).items
     return rep
 
 
-def reference_validate_action(rho, tol=None, seed=0, samples=8, retired=True):
-    """actions.validate_action as one einsum per tuple, with the random-data
-    items when `retired`, one norm per sample."""
+def reference_validate_action(rho, tol=None, samples=8):
+    """actions.validate_action as one einsum per tuple and one norm per sample."""
     tol = tol or DEFAULT_TOL
     rep = Report("action axioms")
     src = rho.source
@@ -203,26 +191,25 @@ def reference_validate_action(rho, tol=None, seed=0, samples=8, retired=True):
                 rhs = np.einsum("iwz,jzv->ijwv", rho.ops[g][tgt.mul(h, h2)], x.act[h][h2])
                 worst = max(worst, relative(frob(lhs - rhs), frob(lhs)))
     rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= 1e-8, worst)
-    if retired:
-        rep.items += retired_action_items(rho, tol, seed, samples).items
+
+    rep.items += sampled_action_items(rho, tol, samples=samples).items
     return rep
 
 
-def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6, retired=True):
+def reference_verify_imprimitivity(e, tol=None):
     """Full two-sided verification: both module structures, the compatibility
-    identity, fullness on both sides, the section-level imprimitivity
-    identity and, when `retired`, equality of the two induced norms (the
-    module structures then include their random-data items too)."""
+    identity, fullness on both sides and the section-level imprimitivity
+    identity."""
     tol = tol or DEFAULT_TOL
     rep = Report("imprimitivity bimodule")
     grp = e.left_bundle.group
     a_bundle = e.left_bundle
     hb = e.right
 
-    right_rep = reference_validate(hb, tol or DEFAULT_TOL, retired=retired)
+    right_rep = reference_validate(hb, tol or DEFAULT_TOL)
     rep.add("right Hilbert bundle axioms", right_rep.ok, right_rep.worst)
 
-    act_rep = reference_validate_action(e.left_action(), tol, retired=retired)
+    act_rep = reference_validate_action(e.left_action(), tol)
     rep.add("left action axioms", act_rep.ok, act_rep.worst)
 
     # left inner product: hermitian symmetry and left-linearity
@@ -316,13 +303,14 @@ def reference_verify_imprimitivity(e, tol=None, seed=0, checks=6, retired=True):
 
     rep.add("right fullness", *full_right())
     rep.add("left fullness", *full_left())
-    rep.items += _kept(section_items(e, seed, checks), retired)
+
+    rep.items += section_items(e).items
     return rep
 
 
-def module_inequality_items(x, seed=0):
-    """The random-data items of the Hilbert-bundle oracle; the library keeps
-    the first, drawn at seed 0."""
+def inequality_items(x, seed=0):
+    """The random-data items of the Hilbert-bundle oracle: seed 0 is the
+    library's."""
     bundle = x.bundle
     grp = bundle.group
     rep = Report("hilbert-bundle inequalities")
@@ -352,15 +340,11 @@ def module_inequality_items(x, seed=0):
     return rep
 
 
-def retired_validate_items(x, seed=0):
-    return _only_retired(module_inequality_items(x, seed))
-
-
-def retired_action_items(rho, tol=None, seed=0, samples=8):
-    """The random-data items of the action oracle; the contractivity samples
-    draw first."""
+def sampled_action_items(rho, tol=None, seed=0, samples=8):
+    """The random-data items of the action oracle, one norm per sample; the
+    contractivity samples draw first.  Seed 0 is the library's."""
     tol = tol or DEFAULT_TOL
-    rep = Report("retired action items")
+    rep = Report("action bounds")
     src = rho.source
     x = rho.target
     bundle = x.bundle
@@ -411,31 +395,35 @@ def retired_action_items(rho, tol=None, seed=0, samples=8):
 
 
 def section_items(e, seed=0, checks=6):
-    """The section-level items of the imprimitivity oracle; the library keeps
-    the first, drawn at seed 0."""
+    """The section-level imprimitivity identity on random sections; seed 0
+    is the library's."""
     rep = Report("imprimitivity on sections")
-    hb = e.right
-
-    # section-level identity and norm equality
-    y = Correspondence(hb, action=e.left_action())
+    y = Correspondence(e.right, action=e.left_action())
     rng = np.random.default_rng(seed)
-    worst_id, worst_norm = 0.0, 0.0
+    worst = 0.0
     for _ in range(checks):
         xi, eta, zeta = y.random(rng), y.random(rng), y.random(rng)
         lhs = y.left_mul(left_inner_section(e, y, xi, eta), zeta)
         rhs = y.right_mul(xi, y.inner(eta, zeta))
-        worst_id = max(worst_id, relative(float(np.linalg.norm(lhs - rhs)),
-                                      float(np.linalg.norm(lhs))))
-        na = cstar_norm(left_inner_section(e, y, xi, xi))
-        nb = cstar_norm(y.inner(xi, xi))
-        worst_norm = max(worst_norm, relative(abs(na - nb), max(na, nb)))
-    rep.add("imprimitivity identity on sections", worst_id <= 1e-8, worst_id)
-    rep.add("norm equality of the two inner products", worst_norm <= 1e-8, worst_norm)
+        worst = max(worst, relative(float(np.linalg.norm(lhs - rhs)), float(np.linalg.norm(lhs))))
+    rep.add("imprimitivity identity on sections", worst <= 1e-8, worst)
     return rep
 
 
-def retired_imprimitivity_items(e, seed=0):
-    return _only_retired(section_items(e, seed))
+def retired_imprimitivity_items(e, seed=0, checks=6):
+    """Equality of the two induced norms ||[xi,xi]|| = ||<xi,xi>|| on random
+    sections, drawn as triples like the section identity's."""
+    rep = Report("retired imprimitivity items")
+    y = Correspondence(e.right, action=e.left_action())
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(checks):
+        xi, _, _ = y.random(rng), y.random(rng), y.random(rng)
+        na = cstar_norm(left_inner_section(e, y, xi, xi))
+        nb = cstar_norm(y.inner(xi, xi))
+        worst = max(worst, relative(abs(na - nb), max(na, nb)))
+    rep.add("norm equality of the two inner products", worst <= 1e-8, worst)
+    return rep
 
 
 # -- the corpus ----------------------------------------------------------------------
@@ -561,7 +549,7 @@ def test_hilbert_bundle_validator_matches_the_loops(corpus):
     failing = set()
     for name, x in hilbert.items():
         got = validate_hilbert_bundle(x)
-        assert_same_report(got, reference_validate(x, retired=False), name)
+        assert_same_report(got, reference_validate(x), name)
         if not got.ok:
             failing.add(name)
     assert failing == {n for n in hilbert if n.endswith(("first", "last"))}
@@ -570,11 +558,11 @@ def test_hilbert_bundle_validator_matches_the_loops(corpus):
 def test_semi_inner_validator_matches_the_loops_on_a_non_definite_bundle():
     x = _condexp_raw()
     got = validate_semi_inner_bundle(x)
-    assert_same_report(got, reference_validate(x, DEFAULT_TOL, False, "semi-inner-bundle axioms",
-                                               retired=False), "condexp raw")
+    assert_same_report(got, reference_validate(x, DEFAULT_TOL, False, "semi-inner-bundle axioms"),
+                       "condexp raw")
     assert got.ok
     got = validate_hilbert_bundle(x)
-    assert_same_report(got, reference_validate(x, retired=False), "condexp raw, definite")
+    assert_same_report(got, reference_validate(x), "condexp raw, definite")
     assert [i.name for i in got.failures()] == ["definiteness (localized Grams full rank)"]
 
 
@@ -604,7 +592,7 @@ def test_definiteness_residual_is_the_shortfall_of_the_smallest_eigenvalue(corpu
     c = 0.5 * DEFAULT_TOL.rel_rank / smallest(x)
     faint = SemiInnerBundle(x.bundle, x.dims, x.act, [[c * blk for blk in row] for row in x.inner])
     got = validate_hilbert_bundle(faint)
-    assert_same_report(got, reference_validate(faint, retired=False), "faint inner product")
+    assert_same_report(got, reference_validate(faint), "faint inner product")
     item = definiteness(faint)
     assert not item.ok
     assert item.residual == pytest.approx(0.5, rel=1e-9)
@@ -617,8 +605,7 @@ def test_fullness_residual_is_the_rank_shortfall(corpus_bundles):
     faint = EquivalenceBundle(e.left_bundle, e.right, e.lact,
                               [[1e-12 * blk for blk in row] for row in e.linner])
     got = verify_imprimitivity(faint)
-    assert_same_report(got, reference_verify_imprimitivity(faint, retired=False),
-                       "faint left inner product")
+    assert_same_report(got, reference_verify_imprimitivity(faint), "faint left inner product")
     items = {i.name: i for i in got.items}
     assert items["right fullness"].ok and items["right fullness"].residual == 0.0
     assert not items["left fullness"].ok
@@ -632,7 +619,7 @@ def test_action_validator_matches_the_loops(corpus):
     failing = set()
     for name, rho in actions.items():
         got = validate_action(rho)
-        assert_same_report(got, reference_validate_action(rho, retired=False), name)
+        assert_same_report(got, reference_validate_action(rho), name)
         if not got.ok:
             failing.add(name)
     assert failing == {n for n in actions if n.endswith(("first", "last", "doubled"))}
@@ -642,7 +629,7 @@ def test_imprimitivity_matches_the_loops(corpus):
     _, _, equivalences = corpus
     for name, e in equivalences.items():
         got = verify_imprimitivity(e)
-        assert_same_report(got, reference_verify_imprimitivity(e, retired=False), name)
+        assert_same_report(got, reference_verify_imprimitivity(e), name)
         assert got.ok == (name in ("s3", "z12", "m2_ad", "c3_s3", "z3")), name
 
 
