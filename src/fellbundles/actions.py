@@ -7,14 +7,15 @@ then a finite family of tensor identities: multiplicativity, adjoint
 symmetry against the inner products, commutation with the right action,
 and the contractivity/Gram-domination bounds on random data.  On a Hilbert
 module the identities imply both bounds (Lance, Hilbert C*-Modules, 1995,
-ch. 1), but both stay.  The validator does not judge its target, and the
-identities are linear in the target's inner products: an action whose
-target has every inner product negated passes them, and Gram domination,
-whose a = 0 case is positivity of the target's Grams, refuses it when A_e
-is not scalar.  Contractivity reads a one-block perturbation against the
-sampled vectors, not the whole tensor, so within a factor of three of the
-identity bound it can refuse what every identity passes.  Both bounds draw
-from one fixed seed, so no verdict reads the command line's seed.
+ch. 1), but both stay.  Of its target the validator judges only the
+positivity of the fiber Grams (`hilbundles.block_grams_psd`, the item of
+`validate_hilbert_bundle`): the identities are linear in the target's inner
+products, so an action whose target has every inner product negated passes
+them, and so does Gram domination when A_e is scalar.  Contractivity reads
+a one-block perturbation against the sampled vectors, not the whole tensor,
+so within a factor of three of the identity bound it can refuse what every
+identity passes.  Both bounds draw from one fixed seed, so no verdict reads
+the command line's seed.
 
 The operators are stored once, in the padded graded layout of `hilbundles`:
 ops_array is one read-only array of shape (|G_A|, |G_B|, da, dm, dm),
@@ -38,8 +39,8 @@ import numpy as np
 from .bundles import BundleMap, FellBundle, NotAutomorphismError, dynamical_bundle, \
     regular_representations, regular_unitaries
 from .groups import GroupHom, identity_hom, make_cyclic
-from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, check_shapes, \
-    check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
+from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, block_grams_psd, \
+    check_shapes, check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
     regularize_bundle, separate, trivial_hilbert_bundle, validate_hilbert_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judge_psd, opnorms, \
     padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
@@ -218,6 +219,12 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
             ok = ok and bool((slack <= bound).all())
             worst = max(worst, float(slack.max(initial=0.0)))
     rep.add("Gram domination S <= ||a||^2 R", ok, worst)
+
+    # the target's fiber Grams, judged as validate_hilbert_bundle judges them
+    unit = tgt.identity
+    diag = inner[np.arange(order_b), np.arange(order_b), :, :, :bundle.dims[unit]]
+    rep.add("target fiber Grams PSD",
+            *block_grams_psd(diag, bundle.fibers[unit], bundle.unit_blocks, tol))
     return rep
 
 

@@ -28,7 +28,10 @@ and the directness of the fiber sum are built on the first read of any of
 them, so a command that only writes a bundle out never forms them.  The
 irreducible types of the *-algebra spanned by all fibers (`blocks`) and of
 A_e (`unit_blocks`) are decomposed once per bundle: when the structure is
-built on them, otherwise when first read.
+built on them, otherwise when first read.  `fiber_norms` reads the operator
+norms of fiber elements off the types of A_e (||b|| = ||b* b||^(1/2) outside
+A_e) when every residual of the bundle is at rounding level, and off the
+ambient matrices otherwise.
 
 Construction is whole-array.  One batched Gram decides which input fibers
 are already HS-orthonormal, and the structure tensors come from batched
@@ -56,7 +59,7 @@ import numpy as np
 from .groups import FiniteGroup, GroupHom, identity_hom
 from .numerics import DEFAULT_TOL, ROUNDING, Blocks, Tolerance, as_cmatrix, chunks, \
     decompose_algebra, direct_sum_slots, freeze, frob, identity_bound, membership_bound, \
-    one_block, opnorm, orthonormal_basis, padded, rank_check, rank_cut, unit_bound
+    one_block, opnorm, opnorms, orthonormal_basis, padded, rank_check, rank_cut, unit_bound
 from .reports import Report
 
 
@@ -333,6 +336,53 @@ class FellBundle:
         return self._decomposed(
             lambda: decompose_algebra(self.fibers[e], self._tol),
             max(self.grading_residual[e, e], self.involution_residual[e]))
+
+    def fiber_norms(self, g, coords) -> np.ndarray:
+        """The operator norms of the elements with padded coordinates
+        coords[t] (T, db) in A_{g[t]}.  When the bundle stands at rounding
+        (its grading and involution residuals and the self-check of
+        `unit_blocks` at most `numerics.ROUNDING`) they are read off the
+        irreducible types of A_e: an element of A_e has the largest norm of
+        its compressions W_i* b W_i, a type of size 1 being the modulus of
+        its one entry, and any other b has ||b|| = ||b* b||^(1/2), b* b in
+        A_e from `adjoint_products`.  Otherwise, as for a bundle bent up to
+        the membership bound, which moves b* b by up to that bound, they are
+        the norms of the ambient n x n matrices, by batched SVDs."""
+        g, coords = np.asarray(g), np.asarray(coords, dtype=np.complex128)
+        out = np.zeros(len(g))
+        n, db = self.ambient_dim, coords.shape[-1]
+        if not self._norms_in_blocks():
+            for idx in chunks(len(g), n * n + db):
+                out[idx] = opnorms((coords[idx, None] @ self.fiber_array[g[idx]].reshape(
+                    len(idx), db, n * n)).reshape(len(idx), n, n))
+            return out
+        e = self.group.identity
+        de = self.dims[e]
+        if de == 0:
+            return out
+        groups = self.unit_blocks.compress(self.fibers[e])
+        squared = g != e
+        for idx in chunks(len(g), db ** 3 + sum(c[0].size for _, c in groups)):
+            unit, off = coords[idx, :de], squared[idx]  # unit is a copy
+            if off.any():
+                c, h = coords[idx][off], g[idx][off]
+                half = (c.conj()[:, None] @ self.adjoint_products[h, h].reshape(
+                    len(c), db, db * db)).reshape(len(c), db, db)
+                unit[off] = (c[:, None] @ half)[:, 0, :de]
+            for _, comp in groups:
+                size, k = comp.shape[1], comp.shape[-1]
+                vals = (unit @ comp.reshape(de, size * k * k)).reshape(len(idx), size, k, k)
+                norms = np.abs(vals[..., 0, 0]) if k == 1 else opnorms(vals)
+                out[idx] = np.maximum(out[idx], norms.max(axis=1))
+        return np.where(squared, np.sqrt(out), out)
+
+    def _norms_in_blocks(self) -> bool:
+        """Whether `fiber_norms` reads the blocks of A_e: the grading and
+        involution residuals, then the self-check of `unit_blocks`, are at
+        rounding level."""
+        return max(self.grading_residual.max(initial=0.0),
+                   self.involution_residual.max(initial=0.0)) <= ROUNDING \
+            and self.unit_blocks.residual <= ROUNDING
 
     def unital_at(self, tol: Tolerance) -> bool:
         """Whether the ambient identity lies in A_e, judged at `tol` from the

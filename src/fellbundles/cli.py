@@ -57,7 +57,7 @@ def _emit(payload: dict, args) -> None:
     payload = {
         "tool": "fellbundles",
         "version": __version__,
-        "report_schema": 2,
+        "report_schema": 3,
         "command": args.command,
         "tolerances": {
             "rel_psd": args.tolerance.rel_psd,

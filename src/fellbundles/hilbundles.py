@@ -23,11 +23,14 @@ the bundle's prod_array, star_array and fiber_array.  A tensor identity
 over all tuples (r, s, h) is then one gather through grp.table and
 grp.inverse plus one batched matmul, and the random-data inequalities draw
 their vectors in the order of the per-tuple loop, then evaluate them
-together.  Batches are chunked so their intermediates stay near
-numerics.CHUNK_BYTES (4 MiB).  Every inner product b*c of a constructor is
-read off `FellBundle.adjoint_products`, and l2_bundle's right action off
-`bundles.regular_representations`.  `actions.validate_module` validates
-Hilbert modules over a concrete algebra.
+together: the norms of <u,u>, <v,v>, <u,v>, b and <xb,xb> come from their
+coordinates (`FellBundle.fiber_norms`), off the irreducible blocks of A_e
+when the bundle stands at rounding.  Batches are chunked so their
+intermediates stay near numerics.CHUNK_BYTES (4 MiB).  Every inner product
+b*c of a constructor is read off `FellBundle.adjoint_products`, and
+l2_bundle's right action off `bundles.regular_representations`.
+`actions.validate_module` validates Hilbert modules over a concrete
+algebra.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .bundles import BundleMap, FellBundle, bundles_equal, crossed_stack, dynami
     regular_representations
 from .numerics import DEFAULT_TOL, Blocks, Tolerance, block_spectra, chunks, direct_sum_slots, \
     hermitian_defect, identity_bound, judge_definite, judge_psd, membership_bound, opnorm, \
-    opnorms, padded, product_bound, rank_check, rank_cut, split_draws, stack_spectra, stored, \
+    padded, product_bound, rank_check, rank_cut, split_draws, stack_spectra, stored, \
     worst_relative
 from .reports import Report
 
@@ -138,15 +141,19 @@ def trace_localize(bundle: FellBundle, tens) -> np.ndarray:
     return np.einsum("...k,k->...", tens, traces)
 
 
+def inner_coordinates(inner, r, u, s, v) -> np.ndarray:
+    """Coordinates of <u_t, v_t> in A_{r_t^-1 s_t}, for padded vectors u_t in
+    X_{r_t} and v_t in X_{s_t}, from the padded inner products: (T, db)."""
+    return ((inner[r, s].transpose(0, 3, 1, 2) @ v[:, None, :, None])[..., 0]
+            @ u.conj()[:, :, None])[..., 0]
+
+
 def ambient_inners(inner, fibers, quot, r, u, s, v) -> np.ndarray:
-    """Ambient values of <u_t, v_t> for padded vectors u_t in X_{r_t} and
-    v_t in X_{s_t}, from the padded inner products and fiber bases
-    (quot[r, s] = r^-1 s): shape (T, n, n)."""
-    coords = (inner[r, s].transpose(0, 3, 1, 2) @ v[:, None, :, None])[..., 0] \
-        @ u.conj()[:, :, None]  # (T, db, 1)
+    """Ambient values of <u_t, v_t> (`inner_coordinates`) from the fiber
+    bases (quot[r, s] = r^-1 s): shape (T, n, n)."""
     n = fibers.shape[-1]
-    return (coords.transpose(0, 2, 1) @ fibers[quot[r, s]].reshape(len(r), -1, n * n)) \
-        .reshape(len(r), n, n)
+    return (inner_coordinates(inner, r, u, s, v)[:, None]
+            @ fibers[quot[r, s]].reshape(len(r), -1, n * n)).reshape(len(r), n, n)
 
 
 def block_grams_psd(diag, basis, blocks: Blocks, tol: Tolerance) -> tuple[bool, float]:
@@ -182,9 +189,9 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     grp = bundle.group
     order, tab, inv = grp.order, grp.table, grp.inverse
     quot = tab[inv]  # quot[r, s] = r^-1 s
-    prod, star, fibers = bundle.prod_array, bundle.star_array, bundle.fiber_array
+    prod, star = bundle.prod_array, bundle.star_array
     act, inner = x.act_array, x.inner_array
-    db, dm, n = fibers.shape[1], act.shape[-1], bundle.ambient_dim
+    db, dm = star.shape[-1], act.shape[-1]
     bound = identity_bound(tol)
     rep = Report(subject)
 
@@ -262,20 +269,20 @@ def _validate(x: SemiInnerBundle, tol: Tolerance, definite: bool, subject: str) 
     width = max(dm, db)
     draws = split_draws(z, lengths, width).reshape(len(r), 3, width)
     worst_b = worst_c = 0.0
-    # per tuple: five ambient n x n values and five gathered (dm, dm, db) blocks
-    for idx in chunks(len(r), 5 * (n * n + dm * dm * db)):
+    # the norms of <u,u>, <v,v>, <u,v>, b and <xb,xb> (`FellBundle.fiber_norms`)
+    # from their coordinates; per tuple: five gathered (dm, dm, db) blocks
+    for idx in chunks(len(r), 5 * dm * dm * db):
         ri, si, u, v, b = r[idx], s[idx], draws[idx, 0, :dm], draws[idx, 1, :dm], draws[idx, 2, :db]
-        xb = ((b[:, None] @ act[ri, si].reshape(-1, db, dm * dm)).reshape(-1, dm, dm)
+        xb = ((b[:, None] @ act[ri, si].reshape(len(idx), db, dm * dm)).reshape(-1, dm, dm)
               @ u[:, :, None])[..., 0]
         rs = tab[ri, si]
-        stack = np.concatenate([
-            ambient_inners(inner, fibers, quot, ri, u, ri, u),
-            ambient_inners(inner, fibers, quot, si, v, si, v),
-            ambient_inners(inner, fibers, quot, ri, u, si, v),
-            (b[:, None] @ fibers[si].reshape(-1, db, n * n)).reshape(-1, n, n),
-            ambient_inners(inner, fibers, quot, rs, xb, rs, xb),
-        ])
-        nuu, nvv, nuv, nb, nxbxb = opnorms(stack).reshape(5, -1)
+        norms = bundle.fiber_norms(
+            np.concatenate([quot[ri, ri], quot[si, si], quot[ri, si], si, quot[rs, rs]]),
+            np.concatenate([inner_coordinates(inner, ri, u, ri, u),
+                            inner_coordinates(inner, si, v, si, v),
+                            inner_coordinates(inner, ri, u, si, v), b,
+                            inner_coordinates(inner, rs, xb, rs, xb)]))
+        nuu, nvv, nuv, nb, nxbxb = norms.reshape(5, -1)
         nu, nv, nxb = np.sqrt(nuu), np.sqrt(nvv), np.sqrt(nxbxb)
         cs = (nuv - nu * nv) / np.maximum(nu * nv, 1.0)
         slack = (nxb - nu * nb) / np.maximum(nu * nb, 1.0)

@@ -19,7 +19,8 @@ text: it reads the value of every element or pair key that is a regular nest
 of two or more JSON numbers as a read-only array, each distinct leaf text
 once, and leaves everything else to json.  An array leaf is decoded without
 a copy, and trees are compared by value (`_same`), as their lists would be.
-The functions that build bundles take the tolerance to build them at.
+The functions that build bundles take the tolerance to build them at, and
+those of objects with several bundles check each distinct group table once.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def _lists(tree):
 # indenting encoder is pure Python, and its C encoder makes and formats one
 # Python float per entry of a tree's arrays, which hold few distinct values.
 # So dicts and lists are written item by item as json writes them, and the
-# float64 array leaves all at once at the end: each distinct value among all
-# their entries is formatted once (`_entry_texts`), and each array's entry
-# texts are joined by the separators of its shape at its nesting depth.
+# float64 array leaves all at once at the end: each distinct leaf (same shape,
+# nesting depth and bytes) once, each distinct value among their entries
+# formatted once (`_entry_texts`), and each leaf's entry texts joined by the
+# separators of its shape at its nesting depth.
 
 def _float_text(x: float) -> str:
     if x != x:
@@ -187,11 +189,17 @@ class _Writer:
     def text(self, o) -> str:
         self.write(o, 0)
         if self._arrays:
-            leaves = _entry_texts(np.concatenate([a.ravel() for _, _, a in self._arrays]))
+            # each distinct leaf (shape, nesting depth and bytes, so -0.0 stays
+            # apart from 0.0) is written once
+            keys = [(a.shape, depth, a.tobytes()) for _, depth, a in self._arrays]
+            distinct = dict(zip(keys, self._arrays))
+            leaves = _entry_texts(np.concatenate([a.ravel() for _, _, a in distinct.values()]))
             start = 0
-            for at, depth, a in self._arrays:
-                self.out[at] = self.nest(leaves[start:start + a.size], a.shape, depth)
+            for key, (_, depth, a) in distinct.items():
+                distinct[key] = self.nest(leaves[start:start + a.size], a.shape, depth)
                 start += a.size
+            for (at, _, _), key in zip(self._arrays, keys):
+                self.out[at] = distinct[key]
         return "".join(self.out)
 
 
@@ -424,12 +432,20 @@ def group_to_json(g: FiniteGroup) -> dict:
     return {"type": "group", "order": g.order, "table": g.table.tolist()}
 
 
-def group_from_json(data) -> FiniteGroup:
+def group_from_json(data, groups: dict | None = None) -> FiniteGroup:
+    """The group of `data`.  `groups` holds the group of every table read
+    so far from one file, keyed by its int64 shape and bytes, so that the
+    axioms of a table the file repeats are checked once."""
     try:
         table = data["table"]
     except (KeyError, TypeError) as exc:
         raise FormatError("group JSON needs a 'table'") from exc
-    g = make_from_table(_integers(table, "group table"))
+    t = _integers(table, "group table")
+    groups = {} if groups is None else groups
+    key = t.shape, t.tobytes()
+    if key not in groups:
+        groups[key] = make_from_table(t)
+    g = groups[key]
     if "order" in data and integer(data["order"], "order") != g.order:
         raise FormatError("declared order does not match the table")
     return g
@@ -467,12 +483,13 @@ def _or_empty(value):
     return value if isinstance(value, np.ndarray) else value or []
 
 
-def bundle_from_json(data, tol: Tolerance | None = None) -> FellBundle:
-    """The bundle of `data`, built at `tol` (DEFAULT_TOL by default); the
-    declared unitality is checked at DEFAULT_TOL, the tolerance bundle_tree
-    judges it at."""
+def bundle_from_json(data, tol: Tolerance | None = None,
+                     groups: dict | None = None) -> FellBundle:
+    """The bundle of `data`, built at `tol` (DEFAULT_TOL by default), its
+    group read through `groups` (`group_from_json`); the declared unitality
+    is checked at DEFAULT_TOL, the tolerance bundle_tree judges it at."""
     try:
-        group = group_from_json(data["group"])
+        group = group_from_json(data["group"], groups)
         n = integer(data["ambient_dim"], "ambient_dim")
         raw = _family(data, "fibers", _element_keys(group))
     except (KeyError, TypeError) as exc:
@@ -513,10 +530,12 @@ def bundle_map_ends(data, tol: Tolerance | None = None):
     """The source and target bundles of the map `data` (or of a build spec
     naming them), built at `tol`, and its homomorphism "phi".  A map into its
     own source bundle shares one bundle object, parsed once, as
-    identity_bundle_map does."""
-    source = bundle_from_json(data["source"], tol)
+    identity_bundle_map does, and a group table both repeat is checked
+    once."""
+    groups = {}
+    source = bundle_from_json(data["source"], tol, groups)
     target = source if _same(data["target"], data["source"]) \
-        else bundle_from_json(data["target"], tol)
+        else bundle_from_json(data["target"], tol, groups)
     return source, target, _hom(source.group, target.group, data)
 
 
@@ -555,12 +574,13 @@ def hilbert_to_json(x: SemiInnerBundle) -> dict:
 
 
 def hilbert_from_json(data, bundle: FellBundle | None = None,
-                      tol: Tolerance | None = None) -> HilbertBundle:
+                      tol: Tolerance | None = None, groups: dict | None = None) -> HilbertBundle:
     """The Hilbert bundle of `data`, over `bundle` when the caller has
-    parsed data["bundle"] already, else over data["bundle"] built at `tol`."""
+    parsed data["bundle"] already, else over data["bundle"] built at `tol`
+    with its group read through `groups` (`group_from_json`)."""
     try:
         if bundle is None:
-            bundle = bundle_from_json(data["bundle"], tol)
+            bundle = bundle_from_json(data["bundle"], tol, groups)
         grp = bundle.group
         dims = [integer(d, "fiber dimension") for d in data["dims"]]
         raw_act = _family(data, "action", _pair_keys(grp))
@@ -599,10 +619,11 @@ def action_to_json(rho: Action) -> dict:
 
 def action_from_json(data, tol: Tolerance | None = None) -> Action:
     try:
-        source = bundle_from_json(data["source"], tol)
+        groups = {}
+        source = bundle_from_json(data["source"], tol, groups)
         # an action on a Hilbert bundle over its own source bundle shares one
         # bundle object, as l2_action does
-        target = hilbert_from_json(data["target"], tol=tol,
+        target = hilbert_from_json(data["target"], tol=tol, groups=groups,
                                    bundle=_shared(source, data["source"], data["target"]))
         tgt_grp = target.bundle.group
         phi = _hom(source.group, tgt_grp, data)
@@ -647,9 +668,10 @@ def equivalence_to_json(e: EquivalenceBundle) -> dict:
 
 def equivalence_from_json(data, tol: Tolerance | None = None) -> EquivalenceBundle:
     try:
-        left = bundle_from_json(data["left_bundle"], tol)
+        groups = {}
+        left = bundle_from_json(data["left_bundle"], tol, groups)
         # shared as in action_from_json, as trivial_self_equivalence does
-        right = hilbert_from_json(data["right"], tol=tol,
+        right = hilbert_from_json(data["right"], tol=tol, groups=groups,
                                   bundle=_shared(left, data["left_bundle"], data["right"]))
         grp = left.group
         raw_lact = _family(data, "lact", _pair_keys(grp))

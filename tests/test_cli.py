@@ -583,7 +583,8 @@ def test_build_scalar_map_into_its_source_parses_one_bundle(tmp_path, capsys, mo
     parses = []
     real = sz.bundle_from_json
     monkeypatch.setattr(sz, "bundle_from_json",
-                        lambda data, tol=None: parses.append(1) or real(data, tol))
+                        lambda data, tol=None, groups=None:
+                        parses.append(1) or real(data, tol, groups))
     out_path = tmp_path / "map.json"
     code, _ = run(capsys, "build", spec, "-o", str(out_path))
     assert code == 0

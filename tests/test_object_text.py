@@ -80,6 +80,26 @@ def test_object_text_edge_cases(tree):
     assert object_text(tree) == oracle(tree)
 
 
+def test_a_repeated_leaf_is_written_once_per_depth_and_sign_of_zero(monkeypatch):
+    """One leaf at two depths, twice at one depth and as a copy, beside the
+    leaf that differs from it only in the sign of a zero: each distinct
+    (shape, depth, bytes) is nested once, and both writers give json's
+    text."""
+    leaf = np.array([[0.5, -0.0], [0.0, 1.0]])
+    unsigned = np.abs(leaf)  # -0.0 becomes 0.0: equal values, other bytes
+    tree = {"a": leaf, "b": leaf.copy(), "c": unsigned,
+            "d": {"e": leaf, "f": [unsigned, leaf]}}
+    nests = []
+    real = sz._Writer.nest
+    monkeypatch.setattr(sz._Writer, "nest",
+                        lambda self, *args: nests.append(args[1:]) or real(self, *args))
+    for indent, write in ((None, object_text), (2, sz.report_text)):
+        nests.clear()
+        assert write(tree) == json.dumps(lists(tree), sort_keys=True, indent=indent)
+        # depth 1: leaf and unsigned; depth 2: leaf; depth 3: unsigned and leaf
+        assert sorted(nests) == [((2, 2), 1)] * 2 + [((2, 2), 2)] + [((2, 2), 3)] * 2
+
+
 def test_object_text_refuses_what_json_refuses():
     for tree in ([np.int64(3)], {1: np.zeros(2)}, [object()]):
         with pytest.raises(TypeError):

@@ -6,6 +6,7 @@ import pytest
 from fellbundles import serialize as sz
 from fellbundles.actions import l2_action
 from fellbundles.bundles import dynamical_bundle, group_bundle
+from fellbundles.cli import main
 from fellbundles.correspondences import trivial_self_equivalence
 from fellbundles.groups import GroupHom, identity_hom, make_cyclic, symmetric_group
 from fellbundles.hilbundles import l2_bundle
@@ -112,7 +113,8 @@ def _counting_parses(monkeypatch) -> list:
     parses = []
     real = sz.bundle_from_json
     monkeypatch.setattr(sz, "bundle_from_json",
-                        lambda data, tol=None: parses.append(1) or real(data, tol))
+                        lambda data, tol=None, groups=None:
+                        parses.append(1) or real(data, tol, groups))
     return parses
 
 
@@ -177,3 +179,54 @@ def _deep_lists(tree):
 @pytest.mark.parametrize("a, b", SAME_CASES.values(), ids=SAME_CASES.keys())
 def test_trees_compare_as_their_lists(a, b):
     assert sz._same(a, b) is (_deep_lists(a) == _deep_lists(b))
+
+
+def _counting_checks(monkeypatch) -> list:
+    checks = []
+    real = sz.make_from_table
+    monkeypatch.setattr(sz, "make_from_table", lambda t: checks.append(1) or real(t))
+    return checks
+
+
+def test_a_file_checks_each_distinct_group_table_once(monkeypatch):
+    """A map over one group whose two bundles are written unequally parses
+    both and checks their table once; a map between two groups checks
+    each.  An action and an equivalence repeat one table too."""
+    b = group_bundle(make_cyclic(3))
+    one_group = sz.bundle_map_to_json(identity_bundle_map(b))
+    one_group["target"] = _negated_fibers(one_group["target"])
+    two_groups = {"type": "bundle_map", "source": sz.bundle_to_json(group_bundle(make_cyclic(4))),
+                  "target": sz.bundle_to_json(group_bundle(make_cyclic(2))),
+                  "phi": [0, 1, 0, 1], "blocks": {}}
+    action = sz.action_to_json(l2_action(b))
+    action["target"]["bundle"] = _negated_fibers(action["target"]["bundle"])
+    equivalence = sz.equivalence_to_json(trivial_self_equivalence(b))
+    equivalence["right"]["bundle"] = _negated_fibers(equivalence["right"]["bundle"])
+    checks = _counting_checks(monkeypatch)
+    for data, parse, want in ((one_group, sz.bundle_map_from_json, 1),
+                              (two_groups, sz.bundle_map_from_json, 2),
+                              (action, sz.action_from_json, 1),
+                              (equivalence, sz.equivalence_from_json, 1)):
+        checks.clear()
+        parse(json.loads(json.dumps(data)))
+        assert len(checks) == want, data["type"]
+
+
+@pytest.mark.parametrize("table, code, error", [
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 1, "row/column 1 is not a permutation"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1.5]], 2,
+     "FormatError: bad group table: entries must be integers"),
+])
+def test_a_broken_table_is_refused_as_before(tmp_path, capsys, table, code, error):
+    """A table that is no group exits 1 and one that is not integers exits 2,
+    with the messages they had before the check was shared, in the source
+    or in the target of a map."""
+    data = sz.bundle_map_to_json(identity_bundle_map(group_bundle(make_cyclic(3))))
+    data["target"] = _negated_fibers(data["target"])
+    for side in ("source", "target"):
+        bad = json.loads(json.dumps(data))
+        bad[side]["group"]["table"] = table
+        path = tmp_path / f"{side}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", str(path)]) == code
+        assert json.loads(capsys.readouterr().out)["error"] == error

@@ -63,6 +63,18 @@ def block_gram(x, r):
     return out
 
 
+def grams_psd(x, tol=DEFAULT_TOL):
+    """(every fiber Gram PSD, worst residual), each Gram one ambient block
+    matrix."""
+    worst = 0.0
+    ok_pos = True
+    for r in x.bundle.group.elements():
+        ok, residual, _ = psd_verdict(block_gram(x, r), tol)
+        ok_pos &= ok
+        worst = max(worst, residual)
+    return ok_pos, worst
+
+
 def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundle axioms"):
     """hilbundles._validate as one einsum per tuple of group elements."""
     bundle = x.bundle
@@ -117,13 +129,7 @@ def reference_validate(x, tol=DEFAULT_TOL, definite=True, subject="hilbert-bundl
     rep.add("<xb, y> = b*<x,y>", worst <= 1e-8, worst)
 
     # (4) positivity of each fiber Gram, in block form
-    worst = 0.0
-    ok_pos = True
-    for r in grp.elements():
-        ok, residual, _ = psd_verdict(block_gram(x, r), tol)
-        ok_pos &= ok
-        worst = max(worst, residual)
-    rep.add("fiber Grams PSD", ok_pos, worst)
+    rep.add("fiber Grams PSD", *grams_psd(x, tol))
 
     # definiteness: localized Gram of each fiber has full rank; the residual
     # is the worst shortfall of a failing Gram's smallest eigenvalue below
@@ -193,6 +199,7 @@ def reference_validate_action(rho, tol=None, samples=8):
     rep.add("right-module commutation (rho(a)x)b = rho(a)(xb)", worst <= 1e-8, worst)
 
     rep.items += sampled_action_items(rho, tol, samples=samples).items
+    rep.add("target fiber Grams PSD", *grams_psd(x, tol))
     return rep
 
 
