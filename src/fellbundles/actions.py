@@ -15,7 +15,8 @@ them, and so does Gram domination when A_e is scalar.  Contractivity reads
 a one-block perturbation against the sampled vectors, not the whole tensor,
 so within a factor of three of the identity bound it can refuse what every
 identity passes.  Both bounds draw from one fixed seed, so no verdict reads
-the command line's seed.
+the command line's seed, and read their norms off coordinates
+(`FellBundle.fiber_norms`); Gram domination's 3 x 3 Gram stays ambient.
 
 The operators are stored once, in the padded graded layout of `hilbundles`:
 ops_array is one read-only array of shape (|G_A|, |G_B|, da, dm, dm),
@@ -40,8 +41,9 @@ from .bundles import BundleMap, FellBundle, NotAutomorphismError, dynamical_bund
     regular_representations, regular_unitaries
 from .groups import GroupHom, identity_hom, make_cyclic
 from .hilbundles import HilbertModule, SemiInnerBundle, ambient_inners, block_grams_psd, \
-    check_shapes, check_unitary_bundle_map, crossed_coords, l2_bundle, module_bundle_from_dynsys, \
-    regularize_bundle, separate, trivial_hilbert_bundle, validate_hilbert_bundle
+    check_shapes, check_unitary_bundle_map, crossed_coords, inner_coordinates, l2_bundle, \
+    module_bundle_from_dynsys, regularize_bundle, separate, trivial_hilbert_bundle, \
+    validate_hilbert_bundle
 from .numerics import DEFAULT_TOL, Tolerance, chunks, frob, identity_bound, judge_psd, opnorms, \
     padded, relative_residuals, stack_spectra, stored, unit_bound, worst_relative
 from .reports import Report
@@ -102,10 +104,9 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
     order_a, order_b = grp.order, tgt.order
     tab_a, tab_b, inv_a, phi = grp.table, tgt.table, grp.inverse, rho.hom.map
     quot = tab_b[tgt.inverse]  # quot[h, h2] = h^-1 h2
-    prod, star, src_fibers = src.prod_array, src.star_array, src.fiber_array
+    prod, star = src.prod_array, src.star_array
     fibers, act, inner, ops = bundle.fiber_array, x.act_array, x.inner_array, rho.ops_array
-    da, db, dm = star.shape[-1], fibers.shape[1], act.shape[-1]
-    ns, n = src.ambient_dim, bundle.ambient_dim
+    da, db, dm, n = star.shape[-1], fibers.shape[1], act.shape[-1], bundle.ambient_dim
 
     # (i) fiber targeting and bilinearity hold by the tensor layout
     rep.add("fiber targeting (by construction)", True, 0.0)
@@ -151,10 +152,6 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
         return ((a[:, None] @ ops[g, h].reshape(-1, da, dm * dm)).reshape(-1, dm, dm)
                 @ v[:, :, None])[..., 0]
 
-    def norms(g, a):
-        """||a_t|| for a_t in A_{g_t}, per sample."""
-        return opnorms((a[:, None] @ src_fibers[g].reshape(-1, da, ns * ns)).reshape(-1, ns, ns))
-
     def grams(hs, vecs):
         """The 3 x 3 matrices of ambient blocks [<v_i, v_j>]_ij, v_i in X_{h_i}."""
         left, right = np.repeat([0, 1, 2], 3), np.tile([0, 1, 2], 3)
@@ -177,13 +174,14 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
     a = padded([[d[2] for d in draws]], (da,))[0]
     v = padded([[d[3] for d in draws]], (dm,))[0]
     worst = 0.0
-    for idx in chunks(len(draws), 2 * (n * n + dm * dm * db) + da * dm * dm):
+    for idx in chunks(len(draws), 2 * dm * dm * db + da * dm * dm):
         g, h = gs[idx], hs[idx]
         out, w = tab_b[phi[g], h], applied(g, a[idx], h, v[idx])
-        nvv, nww = opnorms(np.concatenate([
-            ambient_inners(inner, fibers, quot, h, v[idx], h, v[idx]),
-            ambient_inners(inner, fibers, quot, out, w, out, w)])).reshape(2, -1)
-        limit = norms(g, a[idx]) * np.sqrt(nvv)
+        nvv, nww = bundle.fiber_norms(
+            np.concatenate([quot[h, h], quot[out, out]]),
+            np.concatenate([inner_coordinates(inner, h, v[idx], h, v[idx]),
+                            inner_coordinates(inner, out, w, out, w)])).reshape(2, -1)
+        limit = src.fiber_norms(g, a[idx]) * np.sqrt(nvv)
         slack = (np.sqrt(nww) - limit) / np.maximum(limit, 1.0)
         worst = max(worst, float(slack.max(initial=0.0)))
     rep.add("contractivity ||rho(a)x|| <= ||a|| ||x||", worst <= bound, worst)
@@ -211,7 +209,7 @@ def validate_action(rho: Action, tol: Tolerance | None = None) -> Report:
             ys = applied(np.full(3 * k, e), np.repeat(a[idx], 3, axis=0), hs[idx].ravel(),
                          xs[idx].reshape(-1, dm)).reshape(k, 3, dm)
             big_r, big_s = grams(hs[idx], xs[idx]), grams(hs[idx], ys)
-            na2 = norms(np.full(k, e), a[idx]) ** 2
+            na2 = src.fiber_norms(np.full(k, e), a[idx]) ** 2
             scale = np.maximum(1.0, np.maximum(na2 * opnorms(big_r), opnorms(big_s)))
             _, slack, hermitian = judge_psd(*stack_spectra(
                 (na2[:, None, None] * big_r - big_s) / scale[:, None, None]), tol)

@@ -5,8 +5,8 @@ Every command reads JSON, prints one JSON report to stdout and exits with
 the axiom or eigenvalue) or 2 (malformed input).  Reports embed the
 tolerances, seed and sample count that produced them and contain no
 timestamps, so identical invocations are byte-identical.  The seed draws
-only pd-check's sampled tuples and correspond's amplified sections; every
-other verdict is the same under every seed.
+only pd-check's sampled tuples; every other report is the same under every
+seed, its "seed" field apart.
 
 `read_argv` reads argv in one pass against one table of options, which
 also gives the help text; an argv it refuses, a negative --seed and a
@@ -273,7 +273,7 @@ def cmd_correspond(args) -> int:
         payload["module_dimension"] = y.dim
         payload["nondegenerate"] = check_nondegenerate(y, tol)
         payload["amplified_dimension"] = amp.dim
-        star_rep = amplified_is_star_rep(amp, seed=args.seed, tol=tol)
+        star_rep = amplified_is_star_rep(amp, tol=tol)
         payload["amplified_star_representation"] = star_rep.ok
         payload["amplified_star_residual"] = star_rep.residual
         payload["amplified_star_bound"] = star_rep.bound
@@ -363,8 +363,7 @@ _OPTIONS = (
     _Option(("--tol-rank",), "tol_rank", float, _TOL_DEFAULTS["rel_rank"],
             "relative tolerance of rank and membership decisions"),
     _Option(("--seed",), "seed", int, 0,
-            "seed of pd-check's sampled tuples and correspond's amplified sections, "
-            "non-negative"),
+            "seed of pd-check's sampled tuples, non-negative"),
     _Option(("--samples",), "samples", int, 200, "number of sampled tuples, positive"),
     _Option(("--full",), "full", None, False, "embed certificate matrices in the report"),
     _Option(("-o", "--output"), "output", str, None,

@@ -14,6 +14,8 @@ from itertools import permutations
 
 import numpy as np
 
+from .numerics import CHUNK_BYTES
+
 
 class ZeroOrderError(ValueError):
     pass
@@ -108,9 +110,11 @@ def make_from_table(table) -> FiniteGroup:
             break
     if identity is None:
         raise NoIdentityError("no two-sided identity element")
-    # t[t[g,h], k] == t[g, t[h,k]] for all triples, vectorized over k.
-    if not np.array_equal(t[t, :], t[:, t]):
-        raise NotAssociativeError("multiplication table is not associative")
+    # t[t[g,h], k] == t[g, t[h,k]] for all triples, over chunks of rows g
+    step = max(1, CHUNK_BYTES // (t.itemsize * n * n))
+    for rows in (t[i:i + step] for i in range(0, n, step)):
+        if not np.array_equal(t[rows], rows[:, t]):
+            raise NotAssociativeError("multiplication table is not associative")
     inverse = np.empty(n, dtype=np.int64)
     for g in range(n):
         hits = np.where(t[g] == identity)[0]

@@ -250,24 +250,22 @@ def stack_spectra(stack):
 
 
 def judge_psd(defect, low, high, tol: Tolerance = DEFAULT_TOL, floor: float = 1.0, *,
-              hermitian_bound: float | None = None, bound=None, refute: float | None = None):
+              refute: float | None = None):
     """The PSD verdict of matrices M from their spectral data (`block_spectra`):
     Hermitian defect, smallest and largest eigenvalues low, high of
     (M + M*) / 2.  M passes when its defect is at most 100 * rel_eq and
 
         low >= -rel_psd * max(floor, ||M||),   ||M|| = max(-low, high).
 
-    A caller whose rule differs passes its own bound in: `hermitian_bound`
-    for the defect; `bound`, the bound on -low itself; or `refute` = k, the
-    looser bound of a sampled refutation, which fails M only when low <
-    -k * rel_psd * max(floor, ||M||) or when its defect exceeds both 100 *
-    rel_eq and k * rel_psd (a defect counts there as the margin -defect).
-    Returns (ok, residual, hermitian), arrays shaped like the inputs: the
-    residual is max(-low, 0) for a Hermitian M and its defect otherwise."""
-    hermitian = defect <= (100 * tol.rel_eq if hermitian_bound is None else hermitian_bound)
+    A sampled refutation passes `refute` = k, a looser rule: it fails M only
+    when low < -k * rel_psd * max(floor, ||M||) or when its defect exceeds
+    both 100 * rel_eq and k * rel_psd (a defect counts there as the margin
+    -defect).  Returns (ok, residual, hermitian), arrays shaped like the
+    inputs: the residual is max(-low, 0) for a Hermitian M and its defect
+    otherwise."""
+    hermitian = defect <= 100 * tol.rel_eq
     rel = tol.rel_psd if refute is None else refute * tol.rel_psd
-    if bound is None:
-        bound = rel * np.maximum(floor, np.maximum(-low, high))
+    bound = rel * np.maximum(floor, np.maximum(-low, high))
     ok = (low >= -bound) & (hermitian if refute is None else hermitian | (defect <= rel))
     return ok, np.where(hermitian, np.maximum(-low, 0.0), defect), hermitian
 

@@ -10,6 +10,11 @@ empty, the block norms equal them to 1e-12 relative to max(1, norm).  A
 bundle bent between `numerics.ROUNDING` and the membership bound takes the
 ambient route, and gives the verdicts of the loop oracle.  A unitary
 conjugation of every fiber leaves every item of the battery as it was.
+
+The action battery reads the norms of contractivity and Gram domination's
+||a|| through the same routine; on the conjugated bundles both residuals
+equal the ambient loop oracle's, and over the bent bundle the battery takes
+the ambient route and gives the loop oracle's report.
 """
 
 import functools
@@ -22,6 +27,8 @@ from hypothesis import strategies as st
 
 from fellbundles import bundles as bundles_module
 from fellbundles import hilbundles
+from fellbundles.actions import SAMPLES, Action, l2_action, regularize_action, trivial_action, \
+    validate_action
 from fellbundles.bundles import FellBundle, dynamical_bundle, group_bundle
 from fellbundles.groups import make_cyclic, symmetric_group
 from fellbundles.hilbundles import SemiInnerBundle, l2_bundle, regularize_bundle, \
@@ -31,7 +38,8 @@ from fellbundles.numerics import ROUNDING, membership_bound, opnorm
 from test_bundles import M2_BASIS
 from test_gns_separation import m3_z2
 from test_pdmaps_batched import m2_z4, m3_z3
-from test_validators_batched import _bumped, inequality_items, reference_validate
+from test_validators_batched import _bumped, assert_same_report, inequality_items, \
+    reference_validate, reference_validate_action, sampled_action_items
 
 
 def close(a, b):
@@ -250,3 +258,53 @@ def test_a_unitary_conjugation_of_s4_leaves_every_item_as_it_was(kind, seed, at)
     """S4 is built in blocks; its l2 and regular bundles (fibers of
     dimension 24) cost a second each, so one example."""
     conjugation_keeps_every_item("S4", kind, seed, at)
+
+
+# -- the action battery ------------------------------------------------------------
+
+ACTIONS = {"trivial": trivial_action, "l2": l2_action,
+           "regular": lambda b: regularize_action(trivial_action(b))}
+ACTION_KEPT = ("contractivity ||rho(a)x|| <= ||a|| ||x||", "Gram domination S <= ||a||^2 R")
+
+
+def action(b, kind, at):
+    """The `kind` action of b, with the operator block `at` moved by 1e-3
+    (None: unperturbed)."""
+    rho = ACTIONS[kind](b)
+    if at is None:
+        return rho
+    return Action(b, rho.hom, rho.target, _bumped(rho.ops, at, 1e-3, np.random.default_rng(0)))
+
+
+@functools.lru_cache(maxsize=None)
+def unrotated_action_items(name, kind, at):
+    return items(validate_action(action(built(name), kind, at)))
+
+
+@pytest.mark.parametrize("name", ["Z3", "S3", "M2xZ2"])
+@pytest.mark.parametrize("kind", sorted(ACTIONS))
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=SEEDS, at=BLOCKS)
+def test_a_unitary_conjugation_leaves_every_action_item_as_it_was(name, kind, seed, at):
+    """Every item as on the unrotated bundle, and contractivity and Gram
+    domination as the loop oracle reads them from ambient matrices."""
+    order = built(name).group.order
+    b = rotated(built(name), seed)
+    assert b._norms_in_blocks()
+    for bump in (None, (at[0] % order, at[1] % order)):
+        rho = action(b, kind, bump)
+        got = items(validate_action(rho))
+        assert_same(got, unrotated_action_items(name, kind, bump))
+        assert_same([item for item in got if item[0] in ACTION_KEPT],
+                    items(sampled_action_items(rho, samples=SAMPLES)))
+
+
+@pytest.mark.parametrize("kind", ["trivial", "l2", "regular", "trivial bumped", "l2 bumped"])
+def test_an_action_over_a_bent_bundle_takes_the_ambient_route(kind):
+    b = bent_s3()
+    rho = action(b, kind.split()[0], (1, 2) if kind.endswith("bumped") else None)
+    shapes = []
+    with mock.patch.object(bundles_module, "opnorms", side_effect=_sides(shapes)):
+        rep = validate_action(rho)
+    assert set(shapes) == {(6, 6)}
+    assert_same_report(rep, reference_validate_action(rho, samples=SAMPLES), kind)

@@ -312,9 +312,9 @@ def test_byte_identical_reports_across_processes(tmp_path):
 
 
 def test_verdicts_do_not_read_the_seed(tmp_path, capsys):
-    """--seed draws only pd-check's tuples and correspond's amplified
-    sections: validate, report and morita print the same report under every
-    seed, the header's "seed" apart."""
+    """--seed draws only pd-check's tuples: validate, report, morita and
+    correspond print the same report under every seed, the header's "seed"
+    apart."""
     from fellbundles.actions import Action, l2_action
 
     z3 = group_bundle(make_cyclic(3))
@@ -325,8 +325,8 @@ def test_verdicts_do_not_read_the_seed(tmp_path, capsys):
     s3 = trivial_self_equivalence(group_bundle(symmetric_group(3)))
     objects = {  # object, commands, whether it passes
         "z3": (sz.bundle_to_json(z3), ("validate", "report"), True),
-        "l2": (sz.action_to_json(rho), ("validate", "report"), True),
-        "perturbed": (sz.action_to_json(perturbed), ("validate", "report"), False),
+        "l2": (sz.action_to_json(rho), ("validate", "report", "correspond"), True),
+        "perturbed": (sz.action_to_json(perturbed), ("validate", "report", "correspond"), False),
         "s3 equivalence": (sz.equivalence_to_json(s3), ("validate", "report", "morita"), True),
     }
     for name, (tree, commands, passes) in objects.items():

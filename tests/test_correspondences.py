@@ -247,7 +247,7 @@ def test_amplified_correspondence_dimensions_and_star_property():
     y = attach_left_action(build_module(rho.target), rho)
     amp = amplified_correspondence(y)
     assert amp.dim == b.group.order * y.dim
-    check = amplified_is_star_rep(amp, seed=17)
+    check = amplified_is_star_rep(amp)
     assert check and check.residual <= check.bound
     # generator formula: a (+) g amplifies to lambda_g (x) pi_g(a), stored as
     # the blocks of pi_g(a), block r reading fiber g^-1 r (phi is the identity)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,34 @@ def test_nonassociative_latin_square_rejected():
     t = find_nonassociative_latin_square()
     with pytest.raises((NotAssociativeError, NoIdentityError)):
         make_from_table(t)
+
+
+# a loop of order 5 that is no group (1 * 1 = 0, and a group of order 5 is cyclic)
+LOOP5 = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]])
+
+
+def test_a_nonassociative_loop_is_refused_past_the_first_chunk():
+    """Z40 x LOOP5 indexed b * 40 + a: every non-associative triple (g, h, k)
+    has a g of loop part b != 0, a row past the first chunk of rows that
+    the associativity check compares at once."""
+    b, a = np.divmod(np.arange(200), 40)
+    table = LOOP5[b[:, None], b[None, :]] * 40 + (a[:, None] + a[None, :]) % 40
+    with pytest.raises(NotAssociativeError):
+        make_from_table(table)
+
+
+def test_the_associativity_check_forms_no_cubic_array():
+    """The check compares chunks of rows, so a table of order 200 peaks far
+    below the two 200^3 int64 arrays (61 MiB each) of a whole comparison."""
+    table = (np.arange(200)[:, None] + np.arange(200)) % 200
+    tracemalloc.start()
+    try:
+        make_from_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_one_by_one_table():

@@ -17,10 +17,11 @@ Five random-data items stay in the library, drawn from one fixed seed
     factor of three of the identity bound.  The exact items read such a
     one-block perturbation against the whole tuple tensor, about half as
     large as the random-data items read it, and pass;
-  - Gram domination, on an action of M2 x| Z2 whose target has every inner
-    product negated.  validate_action does not judge its target, and
-    multiplicativity, adjoint symmetry and commutation are linear in the
-    target's inner products.
+  - Gram domination, together with contractivity, on the Z3 trivial action
+    with one operator block moved by 1e-8.  Near-bound perturbations of the
+    semi-inner pre-actions below can fail Gram domination alone, but none of
+    this corpus's draws does.  The actions whose target has every inner
+    product negated fail "target fiber Grams PSD" too.
 
 The corpus, all drawn from one fixed seed:
   - the perturbation corpora of `test_acceptance` criterion 4: one diagonal
@@ -35,7 +36,10 @@ The corpus, all drawn from one fixed seed:
     self-equivalences of Z3, S3 and M2 x| Z2: a diagonal or off-diagonal
     inner block or an act block of a Hilbert bundle; an operator block or
     an inner block of an action's target; an inner, act, lact or linner
-    block of an equivalence.
+    block of an equivalence;
+  - the same sweep scales over the pre-actions of left multiplication of M2
+    on its raw semi-inner bundle over either diagonal corner: one operator,
+    inner or act block moved.  They come last, from their own generator.
 """
 
 import numpy as np
@@ -43,18 +47,19 @@ import pytest
 
 from fellbundles.actions import Action, l2_action, regularize_action, trivial_action, \
     validate_action
-from fellbundles.bundles import projection_expectation
+from fellbundles.bundles import FellBundle, projection_expectation
 from fellbundles.correspondences import EquivalenceBundle, trivial_self_equivalence, \
     verify_imprimitivity
-from fellbundles.groups import make_cyclic
-from fellbundles.hilbundles import HilbertBundle, SemiInnerBundle, condexp_semibundle, \
-    l2_bundle, module_bundle_from_dynsys, regularize_bundle, trivial_hilbert_bundle, \
-    trivial_module, validate_hilbert_bundle
+from fellbundles.groups import identity_hom, make_cyclic
+from fellbundles.hilbundles import HilbertBundle, SemiInnerBundle, condexp_raw_semibundle, \
+    condexp_semibundle, l2_bundle, module_bundle_from_dynsys, regularize_bundle, \
+    trivial_hilbert_bundle, trivial_module, validate_hilbert_bundle
 from fellbundles.numerics import DEFAULT_TOL, identity_bound
 from fellbundles.pdmaps import gelfand_raikov, identity_bundle_map
 
 from test_acceptance import _perturb_hilbert, z4_to_z2_rep_action
 from test_ambient_route import _doubled
+from test_bundles import M2_BASIS
 from test_tolerance_governs import scaled
 from test_validators_batched import RETIRED, _bumped, inequality_items, \
     retired_imprimitivity_items, sampled_action_items, section_items
@@ -138,6 +143,18 @@ def _position(rng, order, kind):
         s = int(rng.integers(order - 1))
         return r, s + (s >= r)
     return r, int(rng.integers(order))
+
+
+def _pre_actions():
+    """Left multiplication of M2 on its raw semi-inner bundle over each
+    diagonal corner (`hilbundles.condexp_raw_semibundle`), the pre-actions
+    of `test_actions.test_pre_action_of_conditional_expectation_separates`."""
+    point = make_cyclic(1)
+    sup = FellBundle(point, 2, [M2_BASIS])
+    ops = [[np.stack([sup.left_mult_matrix(0, np.eye(4)[i], 0) for i in range(4)])]]
+    return [Action(sup, identity_hom(point), condexp_raw_semibundle(projection_expectation(
+        sup, FellBundle(point, 2, [np.diag(corner)[None]]))), ops)
+        for corner in ([1.0, 0.0], [0.0, 1.0])]
 
 
 def _corpus(corpus_bundles):
@@ -236,6 +253,23 @@ def _corpus(corpus_bundles):
                     linner = _bumped(linner, pos, scale, rng)
                 inputs.append((f"{bname} equivalence {kind} {scale:.1e}", equivalence_verdicts,
                                EquivalenceBundle(b, right, lact, linner)))
+
+    # the semi-inner pre-actions, from their own generator so that every
+    # input above keeps its draws
+    rng = np.random.default_rng(32)
+    for corner, pre in enumerate(_pre_actions()):
+        x = pre.target
+        for kind in ("ops", "inner", "act"):
+            for scale in _sweep_scales(rng):
+                if kind == "ops":
+                    bad = Action(pre.source, pre.hom, x, _bumped(pre.ops, (0, 0), scale, rng))
+                else:
+                    tensors = {"act": x.act, "inner": x.inner}
+                    tensors[kind] = _bumped(tensors[kind], (0, 0), scale, rng)
+                    bad = _with_target(pre, SemiInnerBundle(x.bundle, x.dims, tensors["act"],
+                                                            tensors["inner"]))
+                inputs.append((f"M2 corner {corner} pre-action {kind} {scale:.1e}",
+                               action_verdicts, bad))
     return inputs
 
 
