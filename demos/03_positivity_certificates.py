@@ -34,10 +34,11 @@ print("  margin          ", cert.margin)
 print("  min of the DFT  ", np.fft.fft(f).real.min())
 print()
 
-# the failure witness is a genuine tuple whose quantified sum goes negative
+# the failure witness is a genuine tuple whose quantified sum goes negative;
+# the tuple and its sum come in fiber coordinates, expanded here by element
 bad = scalar_bundle_map(b, b, hom, [1.0, 2.0])
 cert = pd_check_exact(bad)
-s = cert.witness_sum
+s = b.element(b.group.identity, cert.witness_sum)
 print("witness sum for f(g)=2 has eigenvalues",
       np.round(np.linalg.eigvalsh((s + s.conj().T) / 2), 6),
       "<= margin", cert.margin)

@@ -15,9 +15,10 @@ algebra spanned by the target's fibers (`FellBundle.blocks`), from the
 compressed fibers; the decomposition's own self-check guards that
 reduction (`Blocks.residual`), and `numerics.one_block` gives the ambient
 route.  The witness of a failed certificate is read off the same block
-forms, as the canonical lowest eigenvector of the localized form, and its
-sum as unit-fiber coordinates; the ambient certificate is formed only when
-it is read, and the tuple sum of a refuting sample only when read.  The
+forms, as the canonical lowest eigenvector of the localized form.  Both
+checks give a refuting tuple in fiber coordinates, one triple (g, a in A_g,
+b in B_{phi(g)}) per position, and the certificate its sum as unit-fiber
+coordinates; the ambient certificate is formed only when it is read.  The
 reconstruction quotients its elementary tensors blockwise: the bases of the
 separation rule compress the structure tensors directly, and no raw action
 or shift is formed.  A conditional expectation is an idempotent, bimodular,
@@ -126,9 +127,11 @@ class PdCertificate:
     """The verdict of the exact certificate, with its margin, the scale
     max(1, norm) the margin is judged against, its Hermitian defect and that
     defect's verdict.  `gram` is the certificate matrix in the target's
-    ambient algebra, formed on first read when it is given as a function; a
-    failed certificate may carry a violating tuple (g, a_matrix, b_matrix)
-    per position and the sum it attains."""
+    ambient algebra, formed on first read when it is given as a function.  A
+    failed certificate may carry a violating tuple in fiber coordinates,
+    `witness`, one triple (g, coordinates of a in A_g, coordinates of b in
+    B_{phi(g)}) per position, and `witness_sum`, the unit-fiber coordinates
+    of the sum S = sum_pq b_p T(a_p* a_q) b_q* it attains."""
 
     def __init__(self, ok: bool, margin: float, gram, hermitian_defect: float,
                  witness: list | None = None, witness_sum: np.ndarray | None = None,
@@ -267,11 +270,13 @@ def _attach_witness(t: BundleMap, cert: PdCertificate, tol: Tolerance, groups, f
     the sum over the types of m_i times the localized block forms.  Its
     canonical lowest eigenvector (`numerics.canonical_min_vector`) is
     folded back into an explicit violating tuple, rescaled so that its
-    defect is at least as negative as the margin.  The tuple's sum
-    S = sum_pq c_p* M_pq c_q lies in B_e: it is formed type by type and read
-    as unit-fiber coordinates, sum_i m_i <W_i* b W_i, W_i* S W_i> for the
-    basis b of B_e, or as it is when the blocks are the ambient M_n.  The
-    ambient certificate is formed only when `cert.gram` is read."""
+    defect is at least as negative as the margin.  Position p = (g, i)
+    carries, in fiber coordinates, a = scales[p] e_i in A_g and b = c_p* in
+    B_{phi(g)}, with c_p in B_{phi(g)^-1}, read through the target's star
+    tensor.  The tuple's sum S = sum_pq c_p* M_pq c_q lies in B_e: it is
+    formed type by type and read as unit-fiber coordinates,
+    sum_i m_i <W_i* b W_i, W_i* S W_i> for the basis b of B_e.  The ambient
+    certificate is formed only when `cert.gram` is read."""
     src, tgt = t.source, t.target
     pairs = _basis_pairs(src)
     n, e = tgt.ambient_dim, tgt.group.identity
@@ -286,11 +291,11 @@ def _attach_witness(t: BundleMap, cert: PdCertificate, tol: Tolerance, groups, f
     coeffs = np.zeros(size * dbm, dtype=np.complex128)
     coeffs[cols] = canonical_min_vector((local + dagger(local)) / 2, tol, 1 / mu) * np.sqrt(n)
     coeffs = coeffs.reshape(size, 1, dbm)
-    # c_p = sum_z coeffs[p, z] beta_z in B_{phi(g_p)^-1}; the tuple carries b_p = c_p*
-    cs = (coeffs @ tgt.fiber_array[labels, :dbm].reshape(size, dbm, n * n)).reshape(size, n, n)
+    # b_p = c_p*, with c_p = sum_z coeffs[p, z] beta_z in B_{phi(g_p)^-1}
+    bs = (coeffs.conj() @ tgt.star_array[labels, :dbm])[:, 0]
     scales = _unit_norm_scales(src)
-    cert.witness = [(g, scales[p] * src.fibers[g][i], c.conj().T)
-                    for p, ((g, i), c) in enumerate(zip(pairs, cs))]
+    cert.witness = [(g, scales[p] * np.eye(src.dims[g])[i], bs[p, :tgt.dims[t.hom(g)]])
+                    for p, (g, i) in enumerate(pairs)]
     total = np.zeros(tgt.dims[e], dtype=np.complex128)
     for (mult, fibers), form in zip(groups, forms):
         count, k = fibers.shape[2], fibers.shape[-1]
@@ -298,11 +303,8 @@ def _attach_witness(t: BundleMap, cert: PdCertificate, tol: Tolerance, groups, f
         x = (coeffs @ fibers[labels, :dbm].reshape(size, dbm, -1)).reshape(size, count, k, k)
         x = x.transpose(1, 0, 2, 3).reshape(count, size * k, k)
         part = x.conj().swapaxes(-1, -2) @ form @ x  # W_l* S W_l
-        if k == n:  # the ambient M_n
-            cert.witness_sum = _unscaled(part[0], mu, "witness sum")
-            return
         total += np.einsum("jlab,lab,l->j", fibers[e, :tgt.dims[e]].conj(), part, mult)
-    cert.witness_sum = _unscaled(tgt.element(e, total), mu, "witness sum")
+    cert.witness_sum = _unscaled(total, mu, "witness sum")
 
 
 def _unscaled(value, mu: float, what: str):
@@ -378,32 +380,14 @@ def check_subbundle_and_expectation(exp: BundleMap, tol: Tolerance | None = None
 
 class SampledCheck:
     """The verdict of the sampled check and its worst margin.  A refuted map
-    carries the first tuple (g, a_matrix, b_matrix) per position attaining
-    it, and its sum in the target's ambient algebra, `witness_sum`, formed
-    on first read when it is given as a function."""
+    carries the first tuple attaining it, one triple (g, coordinates of a in
+    A_g, coordinates of b in B_{phi(g)}) per position."""
 
-    def __init__(self, ok: bool, worst_margin: float, witness: list | None = None,
-                 witness_sum=None):
-        self.ok, self.worst_margin = ok, worst_margin
-        self.witness, self._witness_sum = witness, witness_sum
-
-    @property
-    def witness_sum(self) -> np.ndarray | None:
-        if callable(self._witness_sum):
-            self._witness_sum = self._witness_sum()
-        return self._witness_sum
+    def __init__(self, ok: bool, worst_margin: float, witness: list | None = None):
+        self.ok, self.worst_margin, self.witness = ok, worst_margin, witness
 
     def __bool__(self):
         return self.ok
-
-
-def _tuple_sum(t: BundleMap, witness: list) -> np.ndarray:
-    """sum_ij b_i T(a_i* a_j) b_j* over a tuple (g_i, a_i, b_i) of ambient
-    matrices."""
-    grp = t.source.group
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond the float range reads inf
-        return sum(b1 @ t.apply_ambient(grp.mul(grp.inv(g1), g2), a1.conj().T @ a2) @ b2.conj().T
-                   for g1, a1, b1 in witness for g2, a2, b2 in witness)
 
 
 def t_values_ambient(t: BundleMap, fibers=None) -> np.ndarray:
@@ -517,8 +501,8 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     T divided by a power of two so huge finite entries cannot overflow: the
     norm of a sum that is Hermitian up to rounding is its largest
     |eigenvalue|, and only the other sums take singular values.  The
-    witness is the first sample attaining the minimal margin; its sum S is
-    formed in the ambient algebra on first read of `witness_sum`.
+    witness is the first sample attaining the minimal margin, its positions
+    the drawn labels and coordinates of a_i and b_i (`SampledCheck`).
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
@@ -588,9 +572,9 @@ def pd_check_sampled(t: BundleMap, samples: int = 200, seed: int = 0,
     if not refuted:
         return SampledCheck(True, worst if np.isfinite(worst) else 0.0)
     span = slice(starts[first], ends[first])
-    witness = [(int(g), src.element(g, ai[:da[g]]), tgt.element(t.hom(g), bi[:db[g]]))
+    witness = [(int(g), ai[:da[g]], bi[:db[g]])
                for g, ai, bi in zip(labels[span], a_all[span], b_all[span])]
-    return SampledCheck(False, worst, witness, lambda: _tuple_sum(t, witness))
+    return SampledCheck(False, worst, witness)
 
 
 def _gns_slots(t: BundleMap):

@@ -694,8 +694,10 @@ def equivalence_from_json(data, tol: Tolerance | None = None) -> EquivalenceBund
 
 def certificate_tree(cert, full: bool = False) -> dict:
     """The report of a positive definiteness certificate: its verdict,
-    margin and Hermitian defect, the witness of a failed one, and with
-    `full` its matrix."""
+    margin and Hermitian defect, the witness of a failed one in fiber
+    coordinates (per position g and the coordinates of a in A_g and of b in
+    B_{phi(g)}, and the unit-fiber coordinates of the tuple sum), and with
+    `full` its matrix in the target's ambient algebra."""
     out = {
         "verdict": bool(cert.ok),
         "margin": float(cert.margin),

@@ -27,6 +27,7 @@ from fellbundles.numerics import DEFAULT_TOL, canonical_min_vector, dagger, herm
 from fellbundles.pdmaps import BundleMap, PdCertificate, cached_rep, identity_bundle_map, \
     pd_check_exact, perturb_bundle_map
 
+from oracles import ambient_sum, ambient_witness, tuple_sum
 from test_actions import z4_to_z2_rep_action
 from test_gns_separation import m3_z2
 from test_pdmaps_batched import indefinite_identity, indefinite_maps, m2_z4, star_prod_tensor
@@ -157,30 +158,28 @@ def _assert_same_certificate(t, got, want, lherm, name):
     assert (got.witness is None) == (want.witness is None), name
     if want.witness is None:
         return
-    tgt, grp = t.target, t.source.group
-    # the witness re-evaluates to its stored sum, which is at least as
-    # negative as the margin
-    s = np.zeros_like(got.witness_sum)
-    for g1, a1, b1 in got.witness:
-        for g2, a2, b2 in got.witness:
-            s += b1 @ t.apply_ambient(grp.mul(grp.inv(g1), g2), a1.conj().T @ a2) @ b2.conj().T
-    assert np.allclose(s, got.witness_sum, rtol=0, atol=1e-10 * scale), name
+    tgt = t.target
+    # the witness, expanded to ambient matrices, re-evaluates to its stored
+    # sum, which is at least as negative as the margin
+    witness, witness_sum = ambient_witness(t, got.witness), ambient_sum(t, got)
+    s = tuple_sum(t, witness)
+    assert np.allclose(s, witness_sum, rtol=0, atol=1e-10 * scale), name
     herm_sum = (s + dagger(s)) / 2
     assert np.linalg.eigvalsh(herm_sum)[0] <= got.margin + 1e-10 * scale, name
     # its coefficients over the fiber bases are a lowest eigenvector of the
     # reference form
     inv = tgt.group.inverse
-    vec = np.concatenate([tgt.coords(inv[t.hom(g)], dagger(b))[0] for g, _, b in got.witness])
+    vec = np.concatenate([tgt.coords(inv[t.hom(g)], dagger(b))[0] for g, _, b in witness])
     vec = vec / np.sqrt(tgt.ambient_dim)
     ev = np.linalg.eigvalsh(lherm)
     lscale = max(1.0, float(np.abs(ev).max()))
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12), name
     assert np.linalg.norm(lherm @ vec - ev[0] * vec) <= 1e-10 * lscale, name
-    for (g1, a1, b1), (g2, a2, b2) in zip(got.witness, want.witness, strict=True):
+    for (g1, a1, b1), (g2, a2, b2) in zip(witness, want.witness, strict=True):
         assert g1 == g2, name
         assert np.allclose(a1, a2, rtol=0, atol=1e-12), name
         assert np.allclose(b1, b2, rtol=0, atol=1e-12), name
-    assert np.allclose(got.witness_sum, want.witness_sum, rtol=0, atol=1e-12 * scale), name
+    assert np.allclose(witness_sum, want.witness_sum, rtol=0, atol=1e-12 * scale), name
 
 
 def test_certificate_matches_regular_route(corpus_bundles):

@@ -25,6 +25,7 @@ from fellbundles.numerics import DEFAULT_TOL, Blocks, Tolerance, canonical_min_v
 from fellbundles.pdmaps import NotPositiveDefiniteError, conjugation_bundle_map, gelfand_raikov, \
     identity_bundle_map, pd_check_exact, pd_check_sampled, perturb_bundle_map, scalar_bundle_map
 
+from oracles import ambient_sum, ambient_witness, witness_value
 from test_pdmaps_batched import crossed, indefinite_identity, indefinite_maps, s4_indefinite_scalar
 
 LADDER = {f"Z{n}": make_cyclic(n) for n in (2, 3, 4, 6, 8, 12)}
@@ -268,9 +269,10 @@ def test_certificate_matches_the_one_block_route(maps):
             refuted += 1
             witness, witness_sum = reference_witness(t)
             for cert in (got, want):
-                for (g1, a1, b1), (g2, a2, b2) in zip(cert.witness, witness, strict=True):
+                for (g1, a1, b1), (g2, a2, b2) in zip(ambient_witness(t, cert.witness), witness,
+                                                      strict=True):
                     assert g1 == g2 and _close_arrays(a1, a2) and _close_arrays(b1, b2), name
-                assert _close_arrays(cert.witness_sum, witness_sum), name
+                assert _close_arrays(ambient_sum(t, cert), witness_sum), name
         assert got.gram.tobytes() == want.gram.tobytes(), name
     assert refuted >= 10
 
@@ -287,7 +289,7 @@ def test_sampled_check_matches_the_one_block_route(maps):
             assert _close(got.worst_margin, want.worst_margin), (name, seed)
             if not got.ok:
                 refuted += 1
-                s = got.witness_sum
+                s = witness_value(t, got.witness)
                 assert s.shape == (t.target.ambient_dim,) * 2
                 assert (np.linalg.eigvalsh((s + s.conj().T) / 2)[0] < 0
                         or hermitian_defect(s) > 100 * DEFAULT_TOL.rel_eq), (name, seed)
@@ -381,7 +383,8 @@ def test_s5_rung_refutes_with_a_witness():
     assert not cert.ok and len(cert.witness) == grp.order
     u, n = regular_unitaries(grp), grp.order
     labels, w = [], []
-    for g, a, bp in cert.witness:
+    for position in cert.witness:
+        g, a, bp = ambient_witness(t, [position])[0]
         alpha, beta = np.vdot(u[g], a) / n, np.vdot(u[g], bp) / n
         assert np.abs(a - alpha * u[g]).max() <= 1e-12
         assert np.abs(bp - beta * u[g]).max() <= 1e-12
@@ -391,7 +394,7 @@ def test_s5_rung_refutes_with_a_witness():
     f = np.where(np.arange(n) == grp.identity, 1.0, 2.0)
     value = w.conj() @ f[grp.table[grp.inverse[labels][:, None], labels[None, :]]] @ w
     assert value.real < -0.5 and cert.margin < 0
-    assert np.abs(cert.witness_sum - value * np.eye(n)).max() <= 1e-9 * max(1.0, abs(value))
+    assert np.abs(ambient_sum(t, cert) - value * np.eye(n)).max() <= 1e-9 * max(1.0, abs(value))
 
 
 def test_gns_refuses_from_the_verdict_alone(monkeypatch, maps):

@@ -61,7 +61,9 @@ def test_pd_check_failure_reports_witness(tmp_path, capsys):
     assert payload["ok"] is False
     assert payload["exact"]["margin"] == pytest.approx(-1.0, abs=1e-9)
     assert payload["exact"]["witness"]
-    s = sz.matrix_from_json(payload["exact"]["witness_sum"])
+    # the report holds fiber coordinates; expanded, the sum is negative
+    b = group_bundle(make_cyclic(2))
+    s = b.element(b.group.identity, sz.vector_from_json(payload["exact"]["witness_sum"]))
     assert np.linalg.eigvalsh((s + s.conj().T) / 2)[0] <= -1.0 + 1e-9
 
 

@@ -27,6 +27,7 @@ from fellbundles.numerics import DEFAULT_TOL, frob, one_block, orthonormal_basis
 from fellbundles.pdmaps import check_subbundle_and_expectation, pd_check_exact
 from fellbundles.reports import Report
 
+from oracles import ambient_sum
 from test_actions import hilbert_space_module
 from test_bundles import swap_system
 from test_numerics import numerical_rank, psd_verdict
@@ -424,4 +425,5 @@ def test_idempotent_and_bimodular_are_not_enough():
     cert = pd_check_exact(exp)
     assert cert.margin == pytest.approx(-1.0, rel=1e-12)
     assert cert.witness is not None
-    assert np.linalg.eigvalsh((cert.witness_sum + cert.witness_sum.conj().T) / 2)[0] < 0
+    s = ambient_sum(exp, cert)
+    assert np.linalg.eigvalsh((s + s.conj().T) / 2)[0] < 0

@@ -25,6 +25,7 @@ from fellbundles.pdmaps import (
     scalar_bundle_map,
 )
 
+from oracles import ambient_sum, witness_value
 from test_bundles import ad_diag_system
 from test_numerics import psd_ok
 
@@ -137,19 +138,16 @@ def test_exact_certificate_matches_section_route():
 
 
 def test_failed_certificate_carries_valid_witness():
-    cert = pd_check_exact(scalar_map_z(2, [1.0, 2.0]))
-    assert not cert.ok
-    evs = np.linalg.eigvalsh((cert.witness_sum + cert.witness_sum.conj().T) / 2)
-    assert evs[0] <= cert.margin + 1e-9
-    # the witness tuple re-evaluates to the stored sum
     t = scalar_map_z(2, [1.0, 2.0])
-    s = np.zeros_like(cert.witness_sum)
-    grp = t.source.group
-    for g1, a1, b1 in cert.witness:
-        for g2, a2, b2 in cert.witness:
-            k = grp.mul(grp.inv(g1), g2)
-            s += b1 @ t.apply_ambient(k, a1.conj().T @ a2) @ b2.conj().T
-    assert np.allclose(s, cert.witness_sum, atol=1e-9)
+    cert = pd_check_exact(t)
+    assert not cert.ok
+    witness_sum = ambient_sum(t, cert)
+    evs = np.linalg.eigvalsh((witness_sum + witness_sum.conj().T) / 2)
+    assert evs[0] <= cert.margin + 1e-9
+    # the witness tuple, expanded to ambient matrices, re-evaluates to the
+    # stored sum
+    s = witness_value(t, cert.witness)
+    assert np.allclose(s, witness_sum, atol=1e-9)
 
 
 def test_sampled_consistent_with_exact_pass():
@@ -183,7 +181,8 @@ def test_sampled_finds_witness_on_z2_value_two():
     res = pd_check_sampled(t, samples=500, seed=0)
     assert not res.ok
     assert res.witness is not None
-    assert np.linalg.eigvalsh((res.witness_sum + res.witness_sum.conj().T) / 2)[0] < 0
+    s = witness_value(t, res.witness)
+    assert np.linalg.eigvalsh((s + s.conj().T) / 2)[0] < 0
 
 
 def test_sampled_passes_zero_map():

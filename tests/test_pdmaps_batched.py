@@ -27,6 +27,7 @@ from fellbundles.pdmaps import (
     scalar_bundle_map,
 )
 
+from oracles import witness_value
 from test_actions import z4_to_z2_rep_action
 from test_pdmaps import scalar_map_z
 
@@ -59,7 +60,7 @@ def reference_pd_check_sampled(t, samples=200, seed=0, tol=DEFAULT_TOL):
     tuples the sampler draws: one call each for the tuple lengths, the
     labels of all positions, and the real and imaginary parts of all a's,
     then of all b's, as (positions, 2, width) arrays read up to each fiber's
-    dimension."""
+    dimension.  Its witness holds ambient matrices."""
     src, tgt, hom = t.source, t.target, t.hom
     grp = src.group
     rng = np.random.default_rng(seed)
@@ -95,11 +96,9 @@ def reference_pd_check_sampled(t, samples=200, seed=0, tol=DEFAULT_TOL):
         if margin < worst:
             worst = margin
             if margin < -10 * tol.rel_psd:
-                bad = ([(g, src.element(g, a), b)
-                        for g, a, b in zip(gs, a_coords, bs)], s)
+                bad = [(g, src.element(g, a), b) for g, a, b in zip(gs, a_coords, bs)]
     ok = bad is None
-    return SampledCheck(ok, float(worst) if np.isfinite(worst) else 0.0,
-                        None if ok else bad[0], None if ok else bad[1])
+    return SampledCheck(ok, float(worst) if np.isfinite(worst) else 0.0, bad)
 
 
 def reference_raw_inner(t):
@@ -245,15 +244,14 @@ def _assert_matches_reference(t, samples, seed):
     # margins are already relative to max(1, ||S||)
     assert got.worst_margin == pytest.approx(want.worst_margin, rel=1e-12, abs=1e-12)
     if not got.ok:
-        # the witness tuple re-evaluates to a sum that fails the check: a
-        # negative eigenvalue, or (for a non-Hermitian map) a Hermitian defect
-        grp = t.source.group
-        s = np.zeros_like(got.witness_sum)
-        for g1, a1, b1 in got.witness:
-            for g2, a2, b2 in got.witness:
-                k = grp.mul(grp.inv(g1), g2)
-                s += b1 @ t.apply_ambient(k, a1.conj().T @ a2) @ b2.conj().T
-        assert np.allclose(s, got.witness_sum, atol=1e-9 * max(1.0, np.linalg.norm(s)))
+        # the witness tuple re-evaluates, in ambient matrices, to a sum that
+        # attains the worst margin, in the loop's rule, and fails the check:
+        # a negative eigenvalue, or (for a non-Hermitian map) a Hermitian defect
+        s = witness_value(t, got.witness)
+        margin = np.linalg.eigvalsh((s + s.conj().T) / 2)[0] / max(1.0, opnorm(s))
+        if hermitian_defect(s) > 100 * DEFAULT_TOL.rel_eq:
+            margin = min(margin, -hermitian_defect(s))
+        assert margin == pytest.approx(got.worst_margin, rel=1e-9, abs=1e-9)
         assert (np.linalg.eigvalsh((s + s.conj().T) / 2)[0] < 0
                 or hermitian_defect(s) > 100 * DEFAULT_TOL.rel_eq)
     return got
